@@ -2,9 +2,10 @@
 // experiment renders a structured report: tables, ASCII curve figures and
 // reproduction notes.
 //
-// All experiments in one invocation share a single characterization
-// service, so `-run all` performs each unique characterization exactly
-// once; with -cache-dir the curves additionally persist across
+// All experiments in one invocation share a single experiment environment
+// and its characterization service, so `-run all` performs each unique
+// characterization — and each simulation several experiments report on —
+// exactly once; with -cache-dir the curves additionally persist across
 // invocations, and with -cache-url (or $MESS_CURVE_URL) they are shared
 // with the whole fleet through a cmd/messcurved curve server.
 //
@@ -25,6 +26,7 @@ import (
 
 	"github.com/mess-sim/mess"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
@@ -56,12 +58,13 @@ func main() {
 
 	s := cli.MustScale(*scale)
 
-	ids := []string{*run}
-	if *run == "all" {
-		ids = ids[:0]
-		for _, e := range mess.Experiments() {
-			ids = append(ids, e.ID)
+	exps := mess.Experiments()
+	if *run != "all" {
+		e, ok := exp.ByID(*run)
+		if !ok {
+			cli.Fatal(&mess.UnknownExperimentError{ID: *run})
 		}
+		exps = []exp.Experiment{e}
 	}
 
 	if *outdir != "" {
@@ -73,6 +76,9 @@ func main() {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 	svc := cli.Service(*cacheDir, *cacheMax, *cacheURL, tel.Set())
+	env := exp.NewEnv(s, svc)
+	env.Ctx = ctx
+	env.Shards = *shards
 	// Progress and failure reporting go through the structured logger: each
 	// slog record is written with a single atomic Write, so interleaved
 	// output from concurrent characterizations never shears a line — and
@@ -80,7 +86,8 @@ func main() {
 	log := tel.Set().Logger()
 	track := tel.Set().Trace().NewTrack("messexp", "experiments")
 	failed := 0
-	for _, id := range ids {
+	for _, e := range exps {
+		id := e.ID
 		if ctx.Err() != nil {
 			// Cancelled (SIGINT or -timeout): stop cleanly instead of
 			// burning through — and failing — every remaining experiment.
@@ -91,7 +98,7 @@ func main() {
 		start := time.Now()
 		log.Info("experiment starting", "experiment", id, "scale", s.String())
 		sp := tel.Set().Trace().Begin(track, "experiment "+id)
-		res, err := mess.RunExperimentShardedContext(ctx, svc, id, s, *shards)
+		res, err := e.Run(env)
 		if err != nil {
 			sp.End(telemetry.String("outcome", "error"))
 			log.Error("experiment failed", "experiment", id, "err", err,

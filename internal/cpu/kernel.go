@@ -122,7 +122,10 @@ type KernelCore struct {
 	resumeFn  func(sim.Time)
 	depDoneFn func(sim.Time)
 
-	pendingOps []pendingOp // ops of the current line-step not yet issued
+	// A line-step issues one operation per array, loads before stores:
+	// operation i touches array i. nextOp is the first one the open step
+	// has not issued yet; Loads+Stores means none is left.
+	nextOp int
 
 	startAt sim.Time
 	instret uint64
@@ -153,6 +156,7 @@ func NewKernelCore(eng *sim.Engine, port *cache.Port, k Kernel, cfg CoreConfig) 
 		cfg:    cfg,
 		lines:  cfg.ArrayBytes / mem.LineSize,
 		rng:    cfg.Seed,
+		nextOp: k.Loads + k.Stores, // no step open yet
 	}
 	// The wake timer serves double duty, disambiguated by step state: with
 	// no step open it is the pacing alarm (begin the next step); with a
@@ -247,12 +251,7 @@ func (c *KernelCore) beginStep() {
 	k := &c.kernel
 	c.stepOpen = true
 	c.depReturned = false
-	for a := 0; a < k.Loads; a++ {
-		c.pendingOps = append(c.pendingOps, pendingOp{arr: a})
-	}
-	for a := 0; a < k.Stores; a++ {
-		c.pendingOps = append(c.pendingOps, pendingOp{arr: k.Loads + a, isStore: true})
-	}
+	c.nextOp = 0
 	// Pace on the full instruction count: every instruction, memory ones
 	// included, occupies an issue slot, bounding IPC at the core width.
 	instr := k.InstrPerStep()
@@ -275,12 +274,12 @@ func (c *KernelCore) tryIssue() {
 	if !c.running || !c.stepOpen {
 		return
 	}
-	for len(c.pendingOps) > 0 {
-		op := c.pendingOps[0]
+	for c.opsPending() {
+		op := pendingOp{arr: c.nextOp, isStore: c.nextOp >= c.kernel.Loads}
 		if !c.canIssue(op) {
 			return // an OnFree wake-up will re-enter
 		}
-		c.pendingOps = c.pendingOps[1:]
+		c.nextOp++
 		c.issue(op)
 		if c.kernel.Dependent && !op.isStore {
 			return // completeStep continues from the load callback
@@ -293,6 +292,9 @@ func (c *KernelCore) tryIssue() {
 		c.completeStep()
 	}
 }
+
+// opsPending reports whether the open step still has unissued operations.
+func (c *KernelCore) opsPending() bool { return c.nextOp < c.kernel.Loads+c.kernel.Stores }
 
 func (c *KernelCore) canIssue(op pendingOp) bool {
 	switch {
@@ -355,7 +357,7 @@ func (c *KernelCore) issue(op pendingOp) {
 	if !onChip || !dep {
 		return // off-chip: the port delivers; on-chip non-dependent: no-op
 	}
-	if len(c.pendingOps) > 0 {
+	if c.opsPending() {
 		c.wake.Arm(at)
 		return
 	}
@@ -384,7 +386,7 @@ func (c *KernelCore) dependentLoadDone(at sim.Time) {
 		return
 	}
 	c.depReturned = true
-	if len(c.pendingOps) > 0 {
+	if c.opsPending() {
 		// tryIssue retires the step itself once the trailing ops drain —
 		// immediately, or from a later OnFree wake-up if they stall.
 		c.tryIssue()

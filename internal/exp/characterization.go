@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/mess-sim/mess/internal/platform"
-	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // Figs. 2 and 3 and Table I: characterization of the eight platforms.
@@ -56,7 +55,7 @@ func runFig2(env *Env) (*Result, error) {
 	}
 	m := fam.Metrics()
 
-	stream, err := workloads.StreamSuite(spec, workloads.Options{})
+	stream, err := env.streamSuite(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +131,7 @@ func runTable1(env *Env) (*Result, error) {
 	}
 	for i, sp := range scaled {
 		m := fams[i].Metrics()
-		stream, err := workloads.StreamSuite(sp, workloads.Options{})
+		stream, err := env.streamSuite(sp)
 		if err != nil {
 			return nil, err
 		}

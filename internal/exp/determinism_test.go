@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -297,5 +298,56 @@ func TestCXLShardedCharacterizationDeterminism(t *testing.T) {
 			t.Errorf("shards=%d: CXL release CSV differs from the unsharded run:\nunsharded:\n%s\nsharded:\n%s",
 				shards, base, got)
 		}
+	}
+}
+
+// renderAll runs the experiments in order against one environment and
+// returns each rendered report.
+func renderAll(t *testing.T, env *Env, ids ...string) map[string][]byte {
+	t.Helper()
+	reports := map[string][]byte{}
+	for _, id := range ids {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		res, err := e.Run(env)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var buf bytes.Buffer
+		if err := res.Render(&buf); err != nil {
+			t.Fatalf("rendering %s: %v", id, err)
+		}
+		reports[id] = buf.Bytes()
+	}
+	return reports
+}
+
+// TestFanOutAndMemoAreInvisible pins the experiment-layer execution
+// contract: every experiment that fans its simulations out, or draws on a
+// result memoised on the Env, renders the same bytes on one worker as on
+// four, and fig16 served from fig15's HPCG run equals fig16 on an
+// environment of its own. The passes share the test binary's
+// characterization service — reference curves are not what is under test —
+// but never an Env.
+func TestFanOutAndMemoAreInvisible(t *testing.T) {
+	ids := []string{"fig6", "fig6s", "fig11", "fig13", "fig18", "table1", "fig2", "fig15", "fig16"}
+	at := func(procs int, ids ...string) map[string][]byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return renderAll(t, NewEnv(Quick, testEnv.Charz), ids...)
+	}
+	serial := at(1, ids...)
+	parallel := at(4, ids...)
+	for _, id := range ids {
+		if len(serial[id]) == 0 {
+			t.Errorf("%s rendered nothing", id)
+		}
+		if !bytes.Equal(serial[id], parallel[id]) {
+			t.Errorf("%s differs between GOMAXPROCS=1 and GOMAXPROCS=4:\n--- 1 ---\n%s\n--- 4 ---\n%s", id, serial[id], parallel[id])
+		}
+	}
+	if alone := at(4, "fig16")["fig16"]; !bytes.Equal(alone, serial["fig16"]) {
+		t.Errorf("fig16 on its own environment differs from fig16 after fig15:\n--- alone ---\n%s\n--- shared ---\n%s", alone, serial["fig16"])
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
@@ -19,6 +20,7 @@ import (
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/telemetry"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // Scale selects experiment fidelity.
@@ -102,7 +104,10 @@ func (r *Result) Render(w io.Writer) error {
 // fidelity scale plus the shared characterization service. One Env driving
 // a whole registry run (messexp -run all) performs each unique
 // characterization exactly once — the service's content-addressed keys
-// dedupe across experiments, not just within one.
+// dedupe across experiments, not just within one. The simulations the
+// service cannot serve but several experiments share (the HPCG profile of
+// fig15 and fig16, a platform's STREAM suite in fig2 and table1) are
+// memoised on the Env the same way: once per Env, read-only afterwards.
 type Env struct {
 	Scale Scale
 	Charz *charz.Service
@@ -119,6 +124,40 @@ type Env struct {
 	// NoShard forces single-engine execution even when Shards is set —
 	// the A/B kill switch for isolating the sharded runtime.
 	NoShard bool
+
+	hpcg struct {
+		once sync.Once
+		run  *hpcgRun
+		err  error
+	}
+	stream struct {
+		sync.Mutex
+		suites map[platform.Spec]*streamSuite
+	}
+}
+
+// streamSuite is one platform's STREAM results, simulated on first use.
+type streamSuite struct {
+	once    sync.Once
+	results []workloads.Result
+	err     error
+}
+
+// streamSuite runs the four STREAM kernels on the platform with default
+// options, once per environment; callers must not modify the results.
+func (env *Env) streamSuite(spec platform.Spec) ([]workloads.Result, error) {
+	env.stream.Lock()
+	if env.stream.suites == nil {
+		env.stream.suites = map[platform.Spec]*streamSuite{}
+	}
+	st := env.stream.suites[spec]
+	if st == nil {
+		st = &streamSuite{}
+		env.stream.suites[spec] = st
+	}
+	env.stream.Unlock()
+	st.once.Do(func() { st.results, st.err = workloads.StreamSuite(spec, workloads.Options{}) })
+	return st.results, st.err
 }
 
 // NewEnv builds an environment. A nil service gets a fresh in-memory one,

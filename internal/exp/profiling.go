@@ -27,13 +27,26 @@ func init() {
 	})
 }
 
+// hpcgRun is the profiled HPCG execution fig15 and fig16 both report on.
+type hpcgRun struct {
+	profile *profile.Profile
+	events  []workloads.PhaseEvent
+	spec    platform.Spec
+}
+
 // hpcgProfile runs the HPCG proxy with the window sampler and analyzes it
-// against the platform's reference curves.
-func hpcgProfile(env *Env) (*profile.Profile, []workloads.PhaseEvent, platform.Spec, error) {
+// against the platform's reference curves — once per environment; the run
+// is shared, so callers only read it.
+func hpcgProfile(env *Env) (*hpcgRun, error) {
+	env.hpcg.once.Do(func() { env.hpcg.run, env.hpcg.err = profileHPCG(env) })
+	return env.hpcg.run, env.hpcg.err
+}
+
+func profileHPCG(env *Env) (*hpcgRun, error) {
 	spec := scaleSpec(platform.CascadeLake(), env.Scale)
 	fam, err := env.reference(spec)
 	if err != nil {
-		return nil, nil, spec, err
+		return nil, err
 	}
 
 	app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
@@ -51,14 +64,15 @@ func hpcgProfile(env *Env) (*profile.Profile, []workloads.PhaseEvent, platform.S
 		spans = append(spans, profile.PhaseSpan{Name: e.Name, Start: e.Start, End: e.End, MPI: e.MPI})
 	}
 	p := profile.Build("HPCG proxy on "+spec.Name, fam, sampler.Windows(), spans, core.DefaultStressWeights)
-	return p, app.Events(), spec, nil
+	return &hpcgRun{profile: p, events: app.Events(), spec: spec}, nil
 }
 
 func runFig15(env *Env) (*Result, error) {
-	p, _, spec, err := hpcgProfile(env)
+	run, err := hpcgProfile(env)
 	if err != nil {
 		return nil, err
 	}
+	p, spec := run.profile, run.spec
 	m := p.Family.Metrics()
 	r := &Result{
 		ID: "fig15", Paper: "Fig. 15",
@@ -82,10 +96,11 @@ func runFig15(env *Env) (*Result, error) {
 }
 
 func runFig16(env *Env) (*Result, error) {
-	p, events, spec, err := hpcgProfile(env)
+	run, err := hpcgProfile(env)
 	if err != nil {
 		return nil, err
 	}
+	p, events, spec := run.profile, run.events, run.spec
 	r := &Result{
 		ID: "fig16", Paper: "Fig. 16",
 		Title:  "HPCG timeline on " + spec.Name + ": two iterations",

@@ -7,6 +7,7 @@ import (
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/trace"
@@ -67,17 +68,29 @@ func runFig6s(env *Env) (*Result, error) {
 		if len(tr.Records) < 256 {
 			continue // too short to window meaningfully
 		}
-		eng := sim.New()
-		full := trace.Replay(eng, mk(eng), tr)
-		if full.Reads == 0 {
-			continue
-		}
-		sam, err := trace.Sampled(mk, tr, trace.SampleConfig{
-			Span:    2 * sim.Microsecond,
-			BankRow: mapper.BankRow,
+		// The full and the sampled replay only read the trace, so they run
+		// side by side. Captures stay serial: no second trace of this
+		// length is ever live.
+		var full trace.ReplayResult
+		var sam *trace.SampledResult
+		err = par.Do(env.Context(), 2, func(i int) error {
+			if i == 0 {
+				eng := sim.New()
+				full = trace.Replay(eng, mk(eng), tr)
+				return nil
+			}
+			var err error
+			sam, err = trace.Sampled(mk, tr, trace.SampleConfig{
+				Span:    2 * sim.Microsecond,
+				BankRow: mapper.BankRow,
+			})
+			return err
 		})
 		if err != nil {
 			return nil, err
+		}
+		if full.Reads == 0 {
+			continue
 		}
 		div := sam.DivergencePct(full)
 		if div > maxDiv {

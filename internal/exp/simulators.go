@@ -10,6 +10,7 @@ import (
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/trace"
@@ -143,8 +144,14 @@ func runFig5(env *Env) (*Result, error) {
 	return r, nil
 }
 
-// runFig6 captures traces from the reference platform at each sweep point
-// and replays them into the standalone cycle-accurate replicas.
+// replica is a standalone cycle-accurate simulator fed with captured traces.
+type replica struct {
+	name string
+	mk   func(eng *sim.Engine) mem.Backend
+}
+
+// runFig6 captures a trace on the reference platform at each sweep point
+// and replays it into every standalone replica of that platform.
 func runFig6(env *Env) (*Result, error) {
 	skl := scaleSpec(platform.ZSimSkylake(), env.Scale)
 	g3 := scaleSpec(platform.Gem5Graviton3(), env.Scale)
@@ -155,41 +162,49 @@ func runFig6(env *Env) (*Result, error) {
 		Header: []string{"simulator", "trace points", "max BW [GB/s]", "actual max BW [GB/s]"},
 	}
 
-	type target struct {
-		name string
-		spec platform.Spec
-		mk   func(eng *sim.Engine) mem.Backend
+	platforms := []struct {
+		spec     platform.Spec
+		replicas []replica
+	}{
+		{g3, []replica{
+			{"Ramulator2 (trace-driven)", func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulator2Like(eng, g3) }},
+		}},
+		{skl, []replica{
+			{"DRAMsim3 (trace-driven)", func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, skl) }},
+			{"Ramulator (trace-driven)", func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulatorLike(eng, skl) }},
+		}},
 	}
-	targets := []target{
-		{"Ramulator2 (trace-driven)", g3, func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulator2Like(eng, g3) }},
-		{"DRAMsim3 (trace-driven)", skl, func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, skl) }},
-		{"Ramulator (trace-driven)", skl, func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulatorLike(eng, skl) }},
-	}
-
-	for _, tgt := range targets {
-		fam, actualMax, err := traceDrivenFamily(env, tgt.spec, tgt.mk)
+	for _, pf := range platforms {
+		fams, actualMax, err := traceDrivenFamilies(env, pf.spec, pf.replicas)
 		if err != nil {
 			return nil, err
 		}
-		fam.Label = tgt.name
-		r.Families = append(r.Families, fam)
-		n := 0
-		for _, c := range fam.Curves {
-			n += len(c.Points)
+		for i, fam := range fams {
+			fam.Label = pf.replicas[i].name
+			r.Families = append(r.Families, fam)
+			n := 0
+			for _, c := range fam.Curves {
+				n += len(c.Points)
+			}
+			r.Rows = append(r.Rows, []string{fam.Label, fmt.Sprintf("%d", n),
+				fmt.Sprintf("%.0f", fam.Metrics().SatBWHighGBs), fmt.Sprintf("%.0f", actualMax)})
 		}
-		r.Rows = append(r.Rows, []string{tgt.name, fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.0f", fam.Metrics().SatBWHighGBs), fmt.Sprintf("%.0f", actualMax)})
 	}
 	r.Notes = append(r.Notes,
 		"Correct simulation would place every trace-driven point on the actual bandwidth–latency curves; the replicas land below them in latency and, for Ramulator 2, hit a bandwidth wall at less than half the actual maximum (Sec. IV-D).")
 	return r, nil
 }
 
-// traceDrivenFamily captures per-point traces on the reference platform and
-// replays each into a fresh standalone model instance. Capture runs stay on
-// bench.Run directly: the capturing backend accumulates state per run, so a
-// cached replay would be meaningless.
-func traceDrivenFamily(env *Env, spec platform.Spec, mk func(eng *sim.Engine) mem.Backend) (*core.Family, float64, error) {
+// traceDrivenFamilies captures one trace per (mix, pace) sweep point on the
+// reference platform and replays it into a fresh instance of every replica,
+// returning one family per replica plus the platform's actual maximum
+// bandwidth. The sweep points are independent simulations and run side by
+// side; each worker drops its trace once the replicas have consumed it, and
+// the curves are assembled in pace order after the join, so the families do
+// not depend on the worker count. Capture runs stay on bench.Run directly:
+// the capturing backend accumulates state per run, so a cached replay would
+// be meaningless.
+func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*core.Family, float64, error) {
 	opt := benchOptions(env.Scale)
 	if env.Scale == Full {
 		// Trace capture is memory-hungry; thin the pacing ladder.
@@ -206,44 +221,64 @@ func traceDrivenFamily(env *Env, spec platform.Spec, mk func(eng *sim.Engine) me
 		return nil, 0, err
 	}
 
-	fam := &core.Family{
-		Label:         spec.Name,
-		TheoreticalBW: spec.TheoreticalBandwidthGBs(),
-	}
-	for _, mix := range opt.Mixes {
-		var pts []core.Point
-		var ratioSum float64
-		for i := len(opt.PacesNs) - 1; i >= 0; i-- { // ascending pressure
-			pace := opt.PacesNs[i]
-			tr, err := captureTrace(env.Context(), spec, opt, mix, pace)
-			if err != nil {
-				return nil, 0, err
-			}
-			// Discard only truly empty captures: short quick-scale windows
-			// at heavy pacing legitimately record few transactions, and a
-			// few dozen replayed requests still yield a valid (BW, latency)
-			// point. The old threshold of 100 silently starved the figure
-			// at Quick scale.
-			if len(tr.Records) < 32 {
-				continue
-			}
+	// replays[m*paces+p][t] is replica t's replay of the trace captured at
+	// mix m, pace p; the row stays nil when the capture was discarded.
+	paces := len(opt.PacesNs)
+	replays := make([][]trace.ReplayResult, len(opt.Mixes)*paces)
+	err = par.Do(env.Context(), len(opt.Mixes)*paces, func(i int) error {
+		tr, err := captureTrace(env.Context(), spec, opt, opt.Mixes[i/paces], opt.PacesNs[i%paces])
+		if err != nil {
+			return err
+		}
+		// Discard only truly empty captures: short quick-scale windows
+		// at heavy pacing legitimately record few transactions, and a
+		// few dozen replayed requests still yield a valid (BW, latency)
+		// point. The old threshold of 100 silently starved the figure
+		// at Quick scale.
+		if len(tr.Records) < 32 {
+			return nil
+		}
+		replays[i] = make([]trace.ReplayResult, len(replicas))
+		for t, rep := range replicas {
 			eng := sim.New()
-			model := mk(eng)
-			rep := trace.Replay(eng, model, tr)
-			if rep.Reads == 0 {
+			replays[i][t] = trace.Replay(eng, rep.mk(eng), tr)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+
+	fams := make([]*core.Family, len(replicas))
+	for t := range replicas {
+		fam := &core.Family{
+			Label:         spec.Name,
+			TheoreticalBW: spec.TheoreticalBandwidthGBs(),
+		}
+		for m := range opt.Mixes {
+			var pts []core.Point
+			var ratioSum float64
+			for p := paces - 1; p >= 0; p-- { // ascending pressure
+				if replays[m*paces+p] == nil {
+					continue
+				}
+				rep := replays[m*paces+p][t]
+				if rep.Reads == 0 {
+					continue
+				}
+				pts = append(pts, core.Point{BW: rep.BWGBs, Latency: rep.ReadLatNs})
+				ratioSum += rep.ReadRatio
+			}
+			pts = core.SanitizePoints(pts)
+			if len(pts) < 2 {
 				continue
 			}
-			pts = append(pts, core.Point{BW: rep.BWGBs, Latency: rep.ReadLatNs})
-			ratioSum += rep.ReadRatio
+			fam.Curves = append(fam.Curves, core.Curve{ReadRatio: ratioSum / float64(len(pts)), Points: pts})
 		}
-		pts = core.SanitizePoints(pts)
-		if len(pts) < 2 {
-			continue
-		}
-		fam.Curves = append(fam.Curves, core.Curve{ReadRatio: ratioSum / float64(len(pts)), Points: pts})
+		fam.Sort()
+		fams[t] = fam
 	}
-	fam.Sort()
-	return fam, actual.Metrics().SatBWHighGBs, nil
+	return fams, actual.Metrics().SatBWHighGBs, nil
 }
 
 // captureTrace runs one benchmark point on the reference platform with a

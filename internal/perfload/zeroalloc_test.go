@@ -3,9 +3,12 @@ package perfload_test
 import (
 	"testing"
 
+	"github.com/mess-sim/mess/internal/cache"
 	"github.com/mess-sim/mess/internal/core"
+	"github.com/mess-sim/mess/internal/cpu"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/messsim"
 	"github.com/mess-sim/mess/internal/perfload"
 	"github.com/mess-sim/mess/internal/sim"
@@ -98,5 +101,41 @@ func TestInstrumentedDRAMSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if sys.reqs.Value() == 0 {
 		t.Fatal("instrumentation never fired: counter stayed 0")
+	}
+}
+
+// A running kernel core is an issuer on the hot path like the closed-loop
+// driver: once warm, stepping a kernel — STREAM triad queues three
+// operations per line-step and consumes them one by one — through the cache
+// hierarchy onto a fixed-latency backend must not allocate.
+func TestKernelCoreSteadyStateZeroAllocs(t *testing.T) {
+	for _, k := range []cpu.Kernel{cpu.StreamTriad, cpu.LMbench} {
+		t.Run(k.Name, func(t *testing.T) {
+			eng := sim.New()
+			hier := cache.New(eng, cache.Config{MSHRs: 10, WriteBufs: 12, OnChipLatency: 40 * sim.Nanosecond},
+				memmodel.NewFixed(eng, 80*sim.Nanosecond))
+			core := cpu.NewKernelCore(eng, hier.Port(0), k, cpu.CoreConfig{
+				CycleTime:  sim.FromNanoseconds(0.5),
+				ArrayBases: []uint64{1 << 33, 2 << 33, 3 << 33},
+				ArrayBytes: 32 << 20,
+			})
+			core.Start()
+			defer core.Stop()
+			now := 2 * sim.Millisecond
+			// Warm the event and request pools, and let the clock cycle the
+			// whole timer wheel: its buckets grow the first time they are used.
+			eng.RunUntil(now)
+			before := core.Steps()
+			allocs := testing.AllocsPerRun(5, func() {
+				now += 20 * sim.Microsecond
+				eng.RunUntil(now)
+			})
+			if core.Steps() == before {
+				t.Fatal("the core made no progress in the measured window")
+			}
+			if allocs != 0 {
+				t.Fatalf("a running %s core allocates %.1f times per 20 µs window, want 0", k.Name, allocs)
+			}
+		})
 	}
 }

@@ -4,16 +4,19 @@
 // proxy with its MPI phase structure, and a 26-entry SPEC-CPU2006-like
 // synthetic suite. Workloads run multiprogrammed (one copy per core, as the
 // paper runs them) over any memory backend, and report IPC, application-
-// level bandwidth and controller-level bandwidth.
+// level bandwidth and controller-level bandwidth. A single Run is one
+// simulation on one goroutine; the suites run their kernels concurrently.
 package workloads
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/mess-sim/mess/internal/cache"
 	"github.com/mess-sim/mess/internal/cpu"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 )
@@ -140,48 +143,55 @@ func Run(spec platform.Spec, k cpu.Kernel, opt Options) (Result, error) {
 	return res, nil
 }
 
+// suiteJob is one kernel of a suite; singleCore runs it on one core, as the
+// latency benchmarks are run in practice, instead of one copy per core.
+type suiteJob struct {
+	kernel     cpu.Kernel
+	singleCore bool
+}
+
+var (
+	streamJobs  = []suiteJob{{kernel: cpu.StreamCopy}, {kernel: cpu.StreamScale}, {kernel: cpu.StreamAdd}, {kernel: cpu.StreamTriad}}
+	latencyJobs = []suiteJob{{cpu.LMbench, true}, {cpu.Multichase, true}}
+	evalJobs    = append(append([]suiteJob(nil), streamJobs...), latencyJobs...)
+)
+
+// runSuite runs the jobs side by side on up to GOMAXPROCS workers — every
+// Run builds its own engine and shares nothing — and returns the results in
+// job order. This is the one fan-out level of its call tree: callers loop
+// over suites serially, so at most GOMAXPROCS simulations are ever live.
+func runSuite(spec platform.Spec, opt Options, jobs []suiteJob) ([]Result, error) {
+	out := make([]Result, len(jobs))
+	err := par.Do(context.TODO(), len(jobs), func(i int) error {
+		o := opt
+		if jobs[i].singleCore {
+			o.Cores = 1
+		}
+		var err error
+		out[i], err = Run(spec, jobs[i].kernel, o)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // StreamSuite runs the four STREAM kernels and returns their results in
 // Copy, Scale, Add, Triad order.
 func StreamSuite(spec platform.Spec, opt Options) ([]Result, error) {
-	kernels := []cpu.Kernel{cpu.StreamCopy, cpu.StreamScale, cpu.StreamAdd, cpu.StreamTriad}
-	out := make([]Result, 0, len(kernels))
-	for _, k := range kernels {
-		r, err := Run(spec, k, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return runSuite(spec, opt, streamJobs)
 }
 
 // LatencySuite runs the latency benchmarks (LMbench, multichase) on a
 // single core, as they are run in practice.
 func LatencySuite(spec platform.Spec, opt Options) ([]Result, error) {
-	opt.Cores = 1
-	kernels := []cpu.Kernel{cpu.LMbench, cpu.Multichase}
-	out := make([]Result, 0, len(kernels))
-	for _, k := range kernels {
-		r, err := Run(spec, k, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return runSuite(spec, opt, latencyJobs)
 }
 
 // EvalSuite returns the six benchmarks of the paper's IPC-error experiments
 // (Figs. 11 and 13): the four STREAM kernels multiprogrammed plus the two
 // latency benchmarks single-core.
 func EvalSuite(spec platform.Spec, opt Options) ([]Result, error) {
-	stream, err := StreamSuite(spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	lat, err := LatencySuite(spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	return append(stream, lat...), nil
+	return runSuite(spec, opt, evalJobs)
 }

@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/mess-sim/mess/internal/cache"
@@ -95,14 +98,53 @@ func TestLatencySuiteSingleCore(t *testing.T) {
 	}
 }
 
-func TestEvalSuiteComplete(t *testing.T) {
+// The suites run their kernels concurrently; what they return must be what
+// six serial Run calls return, in Copy, Scale, Add, Triad, LMbench,
+// multichase order, whatever the worker count.
+func TestSuitesMatchSerialRuns(t *testing.T) {
 	spec := miniSpec()
-	results, err := EvalSuite(spec, Options{Warmup: 5 * sim.Microsecond, Measure: 15 * sim.Microsecond})
-	if err != nil {
-		t.Fatal(err)
+	opt := Options{Warmup: 5 * sim.Microsecond, Measure: 15 * sim.Microsecond}
+	single := opt
+	single.Cores = 1
+	var want []Result
+	for _, k := range []cpu.Kernel{cpu.StreamCopy, cpu.StreamScale, cpu.StreamAdd, cpu.StreamTriad, cpu.LMbench, cpu.Multichase} {
+		o := opt
+		if k.Dependent {
+			o = single
+		}
+		r, err := Run(spec, k, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
 	}
-	if len(results) != 6 {
-		t.Fatalf("eval suite has %d entries, want 6 (4 STREAM + 2 latency)", len(results))
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		eval, err := EvalSuite(spec, opt)
+		stream, serr := StreamSuite(spec, opt)
+		lat, lerr := LatencySuite(spec, opt)
+		runtime.GOMAXPROCS(prev)
+		if err != nil || serr != nil || lerr != nil {
+			t.Fatal(err, serr, lerr)
+		}
+		if !reflect.DeepEqual(eval, want) {
+			t.Errorf("GOMAXPROCS=%d: EvalSuite = %+v, want %+v", procs, eval, want)
+		}
+		if !reflect.DeepEqual(stream, want[:4]) {
+			t.Errorf("GOMAXPROCS=%d: StreamSuite = %+v, want %+v", procs, stream, want[:4])
+		}
+		if !reflect.DeepEqual(lat, want[4:]) {
+			t.Errorf("GOMAXPROCS=%d: LatencySuite = %+v, want %+v", procs, lat, want[4:])
+		}
+	}
+}
+
+// A failing kernel fails the suite with that kernel's error.
+func TestSuiteReportsRunError(t *testing.T) {
+	spec := miniSpec()
+	_, err := runSuite(spec, Options{}, []suiteJob{{kernel: cpu.StreamCopy}, {kernel: cpu.Kernel{Name: "empty"}}})
+	if err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Fatalf("got %v, want the arrayless kernel's error", err)
 	}
 }
 
