@@ -15,10 +15,13 @@
 //     artifact: allocs_per_op on these rows must stay ≈ 0);
 //   - the framework: wall-clock of a Quick-scale characterization and of
 //     the fig2 experiment (full benchmark sweeps on fresh services, no
-//     caches), plus the sharded counterparts of the DRAM closed loop, the
-//     fig2 sweep and a single fully-loaded sweep point — the same
-//     simulations on per-channel shard engines advanced concurrently
-//     (byte-identical results; the rows track the wall-clock win). Sharded
+//     caches; since v7 priced per simulated event, so their mallocs,
+//     alloc_bytes and allocs_per_op put what a sweep allocates around its
+//     points under the allocs gate), plus the sharded counterparts of the
+//     DRAM closed loop, the fig2 sweep and a single fully-loaded sweep
+//     point — the same simulations on per-channel shard engines advanced
+//     concurrently (byte-identical results; the rows track the wall-clock
+//     win). Sharded
 //     rows record the gomaxprocs they ran at, since their numbers are
 //     meaningless without it. -shards picks the engine count (0 = auto:
 //     GOMAXPROCS capped at channels+1; 1 = disable the sharded rows).
@@ -106,20 +109,23 @@ import (
 // rows; v6 added the top-level telemetry block — a snapshot of the run's
 // internal metrics registry (bench sweep-point, sim window/barrier and
 // charz source counters), so the trajectory records not only how fast the
-// suite ran but how much simulation work it did.
-const Schema = "mess-perf/v6"
+// suite ran but how much simulation work it did; v7 added alloc_bytes to
+// every op-counted row and made framework/characterize_quick and
+// framework/fig2_quick op-counted, one op per simulated event.
+const Schema = "mess-perf/v7"
 
 // Result is one measured quantity of the suite. AllocsPerOp follows the
 // `go test -benchmem` convention (total mallocs / ops, truncated): the
 // zero-allocation hot-path claim reads as a literal 0, while Mallocs keeps
 // the raw count so sub-integer drift (pool warmup, wheel-bucket growth)
-// stays visible in the trajectory.
+// stays visible in the trajectory, next to the bytes those allocations took.
 type Result struct {
 	Name         string  `json:"name"`
 	NsPerOp      float64 `json:"ns_per_op,omitempty"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	AllocsPerOp  *int64  `json:"allocs_per_op,omitempty"` // nil for wall-clock-only rows
 	Mallocs      uint64  `json:"mallocs,omitempty"`
+	AllocBytes   uint64  `json:"alloc_bytes,omitempty"`
 	WallMs       float64 `json:"wall_ms"`
 	Ops          int     `json:"ops"`
 	// GOMAXPROCS is set on rows whose wall-clock depends on host
@@ -173,20 +179,27 @@ func better(a, b Result) bool {
 }
 
 func measure(name string, ops int, run func()) Result {
+	return measureCounted(name, func() int { return ops }, run)
+}
+
+// measureCounted is measure for a run whose operation count is only known
+// once it is over: ops is called after run returns.
+func measureCounted(name string, ops func() int, run func()) Result {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	run()
 	el := time.Since(start)
 	runtime.ReadMemStats(&m1)
-	r := Result{Name: name, WallMs: float64(el.Nanoseconds()) / 1e6, Ops: ops}
-	if ops > 0 {
-		r.NsPerOp = float64(el.Nanoseconds()) / float64(ops)
-		r.EventsPerSec = float64(ops) / el.Seconds()
-		// Mallocs is a cumulative allocation count (GC never decreases
-		// it), so the delta is exactly what the run allocated.
+	r := Result{Name: name, WallMs: float64(el.Nanoseconds()) / 1e6, Ops: ops()}
+	if r.Ops > 0 {
+		r.NsPerOp = float64(el.Nanoseconds()) / float64(r.Ops)
+		r.EventsPerSec = float64(r.Ops) / el.Seconds()
+		// Mallocs and TotalAlloc are cumulative (GC never decreases
+		// them), so the deltas are exactly what the run allocated.
 		r.Mallocs = m1.Mallocs - m0.Mallocs
-		allocs := int64(r.Mallocs) / int64(ops)
+		r.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
+		allocs := int64(r.Mallocs) / int64(r.Ops)
 		r.AllocsPerOp = &allocs
 	}
 	return r
@@ -487,9 +500,17 @@ func main() {
 	spec := mess.Skylake()
 	spec.Cores = 8
 	spec.DRAM.Channels = 3
+	// A whole sweep is priced per simulated event, read off the registry's
+	// event counter: what the harness allocates around its points shows in
+	// the row's mallocs and alloc_bytes and is under the allocs gate.
+	events := set.Registry().Counter("mess_sim_events_total", "simulation events executed by benchmark sweeps")
+	sweep := func(name string, run func()) Result {
+		e0 := events.Value()
+		return measureCounted(name, func() int { return int(events.Value() - e0) }, run)
+	}
 	var fam *mess.Family
 	add(best(func() Result {
-		return measure("framework/characterize_quick", 0, func() {
+		return sweep("framework/characterize_quick", func() {
 			svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Telemetry: set})
 			art, err := svc.Characterize(mess.CharacterizationRequest{Spec: spec, Options: mess.QuickBenchmarkOptions()})
 			if err != nil {
@@ -504,7 +525,7 @@ func main() {
 
 	if !*skipFig2 {
 		add(best(func() Result {
-			return measure("framework/fig2_quick", 0, func() {
+			return sweep("framework/fig2_quick", func() {
 				svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Telemetry: set})
 				if _, err := mess.RunExperimentWith(svc, "fig2", mess.ScaleQuick); err != nil {
 					cli.Fatal(err)

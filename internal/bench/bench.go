@@ -185,11 +185,11 @@ type rowStatser interface{ RowStats() dram.RowStats }
 // Run executes the sweep for the platform and assembles the curve family.
 //
 // Points are distributed over a pool of Parallelism workers. Each worker
-// owns one simulation engine for the whole sweep and Resets it between
-// points, so the kernel's event pool, wheel buckets and overflow heap stay
+// owns one rig — the whole simulated machine — for the sweep and resets it
+// between points, so event pools, request records and controller queues stay
 // warm instead of being rebuilt (and re-grown) for every measurement. Each
-// point still simulates in complete isolation — Reset restores the engine
-// to its initial state — so results are independent of how points map onto
+// point still simulates in complete isolation — a reset rig is in the state
+// a new one is built in — so results are independent of how points map onto
 // workers.
 func Run(spec platform.Spec, opt Options) (*Result, error) {
 	return RunContext(context.Background(), spec, opt)
@@ -232,6 +232,7 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	tr := o.Telemetry.Trace()
 	reg := o.Telemetry.Registry()
 	pointsC := reg.Counter("mess_bench_points_total", "benchmark sweep points simulated")
+	eventsC := reg.Counter("mess_sim_events_total", "simulation events executed by benchmark sweeps")
 	windowsC := reg.Counter("mess_sim_windows_total", "shard-group barrier windows executed")
 	msgsC := reg.Counter("mess_sim_messages_total", "cross-shard messages delivered")
 	spinsC := reg.Counter("mess_sim_barrier_spins_total", "barrier spin iterations while waiting")
@@ -254,21 +255,9 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 		}
 		go func() {
 			defer wg.Done()
-			// Each worker owns its engines for the whole sweep and Resets
-			// them between points: one engine on the single-engine path, a
-			// shard group (home engine + channel shards, with their worker
-			// goroutines parked between windows) on the sharded one.
-			var (
-				eng   *sim.Engine
-				group *sim.ShardGroup
-			)
-			if shards > 1 {
-				group = sim.NewShardGroup(shards)
-				defer group.Close()
-				eng = group.Engine(0)
-			} else {
-				eng = sim.New()
-			}
+			r := newRig(shards)
+			defer r.close()
+			eng, group := r.eng, r.group
 			for ji := range feed {
 				if ctx.Err() != nil {
 					// Cancelled while this job was already handed out: skip
@@ -276,23 +265,18 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 					// feeder never blocks.
 					continue
 				}
-				if group != nil {
-					group.Reset()
-				} else {
-					eng.Reset()
-				}
 				j := jobs[ji]
 				if j.mixIdx < 0 {
-					samples[ji], errs[ji] = measureWith(eng, group, spec, o, track, Mix{}, 0, 0)
+					samples[ji], errs[ji] = r.measure(spec, o, track, Mix{}, 0, 0)
 				} else {
-					samples[ji], errs[ji] = measureWith(eng, group, spec, o, track, o.Mixes[j.mixIdx], o.PacesNs[j.paceIdx], spec.Cores-1)
+					samples[ji], errs[ji] = r.measure(spec, o, track, o.Mixes[j.mixIdx], o.PacesNs[j.paceIdx], spec.Cores-1)
 				}
 				pointsC.Inc()
 				if group != nil {
 					totalSteps.Add(group.Steps())
-					// Stats cover this point only (Reset cleared them), so
-					// adding per point accumulates the whole sweep across
-					// all workers in the shared counters.
+					// Stats cover this point only (the rig's reset cleared
+					// them), so adding per point accumulates the whole sweep
+					// across all workers in the shared counters.
 					st := group.Stats()
 					windowsC.Add(int64(st.Windows))
 					msgsC.Add(int64(st.Messages))
@@ -315,6 +299,7 @@ feedLoop:
 	}
 	close(feed)
 	wg.Wait()
+	eventsC.Add(int64(totalSteps.Load()))
 	if el := time.Since(wallStart).Seconds(); el > 0 {
 		reg.Gauge("mess_bench_events_per_second", "simulation events executed per wall-clock second, last sweep").
 			Set(float64(totalSteps.Load()) / el)
@@ -336,7 +321,7 @@ feedLoop:
 	return &Result{Spec: spec, Family: fam, Samples: samples[1:]}, nil
 }
 
-// MeasurePoint simulates one fully-loaded sweep point on its own engine (or
+// MeasurePoint simulates one fully-loaded sweep point on a rig of its own (a
 // shard group, when the options ask for one) and reports its sample — the
 // interactive "explore this configuration now" case whose wall-clock the
 // sharded engine targets. Generators occupy every core but the chaser's.
@@ -346,19 +331,16 @@ func MeasurePoint(spec platform.Spec, opt Options, mix Mix, paceNs float64) (Sam
 	if tr := o.Telemetry.Trace(); tr != nil {
 		track = tr.NewTrack("bench", "point")
 	}
-	if shards := o.shardCount(spec); shards > 1 {
-		group := sim.NewShardGroup(shards)
-		defer group.Close()
-		return measureWith(group.Engine(0), group, spec, o, track, mix, paceNs, spec.Cores-1)
-	}
-	return measureWith(sim.New(), nil, spec, o, track, mix, paceNs, spec.Cores-1)
+	r := newRig(o.shardCount(spec))
+	defer r.close()
+	return r.measure(spec, o, track, mix, paceNs, spec.Cores-1)
 }
 
 // MeasureUnloaded runs only the pointer chase and reports the unloaded
 // load-to-use latency — the LMbench/multichase validation measurement.
 func MeasureUnloaded(spec platform.Spec, opt Options) (float64, error) {
 	o := opt.withDefaults()
-	s, err := measureWith(sim.New(), nil, spec, o, telemetry.Track{}, Mix{}, 0, 0) // zero generators
+	s, err := newRig(1).measure(spec, o, telemetry.Track{}, Mix{}, 0, 0) // zero generators
 	if err != nil {
 		return 0, err
 	}
@@ -399,13 +381,75 @@ func (o *Options) shardCount(spec platform.Spec) int {
 	return n
 }
 
-// measureWith simulates one sweep point on the given engine, which must be
-// fresh or Reset. A non-nil group (whose home engine eng must be) runs the
-// point sharded: the DRAM channels advance on the group's other shards,
-// and the warmup/measure windows are driven through the group's
-// conservative window barrier, whose quiescent boundaries make the counter
-// snapshots read exactly the state the single-engine run would see.
-func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o Options, track telemetry.Track, mix Mix, paceNs float64, generators int) (Sample, error) {
+// rig is the simulated machine a sweep worker measures its points on: the
+// engine (or shard group), the cache hierarchy with its request pool, and the
+// platform's detailed DRAM system. It lives as long as its worker and is
+// reset at the start of every point; each part's Reset is its constructor run
+// again over the storage the part has grown, so a point on a used rig and on
+// a new one run the same code from the same state. Rigs do not outlive their
+// sweep: an engine grown by one large simulation would hold that memory for
+// every small one after it.
+type rig struct {
+	eng   *sim.Engine     // the home engine: cores, cache and, unsharded, DRAM
+	group *sim.ShardGroup // non-nil when points run sharded; eng is its shard 0
+	hier  cache.Hierarchy
+
+	// The detailed DRAM system of the last point that used one, and what it
+	// was built from. A custom factory's product is opaque (a trace capture,
+	// a device with state of its own), so it is built anew for every point.
+	dram interface {
+		mem.Backend
+		Reset()
+	}
+	dramCfg dram.Config
+}
+
+func newRig(shards int) *rig {
+	if shards > 1 {
+		g := sim.NewShardGroup(shards)
+		return &rig{eng: g.Engine(0), group: g}
+	}
+	return &rig{eng: sim.New()}
+}
+
+// close stops the shard group's workers, if the rig has one.
+func (r *rig) close() {
+	if r.group != nil {
+		r.group.Close()
+	}
+}
+
+// reset returns the rig's engines to time zero and reports the memory system
+// for the next point, itself new or reset.
+func (r *rig) reset(spec platform.Spec, o Options) mem.Backend {
+	if r.group != nil {
+		r.group.Reset()
+	} else {
+		r.eng.Reset()
+	}
+	switch {
+	case r.group != nil && o.ShardedBackend != nil:
+		return o.ShardedBackend(r.group)
+	case o.Backend != nil:
+		return o.Backend(r.eng)
+	}
+	if r.dram != nil && r.dramCfg == spec.DRAM {
+		r.dram.Reset()
+	} else if r.group != nil {
+		r.dram, r.dramCfg = dram.NewSharded(r.group, spec.DRAM, 0), spec.DRAM
+	} else {
+		r.dram, r.dramCfg = dram.New(r.eng, spec.DRAM), spec.DRAM
+	}
+	return r.dram
+}
+
+// measure simulates one sweep point on the rig. With a shard group the point
+// runs sharded: the DRAM channels advance on the group's other shards, and
+// the warmup/measure windows are driven through the group's conservative
+// window barrier, whose quiescent boundaries make the counter snapshots read
+// exactly the state the single-engine run would see.
+func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix Mix, paceNs float64, generators int) (Sample, error) {
+	eng, group := r.eng, r.group
 	tr := o.Telemetry.Trace()
 	var sp telemetry.SpanTimer
 	if tr != nil {
@@ -422,23 +466,14 @@ func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o O
 			defer group.SetWindowHook(nil)
 		}
 	}
-	var backend mem.Backend
-	switch {
-	case group != nil && o.ShardedBackend != nil:
-		backend = o.ShardedBackend(group)
-	case o.Backend != nil:
-		backend = o.Backend(eng)
-	case group != nil:
-		backend = dram.NewSharded(group, spec.DRAM, 0)
-	default:
-		backend = dram.New(eng, spec.DRAM)
-	}
+	backend := r.reset(spec, o)
 	counting := mem.NewCounting(backend)
 	ccfg := spec.CacheConfig()
 	if o.Cache != nil {
 		ccfg = *o.Cache
 	}
-	hier := cache.New(eng, ccfg, counting)
+	hier := &r.hier
+	hier.Reset(eng, ccfg, counting)
 	if group != nil {
 		// The cache's outbound hop is the minimum flight time of every
 		// home→channel delivery, i.e. the home shard's outbound edge to
@@ -493,7 +528,14 @@ func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o O
 	c1 := counting.Snapshot()
 	t1 := eng.Now()
 	lat, n := chaser.MeanLatency()
+	// The point is over whatever it measured: no issuer may still be running
+	// when the worker resets the rig for its next point.
+	for _, g := range gens {
+		g.Stop()
+	}
+	chaser.Stop()
 	if n == 0 {
+		sp.End()
 		return Sample{}, fmt.Errorf("bench: %s mix %v pace %.1f ns: chaser recorded no samples", spec.Name, mix, paceNs)
 	}
 
@@ -510,10 +552,6 @@ func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o O
 		hit, empty, miss := statser.RowStats().Sub(rs0).Ratios()
 		s.RowHit, s.RowEmpty, s.RowMiss = hit, empty, miss
 	}
-	for _, g := range gens {
-		g.Stop()
-	}
-	chaser.Stop()
 	sp.End(telemetry.Float("bw_gbs", s.BWGBs), telemetry.Float("lat_ns", s.LatNs))
 	return s, nil
 }

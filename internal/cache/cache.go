@@ -108,13 +108,27 @@ type Hierarchy struct {
 
 // New builds a hierarchy over the given memory backend.
 func New(eng *sim.Engine, cfg Config, backend mem.Backend) *Hierarchy {
+	h := &Hierarchy{}
+	h.Reset(eng, cfg, backend)
+	return h
+}
+
+// Reset is New run again in place: the hierarchy keeps nothing of its last
+// simulation but the request pool's records, which are reclaimed (the engine
+// they were in flight on must have been Reset or abandoned). Ports of the
+// previous simulation must not be used again.
+func (h *Hierarchy) Reset(eng *sim.Engine, cfg Config, backend mem.Backend) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{eng: eng, cfg: cfg, backend: backend, pool: mem.NewRequestPool(), rng: cfg.Seed}
+	pool := h.pool
+	if pool == nil {
+		pool = mem.NewRequestPool()
+	}
+	pool.Reset()
+	*h = Hierarchy{eng: eng, cfg: cfg, backend: backend, pool: pool, rng: cfg.Seed}
 	h.timed, _ = mem.Timed(backend)
-	return h
 }
 
 // Config reports the hierarchy configuration (after defaulting).

@@ -200,3 +200,57 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("negative latency accepted")
 	}
 }
+
+// TestHierarchyResetMatchesNew drives the same mixed traffic through a new
+// hierarchy and through one that was abandoned with requests in flight and
+// Reset: the backend must see the identical request stream (the LLC draw
+// restarts from the seed), every old record must be reclaimed, and the pool
+// must serve the second run without creating a record.
+func TestHierarchyResetMatchesNew(t *testing.T) {
+	cfg := Config{OnChipLatency: 40 * sim.Nanosecond, LLCHitRate: 0.3, WritebackLag: 1 << 20}
+	drive := func(eng *sim.Engine, h *Hierarchy, until sim.Time) {
+		p := h.Port(0)
+		var issue func()
+		issue = func() {
+			for i := 0; p.FreeMSHR() && p.FreeWB() && i < 4; i++ {
+				addr := uint64(8<<20) + p.Loads*64 + p.Stores*4096
+				if (p.Loads+p.Stores)%3 == 0 {
+					p.Store(addr, nil)
+				} else {
+					p.Load(addr, nil)
+				}
+			}
+			eng.After(7*sim.Nanosecond, issue)
+		}
+		issue()
+		eng.RunUntil(until)
+	}
+
+	eng, ref, h := setup(cfg)
+	drive(eng, h, 2*sim.Microsecond)
+
+	eng2, b2, h2 := setup(Config{Policy: WriteThrough, MSHRs: 32})
+	drive(eng2, h2, 700*sim.Nanosecond)
+	if h2.Pool().Live() == 0 {
+		t.Fatal("abandoned hierarchy has nothing in flight")
+	}
+	before := h2.Pool().Allocated()
+	eng2.Reset()
+	*b2 = fakeBackend{eng: eng2, delay: b2.delay}
+	h2.Reset(eng2, cfg, b2)
+	if h2.Pool().Live() != 0 || h2.Config() != h.Config() {
+		t.Fatalf("after Reset: %d live records, config %+v", h2.Pool().Live(), h2.Config())
+	}
+	drive(eng2, h2, 2*sim.Microsecond)
+	if len(b2.reqs) != len(ref.reqs) || b2.c != ref.c {
+		t.Fatalf("reset hierarchy issued %d requests (%v), a new one %d (%v)", len(b2.reqs), b2.c, len(ref.reqs), ref.c)
+	}
+	for i := range ref.reqs {
+		if a, b := ref.reqs[i], b2.reqs[i]; a.Addr != b.Addr || a.Op != b.Op || a.Issued != b.Issued {
+			t.Fatalf("request %d: reset hierarchy sent %#x %v at %d, a new one %#x %v at %d", i, b.Addr, b.Op, b.Issued, a.Addr, a.Op, a.Issued)
+		}
+	}
+	if got, want := h2.Pool().Allocated(), max(before, h.Pool().Allocated()); got != want {
+		t.Fatalf("pool holds %d records after the second run, want %d (had %d, the run needs %d)", got, want, before, h.Pool().Allocated())
+	}
+}

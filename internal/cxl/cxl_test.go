@@ -1,6 +1,7 @@
 package cxl
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/mess-sim/mess/internal/mem"
@@ -145,5 +146,42 @@ func TestRemoteSocketContrast(t *testing.T) {
 	}
 	if remRead.MaxBW() <= cxlRead.MaxBW() {
 		t.Fatalf("remote socket max BW %.1f not above CXL %.1f", remRead.MaxBW(), cxlRead.MaxBW())
+	}
+}
+
+// TestWarmWorkersMatchFreshPoints pins the device sweep's reuse: a family
+// measured by one worker (every point after the first on a used engine and
+// pool), by more workers than points, and point by point on new engines must
+// be identical — also when the engine and pool handed to a point still hold
+// events and acquired records.
+func TestWarmWorkersMatchFreshPoints(t *testing.T) {
+	cfg := Default()
+	mk := func(eng *sim.Engine) mem.Backend { return New(eng, cfg) }
+	o := quickSweep()
+	o = o.withDefaults(cfg.MaxTheoreticalGBs())
+	nr := len(o.RatesGBs)
+
+	o.Parallelism = 1
+	serial := MeasureFamily(mk, "cxl", cfg.MaxTheoreticalGBs(), o)
+	o.Parallelism = 64
+	wide := MeasureFamily(mk, "cxl", cfg.MaxTheoreticalGBs(), o)
+	if !reflect.DeepEqual(serial, wide) {
+		t.Fatalf("family depends on the worker count:\n 1 worker: %+v\n64 workers: %+v", serial, wide)
+	}
+
+	// One engine and pool through the points in reverse, left dirty before
+	// each, against a new pair per point.
+	eng, pool := sim.New(), mem.NewRequestPool()
+	for i := len(o.WriteFractions)*nr - 1; i >= 0; i-- {
+		wf, rate := o.WriteFractions[i/nr], o.RatesGBs[i%nr]
+		for k := 0; k < 40; k++ {
+			pool.Get(uint64(k), mem.Write, nil)
+			eng.After(sim.Time(k), func() { t.Error("an event of the previous point fired") })
+		}
+		warm := measureDevicePoint(eng, pool, mk, wf, rate, o)
+		fresh := measureDevicePoint(sim.New(), mem.NewRequestPool(), mk, wf, rate, o)
+		if warm != fresh {
+			t.Fatalf("write fraction %v at %v GB/s: warm %+v, fresh %+v", wf, rate, warm, fresh)
+		}
 	}
 }

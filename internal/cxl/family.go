@@ -3,6 +3,7 @@ package cxl
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/mem"
@@ -52,31 +53,35 @@ func (o *SweepOptions) withDefaults(maxGBs float64) SweepOptions {
 // MeasureFamily characterizes a backend by open-loop injection: for each
 // (write fraction, rate) point it injects deterministic-spaced traffic and
 // measures the achieved bandwidth and the round-trip latency of a
-// concurrent dependent-read probe.
+// concurrent dependent-read probe. Parallelism workers share the points;
+// each owns one engine and one request pool for the whole sweep and resets
+// them between points (the backend is the factory's and is built per point).
 func MeasureFamily(makeBackend mem.BackendFactory, label string, theoreticalGBs float64, opt SweepOptions) *core.Family {
 	o := opt.withDefaults(theoreticalGBs)
-	type key struct{ wfIdx, rIdx int }
-	type point struct {
-		bw, lat, ratio float64
+	nr := len(o.RatesGBs)
+	points := make([]devicePoint, len(o.WriteFractions)*nr) // by wfIdx*nr + rateIdx
+	workers := o.Parallelism
+	if workers < 1 {
+		workers = 1 // a nonsensical Parallelism must not skip the sweep
 	}
-	results := make(map[key]point)
-	var mu sync.Mutex
+	if workers > len(points) {
+		workers = len(points)
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-
-	for wi, wf := range o.WriteFractions {
-		for ri, rate := range o.RatesGBs {
-			wg.Add(1)
-			go func(wi, ri int, wf, rate float64) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				bw, lat, ratio := measureDevicePoint(makeBackend, wf, rate, o)
-				mu.Lock()
-				results[key{wi, ri}] = point{bw, lat, ratio}
-				mu.Unlock()
-			}(wi, ri, wf, rate)
-		}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, pool := sim.New(), mem.NewRequestPool()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(points) {
+					return
+				}
+				points[i] = measureDevicePoint(eng, pool, makeBackend, o.WriteFractions[i/nr], o.RatesGBs[i%nr], o)
+			}
+		}()
 	}
 	wg.Wait()
 
@@ -85,7 +90,7 @@ func MeasureFamily(makeBackend mem.BackendFactory, label string, theoreticalGBs 
 		var pts []core.Point
 		var ratioSum float64
 		for ri := range o.RatesGBs {
-			p := results[key{wi, ri}]
+			p := points[wi*nr+ri]
 			if p.lat <= 0 {
 				continue
 			}
@@ -109,13 +114,17 @@ func MeasureFamily(makeBackend mem.BackendFactory, label string, theoreticalGBs 
 	return fam
 }
 
-// measureDevicePoint injects `rate` GB/s with the given write fraction and
-// returns (achieved bandwidth GB/s, probe latency ns, read ratio).
-func measureDevicePoint(makeBackend mem.BackendFactory, writeFrac, rate float64, o SweepOptions) (float64, float64, float64) {
-	eng := sim.New()
+// devicePoint is one measured point: achieved bandwidth (GB/s), probe
+// latency (ns; 0 when the probe recorded nothing) and read ratio.
+type devicePoint struct{ bw, lat, ratio float64 }
+
+// measureDevicePoint injects `rate` GB/s with the given write fraction on
+// the caller's engine and pool, new or left over from an earlier point.
+func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.BackendFactory, writeFrac, rate float64, o SweepOptions) devicePoint {
+	eng.Reset()
+	pool.Reset()
 	backend := makeBackend(eng)
 	counting := mem.NewCounting(backend)
-	pool := mem.NewRequestPool()
 
 	// Open-loop injector: deterministic spacing, Bresenham write mix,
 	// sequential addresses across several streams. Cap outstanding to
@@ -188,12 +197,11 @@ func measureDevicePoint(makeBackend mem.BackendFactory, writeFrac, rate float64,
 	c1 := counting.Snapshot()
 
 	delta := c1.Sub(c0)
-	bw := delta.BandwidthGBs(o.Measure)
-	if probeN == 0 {
-		return bw, 0, delta.ReadRatio()
+	p := devicePoint{bw: delta.BandwidthGBs(o.Measure), ratio: delta.ReadRatio()}
+	if probeN > 0 {
+		p.lat = (probeLatSum / sim.Time(probeN)).Nanoseconds()
 	}
-	lat := (probeLatSum / sim.Time(probeN)).Nanoseconds()
-	return bw, lat, delta.ReadRatio()
+	return p
 }
 
 // Family measures the default expander's curves.

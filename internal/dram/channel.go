@@ -67,6 +67,12 @@ type bank struct {
 	availUntil sim.Time
 }
 
+// actWindow holds a rank's last (up to four) ACT times, oldest first.
+type actWindow struct {
+	at [4]sim.Time
+	n  int
+}
+
 // Queue directions. Reads and writes wait in separate queues (the drain
 // watermarks pick between them), so every per-bank structure exists once
 // per direction.
@@ -226,11 +232,11 @@ type channel struct {
 	cfg *Config
 	t   *Timing
 
-	banks     []bank       // ranks × banks
-	actHist   [][]sim.Time // per rank: last 4 ACT times (tFAW window)
-	lastAct   []sim.Time   // per rank: last ACT (tRRD)
-	refOffset []sim.Time   // per rank: first refresh window start
-	refNext   []sim.Time   // per rank: refWindowStart cursor
+	banks     []bank      // ranks × banks
+	actHist   []actWindow // per rank: last 4 ACT times (tFAW window)
+	lastAct   []sim.Time  // per rank: last ACT (tRRD)
+	refOffset []sim.Time  // per rank: first refresh window start
+	refNext   []sim.Time  // per rank: refWindowStart cursor
 
 	busFreeAt   sim.Time
 	lastIsW     bool
@@ -294,40 +300,55 @@ type channel struct {
 	readLatN   uint64
 }
 
-func newChannel(eng *sim.Engine, cfg *Config, chIdx int) *channel {
+// init is the channel's one constructor, run on a new channel and again on a
+// used one (System.Reset). It assigns a whole fresh channel value, so a field
+// added later starts from zero either way, and carries over only storage: the
+// slot store, ring buffers and per-bank tables, emptied and cleared of stale
+// request and event pointers. Their capacity is invisible to the scheduler,
+// so a reset channel behaves exactly as a new one. complete is the sharded
+// system's completion hook (nil otherwise).
+func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int, complete func(req *mem.Request, at sim.Time)) {
+	old := *c
 	nbanks := cfg.Ranks * cfg.Banks
-	c := &channel{
-		eng:       eng,
-		cfg:       cfg,
-		t:         &cfg.Timing,
-		banks:     make([]bank, nbanks),
-		actHist:   make([][]sim.Time, cfg.Ranks),
-		lastAct:   make([]sim.Time, cfg.Ranks),
-		refOffset: make([]sim.Time, cfg.Ranks),
-		refNext:   make([]sim.Time, cfg.Ranks),
-		freeHead:  -1,
-		tag:       int32(chIdx) + 1,
+	words := (nbanks + 63) / 64
+	clear(old.slots)
+	*c = channel{
+		eng:         eng,
+		cfg:         cfg,
+		t:           &cfg.Timing,
+		banks:       zeroed(old.banks, nbanks),
+		actHist:     zeroed(old.actHist, cfg.Ranks),
+		lastAct:     zeroed(old.lastAct, cfg.Ranks),
+		refOffset:   zeroed(old.refOffset, cfg.Ranks),
+		refNext:     zeroed(old.refNext, cfg.Ranks),
+		lastCASBank: -1,
+		slots:       old.slots[:0],
+		freeHead:    -1,
+		availMask:   zeroed(old.availMask, words),
+		lookahead:   cfg.Timing.RP + cfg.Timing.RCD + cfg.Timing.CL,
+		decideFn:    old.decideFn,
+		complete:    complete,
+		tag:         int32(chIdx) + 1,
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 	}
-	words := (nbanks + 63) / 64
-	c.availMask = make([]uint64, words)
-	c.lookahead = cfg.Timing.RP + cfg.Timing.RCD + cfg.Timing.CL
 	for dir := 0; dir < dirCount; dir++ {
-		c.bq[dir] = make([]bankList, nbanks)
+		c.queues[dir].buf = old.queues[dir].buf
+		c.compRing[dir].buf = zeroed(old.compRing[dir].buf, len(old.compRing[dir].buf))
+		c.bq[dir] = zeroed(old.bq[dir], nbanks)
 		for b := range c.bq[dir] {
 			c.bq[dir][b] = bankList{head: -1, tail: -1, match: -1, openRow: -1}
 		}
-		c.matchBits[dir] = make([]uint64, words)
+		c.matchBits[dir] = zeroed(old.matchBits[dir], words)
 	}
-	c.decideFn = func() {
-		c.decidePending = false
-		c.decideLoop()
+	if c.decideFn == nil { // captures only c, so it outlives any one simulation
+		c.decideFn = func() {
+			c.decidePending = false
+			c.decideLoop()
+		}
 	}
-	c.lastCASBank = -1
 	for r := 0; r < cfg.Ranks; r++ {
-		c.actHist[r] = make([]sim.Time, 0, 4)
 		// No ACT has happened yet: place the "previous" one far enough in
 		// the past that tRRD never constrains the first activate.
 		c.lastAct[r] = -(cfg.Timing.FAW + cfg.Timing.RRD)
@@ -336,7 +357,16 @@ func newChannel(eng *sim.Engine, cfg *Config, chIdx int) *channel {
 		c.refOffset[r] = cfg.Timing.REFI * sim.Time(chIdx*cfg.Ranks+r+1) / sim.Time(cfg.Channels*cfg.Ranks+1)
 		c.refNext[r] = c.refOffset[r]
 	}
-	return c
+}
+
+// zeroed returns n zero elements, in s's backing array when it holds them.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Refresh is modelled analytically rather than with perpetual events:
@@ -1009,8 +1039,8 @@ func (c *channel) pushComp(dir int, h sim.Handle) {
 // refreshAdjust.
 func (c *channel) rankActConstraint(rank int32) sim.Time {
 	earliest := c.lastAct[rank] + c.t.RRD
-	if h := c.actHist[rank]; len(h) == 4 {
-		if t := h[0] + c.t.FAW; t > earliest {
+	if h := &c.actHist[rank]; h.n == 4 {
+		if t := h.at[0] + c.t.FAW; t > earliest {
 			earliest = t
 		}
 	}
@@ -1019,12 +1049,13 @@ func (c *channel) rankActConstraint(rank int32) sim.Time {
 
 func (c *channel) recordActivate(rank int32, at sim.Time) {
 	c.lastAct[rank] = at
-	h := c.actHist[rank]
-	if len(h) == 4 {
-		copy(h, h[1:])
-		h[3] = at
+	h := &c.actHist[rank]
+	if h.n == 4 {
+		copy(h.at[:], h.at[1:])
+		h.at[3] = at
 	} else {
-		c.actHist[rank] = append(h, at)
+		h.at[h.n] = at
+		h.n++
 	}
 }
 

@@ -114,23 +114,36 @@ func NewShardedAssigned(group *sim.ShardGroup, cfg Config, home int, assign []in
 			homebound[sh] = func(at sim.Time, tag int32, fn func(sim.Time)) { group.Send(shard, home, at, tag, fn) }
 			outward[sh] = func(at sim.Time, tag int32, fn func(sim.Time)) { group.Send(home, shard, at, tag, fn) }
 		}
-		c := newChannel(group.Engine(sh), &s.cfg, i)
 		hw := homebound[sh]
-		tag := c.tag
-		c.complete = func(req *mem.Request, at sim.Time) { req.CompleteVia(hw, at, tag) }
+		c := &channel{}
 		s.chans[i] = c
 		s.xmit[i] = outward[sh]
 		s.dest[i] = shardEntry{s: s, ch: i}
-		// The shard→home lookahead is the minimum flight time of the
-		// shard's sends: every completion lands at least one data burst
-		// after the decide that committed it. Multiple channels on one
-		// shard share the same device timing, so the assignment is
-		// idempotent. Channel shards never talk to each other — those
-		// pairs stay at InfLookahead and place no bound on each other's
-		// windows.
-		group.SetLookahead(sh, home, s.cfg.Timing.Burst)
+		s.initChannel(i, func(req *mem.Request, at sim.Time) { req.CompleteVia(hw, at, c.tag) })
 	}
 	return s
+}
+
+// initChannel runs channel i's constructor and declares its shard's lookahead.
+func (s *Sharded) initChannel(i int, complete func(req *mem.Request, at sim.Time)) {
+	sh := s.shard[i]
+	s.chans[i].init(s.group.Engine(sh), &s.cfg, i, complete)
+	// The shard→home lookahead is the minimum flight time of the shard's
+	// sends: every completion lands at least one data burst after the
+	// decide that committed it. Multiple channels on one shard share the
+	// same device timing, so the assignment is idempotent. Channel shards
+	// never talk to each other — those pairs stay at InfLookahead and place
+	// no bound on each other's windows.
+	s.group.SetLookahead(sh, s.home, s.cfg.Timing.Burst)
+}
+
+// Reset is System.Reset for the sharded form, on a quiescent group that was
+// itself Reset; the lookahead is declared again in case a backend built on
+// the group since replaced it.
+func (s *Sharded) Reset() {
+	for i, c := range s.chans {
+		s.initChannel(i, c.complete)
+	}
 }
 
 // Config reports the system configuration.

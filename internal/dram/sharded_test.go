@@ -208,3 +208,73 @@ func expectPanic(t *testing.T, label string, fn func()) {
 	}()
 	fn()
 }
+
+// abandon leaves a backend mid-flight, the state a sweep point ends in: a
+// burst of requests from a pool of its own, simulated only partway, so that
+// controller queues hold requests and decide and completion events are
+// pending when the caller resets engine and backend.
+func abandon(t *testing.T, eng *sim.Engine, runUntil func(sim.Time), backend mem.TimedBackend, queued func() int, hop sim.Time) {
+	t.Helper()
+	pool := mem.NewRequestPool()
+	done := func(sim.Time, *mem.Request) {}
+	for i := uint64(0); i < 600; i++ {
+		op := mem.Read
+		if i%2 == 1 {
+			op = mem.Write
+		}
+		backend.AccessAt(pool.Get(i*8256, op, done), eng.Now()+hop)
+	}
+	runUntil(eng.Now() + hop + 200*sim.Nanosecond)
+	if q := queued(); q < 100 || eng.Pending() == 0 {
+		t.Fatalf("abandoned with %d queued requests and %d pending events: not mid-flight", q, eng.Pending())
+	}
+}
+
+// TestResetMatchesFresh is the memory-system half of the warm-rig gate: a
+// System or Sharded that was abandoned mid-flight and Reset (with its
+// engines) must complete the randomized closed-loop traffic at the same
+// instants, in the same order and with the same statistics as a newly built
+// one — three times over, so that state surviving one reset would show.
+func TestResetMatchesFresh(t *testing.T) {
+	cfg := DDR4(2666, 3, 2)
+	hop := sim.Time(22250)
+	const n = 8000
+	fresh := New(sim.New(), cfg)
+	ref := driveClosedLoop(t, fresh.eng, fresh.eng.Run, fresh, hop, n)
+	refLat, refN := fresh.ObservedReadLatency()
+
+	type system interface {
+		mem.TimedBackend
+		Reset()
+		Queued() int
+		Counters() mem.Counters
+		RowStats() RowStats
+		ObservedReadLatency() (sim.Time, uint64)
+	}
+	check := func(label string, eng *sim.Engine, run func(), runUntil func(sim.Time), reset func(), sys system) {
+		for round := 0; round < 3; round++ {
+			abandon(t, eng, runUntil, sys, sys.Queued, hop)
+			reset()
+			sys.Reset()
+			if q := sys.Queued(); q != 0 || sys.Counters() != (mem.Counters{}) || sys.RowStats() != (RowStats{}) {
+				t.Fatalf("%s round %d: reset left %d queued, counters %v, row stats %+v", label, round, q, sys.Counters(), sys.RowStats())
+			}
+			got := driveClosedLoop(t, eng, run, sys, hop, n)
+			diffTraces(t, fmt.Sprintf("%s round %d", label, round), ref, got)
+			lat, ln := sys.ObservedReadLatency()
+			if sys.Counters() != fresh.Counters() || sys.RowStats() != fresh.RowStats() || lat != refLat || ln != refN {
+				t.Fatalf("%s round %d: statistics differ from a fresh system's", label, round)
+			}
+		}
+	}
+
+	eng := sim.New()
+	check("system", eng, eng.Run, eng.RunUntil, eng.Reset, New(eng, cfg))
+	for _, shards := range []int{2, 3, 4} {
+		group := sim.NewShardGroup(shards)
+		sh := NewSharded(group, cfg, 0)
+		group.SetLookaheadOut(0, hop)
+		check(fmt.Sprintf("shards=%d", shards), group.Engine(0), group.Run, group.RunUntil, group.Reset, sh)
+		group.Close()
+	}
+}

@@ -26,9 +26,21 @@ func New(eng *sim.Engine, cfg Config) *System {
 	s := &System{eng: eng, cfg: cfg, mapper: NewMapper(&cfg)}
 	s.chans = make([]*channel, cfg.Channels)
 	for i := range s.chans {
-		s.chans[i] = newChannel(eng, &s.cfg, i)
+		s.chans[i] = &channel{}
 	}
+	s.Reset()
 	return s
+}
+
+// Reset returns the system to the state New left it in — empty queues,
+// closed rows, zero counters — by running every channel's constructor again
+// over the storage the channel has grown, for reuse on an engine that was
+// itself Reset. Requests the system still held are forgotten, not completed:
+// their pool must reclaim them (mem.RequestPool.Reset).
+func (s *System) Reset() {
+	for i, c := range s.chans {
+		c.init(s.eng, &s.cfg, i, nil)
+	}
 }
 
 // Config reports the system configuration.

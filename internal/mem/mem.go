@@ -269,9 +269,9 @@ func (h RequestHandle) Request() *Request {
 // each engine's components share one pool. Records are recycled on
 // completion, so steady-state issue/complete cycles allocate nothing.
 type RequestPool struct {
-	free      *Request
-	allocated int // records ever created
-	live      int // currently acquired
+	free *Request
+	all  []*Request // every record ever created, so Reset can find the acquired ones
+	live int        // currently acquired
 }
 
 // NewRequestPool returns an empty pool; records are created on demand and
@@ -291,7 +291,7 @@ func (p *RequestPool) Get(addr uint64, op Op, done DoneFunc) *Request {
 		// allocation-free in steady state.
 		r.fireFn()
 		r.deliverFn()
-		p.allocated++
+		p.all = append(p.all, r)
 	} else {
 		p.free = r.next
 		r.next = nil
@@ -309,7 +309,19 @@ func (p *RequestPool) Live() int { return p.live }
 
 // Allocated reports how many records the pool has ever created; a warm
 // steady state holds this constant while Live oscillates below it.
-func (p *RequestPool) Allocated() int { return p.allocated }
+func (p *RequestPool) Allocated() int { return len(p.all) }
+
+// Reset reclaims every record still acquired, for a pool whose simulation
+// was abandoned mid-flight (its engine Reset with completions pending). Done
+// is not invoked; the records go through the ordinary release, so earlier
+// handles read as dead and completing a reclaimed record panics.
+func (p *RequestPool) Reset() {
+	for _, r := range p.all {
+		if r.inflight {
+			r.release()
+		}
+	}
+}
 
 // Backend is anything that can service memory requests: the detailed DRAM
 // system, a behavioural model from the zoo, the CXL expander model, or the

@@ -290,3 +290,58 @@ func TestRequestDoubleCompleteAtPanics(t *testing.T) {
 	}()
 	r.CompleteAt(eng, 9)
 }
+
+// TestRequestPoolReset pins the reuse contract of a pool whose simulation
+// was abandoned: every acquired record comes back, nothing is invoked,
+// references taken before the reset die, and the double-completion guard
+// still holds for the reclaimed records.
+func TestRequestPoolReset(t *testing.T) {
+	p := NewRequestPool()
+	fired := 0
+	done := func(sim.Time, *Request) { fired++ }
+	var held []*Request
+	var handles []RequestHandle
+	for i := 0; i < 8; i++ {
+		r := p.Get(uint64(i)*LineSize, Read, done)
+		held = append(held, r)
+		handles = append(handles, r.Handle())
+	}
+	held[2].Complete(1) // one already back on the free list
+	eng := sim.New()
+	held[5].CompleteAt(eng, 100) // one with its completion scheduled
+	eng.Reset()
+	p.Reset()
+	if p.Live() != 0 || p.Allocated() != 8 || fired != 1 {
+		t.Fatalf("after Reset: live=%d allocated=%d done calls=%d, want 0, 8, 1", p.Live(), p.Allocated(), fired)
+	}
+	for i, h := range handles {
+		if h.Live() || h.Request() != nil {
+			t.Fatalf("handle %d survived the reset", i)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("completing a reclaimed record must panic")
+			}
+		}()
+		held[0].Complete(2)
+	}()
+	// Every record is reusable, and no new one is needed for the same load.
+	seen := map[*Request]bool{}
+	for i := 0; i < 8; i++ {
+		r := p.Get(0, Write, nil)
+		if r.Done != nil || r.User != nil || r.Parent != nil {
+			t.Fatalf("reclaimed record not cleared: %+v", r)
+		}
+		seen[r] = true
+	}
+	if len(seen) != 8 || p.Allocated() != 8 || p.Live() != 8 {
+		t.Fatalf("after reuse: %d distinct records, allocated=%d live=%d, want 8 each", len(seen), p.Allocated(), p.Live())
+	}
+	p.Reset()
+	p.Reset() // idempotent
+	if p.Live() != 0 {
+		t.Fatalf("live=%d after second Reset", p.Live())
+	}
+}
