@@ -32,6 +32,11 @@
 //     divergence_pct and speedup_x — deterministic accuracy numbers that
 //     -max-divergence and -min-speedup turn into hard gates (CI runs with
 //     -max-divergence 5 -min-speedup 5); -skip-replay disables the pair.
+//     Since v8 the full-replay row is priced per trace record, and the same
+//     trace measures the release text format: io/trace_save and
+//     io/trace_read write and parse it in memory, one op per record, with
+//     mb_per_s beside the usual columns and their allocs_per_op (0: a
+//     handful of buffers per call) under the allocs gate.
 //     Since v5 the sharded rows gain an in-run A/B against the PR-6 global
 //     barrier (model/dram_sharded_global couples every shard through the
 //     group-wide minimum window, exactly what the barrier did before
@@ -73,6 +78,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -111,8 +117,10 @@ import (
 // charz source counters), so the trajectory records not only how fast the
 // suite ran but how much simulation work it did; v7 added alloc_bytes to
 // every op-counted row and made framework/characterize_quick and
-// framework/fig2_quick op-counted, one op per simulated event.
-const Schema = "mess-perf/v7"
+// framework/fig2_quick op-counted, one op per simulated event; v8 added
+// the io/trace_save and io/trace_read rows with their mb_per_s field and
+// made framework/fig6_replay op-counted, one op per trace record.
+const Schema = "mess-perf/v8"
 
 // Result is one measured quantity of the suite. AllocsPerOp follows the
 // `go test -benchmem` convention (total mallocs / ops, truncated): the
@@ -147,6 +155,9 @@ type Result struct {
 	// wall-clock columns), so they can be gated as hard bounds.
 	DivergencePct float64 `json:"divergence_pct,omitempty"`
 	SpeedupX      float64 `json:"speedup_x,omitempty"`
+	// MBPerSec is set on the io/ rows: bytes of trace text written or
+	// parsed per second of wall-clock (decimal megabytes).
+	MBPerSec float64 `json:"mb_per_s,omitempty"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -201,6 +212,15 @@ func measureCounted(name string, ops func() int, run func()) Result {
 		r.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
 		allocs := int64(r.Mallocs) / int64(r.Ops)
 		r.AllocsPerOp = &allocs
+	}
+	return r
+}
+
+// withMBPerSec adds the byte rate to a measured row whose run moved the
+// given number of bytes.
+func withMBPerSec(r Result, bytes int) Result {
+	if r.WallMs > 0 {
+		r.MBPerSec = float64(bytes) / 1e6 / (r.WallMs / 1e3)
 	}
 	return r
 }
@@ -353,7 +373,10 @@ func main() {
 	}
 	add := func(r Result) {
 		rep.Results = append(rep.Results, r)
-		if r.EventsPerSec > 0 {
+		if r.MBPerSec > 0 {
+			fmt.Printf("%-28s %10.1f ns/op %12.1f MB/s %8d mallocs %12d B %6.1f ms\n",
+				r.Name, r.NsPerOp, r.MBPerSec, r.Mallocs, r.AllocBytes, r.WallMs)
+		} else if r.EventsPerSec > 0 {
 			var allocs int64
 			if r.AllocsPerOp != nil {
 				allocs = *r.AllocsPerOp
@@ -610,8 +633,8 @@ func main() {
 
 	// The fig6-class trace-replay pair: one mid-pressure trace (40% stores,
 	// 16 ns pacing) is captured once on the same Quick-scaled Skylake, then
-	// replayed in full (framework/fig6_replay) and through the
-	// phase-clustered sampler (framework/fig6_replay_sampled). The sampled
+	// replayed in full (framework/fig6_replay, priced per record) and through
+	// the phase-clustered sampler (framework/fig6_replay_sampled). The sampled
 	// row additionally records how far its reconstructed estimates diverge
 	// from the full replay and what fraction of the records it avoided
 	// simulating; both numbers are deterministic per trace, so
@@ -635,10 +658,39 @@ func main() {
 			cli.Fatal(err)
 		}
 		tr := &cap.T
+
+		// The same trace through the release text format, in memory: what
+		// messtrace -capture and -replay spend outside the simulation.
+		// An unmeasured save first grows the buffer the measured ones refill,
+		// so the row's alloc_bytes are Save's own.
+		var text bytes.Buffer
+		save := func() {
+			text.Reset()
+			if err := tr.Save(&text); err != nil {
+				cli.Fatal(err)
+			}
+		}
+		save()
+		add(best(func() Result {
+			return withMBPerSec(measure("io/trace_save", len(tr.Records), save), text.Len())
+		}))
+		add(best(func() Result {
+			r := measure("io/trace_read", len(tr.Records), func() {
+				back, err := trace.Read(bytes.NewReader(text.Bytes()))
+				if err != nil {
+					cli.Fatal(err)
+				}
+				if len(back.Records) != len(tr.Records) {
+					cli.Fatal(fmt.Errorf("io/trace_read: %d records read back, %d saved", len(back.Records), len(tr.Records)))
+				}
+			})
+			return withMBPerSec(r, text.Len())
+		}))
+
 		mkReplay := func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, point) }
 		var full trace.ReplayResult
 		add(best(func() Result {
-			return measure("framework/fig6_replay", 0, func() {
+			return measure("framework/fig6_replay", len(tr.Records), func() {
 				eng := sim.New()
 				full = trace.Replay(eng, mkReplay(eng), tr)
 			})

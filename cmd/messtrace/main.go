@@ -13,6 +13,14 @@
 // capture with a few hundred µs of measured time (-measure-us) when the
 // trace is destined for -sampled replay.
 //
+// A trace file is text: a "# mess trace: N records" header, then one
+// "at_ps 0xaddr R|W" line per record. -replay streams the file and sizes
+// the record array once from the header's count — capped by what the
+// file's size could hold, so a wrong or hostile header costs nothing —
+// instead of growing it by doubling; a file without the header still
+// loads. Malformed lines, timestamps that go backwards and lines of 1 MiB
+// or more are rejected with their line number.
+//
 // Usage:
 //
 //	messtrace -platform "Intel Skylake" -capture trace.txt -stores 40 -pace 8

@@ -374,16 +374,20 @@ func cutWindows(t *Trace, cfg SampleConfig) ([]SampleWindow, sim.Time) {
 
 // fingerprint computes each window's access vector.
 func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
-	lastRow := map[int]int64{} // bank -> open row (idealized, per window)
-	lines := map[uint64]bool{} // unique-line footprint, per window
+	largest := 0
+	for i := range windows {
+		if n := windows[i].End - windows[i].Start; n > largest {
+			largest = n
+		}
+	}
+	sc := newFingerprintScratch(largest)
 	for i := range windows {
 		w := &windows[i]
 		n := w.End - w.Start
 		if n == 0 {
 			continue
 		}
-		clear(lastRow)
-		clear(lines)
+		sc.nextWindow()
 		var hits, seq, near, far, reads, burst int
 		var prevLine int64 = -1 << 62
 		for ri := w.Start; ri < w.End; ri++ {
@@ -406,17 +410,15 @@ func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
 			if !rec.Write {
 				reads++
 			}
-			bank, row := cfg.BankRow(rec.Addr)
-			if r, ok := lastRow[bank]; ok && r == row {
+			if sc.openRow(cfg.BankRow(rec.Addr)) {
 				hits++
 			}
-			lastRow[bank] = row
-			lines[rec.Addr/mem.LineSize] = true
+			sc.touch(rec.Addr / mem.LineSize)
 		}
 		w.Vec = AccessVector{
 			RowHit:    float64(hits) / float64(n),
 			ReadFrac:  float64(reads) / float64(n),
-			Footprint: math.Log2(1 + float64(len(lines))),
+			Footprint: math.Log2(1 + float64(sc.unique)),
 		}
 		if n > 1 {
 			w.Vec.SeqFrac = float64(seq) / float64(n-1)
@@ -426,6 +428,93 @@ func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
 		}
 		if spanUs := (w.To - w.From).Seconds() * 1e6; spanUs > 0 {
 			w.Vec.Rate = math.Log2(1 + float64(n)/spanUs)
+		}
+	}
+}
+
+// denseBanks is how many flat bank indices (from 0) the row table holds
+// in a slice; any real geometry's banks fit. Ids outside the range — a
+// custom BankRow may return anything — go to a map.
+const denseBanks = 1 << 16
+
+// fingerprintScratch is the per-window state of fingerprint — the open row
+// of every bank (idealized: one row buffer per bank, nothing precharges)
+// and the set of lines touched — kept in storage that is reused across
+// windows. Entries carry the epoch of the window that wrote them, so moving
+// to the next window clears both tables by bumping the epoch.
+type fingerprintScratch struct {
+	epoch uint32
+
+	rows     []int64  // bank -> open row, valid where rowEpoch matches
+	rowEpoch []uint32 // grown on demand up to denseBanks
+	farRows  map[int]int64
+
+	// Open-addressed, linearly probed set of line numbers, sized at twice
+	// the largest window so it never fills.
+	lines     []uint64
+	lineEpoch []uint32
+	lineShift uint
+	unique    int // lines touched in this window
+}
+
+func newFingerprintScratch(largestWindow int) *fingerprintScratch {
+	bits := uint(4)
+	for 1<<bits < 2*largestWindow {
+		bits++
+	}
+	return &fingerprintScratch{
+		lines:     make([]uint64, 1<<bits),
+		lineEpoch: make([]uint32, 1<<bits),
+		lineShift: 64 - bits,
+	}
+}
+
+func (sc *fingerprintScratch) nextWindow() {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could pass for current ones
+		clear(sc.rowEpoch)
+		clear(sc.lineEpoch)
+		sc.epoch = 1
+	}
+	clear(sc.farRows)
+	sc.unique = 0
+}
+
+// openRow records row as bank's open row and reports whether it already
+// was — a row hit.
+func (sc *fingerprintScratch) openRow(bank int, row int64) bool {
+	if bank < 0 || bank >= denseBanks {
+		if sc.farRows == nil {
+			sc.farRows = map[int]int64{}
+		}
+		r, ok := sc.farRows[bank]
+		sc.farRows[bank] = row
+		return ok && r == row
+	}
+	if bank >= len(sc.rows) {
+		grown := 2 * (bank + 1)
+		if grown > denseBanks {
+			grown = denseBanks
+		}
+		sc.rows = append(sc.rows, make([]int64, grown-len(sc.rows))...)
+		sc.rowEpoch = append(sc.rowEpoch, make([]uint32, grown-len(sc.rowEpoch))...)
+	}
+	hit := sc.rowEpoch[bank] == sc.epoch && sc.rows[bank] == row
+	sc.rows[bank], sc.rowEpoch[bank] = row, sc.epoch
+	return hit
+}
+
+// touch adds a line to the window's footprint.
+func (sc *fingerprintScratch) touch(line uint64) {
+	mask := uint64(len(sc.lines) - 1)
+	for i := line * 0x9e3779b97f4a7c15 >> sc.lineShift; ; i = (i + 1) & mask {
+		if sc.lineEpoch[i] != sc.epoch {
+			sc.lines[i], sc.lineEpoch[i] = line, sc.epoch
+			sc.unique++
+			return
+		}
+		if sc.lines[i] == line {
+			return
 		}
 	}
 }
@@ -470,7 +559,7 @@ func replayWindowRange(mk mem.BackendFactory, t *Trace, w *SampleWindow, warm si
 		base: t.Records[0].At, pool: mem.NewRequestPool(),
 		measureFrom: w.Start - warmStart,
 	}
-	rp.run(ReplayWindow)
+	rp.run()
 
 	m := windowMeasure{replayed: len(recs)}
 	var lat sim.Time

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -190,5 +192,157 @@ func TestKMeansDeterministic(t *testing.T) {
 		if a < 0 || a >= 5 {
 			t.Fatalf("point %d assigned to cluster %d", i, a)
 		}
+	}
+}
+
+// fingerprintReference is the fingerprint the scratch tables replaced: a
+// Go map for each window's open rows and another for its unique lines. It
+// defines the counts fingerprint must reproduce.
+func fingerprintReference(t *Trace, windows []SampleWindow, cfg SampleConfig) {
+	for i := range windows {
+		w := &windows[i]
+		n := w.End - w.Start
+		if n == 0 {
+			continue
+		}
+		lastRow := map[int]int64{}
+		lines := map[uint64]bool{}
+		var hits, seq, near, far, reads, burst int
+		var prevLine int64 = -1 << 62
+		for ri := w.Start; ri < w.End; ri++ {
+			rec := &t.Records[ri]
+			line := int64(rec.Addr / mem.LineSize)
+			if ri > w.Start {
+				switch d := line - prevLine; {
+				case d == 1:
+					seq++
+				case d > -64 && d < 64:
+					near++
+				default:
+					far++
+				}
+				if rec.At == t.Records[ri-1].At {
+					burst++
+				}
+			}
+			prevLine = line
+			if !rec.Write {
+				reads++
+			}
+			bank, row := cfg.BankRow(rec.Addr)
+			if r, ok := lastRow[bank]; ok && r == row {
+				hits++
+			}
+			lastRow[bank] = row
+			lines[rec.Addr/mem.LineSize] = true
+		}
+		w.Vec = AccessVector{
+			RowHit:    float64(hits) / float64(n),
+			ReadFrac:  float64(reads) / float64(n),
+			Footprint: math.Log2(1 + float64(len(lines))),
+		}
+		if n > 1 {
+			w.Vec.SeqFrac = float64(seq) / float64(n-1)
+			w.Vec.NearFrac = float64(near) / float64(n-1)
+			w.Vec.FarFrac = float64(far) / float64(n-1)
+			w.Vec.Burst = float64(burst) / float64(n-1)
+		}
+		if spanUs := (w.To - w.From).Seconds() * 1e6; spanUs > 0 {
+			w.Vec.Rate = math.Log2(1 + float64(n)/spanUs)
+		}
+	}
+}
+
+// TestFingerprintMatchesReference holds fingerprint's reused scratch tables
+// to the map-based reference on randomized traces and window cuts: every
+// window's vector must be equal, float for float. The bank mappings cover
+// the real one, the default, and a hostile custom BankRow whose bank ids
+// are negative, beyond the dense table, and far beyond it — with rows that
+// repeat, so row hits happen on every path.
+func TestFingerprintMatchesReference(t *testing.T) {
+	cfg := dram.DDR4(3200, 2, 2)
+	mapper := dram.NewMapper(&cfg)
+	mappings := map[string]func(uint64) (int, int64){
+		"ddr4":    mapper.BankRow,
+		"default": defaultBankRow,
+		"hostile": func(addr uint64) (int, int64) {
+			row := int64(addr>>9) % 3
+			switch bank := int(addr>>6) % 7; bank {
+			case 0:
+				return -1 - int(addr>>12)%3, row
+			case 1:
+				return denseBanks + int(addr>>12)%2, -row
+			case 2:
+				return math.MaxInt - int(addr>>12)%2, row
+			case 3:
+				return math.MinInt, row
+			case 4:
+				return denseBanks - 1, row
+			default:
+				return bank * 1000, row // makes the dense table grow in steps
+			}
+		},
+	}
+	rng := rand.New(rand.NewSource(14))
+	for round := 0; round < 12; round++ {
+		// A pool of lines small enough that windows revisit them.
+		pool := make([]uint64, 1+rng.Intn(400))
+		for i := range pool {
+			pool[i] = uint64(rng.Int63n(1<<34)) &^ 63
+		}
+		tr := &Trace{}
+		at := sim.Time(rng.Intn(1000))
+		for i, n := 0, 1+rng.Intn(6000); i < n; i++ {
+			switch rng.Intn(4) {
+			case 0: // same instant
+			case 1:
+				if rng.Intn(40) == 0 {
+					at += sim.Time(rng.Intn(20)) * sim.Microsecond // leaves empty windows behind
+				}
+			default:
+				at += sim.Time(rng.Intn(3000))
+			}
+			addr := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 && i > 0 {
+				addr = tr.Records[i-1].Addr + 64 // sequential run
+			}
+			tr.Records = append(tr.Records, Record{At: at, Addr: addr + uint64(rng.Intn(64)), Write: rng.Intn(3) == 0})
+		}
+		for name, bankRow := range mappings {
+			sc := SampleConfig{
+				Span:    sim.Time(50+rng.Intn(4000)) * sim.Nanosecond,
+				BankRow: bankRow,
+			}.withDefaults()
+			got, _ := cutWindows(tr, sc)
+			want := append([]SampleWindow(nil), got...)
+			fingerprint(tr, got, sc)
+			fingerprintReference(tr, want, sc)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("round %d, %s mapping, window %d of %d [%d,%d):\n got %+v\nwant %+v",
+						round, name, i, len(want), want[i].Start, want[i].End, got[i].Vec, want[i].Vec)
+				}
+			}
+		}
+	}
+}
+
+// TestFingerprintScratchEpochWrap: when the window stamp wraps around,
+// entries written under the old stamps must not read as current.
+func TestFingerprintScratchEpochWrap(t *testing.T) {
+	sc := newFingerprintScratch(8)
+	sc.nextWindow() // the first window stamps its entries 1
+	sc.openRow(3, 7)
+	sc.touch(42)
+	sc.epoch = math.MaxUint32 // 2^32 − 2 windows later
+	sc.nextWindow()
+	if sc.epoch == 0 {
+		t.Fatal("epoch 0 is the never-written stamp and must be skipped")
+	}
+	if sc.openRow(3, 7) {
+		t.Error("a row opened before the wrap reads as open after it")
+	}
+	if sc.touch(42); sc.unique != 1 {
+		t.Errorf("a line touched before the wrap was not counted after it: unique = %d", sc.unique)
 	}
 }

@@ -6,12 +6,6 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/sim"
 )
@@ -86,32 +80,30 @@ type ReplayResult struct {
 	Reads     uint64
 }
 
-// ReplayWindow bounds how many trace records hold a live engine event at
-// once during replay. The window is a memory bound, not a semantic one:
-// completion timing is bit-identical to scheduling the whole trace up
-// front (see replayWindowed), but a million-record trace holds thousands,
-// not millions, of pending events and pooled requests.
-const ReplayWindow = 4096
-
 // Replay drives the backend with the trace's own timing (arrival gaps
 // encode the non-memory work, as DRAMsim3 trace formats do) and measures
 // the achieved bandwidth and mean read latency. Requests come from a
-// replay-local pool and are delivered through a bounded in-flight
-// scheduling window: at most ReplayWindow records are scheduled ahead of
-// the clock, each firing record feeds the next into the engine, and a
-// single shared completion callback reads the issue time off the request —
-// zero per-record closures, O(window) instead of O(trace) live events.
+// replay-local pool, the engine holds one record ahead of the clock — each
+// firing record schedules its successor before it is delivered — and a
+// single shared completion callback reads the issue time off the request:
+// zero per-record closures, one live record event however long the trace.
 // Traces whose timestamps are not non-decreasing (Read rejects them, but a
 // Trace built in memory can be anything) fall back to eager scheduling,
-// whose semantics the window reproduces only for time-ordered records.
+// whose semantics the one-ahead feed reproduces only for time-ordered
+// records.
 func Replay(eng *sim.Engine, backend mem.Backend, t *Trace) ReplayResult {
 	if len(t.Records) == 0 {
 		return ReplayResult{}
 	}
-	if monotonic(t.Records) {
-		return replayWindowed(eng, backend, t, ReplayWindow)
+	if !monotonic(t.Records) {
+		return replayEager(eng, backend, t)
 	}
-	return replayEager(eng, backend, t)
+	rp := &replayer{
+		eng: eng, backend: backend, recs: t.Records,
+		base: t.Records[0].At, pool: mem.NewRequestPool(),
+	}
+	rp.run()
+	return replayResult(t, eng.Now(), rp.latSum, rp.reads)
 }
 
 // monotonic reports whether the records' timestamps are non-decreasing.
@@ -128,27 +120,32 @@ func monotonic(recs []Record) bool {
 // coordinate) carried by every replayed record's delivery event. Eager
 // replay schedules all records before the run, so each record event holds
 // key 0 and a seq below every event the backend will ever schedule: at
-// equal deadlines, records fire first, in record order. A window schedules
-// records mid-run, where the engine would stamp them with the current
-// clock and a late seq — so the window injects them with key −1 instead,
+// equal deadlines, records fire first, in record order. The one-ahead feed
+// schedules records mid-run, where the engine would stamp them with the
+// current clock and a late seq — so it injects them with key −1 instead,
 // which wins every deadline tie against backend events (whose keys are
-// real schedule instants ≥ 0) while record-vs-record ties keep record
-// order via seq (the window always schedules records in index order).
-// Both invariants together make the windowed firing sequence — and hence
-// all completion timing — bit-identical to the eager one.
+// real schedule instants ≥ 0). Record order needs no tie-break at all:
+// record i+1 is scheduled by record i's own firing, at a deadline no
+// earlier, so records fire in index order. And it is scheduled before
+// record i is delivered, so a backend that looks at the engine's next
+// deadline while it handles the delivery (the DRAM decide loop does, to
+// fuse iterations) sees the next arrival exactly as it saw the
+// pre-scheduled one. The firing sequence — and hence all completion
+// timing — is bit-identical to the eager one.
 const replayKey = sim.Time(-1)
 
-// replayer drives one bounded-window replay: a single shared fire
-// callback delivers the next record (firing order equals record order for
-// time-sorted records) and tops the window back up.
+// replayer drives one replay of time-sorted records: a single shared fire
+// callback schedules the next record, then delivers the current one. Only
+// one record event is ever pending, mostly a few ns ahead of the clock, so
+// it lands in the engine's timing wheel, not the overflow heap beyond the
+// wheel's horizon.
 type replayer struct {
 	eng     *sim.Engine
 	backend mem.Backend
 	recs    []Record
 	base    sim.Time
 	pool    *mem.RequestPool
-	next    int // next record index to schedule
-	deliver int // next record index to deliver
+	next    int // index of the record whose event is pending
 
 	measureFrom int // records at or past this index count toward stats
 	latSum      sim.Time
@@ -159,14 +156,19 @@ type replayer struct {
 	readDone mem.DoneFunc
 }
 
+func (rp *replayer) schedule(i int) {
+	rp.eng.ScheduleTimedSent(rp.recs[i].At-rp.base, replayKey, 0, rp.fire)
+}
+
 func (rp *replayer) step(at sim.Time) {
-	// Top up before delivering: the next record's event must take its seq
-	// before the backend schedules anything in response to this delivery.
+	i := rp.next
+	rp.next++
+	// Schedule the successor before delivering: the backend may consult
+	// the engine's next deadline while it handles this record.
 	if rp.next < len(rp.recs) {
-		rp.eng.ScheduleTimedSent(rp.recs[rp.next].At-rp.base, replayKey, 0, rp.fire)
-		rp.next++
+		rp.schedule(rp.next)
 	}
-	rec := &rp.recs[rp.deliver]
+	rec := &rp.recs[i]
 	op := mem.Read
 	var done mem.DoneFunc
 	if rec.Write {
@@ -175,17 +177,17 @@ func (rp *replayer) step(at sim.Time) {
 		done = rp.readDone
 	}
 	req := rp.pool.Get(rec.Addr, op, done)
-	if rp.deliver >= rp.measureFrom {
+	if i >= rp.measureFrom {
 		req.Ctx = 1
 	}
-	rp.deliver++
 	req.Issued = at
 	rp.backend.Access(req)
 }
 
-// run replays recs[0:] (time-sorted), counting read latency only for
-// records at index ≥ measureFrom, and returns after the engine drains.
-func (rp *replayer) run(window int) {
+// run replays recs[0:] (time-sorted, not empty), counting read latency
+// only for records at index ≥ measureFrom, and returns after the engine
+// drains.
+func (rp *replayer) run() {
 	rp.fire = rp.step
 	rp.readDone = func(done sim.Time, req *mem.Request) {
 		if req.Ctx != 0 {
@@ -196,29 +198,13 @@ func (rp *replayer) run(window int) {
 			}
 		}
 	}
-	n := window
-	if n > len(rp.recs) {
-		n = len(rp.recs)
-	}
-	for i := 0; i < n; i++ {
-		rp.eng.ScheduleTimedSent(rp.recs[i].At-rp.base, replayKey, 0, rp.fire)
-	}
-	rp.next = n
+	rp.schedule(0)
 	rp.eng.Run()
 }
 
-func replayWindowed(eng *sim.Engine, backend mem.Backend, t *Trace, window int) ReplayResult {
-	rp := &replayer{
-		eng: eng, backend: backend, recs: t.Records,
-		base: t.Records[0].At, pool: mem.NewRequestPool(),
-	}
-	rp.run(window)
-	return replayResult(t, eng.Now(), rp.latSum, rp.reads)
-}
-
 // replayEager schedules one delivery event per record before running —
-// the historical Replay, kept for traces without time order (the window's
-// sequential delivery assumes firing order equals record order).
+// the historical Replay, kept for traces without time order (the one-ahead
+// feed's sequential delivery assumes firing order equals record order).
 func replayEager(eng *sim.Engine, backend mem.Backend, t *Trace) ReplayResult {
 	base := t.Records[0].At
 	pool := mem.NewRequestPool()
@@ -253,69 +239,4 @@ func replayResult(t *Trace, end, latSum sim.Time, reads uint64) ReplayResult {
 		res.ReadLatNs = (latSum / sim.Time(reads)).Nanoseconds()
 	}
 	return res
-}
-
-// Save serializes the trace in the release text format:
-// one "at_ps addr RW" triple per line.
-func (t *Trace) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# mess trace: %d records\n", len(t.Records))
-	for _, r := range t.Records {
-		op := "R"
-		if r.Write {
-			op = "W"
-		}
-		fmt.Fprintf(bw, "%d %#x %s\n", int64(r.At), r.Addr, op)
-	}
-	return bw.Flush()
-}
-
-// Read parses a trace written by Save. Timestamps must be non-decreasing:
-// an out-of-order record would silently corrupt Duration and replay pacing
-// (the replay window delivers records in index order and assumes that is
-// also time order), so Read rejects it with the offending line number
-// instead of deferring the breakage to analysis time.
-func Read(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	var prevAt sim.Time
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want 3 fields, got %d", lineNo, len(fields))
-		}
-		at, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad time: %w", lineNo, err)
-		}
-		if len(t.Records) > 0 && sim.Time(at) < prevAt {
-			return nil, fmt.Errorf("trace: line %d: non-monotonic timestamp %d (previous record at %d)",
-				lineNo, at, int64(prevAt))
-		}
-		prevAt = sim.Time(at)
-		addr, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad address: %w", lineNo, err)
-		}
-		var write bool
-		switch fields[2] {
-		case "R":
-		case "W":
-			write = true
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad op %q", lineNo, fields[2])
-		}
-		t.Records = append(t.Records, Record{At: sim.Time(at), Addr: addr, Write: write})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return t, nil
 }

@@ -1,13 +1,12 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 )
 
@@ -99,112 +98,6 @@ func TestReplayTiming(t *testing.T) {
 	}
 }
 
-func TestSaveReadRoundTrip(t *testing.T) {
-	tr := sampleTrace(200)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(tr.Records) {
-		t.Fatalf("round trip lost records: %d vs %d", len(got.Records), len(tr.Records))
-	}
-	for i := range got.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, got.Records[i], tr.Records[i])
-		}
-	}
-}
-
-// TestSaveReadProperty round-trips randomized traces through the text
-// format, with comment and blank lines injected between records (the
-// format allows both) — the parsed records must come back exactly, in
-// order, regardless.
-func TestSaveReadProperty(t *testing.T) {
-	prop := func(gaps []uint16, addrs []uint16, noise []bool) bool {
-		n := len(gaps)
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		tr := &Trace{}
-		at := sim.Time(0)
-		for i := 0; i < n; i++ {
-			at += sim.Time(gaps[i]) // non-decreasing by construction
-			tr.Records = append(tr.Records, Record{
-				At:    at,
-				Addr:  uint64(addrs[i]) * 64,
-				Write: gaps[i]%2 == 0,
-			})
-		}
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			return false
-		}
-		// Inject comments and blank lines between records: the format
-		// must skip them without disturbing the record stream.
-		var noisy bytes.Buffer
-		for i, line := range strings.SplitAfter(buf.String(), "\n") {
-			if i < len(noise) && noise[i] {
-				noisy.WriteString("# injected comment\n\n   \n")
-			}
-			noisy.WriteString(line)
-		}
-		got, err := Read(&noisy)
-		if err != nil {
-			return false
-		}
-		if len(got.Records) != len(tr.Records) {
-			return false
-		}
-		for i := range got.Records {
-			if got.Records[i] != tr.Records[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"1 2 3 4\n",
-		"abc 0x40 R\n",
-		"10 zz R\n",
-		"10 0x40 X\n",
-	} {
-		if _, err := Read(strings.NewReader(bad)); err == nil {
-			t.Errorf("malformed line %q accepted", strings.TrimSpace(bad))
-		}
-	}
-}
-
-// TestReadRejectsNonMonotonic pins the load-time ordering validation: a
-// record stream that goes backwards in time is rejected with the offending
-// line number instead of silently breaking Duration and replay pacing.
-func TestReadRejectsNonMonotonic(t *testing.T) {
-	in := "# header\n10 0x40 R\n20 0x80 W\n\n15 0xc0 R\n"
-	_, err := Read(strings.NewReader(in))
-	if err == nil {
-		t.Fatal("non-monotonic trace accepted")
-	}
-	if !strings.Contains(err.Error(), "line 5") {
-		t.Fatalf("error does not name the offending line: %v", err)
-	}
-	if !strings.Contains(err.Error(), "non-monotonic") {
-		t.Fatalf("error does not explain the failure: %v", err)
-	}
-	// Equal timestamps are fine (several records can arrive in one cycle).
-	if _, err := Read(strings.NewReader("10 0x40 R\n10 0x80 W\n")); err != nil {
-		t.Fatalf("equal timestamps rejected: %v", err)
-	}
-}
-
 // recordingBackend wraps a backend and logs every completion instant, for
 // bit-exact comparison of replay scheduling strategies.
 type recordingBackend struct {
@@ -229,14 +122,12 @@ func (r *recordingBackend) Access(req *mem.Request) {
 	r.inner.Access(req)
 }
 
-// TestWindowedReplayBitIdentical pins the bounded-window scheduler's
-// contract: for a time-ordered trace, replaying through a window far
-// smaller than the trace produces the same results — and the same
-// completion sequence, instant by instant — as eagerly scheduling every
-// record up front. The trace is adversarial: duplicated timestamps (record
-// ties) and arrival gaps equal to the echo latency (arrival/completion
-// deadline collisions, where only the tie-break key keeps order).
-func TestWindowedReplayBitIdentical(t *testing.T) {
+// adversarialTrace is time-ordered with everything the one-ahead feed could
+// get wrong: duplicated timestamps (same-instant bursts, where only one of
+// the tied records is ever pending) and arrival gaps equal to the echo
+// latency (arrival/completion deadline collisions, where only the
+// tie-break key keeps order).
+func adversarialTrace() *Trace {
 	tr := &Trace{}
 	at := sim.Time(0)
 	for i := 0; i < 3000; i++ {
@@ -253,39 +144,12 @@ func TestWindowedReplayBitIdentical(t *testing.T) {
 			Write: i%3 == 0,
 		})
 	}
-
-	run := func(windowed bool) (ReplayResult, []completion) {
-		eng := sim.New()
-		rec := &recordingBackend{inner: &echoBackend{eng: eng, lat: 25 * sim.Nanosecond}}
-		var res ReplayResult
-		if windowed {
-			res = replayWindowed(eng, rec, tr, 8)
-		} else {
-			res = replayEager(eng, rec, tr)
-		}
-		return res, rec.log
-	}
-	eagerRes, eagerLog := run(false)
-	windRes, windLog := run(true)
-
-	if eagerRes != windRes {
-		t.Fatalf("results diverge:\neager    %+v\nwindowed %+v", eagerRes, windRes)
-	}
-	if len(eagerLog) != len(windLog) {
-		t.Fatalf("completion counts diverge: %d vs %d", len(eagerLog), len(windLog))
-	}
-	for i := range eagerLog {
-		if eagerLog[i] != windLog[i] {
-			t.Fatalf("completion %d diverges: eager %+v windowed %+v", i, eagerLog[i], windLog[i])
-		}
-	}
+	return tr
 }
 
-// TestWindowedReplayBitIdenticalDRAM repeats the equivalence check against
-// the detailed DRAM system — tagged channel events, decide fusion and
-// scheduled completions are the event regime real replays run in.
-func TestWindowedReplayBitIdenticalDRAM(t *testing.T) {
-	cfg := dram.DDR4(3200, 2, 2)
+// scatterTrace walks 4096 lines in a scattered order with bursts, at a
+// pace that keeps a detailed backend's queues loaded.
+func scatterTrace() *Trace {
 	tr := &Trace{}
 	at := sim.Time(0)
 	for i := 0; i < 4000; i++ {
@@ -298,57 +162,112 @@ func TestWindowedReplayBitIdenticalDRAM(t *testing.T) {
 			Write: i%4 == 0,
 		})
 	}
-	run := func(windowed bool) (ReplayResult, []completion) {
-		eng := sim.New()
-		rec := &recordingBackend{inner: dram.New(eng, cfg)}
-		var res ReplayResult
-		if windowed {
-			res = replayWindowed(eng, rec, tr, 16)
-		} else {
-			res = replayEager(eng, rec, tr)
-		}
-		return res, rec.log
-	}
-	eagerRes, eagerLog := run(false)
-	windRes, windLog := run(true)
-	if eagerRes != windRes {
-		t.Fatalf("results diverge:\neager    %+v\nwindowed %+v", eagerRes, windRes)
-	}
-	for i := range eagerLog {
-		if eagerLog[i] != windLog[i] {
-			t.Fatalf("completion %d diverges: eager %+v windowed %+v", i, eagerLog[i], windLog[i])
-		}
+	return tr
+}
+
+// TestOneAheadReplayBitIdentical pins the one-ahead feed's contract: for a
+// time-ordered trace, Replay — one record event pending at a time, each
+// scheduled by its predecessor's firing — produces the same results, and
+// the same completion sequence instant by instant, as eagerly scheduling
+// every record up front. The backends are the event regimes replays run
+// in: an echo whose latency collides with arrival gaps, the detailed DRAM
+// system (tagged channel events, decide fusion peeking at the engine's
+// next deadline, scheduled completions) and the DRAMsim3-like replica that
+// trace-profile and fig6 replay into.
+func TestOneAheadReplayBitIdentical(t *testing.T) {
+	spec := platform.Skylake()
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		mk   mem.BackendFactory
+	}{
+		{"echo", adversarialTrace(), func(eng *sim.Engine) mem.Backend {
+			return &echoBackend{eng: eng, lat: 25 * sim.Nanosecond}
+		}},
+		{"dram", scatterTrace(), func(eng *sim.Engine) mem.Backend {
+			return dram.New(eng, dram.DDR4(3200, 2, 2))
+		}},
+		{"dram-bursts", adversarialTrace(), func(eng *sim.Engine) mem.Backend {
+			return dram.New(eng, dram.DDR4(3200, 2, 2))
+		}},
+		{"dramsim3", scatterTrace(), func(eng *sim.Engine) mem.Backend {
+			return memmodel.NewDRAMsim3Like(eng, spec)
+		}},
+		{"dramsim3-bursts", adversarialTrace(), func(eng *sim.Engine) mem.Backend {
+			return memmodel.NewDRAMsim3Like(eng, spec)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(replay func(*sim.Engine, mem.Backend, *Trace) ReplayResult) (ReplayResult, []completion, sim.Time) {
+				eng := sim.New()
+				rec := &recordingBackend{inner: tc.mk(eng)}
+				res := replay(eng, rec, tc.tr)
+				return res, rec.log, eng.Now()
+			}
+			eagerRes, eagerLog, eagerEnd := run(replayEager)
+			res, log, end := run(Replay)
+			if eagerRes != res {
+				t.Fatalf("results diverge:\neager     %+v\none-ahead %+v", eagerRes, res)
+			}
+			if eagerEnd != end {
+				t.Fatalf("engines drain at different instants: eager %d one-ahead %d", eagerEnd, end)
+			}
+			if len(eagerLog) == 0 || len(eagerLog) != len(log) {
+				t.Fatalf("completion counts diverge: %d vs %d", len(eagerLog), len(log))
+			}
+			for i := range eagerLog {
+				if eagerLog[i] != log[i] {
+					t.Fatalf("completion %d diverges: eager %+v one-ahead %+v", i, eagerLog[i], log[i])
+				}
+			}
+		})
 	}
 }
 
-// TestReplayWindowBoundsLiveEvents asserts the point of the window: the
-// engine never holds more than window + in-flight events, independent of
-// trace length.
-func TestReplayWindowBoundsLiveEvents(t *testing.T) {
+// TestReplayHoldsOneRecordEvent asserts the point of the one-ahead feed:
+// whatever the trace length, the engine never holds more than one pending
+// record event on top of the backend's own in-flight completions.
+func TestReplayHoldsOneRecordEvent(t *testing.T) {
 	tr := sampleTrace(50000)
 	eng := sim.New()
-	max := 0
-	probe := &probeBackend{eng: eng, lat: 10 * sim.Nanosecond, max: &max}
-	replayWindowed(eng, probe, tr, 64)
-	// 64 scheduled arrivals + the probe's own completions (≤ a handful in
-	// flight at this pacing); anything near the trace length means the
-	// window is not bounding.
-	if max > 200 {
-		t.Fatalf("replay held %d live events with a 64-record window", max)
+	probe := &probeBackend{eng: eng, lat: 95 * sim.Nanosecond}
+	probe.done = func(sim.Time) { probe.inflight-- }
+	Replay(eng, probe, tr)
+	if probe.accesses != len(tr.Records) {
+		t.Fatalf("backend saw %d accesses, trace holds %d", probe.accesses, len(tr.Records))
+	}
+	if probe.maxInflight < 5 {
+		t.Fatalf("probe never held more than %d completions in flight; the bound below proves nothing", probe.maxInflight)
+	}
+	if probe.maxRecordEvents != 1 {
+		t.Fatalf("replay held up to %d pending record events, want exactly 1", probe.maxRecordEvents)
 	}
 }
 
+// probeBackend completes every access after a fixed latency through events
+// it counts itself, so what else the engine holds at each delivery is the
+// replay's own doing.
 type probeBackend struct {
-	eng *sim.Engine
-	lat sim.Time
-	max *int
+	eng  *sim.Engine
+	lat  sim.Time
+	done func(sim.Time)
+
+	inflight, maxInflight int
+	accesses              int
+	maxRecordEvents       int
 }
 
 func (p *probeBackend) Access(req *mem.Request) {
-	if n := p.eng.Pending(); n > *p.max {
-		*p.max = n
+	p.accesses++
+	if n := p.eng.Pending() - p.inflight; n > p.maxRecordEvents {
+		p.maxRecordEvents = n
 	}
-	req.CompleteAt(p.eng, p.eng.Now()+p.lat)
+	p.inflight++
+	if p.inflight > p.maxInflight {
+		p.maxInflight = p.inflight
+	}
+	p.eng.AfterTimed(p.lat, p.done)
+	req.Complete(p.eng.Now())
 }
 
 func TestEmptyTraceReplay(t *testing.T) {
