@@ -9,7 +9,7 @@ package mess_test
 // lookup, the Mess feedback controller) follow at the end.
 
 import (
-	"container/heap"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,7 +24,7 @@ func runExperiment(b *testing.B, id string) *mess.ExperimentResult {
 	var res *mess.ExperimentResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = mess.RunExperiment(id, mess.ScaleQuick)
+		res, err = mess.RunExperiment(context.Background(), nil, id, mess.ScaleQuick)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -190,7 +190,7 @@ func benchDRAMPattern(b *testing.B, pattern perfload.LoopPattern) {
 	b.Helper()
 	spec := mess.Skylake()
 	eng := mess.NewEngine()
-	model, err := mess.NewMemoryModel(mess.ModelReference, eng, spec, nil)
+	model, err := mess.NewMemoryModel("reference", eng, spec, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func mustQuickFamilyB(b *testing.B) *mess.Family {
 	spec := mess.Skylake()
 	spec.Cores = 8
 	spec.DRAM.Channels = 3
-	res, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	res, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,10 +240,11 @@ func mustQuickFamilyB(b *testing.B) *mess.Family {
 
 // Kernel micro-benchmarks (run with -bench=Kernel). The workloads live in
 // internal/perfload, shared with cmd/messperf so the regression gate here
-// and the BENCH_sim.json trajectory always measure the same thing. A
-// baseline replicating the pre-wheel kernel (one heap, one allocated
-// closure per event) keeps the speedup of the pooled/wheel design
-// measurable.
+// and the BENCH_sim.json trajectory always measure the same thing. The
+// baseline that keeps the speedup of the pooled/wheel design measurable —
+// the pre-wheel kernel, one heap and one allocated record per event — is
+// internal/sim's BenchmarkKernelScheduleFireHeapBaseline, on the heap
+// engine its differential test holds the kernel to.
 
 // BenchmarkKernelScheduleFire is the headline number: 8 self-perpetuating
 // event chains with short DDR-like deltas, the pattern the DRAM and pacing
@@ -254,89 +255,6 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 	b.ResetTimer()
 	perfload.ScheduleFire(eng, b.N)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-}
-
-// heapEngine replicates the pre-refactor kernel: a single container/heap
-// priority queue, one *event allocation per schedule, O(log n) cancel via
-// heap removal. It exists only as the benchmark baseline.
-type heapEngine struct {
-	now   mess.SimTime
-	seq   uint64
-	queue heapEvents
-}
-
-type heapEvent struct {
-	at  mess.SimTime
-	seq uint64
-	fn  func()
-	idx int
-}
-
-type heapEvents []*heapEvent
-
-func (h heapEvents) Len() int { return len(h) }
-func (h heapEvents) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h heapEvents) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *heapEvents) Push(x any) {
-	ev := x.(*heapEvent)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *heapEvents) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-func (e *heapEngine) schedule(at mess.SimTime, fn func()) *heapEvent {
-	if at < e.now {
-		at = e.now
-	}
-	ev := &heapEvent{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-func (e *heapEngine) run() {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*heapEvent)
-		e.now = ev.at
-		ev.fn()
-	}
-}
-
-// BenchmarkKernelScheduleFireHeapBaseline is the perfload.ScheduleFire
-// workload on the replicated pre-refactor kernel.
-func BenchmarkKernelScheduleFireHeapBaseline(b *testing.B) {
-	eng := &heapEngine{}
-	fired := 0
-	var tick func()
-	tick = func() {
-		fired++
-		if fired < b.N {
-			at := eng.now + 3*mess.Nanosecond + mess.SimTime(fired%7)*100
-			eng.schedule(at, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < 8 && i < b.N; i++ {
-		eng.schedule(mess.SimTime(i)*mess.Nanosecond, tick)
-	}
-	eng.run()
-	b.ReportMetric(float64(fired)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
 // BenchmarkKernelWheelDense drives a crowded wheel: 512 concurrent chains.

@@ -21,9 +21,11 @@ import (
 	"os"
 	"time"
 
-	"github.com/mess-sim/mess"
+	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/platform"
+	"github.com/mess-sim/mess/internal/plot"
 )
 
 func main() {
@@ -41,16 +43,16 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, p := range mess.Platforms() {
+		for _, p := range platform.All() {
 			fmt.Println(" ", p.String())
 		}
 		return
 	}
 
 	spec := cli.MustPlatform(*name)
-	opt := mess.QuickBenchmarkOptions()
+	opt := bench.QuickOptions()
 	if *full {
-		opt = mess.BenchmarkOptions{}
+		opt = bench.Options{}
 	}
 
 	ctx, stop := cli.Context(*timeout)
@@ -75,7 +77,7 @@ func main() {
 			time.Since(start).Round(time.Millisecond), points)
 	}
 
-	if err := mess.PlotCurves(os.Stdout, art.Family, 76, 22); err != nil {
+	if err := plot.CurveFamily(os.Stdout, art.Family, 76, 22); err != nil {
 		cli.Fatal(err)
 	}
 	m := art.Family.Metrics()
@@ -87,7 +89,7 @@ func main() {
 			cli.Fatal(err)
 		}
 		defer f.Close()
-		if err := mess.WriteCurvesCSV(f, art.Family); err != nil {
+		if err := art.Family.WriteCSV(f); err != nil {
 			cli.Fatal(err)
 		}
 		fmt.Printf("curves written to %s\n", *out)

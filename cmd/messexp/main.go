@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/mess-sim/mess"
 	"github.com/mess-sim/mess/internal/cli"
 	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/telemetry"
@@ -47,7 +46,7 @@ func main() {
 
 	if *list || *run == "" {
 		fmt.Println("experiments:")
-		for _, e := range mess.Experiments() {
+		for _, e := range exp.All() {
 			fmt.Printf("  %-14s %-10s %s\n", e.ID, e.Paper, e.Title)
 		}
 		if *run == "" && !*list {
@@ -58,11 +57,11 @@ func main() {
 
 	s := cli.MustScale(*scale)
 
-	exps := mess.Experiments()
+	exps := exp.All()
 	if *run != "all" {
 		e, ok := exp.ByID(*run)
 		if !ok {
-			cli.Fatal(&mess.UnknownExperimentError{ID: *run})
+			cli.Fatalf("unknown experiment %s (-list shows them)", *run)
 		}
 		exps = []exp.Experiment{e}
 	}

@@ -37,14 +37,13 @@
 //     io/trace_read write and parse it in memory, one op per record, with
 //     mb_per_s beside the usual columns and their allocs_per_op (0: a
 //     handful of buffers per call) under the allocs gate.
-//     Since v5 the sharded rows gain an in-run A/B against the PR-6 global
-//     barrier (model/dram_sharded_global couples every shard through the
-//     group-wide minimum window, exactly what the barrier did before
-//     per-pair lookahead horizons), device-shard rows for the CXL expander
+//     Since v5 there are device-shard rows for the CXL expander
 //     (model/cxl vs model/cxl_sharded), a second sharded sweep point on
 //     the 8-channel Graviton 3 model (framework/fig4_point{,_sharded}),
 //     and barrier statistics (windows, avg_window_ns, parks) on every
-//     sharded row.
+//     sharded row. (v5 also carried model/dram_sharded_global, the in-run
+//     A/B against one group-wide window; it concluded at 3.2× and the row
+//     and the switch behind it are gone.)
 //
 // With -cpuprofile/-memprofile, messperf writes pprof profiles covering
 // exactly the measured region (every benchmark, none of the report or
@@ -89,13 +88,16 @@ import (
 
 	"runtime/pprof"
 
-	"github.com/mess-sim/mess"
 	"github.com/mess-sim/mess/internal/bench"
+	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/cxl"
 	"github.com/mess-sim/mess/internal/dram"
+	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/messsim"
 	"github.com/mess-sim/mess/internal/perfload"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
@@ -108,14 +110,14 @@ import (
 // framework/fig2_point_sharded) and per-result gomaxprocs; v4 added the
 // trace-replay pair (framework/fig6_replay, framework/fig6_replay_sampled)
 // with the sampled row's divergence_pct and speedup_x accuracy fields; v5
-// added the global-coupling A/B row (model/dram_sharded_global), the CXL
-// device-shard pair (model/cxl, model/cxl_sharded), the Graviton 3 sweep
-// point pair (framework/fig4_point, framework/fig4_point_sharded) and the
-// barrier-statistics fields (windows, avg_window_ns, parks) on sharded
-// rows; v6 added the top-level telemetry block — a snapshot of the run's
-// internal metrics registry (bench sweep-point, sim window/barrier and
-// charz source counters), so the trajectory records not only how fast the
-// suite ran but how much simulation work it did; v7 added alloc_bytes to
+// added the CXL device-shard pair (model/cxl, model/cxl_sharded), the
+// Graviton 3 sweep point pair (framework/fig4_point,
+// framework/fig4_point_sharded) and the barrier-statistics fields (windows,
+// avg_window_ns, parks) on sharded rows; v6 added the top-level telemetry
+// block — a snapshot of the run's internal metrics registry (bench
+// sweep-point, sim window/barrier and charz source counters), so the
+// trajectory records not only how fast the suite ran but how much
+// simulation work it did; v7 added alloc_bytes to
 // every op-counted row and made framework/characterize_quick and
 // framework/fig2_quick op-counted, one op per simulated event; v8 added
 // the io/trace_save and io/trace_read rows with their mb_per_s field and
@@ -230,17 +232,17 @@ func withMBPerSec(r Result, bytes int) Result {
 // first brings the engine's event pool, the model's queues and the wheel
 // buckets to steady state, so the measured window reflects the sustained
 // access path rather than cold-start growth.
-func modelThroughput(name string, n int, pattern perfload.LoopPattern, mk func(eng *mess.Engine) mess.MemBackend) Result {
-	eng := mess.NewEngine()
+func modelThroughput(name string, n int, pattern perfload.LoopPattern, mk func(eng *sim.Engine) mem.Backend) Result {
+	eng := sim.New()
 	model := mk(eng)
 	drv := perfload.NewClosedLoopPattern(eng, model, pattern)
-	warm := n / 4
-	if warm > 50_000 {
-		warm = 50_000
-	}
-	drv.Run(warm)
+	drv.Run(warmup(n))
 	return measure(name, n, func() { drv.Run(n) })
 }
+
+// warmup is how many requests a closed loop runs unmeasured before a
+// measurement of n.
+func warmup(n int) int { return min(n/4, 50_000) }
 
 // gate compares fresh results against a baseline artifact and fails on two
 // kinds of regression:
@@ -404,9 +406,9 @@ func main() {
 			cli.Fatal(err)
 		}
 	}
-	kernel := func(name string, load func(*mess.Engine, int)) {
+	kernel := func(name string, load func(*sim.Engine, int)) {
 		add(best(func() Result {
-			eng := mess.NewEngine()
+			eng := sim.New()
 			n := *kernelEvents
 			// Warm the engine first (event pool, wheel buckets, overflow
 			// array): without it, short -kernel-events runs measure mostly
@@ -428,14 +430,14 @@ func main() {
 	// defeating random walk (row-miss-dominated) and a 2:1 read/write mix
 	// (write-queue drains) — the scheduler regressions each can hide from
 	// the others.
-	mkReference := func(eng *mess.Engine) mess.MemBackend {
-		m, err := mess.NewMemoryModel(mess.ModelReference, eng, mess.Skylake(), nil)
+	mkReference := func(eng *sim.Engine) mem.Backend {
+		m, err := memmodel.New(memmodel.KindReference, eng, platform.Skylake(), nil)
 		if err != nil {
 			cli.Fatal(err)
 		}
 		return m
 	}
-	modelBest := func(name string, pattern perfload.LoopPattern, mk func(eng *mess.Engine) mess.MemBackend) {
+	modelBest := func(name string, pattern perfload.LoopPattern, mk func(eng *sim.Engine) mem.Backend) {
 		add(best(func() Result { return modelThroughput(name, *modelEvents, pattern, mk) }))
 	}
 	modelBest("model/dram_reference", perfload.PatternReference, mkReference)
@@ -445,7 +447,7 @@ func main() {
 	// shardStats folds the group's barrier statistics into a sharded row;
 	// every sharded row also records its gomaxprocs, since neither its
 	// wall-clock nor its park count means anything without it.
-	shardStats := func(r Result, group *mess.ShardGroup) Result {
+	shardStats := func(r Result, group *sim.ShardGroup) Result {
 		s := group.Stats()
 		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
 		r.Windows = s.Windows
@@ -458,31 +460,18 @@ func main() {
 	// DRAM system with channels spread over concurrently advancing shard
 	// engines, driven through the timed hand-off (the cross-shard hop is
 	// the home shard's lookahead). Results are byte-identical to the
-	// single-engine row; the measurement is the wall-clock win. The
-	// _global variant runs the identical simulation with the group coupled
-	// through the PR-6 group-wide minimum window instead of per-pair
-	// horizons — the in-run A/B that prices the barrier change itself,
-	// immune to runner drift.
-	if full := mess.Skylake(); shardsFor(full.DRAM.Channels) >= 2 {
+	// single-engine row; the measurement is the wall-clock win.
+	if full := platform.Skylake(); shardsFor(full.DRAM.Channels) >= 2 {
 		n := shardsFor(full.DRAM.Channels)
 		hop := full.CacheConfig().OnChipLatency / 2
-		shardedDRAM := func(name string, global bool) {
-			add(best(func() Result {
-				group := mess.NewShardGroup(n)
-				defer group.Close()
-				group.SetGlobalCoupling(global)
-				backend := dram.NewSharded(group, full.DRAM, 0)
-				drv := perfload.NewShardedClosedLoop(group, backend, hop, perfload.PatternReference)
-				warm := *modelEvents / 4
-				if warm > 50_000 {
-					warm = 50_000
-				}
-				drv.Run(warm)
-				return shardStats(measure(name, *modelEvents, func() { drv.Run(*modelEvents) }), group)
-			}))
-		}
-		shardedDRAM("model/dram_sharded", false)
-		shardedDRAM("model/dram_sharded_global", true)
+		add(best(func() Result {
+			group := sim.NewShardGroup(n)
+			defer group.Close()
+			backend := dram.NewSharded(group, full.DRAM, 0)
+			drv := perfload.NewShardedClosedLoop(group, backend, hop, perfload.PatternReference)
+			drv.Run(warmup(*modelEvents))
+			return shardStats(measure("model/dram_sharded", *modelEvents, func() { drv.Run(*modelEvents) }), group)
+		}))
 	}
 
 	// The CXL expander under the same closed loop: unsharded (TimedOn
@@ -493,13 +482,10 @@ func main() {
 	// costs when the model itself is cheap.
 	{
 		ccfg := cxl.Default()
-		chop := mess.Skylake().CacheConfig().OnChipLatency / 2
-		warm := *modelEvents / 4
-		if warm > 50_000 {
-			warm = 50_000
-		}
+		chop := platform.Skylake().CacheConfig().OnChipLatency / 2
+		warm := warmup(*modelEvents)
 		add(best(func() Result {
-			eng := mess.NewEngine()
+			eng := sim.New()
 			dev := cxl.New(eng, ccfg)
 			drv := perfload.NewTimedClosedLoop(eng, &mem.TimedOn{Eng: eng, Inner: dev}, chop, perfload.PatternReference)
 			drv.Run(warm)
@@ -507,7 +493,7 @@ func main() {
 		}))
 		if shardsFor(1) >= 2 {
 			add(best(func() Result {
-				group := mess.NewShardGroup(2)
+				group := sim.NewShardGroup(2)
 				defer group.Close()
 				sh, _ := cxl.NewShardedExpander(group, 0, 1, ccfg, chop)
 				drv := perfload.NewShardedClosedLoop(group, sh, chop, perfload.PatternReference)
@@ -520,7 +506,7 @@ func main() {
 	// The Mess analytical simulator needs a curve family; its production is
 	// itself the framework-level measurement (a Quick characterization on a
 	// fresh service = the full sweep, uncached).
-	spec := mess.Skylake()
+	spec := platform.Skylake()
 	spec.Cores = 8
 	spec.DRAM.Channels = 3
 	// A whole sweep is priced per simulated event, read off the registry's
@@ -531,29 +517,34 @@ func main() {
 		e0 := events.Value()
 		return measureCounted(name, func() int { return int(events.Value() - e0) }, run)
 	}
-	var fam *mess.Family
+	var fam *core.Family
 	add(best(func() Result {
 		return sweep("framework/characterize_quick", func() {
-			svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Telemetry: set})
-			art, err := svc.Characterize(mess.CharacterizationRequest{Spec: spec, Options: mess.QuickBenchmarkOptions()})
+			svc := charz.New(charz.Config{Telemetry: set})
+			art, err := svc.Characterize(charz.Request{Spec: spec, Options: bench.QuickOptions()})
 			if err != nil {
 				cli.Fatal(err)
 			}
 			fam = art.Family
 		})
 	}))
-	modelBest("model/mess_simulator", perfload.PatternReference, func(eng *mess.Engine) mess.MemBackend {
-		return mess.NewSimulator(eng, mess.SimulatorConfig{Family: fam})
+	modelBest("model/mess_simulator", perfload.PatternReference, func(eng *sim.Engine) mem.Backend {
+		return messsim.New(eng, messsim.Config{Family: fam})
 	})
 
 	if !*skipFig2 {
+		// fig2 runs the Quick experiment on a fresh service, every
+		// characterization point on that many engines (below 2: one).
+		fig2 := func(shards int) {
+			e, _ := exp.ByID("fig2")
+			env := exp.NewEnv(exp.Quick, charz.New(charz.Config{Telemetry: set}))
+			env.Shards = shards
+			if _, err := e.Run(env); err != nil {
+				cli.Fatal(err)
+			}
+		}
 		add(best(func() Result {
-			return sweep("framework/fig2_quick", func() {
-				svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Telemetry: set})
-				if _, err := mess.RunExperimentWith(svc, "fig2", mess.ScaleQuick); err != nil {
-					cli.Fatal(err)
-				}
-			})
+			return sweep("framework/fig2_quick", func() { fig2(0) })
 		}))
 		// Quick-scaled Skylake characterizes 3 channels; the sharded sweep
 		// runs the same 22 jobs with each measurement point sharded. The
@@ -562,73 +553,51 @@ func main() {
 		// speedup numbers.
 		if n := shardsFor(3); n >= 2 {
 			add(best(func() Result {
-				r := measure("framework/fig2_quick_sharded", 0, func() {
-					svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Telemetry: set})
-					if _, err := mess.RunExperimentSharded(svc, "fig2", mess.ScaleQuick, n); err != nil {
-						cli.Fatal(err)
-					}
-				})
+				r := measure("framework/fig2_quick_sharded", 0, func() { fig2(n) })
 				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
 				return r
 			}))
 		}
 	}
 
-	// One fully-loaded fig2 sweep point (all generators unpaced, 0% stores)
-	// on the Quick-scaled Skylake, unsharded vs sharded — the cleanest A/B
-	// of the sharded engine's single-point wall-clock.
-	point := mess.Skylake()
-	point.Cores = 12
-	point.DRAM.Channels = 3
-	popt := mess.QuickBenchmarkOptions()
+	// One fully-loaded sweep point (all generators unpaced, 0% stores),
+	// unsharded vs sharded — the cleanest A/B of the sharded engine's
+	// single-point wall-clock. shards below 2 measures the single engine.
+	popt := bench.QuickOptions()
 	popt.Telemetry = set
-	add(best(func() Result {
-		return measure("framework/fig2_point", 0, func() {
-			if _, err := bench.MeasurePoint(point, popt, bench.Mix{}, 0); err != nil {
-				cli.Fatal(err)
-			}
-		})
-	}))
-	if n := shardsFor(point.DRAM.Channels); n >= 2 {
-		sopt := popt
-		sopt.Shards = n
+	pointRow := func(name string, spec platform.Spec, shards int) {
+		opt := popt
+		opt.Shards = shards
 		add(best(func() Result {
-			r := measure("framework/fig2_point_sharded", 0, func() {
-				if _, err := bench.MeasurePoint(point, sopt, bench.Mix{}, 0); err != nil {
+			r := measure(name, 0, func() {
+				if _, err := bench.MeasurePoint(spec, opt, bench.Mix{}, 0); err != nil {
 					cli.Fatal(err)
 				}
 			})
-			r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+			if shards >= 2 {
+				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+			}
 			return r
 		}))
 	}
-
+	// fig2's platform: the Quick-scaled Skylake.
+	point := platform.Skylake()
+	point.Cores = 12
+	point.DRAM.Channels = 3
+	pointRow("framework/fig2_point", point, 0)
+	if n := shardsFor(point.DRAM.Channels); n >= 2 {
+		pointRow("framework/fig2_point_sharded", point, n)
+	}
 	// The same A/B on the 8-channel gem5 Graviton 3 model (cores scaled
 	// down so the point stays Quick-sized): with 8 channel shards the
 	// per-pair horizons have the most coupling to avoid — channels never
 	// talk to each other, so only the 2(n−1) home edges constrain the
-	// windows, where the PR-6 global minimum coupled all n(n−1).
+	// windows.
 	fig4 := platform.Gem5Graviton3()
 	fig4.Cores = 12
-	add(best(func() Result {
-		return measure("framework/fig4_point", 0, func() {
-			if _, err := bench.MeasurePoint(fig4, popt, bench.Mix{}, 0); err != nil {
-				cli.Fatal(err)
-			}
-		})
-	}))
+	pointRow("framework/fig4_point", fig4, 0)
 	if n := shardsFor(fig4.DRAM.Channels); n >= 2 {
-		sopt := popt
-		sopt.Shards = n
-		add(best(func() Result {
-			r := measure("framework/fig4_point_sharded", 0, func() {
-				if _, err := bench.MeasurePoint(fig4, sopt, bench.Mix{}, 0); err != nil {
-					cli.Fatal(err)
-				}
-			})
-			r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-			return r
-		}))
+		pointRow("framework/fig4_point_sharded", fig4, n)
 	}
 
 	// The fig6-class trace-replay pair: one mid-pressure trace (40% stores,

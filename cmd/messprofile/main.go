@@ -24,12 +24,13 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/mess-sim/mess"
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/profile"
 	"github.com/mess-sim/mess/internal/sim"
@@ -78,7 +79,7 @@ func main() {
 	for _, e := range app.Events() {
 		spans = append(spans, profile.PhaseSpan{Name: e.Name, Start: e.Start, End: e.End, MPI: e.MPI})
 	}
-	p := profile.Build("HPCG proxy on "+spec.Name, ref.Family, sampler.Windows(), spans, mess.DefaultStressWeights)
+	p := profile.Build("HPCG proxy on "+spec.Name, ref.Family, sampler.Windows(), spans, core.DefaultStressWeights)
 
 	m := ref.Family.Metrics()
 	fmt.Printf("\nprofile: %d windows; saturation onset %.0f GB/s\n", len(p.Samples), m.SatBWLowGBs)
@@ -132,7 +133,7 @@ func main() {
 // profileTrace is the sampled-replay profiling mode: cluster a captured
 // trace's windows by access-vector and report the phase breakdown plus the
 // reconstructed whole-trace estimates.
-func profileTrace(spec mess.Platform, path string, tel *cli.Telemetry) {
+func profileTrace(spec platform.Spec, path string, tel *cli.Telemetry) {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatal(err)

@@ -21,12 +21,13 @@ import (
 	"os"
 	"strings"
 
-	"github.com/mess-sim/mess"
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/workloads"
@@ -100,7 +101,7 @@ func main() {
 	cli.PrintStats(svc)
 }
 
-func runIPC(spec mess.Platform, refFam *mess.Family, kinds []memmodel.Kind) {
+func runIPC(spec platform.Spec, refFam *core.Family, kinds []memmodel.Kind) {
 	refResults, err := workloads.EvalSuite(spec, workloads.Options{})
 	if err != nil {
 		cli.Fatal(err)

@@ -36,12 +36,12 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/mess-sim/mess"
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/cli"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/trace"
 )
@@ -86,7 +86,7 @@ func main() {
 	}
 }
 
-func doCapture(ctx context.Context, spec mess.Platform, path string, stores int, pace float64, limit, measUs int) {
+func doCapture(ctx context.Context, spec platform.Spec, path string, stores int, pace float64, limit, measUs int) {
 	var cap *trace.Capture
 	opt := bench.QuickOptions()
 	opt.Mixes = []bench.Mix{{StorePercent: stores}}
@@ -118,7 +118,7 @@ func doCapture(ctx context.Context, spec mess.Platform, path string, stores int,
 	fmt.Printf("trace written to %s\n", path)
 }
 
-func doReplay(spec mess.Platform, path string, kind memmodel.Kind, sampled, compare bool, cfg trace.SampleConfig) {
+func doReplay(spec platform.Spec, path string, kind memmodel.Kind, sampled, compare bool, cfg trace.SampleConfig) {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatal(err)

@@ -40,15 +40,12 @@ func main() {
 }
 
 // runClosedLoop keeps depth reads outstanding against the Mess simulator
-// for one simulated millisecond and reports (GB/s, mean latency ns).
-// Requests follow the pooled lifecycle: acquired from a MemRequestPool
-// with one stored completion callback (the issue time rides in Issued),
-// and recycled automatically when the simulator completes them — the
-// steady-state loop allocates nothing.
+// for one simulated millisecond and reports (GB/s, mean latency ns). One
+// completion callback serves every request: what it needs to know about
+// the request it is called for (here the issue time) rides in the request.
 func runClosedLoop(fam *mess.Family, depth int) (float64, float64) {
 	eng := mess.NewEngine()
 	model := mess.NewSimulator(eng, mess.SimulatorConfig{Family: fam})
-	pool := mess.NewMemRequestPool()
 	dur := mess.Millisecond
 
 	completed := 0
@@ -65,9 +62,7 @@ func runClosedLoop(fam *mess.Family, depth int) (float64, float64) {
 	issue = func() {
 		addr := (line%8)*(1<<28) + (line/8)*64
 		line++
-		req := pool.Get(addr, mess.MemRead, done)
-		req.Issued = eng.Now()
-		model.Access(req)
+		model.Access(&mess.MemRequest{Addr: addr, Op: mess.MemRead, Issued: eng.Now(), Done: done})
 	}
 	for i := 0; i < depth; i++ {
 		issue()

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,7 @@ func main() {
 	// Step 1: the platform's curve family (normally measured once and
 	// reused; here a quick sweep).
 	fmt.Printf("characterizing %s ...\n", spec.Name)
-	res, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	res, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,8 +18,9 @@ func main() {
 
 	// Run a reduced Mess benchmark sweep: three read/write kernel mixes,
 	// a coarse pacing ladder. mess.BenchmarkOptions{} runs the full
-	// sweep instead.
-	res, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	// sweep instead; cancelling the context stops either at the next
+	// measurement point.
+	res, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -16,7 +17,7 @@ func main() {
 	spec := mess.Skylake()
 
 	fmt.Printf("reference characterization of %s ...\n", spec.Name)
-	ref, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	ref, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,7 +28,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	kinds := []mess.MemoryModelKind{mess.ModelFixed, mess.ModelMD1, mess.ModelMess}
+	// Models go by name; mess.MemoryModels() lists them all.
+	kinds := []mess.MemoryModelKind{"fixed", "md1", "mess"}
 	fmt.Printf("\nabsolute IPC error vs the reference platform:\n")
 	fmt.Printf("%-14s", "model")
 	for _, b := range refResults {

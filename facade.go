@@ -7,44 +7,72 @@ import (
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
+	"github.com/mess-sim/mess/internal/messsim"
 	"github.com/mess-sim/mess/internal/profile"
+	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/trace"
 	"github.com/mess-sim/mess/internal/workloads"
 )
 
-// This file extends the public API with the evaluation machinery: the
-// memory-model zoo, the workload suite, and the profiling sampler — enough
-// to rebuild every experiment of the paper from the outside. Evaluation
-// flows that need reference curves (NewMemoryModel's Mess kind, profiling)
-// should obtain them through the characterization service (Characterize or
-// a CharacterizationService) rather than re-running the benchmark.
-
-// MemoryModelKind names one model of the zoo (Sec. IV baselines plus the
-// detailed reference and the Mess analytical simulator).
-type MemoryModelKind = memmodel.Kind
-
-// The memory-model zoo.
-const (
-	ModelFixed       = memmodel.KindFixed
-	ModelMD1         = memmodel.KindMD1
-	ModelInternalDDR = memmodel.KindInternalDDR
-	ModelDRAMsim3    = memmodel.KindDRAMsim3
-	ModelRamulator   = memmodel.KindRamulator
-	ModelRamulator2  = memmodel.KindRamulator2
-	ModelReference   = memmodel.KindReference
-	ModelMess        = memmodel.KindMess
+// The Mess simulator, and what it takes to put it (or any model) under a
+// CPU model: an engine to run on and the memory interface to drive it by.
+type (
+	// Engine is the deterministic discrete-event kernel every timed model
+	// runs on. Engines are single-goroutine: one per simulation.
+	Engine = sim.Engine
+	// SimTime is a simulation timestamp in picoseconds.
+	SimTime = sim.Time
+	// Simulator is the Mess analytical memory simulator: a feedback
+	// controller over a curve family, usable as a memory backend.
+	Simulator = messsim.Simulator
+	// SimulatorConfig configures it; Family is the one required field.
+	SimulatorConfig = messsim.Config
+	// MemBackend services memory requests.
+	MemBackend = mem.Backend
+	// MemRequest is one memory transaction. The issuer hands it to a
+	// backend's Access and the backend completes it exactly once, calling
+	// Done(at, req).
+	MemRequest = mem.Request
 )
+
+// Simulation time units.
+const (
+	Nanosecond  = sim.Nanosecond
+	Microsecond = sim.Microsecond
+	Millisecond = sim.Millisecond
+)
+
+// Memory operations, the values of MemRequest.Op.
+const (
+	MemRead  = mem.Read
+	MemWrite = mem.Write
+)
+
+// NewEngine returns a fresh simulation engine.
+func NewEngine() *Engine { return sim.New() }
+
+// NewSimulator builds the Mess analytical simulator on the engine.
+func NewSimulator(eng *Engine, cfg SimulatorConfig) *Simulator {
+	return messsim.New(eng, cfg)
+}
+
+// MemoryModelKind names one model of the zoo: the Sec. IV baselines
+// "fixed", "md1", "internal-ddr", "dramsim3", "ramulator" and "ramulator2",
+// the detailed "reference", and "mess", the analytical simulator.
+type MemoryModelKind = memmodel.Kind
 
 // MemoryModels lists every model kind.
 func MemoryModels() []MemoryModelKind { return memmodel.Kinds() }
 
 // NewMemoryModel builds a model of the given kind for the platform. The
-// Mess kind needs the platform's measured curve family; others ignore it.
+// mess kind needs the platform's measured curve family (Characterize);
+// the others ignore it.
 func NewMemoryModel(kind MemoryModelKind, eng *Engine, p Platform, fam *Family) (MemBackend, error) {
 	return memmodel.New(kind, eng, p, fam)
 }
 
-// Workload API.
+// Workloads, to run on a platform over its detailed memory system or,
+// through WorkloadOptions.Backend, over any model.
 type (
 	// Kernel describes a workload's inner loop at cache-line granularity.
 	Kernel = cpu.Kernel
@@ -52,25 +80,8 @@ type (
 	WorkloadOptions = workloads.Options
 	// WorkloadResult is one workload execution (IPC + bandwidths).
 	WorkloadResult = workloads.Result
-	// SpecBenchmark is one entry of the SPEC-CPU2006-like suite.
-	SpecBenchmark = workloads.SpecBenchmark
-	// Phase is one segment of a phased application.
-	Phase = workloads.Phase
-	// PhaseEvent records a phase transition.
-	PhaseEvent = workloads.PhaseEvent
 	// PhasedApp drives cores through a repeating phase schedule.
 	PhasedApp = workloads.PhasedApp
-)
-
-// Standard kernels from the paper's evaluation.
-var (
-	StreamCopy  = cpu.StreamCopy
-	StreamScale = cpu.StreamScale
-	StreamAdd   = cpu.StreamAdd
-	StreamTriad = cpu.StreamTriad
-	LMbench     = cpu.LMbench
-	Multichase  = cpu.Multichase
-	GUPS        = cpu.GUPS
 )
 
 // RunWorkload executes a kernel multiprogrammed on the platform.
@@ -84,9 +95,6 @@ func RunEvalSuite(p Platform, opt WorkloadOptions) ([]WorkloadResult, error) {
 	return workloads.EvalSuite(p, opt)
 }
 
-// SpecSuite returns the SPEC-CPU2006-like synthetic suite of Fig. 18.
-func SpecSuite() []SpecBenchmark { return workloads.SpecSuite() }
-
 // NewHPCGProxy builds the HPCG proxy application (SpMV/SymGS/DDOT/WAXPBY
 // phases delimited by MPI_Allreduce) over the platform's detailed memory
 // system.
@@ -94,23 +102,39 @@ func NewHPCGProxy(p Platform) *PhasedApp {
 	return workloads.NewPhasedApp(p, workloads.HPCGPhases(), nil)
 }
 
-// Sampler periodically snapshots a counting backend, producing the raw
-// windows that BuildProfile analyzes.
-type Sampler = profile.Sampler
+// Application profiling.
+type (
+	// CountingBackend wraps a backend with the traffic counters a Sampler
+	// reads; a PhasedApp carries one as Counting.
+	CountingBackend = mem.CountingBackend
+	// Sampler periodically snapshots a counting backend, producing the raw
+	// windows that BuildProfile analyzes.
+	Sampler = profile.Sampler
+	// CounterWindow is a raw sampled traffic window.
+	CounterWindow = profile.CounterWindow
+	// PhaseSpan labels a timeline interval.
+	PhaseSpan = profile.PhaseSpan
+	// Profile is an analyzed application profile.
+	Profile = profile.Profile
+)
 
 // NewSampler builds a sampler with the given period.
 func NewSampler(eng *Engine, counting *CountingBackend, every SimTime) *Sampler {
 	return profile.NewSampler(eng, counting, every)
 }
 
-// Trace-driven replay API (Sec. IV-D methodology).
+// BuildProfile analyzes sampled counter windows against a curve family.
+func BuildProfile(label string, fam *Family, windows []CounterWindow, phases []PhaseSpan, w StressWeights) *Profile {
+	return profile.Build(label, fam, windows, phases, w)
+}
+
+// Trace-driven evaluation (the Sec. IV-D methodology).
 type (
-	// Trace is an ordered sequence of captured memory operations.
+	// Trace is an ordered sequence of memory operations; Save writes it in
+	// the messtrace text format.
 	Trace = trace.Trace
 	// TraceRecord is one traced memory operation.
 	TraceRecord = trace.Record
-	// TraceCapture wraps a backend and records every request through it.
-	TraceCapture = trace.Capture
 	// TraceReplayResult is the outcome of a trace-driven simulation.
 	TraceReplayResult = trace.ReplayResult
 	// TraceSampleConfig tunes the sampled (phase-clustered) replay.
@@ -118,16 +142,7 @@ type (
 	// SampledReplayResult is a sampled replay's reconstructed estimates
 	// with per-cluster error bars.
 	SampledReplayResult = trace.SampledResult
-	// MemBackendFactory builds a backend on a specific engine; sampled
-	// replay uses it to instantiate one backend per replayed window.
-	MemBackendFactory = mem.BackendFactory
 )
-
-// NewTraceCapture wraps a backend so every request is recorded (up to
-// limit records; 0 = unlimited).
-func NewTraceCapture(eng *Engine, inner MemBackend, limit int) *TraceCapture {
-	return trace.NewCapture(eng, inner, limit)
-}
 
 // ReadTrace parses a trace in the messtrace text format, validating that
 // timestamps are non-decreasing.
@@ -142,10 +157,11 @@ func ReplayTrace(eng *Engine, backend MemBackend, t *Trace) TraceReplayResult {
 // SampledReplayTrace estimates what ReplayTrace would report by windowing
 // the trace, clustering the windows by access-vector fingerprint, and
 // replaying one representative window (plus probes) per cluster — the
-// 10–100× cheaper application-profiling path. Deterministic: same trace
-// and config produce byte-identical estimates. Pass the platform whose
-// DRAM geometry should drive the row-locality fingerprint feature.
-func SampledReplayTrace(mk MemBackendFactory, p Platform, t *Trace, cfg TraceSampleConfig) (*SampledReplayResult, error) {
+// 10–100× cheaper application-profiling path. mk builds the backend of one
+// replayed window on that window's engine. Deterministic: same trace and
+// config produce byte-identical estimates. Pass the platform whose DRAM
+// geometry should drive the row-locality fingerprint feature.
+func SampledReplayTrace(mk func(*Engine) MemBackend, p Platform, t *Trace, cfg TraceSampleConfig) (*SampledReplayResult, error) {
 	if cfg.BankRow == nil {
 		m := dram.NewMapper(&p.DRAM)
 		cfg.BankRow = m.BankRow

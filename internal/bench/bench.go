@@ -90,9 +90,6 @@ type Options struct {
 	// when a point cannot shard: a custom Backend owns its own engine
 	// placement, and a zero on-chip hop leaves the home shard no lookahead.
 	Shards int
-	// NoShard forces the single-engine path even when Shards asks for
-	// sharding — the A/B knob of the sharding determinism tests.
-	NoShard bool
 	// Telemetry, when set, observes the run: per-point spans and sharded
 	// window timelines on its tracer, sweep counters and throughput on its
 	// registry. Observation never changes results (the determinism tests
@@ -154,7 +151,6 @@ func (o Options) Normalized() Options {
 	// the same sweep produce byte-identical families (the determinism test
 	// enforces it), so both may share one cache entry.
 	out.Shards = 0
-	out.NoShard = false
 	out.Telemetry = nil
 	return out
 }
@@ -353,7 +349,7 @@ func MeasureUnloaded(spec platform.Spec, opt Options) (float64, error) {
 // on-chip hop (it becomes the home shard's lookahead), and never more
 // channel shards than the platform has channels.
 func (o *Options) shardCount(spec platform.Spec) int {
-	if o.Shards < 2 || o.NoShard {
+	if o.Shards < 2 {
 		return 1
 	}
 	if o.Backend != nil && o.ShardedBackend == nil {

@@ -364,5 +364,5 @@ func (p *Port) finish(memDone sim.Time, done func(at sim.Time)) {
 		done(at)
 		return
 	}
-	p.h.eng.ScheduleTimed(at, done)
+	p.h.eng.ScheduleKeyed(at, p.h.eng.Now(), 0, done)
 }

@@ -359,9 +359,8 @@ func TestFingerprintStability(t *testing.T) {
 	// so sharded and unsharded environments must share cache entries.
 	sharded := base()
 	sharded.Options.Shards = 4
-	sharded.Options.NoShard = true
 	if Fingerprint(sharded) != k {
-		t.Fatal("Shards/NoShard leaked into the fingerprint")
+		t.Fatal("Shards leaked into the fingerprint")
 	}
 	// Explicitly writing a default must equal leaving it zero.
 	defaulted := base()

@@ -192,7 +192,7 @@ func interp(lo, hi Point, bw float64) float64 {
 	return lo.Latency + f*(hi.Latency-lo.Latency)
 }
 
-// SortPointsByPressure is a helper for curve builders: measurement sweeps
+// SanitizePoints is a helper for curve builders: measurement sweeps
 // produce points from slowest to fastest injection; this keeps them as
 // given but removes exact duplicates and non-finite values.
 func SanitizePoints(pts []Point) []Point {

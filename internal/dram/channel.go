@@ -271,7 +271,7 @@ type channel struct {
 
 	decidePending bool
 	decideAt      sim.Time
-	decideFn      func() // stored once: kick schedules it without a fresh closure
+	decideFn      func(sim.Time) // stored once: kick schedules it without a fresh closure
 
 	// compRing retains handles to the channel's own scheduled completion
 	// events, one ring per direction (each is monotonic in deadline: burst
@@ -343,7 +343,7 @@ func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int, complete func(re
 		c.matchBits[dir] = zeroed(old.matchBits[dir], words)
 	}
 	if c.decideFn == nil { // captures only c, so it outlives any one simulation
-		c.decideFn = func() {
+		c.decideFn = func(sim.Time) {
 			c.decidePending = false
 			c.decideLoop()
 		}
@@ -559,9 +559,7 @@ func (c *channel) kick() {
 	if c.decidePending && c.decideAt <= at {
 		return
 	}
-	c.decidePending = true
-	c.decideAt = at
-	c.eng.ScheduleTagged(at, c.tag, c.decideFn)
+	c.scheduleDecide(at)
 }
 
 func (c *channel) decideTime() sim.Time {
@@ -623,8 +621,7 @@ func (c *channel) decideLoop() {
 			// Claim the decide event first: completions fired below see the
 			// same pending-decide state (and engine sequence numbering) the
 			// unfused schedule would have produced.
-			dh := c.eng.ScheduleTagged(at, c.tag, c.decideFn)
-			c.decidePending, c.decideAt = true, at
+			dh := c.scheduleDecide(at)
 			cleared := false
 			for c.fireOwnCompletion() {
 				if nd, ok = c.eng.NextDeadline(); !ok || nd > at {
@@ -667,10 +664,12 @@ func (c *channel) fireOwnCompletion() bool {
 	return false
 }
 
-func (c *channel) scheduleDecide(at sim.Time) {
+// scheduleDecide queues the decide event as this channel's entity, so
+// equal-instant ties against other channels break by tag, sharded or not.
+func (c *channel) scheduleDecide(at sim.Time) sim.Handle {
 	c.decidePending = true
 	c.decideAt = at
-	c.eng.ScheduleTagged(at, c.tag, c.decideFn)
+	return c.eng.ScheduleKeyed(at, c.eng.Now(), c.tag, c.decideFn)
 }
 
 // decideOnce picks the next request (FR-FCFS within the active direction)

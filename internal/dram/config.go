@@ -72,21 +72,21 @@ type Config struct {
 	// maximum-latency bound; the platform presets leave it disabled, as
 	// the hit-first schedule reproduces the measured curve shapes.
 	AgeCap sim.Time
-	// NoFusion disables decide-event fusion: every controller decision
-	// round-trips through a scheduled event instead of looping inline when
-	// it would be the engine's next event anyway. Fusion is legal exactly
-	// because it cannot change results — command sequence, timing and
-	// statistics are identical either way (enforced by the fig2 golden-CSV
-	// determinism test, which runs both settings) — so this knob exists
-	// only for that A/B validation and for isolating scheduler bugs.
+	// NoFusion is the reference path of TestFig2ReleaseCSVDeterminism, not
+	// a user option: with it every controller decision round-trips through
+	// a scheduled event instead of looping inline when it would be the
+	// engine's next event anyway. Fusion is legal exactly because it cannot
+	// change results — command sequence, timing and statistics are
+	// identical either way — and the unfused path stays so that the test
+	// has something to hold the fused one to.
 	NoFusion bool
-	// NoCompBatch disables completion batching: under saturated ladders the
-	// event blocking decide fusion is usually one of the channel's own
-	// scheduled completions, which the decide loop can fire inline (the
-	// pre-claimed decide event keeps the engine's (at, seq) order exact)
-	// and keep looping. Like NoFusion this is observationally neutral by
-	// construction, enforced by the same determinism test, and exists only
-	// for A/B validation and bug isolation.
+	// NoCompBatch is the reference path of
+	// TestShardedCharacterizationDeterminism, not a user option: without
+	// it, under saturated ladders the event blocking decide fusion is
+	// usually one of the channel's own scheduled completions, which the
+	// decide loop fires inline (the pre-claimed decide event keeps the
+	// engine's (at, seq) order exact) and keeps looping. Like NoFusion,
+	// the unbatched path stays only for the test to compare against.
 	NoCompBatch bool
 }
 

@@ -121,9 +121,6 @@ type Env struct {
 	// byte-identical and cache keys unchanged, so sharded and unsharded
 	// environments share the service's entries.
 	Shards int
-	// NoShard forces single-engine execution even when Shards is set —
-	// the A/B kill switch for isolating the sharded runtime.
-	NoShard bool
 
 	hpcg struct {
 		once sync.Once
@@ -200,7 +197,6 @@ func (env *Env) reference(spec platform.Spec) (*core.Family, error) {
 func (env *Env) benchOptions() bench.Options {
 	opt := benchOptions(env.Scale)
 	opt.Shards = env.Shards
-	opt.NoShard = env.NoShard
 	return opt
 }
 

@@ -162,6 +162,24 @@ func TestFig5ModelPathologies(t *testing.T) {
 	}
 }
 
+// TestFig6ReadRatiosAreRatios holds every trace-driven curve's read ratio
+// to [0,1]: it is the mean over the points replayed, and dividing by the
+// count SanitizePoints left instead pushed it past 1 whenever a point was
+// pruned.
+func TestFig6ReadRatiosAreRatios(t *testing.T) {
+	res := runExp(t, "fig6")
+	if len(res.Families) == 0 {
+		t.Fatal("fig6 produced no families")
+	}
+	for _, fam := range res.Families {
+		for _, c := range fam.Curves {
+			if c.ReadRatio < 0 || c.ReadRatio > 1 {
+				t.Errorf("%s: a curve of %d points has read ratio %v", fam.Label, len(c.Points), c.ReadRatio)
+			}
+		}
+	}
+}
+
 // TestFig6sSampledReplayBounds pins the sampled-replay experiment's
 // acceptance bound: every sweep point's sampled estimate stays within 5%
 // of its full replay, and the sampling actually saves work.

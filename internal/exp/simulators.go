@@ -269,11 +269,14 @@ func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*c
 				pts = append(pts, core.Point{BW: rep.BWGBs, Latency: rep.ReadLatNs})
 				ratioSum += rep.ReadRatio
 			}
+			// The mean is over the points summed, not over what
+			// SanitizePoints leaves of them (see cxl.MeasureFamily).
+			measured := len(pts)
 			pts = core.SanitizePoints(pts)
 			if len(pts) < 2 {
 				continue
 			}
-			fam.Curves = append(fam.Curves, core.Curve{ReadRatio: ratioSum / float64(len(pts)), Points: pts})
+			fam.Curves = append(fam.Curves, core.Curve{ReadRatio: ratioSum / float64(measured), Points: pts})
 		}
 		fam.Sort()
 		fams[t] = fam

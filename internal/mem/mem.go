@@ -163,7 +163,7 @@ func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) sim.
 		r.release()
 		return sim.Handle{}
 	}
-	return eng.ScheduleTimedTagged(at, tag, r.fireFn())
+	return eng.ScheduleKeyed(at, eng.Now(), tag, r.fireFn())
 }
 
 // SendAt schedules delivery of the request to a backend at absolute time
@@ -172,7 +172,7 @@ func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) sim.
 // allocation-free.
 func (r *Request) SendAt(eng *sim.Engine, to Backend, at sim.Time) {
 	r.dest = to
-	eng.ScheduleTimed(at, r.deliverFn())
+	eng.ScheduleKeyed(at, eng.Now(), 0, r.deliverFn())
 }
 
 // SendVia schedules delivery of the request to a backend at time at

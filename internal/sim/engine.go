@@ -176,56 +176,36 @@ func (e *Engine) Pending() int { return e.live }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) fires the event at Now; the kernel never runs time backwards.
-func (e *Engine) Schedule(at Time, fn func()) Handle { return e.add(at, fn, nil) }
+func (e *Engine) Schedule(at Time, fn func()) Handle { return e.add(at, e.now, 0, fn, nil) }
 
 // After queues fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) Handle { return e.add(e.now+d, fn, nil) }
+func (e *Engine) After(d Time, fn func()) Handle { return e.add(e.now+d, e.now, 0, fn, nil) }
 
-// ScheduleTimed queues fn to run at absolute time at, invoked with that
-// deadline. It exists for the completion-callback pattern
-// Schedule(at, func() { done(at) }): storing the func(Time) directly makes
-// the hot completion path allocation-free (no capturing closure).
-func (e *Engine) ScheduleTimed(at Time, fn func(Time)) Handle { return e.add(at, nil, fn) }
-
-// AfterTimed queues fn to run d picoseconds from now, invoked with its
-// deadline.
-func (e *Engine) AfterTimed(d Time, fn func(Time)) Handle { return e.add(e.now+d, nil, fn) }
-
-func (e *Engine) add(at Time, fn func(), tfn func(Time)) Handle {
-	return e.addKeyed(at, e.now, 0, fn, tfn)
+// ScheduleKeyed queues fn to run at absolute time at, invoked with that
+// deadline, and states the event's place among equal-deadline events
+// outright: they fire in (key, tag, schedule order), where Schedule and
+// After use key = Now() and tag = 0. It is the one form for everything
+// that is not a plain local closure:
+//
+//   - completion callbacks pass key = Now(): storing the func(Time) instead
+//     of wrapping it as func() { done(at) } keeps the hot completion path
+//     allocation-free;
+//   - entities whose events other engines can observe under sharding (DRAM
+//     channels, device models) pass their globally unique tag, which makes
+//     cross-entity tie order a pure function of (at, key, tag) — the same
+//     whether the entities share one engine or run on separate shards —
+//     instead of an artifact of schedule interleaving that a sharded run
+//     cannot reproduce;
+//   - the shard coordinator injects a cross-engine message with key = the
+//     sender's clock at Send, so it sorts exactly where the equivalent
+//     single-engine call made at the send instant would have landed, even
+//     though the receiving engine's clock has already passed that instant;
+//   - trace replay passes key = -1, ahead of every locally scheduled event.
+func (e *Engine) ScheduleKeyed(at, key Time, tag int32, fn func(Time)) Handle {
+	return e.add(at, key, tag, nil, fn)
 }
 
-// ScheduleTagged is Schedule with an explicit entity tag: equal-(deadline,
-// schedule instant) events fire in tag order before falling back to
-// schedule order. Entities whose events are observable from other engines
-// under sharding (DRAM channels) schedule with their globally unique tag,
-// which makes cross-entity tie order a pure function of (at, key, tag) —
-// identical whether the entities share one engine or run on separate
-// shards — instead of an artifact of global schedule interleaving that a
-// sharded run cannot reproduce.
-func (e *Engine) ScheduleTagged(at Time, tag int32, fn func()) Handle {
-	return e.addKeyed(at, e.now, tag, fn, nil)
-}
-
-// ScheduleTimedTagged is ScheduleTimed with an explicit entity tag.
-func (e *Engine) ScheduleTimedTagged(at Time, tag int32, fn func(Time)) Handle {
-	return e.addKeyed(at, e.now, tag, nil, fn)
-}
-
-// ScheduleTimedSent queues fn to run at absolute time at, ordered among
-// equal-deadline events as if it had been scheduled at time sent with tag
-// tag — the injection form used by the shard coordinator to merge
-// cross-engine messages. On a single engine, events tying on deadline fire
-// in (schedule instant, tag, schedule order); an injected event carrying
-// its sender's clock and tag therefore sorts exactly where the equivalent
-// single-engine schedule call (made at the send instant) would have
-// landed, even though the receiving engine's clock has already passed
-// sent.
-func (e *Engine) ScheduleTimedSent(at, sent Time, tag int32, fn func(Time)) Handle {
-	return e.addKeyed(at, sent, tag, nil, fn)
-}
-
-func (e *Engine) addKeyed(at, key Time, tag int32, fn func(), tfn func(Time)) Handle {
+func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) Handle {
 	if at < e.now {
 		at = e.now
 	}

@@ -484,20 +484,20 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	}
 }
 
-// --- ScheduleTimed / Timer / Ticker ---
+// --- ScheduleKeyed / Timer / Ticker ---
 
-func TestScheduleTimedPassesDeadline(t *testing.T) {
+func TestScheduleKeyedPassesDeadline(t *testing.T) {
 	e := New()
 	var got Time
-	e.ScheduleTimed(42, func(at Time) { got = at })
+	e.ScheduleKeyed(42, e.Now(), 0, func(at Time) { got = at })
 	e.Run()
 	if got != 42 {
-		t.Fatalf("timed callback got %d, want 42", got)
+		t.Fatalf("keyed callback got %d, want 42", got)
 	}
-	e.AfterTimed(8, func(at Time) { got = at })
+	e.ScheduleKeyed(8, e.Now(), 0, func(at Time) { got = at }) // in the past: clamps
 	e.Run()
-	if got != 50 {
-		t.Fatalf("AfterTimed callback got %d, want 50", got)
+	if got != 42 {
+		t.Fatalf("keyed callback scheduled in the past got %d, want the clamped 42", got)
 	}
 }
 

@@ -52,18 +52,18 @@ const (
 // The second line is the classic bound — a shard whose next pending
 // event is at nd_i cannot emit a message arriving before nd_i +
 // look[i][j]. The third line is the transitive guard the per-pair
-// formula needs and a global-min horizon gets for free: shard i may be
-// idle now but wake next window (a message from a third shard), and
-// everything it ever sends after this window arrives strictly after
-// end_i + look[i][j]; without this bound an unconstrained shard could
-// run past a future sender's reach and receive a message in its own
-// past. With positive edge weights the fixpoint is reached by at most
-// n−1 Bellman–Ford relaxation passes over an n-shard graph.
+// formula needs: shard i may be idle now but wake next window (a message
+// from a third shard), and everything it ever sends after this window
+// arrives strictly after end_i + look[i][j]; without this bound an
+// unconstrained shard could run past a future sender's reach and receive
+// a message in its own past. With positive edge weights the fixpoint is
+// reached by at most n−1 Bellman–Ford relaxation passes over an n-shard
+// graph.
 //
 // Determinism: at each barrier the messages bound for one target are
 // sorted by (arrival, send time) with ties keeping (sending shard, send
 // order), then injected carrying their send instant and entity tag as
-// the engine's equal-deadline tie-break keys (ScheduleTimedSent). The
+// the engine's equal-deadline tie-break keys (ScheduleKeyed). The
 // engine's (at, key, tag, seq) total order then places each delivery
 // exactly where the equivalent single-engine schedule call — made at the
 // send instant by the tagged entity — would have landed, so a sharded
@@ -76,12 +76,6 @@ type ShardGroup struct {
 	out     [][]outbox
 	scratch []xmsg
 	ends    []Time // per-shard window ends, written before epoch release
-
-	// global replays the PR-6 coupling for A/B measurement: one global
-	// window end (min over busy shards of nd + min outbound lookahead,
-	// minus one) for every shard, and a pure spin/yield barrier that
-	// never parks.
-	global bool
 
 	// Barrier state. epoch is the release store the workers wait on;
 	// ends is written before epoch and read after, so it is ordered by
@@ -270,13 +264,6 @@ func (g *ShardGroup) TightenLookahead(src, dst int, l Time) {
 // Set it only between runs; nil removes the hook.
 func (g *ShardGroup) SetWindowHook(fn func(start, end Time)) { g.windowHook = fn }
 
-// SetGlobalCoupling switches the group to the PR-6 baseline behavior —
-// one global window end shared by every shard and a spin/yield barrier
-// that never parks — so the per-pair + adaptive configuration can be
-// A/B-measured against it in the same process. Results are bit-exact
-// either way; only wall-clock differs. Toggle only between runs.
-func (g *ShardGroup) SetGlobalCoupling(on bool) { g.global = on }
-
 // Send queues fn to run on shard `to` at time `at`, ordered as entity
 // `tag` (0 for untagged senders). It must be called from shard `from`'s
 // goroutine (during a window) or from the coordinator between windows.
@@ -332,7 +319,7 @@ func (g *ShardGroup) deliverAll() {
 				panic(fmt.Sprintf("sim: message from shard %d arrives at %d, behind shard %d's clock %d — lookahead contract broken",
 					buf[i].from, buf[i].at, to, eng.Now()))
 			}
-			eng.ScheduleTimedSent(buf[i].at, buf[i].sent, buf[i].tag, buf[i].fn)
+			eng.ScheduleKeyed(buf[i].at, buf[i].sent, buf[i].tag, buf[i].fn)
 		}
 		g.statMsgs += uint64(len(buf))
 		g.scratch = buf[:0]
@@ -353,75 +340,49 @@ func addLook(nd, l Time) Time {
 func (g *ShardGroup) horizons(max Time) bool {
 	n := len(g.engines)
 	busy := false
-	if g.global {
-		// PR-6 baseline: one window end for everyone, each shard
-		// contributing its minimum outbound lookahead.
-		w := max
-		for i, e := range g.engines {
-			if nd, ok := e.NextDeadline(); ok {
-				busy = true
-				l := InfLookahead
-				for j, lj := range g.look[i] {
-					if j != i && lj < l {
-						l = lj
-					}
-				}
-				if l == InfLookahead {
-					l = 1
-				}
-				if h := addLook(nd, l) - 1; h < w {
-					w = h
-				}
-			}
+	for j := range g.ends {
+		g.ends[j] = max
+	}
+	for i, e := range g.engines {
+		nd, ok := e.NextDeadline()
+		if !ok {
+			continue
 		}
-		for j := range g.ends {
-			g.ends[j] = w
-		}
-	} else {
-		for j := range g.ends {
-			g.ends[j] = max
-		}
-		for i, e := range g.engines {
-			nd, ok := e.NextDeadline()
-			if !ok {
+		busy = true
+		g.statBusy[i]++
+		for j := range g.engines {
+			if j == i {
 				continue
 			}
-			busy = true
-			g.statBusy[i]++
+			if l := g.look[i][j]; l != InfLookahead {
+				if h := addLook(nd, l) - 1; h < g.ends[j] {
+					g.ends[j] = h
+				}
+			}
+		}
+	}
+	// Transitive relaxation: everything shard i sends after this window
+	// arrives strictly after end_i + look[i][j], so end_j must not outrun
+	// that bound even when i is idle right now. Positive edges mean n−1
+	// passes reach the fixpoint; almost always one pass suffices and the
+	// loop exits early.
+	for pass := 1; pass < n; pass++ {
+		changed := false
+		for i := range g.engines {
 			for j := range g.engines {
-				if j == i {
+				if i == j {
 					continue
 				}
 				if l := g.look[i][j]; l != InfLookahead {
-					if h := addLook(nd, l) - 1; h < g.ends[j] {
+					if h := addLook(g.ends[i], l); h < g.ends[j] {
 						g.ends[j] = h
+						changed = true
 					}
 				}
 			}
 		}
-		// Transitive relaxation: everything shard i sends after this
-		// window arrives strictly after end_i + look[i][j], so end_j
-		// must not outrun that bound even when i is idle right now.
-		// Positive edges mean n−1 passes reach the fixpoint; almost
-		// always one pass suffices and the loop exits early.
-		for pass := 1; pass < n; pass++ {
-			changed := false
-			for i := range g.engines {
-				for j := range g.engines {
-					if i == j {
-						continue
-					}
-					if l := g.look[i][j]; l != InfLookahead {
-						if h := addLook(g.ends[i], l); h < g.ends[j] {
-							g.ends[j] = h
-							changed = true
-						}
-					}
-				}
-			}
-			if !changed {
-				break
-			}
+		if !changed {
+			break
 		}
 	}
 	// A window never moves a clock backwards: a shard whose bound fell
@@ -434,13 +395,6 @@ func (g *ShardGroup) horizons(max Time) bool {
 	if busy {
 		g.statWindows++
 		g.statWidthSum += g.ends[0] - g.engines[0].Now()
-		if g.global {
-			for i, e := range g.engines {
-				if _, ok := e.NextDeadline(); ok {
-					g.statBusy[i]++
-				}
-			}
-		}
 	}
 	return busy
 }
@@ -514,7 +468,6 @@ func (g *ShardGroup) worker(i int) {
 	defer g.wg.Done()
 	eng := g.engines[i]
 	slot := &g.workers[i-1]
-	spinOnly := g.global // never toggled mid-run; workers exist only between ensureWorkers and Close
 	last := uint64(0)
 	// Wait counters accumulate in locals and are published into the
 	// slot only between the epoch acquire and the ack release: the slot
@@ -530,7 +483,7 @@ func (g *ShardGroup) worker(i int) {
 				waitSpins++
 				continue
 			}
-			if spinOnly || spins <= spinBudget+yieldBudget {
+			if spins <= spinBudget+yieldBudget {
 				waitYields++
 				runtime.Gosched()
 				continue

@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// TestScheduleTimedSentOrder pins the keyed total order: equal-deadline
+// TestScheduleKeyedOrder pins the keyed total order: equal-deadline
 // events fire by (schedule/send instant, entity tag, schedule order), and
 // plain schedules carry the current clock as their instant.
-func TestScheduleTimedSentOrder(t *testing.T) {
+func TestScheduleKeyedOrder(t *testing.T) {
 	eng := New()
 	var order []int
 	rec := func(id int) func(Time) {
@@ -15,11 +15,11 @@ func TestScheduleTimedSentOrder(t *testing.T) {
 	}
 	// All inserted at now=0 for deadline 100, in an order chosen to
 	// disagree with every tie-break level.
-	eng.ScheduleTimedSent(100, 5, 0, rec(5)) // latest instant: last
-	eng.ScheduleTimedSent(100, 3, 2, rec(4)) // instant 3, tag 2
-	eng.ScheduleTimedSent(100, 3, 1, rec(2)) // instant 3, tag 1, first scheduled
-	eng.ScheduleTimedSent(100, 3, 1, rec(3)) // same instant+tag: schedule order
-	eng.ScheduleTimed(100, rec(1))           // local: instant = now = 0, first
+	eng.ScheduleKeyed(100, 5, 0, rec(5))         // latest instant: last
+	eng.ScheduleKeyed(100, 3, 2, rec(4))         // instant 3, tag 2
+	eng.ScheduleKeyed(100, 3, 1, rec(2))         // instant 3, tag 1, first scheduled
+	eng.ScheduleKeyed(100, 3, 1, rec(3))         // same instant+tag: schedule order
+	eng.ScheduleKeyed(100, eng.Now(), 0, rec(1)) // local: instant = now = 0, first
 	eng.Run()
 	for i, id := range order {
 		if id != i+1 {
@@ -54,7 +54,7 @@ func TestShardGroupMergeOrder(t *testing.T) {
 		g.Send(1, 0, 1000, 6, rec(2))
 	})
 	// A home event at the same deadline scheduled at instant 0: first.
-	g.Engine(0).ScheduleTimed(1000, rec(0))
+	g.Engine(0).ScheduleKeyed(1000, 0, 0, rec(0))
 	g.Run()
 	if len(order) != 4 {
 		t.Fatalf("fired %d events, want 4", len(order))
@@ -187,66 +187,54 @@ func TestShardGroupGuards(t *testing.T) {
 
 // TestShardGroupPerPairWindows pins the point of the lookahead matrix: a
 // shard with no outbound edges (or only high-latency ones) must not
-// throttle everyone else's windows the way the PR-6 global-min horizon
-// did. Shard 2 executes 1000 internal events it never tells anyone
-// about; under global coupling every one of them bounds the window, so
-// the drain takes over a thousand barriers, while per-pair horizons let
-// shard 2 run its whole schedule inside a handful of windows. The fire
-// order on the home shard must be identical either way.
+// throttle everyone else's windows. Shard 2 executes 1000 internal events
+// it never tells anyone about; were every one of them to bound the window
+// (one global horizon, the minimum over all shards) the drain would take
+// over a thousand barriers, while per-pair horizons let shard 2 run its
+// whole schedule inside a handful of windows. The chatter between shards
+// 1 and 0 must land on its instants regardless.
 func TestShardGroupPerPairWindows(t *testing.T) {
-	build := func(g *ShardGroup) *[]Time {
-		g.SetLookahead(1, 0, 10)
-		g.SetLookahead(0, 1, 10)
-		g.SetLookahead(0, 2, 10000)
-		trace := &[]Time{}
-		var chat func()
-		n := 0
-		chat = func() {
-			at := g.Engine(1).Now() + 10
-			g.Send(1, 0, at, 1, func(fireAt Time) { *trace = append(*trace, fireAt) })
-			n++
-			if n < 50 {
-				g.Engine(1).After(10, chat)
-			}
-		}
-		g.Engine(1).Schedule(1, chat)
-		var spin func()
-		m := 0
-		spin = func() {
-			m++
-			if m < 1000 {
-				g.Engine(2).After(1, spin)
-			}
-		}
-		g.Engine(2).Schedule(1, spin)
-		return trace
-	}
-
-	perPair := NewShardGroup(3)
-	defer perPair.Close()
-	traceA := build(perPair)
-	perPair.Run()
-
-	global := NewShardGroup(3)
-	defer global.Close()
-	global.SetGlobalCoupling(true)
-	traceB := build(global)
-	global.Run()
-
-	if len(*traceA) != 50 || len(*traceB) != 50 {
-		t.Fatalf("traces have %d and %d deliveries, want 50", len(*traceA), len(*traceB))
-	}
-	for i := range *traceA {
-		if (*traceA)[i] != (*traceB)[i] {
-			t.Fatalf("delivery %d at %d per-pair vs %d global", i, (*traceA)[i], (*traceB)[i])
+	g := NewShardGroup(3)
+	defer g.Close()
+	g.SetLookahead(1, 0, 10)
+	g.SetLookahead(0, 1, 10)
+	g.SetLookahead(0, 2, 10000)
+	var trace []Time
+	var chat func()
+	n := 0
+	chat = func() {
+		at := g.Engine(1).Now() + 10
+		g.Send(1, 0, at, 1, func(fireAt Time) { trace = append(trace, fireAt) })
+		n++
+		if n < 50 {
+			g.Engine(1).After(10, chat)
 		}
 	}
-	sp, sg := perPair.Stats(), global.Stats()
-	if sg.Windows < 1000 {
-		t.Fatalf("global coupling ran %d windows, expected shard 2's 1000 events to force ≥1000", sg.Windows)
+	g.Engine(1).Schedule(1, chat)
+	var spin func()
+	m := 0
+	spin = func() {
+		m++
+		if m < 1000 {
+			g.Engine(2).After(1, spin)
+		}
 	}
-	if sp.Windows*4 > sg.Windows {
-		t.Fatalf("per-pair windows (%d) not substantially fewer than global (%d)", sp.Windows, sg.Windows)
+	g.Engine(2).Schedule(1, spin)
+	g.Run()
+
+	if len(trace) != 50 {
+		t.Fatalf("trace has %d deliveries, want 50", len(trace))
+	}
+	for i, at := range trace {
+		if want := Time(11 + 10*i); at != want {
+			t.Fatalf("delivery %d at %d, want %d", i, at, want)
+		}
+	}
+	if m != 1000 {
+		t.Fatalf("shard 2 ran %d of its 1000 events", m)
+	}
+	if w := g.Stats().Windows; w >= 250 {
+		t.Fatalf("%d windows: shard 2's 1000 silent events are bounding the others' windows", w)
 	}
 }
 

@@ -260,7 +260,9 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 		}
 		ce := &res.Clusters[c]
 		ce.Windows = len(members)
-		ce.Centroid = unvec(denormalizeHint(centers[c]))
+		// Centroids are only meaningful relative to each other, so they are
+		// reported as they are, in normalized coordinates.
+		ce.Centroid = unvec(centers[c])
 		if len(members) == 0 {
 			// k-means left the cluster empty (k near the window count);
 			// no window references it, so it contributes nothing.
@@ -699,11 +701,6 @@ func normalize(vecs [][nFeat]float64) {
 		}
 	}
 }
-
-// denormalizeHint passes the (normalized) centroid through for reporting;
-// centroids are only meaningful relative to each other, so reporting them
-// in normalized coordinates is both honest and deterministic.
-func denormalizeHint(c [nFeat]float64) [nFeat]float64 { return c }
 
 func unvec(v [nFeat]float64) AccessVector {
 	return AccessVector{

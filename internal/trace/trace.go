@@ -157,7 +157,7 @@ type replayer struct {
 }
 
 func (rp *replayer) schedule(i int) {
-	rp.eng.ScheduleTimedSent(rp.recs[i].At-rp.base, replayKey, 0, rp.fire)
+	rp.eng.ScheduleKeyed(rp.recs[i].At-rp.base, replayKey, 0, rp.fire)
 }
 
 func (rp *replayer) step(at sim.Time) {

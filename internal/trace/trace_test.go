@@ -266,7 +266,7 @@ func (p *probeBackend) Access(req *mem.Request) {
 	if p.inflight > p.maxInflight {
 		p.maxInflight = p.inflight
 	}
-	p.eng.AfterTimed(p.lat, p.done)
+	p.eng.ScheduleKeyed(p.eng.Now()+p.lat, p.eng.Now(), 0, p.done)
 	req.Complete(p.eng.Now())
 }
 

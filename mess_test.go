@@ -2,6 +2,8 @@ package mess_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -31,7 +33,7 @@ func TestCharacterizeAndPersist(t *testing.T) {
 	spec := mess.CascadeLake()
 	spec.Cores = 8 // trim for test speed
 	spec.DRAM.Channels = 3
-	res, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	res, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestCharacterizeAndPersist(t *testing.T) {
 	}
 
 	var csv bytes.Buffer
-	if err := mess.WriteCurvesCSV(&csv, res.Family); err != nil {
+	if err := res.Family.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	back, err := mess.ReadCurvesCSV(&csv)
@@ -58,6 +60,36 @@ func TestCharacterizeAndPersist(t *testing.T) {
 	if !strings.Contains(chart.String(), "latency [ns]") {
 		t.Fatal("plot missing axes annotation")
 	}
+
+	// A service with a curve store keeps the family across processes: a
+	// second service on the same directory serves it without simulating.
+	var direct bytes.Buffer
+	if err := res.Family.WriteCSV(&direct); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	req := mess.CharacterizationRequest{Spec: spec, Options: mess.QuickBenchmarkOptions()}
+	for pass, want := range []struct{ runs, diskHits int64 }{{1, 0}, {0, 1}} {
+		store, err := mess.NewCurveStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Store: store})
+		art, err := svc.Characterize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := svc.Stats(); st.Runs != want.runs || st.DiskHits != want.diskHits {
+			t.Fatalf("pass %d: %d runs and %d disk hits, want %d and %d", pass, st.Runs, st.DiskHits, want.runs, want.diskHits)
+		}
+		var stored bytes.Buffer
+		if err := art.Family.WriteCSV(&stored); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stored.Bytes(), direct.Bytes()) {
+			t.Fatalf("pass %d: the stored family differs from the default service's", pass)
+		}
+	}
 }
 
 func TestCharacterizeServedFromCache(t *testing.T) {
@@ -66,11 +98,11 @@ func TestCharacterizeServedFromCache(t *testing.T) {
 	spec.DRAM.Channels = 3
 
 	before := mess.DefaultCharacterizationService().Stats()
-	first, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	first, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	second, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +119,7 @@ func TestCharacterizeServedFromCache(t *testing.T) {
 	}
 	// Results are isolated copies: mutating one must not leak into the next.
 	second.Family.Label = "scribbled"
-	third, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	third, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +130,7 @@ func TestCharacterizeServedFromCache(t *testing.T) {
 	// A different sweep is a different key: it must simulate afresh.
 	opt := mess.QuickBenchmarkOptions()
 	opt.PacesNs = []float64{0, 32}
-	if _, err := mess.Characterize(spec, opt); err != nil {
+	if _, err := mess.Characterize(context.Background(), spec, opt); err != nil {
 		t.Fatal(err)
 	}
 	final := mess.DefaultCharacterizationService().Stats()
@@ -151,7 +183,7 @@ func mustQuickFamily(t *testing.T) *mess.Family {
 	spec := mess.Skylake()
 	spec.Cores = 8
 	spec.DRAM.Channels = 3
-	res, err := mess.Characterize(spec, mess.QuickBenchmarkOptions())
+	res, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +216,13 @@ func TestWorkloadFacade(t *testing.T) {
 	spec := mess.Skylake()
 	spec.Cores = 6
 	spec.DRAM.Channels = 3
-	r, err := mess.RunWorkload(spec, mess.StreamTriad, mess.WorkloadOptions{})
+	triad := mess.Kernel{Name: "triad", Loads: 2, Stores: 1, ElemsPerLine: 8, ALUPerElem: 4}
+	r, err := mess.RunWorkload(spec, triad, mess.WorkloadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.IPC <= 0 || r.AppBWGBs <= 0 {
 		t.Fatalf("triad result %+v", r)
-	}
-	if len(mess.SpecSuite()) < 25 {
-		t.Fatal("SPEC suite incomplete")
 	}
 }
 
@@ -226,12 +256,28 @@ func TestExperimentRegistryFacade(t *testing.T) {
 	if len(exps) < 25 {
 		t.Fatalf("registry has %d experiments", len(exps))
 	}
-	if _, err := mess.RunExperiment("nope", mess.ScaleQuick); err == nil {
-		t.Fatal("unknown experiment accepted")
+	var unknown *mess.UnknownExperimentError
+	if _, err := mess.RunExperiment(context.Background(), nil, "nope", mess.ScaleQuick); !errors.As(err, &unknown) || unknown.ID != "nope" {
+		t.Fatalf("unknown experiment: err = %v, want an UnknownExperimentError naming it", err)
 	}
-	res, err := mess.RunExperiment("fig2", mess.ScaleQuick)
+	// A nil service is the default one: the experiment's reference curves
+	// are simulated once however often it runs.
+	before := mess.DefaultCharacterizationService().Stats().Runs
+	res, err := mess.RunExperiment(context.Background(), nil, "fig2", mess.ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
+	}
+	first := mess.DefaultCharacterizationService().Stats().Runs
+	if _, err := mess.RunExperiment(context.Background(), nil, "fig2", mess.ScaleQuick); err != nil {
+		t.Fatal(err)
+	}
+	if again := mess.DefaultCharacterizationService().Stats().Runs; first == before || again != first {
+		t.Fatalf("fig2 twice on the default service: %d, then %d characterizations simulated, want some, then none", first-before, again-first)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := mess.RunExperiment(cancelled, mess.NewCharacterizationService(mess.CharacterizationConfig{}), "fig2", mess.ScaleQuick); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fig2 under a cancelled context on a fresh service: err = %v, want context.Canceled", err)
 	}
 	var buf bytes.Buffer
 	if err := res.Render(&buf); err != nil {
@@ -293,7 +339,7 @@ func TestTraceReplayFacade(t *testing.T) {
 	}
 
 	mk := func(eng *mess.Engine) mess.MemBackend {
-		m, err := mess.NewMemoryModel(mess.ModelReference, eng, spec, nil)
+		m, err := mess.NewMemoryModel("reference", eng, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
