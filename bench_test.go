@@ -206,7 +206,7 @@ func BenchmarkMessSimulatorThroughput(b *testing.B) {
 	model := mess.NewSimulator(eng, mess.SimulatorConfig{Family: fam})
 	b.ReportAllocs()
 	b.ResetTimer()
-	perfload.ClosedLoop(eng, model, b.N)
+	perfload.NewClosedLoopPattern(eng, model, perfload.PatternReference).Run(b.N)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreqs/s")
 }
 

@@ -37,13 +37,15 @@
 //     io/trace_read write and parse it in memory, one op per record, with
 //     mb_per_s beside the usual columns and their allocs_per_op (0: a
 //     handful of buffers per call) under the allocs gate.
-//     Since v5 there are device-shard rows for the CXL expander
-//     (model/cxl vs model/cxl_sharded), a second sharded sweep point on
-//     the 8-channel Graviton 3 model (framework/fig4_point{,_sharded}),
-//     and barrier statistics (windows, avg_window_ns, parks) on every
-//     sharded row. (v5 also carried model/dram_sharded_global, the in-run
-//     A/B against one group-wide window; it concluded at 3.2× and the row
-//     and the switch behind it are gone.)
+//     Since v5 there are the CXL expander's closed loop (model/cxl), a
+//     second sharded sweep point on the 8-channel Graviton 3 model
+//     (framework/fig4_point{,_sharded}), and barrier statistics (windows,
+//     avg_window_ns, parks) on every sharded row. (v5 also carried
+//     model/dram_sharded_global, the in-run A/B against one group-wide
+//     window, which concluded at 3.2×, and model/cxl_sharded, the expander
+//     on a shard engine of its own, which lost to model/cxl at 914 vs
+//     470 ns/op; both rows and the code behind them are gone. The gate
+//     ignores baseline rows a fresh run lacks.)
 //
 // With -cpuprofile/-memprofile, messperf writes pprof profiles covering
 // exactly the measured region (every benchmark, none of the report or
@@ -110,7 +112,8 @@ import (
 // framework/fig2_point_sharded) and per-result gomaxprocs; v4 added the
 // trace-replay pair (framework/fig6_replay, framework/fig6_replay_sampled)
 // with the sampled row's divergence_pct and speedup_x accuracy fields; v5
-// added the CXL device-shard pair (model/cxl, model/cxl_sharded), the
+// added the CXL closed loop (model/cxl; its model/cxl_sharded twin has
+// since been deleted with the device-shard runtime), the
 // Graviton 3 sweep point pair (framework/fig4_point,
 // framework/fig4_point_sharded) and the barrier-statistics fields (windows,
 // avg_window_ns, parks) on sharded rows; v6 added the top-level telemetry
@@ -474,34 +477,16 @@ func main() {
 		}))
 	}
 
-	// The CXL expander under the same closed loop: unsharded (TimedOn
-	// carries the host hop on the device's own engine) vs the device on
-	// its own shard. The device's 70 ns propagation is the shard's
-	// outbound lookahead — windows far wider than the DRAM channels get
-	// from burst-quantum coupling, so this pair isolates what the barrier
-	// costs when the model itself is cheap.
-	{
-		ccfg := cxl.Default()
+	// The CXL expander under the same closed loop; TimedOn carries the
+	// host hop on the device's own engine.
+	add(best(func() Result {
+		eng := sim.New()
+		dev := cxl.New(eng, cxl.Default())
 		chop := platform.Skylake().CacheConfig().OnChipLatency / 2
-		warm := warmup(*modelEvents)
-		add(best(func() Result {
-			eng := sim.New()
-			dev := cxl.New(eng, ccfg)
-			drv := perfload.NewTimedClosedLoop(eng, &mem.TimedOn{Eng: eng, Inner: dev}, chop, perfload.PatternReference)
-			drv.Run(warm)
-			return measure("model/cxl", *modelEvents, func() { drv.Run(*modelEvents) })
-		}))
-		if shardsFor(1) >= 2 {
-			add(best(func() Result {
-				group := sim.NewShardGroup(2)
-				defer group.Close()
-				sh, _ := cxl.NewShardedExpander(group, 0, 1, ccfg, chop)
-				drv := perfload.NewShardedClosedLoop(group, sh, chop, perfload.PatternReference)
-				drv.Run(warm)
-				return shardStats(measure("model/cxl_sharded", *modelEvents, func() { drv.Run(*modelEvents) }), group)
-			}))
-		}
-	}
+		drv := perfload.NewTimedClosedLoop(eng, &mem.TimedOn{Eng: eng, Inner: dev}, chop, perfload.PatternReference)
+		drv.Run(warmup(*modelEvents))
+		return measure("model/cxl", *modelEvents, func() { drv.Run(*modelEvents) })
+	}))
 
 	// The Mess analytical simulator needs a curve family; its production is
 	// itself the framework-level measurement (a Quick characterization on a

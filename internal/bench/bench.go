@@ -68,15 +68,6 @@ type Options struct {
 	// Backend overrides the memory system under test; nil uses the
 	// platform's detailed DRAM model.
 	Backend mem.BackendFactory
-	// ShardedBackend is the sharded counterpart of Backend: it builds the
-	// backend on the group (devices on non-home shards, declaring their
-	// lookahead edges) and is used instead of Backend whenever a point
-	// runs sharded. Setting it alongside Backend lets a custom backend —
-	// a CXL expander, say — ride the shard group the way the detailed
-	// DRAM system does; results must be byte-identical to the Backend
-	// path (the CXL-sharded determinism leg enforces it), so it is
-	// execution-only and cleared by Normalized.
-	ShardedBackend func(group *sim.ShardGroup) mem.TimedBackend
 	// Cache overrides the platform's derived cache configuration — used
 	// for failure injection (e.g. the OpenPiton clean-eviction bug).
 	Cache *cache.Config
@@ -146,7 +137,6 @@ func (o Options) Normalized() Options {
 	out := o.withDefaults()
 	out.Parallelism = 0
 	out.Backend = nil
-	out.ShardedBackend = nil
 	// Sharding is an execution strategy: a sharded and an unsharded run of
 	// the same sweep produce byte-identical families (the determinism test
 	// enforces it), so both may share one cache entry.
@@ -349,10 +339,7 @@ func MeasureUnloaded(spec platform.Spec, opt Options) (float64, error) {
 // on-chip hop (it becomes the home shard's lookahead), and never more
 // channel shards than the platform has channels.
 func (o *Options) shardCount(spec platform.Spec) int {
-	if o.Shards < 2 {
-		return 1
-	}
-	if o.Backend != nil && o.ShardedBackend == nil {
+	if o.Shards < 2 || o.Backend != nil {
 		return 1
 	}
 	ccfg := spec.CacheConfig()
@@ -362,19 +349,10 @@ func (o *Options) shardCount(spec platform.Spec) int {
 	if ccfg.OnChipLatency/2 < 1 {
 		return 1
 	}
-	n := o.Shards
-	if o.ShardedBackend == nil {
-		// Detailed-DRAM sharding: never more channel shards than the
-		// platform has channels. A custom sharded backend owns its own
-		// device placement, so the cap does not apply.
-		if m := spec.DRAM.Channels + 1; n > m {
-			n = m
-		}
+	if m := spec.DRAM.Channels + 1; o.Shards > m {
+		return m
 	}
-	if n < 2 {
-		return 1
-	}
-	return n
+	return o.Shards
 }
 
 // rig is the simulated machine a sweep worker measures its points on: the
@@ -423,10 +401,7 @@ func (r *rig) reset(spec platform.Spec, o Options) mem.Backend {
 	} else {
 		r.eng.Reset()
 	}
-	switch {
-	case r.group != nil && o.ShardedBackend != nil:
-		return o.ShardedBackend(r.group)
-	case o.Backend != nil:
+	if o.Backend != nil {
 		return o.Backend(r.eng)
 	}
 	if r.dram != nil && r.dramCfg == spec.DRAM {
@@ -473,11 +448,8 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 	if group != nil {
 		// The cache's outbound hop is the minimum flight time of every
 		// home→channel delivery, i.e. the home shard's outbound edge to
-		// each device shard. Tighten rather than set: a sharded backend
-		// factory may already have declared a smaller hop for its shard.
-		for sh := 1; sh < group.Shards(); sh++ {
-			group.TightenLookahead(0, sh, hier.Config().OnChipLatency/2)
-		}
+		// each channel shard.
+		group.SetLookaheadOut(0, hier.Config().OnChipLatency/2)
 	}
 
 	// Pointer chaser on core 0, in its own address region.
@@ -569,14 +541,8 @@ func pointName(mix Mix, paceNs float64, generators int) string {
 // (descending pace), sanitizes them, and tags each curve with the measured
 // read ratio. Every curve starts at the unloaded anchor.
 func assemble(spec platform.Spec, o Options, samples []Sample, unloaded Sample) *core.Family {
-	fam := &core.Family{
-		Label:         spec.Name,
-		TheoreticalBW: spec.TheoreticalBandwidthGBs(),
-	}
-	for _, mix := range o.Mixes {
-		pts := []core.Point{{BW: unloaded.BWGBs, Latency: unloaded.LatNs}}
-		var ratioSum float64
-		var cnt int
+	mixes := make([][]core.Measured, len(o.Mixes))
+	for mi, mix := range o.Mixes {
 		// Pressure ascends as pace descends.
 		ordered := make([]Sample, 0, len(o.PacesNs))
 		for _, s := range samples {
@@ -590,24 +556,11 @@ func assemble(spec platform.Spec, o Options, samples []Sample, unloaded Sample) 
 				// A paced point below the anchor carries no information.
 				continue
 			}
-			pts = append(pts, core.Point{BW: s.BWGBs, Latency: s.LatNs})
-			ratioSum += s.RdRatio
-			cnt++
+			mixes[mi] = append(mixes[mi], core.Measured{Point: core.Point{BW: s.BWGBs, Latency: s.LatNs}, ReadRatio: s.RdRatio})
 		}
-		if cnt == 0 {
-			continue
-		}
-		pts = core.SanitizePoints(pts)
-		if len(pts) < 2 {
-			continue
-		}
-		fam.Curves = append(fam.Curves, core.Curve{
-			ReadRatio: ratioSum / float64(cnt),
-			Points:    pts,
-		})
 	}
-	fam.Sort()
-	return fam
+	anchor := []core.Point{{BW: unloaded.BWGBs, Latency: unloaded.LatNs}}
+	return core.MeasuredFamily(spec.Name, spec.TheoreticalBandwidthGBs(), anchor, mixes)
 }
 
 // QuickOptions returns a reduced sweep suitable for tests: three mixes,

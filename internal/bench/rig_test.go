@@ -20,8 +20,8 @@ type rigPoint struct {
 	mix        Mix
 	paceNs     float64
 	generators int
-	// custom routes the point through the Backend / ShardedBackend
-	// factories, whose product the rig builds per point and does not keep.
+	// custom routes the point through the Backend factory, whose product
+	// the rig builds per point, on its home engine, and does not keep.
 	custom bool
 }
 
@@ -35,7 +35,6 @@ func (p rigPoint) options() Options {
 	if p.custom {
 		cfg := p.spec.DRAM
 		o.Backend = func(eng *sim.Engine) mem.Backend { return dram.New(eng, cfg) }
-		o.ShardedBackend = func(g *sim.ShardGroup) mem.TimedBackend { return dram.NewSharded(g, cfg, 0) }
 	}
 	return o.withDefaults()
 }

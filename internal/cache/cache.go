@@ -209,9 +209,6 @@ func (p *Port) FreeMSHR() bool { return p.inflight < p.h.cfg.MSHRs }
 // FreeWB reports whether a posted write can issue now.
 func (p *Port) FreeWB() bool { return p.wbInflight < p.h.cfg.WriteBufs }
 
-// Outstanding reports current demand misses in flight.
-func (p *Port) Outstanding() int { return p.inflight }
-
 // Load issues one load. For a miss, done fires at data arrival at the core
 // (load-to-use) and Load reports onChip false. An LLC hit completes on
 // chip: the port neither schedules nor invokes done — it reports

@@ -320,6 +320,31 @@ func TestChaosFlakyServerSoak(t *testing.T) {
 // quarantine story: an unparsable cache file errors once, reads as a clean
 // miss from then on, heals by re-save, and the sidelined .bad file is
 // swept by GC after its post-mortem window.
+// A cached file whose read ratios are NaN once panicked the parser; it is a
+// corrupt entry like any other: an error, a quarantine, then a clean miss.
+func TestDiskStoreQuarantinesNonFiniteCSV(t *testing.T) {
+	store, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyForStoreTest(43)
+	if err := store.Save(bg, key, famForStoreTest("nan")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(key), []byte("read_ratio,bw_gbs,latency_ns\nNaN,1,90\nNaN,2,95\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := store.Load(bg, key); ok || err == nil {
+		t.Fatalf("NaN entry read back: ok=%v err=%v", ok, err)
+	}
+	if _, err := os.Stat(store.Path(key) + ".bad"); err != nil {
+		t.Fatalf("NaN file not quarantined: %v", err)
+	}
+	if _, ok, err := store.Load(bg, key); ok || err != nil {
+		t.Fatalf("quarantined key not a clean miss: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestDiskStoreQuarantineHealsBySave(t *testing.T) {
 	store, err := NewDiskStore(t.TempDir())
 	if err != nil {

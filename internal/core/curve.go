@@ -35,16 +35,24 @@ type Curve struct {
 	Points    []Point
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// minLatency is the smallest valid latency, in ns: anything below prints as
+// 0.0000 at the four decimals of WriteCSV, which no reader accepts, so a
+// valid family is one that survives being stored.
+const minLatency = 0.00005
+
 // Validate reports an error for a curve unusable by the simulator.
 func (c *Curve) Validate() error {
 	if len(c.Points) < 2 {
 		return fmt.Errorf("core: curve (read ratio %.2f) needs ≥ 2 points, has %d", c.ReadRatio, len(c.Points))
 	}
-	if c.ReadRatio < 0 || c.ReadRatio > 1 {
+	if math.IsNaN(c.ReadRatio) || c.ReadRatio < 0 || c.ReadRatio > 1 {
 		return fmt.Errorf("core: read ratio %.3f outside [0,1]", c.ReadRatio)
 	}
 	for i, p := range c.Points {
-		if p.BW < 0 || p.Latency <= 0 || math.IsNaN(p.BW) || math.IsNaN(p.Latency) {
+		if !finite(p.BW) || !finite(p.Latency) || p.BW < 0 || p.Latency < minLatency {
 			return fmt.Errorf("core: curve (read ratio %.2f) point %d invalid: %+v", c.ReadRatio, i, p)
 		}
 	}
@@ -192,14 +200,13 @@ func interp(lo, hi Point, bw float64) float64 {
 	return lo.Latency + f*(hi.Latency-lo.Latency)
 }
 
-// SanitizePoints is a helper for curve builders: measurement sweeps
-// produce points from slowest to fastest injection; this keeps them as
-// given but removes exact duplicates and non-finite values.
-func SanitizePoints(pts []Point) []Point {
+// sanitizePoints keeps a sweep's points as given — slowest to fastest
+// injection — but removes exact duplicates and non-finite values.
+func sanitizePoints(pts []Point) []Point {
 	out := pts[:0]
 	var last Point
 	for i, p := range pts {
-		if math.IsNaN(p.BW) || math.IsNaN(p.Latency) || math.IsInf(p.BW, 0) || math.IsInf(p.Latency, 0) {
+		if !finite(p.BW) || !finite(p.Latency) {
 			continue
 		}
 		if i > 0 && math.Abs(p.BW-last.BW) < 1e-9 && math.Abs(p.Latency-last.Latency) < 1e-9 {
@@ -217,6 +224,42 @@ type Family struct {
 	Label         string
 	TheoreticalBW float64 // GB/s
 	Curves        []Curve // sorted by ReadRatio ascending
+}
+
+// Measured is one measured point of a traffic mix with the read ratio the
+// traffic had while it was measured.
+type Measured struct {
+	Point
+	ReadRatio float64
+}
+
+// MeasuredFamily assembles a sweep's measurements into a family. mixes[i]
+// holds one traffic mix's points in ascending-pressure order and becomes one
+// curve: opened by the lead points (the unloaded anchor of a harness that
+// measures one), sanitized, and tagged with the mean read ratio of the mix's
+// measured points. The mean is over every point measured, taken before
+// sanitizing prunes any: dividing by the sanitized count pushed ratios
+// outside [0,1] whenever pruning occurred. A mix left with fewer than two
+// points is dropped, and the curves are sorted by read ratio.
+func MeasuredFamily(label string, theoreticalBW float64, lead []Point, mixes [][]Measured) *Family {
+	fam := &Family{Label: label, TheoreticalBW: theoreticalBW}
+	for _, mix := range mixes {
+		if len(mix) == 0 {
+			continue
+		}
+		pts := append(make([]Point, 0, len(lead)+len(mix)), lead...)
+		var ratioSum float64
+		for _, m := range mix {
+			pts = append(pts, m.Point)
+			ratioSum += m.ReadRatio
+		}
+		if pts = sanitizePoints(pts); len(pts) < 2 {
+			continue
+		}
+		fam.Curves = append(fam.Curves, Curve{ReadRatio: ratioSum / float64(len(mix)), Points: pts})
+	}
+	fam.Sort()
+	return fam
 }
 
 // Clone returns a deep copy of the family. Cached families are shared
@@ -240,6 +283,9 @@ func (f *Family) Clone() *Family {
 func (f *Family) Validate() error {
 	if len(f.Curves) == 0 {
 		return fmt.Errorf("core: family %q has no curves", f.Label)
+	}
+	if !finite(f.TheoreticalBW) || f.TheoreticalBW < 0 {
+		return fmt.Errorf("core: family %q theoretical bandwidth %v is not a finite non-negative number", f.Label, f.TheoreticalBW)
 	}
 	for i := range f.Curves {
 		if err := f.Curves[i].Validate(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +38,39 @@ func TestCurveValidate(t *testing.T) {
 	bad.Points[2].Latency = math.NaN()
 	if err := bad.Validate(); err == nil {
 		t.Fatal("NaN latency accepted")
+	}
+	// NaN compares false with everything, so range checks alone let it by.
+	bad = Curve{ReadRatio: math.NaN(), Points: simpleCurve().Points}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("NaN read ratio accepted")
+	}
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		bad = simpleCurve()
+		bad.Points[4].BW = inf
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("bandwidth %v accepted", inf)
+		}
+		bad = simpleCurve()
+		bad.Points[4].Latency = inf
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("latency %v accepted", inf)
+		}
+	}
+}
+
+func TestFamilyValidateTheoreticalBW(t *testing.T) {
+	f := &Family{Label: "x", Curves: []Curve{simpleCurve()}}
+	for _, bw := range []float64{0, 128} { // 0: a file without the header line
+		f.TheoreticalBW = bw
+		if err := f.Validate(); err != nil {
+			t.Fatalf("theoretical bandwidth %v rejected: %v", bw, err)
+		}
+	}
+	for _, bw := range []float64{math.NaN(), -1, math.Inf(1)} {
+		f.TheoreticalBW = bw
+		if err := f.Validate(); err == nil {
+			t.Fatalf("theoretical bandwidth %v accepted", bw)
+		}
 	}
 }
 
@@ -222,6 +256,54 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A NaN read ratio used to key ReadCSV's curve map: a NaN key is never found
+// again, so the second such row dereferenced a nil curve and took the process
+// down from every seam curves arrive through (disk cache, curve server,
+// client). Non-finite numbers are rejected where they are parsed.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	const header = "# label: x\n# theoretical_bw_gbs: 10\nread_ratio,bw_gbs,latency_ns\n"
+	for name, in := range map[string]string{
+		"NaN ratio twice":       header + "NaN,1,90\nNaN,2,95\n",
+		"NaN ratio":             header + "nan,1,90\n0.5,1,90\n0.5,2,95\n",
+		"Inf bandwidth":         header + "0.5,1,90\n0.5,+Inf,95\n",
+		"-Inf latency":          header + "0.5,1,90\n0.5,2,-Inf\n",
+		"infinity latency":      header + "0.5,1,90\n0.5,2,infinity\n",
+		"NaN theoretical":       "# theoretical_bw_gbs: NaN\n0.5,1,90\n0.5,2,95\n",
+		"negative theoretical":  "# theoretical_bw_gbs: -3\n0.5,1,90\n0.5,2,95\n",
+		"latency rounds to 0":   header + "0.5,1,90\n0.5,2,0.00001\n",
+		"overflowing bandwidth": header + "0.5,1,90\n0.5,1e999,95\n",
+	} {
+		if fam, err := ReadCSV(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, fam)
+		}
+	}
+}
+
+func TestMeasuredFamily(t *testing.T) {
+	m := func(bw, lat, ratio float64) Measured { return Measured{Point{bw, lat}, ratio} }
+	anchor := []Point{{1, 90}}
+	fam := MeasuredFamily("x", 100, anchor, [][]Measured{
+		{m(10, 95, 1), m(10, 95, 1), m(40, 120, 0.5), m(math.NaN(), 1, 0.5)}, // two of four pruned
+		{},                 // nothing measured: the anchor alone is no curve
+		{m(1, 90, 0.25)},   // duplicates the anchor: one point left
+		{m(20, 100, 0.25)}, // anchor + one point
+	})
+	if fam.Label != "x" || fam.TheoreticalBW != 100 || len(fam.Curves) != 2 {
+		t.Fatalf("family = %+v, want 2 curves", fam)
+	}
+	// Sorted by ratio; the mean is over the four points measured, not the
+	// two that survive sanitizing (which would read 3/2).
+	if c := fam.Curves[0]; c.ReadRatio != 0.25 || len(c.Points) != 2 || c.Points[0] != anchor[0] {
+		t.Errorf("curve 0 = %+v", c)
+	}
+	if c := fam.Curves[1]; c.ReadRatio != 0.75 || len(c.Points) != 3 || c.Points[0] != anchor[0] {
+		t.Errorf("curve 1 = %+v, want ratio 0.75 over anchor + 2 points", c)
+	}
+	if got := MeasuredFamily("y", 0, nil, [][]Measured{{m(5, 80, 1), m(9, 85, 1)}}); len(got.Curves) != 1 || len(got.Curves[0].Points) != 2 {
+		t.Errorf("without lead points: %+v", got)
+	}
+}
+
 func TestSanitizePoints(t *testing.T) {
 	pts := []Point{
 		{1, 90}, {1, 90}, // duplicate
@@ -229,7 +311,7 @@ func TestSanitizePoints(t *testing.T) {
 		{50, math.Inf(1)},
 		{60, 120},
 	}
-	out := SanitizePoints(pts)
+	out := sanitizePoints(pts)
 	if len(out) != 2 {
 		t.Fatalf("sanitized to %d points, want 2: %v", len(out), out)
 	}

@@ -31,7 +31,20 @@ func (f *Family) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a family written by WriteCSV.
+// parseFinite is strconv.ParseFloat without the NaN and ±Inf spellings it
+// accepts: no number of a curve file may be one.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !finite(v) {
+		err = strconv.ErrRange
+	}
+	return v, err
+}
+
+// ReadCSV parses a family written by WriteCSV. Its input comes from disk
+// caches and from the network: it rejects, with an error, anything that does
+// not parse to a valid family, which WriteCSV can write back and ReadCSV read
+// again.
 func ReadCSV(r io.Reader) (*Family, error) {
 	f := &Family{}
 	br := bufio.NewReader(r)
@@ -47,7 +60,7 @@ func ReadCSV(r io.Reader) (*Family, error) {
 		case strings.HasPrefix(trimmed, "# label:"):
 			f.Label = strings.TrimSpace(strings.TrimPrefix(trimmed, "# label:"))
 		case strings.HasPrefix(trimmed, "# theoretical_bw_gbs:"):
-			v, perr := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(trimmed, "# theoretical_bw_gbs:")), 64)
+			v, perr := parseFinite(strings.TrimSpace(strings.TrimPrefix(trimmed, "# theoretical_bw_gbs:")))
 			if perr != nil {
 				return nil, fmt.Errorf("core: bad theoretical bandwidth header %q", trimmed)
 			}
@@ -76,9 +89,9 @@ func ReadCSV(r io.Reader) (*Family, error) {
 		if len(rec) != 3 {
 			return nil, fmt.Errorf("core: CSV row %d has %d fields, want 3", i, len(rec))
 		}
-		ratio, err1 := strconv.ParseFloat(rec[0], 64)
-		bwv, err2 := strconv.ParseFloat(rec[1], 64)
-		lat, err3 := strconv.ParseFloat(rec[2], 64)
+		ratio, err1 := parseFinite(rec[0])
+		bwv, err2 := parseFinite(rec[1])
+		lat, err3 := parseFinite(rec[2])
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("core: CSV row %d unparsable: %v", i, rec)
 		}

@@ -94,7 +94,7 @@ func TestGeneratorPacingControlsRate(t *testing.T) {
 		g.Start()
 		eng.RunUntil(50 * sim.Microsecond)
 		g.Stop()
-		return g.Ops()
+		return g.ops
 	}
 	fast := run(0)
 	slow := run(64)

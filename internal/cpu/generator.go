@@ -156,9 +156,6 @@ func (g *Generator) Start() {
 // Stop halts the generator; in-flight requests complete normally.
 func (g *Generator) Stop() { g.running = false }
 
-// Ops reports how many memory instructions have been issued.
-func (g *Generator) Ops() uint64 { return g.ops }
-
 // tryIssue issues as many operations as pacing and buffer space allow, then
 // arranges to be woken by either the pacing timer or a completion.
 func (g *Generator) tryIssue() {

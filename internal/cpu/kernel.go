@@ -63,8 +63,6 @@ var (
 	LMbench = Kernel{Name: "lmbench", Loads: 1, ElemsPerLine: 1, ALUPerElem: 1, Dependent: true, Random: true}
 	// Google multichase: dependent chase with a slightly heavier body.
 	Multichase = Kernel{Name: "multichase", Loads: 1, ElemsPerLine: 1, ALUPerElem: 3, Dependent: true, Random: true}
-	// GUPS random update: read-modify-write of random lines.
-	GUPS = Kernel{Name: "gups", Loads: 1, Stores: 1, ElemsPerLine: 1, ALUPerElem: 2, Random: true}
 )
 
 // CoreConfig describes the mechanistic core executing a kernel.
@@ -258,13 +256,6 @@ func (c *KernelCore) beginStep() {
 	cycles := (instr + uint64(c.cfg.Width) - 1) / uint64(c.cfg.Width)
 	c.nextAt = maxT(c.nextAt, c.eng.Now()) + sim.Time(cycles)*c.cfg.CycleTime
 	c.tryIssue()
-}
-
-func (c *KernelCore) stepElems() int {
-	if c.kernel.ElemsPerLine == 0 {
-		return 8
-	}
-	return c.kernel.ElemsPerLine
 }
 
 // tryIssue drains the pending ops of the current step as buffers allow,

@@ -95,7 +95,8 @@ func TestKernelCoreOnChipPacingBound(t *testing.T) {
 func TestKernelCoreMixedHitsDeterministic(t *testing.T) {
 	run := func() (uint64, float64, float64) {
 		eng, h := hitRig(0.5, 25*sim.Nanosecond, 120*sim.Nanosecond)
-		core := NewKernelCore(eng, h.Port(0), GUPS, CoreConfig{
+		gups := Kernel{Name: "gups", Loads: 1, Stores: 1, ElemsPerLine: 1, ALUPerElem: 2, Random: true}
+		core := NewKernelCore(eng, h.Port(0), gups, CoreConfig{
 			CycleTime:  sim.FromNanoseconds(0.5),
 			ArrayBases: []uint64{1 << 30, 1 << 31},
 			ArrayBytes: 1 << 22,

@@ -50,10 +50,6 @@ type ClientConfig struct {
 	// reports ErrUnavailable, so a down server costs one timeout — not one
 	// per characterization. Default 15 s; negative disables the circuit.
 	Cooldown time.Duration
-	// RevalidateEntries bounds the ETag revalidation cache: families the
-	// client has already transferred are re-requested with If-None-Match
-	// and served locally on 304. Default 128; negative disables.
-	RevalidateEntries int
 }
 
 // Client is a Store backed by a curve server (cmd/messcurved) speaking the
@@ -81,6 +77,11 @@ type Client struct {
 	// Telemetry counters, attached by Instrument; nil (no-op) otherwise.
 	mLoads, mSaves, mHits, mRetries, mTrips, mShorted *telemetry.Counter
 }
+
+// revalidateEntries bounds the ETag revalidation cache: families the client
+// has already transferred are re-requested with If-None-Match and served
+// locally on 304.
+const revalidateEntries = 128
 
 type revalEntry struct {
 	etag string
@@ -122,16 +123,9 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 	} else if c.cooldown < 0 {
 		c.cooldown = 0
 	}
-	revalMax := cfg.RevalidateEntries
-	if revalMax == 0 {
-		revalMax = 128
-	}
-	c.reval = newFIFOCache[revalEntry](revalMax)
+	c.reval = newFIFOCache[revalEntry](revalidateEntries)
 	return c, nil
 }
-
-// BaseURL reports the server the client talks to.
-func (c *Client) BaseURL() string { return c.base }
 
 func (c *Client) urlFor(key Key) string { return c.base + "/v1/curves/" + key.String() }
 
@@ -341,14 +335,6 @@ func (c *Client) CircuitOpen() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return time.Now().Before(c.downUntil)
-}
-
-// CircuitUntil reports when the circuit closes again; the zero time means
-// it has never tripped (or the circuit is disabled).
-func (c *Client) CircuitUntil() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.downUntil
 }
 
 func (c *Client) trip() {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,6 +236,41 @@ func TestServerRejectsContentSHAMismatch(t *testing.T) {
 	// Uncompressed, digest-free uploads (curl-style seeding) still work.
 	if code := put(""); code != http.StatusNoContent {
 		t.Fatalf("digest-free upload rejected with %d", code)
+	}
+}
+
+// A body whose numbers are NaN or ±Inf is a bad upload — it once panicked the
+// handler's parser — answered 400, counted, and never stored.
+func TestServerRejectsNonFiniteCSV(t *testing.T) {
+	store := NewMemory(0)
+	srv := NewServer(store, ServerConfig{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for i, body := range []string{
+		"read_ratio,bw_gbs,latency_ns\nNaN,1,90\nNaN,2,95\n",
+		"# theoretical_bw_gbs: NaN\n0.5,1,90\n0.5,2,95\n",
+		"0.5,1,90\n0.5,Inf,95\n",
+	} {
+		key := testKey(40 + i)
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/curves/"+key.String(), strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("body %d: %v (handler panicked?)", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %d: status %d, want 400", i, resp.StatusCode)
+		}
+		if got := srv.Stats().BadPuts; got != int64(i+1) {
+			t.Errorf("body %d: bad_puts = %d, want %d", i, got, i+1)
+		}
+		if _, ok, _ := store.Load(bg, key); ok {
+			t.Errorf("body %d: rejected upload was stored", i)
+		}
 	}
 }
 

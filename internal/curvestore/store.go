@@ -178,17 +178,12 @@ type fifoCache[V any] struct {
 	order []Key
 }
 
-// newFIFOCache builds a cache bounded to max entries; max <= 0 disables
-// it (get always misses, put is a no-op).
+// newFIFOCache builds a cache bounded to max (≥ 1) entries.
 func newFIFOCache[V any](max int) *fifoCache[V] {
 	return &fifoCache[V]{max: max, m: map[Key]V{}}
 }
 
 func (c *fifoCache[V]) get(key Key) (V, bool) {
-	var zero V
-	if c.max <= 0 {
-		return zero, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.m[key]
@@ -196,9 +191,6 @@ func (c *fifoCache[V]) get(key Key) (V, bool) {
 }
 
 func (c *fifoCache[V]) put(key Key, v V) {
-	if c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; !ok {
@@ -232,9 +224,6 @@ func NewTiered(tiers ...Store) *Tiered {
 	}
 	return t
 }
-
-// Tiers reports how many live tiers the composition holds.
-func (t *Tiered) Tiers() int { return len(t.tiers) }
 
 // Load resolves key through the tiers. See LoadTier for the promotion and
 // fail-soft rules.

@@ -101,10 +101,7 @@ func (e errStore) Save(context.Context, Key, *core.Family) error         { retur
 
 func TestTieredPromotesOnHit(t *testing.T) {
 	hot, cold := NewMemory(0), NewMemory(0)
-	tiered := NewTiered(hot, nil, cold) // nil tiers are dropped
-	if tiered.Tiers() != 2 {
-		t.Fatalf("Tiers = %d, want 2", tiered.Tiers())
-	}
+	tiered := NewTiered(hot, nil, cold) // nil tiers are dropped: cold is tier 1
 	key := testKey(10)
 	if err := cold.Save(bg, key, testFam("deep")); err != nil {
 		t.Fatal(err)

@@ -77,20 +77,11 @@ func (c *Config) MaxTheoreticalGBs() float64 {
 	return link
 }
 
-// DevTagBase is the default completion-entity tag for device models: the
+// DevTagBase is the completion-entity tag of the device models: the
 // engine tie-break tag their completions carry on the host engine. It
 // sits far above the DRAM channel tags (1..channels) so a device sharing
-// a host engine with a memory system never collides; topologies with
-// several devices give each its own tag via SetTag.
+// a host engine with a memory system never collides.
 const DevTagBase int32 = 1 << 16
-
-// completeFunc commits a host request's completion at instant at. The
-// default form schedules it on the device's engine (CompleteAtTagged);
-// the sharded form carries it across the shard boundary (CompleteVia)
-// with the same tag and the decision instant as the tie-break key, which
-// is what makes the two runs place it identically in the engine's
-// (deadline, key, tag, seq) total order.
-type completeFunc func(req *mem.Request, at sim.Time)
 
 // Expander is the device model; it implements mem.Backend. Device-side
 // transactions come from the expander's own request pool: each host access
@@ -105,9 +96,6 @@ type Expander struct {
 	readDoneFn  mem.DoneFunc
 	writeDoneFn mem.DoneFunc
 
-	tag      int32
-	complete completeFunc
-
 	txFree sim.Time
 	rxFree sim.Time
 }
@@ -117,32 +105,11 @@ func New(eng *sim.Engine, cfg Config) *Expander {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	e := &Expander{eng: eng, cfg: cfg, ddr: dram.New(eng, cfg.DDR), pool: mem.NewRequestPool(), tag: DevTagBase}
+	e := &Expander{eng: eng, cfg: cfg, ddr: dram.New(eng, cfg.DDR), pool: mem.NewRequestPool()}
 	e.readDoneFn = e.readDone
 	e.writeDoneFn = e.writeDone
-	e.complete = func(req *mem.Request, at sim.Time) { req.CompleteAtTagged(e.eng, at, e.tag) }
 	return e
 }
-
-// SetTag assigns the expander's completion-entity tag (default
-// DevTagBase). Topologies with several devices on one host engine give
-// each a distinct tag so equal-instant completions keep a deterministic
-// order; set it before the first access, and use the same tag in the
-// sharded and unsharded legs of any comparison.
-func (e *Expander) SetTag(tag int32) { e.tag = tag }
-
-// MinLookahead is the expander's decision-to-completion slack: every
-// completion is committed (readDone/writeDone) at least one link
-// propagation before the instant it completes at, so a shard hosting the
-// expander can promise its sends arrive ≥ PropagationOneWay after its
-// clock.
-func (e *Expander) MinLookahead() sim.Time { return e.cfg.PropagationOneWay }
-
-func (e *Expander) setComplete(fn completeFunc) { e.complete = fn }
-func (e *Expander) completionTag() int32        { return e.tag }
-
-// Config reports the expander configuration.
-func (e *Expander) Config() Config { return e.cfg }
 
 // occupyTx reserves the host→device direction for n bytes and returns the
 // completion time of the transfer.
@@ -194,14 +161,14 @@ func (e *Expander) Access(req *mem.Request) {
 func (e *Expander) readDone(ddrDone sim.Time, inner *mem.Request) {
 	host := inner.Parent
 	rxDone := e.occupyRx(ddrDone, host.Bytes()+e.cfg.HeaderBytes)
-	e.complete(host, rxDone+e.cfg.PropagationOneWay)
+	host.CompleteAtTagged(e.eng, rxDone+e.cfg.PropagationOneWay, DevTagBase)
 }
 
 // writeDone completes a device-side write: the completion flit rides RX.
 func (e *Expander) writeDone(ddrDone sim.Time, inner *mem.Request) {
 	host := inner.Parent
 	rxDone := e.occupyRx(ddrDone, e.cfg.HeaderBytes)
-	e.complete(host, rxDone+e.cfg.PropagationOneWay)
+	host.CompleteAtTagged(e.eng, rxDone+e.cfg.PropagationOneWay, DevTagBase)
 }
 
 var _ mem.Backend = (*Expander)(nil)

@@ -1,7 +1,7 @@
 package cxl
 
 import (
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +24,7 @@ type SweepOptions struct {
 	// Warmup and Measure window durations.
 	Warmup  sim.Time
 	Measure sim.Time
-	// Parallelism bounds concurrent points.
+	// Parallelism bounds concurrent points. Default: GOMAXPROCS.
 	Parallelism int
 }
 
@@ -45,7 +45,7 @@ func (o *SweepOptions) withDefaults(maxGBs float64) SweepOptions {
 		out.Measure = 60 * sim.Microsecond
 	}
 	if out.Parallelism == 0 {
-		out.Parallelism = 8
+		out.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return out
 }
@@ -59,7 +59,7 @@ func (o *SweepOptions) withDefaults(maxGBs float64) SweepOptions {
 func MeasureFamily(makeBackend mem.BackendFactory, label string, theoreticalGBs float64, opt SweepOptions) *core.Family {
 	o := opt.withDefaults(theoreticalGBs)
 	nr := len(o.RatesGBs)
-	points := make([]devicePoint, len(o.WriteFractions)*nr) // by wfIdx*nr + rateIdx
+	points := make([]core.Measured, len(o.WriteFractions)*nr) // by wfIdx*nr + rateIdx
 	workers := o.Parallelism
 	if workers < 1 {
 		workers = 1 // a nonsensical Parallelism must not skip the sweep
@@ -85,42 +85,21 @@ func MeasureFamily(makeBackend mem.BackendFactory, label string, theoreticalGBs 
 	}
 	wg.Wait()
 
-	fam := &core.Family{Label: label, TheoreticalBW: theoreticalGBs}
-	for wi := range o.WriteFractions {
-		var pts []core.Point
-		var ratioSum float64
-		for ri := range o.RatesGBs {
-			p := points[wi*nr+ri]
-			if p.lat <= 0 {
-				continue
+	mixes := make([][]core.Measured, len(o.WriteFractions))
+	for wi := range mixes {
+		for _, p := range points[wi*nr : (wi+1)*nr] {
+			if p.Latency > 0 { // 0: the probe recorded nothing
+				mixes[wi] = append(mixes[wi], p)
 			}
-			pts = append(pts, core.Point{BW: p.bw, Latency: p.lat})
-			ratioSum += p.ratio
 		}
-		// Average the ratio over the points actually summed, before
-		// SanitizePoints prunes any: dividing by the sanitized count
-		// pushed the ratio outside [0,1] whenever pruning occurred.
-		measured := len(pts)
-		pts = core.SanitizePoints(pts)
-		if len(pts) < 2 {
-			continue
-		}
-		fam.Curves = append(fam.Curves, core.Curve{
-			ReadRatio: ratioSum / float64(measured),
-			Points:    pts,
-		})
 	}
-	sort.Slice(fam.Curves, func(i, j int) bool { return fam.Curves[i].ReadRatio < fam.Curves[j].ReadRatio })
-	return fam
+	return core.MeasuredFamily(label, theoreticalGBs, nil, mixes)
 }
 
-// devicePoint is one measured point: achieved bandwidth (GB/s), probe
-// latency (ns; 0 when the probe recorded nothing) and read ratio.
-type devicePoint struct{ bw, lat, ratio float64 }
-
 // measureDevicePoint injects `rate` GB/s with the given write fraction on
-// the caller's engine and pool, new or left over from an earlier point.
-func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.BackendFactory, writeFrac, rate float64, o SweepOptions) devicePoint {
+// the caller's engine and pool, new or left over from an earlier point. The
+// point's latency is 0 when the probe recorded nothing.
+func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.BackendFactory, writeFrac, rate float64, o SweepOptions) core.Measured {
 	eng.Reset()
 	pool.Reset()
 	backend := makeBackend(eng)
@@ -197,9 +176,9 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 	c1 := counting.Snapshot()
 
 	delta := c1.Sub(c0)
-	p := devicePoint{bw: delta.BandwidthGBs(o.Measure), ratio: delta.ReadRatio()}
+	p := core.Measured{Point: core.Point{BW: delta.BandwidthGBs(o.Measure)}, ReadRatio: delta.ReadRatio()}
 	if probeN > 0 {
-		p.lat = (probeLatSum / sim.Time(probeN)).Nanoseconds()
+		p.Latency = (probeLatSum / sim.Time(probeN)).Nanoseconds()
 	}
 	return p
 }

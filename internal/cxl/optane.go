@@ -26,9 +26,6 @@ type Optane struct {
 	eng *sim.Engine
 	cfg OptaneConfig
 
-	tag      int32
-	complete completeFunc
-
 	readFree  sim.Time
 	writeFree sim.Time
 }
@@ -62,31 +59,8 @@ func NewOptane(eng *sim.Engine, cfg OptaneConfig) *Optane {
 	if cfg.Modules <= 0 {
 		cfg.Modules = 1
 	}
-	o := &Optane{eng: eng, cfg: cfg, tag: DevTagBase}
-	o.complete = func(req *mem.Request, at sim.Time) { req.CompleteAtTagged(o.eng, at, o.tag) }
-	return o
+	return &Optane{eng: eng, cfg: cfg}
 }
-
-// SetTag assigns the completion-entity tag (default DevTagBase); see
-// Expander.SetTag.
-func (o *Optane) SetTag(tag int32) { o.tag = tag }
-
-// MinLookahead is the decision-to-completion slack: Access commits each
-// completion no less than the relevant module latency before it lands —
-// start ≥ now, so writes land ≥ WriteLatency and reads ≥ ReadLatency
-// after the deciding instant.
-func (o *Optane) MinLookahead() sim.Time {
-	if o.cfg.WriteLatency < o.cfg.ReadLatency {
-		return o.cfg.WriteLatency
-	}
-	return o.cfg.ReadLatency
-}
-
-func (o *Optane) setComplete(fn completeFunc) { o.complete = fn }
-func (o *Optane) completionTag() int32        { return o.tag }
-
-// MaxReadGBs reports the aggregate sustained read bandwidth.
-func (o *Optane) MaxReadGBs() float64 { return o.cfg.ReadGBs * float64(o.cfg.Modules) }
 
 // Access implements mem.Backend. Reads and writes occupy separate internal
 // engines (the module pipelines them independently up to their asymmetric
@@ -98,7 +72,7 @@ func (o *Optane) Access(req *mem.Request) {
 		svc := sim.FromNanoseconds(bytes / (o.cfg.WriteGBs * float64(o.cfg.Modules)))
 		start := maxT(now, o.writeFree)
 		o.writeFree = start + svc
-		o.complete(req, start+o.cfg.WriteLatency)
+		req.CompleteAtTagged(o.eng, start+o.cfg.WriteLatency, DevTagBase)
 		return
 	}
 	svc := sim.FromNanoseconds(bytes / (o.cfg.ReadGBs * float64(o.cfg.Modules)))
@@ -108,7 +82,7 @@ func (o *Optane) Access(req *mem.Request) {
 		start += o.cfg.WriteStall
 	}
 	o.readFree = start + svc
-	o.complete(req, start+svc+o.cfg.ReadLatency)
+	req.CompleteAtTagged(o.eng, start+svc+o.cfg.ReadLatency, DevTagBase)
 }
 
 func maxT(a, b sim.Time) sim.Time {

@@ -18,12 +18,8 @@ type RemoteSocket struct {
 	eng    *sim.Engine
 	hop    sim.Time
 	ddr    *dram.System
-	peak   float64
 	pool   *mem.RequestPool
 	doneFn mem.DoneFunc
-
-	tag      int32
-	complete completeFunc
 }
 
 // RemoteSocketConfig parameterizes the emulation.
@@ -55,28 +51,11 @@ func NewRemoteSocket(eng *sim.Engine, cfg RemoteSocketConfig) *RemoteSocket {
 		eng:  eng,
 		hop:  cfg.HopOneWay,
 		ddr:  dram.New(eng, cfg.DDR),
-		peak: cfg.DDR.PeakBandwidthGBs(),
 		pool: mem.NewRequestPool(),
-		tag:  DevTagBase,
 	}
 	r.doneFn = r.remoteDone
-	r.complete = func(req *mem.Request, at sim.Time) { req.CompleteAtTagged(r.eng, at, r.tag) }
 	return r
 }
-
-// SetTag assigns the completion-entity tag (default DevTagBase); see
-// Expander.SetTag.
-func (r *RemoteSocket) SetTag(tag int32) { r.tag = tag }
-
-// MinLookahead is the decision-to-completion slack: remoteDone commits
-// each completion exactly one inter-socket hop before it lands.
-func (r *RemoteSocket) MinLookahead() sim.Time { return r.hop }
-
-func (r *RemoteSocket) setComplete(fn completeFunc) { r.complete = fn }
-func (r *RemoteSocket) completionTag() int32        { return r.tag }
-
-// PeakBandwidthGBs reports the remote memory's theoretical bandwidth.
-func (r *RemoteSocket) PeakBandwidthGBs() float64 { return r.peak }
 
 // Access implements mem.Backend: a hop out, the remote DDR access, a hop
 // back. The socket-side transaction is a pooled inner request linked to
@@ -90,7 +69,7 @@ func (r *RemoteSocket) Access(req *mem.Request) {
 
 // remoteDone completes the host request one hop after the remote DDR does.
 func (r *RemoteSocket) remoteDone(ddrDone sim.Time, inner *mem.Request) {
-	r.complete(inner.Parent, ddrDone+r.hop)
+	inner.Parent.CompleteAtTagged(r.eng, ddrDone+r.hop, DevTagBase)
 }
 
 // RemoteSocketFamily measures the remote-socket emulation's curves with the

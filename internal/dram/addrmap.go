@@ -124,15 +124,3 @@ func (m Mapper) BankRow(addr uint64) (bank int, row int64) {
 	l := m.Map(addr)
 	return (l.Channel*m.Ranks+l.Rank)*m.Banks + l.Bank, l.Row
 }
-
-// Unmap is the inverse of Map for non-XOR mappings; it reconstructs the
-// lowest address of the line at the location. It exists to support
-// property-based testing of bijectivity.
-func (m Mapper) Unmap(l Loc) uint64 {
-	line := uint64(l.Row)
-	line = line*uint64(m.Ranks) + uint64(l.Rank)
-	line = line*uint64(m.Banks) + uint64(l.Bank)
-	line = line*uint64(m.LinesPerRow) + uint64(l.Col)
-	line = line*uint64(m.Channels) + uint64(l.Channel)
-	return line * mem.LineSize
-}

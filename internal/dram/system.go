@@ -43,9 +43,6 @@ func (s *System) Reset() {
 	}
 }
 
-// Config reports the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // PeakBandwidthGBs reports the theoretical maximum bandwidth.
 func (s *System) PeakBandwidthGBs() float64 { return s.cfg.PeakBandwidthGBs() }
 

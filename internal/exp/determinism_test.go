@@ -11,12 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
-	"github.com/mess-sim/mess/internal/cxl"
-	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/platform"
-	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
@@ -265,64 +261,6 @@ func TestTelemetryEnabledDeterminism(t *testing.T) {
 	}
 	if snap := shardedSet.Metrics.Snapshot(); snap["mess_sim_windows_total"] == 0 {
 		t.Error("mess_sim_windows_total stayed 0 on a sharded sweep")
-	}
-}
-
-// cxlCharacterizationCSV characterizes the Quick-scaled Skylake host
-// against a CXL expander backend and returns the family's CSV bytes.
-// With shards ≥ 2 the expander (and its device-side DDR system) runs on
-// its own shard engine via Options.ShardedBackend; otherwise it shares
-// the host's single engine.
-func cxlCharacterizationCSV(t *testing.T, shards int) []byte {
-	t.Helper()
-	spec := scaleSpec(platform.Skylake(), Quick)
-	cfg := cxl.Default()
-	opt := benchOptions(Quick)
-	opt.Parallelism = 2
-	// The sharded leg is necessarily timed (issues cross shards with the
-	// hop as delivery delay), and a timed hand-off accounts traffic at
-	// send. Wrapping the single-engine expander in TimedOn makes the
-	// reference leg timed too, so both legs count in-flight requests at
-	// the same instant at the measurement-window boundaries.
-	opt.Backend = func(eng *sim.Engine) mem.Backend {
-		return &mem.TimedOn{Eng: eng, Inner: cxl.New(eng, cfg)}
-	}
-	if shards >= 2 {
-		opt.Shards = shards
-		hop := spec.CacheConfig().OnChipLatency / 2
-		opt.ShardedBackend = func(group *sim.ShardGroup) mem.TimedBackend {
-			dev, _ := cxl.NewShardedExpander(group, 0, 1, cfg, hop)
-			return dev
-		}
-	}
-	res, err := bench.Run(spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Family.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestCXLShardedCharacterizationDeterminism extends the bit-exactness
-// gate to device shards: a whole characterization sweep against a CXL
-// expander running on its own shard engine (through the
-// Options.ShardedBackend seam) must land on the same release CSV, byte
-// for byte, as the single-engine run — including with a third, idle
-// shard, which under per-pair horizons places no bound on the others.
-func TestCXLShardedCharacterizationDeterminism(t *testing.T) {
-	base := cxlCharacterizationCSV(t, 0)
-	if len(base) == 0 {
-		t.Fatal("CXL characterization produced no CSV output")
-	}
-	for _, shards := range []int{2, 3} {
-		got := cxlCharacterizationCSV(t, shards)
-		if !bytes.Equal(base, got) {
-			t.Errorf("shards=%d: CXL release CSV differs from the unsharded run:\nunsharded:\n%s\nsharded:\n%s",
-				shards, base, got)
-		}
 	}
 }
 

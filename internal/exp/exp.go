@@ -19,7 +19,6 @@ import (
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/sim"
-	"github.com/mess-sim/mess/internal/telemetry"
 	"github.com/mess-sim/mess/internal/workloads"
 )
 
@@ -173,13 +172,6 @@ func (env *Env) Context() context.Context {
 	}
 	return context.Background()
 }
-
-// Telemetry resolves the environment's observability bundle — the one its
-// characterization service carries (nil when the service is
-// uninstrumented). Experiment drivers use it to put experiment-lifecycle
-// spans and log lines in the same trace and stream as the sweeps the
-// service runs on their behalf.
-func (env *Env) Telemetry() *telemetry.Set { return env.Charz.Telemetry() }
 
 // reference returns the platform's measured reference family — the curves
 // of the detailed DRAM model standing in for "actual hardware" — via the

@@ -251,35 +251,18 @@ func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*c
 
 	fams := make([]*core.Family, len(replicas))
 	for t := range replicas {
-		fam := &core.Family{
-			Label:         spec.Name,
-			TheoreticalBW: spec.TheoreticalBandwidthGBs(),
-		}
-		for m := range opt.Mixes {
-			var pts []core.Point
-			var ratioSum float64
+		mixes := make([][]core.Measured, len(opt.Mixes))
+		for m := range mixes {
 			for p := paces - 1; p >= 0; p-- { // ascending pressure
 				if replays[m*paces+p] == nil {
 					continue
 				}
-				rep := replays[m*paces+p][t]
-				if rep.Reads == 0 {
-					continue
+				if rep := replays[m*paces+p][t]; rep.Reads > 0 {
+					mixes[m] = append(mixes[m], core.Measured{Point: core.Point{BW: rep.BWGBs, Latency: rep.ReadLatNs}, ReadRatio: rep.ReadRatio})
 				}
-				pts = append(pts, core.Point{BW: rep.BWGBs, Latency: rep.ReadLatNs})
-				ratioSum += rep.ReadRatio
 			}
-			// The mean is over the points summed, not over what
-			// SanitizePoints leaves of them (see cxl.MeasureFamily).
-			measured := len(pts)
-			pts = core.SanitizePoints(pts)
-			if len(pts) < 2 {
-				continue
-			}
-			fam.Curves = append(fam.Curves, core.Curve{ReadRatio: ratioSum / float64(measured), Points: pts})
 		}
-		fam.Sort()
-		fams[t] = fam
+		fams[t] = core.MeasuredFamily(spec.Name, spec.TheoreticalBandwidthGBs(), nil, mixes)
 	}
 	return fams, actual.Metrics().SatBWHighGBs, nil
 }

@@ -154,12 +154,6 @@ type ClosedLoopDriver struct {
 	target    int
 }
 
-// NewClosedLoop builds a driver over the backend running the reference
-// pattern.
-func NewClosedLoop(eng *sim.Engine, backend mem.Backend) *ClosedLoopDriver {
-	return NewClosedLoopPattern(eng, backend, PatternReference)
-}
-
 // NewClosedLoopPattern builds a driver running the given pattern.
 func NewClosedLoopPattern(eng *sim.Engine, backend mem.Backend, pattern LoopPattern) *ClosedLoopDriver {
 	d := &ClosedLoopDriver{
@@ -246,14 +240,6 @@ func (d *ClosedLoopDriver) Run(n int) {
 	}
 }
 
-// Completed reports total requests completed across all runs.
-func (d *ClosedLoopDriver) Completed() int { return d.completed }
-
 // Pool exposes the driver's request pool (tests assert Live() == 0 after a
 // drained run).
 func (d *ClosedLoopDriver) Pool() *mem.RequestPool { return d.pool }
-
-// ClosedLoop is the one-shot form: n requests on a fresh driver.
-func ClosedLoop(eng *sim.Engine, backend mem.Backend, n int) {
-	NewClosedLoop(eng, backend).Run(n)
-}

@@ -40,6 +40,59 @@
 // identically — Steps(), Now() and every callback interleaving match. The
 // wheel is an internal routing layer only; it never reorders events with
 // respect to the (at, seq) total order the original heap implemented.
+//
+// # Sharded engine
+//
+// ShardGroup is conservative-PDES parallelism inside a single sweep point,
+// layered on the kernel without changing any model code path; its type
+// documentation gives the window computation. The contract around it:
+//
+//   - Lookahead is a matrix, not a scalar. Every src→dst pair carries its
+//     own bound, declared with SetLookahead (SetLookaheadOut for one-to-all)
+//     and at least 1. Undeclared pairs are InfLookahead: Send panics, and
+//     the pair places no bound on either window, so on an 8-channel point
+//     only the 2(n−1) home edges constrain windows. A Send must satisfy
+//     at ≥ now(src) + look[src][dst], asserted at send and at delivery, so no
+//     shard ever receives an event in its past.
+//   - Who declares what: dram.Sharded declares Timing.Burst out of each
+//     channel shard; bench declares the cache's outbound hop
+//     (OnChipLatency/2) out of the home shard for every point.
+//     Declarations survive Reset.
+//   - The barrier escalates spin (2¹² iterations) → Gosched (2⁶) → a channel
+//     park with a CAS-undo race guard, so idle shards on oversubscribed
+//     hosts block instead of burning a core. Stats reports windows, mean
+//     home-window width, messages, spin/yield/park counts and per-shard busy
+//     fractions; like every aggregate surface (dram Counters, RowStats,
+//     ObservedReadLatency) it is read at quiescence only. Reset clears
+//     engines, outboxes and stats for reuse; use after Close and lookahead
+//     misuse panic.
+//   - Determinism is bit-exact. The engine's total order is (deadline, key,
+//     tag, seq): key is the schedule instant (the sender's clock for a
+//     cross-shard send), tag names the scheduling entity (0 home, channel i
+//     = i+1, device models cxl.DevTagBase), and same-entity ties fall back
+//     to seq, which matches the single-engine order inductively. Sharding
+//     is therefore execution-only: bench.Options.Shards is cleared by
+//     Normalized (sharded and unsharded runs share charz entries; below 2 is
+//     the single-engine path, as is any custom Backend). Gates:
+//     exp.TestShardedCharacterizationDeterminism (release CSVs identical
+//     across sharded-4, sharded-2, repeated and NoCompBatch legs), the dram
+//     sharded tests (completion traces against the single-engine reference
+//     for 2–4 shards and six random channel→shard assignments), and
+//     bench.TestRigReuseMatchesFresh, all under -race in CI.
+//   - Each engine's mem.RequestPool stays single-goroutine: requests cross
+//     shards only as prebuilt closures through the outboxes
+//     (Request.SendVia/CompleteVia) and the home shard frees every request.
+//   - A timed hand-off counts a request as in flight at send, not delivery;
+//     when comparing an unsharded leg with a sharded one make the unsharded
+//     leg timed too (mem.TimedOn), or boundary-straddling requests are
+//     accounted differently. The charz fingerprint is versioned (charz/v3)
+//     for this semantics.
+//   - Knobs: exp.Env.Shards, messexp/messsim -shards, messperf -shards
+//     (0 = auto: min(GOMAXPROCS, channels+1); 1 = skip). The messperf rows
+//     model/dram_sharded, framework/fig2_quick_sharded and
+//     framework/fig{2,4}_point_sharded carry gomaxprocs and the barrier
+//     stats; the gate skips a row whose gomaxprocs differs from the
+//     baseline's.
 package sim
 
 import "math/bits"
@@ -49,7 +102,6 @@ type Time int64
 
 // Common time units, expressed in the picosecond base.
 const (
-	Picosecond  Time = 1
 	Nanosecond  Time = 1000
 	Microsecond Time = 1000 * 1000
 	Millisecond Time = 1000 * 1000 * 1000

@@ -103,7 +103,7 @@ func TestTimeConversions(t *testing.T) {
 	if Second.Seconds() != 1 {
 		t.Fatal("Second != 1 s")
 	}
-	if FromNanoseconds(3.5) != 3500*Picosecond {
+	if FromNanoseconds(3.5) != 3500 {
 		t.Fatalf("FromNanoseconds(3.5) = %d", FromNanoseconds(3.5))
 	}
 }

@@ -231,27 +231,13 @@ func (g *ShardGroup) SetLookahead(src, dst int, l Time) {
 }
 
 // SetLookaheadOut declares every outbound edge of src at once — the
-// common shape for the home shard, which talks to every device shard
+// common shape for the home shard, which talks to every channel shard
 // with the same minimum hop.
 func (g *ShardGroup) SetLookaheadOut(src int, l Time) {
 	for dst := range g.engines {
 		if dst != src {
 			g.SetLookahead(src, dst, l)
 		}
-	}
-}
-
-// Lookahead reports the declared src→dst lookahead (InfLookahead when
-// the pair has no edge).
-func (g *ShardGroup) Lookahead(src, dst int) Time { return g.look[src][dst] }
-
-// TightenLookahead declares the src→dst edge at l unless an equal or
-// tighter bound already stands — the order-independent form components
-// sharing a shard (or a declaration site) use, since the edge must carry
-// the minimum of every resident's bound.
-func (g *ShardGroup) TightenLookahead(src, dst int, l Time) {
-	if cur := g.look[src][dst]; cur == InfLookahead || l < cur {
-		g.SetLookahead(src, dst, l)
 	}
 }
 

@@ -82,7 +82,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tr *Tracer
 	tr.Span(Track{}, "x", 0, 1)
-	tr.Instant(Track{}, "x", 0)
 	tr.Begin(Track{}, "x").End()
 	if tr.Events() != 0 || tr.Dropped() != 0 || tr.Now() != 0 {
 		t.Fatalf("nil tracer must be inert")

@@ -9,11 +9,10 @@ import (
 	"time"
 )
 
-// Tracer records spans and instant events and exports them as Chrome
-// trace_event JSON — the format chrome://tracing and Perfetto load — so
-// "where does the time inside a run go" becomes a timeline instead of a
-// guess. Two time domains coexist in one trace, separated by process
-// track:
+// Tracer records spans and exports them as Chrome trace_event JSON — the
+// format chrome://tracing and Perfetto load — so "where does the time
+// inside a run go" becomes a timeline instead of a guess. Two time domains
+// coexist in one trace, separated by process track:
 //
 //   - wall-clock tracks (charz fills, bench sweep points, trace-replay
 //     phases) timestamp events with the tracer's monotonic clock;
@@ -46,10 +45,9 @@ type process struct {
 }
 
 type traceEvent struct {
-	ph    byte // 'X' complete, 'i' instant
 	track Track
 	ts    int64 // ns (wall since epoch, or sim time)
-	dur   int64 // ns, complete events only
+	dur   int64 // ns
 	name  string
 	args  []Arg
 	seq   uint64
@@ -175,15 +173,7 @@ func (t *Tracer) Span(tr Track, name string, startNs, durNs int64, args ...Arg) 
 	if t == nil {
 		return
 	}
-	t.record(traceEvent{ph: 'X', track: tr, ts: startNs, dur: durNs, name: name, args: args})
-}
-
-// Instant records a zero-duration marker.
-func (t *Tracer) Instant(tr Track, name string, tsNs int64, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.record(traceEvent{ph: 'i', track: tr, ts: tsNs, name: name, args: args})
+	t.record(traceEvent{track: tr, ts: startNs, dur: durNs, name: name, args: args})
 }
 
 // SpanTimer is an in-progress wall-clock span started by Begin.
@@ -302,21 +292,14 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	for i := range events {
 		ev := &events[i]
 		comma()
-		bw.WriteString(`{"ph":"`)
-		bw.WriteByte(ev.ph)
-		bw.WriteString(`","pid":`)
+		bw.WriteString(`{"ph":"X","pid":`)
 		bw.WriteString(strconv.Itoa(int(ev.track.pid)))
 		bw.WriteString(`,"tid":`)
 		bw.WriteString(strconv.Itoa(int(ev.track.tid)))
 		bw.WriteString(`,"ts":`)
 		writeMicros(bw, ev.ts)
-		if ev.ph == 'X' {
-			bw.WriteString(`,"dur":`)
-			writeMicros(bw, ev.dur)
-		}
-		if ev.ph == 'i' {
-			bw.WriteString(`,"s":"t"`)
-		}
+		bw.WriteString(`,"dur":`)
+		writeMicros(bw, ev.dur)
 		bw.WriteString(`,"name":`)
 		writeJSONString(bw, ev.name)
 		if len(ev.args) > 0 {

@@ -14,8 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // buildGoldenTrace records a fixed event sequence against a fake clock,
 // exercising both time domains (wall tracks via Begin/End, a sim-time
-// track via explicit Span timestamps), args of every type, instants, and
-// escaping.
+// track via explicit Span timestamps), args of every type, and escaping.
 func buildGoldenTrace() *Tracer {
 	tr := NewTracer()
 	now := int64(0)
@@ -29,7 +28,6 @@ func buildGoldenTrace() *Tracer {
 	tr.Span(bench, "sweep-point", 2000, 750,
 		String("pattern", `seq "quoted"`), Int("events", 12345), Float("mlp", 3.5))
 	sp.End(String("key", "fig2/0"), Int("tiers", 3))
-	tr.Instant(bench, "barrier", 4100, Int("epoch", 7))
 	// Sim-domain spans: timestamps are simulated ns, unrelated to the
 	// wall clock above.
 	tr.Span(simT, "window", 0, 50000, Int("messages", 9))
@@ -86,7 +84,7 @@ func TestWriteChromeIsValidTraceEventJSON(t *testing.T) {
 	if doc.DisplayTimeUnit != "ns" {
 		t.Fatalf("displayTimeUnit = %q, want ns", doc.DisplayTimeUnit)
 	}
-	var meta, complete, instant int
+	var meta, complete int
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -96,8 +94,6 @@ func TestWriteChromeIsValidTraceEventJSON(t *testing.T) {
 			if ev.Dur <= 0 {
 				t.Errorf("complete event %q has dur %v", ev.Name, ev.Dur)
 			}
-		case "i":
-			instant++
 		default:
 			t.Errorf("unexpected phase %q", ev.Ph)
 		}
@@ -105,9 +101,9 @@ func TestWriteChromeIsValidTraceEventJSON(t *testing.T) {
 			t.Errorf("event %q has pid %d", ev.Name, ev.Pid)
 		}
 	}
-	// 3 process_name + 3 thread_name metadata, 4 spans, 1 instant.
-	if meta != 6 || complete != 4 || instant != 1 {
-		t.Fatalf("event mix meta=%d complete=%d instant=%d, want 6/4/1", meta, complete, instant)
+	// 3 process_name + 3 thread_name metadata, 4 spans.
+	if meta != 6 || complete != 4 {
+		t.Fatalf("event mix meta=%d complete=%d, want 6/4", meta, complete)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package workloads implements the benchmark programs of the paper's
 // evaluation as instruction-mix kernels on the simulated cores: the four
-// STREAM kernels, LMbench lat_mem_rd, Google multichase, GUPS, an HPCG
+// STREAM kernels, LMbench lat_mem_rd, Google multichase, an HPCG
 // proxy with its MPI phase structure, and a 26-entry SPEC-CPU2006-like
 // synthetic suite. Workloads run multiprogrammed (one copy per core, as the
 // paper runs them) over any memory backend, and report IPC, application-
@@ -181,12 +181,6 @@ func runSuite(spec platform.Spec, opt Options, jobs []suiteJob) ([]Result, error
 // Copy, Scale, Add, Triad order.
 func StreamSuite(spec platform.Spec, opt Options) ([]Result, error) {
 	return runSuite(spec, opt, streamJobs)
-}
-
-// LatencySuite runs the latency benchmarks (LMbench, multichase) on a
-// single core, as they are run in practice.
-func LatencySuite(spec platform.Spec, opt Options) ([]Result, error) {
-	return runSuite(spec, opt, latencyJobs)
 }
 
 // EvalSuite returns the six benchmarks of the paper's IPC-error experiments
