@@ -30,16 +30,12 @@ import (
 
 func main() {
 	var (
-		name     = flag.String("platform", "Intel Skylake", "platform to characterize (see -list)")
-		list     = flag.Bool("list", false, "list available platforms and exit")
-		full     = flag.Bool("full", false, "run the full sweep (dense mixes and pacing; slower)")
-		out      = flag.String("out", "", "write the curve family as CSV to this file")
-		cacheDir = flag.String("cache-dir", "", "persist curve families under this directory")
-		cacheMax = flag.Int("cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
-		cacheURL = flag.String("cache-url", "", cli.CurveURLUsage)
-		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
+		name = flag.String("platform", "Intel Skylake", "platform to characterize (see -list)")
+		list = flag.Bool("list", false, "list available platforms and exit")
+		full = flag.Bool("full", false, "run the full sweep (dense mixes and pacing; slower)")
+		out  = flag.String("out", "", "write the curve family as CSV to this file")
 	)
-	tel := cli.TelemetryFlags()
+	cache, tel := cli.CacheFlags(), cli.TelemetryFlags()
 	flag.Parse()
 
 	if *list {
@@ -55,9 +51,9 @@ func main() {
 		opt = bench.Options{}
 	}
 
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cache.Context()
 	defer stop()
-	svc := cli.Service(*cacheDir, *cacheMax, *cacheURL, tel.Set())
+	svc := cache.Service(tel.Set())
 	fmt.Printf("characterizing %s ...\n", spec.String())
 	start := time.Now()
 	art, err := svc.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: opt})

@@ -31,17 +31,13 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "", "experiment id (fig2 … fig18, table1, tablespeed, openpiton-bug) or \"all\"")
-		scale    = flag.String("scale", "quick", "quick (scaled platforms, coarse sweeps) or full (paper configurations)")
-		outdir   = flag.String("outdir", "", "also write each report to <outdir>/<id>.txt")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		cacheDir = flag.String("cache-dir", "", "persist curve families under this directory")
-		cacheMax = flag.Int("cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
-		cacheURL = flag.String("cache-url", "", cli.CurveURLUsage)
-		shards   = flag.Int("shards", 0, "engines per measurement point for every characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
-		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
+		run    = flag.String("run", "", "experiment id (fig2 … fig18, table1, tablespeed, openpiton-bug) or \"all\"")
+		scale  = flag.String("scale", "quick", "quick (scaled platforms, coarse sweeps) or full (paper configurations)")
+		outdir = flag.String("outdir", "", "also write each report to <outdir>/<id>.txt")
+		list   = flag.Bool("list", false, "list experiments and exit")
+		shards = flag.Int("shards", 0, "engines per measurement point for every characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
 	)
-	tel := cli.TelemetryFlags().WithTrace()
+	cache, tel := cli.CacheFlags(), cli.TelemetryFlags().WithTrace()
 	flag.Parse()
 
 	if *list || *run == "" {
@@ -72,9 +68,9 @@ func main() {
 		}
 	}
 
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cache.Context()
 	defer stop()
-	svc := cli.Service(*cacheDir, *cacheMax, *cacheURL, tel.Set())
+	svc := cache.Service(tel.Set())
 	env := exp.NewEnv(s, svc)
 	env.Ctx = ctx
 	env.Shards = *shards

@@ -80,6 +80,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -99,7 +100,6 @@ import (
 	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
-	"github.com/mess-sim/mess/internal/messsim"
 	"github.com/mess-sim/mess/internal/perfload"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
@@ -246,6 +246,15 @@ func modelThroughput(name string, n int, pattern perfload.LoopPattern, mk func(e
 // warmup is how many requests a closed loop runs unmeasured before a
 // measurement of n.
 func warmup(n int) int { return min(n/4, 50_000) }
+
+// mustFactory resolves a model kind or exits: the kinds here are literals.
+func mustFactory(kind memmodel.Kind, spec platform.Spec, fam *core.Family) mem.BackendFactory {
+	mk, err := memmodel.Factory(kind, spec, fam)
+	if err != nil {
+		cli.Fatal(err)
+	}
+	return mk
+}
 
 // gate compares fresh results against a baseline artifact and fails on two
 // kinds of regression:
@@ -433,13 +442,7 @@ func main() {
 	// defeating random walk (row-miss-dominated) and a 2:1 read/write mix
 	// (write-queue drains) — the scheduler regressions each can hide from
 	// the others.
-	mkReference := func(eng *sim.Engine) mem.Backend {
-		m, err := memmodel.New(memmodel.KindReference, eng, platform.Skylake(), nil)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		return m
-	}
+	mkReference := mustFactory(memmodel.KindReference, platform.Skylake(), nil)
 	modelBest := func(name string, pattern perfload.LoopPattern, mk func(eng *sim.Engine) mem.Backend) {
 		add(best(func() Result { return modelThroughput(name, *modelEvents, pattern, mk) }))
 	}
@@ -513,9 +516,9 @@ func main() {
 			fam = art.Family
 		})
 	}))
-	modelBest("model/mess_simulator", perfload.PatternReference, func(eng *sim.Engine) mem.Backend {
-		return messsim.New(eng, messsim.Config{Family: fam})
-	})
+	// The closed loop has no CPU side, so no on-chip latency to subtract:
+	// the zero platform.
+	modelBest("model/mess_simulator", perfload.PatternReference, mustFactory(memmodel.KindMess, platform.Spec{}, fam))
 
 	if !*skipFig2 {
 		// fig2 runs the Quick experiment on a fresh service, every
@@ -596,22 +599,14 @@ func main() {
 	// next to the (noisy, trajectory-only) wall-clock columns.
 	if !*skipReplay {
 		topt := bench.QuickOptions()
-		topt.Mixes = []bench.Mix{{StorePercent: 40}}
-		topt.PacesNs = []float64{16}
-		topt.Parallelism = 1
 		// Sampling pays off only when the trace holds many windows of a
 		// span long enough for queueing to reach steady state (~µs); the
 		// default Quick measure window would yield barely a dozen.
 		topt.Measure = 192 * sim.Microsecond
-		var cap *trace.Capture
-		topt.Backend = func(eng *sim.Engine) mem.Backend {
-			cap = trace.NewCapture(eng, dram.New(eng, point.DRAM), 400_000)
-			return cap
-		}
-		if _, err := bench.Run(point, topt); err != nil {
+		tr, _, err := trace.CapturePoint(context.Background(), point, topt, bench.Mix{StorePercent: 40}, 16, 400_000)
+		if err != nil {
 			cli.Fatal(err)
 		}
-		tr := &cap.T
 
 		// The same trace through the release text format, in memory: what
 		// messtrace -capture and -replay spend outside the simulation.
@@ -641,7 +636,7 @@ func main() {
 			return withMBPerSec(r, text.Len())
 		}))
 
-		mkReplay := func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, point) }
+		mkReplay := mustFactory(memmodel.KindDRAMsim3, point, nil)
 		var full trace.ReplayResult
 		add(best(func() Result {
 			return measure("framework/fig6_replay", len(tr.Records), func() {

@@ -27,7 +27,6 @@ import (
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
-	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/platform"
@@ -40,16 +39,12 @@ import (
 
 func main() {
 	var (
-		name     = flag.String("platform", "Intel Cascade Lake", "platform to profile on")
-		out      = flag.String("trace", "", "write the Paraver-flavoured trace to this file")
-		durUs    = flag.Int("duration-us", 2000, "simulated application duration in microseconds")
-		cacheDir = flag.String("cache-dir", "", "persist curve families under this directory")
-		cacheMax = flag.Int("cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
-		cacheURL = flag.String("cache-url", "", cli.CurveURLUsage)
-		replay   = flag.String("replay-trace", "", "profile this captured memory trace by behaviour-phase clustering instead of running the HPCG proxy")
-		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
+		name   = flag.String("platform", "Intel Cascade Lake", "platform to profile on")
+		out    = flag.String("trace", "", "write the Paraver-flavoured trace to this file")
+		durUs  = flag.Int("duration-us", 2000, "simulated application duration in microseconds")
+		replay = flag.String("replay-trace", "", "profile this captured memory trace by behaviour-phase clustering instead of running the HPCG proxy")
 	)
-	tel := cli.TelemetryFlags()
+	cache, tel := cli.CacheFlags(), cli.TelemetryFlags()
 	flag.Parse()
 
 	spec := cli.MustPlatform(*name)
@@ -59,9 +54,9 @@ func main() {
 		return
 	}
 
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cache.Context()
 	defer stop()
-	svc := cli.Service(*cacheDir, *cacheMax, *cacheURL, tel.Set())
+	svc := cache.Service(tel.Set())
 	fmt.Printf("characterizing %s for the profiling curves ...\n", spec.Name)
 	ref, err := svc.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: bench.QuickOptions()})
 	if err != nil {
@@ -70,16 +65,7 @@ func main() {
 
 	fmt.Println("running the HPCG proxy with the window sampler ...")
 	app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
-	sampler := profile.NewSampler(app.Eng, app.Counting, 10*sim.Microsecond)
-	sampler.Start()
-	app.Run(sim.Time(*durUs) * sim.Microsecond)
-	sampler.Stop()
-
-	var spans []profile.PhaseSpan
-	for _, e := range app.Events() {
-		spans = append(spans, profile.PhaseSpan{Name: e.Name, Start: e.Start, End: e.End, MPI: e.MPI})
-	}
-	p := profile.Build("HPCG proxy on "+spec.Name, ref.Family, sampler.Windows(), spans, core.DefaultStressWeights)
+	p := profile.Run(app, "HPCG proxy on "+spec.Name, ref.Family, sim.Time(*durUs)*sim.Microsecond)
 
 	m := ref.Family.Metrics()
 	fmt.Printf("\nprofile: %d windows; saturation onset %.0f GB/s\n", len(p.Samples), m.SatBWLowGBs)

@@ -17,38 +17,39 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
-	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
-	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/workloads"
 )
 
 func main() {
 	var (
-		name     = flag.String("platform", "Intel Skylake", "platform (CPU side) to evaluate under")
-		models   = flag.String("models", "fixed,md1,internal-ddr,dramsim3,ramulator,mess", "comma-separated model kinds")
-		ipc      = flag.Bool("ipc", false, "run the workload IPC-error evaluation instead of curves")
-		full     = flag.Bool("full", false, "use the full benchmark sweep")
-		cacheDir = flag.String("cache-dir", "", "persist curve families under this directory")
-		cacheMax = flag.Int("cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
-		cacheURL = flag.String("cache-url", "", cli.CurveURLUsage)
-		shards   = flag.Int("shards", 1, "engines per measurement point for the reference characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
-		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
+		name   = flag.String("platform", "Intel Skylake", "platform (CPU side) to evaluate under")
+		models = flag.String("models", "fixed,md1,internal-ddr,dramsim3,ramulator,mess", "comma-separated model kinds")
+		ipc    = flag.Bool("ipc", false, "run the workload IPC-error evaluation instead of curves")
+		full   = flag.Bool("full", false, "use the full benchmark sweep")
+		shards = flag.Int("shards", 1, "engines per measurement point for the reference characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
 	)
-	tel := cli.TelemetryFlags()
+	cache, tel := cli.CacheFlags(), cli.TelemetryFlags()
 	flag.Parse()
 
 	spec := cli.MustPlatform(*name)
+	// A misspelt kind ends the run here, not after the reference sweep; all
+	// the mess kind lacks is that sweep's curves, and it resolves with them.
+	kinds := parseKinds(*models)
+	for _, kind := range kinds {
+		if _, err := memmodel.Factory(kind, spec, nil); err != nil && kind != memmodel.KindMess {
+			cli.Fatal(err)
+		}
+	}
 
 	opt := bench.QuickOptions()
 	if *full {
@@ -56,19 +57,23 @@ func main() {
 	}
 	opt.Shards = *shards
 
-	ctx, stop := cli.Context(*timeout)
+	ctx, stop := cache.Context()
 	defer stop()
-	svc := cli.Service(*cacheDir, *cacheMax, *cacheURL, tel.Set())
+	svc := cache.Service(tel.Set())
 	fmt.Printf("reference characterization of %s ...\n", spec.Name)
 	refArt, err := svc.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: opt})
 	if err != nil {
 		cli.Fatal(err)
 	}
 	refFam := refArt.Family
-
-	kinds := parseKinds(*models)
+	mks := make([]mem.BackendFactory, len(kinds))
+	for i, kind := range kinds {
+		if mks[i], err = memmodel.Factory(kind, spec, refFam); err != nil {
+			cli.Fatal(err)
+		}
+	}
 	if *ipc {
-		runIPC(spec, refFam, kinds)
+		runIPC(spec, kinds, mks)
 		return
 	}
 
@@ -76,16 +81,9 @@ func main() {
 	if err := plot.CurveFamily(os.Stdout, refFam, 72, 18); err != nil {
 		cli.Fatal(err)
 	}
-	for _, kind := range kinds {
-		kind := kind
+	for i, kind := range kinds {
 		o := opt
-		o.Backend = func(eng *sim.Engine) mem.Backend {
-			m, err := memmodel.New(kind, eng, spec, refFam)
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}
+		o.Backend = mks[i]
 		art, err := svc.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: o, Tag: "model:" + string(kind)})
 		if err != nil {
 			cli.Fatal(err)
@@ -101,7 +99,7 @@ func main() {
 	cli.PrintStats(svc)
 }
 
-func runIPC(spec platform.Spec, refFam *core.Family, kinds []memmodel.Kind) {
+func runIPC(spec platform.Spec, kinds []memmodel.Kind, mks []mem.BackendFactory) {
 	refResults, err := workloads.EvalSuite(spec, workloads.Options{})
 	if err != nil {
 		cli.Fatal(err)
@@ -112,27 +110,17 @@ func runIPC(spec platform.Spec, refFam *core.Family, kinds []memmodel.Kind) {
 	}
 	header = append(header, "average")
 	var rows [][]string
-	for _, kind := range kinds {
-		kind := kind
-		o := workloads.Options{Backend: func(eng *sim.Engine) mem.Backend {
-			m, err := memmodel.New(kind, eng, spec, refFam)
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}}
-		got, err := workloads.EvalSuite(spec, o)
+	for i, kind := range kinds {
+		got, err := workloads.EvalSuite(spec, workloads.Options{Backend: mks[i]})
 		if err != nil {
 			cli.Fatal(err)
 		}
 		row := []string{string(kind)}
-		sum := 0.0
-		for i := range refResults {
-			e := math.Abs(got[i].IPC-refResults[i].IPC) / refResults[i].IPC
-			sum += e
+		errs, mean := workloads.IPCErrors(refResults, got)
+		for _, e := range errs {
 			row = append(row, fmt.Sprintf("%.1f%%", 100*e))
 		}
-		row = append(row, fmt.Sprintf("%.1f%%", 100*sum/float64(len(refResults))))
+		row = append(row, fmt.Sprintf("%.1f%%", 100*mean))
 		rows = append(rows, row)
 	}
 	fmt.Println("\nabsolute IPC error vs reference platform:")

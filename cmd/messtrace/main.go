@@ -76,49 +76,45 @@ func main() {
 	case *capture != "":
 		doCapture(ctx, spec, *capture, *stores, *pace, *limit, *measUs)
 	case *replay != "":
+		// A misspelt kind ends the run here, before the trace is read.
+		mk, err := memmodel.Factory(memmodel.Kind(*model), spec, nil)
+		if err != nil {
+			cli.Fatal(err)
+		}
 		cfg := trace.SampleConfig{
 			Windows: *windows, Clusters: *clusters, Probes: *probes,
 			WarmupFrac: *warmup,
 		}
-		doReplay(spec, *replay, memmodel.Kind(*model), *sampled, *compare, cfg)
+		doReplay(spec, *replay, *model, mk, *sampled, *compare, cfg)
 	default:
 		fmt.Println("use -capture <file> or -replay <file>; see -h")
 	}
 }
 
 func doCapture(ctx context.Context, spec platform.Spec, path string, stores int, pace float64, limit, measUs int) {
-	var cap *trace.Capture
 	opt := bench.QuickOptions()
-	opt.Mixes = []bench.Mix{{StorePercent: stores}}
-	opt.PacesNs = []float64{pace}
-	opt.Parallelism = 1
 	if measUs > 0 {
 		opt.Measure = sim.Time(measUs) * sim.Microsecond
 	}
-	opt.Backend = func(eng *sim.Engine) mem.Backend {
-		cap = trace.NewCapture(eng, dram.New(eng, spec.DRAM), limit)
-		return cap
-	}
-	res, err := bench.RunContext(ctx, spec, opt)
+	tr, s, err := trace.CapturePoint(ctx, spec, opt, bench.Mix{StorePercent: stores}, pace, limit)
 	if err != nil {
 		cli.Fatal(err)
 	}
-	s := res.Samples[0]
 	fmt.Printf("captured %d records at %.1f GB/s (read ratio %.2f, latency %.0f ns)\n",
-		len(cap.T.Records), s.BWGBs, s.RdRatio, s.LatNs)
+		len(tr.Records), s.BWGBs, s.RdRatio, s.LatNs)
 
 	f, err := os.Create(path)
 	if err != nil {
 		cli.Fatal(err)
 	}
 	defer f.Close()
-	if err := cap.T.Save(f); err != nil {
+	if err := tr.Save(f); err != nil {
 		cli.Fatal(err)
 	}
 	fmt.Printf("trace written to %s\n", path)
 }
 
-func doReplay(spec platform.Spec, path string, kind memmodel.Kind, sampled, compare bool, cfg trace.SampleConfig) {
+func doReplay(spec platform.Spec, path, kind string, mk mem.BackendFactory, sampled, compare bool, cfg trace.SampleConfig) {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatal(err)
@@ -129,13 +125,6 @@ func doReplay(spec platform.Spec, path string, kind memmodel.Kind, sampled, comp
 		cli.Fatal(err)
 	}
 
-	mk := func(eng *sim.Engine) mem.Backend {
-		m, err := memmodel.New(kind, eng, spec, nil)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		return m
-	}
 	if !sampled {
 		eng := sim.New()
 		res := trace.Replay(eng, mk(eng), tr)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		}
 		reqs[i] = mess.CharacterizationRequest{Spec: spec, Options: opt}
 	}
-	arts, err := svc.CharacterizeAll(reqs)
+	arts, err := svc.CharacterizeAllContext(context.Background(), reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,12 +34,8 @@ func main() {
 	sampler.Stop()
 
 	// Step 3: analysis (the Paraver role): position windows on the
-	// curves and attach the phase timeline.
-	var phases []mess.PhaseSpan
-	for _, e := range app.Events() {
-		phases = append(phases, mess.PhaseSpan{Name: e.Name, Start: e.Start, End: e.End, MPI: e.MPI})
-	}
-	p := mess.BuildProfile("HPCG on "+spec.Name, fam, sampler.Windows(), phases, mess.DefaultStressWeights)
+	// curves and attach the phase timeline the application recorded.
+	p := mess.BuildProfile("HPCG on "+spec.Name, fam, sampler.Windows(), app.Events(), mess.DefaultStressWeights)
 
 	m := fam.Metrics()
 	fmt.Printf("\nsaturation onset: %.0f GB/s; windows in the saturated area: %.0f%%\n",

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 	"github.com/mess-sim/mess/internal/cpu"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/telemetry"
@@ -117,10 +117,7 @@ func (o *Options) withDefaults() Options {
 			// Sharded points each occupy Shards goroutines; dividing the
 			// point-level parallelism keeps the two levels multiplying out
 			// to the machine instead of oversubscribing its spin barriers.
-			out.Parallelism = runtime.GOMAXPROCS(0) / out.Shards
-			if out.Parallelism < 1 {
-				out.Parallelism = 1
-			}
+			out.Parallelism = max(1, runtime.GOMAXPROCS(0)/out.Shards)
 		}
 	}
 	return out
@@ -170,7 +167,7 @@ type rowStatser interface{ RowStats() dram.RowStats }
 
 // Run executes the sweep for the platform and assembles the curve family.
 //
-// Points are distributed over a pool of Parallelism workers. Each worker
+// Points are distributed over Parallelism workers (par.Workers). Each worker
 // owns one rig — the whole simulated machine — for the sweep and resets it
 // between points, so event pools, request records and controller queues stay
 // warm instead of being rebuilt (and re-grown) for every measurement. Each
@@ -183,34 +180,22 @@ func Run(spec platform.Spec, opt Options) (*Result, error) {
 
 // RunContext is Run under a caller-supplied context. A measurement point
 // is atomic — the simulation kernel has no preemption points — so
-// cancellation is observed at point boundaries: the feeder stops handing
-// out jobs, each worker finishes (at most) the point it is on and drains,
-// and RunContext returns ctx.Err(). Worst-case cancellation latency is
+// cancellation is observed at point boundaries: no point is handed out once
+// ctx is done, each worker finishes (at most) the point it is on, and
+// RunContext returns ctx.Err(). Worst-case cancellation latency is
 // therefore one sweep point per worker, which QuickOptions-sized points
 // keep in the tens of milliseconds.
 func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, error) {
 	o := opt.withDefaults()
-	// Job 0 is the unloaded anchor: the pointer chase alone, as the paper
+	// Point 0 is the unloaded anchor: the pointer chase alone, as the paper
 	// measures the unloaded latency (validated against LMbench/multichase).
-	// It becomes the first point of every curve.
-	type job struct{ mixIdx, paceIdx int } // mixIdx < 0: unloaded anchor
-	jobs := make([]job, 0, len(o.Mixes)*len(o.PacesNs)+1)
-	jobs = append(jobs, job{-1, -1})
-	for mi := range o.Mixes {
-		for pi := range o.PacesNs {
-			jobs = append(jobs, job{mi, pi})
-		}
-	}
-	samples := make([]Sample, len(jobs))
-	errs := make([]error, len(jobs))
+	// It becomes the first point of every curve. Point 1+m·paces+p is mix
+	// m at pace p.
+	paces := len(o.PacesNs)
+	samples := make([]Sample, 1+len(o.Mixes)*paces)
 
-	workers := o.Parallelism
-	if workers < 1 {
-		workers = 1 // a nonsensical Parallelism must not starve the feed
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// A nonsensical Parallelism must not starve the sweep.
+	workers := max(1, min(o.Parallelism, len(samples)))
 	shards := o.shardCount(spec)
 
 	// Telemetry is pure observation: nil-safe metric handles and tracer
@@ -226,81 +211,56 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	parksC := reg.Counter("mess_sim_barrier_parks_total", "barrier parks (blocking waits)")
 	var totalSteps atomic.Uint64
 	wallStart := time.Now()
-	var sweepSpan telemetry.SpanTimer
-	if tr != nil {
-		sweepSpan = tr.Begin(tr.NewTrack("bench", "sweep"), "sweep "+spec.Name)
-	}
+	sweepSpan := tr.Begin(tr.NewTrack("bench", "sweep"), "sweep "+spec.Name)
 
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		var track telemetry.Track
-		if tr != nil {
-			track = tr.NewTrack("bench", fmt.Sprintf("worker-%d", w))
-		}
-		go func() {
-			defer wg.Done()
-			r := newRig(shards)
-			defer r.close()
-			eng, group := r.eng, r.group
-			for ji := range feed {
-				if ctx.Err() != nil {
-					// Cancelled while this job was already handed out: skip
-					// the simulation but keep draining the feed so the
-					// feeder never blocks.
-					continue
-				}
-				j := jobs[ji]
-				if j.mixIdx < 0 {
-					samples[ji], errs[ji] = r.measure(spec, o, track, Mix{}, 0, 0)
-				} else {
-					samples[ji], errs[ji] = r.measure(spec, o, track, o.Mixes[j.mixIdx], o.PacesNs[j.paceIdx], spec.Cores-1)
-				}
-				pointsC.Inc()
-				if group != nil {
-					totalSteps.Add(group.Steps())
-					// Stats cover this point only (the rig's reset cleared
-					// them), so adding per point accumulates the whole sweep
-					// across all workers in the shared counters.
-					st := group.Stats()
-					windowsC.Add(int64(st.Windows))
-					msgsC.Add(int64(st.Messages))
-					spinsC.Add(int64(st.Spins))
-					yieldsC.Add(int64(st.Yields))
-					parksC.Add(int64(st.Parks))
-				} else {
-					totalSteps.Add(eng.Steps())
-				}
-			}
-		}()
+	// Worker w owns rigs[w], closed after the join, and draws its points on
+	// tracks[w]; the tracks are made here, in worker order, so a trace does
+	// not depend on which worker woke first.
+	rigs := make([]*rig, workers)
+	tracks := make([]telemetry.Track, workers)
+	for w := range rigs {
+		rigs[w] = newRig(shards)
+		defer rigs[w].close()
+		tracks[w] = tr.NewTrack("bench", fmt.Sprintf("worker-%d", w))
 	}
-feedLoop:
-	for ji := range jobs {
-		select {
-		case feed <- ji:
-		case <-ctx.Done():
-			break feedLoop
+	sweepErr := par.Workers(ctx, workers, len(samples), func(w, i int) (err error) {
+		r := rigs[w]
+		if i == 0 {
+			samples[0], err = r.measure(spec, o, tracks[w], Mix{}, 0, 0)
+		} else {
+			samples[i], err = r.measure(spec, o, tracks[w], o.Mixes[(i-1)/paces], o.PacesNs[(i-1)%paces], spec.Cores-1)
 		}
-	}
-	close(feed)
-	wg.Wait()
+		pointsC.Inc()
+		if r.group != nil {
+			totalSteps.Add(r.group.Steps())
+			// Stats cover this point only (the rig's reset cleared
+			// them), so adding per point accumulates the whole sweep
+			// across all workers in the shared counters.
+			st := r.group.Stats()
+			windowsC.Add(int64(st.Windows))
+			msgsC.Add(int64(st.Messages))
+			spinsC.Add(int64(st.Spins))
+			yieldsC.Add(int64(st.Yields))
+			parksC.Add(int64(st.Parks))
+		} else {
+			totalSteps.Add(r.eng.Steps())
+		}
+		return err
+	})
 	eventsC.Add(int64(totalSteps.Load()))
 	if el := time.Since(wallStart).Seconds(); el > 0 {
 		reg.Gauge("mess_bench_events_per_second", "simulation events executed per wall-clock second, last sweep").
 			Set(float64(totalSteps.Load()) / el)
 	}
-	sweepSpan.End(telemetry.Int("points", int64(len(jobs))), telemetry.Int("events", int64(totalSteps.Load())))
+	sweepSpan.End(telemetry.Int("points", int64(len(samples))), telemetry.Int("events", int64(totalSteps.Load())))
 	o.Telemetry.Logger().Debug("bench sweep done",
-		"spec", spec.Name, "points", len(jobs), "events", totalSteps.Load(),
+		"spec", spec.Name, "points", len(samples), "events", totalSteps.Load(),
 		"elapsed", time.Since(wallStart).Round(time.Millisecond))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if sweepErr != nil {
+		return nil, sweepErr
 	}
 
 	fam := assemble(spec, o, samples[1:], samples[0])
@@ -313,13 +273,9 @@ feedLoop:
 // sharded engine targets. Generators occupy every core but the chaser's.
 func MeasurePoint(spec platform.Spec, opt Options, mix Mix, paceNs float64) (Sample, error) {
 	o := opt.withDefaults()
-	var track telemetry.Track
-	if tr := o.Telemetry.Trace(); tr != nil {
-		track = tr.NewTrack("bench", "point")
-	}
 	r := newRig(o.shardCount(spec))
 	defer r.close()
-	return r.measure(spec, o, track, mix, paceNs, spec.Cores-1)
+	return r.measure(spec, o, o.Telemetry.Trace().NewTrack("bench", "point"), mix, paceNs, spec.Cores-1)
 }
 
 // MeasureUnloaded runs only the pointer chase and reports the unloaded

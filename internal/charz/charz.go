@@ -22,8 +22,8 @@
 //     so a fleet performs each characterization once globally. The remote
 //     tier is fail-soft: a down or broken server reads as a miss and the
 //     characterization proceeds from local tiers, never failing;
-//   - CharacterizeAll fans a batch of requests out over a bounded worker
-//     pool, characterizing distinct platforms concurrently.
+//   - CharacterizeAllContext fans a batch of requests out over a bounded
+//     worker pool, characterizing distinct platforms concurrently.
 //
 // Results handed to callers are deep copies: experiments relabel and
 // resort families freely without corrupting the cache.
@@ -111,7 +111,7 @@ type RunFunc func(context.Context, platform.Spec, bench.Options) (*bench.Result,
 
 // Config parameterizes a Service.
 type Config struct {
-	// Workers bounds concurrent characterizations in CharacterizeAll.
+	// Workers bounds concurrent characterizations in CharacterizeAllContext.
 	// Default: GOMAXPROCS.
 	Workers int
 	// Store, when set, persists families across processes.
@@ -436,19 +436,14 @@ func entryArtifact(key Key, e *entry, needSamples bool) *Artifact {
 	return art
 }
 
-// CharacterizeAll resolves a batch of requests over a bounded worker pool
-// (Config.Workers). Artifacts are returned in request order; a nil slot
+// CharacterizeAllContext resolves a batch of requests over a bounded worker
+// pool (Config.Workers). Artifacts are returned in request order; a nil slot
 // marks a failed request, and the joined error reports every failure.
 // Duplicate keys inside one batch still simulate only once: the pool fans
-// out, the singleflight layer fans back in.
-func (s *Service) CharacterizeAll(reqs []Request) ([]*Artifact, error) {
-	return s.CharacterizeAllContext(context.Background(), reqs)
-}
-
-// CharacterizeAllContext is CharacterizeAll under a caller-supplied
-// context. Cancellation drains the pool promptly: requests not yet started
-// fail with ctx.Err() without simulating, and in-flight ones return as
-// soon as their own blocking stage observes the cancellation.
+// out, the singleflight layer fans back in. Cancellation drains the pool
+// promptly: requests not yet started fail with ctx.Err() without simulating,
+// and in-flight ones return as soon as their own blocking stage observes
+// the cancellation.
 func (s *Service) CharacterizeAllContext(ctx context.Context, reqs []Request) ([]*Artifact, error) {
 	arts := make([]*Artifact, len(reqs))
 	errs := make([]error, len(reqs))

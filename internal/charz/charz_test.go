@@ -239,7 +239,7 @@ func TestCharacterizeAllBoundedConcurrency(t *testing.T) {
 	for _, name := range []string{"p1", "p2", "p3", "p4", "p5", "p6", "p2", "p4"} {
 		reqs = append(reqs, Request{Spec: testSpec(name), Options: bench.QuickOptions()})
 	}
-	arts, err := svc.CharacterizeAll(reqs)
+	arts, err := svc.CharacterizeAllContext(bg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCharacterizeAllReportsFailures(t *testing.T) {
 		return fakeRun(&calls, 0)(ctx, spec, opt)
 	}
 	svc := New(Config{Run: run})
-	arts, err := svc.CharacterizeAll([]Request{
+	arts, err := svc.CharacterizeAllContext(bg, []Request{
 		{Spec: testSpec("good"), Options: bench.QuickOptions()},
 		{Spec: testSpec("bad"), Options: bench.QuickOptions()},
 	})

@@ -144,10 +144,10 @@ func TestRemoteStoreFleetDedupAcrossBatch(t *testing.T) {
 	svcA := New(Config{Run: fakeRun(&callsA, 0), Remote: remoteClient(t, ts.URL)})
 	svcB := New(Config{Run: fakeRun(&callsB, 0), Remote: remoteClient(t, ts.URL)})
 
-	if _, err := svcA.CharacterizeAll(reqs[:3]); err != nil { // p1 p2 p3 run on A
+	if _, err := svcA.CharacterizeAllContext(bg, reqs[:3]); err != nil { // p1 p2 p3 run on A
 		t.Fatal(err)
 	}
-	if _, err := svcB.CharacterizeAll(reqs); err != nil { // p4 runs on B, rest remote
+	if _, err := svcB.CharacterizeAllContext(bg, reqs); err != nil { // p4 runs on B, rest remote
 		t.Fatal(err)
 	}
 	if got := callsA.Load() + callsB.Load(); got != int64(len(names)) {

@@ -1,7 +1,8 @@
 // Package cli collects the small pieces every cmd/* binary previously
 // duplicated: fatal-error reporting, platform lookup and scale parsing,
-// and construction of a characterization service from the shared
-// -cache-dir / -cache-url flag convention.
+// the shared telemetry flags, and the shared -cache-dir / -cache-max-mb /
+// -cache-url / -timeout flags with the characterization service and root
+// context they describe.
 package cli
 
 import (
@@ -22,15 +23,6 @@ import (
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/telemetry"
 )
-
-// CurveURLEnv is the environment variable consulted when the -cache-url
-// flag is empty, so a fleet can point every tool at its curve server
-// without touching invocations. (Defined in curvestore; the facade's
-// default service reads the same variable.)
-const CurveURLEnv = curvestore.EnvURL
-
-// CurveURLUsage is the shared help text of the -cache-url flag.
-const CurveURLUsage = "remote curve store base URL, e.g. http://host:9400 (cmd/messcurved; default $" + curvestore.EnvURL + "); fail-soft — a down server falls back to local tiers"
 
 // Telemetry carries the shared observability flags (-log-json, -v, and
 // for tools that opt in, -trace-out) and builds the telemetry.Set the
@@ -155,35 +147,57 @@ func MustScale(name string) exp.Scale {
 	return s
 }
 
-// Service builds a characterization service honouring the shared
-// -cache-dir / -cache-max-mb / -cache-url flag convention: an empty dir
-// means in-memory only, otherwise curve families persist under dir
-// (sharded by key prefix) and later invocations skip re-simulation. A
-// positive maxMB bounds the store, evicting least-recently-used families.
-// A non-empty cacheURL (or, when it is empty, $MESS_CURVE_URL) adds the
-// fleet-shared remote tier: families are fetched from and uploaded to that
-// curve server, consulted after the local tiers and fully fail-soft. A
-// malformed URL is a configuration error and exits — fail-soft covers the
-// server being down, not a bad flag.
+// Cache carries the flags every cached tool shares: where curve families
+// persist (-cache-dir, -cache-max-mb, -cache-url) and how long the run may
+// take (-timeout).
+type Cache struct {
+	dir     string
+	maxMB   int
+	url     string
+	timeout time.Duration
+}
+
+// CacheFlags registers -cache-dir, -cache-max-mb, -cache-url and -timeout
+// on the default flag set, beside TelemetryFlags. Call before flag.Parse.
+func CacheFlags() *Cache {
+	c := &Cache{}
+	flag.StringVar(&c.dir, "cache-dir", "", "persist curve families under this directory")
+	flag.IntVar(&c.maxMB, "cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
+	flag.StringVar(&c.url, "cache-url", "", "remote curve store base URL, e.g. http://host:9400 (cmd/messcurved; default $"+curvestore.EnvURL+"); fail-soft — a down server falls back to local tiers")
+	flag.DurationVar(&c.timeout, "timeout", 0, TimeoutUsage)
+	return c
+}
+
+// Context is the root context of the run: Context(-timeout).
+func (c *Cache) Context() (ctx context.Context, stop func()) { return Context(c.timeout) }
+
+// Service builds the characterization service the flags describe: in-memory
+// only without -cache-dir, otherwise with a disk tier under it (sharded by
+// key prefix, LRU-bounded by a positive -cache-max-mb) that lets later
+// invocations skip re-simulation; and, with -cache-url or $MESS_CURVE_URL,
+// the fleet-shared remote tier, consulted after the local tiers and fully
+// fail-soft. A malformed URL is a configuration error and exits — fail-soft
+// covers the server being down, not a bad flag.
 //
 // tel, when non-nil, instruments the whole stack the service fronts: the
 // service itself, the benchmark sweeps it runs, and the remote tier's
 // retry/circuit behaviour all report into tel's registry, tracer and
 // logger (see TelemetryFlags).
-func Service(cacheDir string, maxMB int, cacheURL string, tel *telemetry.Set) *charz.Service {
+func (c *Cache) Service(tel *telemetry.Set) *charz.Service {
 	var store *charz.DiskStore
-	if cacheDir != "" {
+	if c.dir != "" {
 		var err error
-		store, err = charz.NewDiskStore(cacheDir)
+		store, err = charz.NewDiskStore(c.dir)
 		if err != nil {
 			Fatal(err)
 		}
-		if maxMB > 0 {
-			store.SetMaxBytes(int64(maxMB) << 20)
+		if c.maxMB > 0 {
+			store.SetMaxBytes(int64(c.maxMB) << 20)
 		}
 	}
+	cacheURL := c.url
 	if cacheURL == "" {
-		cacheURL = os.Getenv(CurveURLEnv)
+		cacheURL = os.Getenv(curvestore.EnvURL)
 	}
 	var remote curvestore.Store
 	if cacheURL != "" {

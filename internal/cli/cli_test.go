@@ -79,13 +79,19 @@ func TestContextStopAndSignal(t *testing.T) {
 	}
 }
 
-// telemetryFlags registers the shared flags on a flag set of the test's
-// own, so tests can parse command lines without touching the process's.
-func telemetryFlags(t *testing.T, args ...string) *Telemetry {
-	t.Helper()
+// ownFlagSet swaps in a flag set of the test's own until the test ends, so
+// tests can register and parse the shared flags without touching the
+// process's.
+func ownFlagSet(t *testing.T) {
 	saved := flag.CommandLine
 	t.Cleanup(func() { flag.CommandLine = saved })
 	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
+}
+
+// telemetryFlags registers the telemetry flags on such a set and parses args.
+func telemetryFlags(t *testing.T, args ...string) *Telemetry {
+	t.Helper()
+	ownFlagSet(t)
 	tel := TelemetryFlags().WithTrace()
 	if err := flag.CommandLine.Parse(args); err != nil {
 		t.Fatal(err)
@@ -156,5 +162,32 @@ func TestWriteTrace(t *testing.T) {
 	tel = telemetryFlags(t, "-trace-out", filepath.Join(dir, "missing", "run.json"))
 	if err := tel.WriteTrace(); err == nil {
 		t.Fatal("WriteTrace into a missing directory reported success")
+	}
+}
+
+func TestCacheFlags(t *testing.T) {
+	ownFlagSet(t)
+	cache := CacheFlags()
+	for _, name := range []string{"cache-dir", "cache-max-mb", "cache-url", "timeout"} {
+		if flag.Lookup(name) == nil {
+			t.Errorf("-%s is not registered", name)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "curves")
+	if err := flag.CommandLine.Parse([]string{"-cache-dir", dir, "-cache-max-mb", "8", "-timeout", "1h"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := cache.Context()
+	defer stop()
+	if _, ok := ctx.Deadline(); !ok {
+		t.Error("-timeout 1h set no deadline on the run's context")
+	}
+	// -cache-dir gives the service a disk tier: building the service opens
+	// the directory, creating it.
+	if svc := cache.Service(nil); svc == nil {
+		t.Fatal("no service")
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Errorf("-cache-dir was not opened as a curve store: %v", err)
 	}
 }

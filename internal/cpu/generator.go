@@ -177,7 +177,7 @@ func (g *Generator) tryIssue() {
 		g.issueOne(isStore)
 		g.pi = (g.pi + 1) % len(g.pattern)
 		g.ops++
-		g.nextAt = maxT(g.nextAt, now) + g.cfg.IssueInterval + g.cfg.PacePerOp
+		g.nextAt = max(g.nextAt, now) + g.cfg.IssueInterval + g.cfg.PacePerOp
 	}
 }
 
@@ -227,11 +227,4 @@ func (g *Generator) nextOffset(counter *uint64) uint64 {
 	default:
 		return (i % g.lines) * mem.LineSize
 	}
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -254,7 +254,7 @@ func (c *KernelCore) beginStep() {
 	// included, occupies an issue slot, bounding IPC at the core width.
 	instr := k.InstrPerStep()
 	cycles := (instr + uint64(c.cfg.Width) - 1) / uint64(c.cfg.Width)
-	c.nextAt = maxT(c.nextAt, c.eng.Now()) + sim.Time(cycles)*c.cfg.CycleTime
+	c.nextAt = max(c.nextAt, c.eng.Now()) + sim.Time(cycles)*c.cfg.CycleTime
 	c.tryIssue()
 }
 
@@ -368,7 +368,7 @@ func (c *KernelCore) virtualStepComplete(at sim.Time) {
 	c.steps++
 	c.lineIdx++
 	c.lastAt = at
-	c.wake.Arm(maxT(c.nextAt, at))
+	c.wake.Arm(max(c.nextAt, at))
 }
 
 // dependentLoadDone resumes a serialized kernel once its load returns.

@@ -1,12 +1,12 @@
 package cxl
 
 import (
+	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/sim"
 )
 
@@ -53,37 +53,25 @@ func (o *SweepOptions) withDefaults(maxGBs float64) SweepOptions {
 // MeasureFamily characterizes a backend by open-loop injection: for each
 // (write fraction, rate) point it injects deterministic-spaced traffic and
 // measures the achieved bandwidth and the round-trip latency of a
-// concurrent dependent-read probe. Parallelism workers share the points;
-// each owns one engine and one request pool for the whole sweep and resets
-// them between points (the backend is the factory's and is built per point).
+// concurrent dependent-read probe. Parallelism workers share the points
+// (par.Workers); each owns one engine and one request pool for the whole
+// sweep and resets them between points (the backend is the factory's and is
+// built per point).
 func MeasureFamily(makeBackend mem.BackendFactory, label string, theoreticalGBs float64, opt SweepOptions) *core.Family {
 	o := opt.withDefaults(theoreticalGBs)
 	nr := len(o.RatesGBs)
 	points := make([]core.Measured, len(o.WriteFractions)*nr) // by wfIdx*nr + rateIdx
-	workers := o.Parallelism
-	if workers < 1 {
-		workers = 1 // a nonsensical Parallelism must not skip the sweep
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng, pool := sim.New(), mem.NewRequestPool()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				points[i] = measureDevicePoint(eng, pool, makeBackend, o.WriteFractions[i/nr], o.RatesGBs[i%nr], o)
-			}
-		}()
-	}
-	wg.Wait()
+	// A nonsensical Parallelism must not skip the sweep.
+	workers := max(1, min(o.Parallelism, len(points)))
+	engs, pools := make([]*sim.Engine, workers), make([]*mem.RequestPool, workers)
+	// No point fails and the kept signature supplies no context to end.
+	_ = par.Workers(context.TODO(), workers, len(points), func(w, i int) error {
+		if engs[w] == nil {
+			engs[w], pools[w] = sim.New(), mem.NewRequestPool()
+		}
+		points[i] = measureDevicePoint(engs[w], pools[w], makeBackend, o.WriteFractions[i/nr], o.RatesGBs[i%nr], o)
+		return nil
+	})
 
 	mixes := make([][]core.Measured, len(o.WriteFractions))
 	for wi := range mixes {

@@ -70,26 +70,19 @@ func (o *Optane) Access(req *mem.Request) {
 	bytes := float64(req.Bytes())
 	if req.Op == mem.Write {
 		svc := sim.FromNanoseconds(bytes / (o.cfg.WriteGBs * float64(o.cfg.Modules)))
-		start := maxT(now, o.writeFree)
+		start := max(now, o.writeFree)
 		o.writeFree = start + svc
 		req.CompleteAtTagged(o.eng, start+o.cfg.WriteLatency, DevTagBase)
 		return
 	}
 	svc := sim.FromNanoseconds(bytes / (o.cfg.ReadGBs * float64(o.cfg.Modules)))
-	start := maxT(now, o.readFree)
+	start := max(now, o.readFree)
 	// Reads behind a busy write buffer pay the interference penalty.
 	if o.writeFree > now {
 		start += o.cfg.WriteStall
 	}
 	o.readFree = start + svc
 	req.CompleteAtTagged(o.eng, start+svc+o.cfg.ReadLatency, DevTagBase)
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // OptaneFamily measures the module set's bandwidth–latency curves with the

@@ -941,18 +941,18 @@ func (c *channel) issue(idx int32, isWrite bool) {
 		outcome = rowMiss
 	}
 
-	casIssue := maxTime(now, bk.casReadyAt)
+	casIssue := max(now, bk.casReadyAt)
 	var act sim.Time
 	switch outcome {
 	case rowEmpty:
-		act = maxTime(maxTime(now, bk.actReadyAt), c.rankActConstraint(rank))
+		act = max(now, bk.actReadyAt, c.rankActConstraint(rank))
 		act = c.refreshAdjust(rank, act)
-		casIssue = maxTime(casIssue, act+c.t.RCD)
+		casIssue = max(casIssue, act+c.t.RCD)
 	case rowMiss:
-		pre := maxTime(now, bk.preReadyAt)
-		act = maxTime(pre+c.t.RP, c.rankActConstraint(rank))
+		pre := max(now, bk.preReadyAt)
+		act = max(pre+c.t.RP, c.rankActConstraint(rank))
 		act = c.refreshAdjust(rank, act)
-		casIssue = maxTime(casIssue, act+c.t.RCD)
+		casIssue = max(casIssue, act+c.t.RCD)
 	default:
 		casIssue = c.refreshAdjust(rank, casIssue)
 	}
@@ -966,10 +966,7 @@ func (c *channel) issue(idx int32, isWrite bool) {
 			busReady += c.t.WTR
 		}
 	}
-	dataStart := maxTime(casIssue+c.t.CL, busReady)
-	if dataStart < now {
-		dataStart = now
-	}
+	dataStart := max(casIssue+c.t.CL, busReady, now)
 	dataEnd := dataStart + c.t.Burst
 	casIssue = dataStart - c.t.CL
 
@@ -982,9 +979,9 @@ func (c *channel) issue(idx int32, isWrite bool) {
 	}
 	bk.casReadyAt = casIssue + c.t.CCD
 	if isWrite {
-		bk.preReadyAt = maxTime(bk.actAt+c.t.RAS, dataEnd+c.t.WR)
+		bk.preReadyAt = max(bk.actAt+c.t.RAS, dataEnd+c.t.WR)
 	} else {
-		bk.preReadyAt = maxTime(bk.actAt+c.t.RAS, casIssue+c.t.RTP)
+		bk.preReadyAt = max(bk.actAt+c.t.RAS, casIssue+c.t.RTP)
 	}
 	bk.actReadyAt = bk.preReadyAt + c.t.RP
 	c.touchBank(bi, rank, dataEnd)
@@ -1059,10 +1056,3 @@ func (c *channel) recordActivate(rank int32, at sim.Time) {
 }
 
 func (c *channel) queued() int { return c.live[dirRead] + c.live[dirWrite] }
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}

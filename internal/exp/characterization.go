@@ -34,9 +34,7 @@ func init() {
 			ID:    "fig3" + l.suffix,
 			Paper: "Fig. 3(" + l.suffix + ")",
 			Title: "Bandwidth–latency curves: " + l.spec().Name,
-			Run: func(env *Env) (*Result, error) {
-				return runPlatformCurves("fig3"+l.suffix, "Fig. 3("+l.suffix+")", l.spec(), env)
-			},
+			Run:   func(env *Env) (*Result, error) { return runPlatformCurves(l.spec(), env) },
 		})
 	}
 	register(Experiment{
@@ -61,8 +59,6 @@ func runFig2(env *Env) (*Result, error) {
 	}
 
 	r := &Result{
-		ID:     "fig2",
-		Paper:  "Fig. 2",
 		Title:  "Mess curves + derived metrics, " + spec.Name,
 		Header: []string{"metric", "value"},
 	}
@@ -82,7 +78,7 @@ func runFig2(env *Env) (*Result, error) {
 	return r, nil
 }
 
-func runPlatformCurves(id, paper string, spec platform.Spec, env *Env) (*Result, error) {
+func runPlatformCurves(spec platform.Spec, env *Env) (*Result, error) {
 	scaled := scaleSpec(spec, env.Scale)
 	fam, err := env.reference(scaled)
 	if err != nil {
@@ -90,11 +86,8 @@ func runPlatformCurves(id, paper string, spec platform.Spec, env *Env) (*Result,
 	}
 	m := fam.Metrics()
 	r := &Result{
-		ID:       id,
-		Paper:    paper,
-		Title:    "Bandwidth–latency curves: " + scaled.Name,
-		Families: nil,
-		Header:   []string{"metric", "simulated", "paper"},
+		Title:  "Bandwidth–latency curves: " + scaled.Name,
+		Header: []string{"metric", "simulated", "paper"},
 	}
 	r.Families = append(r.Families, fam)
 	r.Rows = append(r.Rows,
@@ -112,8 +105,6 @@ func runTable1(env *Env) (*Result, error) {
 	paperMaxLat := []string{"242–391", "182–303", "257–657", "238–546", "332–527", "238–406", "338–428", "699–1433"}
 
 	r := &Result{
-		ID:    "table1",
-		Paper: "Table I",
 		Title: "Quantitative memory performance comparison",
 		Header: []string{"platform", "theor. BW", "saturated range", "paper",
 			"STREAM range", "unloaded", "paper", "max latency", "paper"},

@@ -9,7 +9,7 @@ import (
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/cxl"
 	"github.com/mess-sim/mess/internal/mem"
-	"github.com/mess-sim/mess/internal/messsim"
+	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
@@ -70,7 +70,6 @@ func runFig14(env *Env) (*Result, error) {
 	manufacturer := cxlFamily(env.Scale)
 
 	r := &Result{
-		ID: "fig14", Paper: "Fig. 14",
 		Title:  "CXL memory expander: manufacturer's model vs Mess-integrated CPU simulators",
 		Header: []string{"integration", "max BW [GB/s]", "max latency [ns]"},
 	}
@@ -85,13 +84,10 @@ func runFig14(env *Env) (*Result, error) {
 		scaleSpec(platform.ZSimSkylake(), env.Scale),
 	}
 	for _, host := range hosts {
-		host := host
 		opt := benchOptions(env.Scale)
-		opt.Backend = func(eng *sim.Engine) mem.Backend {
-			return messsim.New(eng, messsim.Config{
-				Family:       manufacturer,
-				CPULatencyNs: host.OnChipLatency.Nanoseconds(),
-			})
+		var err error
+		if opt.Backend, err = memmodel.Factory(memmodel.KindMess, host, manufacturer); err != nil {
+			return nil, err
 		}
 		// The manufacturer family is a pure function of the scale, which
 		// the options already encode, so the tag is a stable identity.
@@ -129,21 +125,19 @@ func (p ipcPair) delta() float64 { return (p.remIPC - p.cxlIPC) / p.cxlIPC }
 // fan-out and only read inside it.
 func runCXLvsRemote(env *Env, suite []workloads.SpecBenchmark, host platform.Spec) ([]ipcPair, error) {
 	families := [2]*core.Family{cxlFamily(env.Scale), remoteFamily(env.Scale)}
+	var devices [2]mem.BackendFactory
+	for i, fam := range families {
+		var err error
+		if devices[i], err = memmodel.Factory(memmodel.KindMess, host, fam); err != nil {
+			return nil, err
+		}
+	}
 	out := make([]ipcPair, len(suite))
 	err := par.Do(env.Context(), len(suite), func(n int) error {
 		b := suite[n]
 		var res [2]workloads.Result
-		for i, fam := range families {
-			fam := fam
-			o := workloads.Options{
-				LLCHitRate: b.LLCHitRate,
-				Backend: func(eng *sim.Engine) mem.Backend {
-					return messsim.New(eng, messsim.Config{
-						Family:       fam,
-						CPULatencyNs: host.OnChipLatency.Nanoseconds(),
-					})
-				},
-			}
+		for i, device := range devices {
+			o := workloads.Options{LLCHitRate: b.LLCHitRate, Backend: device}
 			if env.Scale == Quick {
 				o.Warmup = 5 * sim.Microsecond
 				o.Measure = 20 * sim.Microsecond
@@ -173,7 +167,6 @@ func runFig17(env *Env) (*Result, error) {
 		}
 	}
 	r := &Result{
-		ID: "fig17", Paper: "Fig. 17",
 		Title:  "CXL vs remote-socket emulation: characteristic benchmarks",
 		Header: []string{"benchmark", "CXL IPC", "remote IPC", "Δ", "BW util of CXL max"},
 	}
@@ -219,7 +212,6 @@ func runFig18(env *Env) (*Result, error) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].util < rows[j].util })
 
 	r := &Result{
-		ID: "fig18", Paper: "Fig. 18",
 		Title:   "Remote-socket emulation vs target CXL system, sorted by bandwidth utilization",
 		Header:  []string{"benchmark", "BW utilization", "performance difference"},
 		BarUnit: "%+.1f%%",

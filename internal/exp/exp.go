@@ -4,6 +4,68 @@
 // benchmarks) and Full (the paper's configurations, for the CLI tools) —
 // and produces a structured Result that renders as tables, ASCII figures
 // and notes.
+//
+// # Where each pipeline lives
+//
+// Each component's pipeline is assembled in one place, the package that
+// owns it; this package, the cmd/ tools and the examples call it (the root
+// TestPipelinesAssembledOnce holds them to it):
+//
+//   - model factory: memmodel.Factory(kind, spec, fam), whose factory
+//     cannot fail — an unknown kind is its error, before any simulation;
+//     modelFamily here runs it under charz, tagged "model:<kind>";
+//   - trace capture of a sweep point: trace.CapturePoint;
+//   - profile run (sampler, application, analysis): profile.Run;
+//   - IPC-error table: workloads.IPCErrors;
+//   - worker pool: par.Workers and its GOMAXPROCS form par.Do, also under
+//     bench.RunContext and cxl.MeasureFamily;
+//   - shared flags: cli.CacheFlags beside cli.TelemetryFlags;
+//   - a Result's ID and Paper: stamped by register.
+//
+// # Execution
+//
+// The simulations the charz cache cannot serve — workload suites, trace
+// captures and replays, the HPCG profile — are independent and
+// deterministic, so the harness runs them side by side and once; what a
+// report says never depends on either. The primitive is par.Do (see that
+// package for its contract). The rules on top of it:
+//
+//   - One fan-out level per call tree, so at most GOMAXPROCS simulations
+//     (engines, traces) are ever live and peak heap stays flat.
+//     workloads.StreamSuite/EvalSuite fan out over their kernels, and every
+//     caller loops over suites serially (fig2, table1, the per-model loop of
+//     fig11/fig13, model scoring). exp fans out only over loops whose bodies
+//     are single simulations: fig6 over (mix, pace) sweep points — one
+//     capture per point, replayed into every replica of that platform,
+//     curves assembled in pace order after the join; fig17/fig18 over
+//     benchmarks (two serial workloads.Run each); fig6s over the full and
+//     the sampled replay of one trace.
+//   - What stays serial and why: tablespeed — its wall-clock is its result,
+//     so it times its five sweeps one after another with nothing else
+//     running in the process and must stay outside any fan-out; the trace
+//     captures of fig6s — a 192 µs capture is the largest object the
+//     registry builds, and serial captures mean a second one is never live;
+//     everything charz serves (the service has its own bounded pool).
+//   - Memoised per Env: the HPCG profile (fig15 + fig16) and
+//     StreamSuite(spec) with default options (Skylake in fig2 + table1),
+//     each behind a sync.Once. messexp builds one Env per invocation and the
+//     benchmark one per pass, so both see it; the facade's RunExperiment
+//     still builds an Env per call. The CXL and remote-socket device
+//     families are pure functions of the scale: a sync.OnceValue per scale,
+//     process-wide, resolved before a fan-out, never inside it.
+//   - Shared results are read-only: the memoised *profile.Profile (and its
+//     Family, which fig15 hands to its Result), the STREAM
+//     []workloads.Result, a captured *trace.Trace during its replays, and
+//     the reference *core.Family behind concurrent memmodel/messsim
+//     backends. Family.Sort and label edits are for the goroutine that
+//     built the family, before it is shared.
+//
+// Gates: TestFanOutAndMemoAreInvisible (reports byte-identical at GOMAXPROCS
+// 1 and 4; fig16 alone == fig16 after fig15), workloads'
+// TestSuitesMatchSerialRuns, the internal/par tests under -race, and cpu's
+// TestKernelCoreSteadyStateZeroAllocs — a running cpu.KernelCore tracks its
+// line-step's unissued operations as one index (operation i touches array
+// i), never as a slice it re-slices and re-appends.
 package exp
 
 import (
@@ -220,7 +282,19 @@ type Experiment struct {
 
 var registry []Experiment
 
-func register(e Experiment) { registry = append(registry, e) }
+// register adds the experiment, its Run wrapped to stamp the Result with
+// the ID and Paper the registry already states.
+func register(e Experiment) {
+	run := e.Run
+	e.Run = func(env *Env) (*Result, error) {
+		r, err := run(env)
+		if r != nil {
+			r.ID, r.Paper = e.ID, e.Paper
+		}
+		return r, err
+	}
+	registry = append(registry, e)
+}
 
 // All returns the registered experiments in registration order.
 func All() []Experiment {

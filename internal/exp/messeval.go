@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/dram"
-	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
@@ -42,27 +40,6 @@ func init() {
 		Title: "gem5 memory-model IPC error vs reference",
 		Run:   runFig13,
 	})
-}
-
-// messFamily runs the Mess benchmark with the Mess analytical simulator as
-// the backend, fed with the platform's measured reference curves. The
-// reference family is itself a pure function of (spec, scale options), so
-// the model tag suffices for a stable cache identity.
-func messFamily(env *Env, spec platform.Spec, ref *core.Family) (*core.Family, error) {
-	opt := benchOptions(env.Scale)
-	opt.Backend = func(eng *sim.Engine) mem.Backend {
-		m, err := memmodel.New(memmodel.KindMess, eng, spec, ref)
-		if err != nil {
-			panic(err)
-		}
-		return m
-	}
-	art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: opt, Tag: "model:" + string(memmodel.KindMess)})
-	if err != nil {
-		return nil, err
-	}
-	art.Family.Label = spec.Name + " + Mess simulator"
-	return art.Family, nil
 }
 
 // familyAgreement quantifies how closely a simulated family matches the
@@ -112,32 +89,39 @@ func runFig10(env *Env) (*Result, error) {
 		variants = append(variants, ddr5, hbm)
 	}
 
+	return messAgreement(env, variants, "ZSim + Mess simulator vs actual curves",
+		"The paper reports <1% unloaded-latency error, ≈3% maximum-latency error and 2% saturated-range error for ZSim+Mess (Sec. V-B.1).")
+}
+
+// messAgreement is the body of Figs. 10 and 12: on each memory system, the
+// family the Mess benchmark measures over the Mess simulator fed with the
+// system's reference curves, drawn and scored against those curves.
+func messAgreement(env *Env, specs []platform.Spec, title, note string) (*Result, error) {
 	r := &Result{
-		ID: "fig10", Paper: "Fig. 10",
-		Title:  "ZSim + Mess simulator vs actual curves",
+		Title:  title,
 		Header: []string{"memory system", "curve agreement (mean rel. latency error)"},
+		Notes:  []string{note},
 	}
-	for _, spec := range variants {
+	for _, spec := range specs {
 		ref, err := env.reference(spec)
 		if err != nil {
 			return nil, err
 		}
-		got, err := messFamily(env, spec, ref)
+		got, err := modelFamily(env, spec, memmodel.KindMess, ref)
 		if err != nil {
 			return nil, err
 		}
-		agree := familyAgreement(ref, got)
+		got.Label = spec.Name + " + Mess simulator"
 		r.Families = append(r.Families, got)
-		r.Rows = append(r.Rows, []string{spec.Name, fmt.Sprintf("%.1f%%", 100*agree)})
+		r.Rows = append(r.Rows, []string{spec.Name, fmt.Sprintf("%.1f%%", 100*familyAgreement(ref, got))})
 	}
-	r.Notes = append(r.Notes,
-		"The paper reports <1% unloaded-latency error, ≈3% maximum-latency error and 2% saturated-range error for ZSim+Mess (Sec. V-B.1).")
 	return r, nil
 }
 
-// ipcErrors runs the evaluation suite on the reference and each model and
-// reports the per-benchmark absolute IPC error plus averages.
-func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind) (*Result, error) {
+// ipcErrors is the body of Figs. 11 and 13: it runs the evaluation suite on
+// the reference and each model and reports the per-benchmark absolute IPC
+// error plus averages.
+func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind, title, note string) (*Result, error) {
 	wopt := workloads.Options{}
 	if env.Scale == Quick {
 		wopt.Warmup = 5 * sim.Microsecond
@@ -152,41 +136,30 @@ func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind) (*Result, er
 		return nil, err
 	}
 
-	r := &Result{
-		Header: []string{"model"},
-	}
+	r := &Result{Title: title, Header: []string{"model"}, BarUnit: "%.1f%%", Notes: []string{note}}
 	for _, b := range refResults {
 		r.Header = append(r.Header, b.Name)
 	}
 	r.Header = append(r.Header, "average")
 
 	for _, kind := range kinds {
-		kind := kind
 		o := wopt
-		o.Backend = func(eng *sim.Engine) mem.Backend {
-			m, err := memmodel.New(kind, eng, spec, ref)
-			if err != nil {
-				panic(err)
-			}
-			return m
+		if o.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {
+			return nil, err
 		}
 		got, err := workloads.EvalSuite(spec, o)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{string(kind)}
-		var sum float64
-		for i := range refResults {
-			e := math.Abs(got[i].IPC-refResults[i].IPC) / refResults[i].IPC
-			sum += e
+		errs, avg := workloads.IPCErrors(refResults, got)
+		for _, e := range errs {
 			row = append(row, fmt.Sprintf("%.1f%%", 100*e))
 		}
-		avg := sum / float64(len(refResults))
 		row = append(row, fmt.Sprintf("%.1f%%", 100*avg))
 		r.Rows = append(r.Rows, row)
 		r.Bars = append(r.Bars, Bar{Label: string(kind), Value: 100 * avg})
 	}
-	r.BarUnit = "%.1f%%"
 	return r, nil
 }
 
@@ -196,15 +169,8 @@ func runFig11(env *Env) (*Result, error) {
 		memmodel.KindFixed, memmodel.KindMD1, memmodel.KindInternalDDR,
 		memmodel.KindDRAMsim3, memmodel.KindRamulator, memmodel.KindMess,
 	}
-	r, err := ipcErrors(env, spec, kinds)
-	if err != nil {
-		return nil, err
-	}
-	r.ID, r.Paper = "fig11", "Fig. 11"
-	r.Title = "ZSim memory-model IPC error (absolute, vs reference platform)"
-	r.Notes = append(r.Notes,
+	return ipcErrors(env, spec, kinds, "ZSim memory-model IPC error (absolute, vs reference platform)",
 		"Paper: Mess averages 1.3%; M/D/1 and internal DDR follow; fixed-latency and Ramulator exceed 80% (Fig. 11). The ordering, not the absolute values, is the reproduction target.")
-	return r, nil
 }
 
 func runFig12(env *Env) (*Result, error) {
@@ -230,26 +196,8 @@ func runFig12(env *Env) (*Result, error) {
 	hbm.DRAM.CtrlLatency = sim.FromNanoseconds(6)
 	hbm.DRAM.IdleClose = 250 * sim.Nanosecond
 
-	r := &Result{
-		ID: "fig12", Paper: "Fig. 12",
-		Title:  "gem5 + Mess simulator, single-channel configurations",
-		Header: []string{"memory system", "curve agreement (mean rel. latency error)"},
-	}
-	for _, spec := range []platform.Spec{ddr5, hbm} {
-		ref, err := env.reference(spec)
-		if err != nil {
-			return nil, err
-		}
-		got, err := messFamily(env, spec, ref)
-		if err != nil {
-			return nil, err
-		}
-		r.Families = append(r.Families, got)
-		r.Rows = append(r.Rows, []string{spec.Name, fmt.Sprintf("%.1f%%", 100*familyAgreement(ref, got))})
-	}
-	r.Notes = append(r.Notes,
+	return messAgreement(env, []platform.Spec{ddr5, hbm}, "gem5 + Mess simulator, single-channel configurations",
 		"The paper runs single-channel gem5 configurations because full-system cycle-accurate sweeps would take years; scaled to 8 channels the curves match the Graviton 3 measurements (Sec. V-B.2).")
-	return r, nil
 }
 
 func runFig13(env *Env) (*Result, error) {
@@ -258,13 +206,6 @@ func runFig13(env *Env) (*Result, error) {
 		memmodel.KindFixed, memmodel.KindInternalDDR,
 		memmodel.KindRamulator2, memmodel.KindMess,
 	}
-	r, err := ipcErrors(env, spec, kinds)
-	if err != nil {
-		return nil, err
-	}
-	r.ID, r.Paper = "fig13", "Fig. 13"
-	r.Title = "gem5 memory-model IPC error (absolute, vs reference platform)"
-	r.Notes = append(r.Notes,
+	return ipcErrors(env, spec, kinds, "gem5 memory-model IPC error (absolute, vs reference platform)",
 		"Paper: simple memory 30%, internal DDR 15%, Ramulator 2 52%, Mess 3% (Fig. 13). The reproduction target is Mess lowest by a wide margin; the fixed model errs far more here than gem5's SimpleMemory, which throttles bandwidth internally.")
-	return r, nil
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/profile"
 	"github.com/mess-sim/mess/internal/sim"
@@ -30,7 +29,7 @@ func init() {
 // hpcgRun is the profiled HPCG execution fig15 and fig16 both report on.
 type hpcgRun struct {
 	profile *profile.Profile
-	events  []workloads.PhaseEvent
+	events  []profile.PhaseSpan
 	spec    platform.Spec
 }
 
@@ -50,20 +49,11 @@ func profileHPCG(env *Env) (*hpcgRun, error) {
 	}
 
 	app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
-	sampler := profile.NewSampler(app.Eng, app.Counting, 10*sim.Microsecond)
-	sampler.Start()
 	dur := 2 * sim.Millisecond // several HPCG iterations
 	if env.Scale == Quick {
 		dur = 700 * sim.Microsecond
 	}
-	app.Run(dur)
-	sampler.Stop()
-
-	spans := make([]profile.PhaseSpan, 0, len(app.Events()))
-	for _, e := range app.Events() {
-		spans = append(spans, profile.PhaseSpan{Name: e.Name, Start: e.Start, End: e.End, MPI: e.MPI})
-	}
-	p := profile.Build("HPCG proxy on "+spec.Name, fam, sampler.Windows(), spans, core.DefaultStressWeights)
+	p := profile.Run(app, "HPCG proxy on "+spec.Name, fam, dur)
 	return &hpcgRun{profile: p, events: app.Events(), spec: spec}, nil
 }
 
@@ -75,7 +65,6 @@ func runFig15(env *Env) (*Result, error) {
 	p, spec := run.profile, run.spec
 	m := p.Family.Metrics()
 	r := &Result{
-		ID: "fig15", Paper: "Fig. 15",
 		Title:  "HPCG on the " + spec.Name + " bandwidth–latency curves",
 		Header: []string{"metric", "value"},
 	}
@@ -102,7 +91,6 @@ func runFig16(env *Env) (*Result, error) {
 	}
 	p, events, spec := run.profile, run.events, run.spec
 	r := &Result{
-		ID: "fig16", Paper: "Fig. 16",
 		Title:  "HPCG timeline on " + spec.Name + ": two iterations",
 		Header: []string{"window [µs]", "phase", "BW [GB/s]", "latency [ns]", "stress"},
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/dram"
-	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
@@ -50,10 +49,12 @@ func runFig6s(env *Env) (*Result, error) {
 	opt.Measure = 192 * sim.Microsecond
 	mix := bench.Mix{StorePercent: 40}
 	mapper := dram.NewMapper(&spec.DRAM)
-	mk := func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, spec) }
+	mk, err := memmodel.Factory(memmodel.KindDRAMsim3, spec, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	r := &Result{
-		ID: "fig6s", Paper: "Sec. IV-D",
 		Title: "Sampled vs full trace replay (DRAMsim3-like, " + spec.Name + ")",
 		Header: []string{"pace [ns]", "records", "full BW [GB/s]", "sampled BW [GB/s]",
 			"full lat [ns]", "sampled lat [ns]", "divergence", "speedup"},
@@ -61,7 +62,7 @@ func runFig6s(env *Env) (*Result, error) {
 
 	var maxDiv float64
 	for _, pace := range samplingPaces(env.Scale) {
-		tr, err := captureTrace(env.Context(), spec, opt, mix, pace)
+		tr, _, err := trace.CapturePoint(env.Context(), spec, opt, mix, pace, captureLimit)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/core"
-	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/par"
@@ -47,107 +45,88 @@ func init() {
 }
 
 // modelFamily runs the Mess benchmark over the given memory model under
-// the platform's unchanged CPU side. The model backend is deterministic
-// given the spec, so the kind tag makes the run cacheable.
-func modelFamily(env *Env, spec platform.Spec, kind memmodel.Kind) (*core.Family, error) {
+// the platform's unchanged CPU side; the caller labels the family. The
+// model backend is deterministic given the spec — for the Mess kind, given
+// ref, the platform's reference family, itself a pure function of (spec,
+// scale options) — so the kind tag makes the run cacheable.
+func modelFamily(env *Env, spec platform.Spec, kind memmodel.Kind, ref *core.Family) (*core.Family, error) {
 	opt := benchOptions(env.Scale)
-	opt.Backend = func(eng *sim.Engine) mem.Backend {
-		m, err := memmodel.New(kind, eng, spec, nil)
-		if err != nil {
-			panic(err)
-		}
-		return m
+	var err error
+	if opt.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {
+		return nil, err
 	}
 	art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: opt, Tag: "model:" + string(kind)})
 	if err != nil {
 		return nil, err
 	}
-	art.Family.Label = spec.Name + " + " + string(kind)
 	return art.Family, nil
 }
 
-func runFig4(env *Env) (*Result, error) {
-	spec := scaleSpec(platform.Gem5Graviton3(), env.Scale)
+// modelComparison is the body of Figs. 4 and 5: the platform's actual curves,
+// then each model's, every family drawn and given one table row — label,
+// unloaded latency, maximum bandwidth and the figure's own last column.
+func modelComparison(env *Env, r *Result, spec platform.Spec, kinds []memmodel.Kind, last func(core.Metrics) string) (*Result, error) {
 	actual, err := env.reference(spec)
 	if err != nil {
 		return nil, err
 	}
 	actual.Label = "Actual (reference model): " + spec.Name
-
-	r := &Result{
-		ID: "fig4", Paper: "Fig. 4",
-		Title:  "Graviton 3 server vs gem5 memory models",
-		Header: []string{"model", "unloaded [ns]", "max BW [GB/s]", "saturates?"},
-	}
-	r.Families = append(r.Families, actual)
-	addRow := func(f *core.Family) {
+	add := func(f *core.Family) {
 		m := f.Metrics()
-		saturates := "yes"
-		if m.MaxLatencyMaxNs < 2*m.UnloadedLatencyNs {
-			saturates = "no"
-		}
+		r.Families = append(r.Families, f)
 		r.Rows = append(r.Rows, []string{f.Label,
-			fmt.Sprintf("%.0f", m.UnloadedLatencyNs),
-			fmt.Sprintf("%.0f", m.SatBWHighGBs), saturates})
+			fmt.Sprintf("%.0f", m.UnloadedLatencyNs), fmt.Sprintf("%.0f", m.SatBWHighGBs), last(m)})
 	}
-	addRow(actual)
-	for _, kind := range []memmodel.Kind{memmodel.KindFixed, memmodel.KindInternalDDR, memmodel.KindRamulator2} {
-		f, err := modelFamily(env, spec, kind)
+	add(actual)
+	for _, kind := range kinds {
+		f, err := modelFamily(env, spec, kind, nil)
 		if err != nil {
 			return nil, err
 		}
-		r.Families = append(r.Families, f)
-		addRow(f)
+		f.Label = spec.Name + " + " + string(kind)
+		add(f)
 	}
-	r.Notes = append(r.Notes,
-		"Paper findings encoded/reproduced: unrealistically low model latencies; Ramulator 2's bandwidth wall below half the measured system bandwidth (Fig. 4d).")
 	return r, nil
+}
+
+func runFig4(env *Env) (*Result, error) {
+	r := &Result{
+		Title:  "Graviton 3 server vs gem5 memory models",
+		Header: []string{"model", "unloaded [ns]", "max BW [GB/s]", "saturates?"},
+		Notes: []string{
+			"Paper findings encoded/reproduced: unrealistically low model latencies; Ramulator 2's bandwidth wall below half the measured system bandwidth (Fig. 4d)."},
+	}
+	kinds := []memmodel.Kind{memmodel.KindFixed, memmodel.KindInternalDDR, memmodel.KindRamulator2}
+	return modelComparison(env, r, scaleSpec(platform.Gem5Graviton3(), env.Scale), kinds, func(m core.Metrics) string {
+		if m.MaxLatencyMaxNs < 2*m.UnloadedLatencyNs {
+			return "no"
+		}
+		return "yes"
+	})
 }
 
 func runFig5(env *Env) (*Result, error) {
 	spec := scaleSpec(platform.ZSimSkylake(), env.Scale)
-	actual, err := env.reference(spec)
-	if err != nil {
-		return nil, err
-	}
-	actual.Label = "Actual (reference model): " + spec.Name
-
 	r := &Result{
-		ID: "fig5", Paper: "Fig. 5",
 		Title:  "Skylake server vs ZSim memory models",
 		Header: []string{"model", "unloaded [ns]", "max BW [GB/s]", "max/theoretical"},
+		Notes: []string{
+			"Fixed-latency and Ramulator exceed the theoretical bandwidth (no bandwidth model); the internal DDR model under-estimates the saturated range; DRAMsim3 never saturates (Sec. IV-B)."},
 	}
-	theor := spec.TheoreticalBandwidthGBs()
-	addRow := func(f *core.Family) {
-		m := f.Metrics()
-		r.Rows = append(r.Rows, []string{f.Label,
-			fmt.Sprintf("%.0f", m.UnloadedLatencyNs),
-			fmt.Sprintf("%.0f", m.SatBWHighGBs),
-			fmt.Sprintf("%.2f×", m.SatBWHighGBs/theor)})
-	}
-	r.Families = append(r.Families, actual)
-	addRow(actual)
 	kinds := []memmodel.Kind{
 		memmodel.KindFixed, memmodel.KindMD1, memmodel.KindInternalDDR,
 		memmodel.KindDRAMsim3, memmodel.KindRamulator,
 	}
-	for _, kind := range kinds {
-		f, err := modelFamily(env, spec, kind)
-		if err != nil {
-			return nil, err
-		}
-		r.Families = append(r.Families, f)
-		addRow(f)
-	}
-	r.Notes = append(r.Notes,
-		"Fixed-latency and Ramulator exceed the theoretical bandwidth (no bandwidth model); the internal DDR model under-estimates the saturated range; DRAMsim3 never saturates (Sec. IV-B).")
-	return r, nil
+	theor := spec.TheoreticalBandwidthGBs()
+	return modelComparison(env, r, spec, kinds, func(m core.Metrics) string {
+		return fmt.Sprintf("%.2f×", m.SatBWHighGBs/theor)
+	})
 }
 
 // replica is a standalone cycle-accurate simulator fed with captured traces.
 type replica struct {
 	name string
-	mk   func(eng *sim.Engine) mem.Backend
+	kind memmodel.Kind
 }
 
 // runFig6 captures a trace on the reference platform at each sweep point
@@ -157,7 +136,6 @@ func runFig6(env *Env) (*Result, error) {
 	g3 := scaleSpec(platform.Gem5Graviton3(), env.Scale)
 
 	r := &Result{
-		ID: "fig6", Paper: "Fig. 6",
 		Title:  "Trace-driven cycle-accurate simulators",
 		Header: []string{"simulator", "trace points", "max BW [GB/s]", "actual max BW [GB/s]"},
 	}
@@ -166,12 +144,10 @@ func runFig6(env *Env) (*Result, error) {
 		spec     platform.Spec
 		replicas []replica
 	}{
-		{g3, []replica{
-			{"Ramulator2 (trace-driven)", func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulator2Like(eng, g3) }},
-		}},
+		{g3, []replica{{"Ramulator2 (trace-driven)", memmodel.KindRamulator2}}},
 		{skl, []replica{
-			{"DRAMsim3 (trace-driven)", func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, skl) }},
-			{"Ramulator (trace-driven)", func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulatorLike(eng, skl) }},
+			{"DRAMsim3 (trace-driven)", memmodel.KindDRAMsim3},
+			{"Ramulator (trace-driven)", memmodel.KindRamulator},
 		}},
 	}
 	for _, pf := range platforms {
@@ -201,9 +177,9 @@ func runFig6(env *Env) (*Result, error) {
 // bandwidth. The sweep points are independent simulations and run side by
 // side; each worker drops its trace once the replicas have consumed it, and
 // the curves are assembled in pace order after the join, so the families do
-// not depend on the worker count. Capture runs stay on bench.Run directly:
-// the capturing backend accumulates state per run, so a cached replay would
-// be meaningless.
+// not depend on the worker count. Captures bypass the characterization
+// service: the capturing backend accumulates state per run, so a cached
+// replay would be meaningless.
 func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*core.Family, float64, error) {
 	opt := benchOptions(env.Scale)
 	if env.Scale == Full {
@@ -220,13 +196,19 @@ func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*c
 	if err != nil {
 		return nil, 0, err
 	}
+	mks := make([]mem.BackendFactory, len(replicas))
+	for t, rep := range replicas {
+		if mks[t], err = memmodel.Factory(rep.kind, spec, nil); err != nil {
+			return nil, 0, err
+		}
+	}
 
 	// replays[m*paces+p][t] is replica t's replay of the trace captured at
 	// mix m, pace p; the row stays nil when the capture was discarded.
 	paces := len(opt.PacesNs)
 	replays := make([][]trace.ReplayResult, len(opt.Mixes)*paces)
 	err = par.Do(env.Context(), len(opt.Mixes)*paces, func(i int) error {
-		tr, err := captureTrace(env.Context(), spec, opt, opt.Mixes[i/paces], opt.PacesNs[i%paces])
+		tr, _, err := trace.CapturePoint(env.Context(), spec, opt, opt.Mixes[i/paces], opt.PacesNs[i%paces], captureLimit)
 		if err != nil {
 			return err
 		}
@@ -239,9 +221,9 @@ func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*c
 			return nil
 		}
 		replays[i] = make([]trace.ReplayResult, len(replicas))
-		for t, rep := range replicas {
+		for t, mk := range mks {
 			eng := sim.New()
-			replays[i][t] = trace.Replay(eng, rep.mk(eng), tr)
+			replays[i][t] = trace.Replay(eng, mk(eng), tr)
 		}
 		return nil
 	})
@@ -267,23 +249,9 @@ func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*c
 	return fams, actual.Metrics().SatBWHighGBs, nil
 }
 
-// captureTrace runs one benchmark point on the reference platform with a
-// capturing wrapper around the memory system.
-func captureTrace(ctx context.Context, spec platform.Spec, opt bench.Options, mix bench.Mix, paceNs float64) (*trace.Trace, error) {
-	var cap *trace.Capture
-	o := opt
-	o.Mixes = []bench.Mix{mix}
-	o.PacesNs = []float64{paceNs}
-	o.Parallelism = 1
-	o.Backend = func(eng *sim.Engine) mem.Backend {
-		cap = trace.NewCapture(eng, dram.New(eng, spec.DRAM), 400000)
-		return cap
-	}
-	if _, err := bench.RunContext(ctx, spec, o); err != nil {
-		return nil, err
-	}
-	return &cap.T, nil
-}
+// captureLimit bounds the records one trace.CapturePoint of fig6 or fig6s
+// keeps: trace capture is memory-hungry.
+const captureLimit = 400000
 
 func runFig7(env *Env) (*Result, error) {
 	spec := scaleSpec(platform.ZSimSkylake(), env.Scale)
@@ -291,37 +259,37 @@ func runFig7(env *Env) (*Result, error) {
 	opt.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 100}}
 
 	r := &Result{
-		ID: "fig7", Paper: "Fig. 7",
 		Title:  "Row-buffer statistics under load: actual vs DRAMsim3 vs Ramulator",
 		Header: []string{"system", "traffic", "BW [GB/s]", "hit", "empty", "miss"},
 	}
 
-	run := func(name, tag string, backend mem.BackendFactory) error {
-		o := opt
-		o.Backend = backend
-		art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: o, Tag: tag, NeedSamples: true})
+	// The reference is the platform's own detailed model: no backend and no
+	// tag, so the run keeps a plain characterization's cache identity.
+	for _, sys := range []struct {
+		name string
+		kind memmodel.Kind
+	}{{"actual (reference)", memmodel.KindReference}, {"DRAMsim3", memmodel.KindDRAMsim3}, {"Ramulator", memmodel.KindRamulator}} {
+		req := charz.Request{Spec: spec, Options: opt, NeedSamples: true}
+		if sys.kind != memmodel.KindReference {
+			var err error
+			if req.Options.Backend, err = memmodel.Factory(sys.kind, spec, nil); err != nil {
+				return nil, err
+			}
+			req.Tag = "replica:" + string(sys.kind)
+		}
+		art, err := env.Charz.CharacterizeContext(env.Context(), req)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, sm := range art.Result.Samples {
 			traffic := "100% read"
 			if sm.Mix.StorePercent == 100 {
 				traffic = "50/50 read/write"
 			}
-			r.Rows = append(r.Rows, []string{name, traffic,
+			r.Rows = append(r.Rows, []string{sys.name, traffic,
 				fmt.Sprintf("%.0f", sm.BWGBs),
 				pct(sm.RowHit), pct(sm.RowEmpty), pct(sm.RowMiss)})
 		}
-		return nil
-	}
-	if err := run("actual (reference)", "", nil); err != nil {
-		return nil, err
-	}
-	if err := run("DRAMsim3", "replica:dramsim3", func(eng *sim.Engine) mem.Backend { return memmodel.NewDRAMsim3Like(eng, spec) }); err != nil {
-		return nil, err
-	}
-	if err := run("Ramulator", "replica:ramulator", func(eng *sim.Engine) mem.Backend { return memmodel.NewRamulatorLike(eng, spec) }); err != nil {
-		return nil, err
 	}
 	r.Notes = append(r.Notes,
 		"Actual hardware: hits decay as load and write share grow (84/13/3% → ≈35% hits). DRAMsim3 pins 84–93% hits regardless of load; Ramulator matches reads but stays too high for write-heavy mixes (Fig. 7).")

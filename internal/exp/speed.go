@@ -6,7 +6,6 @@ import (
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
-	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
@@ -59,14 +58,9 @@ func runTableSpeed(env *Env) (*Result, error) {
 	elapsed := map[memmodel.Kind]time.Duration{}
 	perOp := map[memmodel.Kind]float64{}
 	for _, kind := range kinds {
-		kind := kind
 		o := opt
-		o.Backend = func(eng *sim.Engine) mem.Backend {
-			m, err := memmodel.New(kind, eng, spec, ref)
-			if err != nil {
-				panic(err)
-			}
-			return m
+		if o.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {
+			return nil, err
 		}
 		start := time.Now()
 		res, err := bench.RunContext(env.Context(), spec, o)
@@ -88,7 +82,6 @@ func runTableSpeed(env *Env) (*Result, error) {
 
 	base := perOp[memmodel.KindFixed]
 	r := &Result{
-		ID: "tablespeed", Paper: "Sec. V-B",
 		Title:  "Simulation cost per simulated memory operation",
 		Header: []string{"model", "wall-clock", "host ns/op", "vs fixed-latency"},
 	}
@@ -132,7 +125,6 @@ func runOpenPitonBug(env *Env) (*Result, error) {
 	bugged := buggedArt.Result
 
 	r := &Result{
-		ID: "openpiton-bug", Paper: "Sec. IV-C",
 		Title:  "OpenPiton coherency bug: measured write share of memory traffic",
 		Header: []string{"kernel mix", "pace [ns]", "healthy write share", "bugged write share"},
 	}

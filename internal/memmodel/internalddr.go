@@ -95,7 +95,7 @@ func (m *InternalDDR) serve(ch int) {
 	}
 	now := m.eng.Now()
 	idx := 0
-	horizon := maxT(now, m.busFree[ch])
+	horizon := max(now, m.busFree[ch])
 	for i := 0; i < 2 && i < len(m.queues[ch]); i++ {
 		b := int(m.queues[ch][i].Addr / mem.LineSize / uint64(m.channels) % uint64(m.banks))
 		if m.bankFree[ch][b] <= horizon {
@@ -109,8 +109,7 @@ func (m *InternalDDR) serve(ch int) {
 	bank := int(req.Addr / mem.LineSize / uint64(m.channels) % uint64(m.banks))
 	isW := req.Op == mem.Write
 
-	start := maxT(now, m.bankFree[ch][bank])
-	start = maxT(start, m.busFree[ch])
+	start := max(now, m.bankFree[ch][bank], m.busFree[ch])
 	if m.lastIsW[ch] != isW {
 		start += m.turn
 	}
@@ -129,7 +128,7 @@ func (m *InternalDDR) serve(ch int) {
 
 	req.CompleteAt(m.eng, end)
 	m.pending[ch] = true
-	m.eng.Schedule(maxT(now, start), m.serveFn[ch])
+	m.eng.Schedule(max(now, start), m.serveFn[ch])
 }
 
 // refreshAdjust stalls commands that land in a refresh window.
@@ -147,11 +146,4 @@ func (m *InternalDDR) refreshAdjust(ch int, t sim.Time) sim.Time {
 		return start + m.rfc
 	}
 	return t
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

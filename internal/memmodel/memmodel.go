@@ -14,6 +14,7 @@ package memmodel
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/dram"
@@ -42,35 +43,54 @@ func Kinds() []Kind {
 	return []Kind{KindFixed, KindMD1, KindInternalDDR, KindDRAMsim3, KindRamulator, KindRamulator2, KindReference, KindMess}
 }
 
-// New builds the model of the given kind for the platform spec. The Mess
-// kind additionally needs the measured curve family.
-func New(kind Kind, eng *sim.Engine, spec platform.Spec, fam *core.Family) (mem.Backend, error) {
+// Factory resolves a kind to the constructor of that model for the platform.
+// The kind — and the curve family, which only the Mess kind reads and
+// requires — is checked here, once: the factory it returns cannot fail, so a
+// misspelt kind is an error before any simulation starts, never a panic
+// inside a sweep worker.
+func Factory(kind Kind, spec platform.Spec, fam *core.Family) (mem.BackendFactory, error) {
 	switch kind {
 	case KindFixed:
-		return NewFixed(eng, sim.FromNanoseconds(spec.UnloadedLatencyNs-spec.OnChipLatency.Nanoseconds())), nil
+		lat := sim.FromNanoseconds(spec.UnloadedLatencyNs - spec.OnChipLatency.Nanoseconds())
+		return func(eng *sim.Engine) mem.Backend { return NewFixed(eng, lat) }, nil
 	case KindMD1:
-		return NewMD1(eng, spec), nil
+		return func(eng *sim.Engine) mem.Backend { return NewMD1(eng, spec) }, nil
 	case KindInternalDDR:
-		return NewInternalDDR(eng, spec), nil
+		return func(eng *sim.Engine) mem.Backend { return NewInternalDDR(eng, spec) }, nil
 	case KindDRAMsim3:
-		return NewDRAMsim3Like(eng, spec), nil
+		return func(eng *sim.Engine) mem.Backend { return NewDRAMsim3Like(eng, spec) }, nil
 	case KindRamulator:
-		return NewRamulatorLike(eng, spec), nil
+		return func(eng *sim.Engine) mem.Backend { return NewRamulatorLike(eng, spec) }, nil
 	case KindRamulator2:
-		return NewRamulator2Like(eng, spec), nil
+		return func(eng *sim.Engine) mem.Backend { return NewRamulator2Like(eng, spec) }, nil
 	case KindReference:
-		return dram.New(eng, spec.DRAM), nil
+		return func(eng *sim.Engine) mem.Backend { return dram.New(eng, spec.DRAM) }, nil
 	case KindMess:
 		if fam == nil {
 			return nil, fmt.Errorf("memmodel: the mess model needs a curve family")
 		}
-		return messsim.New(eng, messsim.Config{
-			Family:       fam,
-			CPULatencyNs: spec.OnChipLatency.Nanoseconds(),
-		}), nil
-	default:
-		return nil, fmt.Errorf("memmodel: unknown model kind %q", kind)
+		cfg := messsim.Config{Family: fam, CPULatencyNs: spec.OnChipLatency.Nanoseconds()}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		return func(eng *sim.Engine) mem.Backend { return messsim.New(eng, cfg) }, nil
 	}
+	have := make([]string, len(Kinds()))
+	for i, k := range Kinds() {
+		have[i] = string(k)
+	}
+	return nil, fmt.Errorf("memmodel: unknown model kind %q (have %s)", kind, strings.Join(have, ", "))
+}
+
+// New builds the model of the given kind for the platform spec on the
+// engine: Factory and one call. The Mess kind additionally needs the
+// measured curve family.
+func New(kind Kind, eng *sim.Engine, spec platform.Spec, fam *core.Family) (mem.Backend, error) {
+	mk, err := Factory(kind, spec, fam)
+	if err != nil {
+		return nil, err
+	}
+	return mk(eng), nil
 }
 
 // Fixed serves every request after a constant latency with no bandwidth
@@ -100,11 +120,9 @@ func (f *Fixed) Access(req *mem.Request) {
 // the queue saturates abruptly rather than with the device's gradual knee,
 // and a write costs the same as a read.
 type MD1 struct {
-	eng      *sim.Engine
-	base     sim.Time
-	svc      sim.Time
-	channels int
-	free     []sim.Time
+	eng  *sim.Engine
+	base sim.Time
+	fifo chanFIFO
 }
 
 // NewMD1 derives the channel count and service rate from the spec.
@@ -115,23 +133,32 @@ func NewMD1(eng *sim.Engine, spec platform.Spec) *MD1 {
 	if memLat < 1 {
 		memLat = 1
 	}
-	return &MD1{
-		eng:      eng,
-		base:     sim.FromNanoseconds(memLat),
-		svc:      sim.FromNanoseconds(float64(mem.LineSize) / perChan),
-		channels: ch,
-		free:     make([]sim.Time, ch),
-	}
+	return &MD1{eng: eng, base: sim.FromNanoseconds(memLat), fifo: newChanFIFO(ch, perChan)}
 }
 
 // Access implements mem.Backend.
 func (m *MD1) Access(req *mem.Request) {
-	now := m.eng.Now()
-	ch := int(req.Addr / mem.LineSize % uint64(m.channels))
-	start := m.free[ch]
-	if start < now {
-		start = now
-	}
-	m.free[ch] = start + m.svc
-	req.CompleteAt(m.eng, start+m.svc+m.base)
+	start := m.fifo.admit(m.eng.Now(), req.Addr)
+	req.CompleteAt(m.eng, start+m.fifo.svc+m.base)
+}
+
+// chanFIFO is the bandwidth limit MD1 and two replicas share: lines
+// interleave over the channels, and each channel serves one line at a time
+// in arrival order at a fixed rate.
+type chanFIFO struct {
+	svc  sim.Time   // service time of one line on one channel
+	free []sim.Time // per channel: when its last admitted line leaves service
+}
+
+func newChanFIFO(channels int, perChanGBs float64) chanFIFO {
+	return chanFIFO{svc: sim.FromNanoseconds(float64(mem.LineSize) / perChanGBs), free: make([]sim.Time, channels)}
+}
+
+// admit queues the line at addr on its channel and reports when its service
+// starts; it ends svc later.
+func (f *chanFIFO) admit(now sim.Time, addr uint64) sim.Time {
+	ch := addr / mem.LineSize % uint64(len(f.free))
+	start := max(now, f.free[ch])
+	f.free[ch] = start + f.svc
+	return start
 }

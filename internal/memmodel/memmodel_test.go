@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/mess-sim/mess/internal/core"
@@ -244,5 +246,62 @@ func TestMidnessShape(t *testing.T) {
 	}
 	if midness(0.75) != 1 {
 		t.Fatal("balanced-intermediate traffic should have midness 1")
+	}
+}
+
+// completions drives a fixed mixed request stream into the backend — bursts
+// of eight across channels and banks, every fifth a write — and returns
+// every completion instant in completion order.
+func completions(eng *sim.Engine, b mem.Backend) []sim.Time {
+	var log []sim.Time
+	done := func(at sim.Time, _ *mem.Request) { log = append(log, at) }
+	for i := uint64(0); i < 400; i++ {
+		addr, op := (i*97%4096)*mem.LineSize, mem.Read
+		if i%5 == 4 {
+			op = mem.Write
+		}
+		eng.Schedule(sim.Time(i/8)*20*sim.Nanosecond, func() {
+			b.Access(&mem.Request{Addr: addr, Op: op, Done: done})
+		})
+	}
+	eng.RunUntil(50 * sim.Microsecond)
+	return log
+}
+
+func TestFactory(t *testing.T) {
+	fam := core.NewSynthetic(core.SyntheticSpec{Label: "zoo"})
+	for _, kind := range Kinds() {
+		mk, err := Factory(kind, spec(), fam)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		// One factory serves any number of engines, each model equal to
+		// the one New builds.
+		engF, engN := sim.New(), sim.New()
+		m, err := New(kind, engN, spec(), fam)
+		if err != nil {
+			t.Fatalf("%s: New: %v", kind, err)
+		}
+		got, want := completions(engF, mk(engF)), completions(engN, m)
+		if len(got) != 400 {
+			t.Errorf("%s: %d of 400 requests completed", kind, len(got))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Factory's model and New's complete the same stream at different instants", kind)
+		}
+	}
+
+	_, err := Factory("bogus", spec(), fam)
+	if err == nil || !strings.Contains(err.Error(), `unknown model kind "bogus"`) || !strings.Contains(err.Error(), "internal-ddr") {
+		t.Errorf("unknown kind: err = %v, want it named beside the kinds there are", err)
+	}
+	if _, err := Factory(KindMess, spec(), nil); err == nil {
+		t.Error("the mess kind resolved without a curve family")
+	}
+	if _, err := Factory(KindMess, spec(), &core.Family{}); err == nil {
+		t.Error("the mess kind resolved with an empty curve family")
+	}
+	if _, err := Factory(KindFixed, spec(), nil); err != nil {
+		t.Errorf("a baseline kind needs no family: %v", err)
 	}
 }

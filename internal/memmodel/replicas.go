@@ -42,17 +42,24 @@ func (t *bwTracker) observe(now sim.Time, op mem.Op, bytes int) {
 	}
 }
 
+// xorshift is the replicas' seeded dice: each roll is the next state of a
+// 64-bit xorshift generator, reduced to [0, 1) in thousandths.
+type xorshift uint64
+
+func (x *xorshift) next() float64 {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	return float64(*x%1000) / 1000
+}
+
 // midness is 1 for balanced-intermediate read ratios (≈0.75 with regular
 // stores) and 0 for dominantly-read or dominantly-write traffic. The paper
 // observes both DRAMsim3 and Ramulator giving their *highest* hit rates to
 // dominant-direction traffic and their lowest to intermediate mixes
 // (Sec. IV-D).
 func midness(readRatio float64) float64 {
-	d := math.Abs(readRatio-0.75) / 0.25
-	if d > 1 {
-		d = 1
-	}
-	return 1 - d
+	return 1 - min(1, math.Abs(readRatio-0.75)/0.25)
 }
 
 // DRAMsim3Like is the behavioural replica of trace-driven DRAMsim3,
@@ -66,14 +73,12 @@ func midness(readRatio float64) float64 {
 //   - row-buffer hit rates stuck at 84–93% regardless of load, highest for
 //     dominant-direction traffic.
 type DRAMsim3Like struct {
-	eng     *sim.Engine
-	svc     sim.Time // FIFO service per request: caps bandwidth
-	free    []sim.Time
-	chn     int
-	peak    float64
-	track   *bwTracker
-	rowRand uint64
-	rows    dram.RowStats
+	eng   *sim.Engine
+	fifo  chanFIFO // caps bandwidth
+	peak  float64
+	track *bwTracker
+	roll  xorshift
+	rows  dram.RowStats
 }
 
 // NewDRAMsim3Like builds the replica for the spec's memory system.
@@ -82,13 +87,11 @@ func NewDRAMsim3Like(eng *sim.Engine, spec platform.Spec) *DRAMsim3Like {
 	cap := 0.88 * peak
 	ch := spec.DRAM.Channels
 	return &DRAMsim3Like{
-		eng:     eng,
-		svc:     sim.FromNanoseconds(float64(mem.LineSize) / (cap / float64(ch))),
-		free:    make([]sim.Time, ch),
-		chn:     ch,
-		peak:    peak,
-		track:   newBWTracker(sim.Microsecond),
-		rowRand: 0x2545f4914f6cdd1d,
+		eng:   eng,
+		fifo:  newChanFIFO(ch, cap/float64(ch)),
+		peak:  peak,
+		track: newBWTracker(sim.Microsecond),
+		roll:  0x2545f4914f6cdd1d,
 	}
 }
 
@@ -97,12 +100,7 @@ func (d *DRAMsim3Like) Access(req *mem.Request) {
 	now := d.eng.Now()
 	d.track.observe(now, req.Op, req.Bytes())
 	d.recordRow()
-
-	ch := int(req.Addr / mem.LineSize % uint64(d.chn))
-	start := maxT(now, d.free[ch])
-	d.free[ch] = start + d.svc
-
-	req.CompleteAt(d.eng, start+sim.FromNanoseconds(d.latency()))
+	req.CompleteAt(d.eng, d.fifo.admit(now, req.Addr)+sim.FromNanoseconds(d.latency()))
 }
 
 func (d *DRAMsim3Like) latency() float64 {
@@ -124,10 +122,7 @@ func (d *DRAMsim3Like) recordRow() {
 	if d.track.lastBW > 1 && d.track.lastBW < 6 {
 		hit = 0.33 // the low-bandwidth anomaly the paper correlates with the latency peak
 	}
-	d.rowRand ^= d.rowRand << 13
-	d.rowRand ^= d.rowRand >> 7
-	d.rowRand ^= d.rowRand << 17
-	if float64(d.rowRand%1000)/1000 < hit {
+	if d.roll.next() < hit {
 		d.rows.Hits++
 	} else {
 		d.rows.Misses++
@@ -143,22 +138,22 @@ func (d *DRAMsim3Like) RowStats() dram.RowStats { return d.rows }
 // (Fig. 7) track the hardware for read traffic but stay far too high for
 // write-heavy mixes.
 type RamulatorLike struct {
-	eng     *sim.Engine
-	lat     sim.Time
-	peak    float64
-	track   *bwTracker
-	rowRand uint64
-	rows    dram.RowStats
+	eng   *sim.Engine
+	lat   sim.Time
+	peak  float64
+	track *bwTracker
+	roll  xorshift
+	rows  dram.RowStats
 }
 
 // NewRamulatorLike builds the replica.
 func NewRamulatorLike(eng *sim.Engine, spec platform.Spec) *RamulatorLike {
 	return &RamulatorLike{
-		eng:     eng,
-		lat:     sim.FromNanoseconds(25),
-		peak:    spec.DRAM.PeakBandwidthGBs(),
-		track:   newBWTracker(sim.Microsecond),
-		rowRand: 0x9e3779b97f4a7c15,
+		eng:   eng,
+		lat:   sim.FromNanoseconds(25),
+		peak:  spec.DRAM.PeakBandwidthGBs(),
+		track: newBWTracker(sim.Microsecond),
+		roll:  0x9e3779b97f4a7c15,
 	}
 }
 
@@ -172,10 +167,7 @@ func (r *RamulatorLike) Access(req *mem.Request) {
 
 func (r *RamulatorLike) recordRow() {
 	ratio := r.track.lastRd
-	util := r.track.lastBW / r.peak
-	if util > 1 {
-		util = 1
-	}
+	util := min(1, r.track.lastBW/r.peak)
 	var hit float64
 	if ratio > 0.8 {
 		// Read-dominant: resembles hardware — hits decay with load.
@@ -184,10 +176,7 @@ func (r *RamulatorLike) recordRow() {
 		// Write-heavy: hit rates greatly exceed the actual ones.
 		hit = 0.88 - 0.05*util
 	}
-	r.rowRand ^= r.rowRand << 13
-	r.rowRand ^= r.rowRand >> 7
-	r.rowRand ^= r.rowRand << 17
-	roll := float64(r.rowRand%1000) / 1000
+	roll := r.roll.next()
 	switch {
 	case roll < hit:
 		r.rows.Hits++
@@ -208,9 +197,7 @@ func (r *RamulatorLike) RowStats() dram.RowStats { return r.rows }
 type Ramulator2Like struct {
 	eng  *sim.Engine
 	base sim.Time
-	svc  sim.Time
-	free []sim.Time
-	chn  int
+	fifo chanFIFO
 }
 
 // NewRamulator2Like builds the replica.
@@ -218,20 +205,11 @@ func NewRamulator2Like(eng *sim.Engine, spec platform.Spec) *Ramulator2Like {
 	peak := spec.DRAM.PeakBandwidthGBs()
 	wall := 0.41 * peak
 	ch := spec.DRAM.Channels
-	return &Ramulator2Like{
-		eng:  eng,
-		base: sim.FromNanoseconds(30),
-		svc:  sim.FromNanoseconds(float64(mem.LineSize) / (wall / float64(ch))),
-		free: make([]sim.Time, ch),
-		chn:  ch,
-	}
+	return &Ramulator2Like{eng: eng, base: sim.FromNanoseconds(30), fifo: newChanFIFO(ch, wall/float64(ch))}
 }
 
 // Access implements mem.Backend.
 func (r *Ramulator2Like) Access(req *mem.Request) {
-	now := r.eng.Now()
-	ch := int(req.Addr / mem.LineSize % uint64(r.chn))
-	start := maxT(now, r.free[ch])
-	r.free[ch] = start + r.svc
-	req.CompleteAt(r.eng, start+r.svc+r.base)
+	start := r.fifo.admit(r.eng.Now(), req.Addr)
+	req.CompleteAt(r.eng, start+r.fifo.svc+r.base)
 }

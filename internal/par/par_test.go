@@ -190,3 +190,62 @@ func TestDoLeavesNoGoroutineBehind(t *testing.T) {
 		t.Errorf("goroutines: %d before, %d after", before, after)
 	}
 }
+
+func TestWorkersBoundAndWorkerIndex(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		for _, tc := range []struct{ bound, n, want int }{{3, 100, 3}, {8, 5, 5}, {1, 20, 1}, {0, 20, 1}, {-2, 4, 1}} {
+			// busy[w] counts the goroutines inside worker w's job: the
+			// caller keeps per-worker state in slot w unsynchronised, so
+			// two at once is a data race in every user.
+			busy := make([]atomic.Int32, tc.want)
+			var live, peak atomic.Int32
+			ran := make([]atomic.Int32, tc.n)
+			err := Workers(context.Background(), tc.bound, tc.n, func(w, i int) error {
+				if w < 0 || w >= tc.want {
+					return fmt.Errorf("job %d ran as worker %d of %d", i, w, tc.want)
+				}
+				if busy[w].Add(1) != 1 {
+					return fmt.Errorf("worker %d is live on two goroutines", w)
+				}
+				n := live.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				ran[i].Add(1)
+				runtime.Gosched()
+				live.Add(-1)
+				busy[w].Add(-1)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("bound %d, n %d: %v", tc.bound, tc.n, err)
+			}
+			if got := int(peak.Load()); got > tc.want {
+				t.Errorf("bound %d, n %d: %d jobs were live at once, want at most %d", tc.bound, tc.n, got, tc.want)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Errorf("bound %d, n %d: index %d ran %d times", tc.bound, tc.n, i, got)
+				}
+			}
+		}
+	})
+}
+
+func TestWorkersExceedGOMAXPROCS(t *testing.T) {
+	// The explicit bound is honoured above GOMAXPROCS too: four jobs that
+	// each wait for all four to have started finish only on four workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var started atomic.Int32
+	err := Workers(context.Background(), 4, 4, func(w, i int) error {
+		started.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); started.Load() < 4; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("job %d: only %d of 4 jobs ever started together", i, started.Load())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/sim"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // CounterWindow is one raw sampling window: the traffic delta between two
@@ -76,12 +77,9 @@ func (s *Sampler) Stop() { s.tick.Stop() }
 // Windows reports the collected raw windows.
 func (s *Sampler) Windows() []CounterWindow { return s.windows }
 
-// PhaseSpan is a labelled interval of the application timeline.
-type PhaseSpan struct {
-	Name       string
-	Start, End sim.Time
-	MPI        bool
-}
+// PhaseSpan is a labelled interval of the application timeline, as a
+// PhasedApp records them.
+type PhaseSpan = workloads.PhaseSpan
 
 // Sample is one analyzed profiling window: the application's position on
 // the curves plus the derived stress score and its timeline context.
@@ -130,18 +128,24 @@ func Build(label string, fam *core.Family, windows []CounterWindow, phases []Pha
 	return p
 }
 
+// Run profiles the application for dur of simulated time — sampler on at
+// the 10 µs period, the run, sampler off — and analyzes the windows against
+// the curve family with the paper's stress weights and the app's own phase
+// timeline.
+func Run(app *workloads.PhasedApp, label string, fam *core.Family, dur sim.Time) *Profile {
+	sampler := NewSampler(app.Eng, app.Counting, 10*sim.Microsecond)
+	sampler.Start()
+	app.Run(dur)
+	sampler.Stop()
+	return Build(label, fam, sampler.Windows(), app.Events(), core.DefaultStressWeights)
+}
+
 func dominantPhase(phases []PhaseSpan, start, end sim.Time) (string, bool, bool) {
 	var bestName string
 	var bestMPI bool
 	var bestOverlap sim.Time
 	for _, ph := range phases {
-		lo, hi := ph.Start, ph.End
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
+		lo, hi := max(ph.Start, start), min(ph.End, end)
 		if hi > lo && hi-lo > bestOverlap {
 			bestOverlap = hi - lo
 			bestName, bestMPI = ph.Name, ph.MPI

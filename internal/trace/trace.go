@@ -6,7 +6,12 @@
 package trace
 
 import (
+	"context"
+
+	"github.com/mess-sim/mess/internal/bench"
+	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
+	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
 )
 
@@ -70,6 +75,29 @@ func (c *Capture) Access(req *mem.Request) {
 		})
 	}
 	c.Inner.Access(req)
+}
+
+// CapturePoint simulates one loaded point of the Mess benchmark sweep — the
+// platform's detailed DRAM system under the given mix and pacing — behind a
+// capturing wrapper, and returns the first limit records that reached the
+// memory controller (0: all of them) with the point's sample. The point runs
+// on a machine of its own, so the trace is the one a whole sweep would have
+// captured at that point. opt.Backend is ignored: the capture is the backend.
+func CapturePoint(ctx context.Context, spec platform.Spec, opt bench.Options, mix bench.Mix, paceNs float64, limit int) (*Trace, bench.Sample, error) {
+	if err := ctx.Err(); err != nil { // a point is atomic: the one place to stop
+		return nil, bench.Sample{}, err
+	}
+	var cap *Capture
+	opt.Backend = func(eng *sim.Engine) mem.Backend {
+		cap = NewCapture(eng, dram.New(eng, spec.DRAM), limit)
+		return cap
+	}
+	s, err := bench.MeasurePoint(spec, opt, mix, paceNs)
+	if err != nil {
+		return nil, s, err
+	}
+	tr := cap.T // a copy: the trace must not keep the capture's machine alive
+	return &tr, s, nil
 }
 
 // ReplayResult is the outcome of a trace-driven simulation.

@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"testing"
 
+	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
@@ -275,5 +279,46 @@ func TestEmptyTraceReplay(t *testing.T) {
 	res := Replay(eng, &echoBackend{eng: eng}, &Trace{})
 	if res.Reads != 0 || res.BWGBs != 0 {
 		t.Fatalf("empty replay produced %+v", res)
+	}
+}
+
+// TestCapturePointMatchesSweepCapture holds CapturePoint to what it replaces:
+// a one-point sweep with the capture wrapped in through Options.Backend,
+// whose second backend — the first is the unloaded anchor's — is the point's.
+func TestCapturePointMatchesSweepCapture(t *testing.T) {
+	spec := platform.Skylake()
+	spec.Cores, spec.DRAM.Channels = 6, 2
+	mix, pace, limit := bench.Mix{StorePercent: 40}, 8.0, 3000
+
+	opt := bench.QuickOptions()
+	opt.Mixes, opt.PacesNs, opt.Parallelism = []bench.Mix{mix}, []float64{pace}, 1
+	var caps []*Capture
+	opt.Backend = func(eng *sim.Engine) mem.Backend {
+		caps = append(caps, NewCapture(eng, dram.New(eng, spec.DRAM), limit))
+		return caps[len(caps)-1]
+	}
+	res, err := bench.Run(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr, s, err := CapturePoint(context.Background(), spec, bench.QuickOptions(), mix, pace, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) != limit {
+		t.Fatalf("captured %d records, want the limit of %d", len(tr.Records), limit)
+	}
+	if want := caps[1].T.Records; !slices.Equal(tr.Records, want) {
+		t.Error("the trace differs from the one a sweep captures at the same point")
+	}
+	if s != res.Samples[0] {
+		t.Errorf("sample %+v, the sweep measured %+v", s, res.Samples[0])
+	}
+
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := CapturePoint(done, spec, bench.QuickOptions(), mix, pace, limit); !errors.Is(err, context.Canceled) {
+		t.Errorf("under a cancelled context: err = %v, want Canceled", err)
 	}
 }

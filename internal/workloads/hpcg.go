@@ -40,12 +40,12 @@ func HPCGPhases() []Phase {
 	}
 }
 
-// PhaseEvent records a phase transition for timeline analysis.
-type PhaseEvent struct {
-	Name  string
-	Start sim.Time
-	End   sim.Time
-	MPI   bool
+// PhaseSpan is a labelled interval of the application timeline: one phase
+// of a PhasedApp run, as the profiler tags its windows with.
+type PhaseSpan struct {
+	Name       string
+	Start, End sim.Time
+	MPI        bool
 }
 
 // PhasedApp drives all cores through a repeating phase schedule on one
@@ -60,7 +60,7 @@ type PhasedApp struct {
 	phases []Phase
 	cores  int
 	active []*cpu.KernelCore
-	events []PhaseEvent
+	events []PhaseSpan
 	arrays uint64
 }
 
@@ -100,7 +100,7 @@ func (a *PhasedApp) Run(until sim.Time) {
 		ph := a.phases[idx%len(a.phases)]
 		idx++
 		end := now + ph.Duration
-		a.events = append(a.events, PhaseEvent{Name: ph.Name, Start: now, End: end, MPI: ph.MPICall})
+		a.events = append(a.events, PhaseSpan{Name: ph.Name, Start: now, End: end, MPI: ph.MPICall})
 		a.stopCores()
 		if !ph.MPICall {
 			a.startCores(ph.Kernel)
@@ -138,4 +138,4 @@ func (a *PhasedApp) stopCores() {
 }
 
 // Events reports the recorded phase timeline.
-func (a *PhasedApp) Events() []PhaseEvent { return a.events }
+func (a *PhasedApp) Events() []PhaseSpan { return a.events }

@@ -11,6 +11,7 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/mess-sim/mess/internal/cache"
 	"github.com/mess-sim/mess/internal/cpu"
@@ -188,4 +189,16 @@ func StreamSuite(spec platform.Spec, opt Options) ([]Result, error) {
 // latency benchmarks single-core.
 func EvalSuite(spec platform.Spec, opt Options) ([]Result, error) {
 	return runSuite(spec, opt, evalJobs)
+}
+
+// IPCErrors scores a model's run of a suite against the reference run of
+// the same suite: the absolute relative IPC error of each benchmark, in
+// suite order, and their mean — the quantity of Figs. 11 and 13.
+func IPCErrors(ref, got []Result) (perBench []float64, mean float64) {
+	perBench = make([]float64, len(ref))
+	for i := range ref {
+		perBench[i] = math.Abs(got[i].IPC-ref[i].IPC) / ref[i].IPC
+		mean += perBench[i]
+	}
+	return perBench, mean / float64(len(ref))
 }

@@ -3,6 +3,7 @@ package workloads
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -219,5 +220,21 @@ func TestPhasedAppTimeline(t *testing.T) {
 func TestRunRejectsArraylessKernel(t *testing.T) {
 	if _, err := Run(miniSpec(), cpu.Kernel{Name: "empty"}, Options{}); err == nil {
 		t.Fatal("kernel without arrays accepted")
+	}
+}
+
+func TestIPCErrors(t *testing.T) {
+	ref := []Result{{IPC: 2}, {IPC: 0.5}, {IPC: 1}}
+	got := []Result{{IPC: 1}, {IPC: 0.75}, {IPC: 1}}
+	per, mean := IPCErrors(ref, got)
+	if want := []float64{0.5, 0.5, 0}; !slices.Equal(per, want) {
+		t.Errorf("per-benchmark errors %v, want %v: absolute, relative to the reference", per, want)
+	}
+	if want := 1.0 / 3; mean != want {
+		t.Errorf("mean %v, want %v", mean, want)
+	}
+	// A model that reproduces the reference scores zero everywhere.
+	if per, mean := IPCErrors(ref, ref); mean != 0 || slices.Max(per) != 0 {
+		t.Errorf("reference against itself: %v, mean %v", per, mean)
 	}
 }

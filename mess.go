@@ -152,7 +152,7 @@ func OptaneFamily() *Family { return cxl.OptaneFamily(cxl.SweepOptions{}) }
 // The characterization service: the single path from a (platform, options)
 // pair to its curve family, with content-addressed keys, in-memory
 // memoization, deduplication of concurrent requests, optional persistence
-// and bounded parallel fan-out (CharacterizeAll). See internal/charz.
+// and bounded parallel fan-out (CharacterizeAllContext). See internal/charz.
 type (
 	// CharacterizationService caches and deduplicates characterizations.
 	CharacterizationService = charz.Service

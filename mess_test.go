@@ -238,11 +238,7 @@ func TestProfilingFacade(t *testing.T) {
 	app.Run(400 * mess.Microsecond)
 	sampler.Stop()
 
-	var phases []mess.PhaseSpan
-	for _, e := range app.Events() {
-		phases = append(phases, mess.PhaseSpan{Name: e.Name, Start: e.Start, End: e.End, MPI: e.MPI})
-	}
-	p := mess.BuildProfile("hpcg", fam, sampler.Windows(), phases, mess.DefaultStressWeights)
+	p := mess.BuildProfile("hpcg", fam, sampler.Windows(), app.Events(), mess.DefaultStressWeights)
 	if len(p.Samples) == 0 {
 		t.Fatal("no profile samples")
 	}

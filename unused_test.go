@@ -29,36 +29,7 @@ const modulePath = "github.com/mess-sim/mess"
 // observe something else, one "pkg.Name" or "pkg.Type.Method" a line
 // followed by its reason; a line that stops being needed fails the test too.
 func TestInternalExportsAreNamed(t *testing.T) {
-	fset := token.NewFileSet()
-	type file struct {
-		dir  string // slash-separated, relative to the module root
-		ast  *ast.File
-		test bool
-	}
-	var files []file
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f, strings.HasSuffix(path, "_test.go")})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := moduleFiles(t)
 
 	// What the root package aliases, as "dir.Type".
 	public := map[string]bool{}
@@ -179,6 +150,108 @@ func TestInternalExportsAreNamed(t *testing.T) {
 	}
 	for id := range allowed {
 		t.Errorf("testdata/testonly.txt lists %s, which is not an exported function, method or type of internal/", id)
+	}
+}
+
+// srcFile is one parsed Go file of the module.
+type srcFile struct {
+	dir  string // slash-separated, relative to the module root
+	path string
+	ast  *ast.File
+	test bool
+}
+
+// moduleFiles parses every Go file under the module root, benchmark/
+// included, skipping testdata and dot directories.
+func moduleFiles(t *testing.T) []srcFile {
+	fset := token.NewFileSet()
+	var files []srcFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, srcFile{filepath.ToSlash(filepath.Dir(path)), filepath.ToSlash(path), f, strings.HasSuffix(path, "_test.go")})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestPipelinesAssembledOnce keeps each component's pipeline in the package
+// that owns it (the list is in the internal/exp package doc): non-test code
+// outside benchmark/ builds a model backend through memmodel.Factory, never
+// by calling memmodel.New or messsim.New inside a function literal of its
+// own, where an unknown kind can only panic; captures a sweep point's trace
+// through trace.CapturePoint, never by wrapping trace.NewCapture itself;
+// profiles an application through profile.Run (the facade re-exports
+// NewSampler); and registers -cache-dir once, in cli.CacheFlags. Like its
+// neighbour it only parses.
+func TestPipelinesAssembledOnce(t *testing.T) {
+	cacheDirFlags := 0
+	for _, f := range moduleFiles(t) {
+		if f.test || strings.HasPrefix(f.dir, "benchmark") {
+			continue
+		}
+		imports := importDirs(f.ast)
+		// callee is "dir.Name" for a call of an imported package's function.
+		callee := func(call *ast.CallExpr) string {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					return imports[x.Name] + "." + sel.Sel.Name
+				}
+			}
+			return ""
+		}
+		var inspect func(n ast.Node, inLiteral bool)
+		inspect = func(n ast.Node, inLiteral bool) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					if !inLiteral {
+						inspect(n.Body, true)
+						return false
+					}
+				case *ast.CallExpr:
+					switch name := callee(n); {
+					case inLiteral && f.dir != "internal/memmodel" && (name == "internal/memmodel.New" || name == "internal/messsim.New"):
+						t.Errorf("%s: %s called inside a function literal; build the backend factory with memmodel.Factory", f.path, name)
+					case name == "internal/trace.NewCapture":
+						t.Errorf("%s: calls trace.NewCapture; capture a sweep point with trace.CapturePoint", f.path)
+					case name == "internal/profile.NewSampler" && f.path != "facade.go":
+						t.Errorf("%s: calls profile.NewSampler; profile an application with profile.Run", f.path)
+					}
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
+							for _, arg := range n.Args[:min(2, len(n.Args))] {
+								if lit, ok := arg.(*ast.BasicLit); ok && lit.Value == `"cache-dir"` {
+									cacheDirFlags++
+								}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		inspect(f.ast, false)
+	}
+	if cacheDirFlags != 1 {
+		t.Errorf("-cache-dir is registered %d times, want once (cli.CacheFlags)", cacheDirFlags)
 	}
 }
 
