@@ -33,7 +33,7 @@ func TestMain(m *testing.M) {
 		}
 		defer os.RemoveAll(dir)
 		binDir = dir
-		build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./messsim", "./messprofile", "./messtrace")
+		build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./messbench", "./messexp", "./messsim", "./messprofile", "./messtrace")
 		build.Stdout, build.Stderr = os.Stderr, os.Stderr
 		if err := build.Run(); err != nil {
 			fmt.Fprintln(os.Stderr, "building the binaries:", err)
@@ -109,7 +109,7 @@ func golden(t *testing.T, name, got string) {
 		t.Fatalf("%v (generate it with go test ./cmd -update)", err)
 	}
 	if got != string(want) {
-		t.Errorf("stdout differs from %s; if the change is meant, regenerate with -update:\ngot:\n%s\nwant:\n%s", path, got, want)
+		t.Errorf("output differs from %s; if the change is meant, regenerate with -update:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
@@ -125,6 +125,20 @@ func TestMessprofileGolden(t *testing.T) {
 	golden(t, "messprofile_hpcg", ok(t, "", "messprofile", "-duration-us", "300"))
 }
 
+func TestMessbenchListGolden(t *testing.T) {
+	golden(t, "messbench_list", ok(t, "", "messbench", "-list"))
+}
+
+func TestMessexpListGolden(t *testing.T) {
+	golden(t, "messexp_list", ok(t, "", "messexp", "-list"))
+}
+
+// TestMessexpFig2Golden holds one whole experiment report: progress and
+// timings go to the logger on stderr, so stdout is deterministic.
+func TestMessexpFig2Golden(t *testing.T) {
+	golden(t, "messexp_fig2", ok(t, "", "messexp", "-run", "fig2", "-scale", "quick"))
+}
+
 // TestMesstraceRoundTripGolden captures a trace, replays it in full and
 // replays it sampled beside the full replay, in a directory of its own so
 // the path the tool echoes is the same everywhere.
@@ -134,6 +148,17 @@ func TestMesstraceRoundTripGolden(t *testing.T) {
 	out += ok(t, dir, "messtrace", "-replay", "t.trace")
 	out += ok(t, dir, "messtrace", "-replay", "t.trace", "-sampled", "-compare-full")
 	golden(t, "messtrace_roundtrip", out)
+}
+
+// refused runs an invocation the tool must refuse: status 1, the one line on
+// stderr and nothing on stdout, so nothing was characterized or simulated.
+func refused(t *testing.T, want, tool string, args ...string) {
+	t.Helper()
+	stdout, stderr, code := run(t, t.TempDir(), tool, args...)
+	if code != 1 || stderr != want || stdout != "" {
+		t.Errorf("%s %s: exit %d, stdout %.60q, stderr:\n%swant exit 1, nothing on stdout and the one line\n%s",
+			tool, strings.Join(args, " "), code, stdout, stderr, want)
+	}
 }
 
 // TestUnknownModelKindExits pins the bogus-kind exit: status 1 and one line
@@ -149,11 +174,35 @@ func TestUnknownModelKindExits(t *testing.T) {
 		{"messsim", []string{"-ipc", "-models", "bogus"}},
 		{"messtrace", []string{"-replay", "no-such.trace", "-model", "bogus"}},
 	} {
-		stdout, stderr, code := run(t, t.TempDir(), tc.tool, tc.args...)
-		want := tc.tool + `: memmodel: unknown model kind "bogus" (have fixed, md1, internal-ddr, dramsim3, ramulator, ramulator2, reference, mess)` + "\n"
-		if code != 1 || stderr != want || stdout != "" {
-			t.Errorf("%s %s: exit %d, stdout %.60q, stderr:\n%swant exit 1, nothing on stdout and the one line\n%s",
-				tc.tool, strings.Join(tc.args, " "), code, stdout, stderr, want)
-		}
+		refused(t, tc.tool+`: memmodel: unknown model kind "bogus" (have fixed, md1, internal-ddr, dramsim3, ramulator, ramulator2, reference, mess)`+"\n", tc.tool, tc.args...)
 	}
+}
+
+// TestRefusedArgumentExits pins the other one-line refusals. messprofile
+// used to characterize the platform and print an empty profile for a
+// duration no window fits in.
+func TestRefusedArgumentExits(t *testing.T) {
+	refused(t, "messexp: unknown experiment nope (-list shows them)\n", "messexp", "-run", "nope")
+	refused(t, "messprofile: -duration-us 0: the application must run for at least 1 µs\n", "messprofile", "-duration-us", "0")
+	refused(t, "messprofile: -duration-us -5: the application must run for at least 1 µs\n", "messprofile", "-duration-us", "-5")
+}
+
+// TestMessbenchUnknownPlatformGolden: status 1 and the platforms there are.
+func TestMessbenchUnknownPlatformGolden(t *testing.T) {
+	stdout, stderr, code := run(t, "", "messbench", "-platform", "bogus")
+	if code != 1 || stdout != "" {
+		t.Errorf("messbench -platform bogus: exit %d, stdout %.60q; want exit 1 and nothing on stdout", code, stdout)
+	}
+	golden(t, "messbench_unknown_platform", stderr)
+}
+
+// TestMessexpHasNoShardsFlag pins that sharding is not a tool user's choice:
+// the flag package refuses -shards with status 2, and the usage it prints
+// holds every flag messexp does take.
+func TestMessexpHasNoShardsFlag(t *testing.T) {
+	stdout, stderr, code := run(t, "", "messexp", "-shards", "2")
+	if code != 2 || stdout != "" {
+		t.Errorf("messexp -shards 2: exit %d, stdout %.60q; want exit 2 and nothing on stdout", code, stdout)
+	}
+	golden(t, "messexp_no_shards_flag", strings.ReplaceAll(stderr, filepath.Join(binDir, "messexp"), "messexp"))
 }

@@ -76,9 +76,8 @@
 //
 // # Metrics
 //
-// GET /metrics exposes the server's counters in Prometheus text format
-// (append ?format=json for an expvar-style JSON document). The store
-// counters mirror /v1/stats under stable metric names:
+// GET /metrics exposes the server's counters in Prometheus text format.
+// The store counters mirror /v1/stats under stable metric names:
 //
 //	mess_curved_hits_total            GETs answered from the store
 //	mess_curved_misses_total          GETs answered 404

@@ -35,7 +35,6 @@ func main() {
 		scale  = flag.String("scale", "quick", "quick (scaled platforms, coarse sweeps) or full (paper configurations)")
 		outdir = flag.String("outdir", "", "also write each report to <outdir>/<id>.txt")
 		list   = flag.Bool("list", false, "list experiments and exit")
-		shards = flag.Int("shards", 0, "engines per measurement point for every characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
 	)
 	cache, tel := cli.CacheFlags(), cli.TelemetryFlags().WithTrace()
 	flag.Parse()
@@ -73,7 +72,6 @@ func main() {
 	svc := cache.Service(tel.Set())
 	env := exp.NewEnv(s, svc)
 	env.Ctx = ctx
-	env.Shards = *shards
 	// Progress and failure reporting go through the structured logger: each
 	// slog record is written with a single atomic Write, so interleaved
 	// output from concurrent characterizations never shears a line — and

@@ -17,14 +17,9 @@
 //     the fig2 experiment (full benchmark sweeps on fresh services, no
 //     caches; since v7 priced per simulated event, so their mallocs,
 //     alloc_bytes and allocs_per_op put what a sweep allocates around its
-//     points under the allocs gate), plus the sharded counterparts of the
-//     DRAM closed loop, the fig2 sweep and a single fully-loaded sweep
-//     point — the same simulations on per-channel shard engines advanced
-//     concurrently (byte-identical results; the rows track the wall-clock
-//     win). Sharded
-//     rows record the gomaxprocs they ran at, since their numbers are
-//     meaningless without it. -shards picks the engine count (0 = auto:
-//     GOMAXPROCS capped at channels+1; 1 = disable the sharded rows).
+//     points under the allocs gate), plus a single fully-loaded sweep point
+//     on the Quick-scaled Skylake and on the 8-channel Graviton 3 model
+//     (framework/fig2_point, framework/fig4_point).
 //     Since v4 the framework layer also measures the trace-replay pair:
 //     one fig6-class trace captured on the Quick-scaled platform, replayed
 //     in full (framework/fig6_replay) and through the phase-clustered
@@ -37,19 +32,14 @@
 //     io/trace_read write and parse it in memory, one op per record, with
 //     mb_per_s beside the usual columns and their allocs_per_op (0: a
 //     handful of buffers per call) under the allocs gate.
-//     Since v5 there are the CXL expander's closed loop (model/cxl), a
-//     second sharded sweep point on the 8-channel Graviton 3 model
-//     (framework/fig4_point{,_sharded}), and barrier statistics (windows,
-//     avg_window_ns, parks) on every sharded row. (v5 also carried
-//     model/dram_sharded_global, the in-run A/B against one group-wide
-//     window, which concluded at 3.2×, and model/cxl_sharded, the expander
-//     on a shard engine of its own, which lost to model/cxl at 914 vs
-//     470 ns/op; both rows and the code behind them are gone. The gate
-//     ignores baseline rows a fresh run lacks.)
+//     Since v5 there is the CXL expander's closed loop (model/cxl).
+//     Until v8 every DRAM row had a sharded twin (the same simulation on
+//     per-channel shard engines); the twins lost on every pair, 1.9–4.9×,
+//     and are gone. The gate ignores baseline rows a fresh run lacks.
 //
 // With -cpuprofile/-memprofile, messperf writes pprof profiles covering
 // exactly the measured region (every benchmark, none of the report or
-// gate machinery) — the intended way to hunt barrier or kernel hot spots
+// gate machinery) — the intended way to hunt kernel or scheduler hot spots
 // on a machine where a row regressed.
 //
 // With -best-of N, every measurement is taken N times and only the best
@@ -107,25 +97,23 @@ import (
 )
 
 // Schema identifies the BENCH_sim.json format. v2 added allocs_per_op to
-// every op-counted result; v3 added the sharded-execution rows
-// (model/dram_sharded, framework/fig2_quick_sharded, framework/fig2_point,
-// framework/fig2_point_sharded) and per-result gomaxprocs; v4 added the
+// every op-counted result; v3 added framework/fig2_point; v4 added the
 // trace-replay pair (framework/fig6_replay, framework/fig6_replay_sampled)
 // with the sampled row's divergence_pct and speedup_x accuracy fields; v5
-// added the CXL closed loop (model/cxl; its model/cxl_sharded twin has
-// since been deleted with the device-shard runtime), the
-// Graviton 3 sweep point pair (framework/fig4_point,
-// framework/fig4_point_sharded) and the barrier-statistics fields (windows,
-// avg_window_ns, parks) on sharded rows; v6 added the top-level telemetry
-// block — a snapshot of the run's internal metrics registry (bench
-// sweep-point, sim window/barrier and charz source counters), so the
+// added the CXL closed loop (model/cxl) and framework/fig4_point; v6 added
+// the top-level telemetry block — a snapshot of the run's internal metrics
+// registry (bench sweep-point and charz source counters), so the
 // trajectory records not only how fast the suite ran but how much
 // simulation work it did; v7 added alloc_bytes to
 // every op-counted row and made framework/characterize_quick and
 // framework/fig2_quick op-counted, one op per simulated event; v8 added
 // the io/trace_save and io/trace_read rows with their mb_per_s field and
-// made framework/fig6_replay op-counted, one op per trace record.
-const Schema = "mess-perf/v8"
+// made framework/fig6_replay op-counted, one op per trace record; v9
+// dropped the sharded rows of v3 and v5 (model/dram_sharded,
+// framework/fig2_quick_sharded, framework/fig2_point_sharded,
+// framework/fig4_point_sharded) with their per-row gomaxprocs, windows,
+// avg_window_ns and parks fields.
+const Schema = "mess-perf/v9"
 
 // Result is one measured quantity of the suite. AllocsPerOp follows the
 // `go test -benchmem` convention (total mallocs / ops, truncated): the
@@ -141,18 +129,6 @@ type Result struct {
 	AllocBytes   uint64  `json:"alloc_bytes,omitempty"`
 	WallMs       float64 `json:"wall_ms"`
 	Ops          int     `json:"ops"`
-	// GOMAXPROCS is set on rows whose wall-clock depends on host
-	// parallelism (the sharded-execution rows); zero elsewhere.
-	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// Windows, AvgWindowNs and Parks are set on sharded rows: conservative
-	// windows the barrier executed, the mean home-shard window width, and
-	// how often a waiting party escalated past spinning and yielding to a
-	// blocking park. They contextualize the wall-clock columns — a sharded
-	// row that got slower with the same window count parked more (host
-	// contention), one whose windows shrank hit a tighter lookahead path.
-	Windows     uint64  `json:"windows,omitempty"`
-	AvgWindowNs float64 `json:"avg_window_ns,omitempty"`
-	Parks       uint64  `json:"parks,omitempty"`
 	// DivergencePct and SpeedupX are set on the sampled-replay row only:
 	// the reconstruction's worst-case bandwidth/latency deviation from the
 	// full replay of the same trace, and the record-count reduction the
@@ -175,9 +151,9 @@ type Report struct {
 	Results    []Result `json:"results"`
 	// Telemetry is the run's internal metrics registry, flattened
 	// (histograms appear as _count/_sum). Work counters — sweep points,
-	// conservative windows, cross-shard messages — contextualize the
-	// wall-clock rows: a row that slowed down while its work counters held
-	// steady regressed, one whose counters moved measured different work.
+	// simulated events — contextualize the wall-clock rows: a row that
+	// slowed down while its work counters held steady regressed, one whose
+	// counters moved measured different work.
 	// Volatile by construction, so never gated.
 	Telemetry map[string]float64 `json:"telemetry,omitempty"`
 }
@@ -288,15 +264,6 @@ func gate(fresh Report, baselinePath string, maxDrop float64) error {
 		if !ok {
 			continue // new benchmark: no trajectory yet
 		}
-		if r.GOMAXPROCS != was.GOMAXPROCS {
-			// Rows that record their gomaxprocs (the sharded ones) are
-			// only comparable between runs at the same parallelism: a
-			// 2-vCPU runner gating against a 16-vCPU baseline would read
-			// host topology as a code regression. Skip, don't fail.
-			fmt.Printf("gate %-28s skipped: gomaxprocs %d (fresh) vs %d (baseline), not comparable\n",
-				r.Name, r.GOMAXPROCS, was.GOMAXPROCS)
-			continue
-		}
 		if strings.HasPrefix(r.Name, "kernel/") && r.EventsPerSec > 0 && was.EventsPerSec > 0 {
 			drop := 1 - r.EventsPerSec/was.EventsPerSec
 			status := "ok"
@@ -332,7 +299,6 @@ func main() {
 		gateDrop     = flag.Float64("gate-drop", 0.30, "maximum tolerated fractional events/sec drop per kernel benchmark")
 		gatePrev     = flag.String("gate-prev", "", "additional baseline (the previous CI run's artifact) gated at -gate-prev-drop")
 		gatePrevDrop = flag.Float64("gate-prev-drop", 0.10, "maximum tolerated fractional events/sec drop vs -gate-prev")
-		shardsFlag   = flag.Int("shards", 0, "engines for the sharded rows (0 = auto: GOMAXPROCS capped at channels+1; 1 = skip sharded rows)")
 		skipReplay   = flag.Bool("skip-replay", false, "skip the fig6 trace-replay rows")
 		maxDiverge   = flag.Float64("max-divergence", 0, "fail when the sampled replay diverges from the full replay by more than this percentage (0 = no gate)")
 		minSpeedup   = flag.Float64("min-speedup", 0, "fail when the sampled replay's record-count speedup is below this factor (0 = no gate)")
@@ -346,22 +312,6 @@ func main() {
 	// lands in the report's telemetry block so the trajectory records the
 	// amount of simulation work behind the wall-clock rows.
 	set := tel.Set()
-
-	// shardsFor resolves the shard count for a platform with the given
-	// channel count; below 2 the sharded rows are skipped.
-	shardsFor := func(channels int) int {
-		n := *shardsFlag
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if m := channels + 1; n > m {
-			n = m
-		}
-		if n < 2 {
-			return 0
-		}
-		return n
-	}
 
 	if *bestOfN < 1 {
 		*bestOfN = 1
@@ -406,7 +356,7 @@ func main() {
 	}
 	// The profile window covers exactly the measurements: it opens here,
 	// after flag handling and report setup, and closes (below) before the
-	// report is marshalled and the gates run, so kernel and barrier hot
+	// report is marshalled and the gates run, so kernel and scheduler hot
 	// spots are not diluted by artifact bookkeeping.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -450,36 +400,6 @@ func main() {
 	modelBest("model/dram_random", perfload.PatternRandom, mkReference)
 	modelBest("model/dram_mixed", perfload.PatternMixed, mkReference)
 
-	// shardStats folds the group's barrier statistics into a sharded row;
-	// every sharded row also records its gomaxprocs, since neither its
-	// wall-clock nor its park count means anything without it.
-	shardStats := func(r Result, group *sim.ShardGroup) Result {
-		s := group.Stats()
-		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		r.Windows = s.Windows
-		r.AvgWindowNs = s.AvgWindow.Nanoseconds()
-		r.Parks = s.Parks
-		return r
-	}
-
-	// The sharded counterpart of model/dram_reference: the same detailed
-	// DRAM system with channels spread over concurrently advancing shard
-	// engines, driven through the timed hand-off (the cross-shard hop is
-	// the home shard's lookahead). Results are byte-identical to the
-	// single-engine row; the measurement is the wall-clock win.
-	if full := platform.Skylake(); shardsFor(full.DRAM.Channels) >= 2 {
-		n := shardsFor(full.DRAM.Channels)
-		hop := full.CacheConfig().OnChipLatency / 2
-		add(best(func() Result {
-			group := sim.NewShardGroup(n)
-			defer group.Close()
-			backend := dram.NewSharded(group, full.DRAM, 0)
-			drv := perfload.NewShardedClosedLoop(group, backend, hop, perfload.PatternReference)
-			drv.Run(warmup(*modelEvents))
-			return shardStats(measure("model/dram_sharded", *modelEvents, func() { drv.Run(*modelEvents) }), group)
-		}))
-	}
-
 	// The CXL expander under the same closed loop; TimedOn carries the
 	// host hop on the device's own engine.
 	add(best(func() Result {
@@ -521,72 +441,41 @@ func main() {
 	modelBest("model/mess_simulator", perfload.PatternReference, mustFactory(memmodel.KindMess, platform.Spec{}, fam))
 
 	if !*skipFig2 {
-		// fig2 runs the Quick experiment on a fresh service, every
-		// characterization point on that many engines (below 2: one).
-		fig2 := func(shards int) {
-			e, _ := exp.ByID("fig2")
-			env := exp.NewEnv(exp.Quick, charz.New(charz.Config{Telemetry: set}))
-			env.Shards = shards
-			if _, err := e.Run(env); err != nil {
-				cli.Fatal(err)
-			}
-		}
+		// The Quick fig2 experiment on a fresh service.
 		add(best(func() Result {
-			return sweep("framework/fig2_quick", func() { fig2(0) })
-		}))
-		// Quick-scaled Skylake characterizes 3 channels; the sharded sweep
-		// runs the same 22 jobs with each measurement point sharded. The
-		// sweep-level win is bounded by the home shard (cores and cache
-		// stay serial), so the single-point rows below are the headline
-		// speedup numbers.
-		if n := shardsFor(3); n >= 2 {
-			add(best(func() Result {
-				r := measure("framework/fig2_quick_sharded", 0, func() { fig2(n) })
-				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-				return r
-			}))
-		}
-	}
-
-	// One fully-loaded sweep point (all generators unpaced, 0% stores),
-	// unsharded vs sharded — the cleanest A/B of the sharded engine's
-	// single-point wall-clock. shards below 2 measures the single engine.
-	popt := bench.QuickOptions()
-	popt.Telemetry = set
-	pointRow := func(name string, spec platform.Spec, shards int) {
-		opt := popt
-		opt.Shards = shards
-		add(best(func() Result {
-			r := measure(name, 0, func() {
-				if _, err := bench.MeasurePoint(spec, opt, bench.Mix{}, 0); err != nil {
+			return sweep("framework/fig2_quick", func() {
+				e, _ := exp.ByID("fig2")
+				env := exp.NewEnv(exp.Quick, charz.New(charz.Config{Telemetry: set}))
+				if _, err := e.Run(env); err != nil {
 					cli.Fatal(err)
 				}
 			})
-			if shards >= 2 {
-				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-			}
-			return r
+		}))
+	}
+
+	// One fully-loaded sweep point (all generators unpaced, 0% stores): a
+	// sweep's wall-clock without the sweep.
+	popt := bench.QuickOptions()
+	popt.Telemetry = set
+	pointRow := func(name string, spec platform.Spec) {
+		add(best(func() Result {
+			return measure(name, 0, func() {
+				if _, err := bench.MeasurePoint(spec, popt, bench.Mix{}, 0); err != nil {
+					cli.Fatal(err)
+				}
+			})
 		}))
 	}
 	// fig2's platform: the Quick-scaled Skylake.
 	point := platform.Skylake()
 	point.Cores = 12
 	point.DRAM.Channels = 3
-	pointRow("framework/fig2_point", point, 0)
-	if n := shardsFor(point.DRAM.Channels); n >= 2 {
-		pointRow("framework/fig2_point_sharded", point, n)
-	}
-	// The same A/B on the 8-channel gem5 Graviton 3 model (cores scaled
-	// down so the point stays Quick-sized): with 8 channel shards the
-	// per-pair horizons have the most coupling to avoid — channels never
-	// talk to each other, so only the 2(n−1) home edges constrain the
-	// windows.
+	pointRow("framework/fig2_point", point)
+	// The 8-channel gem5 Graviton 3 model (cores scaled down so the point
+	// stays Quick-sized).
 	fig4 := platform.Gem5Graviton3()
 	fig4.Cores = 12
-	pointRow("framework/fig4_point", fig4, 0)
-	if n := shardsFor(fig4.DRAM.Channels); n >= 2 {
-		pointRow("framework/fig4_point_sharded", fig4, n)
-	}
+	pointRow("framework/fig4_point", fig4)
 
 	// The fig6-class trace-replay pair: one mid-pressure trace (40% stores,
 	// 16 ns pacing) is captured once on the same Quick-scaled Skylake, then

@@ -53,6 +53,11 @@ func main() {
 		profileTrace(spec, *replay, tel)
 		return
 	}
+	if *durUs < 1 {
+		// No window fits: without this the run characterizes the platform
+		// and then prints an empty profile.
+		cli.Fatalf("-duration-us %d: the application must run for at least 1 µs", *durUs)
+	}
 
 	ctx, stop := cache.Context()
 	defer stop()

@@ -36,7 +36,6 @@ func main() {
 		models = flag.String("models", "fixed,md1,internal-ddr,dramsim3,ramulator,mess", "comma-separated model kinds")
 		ipc    = flag.Bool("ipc", false, "run the workload IPC-error evaluation instead of curves")
 		full   = flag.Bool("full", false, "use the full benchmark sweep")
-		shards = flag.Int("shards", 1, "engines per measurement point for the reference characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
 	)
 	cache, tel := cli.CacheFlags(), cli.TelemetryFlags()
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 	if *full {
 		opt = bench.Options{}
 	}
-	opt.Shards = *shards
 
 	ctx, stop := cache.Context()
 	defer stop()

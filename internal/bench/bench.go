@@ -74,12 +74,14 @@ type Options struct {
 	// Shards, when at least 2, runs each measurement point on a
 	// conservative time-window shard group of that many engines instead of
 	// one: the DRAM channels advance concurrently on shards 1..Shards-1
-	// while the cores and cache stay on shard 0, cutting single-point
-	// wall-clock on multi-channel platforms. Results are byte-identical to
-	// the single-engine path (the fig2 determinism test enforces it), so
+	// while the cores and cache stay on shard 0. Results are byte-identical
+	// to the single-engine path (the exp determinism tests enforce it), so
 	// Shards is execution-only and cleared by Normalized. Silently ignored
 	// when a point cannot shard: a custom Backend owns its own engine
 	// placement, and a zero on-chip hop leaves the home shard no lookahead.
+	// It is slower than one engine on every measured point, so no tool
+	// sets it: the benchmark's point-sharded workload and the determinism
+	// tests do, until that workload stops and the runtime can be deleted.
 	Shards int
 	// Telemetry, when set, observes the run: per-point spans and sharded
 	// window timelines on its tracer, sweep counters and throughput on its

@@ -111,9 +111,6 @@ type RunFunc func(context.Context, platform.Spec, bench.Options) (*bench.Result,
 
 // Config parameterizes a Service.
 type Config struct {
-	// Workers bounds concurrent characterizations in CharacterizeAllContext.
-	// Default: GOMAXPROCS.
-	Workers int
 	// Store, when set, persists families across processes.
 	Store *DiskStore
 	// Remote, when set, shares families across machines — typically a
@@ -153,8 +150,7 @@ type Stats struct {
 // Service is the concurrency-safe characterization cache. The zero value
 // is not usable; construct with New.
 type Service struct {
-	workers int
-	run     RunFunc
+	run RunFunc
 
 	// tiered composes the persistent tiers in lookup order (disk, then
 	// remote), with write-back promotion on hit; tierSrc maps a hit's tier
@@ -190,14 +186,10 @@ type entry struct {
 
 // New builds a Service.
 func New(cfg Config) *Service {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.Run == nil {
 		cfg.Run = bench.RunContext
 	}
 	s := &Service{
-		workers: cfg.Workers,
 		run:     cfg.Run,
 		entries: map[Key]*entry{},
 	}
@@ -437,7 +429,7 @@ func entryArtifact(key Key, e *entry, needSamples bool) *Artifact {
 }
 
 // CharacterizeAllContext resolves a batch of requests over a bounded worker
-// pool (Config.Workers). Artifacts are returned in request order; a nil slot
+// pool (GOMAXPROCS workers). Artifacts are returned in request order; a nil slot
 // marks a failed request, and the joined error reports every failure.
 // Duplicate keys inside one batch still simulate only once: the pool fans
 // out, the singleflight layer fans back in. Cancellation drains the pool
@@ -447,7 +439,7 @@ func entryArtifact(key Key, e *entry, needSamples bool) *Artifact {
 func (s *Service) CharacterizeAllContext(ctx context.Context, reqs []Request) ([]*Artifact, error) {
 	arts := make([]*Artifact, len(reqs))
 	errs := make([]error, len(reqs))
-	sem := make(chan struct{}, s.workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i := range reqs {
 		wg.Add(1)

@@ -1,12 +1,12 @@
 package charz
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,8 +233,11 @@ func TestCharacterizeAllBoundedConcurrency(t *testing.T) {
 		return base(ctx, spec, opt)
 	}
 
+	// The pool is sized by GOMAXPROCS; pin it so the bound is the same on
+	// every host.
 	const workers = 3
-	svc := New(Config{Run: run, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	svc := New(Config{Run: run})
 	var reqs []Request
 	for _, name := range []string{"p1", "p2", "p3", "p4", "p5", "p6", "p2", "p4"} {
 		reqs = append(reqs, Request{Spec: testSpec(name), Options: bench.QuickOptions()})
@@ -490,7 +493,7 @@ func TestNeedSamplesUpgradeNotCountedAsHit(t *testing.T) {
 	}
 }
 
-// --- sharded store layout, migration and eviction ---
+// --- sharded store layout and eviction ---
 
 func famForStoreTest(label string) *core.Family {
 	return &core.Family{
@@ -529,49 +532,6 @@ func TestDiskStoreShardsByKeyPrefix(t *testing.T) {
 	}
 	if fam.Label != "sharded" {
 		t.Fatalf("label = %q", fam.Label)
-	}
-}
-
-func TestDiskStoreMigratesFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	// Fabricate a pre-shard store: key files directly under dir.
-	keys := []Key{keyForStoreTest(10), keyForStoreTest(11), keyForStoreTest(12)}
-	for i, k := range keys {
-		var buf bytes.Buffer
-		if err := famForStoreTest(fmt.Sprintf("flat-%d", i)).WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, k.String()+".csv"), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stray non-key file must survive untouched.
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not a curve"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		fam, ok, err := store.Load(bg, k)
-		if err != nil || !ok {
-			t.Fatalf("key %d unreadable after migration: ok=%v err=%v", i, ok, err)
-		}
-		if want := fmt.Sprintf("flat-%d", i); fam.Label != want {
-			t.Fatalf("key %d label = %q, want %q", i, fam.Label, want)
-		}
-		if _, err := os.Stat(filepath.Join(dir, k.String()+".csv")); !os.IsNotExist(err) {
-			t.Fatalf("flat file %d still present after migration", i)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "README.txt")); err != nil {
-		t.Fatalf("migration disturbed non-key file: %v", err)
-	}
-	// Re-opening an already-sharded store is a no-op.
-	if _, err := NewDiskStore(dir); err != nil {
-		t.Fatal(err)
 	}
 }
 

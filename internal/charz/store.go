@@ -26,9 +26,7 @@ import (
 // Files are sharded into 256 subdirectories by the first two hex digits of
 // the key (dir/ab/abcdef….csv), so a full-sweep cache of thousands of
 // families never produces a directory large enough to slow lookups or
-// directory scans. Stores written by earlier versions — flat files directly
-// under dir — are migrated into their shards transparently when the store
-// is opened.
+// directory scans.
 //
 // # Eviction
 //
@@ -53,17 +51,12 @@ type DiskStore struct {
 // once a size budget is set.
 const gcEvery = 32
 
-// NewDiskStore opens (creating if needed) a store rooted at dir, migrating
-// any flat pre-shard layout into the sharded one.
+// NewDiskStore opens (creating if needed) a store rooted at dir.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("charz: creating cache dir: %w", err)
 	}
-	d := &DiskStore{dir: dir}
-	if err := d.migrate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return &DiskStore{dir: dir}, nil
 }
 
 // Dir reports the store's root directory.
@@ -93,30 +86,6 @@ func isKeyFile(name string) bool {
 		}
 	}
 	return true
-}
-
-// migrate moves flat key files from the store root into their shard
-// subdirectories. It is idempotent and tolerates concurrent migrators: a
-// rename that fails because the source vanished is another opener having
-// won the race.
-func (d *DiskStore) migrate() error {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return fmt.Errorf("charz: scanning cache dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !isKeyFile(e.Name()) {
-			continue
-		}
-		shard := filepath.Join(d.dir, e.Name()[:2])
-		if err := os.MkdirAll(shard, 0o755); err != nil {
-			return fmt.Errorf("charz: creating shard dir: %w", err)
-		}
-		if err := os.Rename(filepath.Join(d.dir, e.Name()), filepath.Join(shard, e.Name())); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("charz: migrating %s into shard: %w", e.Name(), err)
-		}
-	}
-	return nil
 }
 
 // Path reports where the family for key lives (whether or not it exists).

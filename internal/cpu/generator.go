@@ -8,32 +8,6 @@ import (
 	"github.com/mess-sim/mess/internal/sim"
 )
 
-// AccessPattern selects how a generator walks its arrays. The paper's
-// generator is sequential; Sec. IV-D notes it "can be easily extended to
-// cover different array access patterns", naming strided accesses that
-// target a new row buffer per operation and the GUPS-style random access.
-type AccessPattern uint8
-
-const (
-	// Sequential walks the array line by line (the Mess default).
-	Sequential AccessPattern = iota
-	// Strided jumps a full row buffer per access, defeating row locality.
-	Strided
-	// Random touches a pseudo-random line per access (GUPS-like).
-	Random
-)
-
-func (p AccessPattern) String() string {
-	switch p {
-	case Sequential:
-		return "sequential"
-	case Strided:
-		return "strided"
-	default:
-		return "random"
-	}
-}
-
 // GenConfig parameterizes one traffic-generator core (the Mess workload
 // generator of Appendix A.2).
 type GenConfig struct {
@@ -50,20 +24,15 @@ type GenConfig struct {
 	// model equivalent of the `nop` loop between load/store groups. Zero
 	// means maximum pressure.
 	PacePerOp sim.Time
-	// IssueInterval is the minimum spacing between memory instructions
-	// imposed by the core pipeline itself (≈ 1-2 cycles per vmovupd).
-	IssueInterval sim.Time
 
 	LoadBase   uint64 // base address of the load array
 	StoreBase  uint64 // base address of the store array
 	ArrayBytes uint64 // length of each array; the stream wraps around
-
-	// Pattern selects the array walk; StrideBytes sets the Strided jump
-	// (default 8 KiB, one DDR4 row buffer).
-	Pattern     AccessPattern
-	StrideBytes uint64
-	Seed        uint64 // for the Random pattern
 }
+
+// issueInterval is the minimum spacing between memory instructions imposed
+// by the core pipeline itself (≈ 1-2 cycles per vmovupd).
+const issueInterval = sim.Nanosecond / 2
 
 func (c *GenConfig) validate() error {
 	if c.StorePercent < 0 || c.StorePercent > 100 {
@@ -90,7 +59,6 @@ type Generator struct {
 	loadLine  uint64
 	storeLine uint64
 	lines     uint64
-	rng       uint64
 
 	nextAt  sim.Time
 	running bool
@@ -105,21 +73,11 @@ func NewGenerator(eng *sim.Engine, port *cache.Port, cfg GenConfig) *Generator {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	if cfg.IssueInterval == 0 {
-		cfg.IssueInterval = sim.Nanosecond / 2
-	}
-	if cfg.StrideBytes == 0 {
-		cfg.StrideBytes = 8 << 10
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0xa0761d6478bd642f
-	}
 	g := &Generator{
 		eng:   eng,
 		port:  port,
 		cfg:   cfg,
 		lines: cfg.ArrayBytes / mem.LineSize,
-		rng:   cfg.Seed,
 	}
 	g.pattern = mixPattern(cfg.StorePercent)
 	g.wake = eng.NewTimer(g.tryIssue)
@@ -177,7 +135,7 @@ func (g *Generator) tryIssue() {
 		g.issueOne(isStore)
 		g.pi = (g.pi + 1) % len(g.pattern)
 		g.ops++
-		g.nextAt = max(g.nextAt, now) + g.cfg.IssueInterval + g.cfg.PacePerOp
+		g.nextAt = max(g.nextAt, now) + issueInterval + g.cfg.PacePerOp
 	}
 }
 
@@ -207,24 +165,10 @@ func (g *Generator) issueOne(isStore bool) {
 	g.port.Store(addr, nil)
 }
 
-// nextOffset advances the given stream counter under the configured walk
-// and returns the byte offset within the array.
+// nextOffset advances the given stream counter and returns the byte offset
+// within the array: the generator walks its arrays line by line and wraps.
 func (g *Generator) nextOffset(counter *uint64) uint64 {
 	i := *counter
 	*counter++
-	switch g.cfg.Pattern {
-	case Strided:
-		strideLines := g.cfg.StrideBytes / mem.LineSize
-		if strideLines == 0 {
-			strideLines = 1
-		}
-		return (i * strideLines % g.lines) * mem.LineSize
-	case Random:
-		g.rng ^= g.rng << 13
-		g.rng ^= g.rng >> 7
-		g.rng ^= g.rng << 17
-		return (g.rng % g.lines) * mem.LineSize
-	default:
-		return (i % g.lines) * mem.LineSize
-	}
+	return (i % g.lines) * mem.LineSize
 }

@@ -65,10 +65,13 @@ var (
 	Multichase = Kernel{Name: "multichase", Loads: 1, ElemsPerLine: 1, ALUPerElem: 3, Dependent: true, Random: true}
 )
 
+// coreWidth is the sustained non-memory IPC (superscalar width) of the
+// mechanistic core.
+const coreWidth = 4
+
 // CoreConfig describes the mechanistic core executing a kernel.
 type CoreConfig struct {
 	CycleTime sim.Time // core clock period
-	Width     int      // sustained non-memory IPC (superscalar width)
 	// Bases of the arrays used by the kernel; len ≥ Loads+Stores.
 	ArrayBases []uint64
 	ArrayBytes uint64
@@ -90,7 +93,7 @@ func (c *CoreConfig) validate(k Kernel) error {
 
 // KernelCore executes a Kernel on one port and measures IPC and application
 // bandwidth. The model is mechanistic: non-memory work paces issue at
-// Width instructions per cycle; memory transactions overlap with work and
+// coreWidth instructions per cycle; memory transactions overlap with work and
 // with each other up to the port's MSHR limit; dependent kernels serialize
 // on load completion. This is the level of core fidelity the paper's
 // IPC-error experiments require — the experiments vary only the memory
@@ -140,9 +143,6 @@ type pendingOp struct {
 func NewKernelCore(eng *sim.Engine, port *cache.Port, k Kernel, cfg CoreConfig) *KernelCore {
 	if err := cfg.validate(k); err != nil {
 		panic(err)
-	}
-	if cfg.Width == 0 {
-		cfg.Width = 4
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x853c49e6748fea9b
@@ -253,7 +253,7 @@ func (c *KernelCore) beginStep() {
 	// Pace on the full instruction count: every instruction, memory ones
 	// included, occupies an issue slot, bounding IPC at the core width.
 	instr := k.InstrPerStep()
-	cycles := (instr + uint64(c.cfg.Width) - 1) / uint64(c.cfg.Width)
+	cycles := (instr + coreWidth - 1) / coreWidth
 	c.nextAt = max(c.nextAt, c.eng.Now()) + sim.Time(cycles)*c.cfg.CycleTime
 	c.tryIssue()
 }

@@ -67,7 +67,6 @@ func TestKernelCoreOnChipPacingBound(t *testing.T) {
 	eng, h := hitRig(1.0, hitLat, 400*sim.Nanosecond)
 	core := NewKernelCore(eng, h.Port(0), heavy, CoreConfig{
 		CycleTime:  cycle,
-		Width:      4,
 		ArrayBases: []uint64{1 << 30},
 		ArrayBytes: 1 << 24,
 	})

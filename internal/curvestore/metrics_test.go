@@ -1,7 +1,6 @@
 package curvestore
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -101,23 +100,5 @@ func TestMetricsEndpointServesPrometheusText(t *testing.T) {
 	// The /metrics scrape itself must not ride through the store counters.
 	if got := series["mess_curved_misses_total"]; got != 1 {
 		t.Errorf("mess_curved_misses_total = %g after 1 miss, want exactly 1", got)
-	}
-
-	// The same handler serves the expvar-style JSON view on request.
-	resp, err = http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jbody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(jbody, &doc); err != nil {
-		t.Fatalf("?format=json is not valid JSON: %v\n%s", err, jbody)
-	}
-	if _, ok := doc["mess_curved_hits_total"]; !ok {
-		t.Fatalf("JSON view missing mess_curved_hits_total:\n%s", jbody)
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/telemetry"
@@ -106,19 +108,26 @@ func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 	}
 }
 
+// shardedRun is bench.RunContext with every sweep point on a shard group of
+// the given size. No flag or Env field asks for sharding any more, so the
+// gates reach the sharded runtime through the service's Run seam.
+func shardedRun(shards int) charz.RunFunc {
+	return func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
+		opt.Shards = shards
+		return bench.RunContext(ctx, spec, opt)
+	}
+}
+
 // referenceCSV characterizes the Quick-scaled Skylake reference on a fresh
-// service with the given environment/spec tweaks and returns the CSV bytes.
-func referenceCSV(t *testing.T, tweakEnv func(*Env), tweakSpec func(*platform.Spec)) []byte {
+// service of the given configuration, with the given spec tweak, and
+// returns the CSV bytes.
+func referenceCSV(t *testing.T, cfg charz.Config, tweakSpec func(*platform.Spec)) []byte {
 	t.Helper()
 	spec := scaleSpec(platform.Skylake(), Quick)
 	if tweakSpec != nil {
 		tweakSpec(&spec)
 	}
-	env := NewEnv(Quick, charz.New(charz.Config{}))
-	if tweakEnv != nil {
-		tweakEnv(env)
-	}
-	fam, err := env.reference(spec)
+	fam, err := NewEnv(Quick, charz.New(cfg)).reference(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,25 +146,22 @@ func referenceCSV(t *testing.T, tweakEnv func(*Env), tweakSpec func(*platform.Sp
 // Sharding is legal exactly because it cannot change results; any
 // divergence here is an ordering bug, not noise.
 func TestShardedCharacterizationDeterminism(t *testing.T) {
-	base := referenceCSV(t, nil, nil)
+	base := referenceCSV(t, charz.Config{}, nil)
 	if len(base) == 0 {
 		t.Fatal("reference characterization produced no CSV output")
 	}
 	legs := []struct {
 		name      string
-		tweakEnv  func(*Env)
+		shards    int
 		tweakSpec func(*platform.Spec)
 	}{
-		{"sharded-4", func(env *Env) { env.Shards = 4 }, nil},
-		{"sharded-4-again", func(env *Env) { env.Shards = 4 }, nil},
-		{"sharded-2", func(env *Env) { env.Shards = 2 }, nil},
-		{"sharded-nocompbatch", func(env *Env) { env.Shards = 4 },
-			func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
+		{"sharded-4", 4, nil},
+		{"sharded-4-again", 4, nil},
+		{"sharded-2", 2, nil},
+		{"sharded-nocompbatch", 4, func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
 	}
 	for _, leg := range legs {
-		got := referenceCSV(t, func(env *Env) {
-			leg.tweakEnv(env)
-		}, leg.tweakSpec)
+		got := referenceCSV(t, charz.Config{Run: shardedRun(leg.shards)}, leg.tweakSpec)
 		if !bytes.Equal(base, got) {
 			t.Errorf("%s: release CSV differs from the unsharded run:\nunsharded:\n%s\n%s:\n%s",
 				leg.name, base, leg.name, got)
@@ -174,10 +180,7 @@ func telemetryCSVAndSpans(t *testing.T, shards int) ([]byte, []string, *telemetr
 		Tracer:  telemetry.NewTracer(),
 		Log:     telemetry.NewLogger(telemetry.LogConfig{Verbose: true, Output: io.Discard}),
 	}
-	csv := referenceCSV(t, func(env *Env) {
-		env.Charz = charz.New(charz.Config{Telemetry: set})
-		env.Shards = shards
-	}, nil)
+	csv := referenceCSV(t, charz.Config{Telemetry: set, Run: shardedRun(shards)}, nil)
 	var buf bytes.Buffer
 	if err := set.Tracer.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -220,7 +223,7 @@ func countSpans(names []string, prefix string) int {
 // core span families (charz fill, bench point, barrier window) must
 // actually be present.
 func TestTelemetryEnabledDeterminism(t *testing.T) {
-	base := referenceCSV(t, nil, nil)
+	base := referenceCSV(t, charz.Config{}, nil)
 
 	csv1, spans1, set := telemetryCSVAndSpans(t, 0)
 	if !bytes.Equal(base, csv1) {

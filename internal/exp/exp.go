@@ -176,12 +176,6 @@ type Env struct {
 	// issues runs under — a CLI -timeout or SIGINT cancels the experiment's
 	// reference sweeps at the next point boundary. nil means background.
 	Ctx context.Context
-	// Shards, when at least 2, asks every characterization this
-	// environment runs to shard each measurement point across that many
-	// engines (bench.Options.Shards). Execution-only: results are
-	// byte-identical and cache keys unchanged, so sharded and unsharded
-	// environments share the service's entries.
-	Shards int
 
 	hpcg struct {
 		once sync.Once
@@ -239,19 +233,11 @@ func (env *Env) Context() context.Context {
 // of the detailed DRAM model standing in for "actual hardware" — via the
 // characterization service (cached, deduplicated across experiments).
 func (env *Env) reference(spec platform.Spec) (*core.Family, error) {
-	art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: env.benchOptions()})
+	art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: benchOptions(env.Scale)})
 	if err != nil {
 		return nil, err
 	}
 	return art.Family, nil
-}
-
-// benchOptions resolves the environment's sweep settings: the scale's
-// defaults plus the execution-only sharding knob.
-func (env *Env) benchOptions() bench.Options {
-	opt := benchOptions(env.Scale)
-	opt.Shards = env.Shards
-	return opt
 }
 
 // referenceAll resolves the reference families of several platforms
@@ -259,7 +245,7 @@ func (env *Env) benchOptions() bench.Options {
 func (env *Env) referenceAll(specs []platform.Spec) ([]*core.Family, error) {
 	reqs := make([]charz.Request, len(specs))
 	for i, spec := range specs {
-		reqs[i] = charz.Request{Spec: spec, Options: env.benchOptions()}
+		reqs[i] = charz.Request{Spec: spec, Options: benchOptions(env.Scale)}
 	}
 	arts, err := env.Charz.CharacterizeAllContext(env.Context(), reqs)
 	if err != nil {

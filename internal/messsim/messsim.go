@@ -37,18 +37,6 @@ type Config struct {
 	// CPU side; it is subtracted before handing the latency to the CPU
 	// simulator (the Latency^Memory = Latency − Latency^CPU step).
 	CPULatencyNs float64
-	// Tolerance is the relative bandwidth mismatch below which the
-	// operating point is left untouched.
-	Tolerance float64
-	// MinLatencyNs floors the memory-side latency after CPU subtraction.
-	MinLatencyNs float64
-	// MinWindow is the minimum simulated duration of a control window.
-	// Closed-loop requesters complete and re-issue in bursts, so a window
-	// of WindowOps operations can span a fraction of one memory round
-	// trip and report a meaninglessly inflated bandwidth; the window is
-	// held open until it covers both WindowOps operations and
-	// max(MinWindow, 2× current latency).
-	MinWindow sim.Time
 	// MaxErrorFactor slew-limits the controller: within one window the
 	// effective cpuBW is clamped to [messBW/f, messBW·f]. With the bus
 	// cap active the observed bandwidth is already bounded by the curve
@@ -65,6 +53,21 @@ type Config struct {
 	DisableBusCap bool
 }
 
+const (
+	// tolerance is the relative bandwidth mismatch below which the
+	// operating point is left untouched.
+	tolerance = 0.02
+	// minLatencyNs floors the memory-side latency after CPU subtraction.
+	minLatencyNs = 2
+	// minWindow is the minimum simulated duration of a control window.
+	// Closed-loop requesters complete and re-issue in bursts, so a window
+	// of WindowOps operations can span a fraction of one memory round
+	// trip and report a meaninglessly inflated bandwidth; the window is
+	// held open until it covers both WindowOps operations and
+	// max(minWindow, 2× current latency).
+	minWindow = 250 * sim.Nanosecond
+)
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.WindowOps == 0 {
@@ -73,17 +76,8 @@ func (c *Config) withDefaults() Config {
 	if out.ConvFactor == 0 {
 		out.ConvFactor = 0.5
 	}
-	if out.Tolerance == 0 {
-		out.Tolerance = 0.02
-	}
-	if out.MinLatencyNs == 0 {
-		out.MinLatencyNs = 2
-	}
 	if out.MaxErrorFactor == 0 {
 		out.MaxErrorFactor = 8
-	}
-	if out.MinWindow == 0 {
-		out.MinWindow = 250 * sim.Nanosecond
 	}
 	return out
 }
@@ -165,8 +159,8 @@ func (s *Simulator) setBusService(ratio float64) {
 
 func (s *Simulator) applyLatency() {
 	memLat := s.curLat - s.cfg.CPULatencyNs
-	if memLat < s.cfg.MinLatencyNs {
-		memLat = s.cfg.MinLatencyNs
+	if memLat < minLatencyNs {
+		memLat = minLatencyNs
 	}
 	s.memLat = sim.FromNanoseconds(memLat)
 	s.stats.MessBWGBs = s.messBW
@@ -209,7 +203,7 @@ func (s *Simulator) Access(req *mem.Request) {
 // adjust is one iteration of the feedback control loop (Fig. 9).
 func (s *Simulator) adjust(now sim.Time) {
 	dur := now - s.winStart
-	minDur := s.cfg.MinWindow
+	minDur := minWindow
 	if twice := 2 * s.memLat; twice > minDur {
 		minDur = twice
 	}
@@ -235,7 +229,7 @@ func (s *Simulator) adjust(now sim.Time) {
 		cpuBW = s.messBW / f
 	}
 	err := cpuBW - s.messBW
-	if abs(err) > s.cfg.Tolerance*s.messBW {
+	if abs(err) > tolerance*s.messBW {
 		s.messBW += s.cfg.ConvFactor * err
 		if s.messBW < 0.01 {
 			s.messBW = 0.01

@@ -75,9 +75,10 @@
 //     Normalized (sharded and unsharded runs share charz entries; below 2 is
 //     the single-engine path, as is any custom Backend). Gates:
 //     exp.TestShardedCharacterizationDeterminism (release CSVs identical
-//     across sharded-4, sharded-2, repeated and NoCompBatch legs), the dram
-//     sharded tests (completion traces against the single-engine reference
-//     for 2–4 shards and six random channel→shard assignments), and
+//     across sharded-4, sharded-2, repeated and NoCompBatch legs, each set
+//     through the charz.Config.Run seam), the dram sharded tests
+//     (completion traces against the single-engine reference for 2–4 shards
+//     and six random channel→shard assignments), and
 //     bench.TestRigReuseMatchesFresh, all under -race in CI.
 //   - Each engine's mem.RequestPool stays single-goroutine: requests cross
 //     shards only as prebuilt closures through the outboxes
@@ -87,12 +88,11 @@
 //     leg timed too (mem.TimedOn), or boundary-straddling requests are
 //     accounted differently. The charz fingerprint is versioned (charz/v3)
 //     for this semantics.
-//   - Knobs: exp.Env.Shards, messexp/messsim -shards, messperf -shards
-//     (0 = auto: min(GOMAXPROCS, channels+1); 1 = skip). The messperf rows
-//     model/dram_sharded, framework/fig2_quick_sharded and
-//     framework/fig{2,4}_point_sharded carry gomaxprocs and the barrier
-//     stats; the gate skips a row whose gomaxprocs differs from the
-//     baseline's.
+//   - No knob. Sharding lost to the single engine on every paired row
+//     (1.9–4.9× slower), so no flag, environment field or messperf row asks
+//     for it: bench.Options.Shards is set by the benchmark's point-sharded
+//     workload and by the gates above, and the runtime stays only until
+//     that workload stops driving it.
 package sim
 
 import "math/bits"

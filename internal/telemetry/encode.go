@@ -2,16 +2,15 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
 )
 
-// fmtFloat renders a value the way both Prometheus and expvar accept:
-// integers without a fraction, everything else in shortest-round-trip
-// form, +Inf as the literal Prometheus expects.
+// fmtFloat renders a value the way Prometheus accepts: integers without a
+// fraction, everything else in shortest-round-trip form, +Inf as the
+// literal Prometheus expects.
 func fmtFloat(v float64) string {
 	if math.IsInf(v, +1) {
 		return "+Inf"
@@ -93,53 +92,10 @@ func writeSeries(bw *bufio.Writer, family, labels, value string) {
 	bw.WriteByte('\n')
 }
 
-// WriteJSON encodes the registry as a flat JSON object in the expvar
-// style: metric name → number, histograms as {count, sum, buckets} with
-// per-bucket (non-cumulative) counts keyed by upper bound. Keys are
-// sorted (encoding/json sorts map keys), so the output is deterministic.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	doc := map[string]any{}
-	for _, m := range r.snapshotMetrics() {
-		switch m.kind {
-		case KindHistogram:
-			h := m.hist
-			counts := h.snapshot()
-			buckets := map[string]int64{}
-			for i, c := range counts {
-				le := "+Inf"
-				if i < len(h.bounds) {
-					le = fmtFloat(h.bounds[i])
-				}
-				buckets[le] = c
-			}
-			doc[m.name] = map[string]any{
-				"count":   h.Count(),
-				"sum":     h.Sum(),
-				"buckets": buckets,
-			}
-		default:
-			doc[m.name] = m.value()
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// Handler serves the registry over HTTP: Prometheus text by default,
-// the expvar-like JSON document when the request asks for it with
-// ?format=json. This is what messcurved mounts at GET /metrics.
+// Handler serves the registry over HTTP as Prometheus text. This is what
+// messcurved mounts at GET /metrics.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			r.WriteJSON(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})

@@ -50,9 +50,6 @@ type SampleConfig struct {
 	// WarmupFrac sizes the warm-up prefix replayed (unmeasured) before
 	// each window, as a fraction of the window span (default 0.5).
 	WarmupFrac float64
-	// MaxIter caps k-means iterations (default 48; assignment usually
-	// stabilizes far earlier).
-	MaxIter int
 	// BankRow maps an address to its (flat bank index, row) under the
 	// platform's DRAM geometry, for the row-hit-ratio feature — pass
 	// dram.Mapper.BankRow for the spec under study. Nil falls back to a
@@ -80,9 +77,6 @@ func (c SampleConfig) withDefaults() SampleConfig {
 	}
 	if c.WarmupFrac <= 0 {
 		c.WarmupFrac = 0.5
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 48
 	}
 	if c.BankRow == nil {
 		c.BankRow = defaultBankRow
@@ -236,7 +230,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 	}
 	sp = tr.Begin(track, "cluster")
 	normalize(vecs)
-	assign, centers := kmeans(vecs, k, cfg.MaxIter)
+	assign, centers := kmeans(vecs, k)
 	for i, wi := range occupied {
 		windows[wi].Cluster = assign[i]
 	}
@@ -732,12 +726,16 @@ func (s *splitmix64) next() uint64 {
 
 func (s *splitmix64) float() float64 { return float64(s.next()>>11) / (1 << 53) }
 
+// kmeansMaxIter caps k-means iterations; assignment usually stabilizes far
+// earlier.
+const kmeansMaxIter = 48
+
 // kmeans clusters vecs into k groups with a deterministic k-means++
 // seeding and a fixed iteration order: same input, same clustering, every
 // run. Assignment ties break toward the lower cluster index; an emptied
 // cluster is re-seeded with the point farthest from its current center
 // (lowest index on ties).
-func kmeans(vecs [][nFeat]float64, k, maxIter int) (assign []int, centers [][nFeat]float64) {
+func kmeans(vecs [][nFeat]float64, k int) (assign []int, centers [][nFeat]float64) {
 	n := len(vecs)
 	assign = make([]int, n)
 	if k <= 0 {
@@ -779,7 +777,7 @@ func kmeans(vecs [][nFeat]float64, k, maxIter int) (assign []int, centers [][nFe
 	}
 
 	counts := make([]int, k)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < kmeansMaxIter; iter++ {
 		changed := false
 		for i := range vecs {
 			best, bestD := 0, math.Inf(1)

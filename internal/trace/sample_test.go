@@ -180,8 +180,8 @@ func TestKMeansDeterministic(t *testing.T) {
 		}
 	}
 	normalize(vecs)
-	a1, c1 := kmeans(vecs, 5, 48)
-	a2, c2 := kmeans(vecs, 5, 48)
+	a1, c1 := kmeans(vecs, 5)
+	a2, c2 := kmeans(vecs, 5)
 	if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(c1, c2) {
 		t.Fatal("kmeans not deterministic")
 	}

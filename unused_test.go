@@ -93,17 +93,7 @@ func TestInternalExportsAreNamed(t *testing.T) {
 		})
 	}
 
-	allowed := map[string]bool{}
-	if fh, err := os.Open("testdata/testonly.txt"); err != nil {
-		t.Fatal(err)
-	} else {
-		defer fh.Close()
-		for sc := bufio.NewScanner(fh); sc.Scan(); {
-			if fields := strings.Fields(sc.Text()); len(fields) > 0 && !strings.HasPrefix(fields[0], "#") {
-				allowed[fields[0]] = true
-			}
-		}
-	}
+	allowed := readAllowlist(t, "testdata/testonly.txt")
 
 	var unnamed []string
 	check := func(id string, isUsed bool) {
@@ -150,6 +140,135 @@ func TestInternalExportsAreNamed(t *testing.T) {
 	}
 	for id := range allowed {
 		t.Errorf("testdata/testonly.txt lists %s, which is not an exported function, method or type of internal/", id)
+	}
+}
+
+// readAllowlist reads a reviewed-exceptions file: the first field of each
+// line that is not a # comment is an identifier, the rest of the line the
+// reason it is excepted, which every line must give.
+func readAllowlist(t *testing.T, path string) map[string]bool {
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	allowed := map[string]bool{}
+	for sc := bufio.NewScanner(fh); sc.Scan(); {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		if len(fields) == 1 {
+			t.Errorf("%s lists %s without a reason", path, fields[0])
+		}
+		allowed[fields[0]] = true
+	}
+	return allowed
+}
+
+// TestConfigFieldsAreSet keeps the count of settable values honest: every
+// exported field of an exported …Config or …Options struct of an internal/
+// package must be written — as a composite-literal key or the target of an
+// assignment — by a non-test file of the module or of benchmark/. Filling in
+// a default is not setting: writes inside the struct's own withDefaults
+// method, and an assignment to x.F under an `if` whose condition reads x.F
+// (how constructors default a field), do not count. A field nothing sets has
+// one value: make it a constant, or delete it with the path it selected.
+// Like its neighbour the test only parses and matches fields by name, so a
+// field hides behind a set field of the same name in another struct.
+// testdata/unset.txt is the reviewed list of exceptions, one
+// "pkg.Type.Field" a line followed by its reason (fingerprinted fields,
+// reference paths and clocks that only tests set); a line whose field gains
+// a caller, or disappears, fails the test too.
+func TestConfigFieldsAreSet(t *testing.T) {
+	files := moduleFiles(t)
+
+	set := map[string]bool{} // field names some non-test file writes
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		var inspect func(n ast.Node, guarded map[string]bool)
+		inspect = func(n ast.Node, guarded map[string]bool) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					return n.Name.Name != "withDefaults"
+				case *ast.IfStmt:
+					// The fields the condition reads are guarded in the body.
+					inner := map[string]bool{}
+					for name := range guarded {
+						inner[name] = true
+					}
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						if sel, ok := c.(*ast.SelectorExpr); ok {
+							inner[sel.Sel.Name] = true
+						}
+						return true
+					})
+					if n.Init != nil {
+						inspect(n.Init, guarded)
+					}
+					inspect(n.Body, inner)
+					if n.Else != nil {
+						inspect(n.Else, guarded)
+					}
+					return false
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						set[key.Name] = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && !guarded[sel.Sel.Name] {
+							set[sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		inspect(f.ast, nil)
+	}
+
+	allowed := readAllowlist(t, "testdata/unset.txt")
+	var unset []string
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		pkg := strings.TrimPrefix(f.dir, "internal/")
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					id := pkg + "." + ts.Name.Name + "." + name.Name
+					switch {
+					case !name.IsExported():
+					case !set[name.Name] && !allowed[id]:
+						unset = append(unset, id)
+					case set[name.Name] && allowed[id]:
+						t.Errorf("testdata/unset.txt lists %s, which non-test code sets; drop the line", id)
+					}
+					delete(allowed, id)
+				}
+			}
+			return true
+		})
+	}
+	sort.Strings(unset)
+	for _, id := range unset {
+		t.Errorf("%s is set by no non-test file: make it a constant or delete it with what it selects, or list it in testdata/unset.txt with the reason it stays", id)
+	}
+	for id := range allowed {
+		t.Errorf("testdata/unset.txt lists %s, which is not an exported field of a Config or Options struct of internal/", id)
 	}
 }
 
