@@ -18,12 +18,9 @@ import (
 // miniPlatform is a scaled-down Skylake-like machine that keeps test
 // runtimes low: 8 cores, 2 DDR4 channels.
 func miniPlatform() platform.Spec {
-	cfg := dram.DDR4(2666, 2, 1)
-	cfg.CtrlLatency = sim.FromNanoseconds(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return platform.Spec{
 		Name: "mini-skylake", Cores: 8, FreqGHz: 2.1,
-		DRAM:              cfg,
+		DRAM:              dram.DDR4(2666, 2, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     sim.FromNanoseconds(44.5),
 		MSHRs:             16,

@@ -413,16 +413,16 @@ func TestFingerprintStability(t *testing.T) {
 // TestFingerprintGolden pins the digest of a fixed reference request. If
 // this fails after an intentional spec/options change, bump the encoding
 // version prefix in Fingerprint and update the constant — silently
-// re-keying would orphan every on-disk cache entry.
+// re-keying would orphan every on-disk cache entry. The keys of every
+// request the shipped tools make are pinned by exp.TestRequestKeysGolden.
 func TestFingerprintGolden(t *testing.T) {
-	req := Request{Spec: platform.Skylake(), Options: bench.QuickOptions(), Tag: ""}
-	a := Fingerprint(req)
-	b := Fingerprint(req)
-	if a != b {
-		t.Fatal("fingerprint not deterministic")
+	const want = "76bc82094efc7bc7a0861b30415230dbdc3c9293ee3ed9ebbe8e248dc7a22790"
+	a := Fingerprint(Request{Spec: platform.Skylake(), Options: bench.QuickOptions()})
+	if a.String() != want {
+		t.Fatalf("Skylake quick key = %s, want %s", a, want)
 	}
-	if len(a.String()) != 64 || a.Short() != a.String()[:12] {
-		t.Fatalf("key rendering broken: %q / %q", a.String(), a.Short())
+	if a.Short() != want[:12] {
+		t.Fatalf("short key = %q, want %q", a.Short(), want[:12])
 	}
 }
 

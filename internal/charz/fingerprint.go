@@ -60,9 +60,11 @@ func writeSpec(w io.Writer, s platform.Spec) {
 	// dram.NoFusion is deliberately excluded: decide-event fusion is an
 	// execution strategy, not a model parameter — results are bit-identical
 	// either way (enforced by exp's fig2 determinism test), so both
-	// settings may share one cache entry.
-	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.xorBankRow=%t\ndram.bypassCap=%d\ndram.ageCap=%d\n",
-		d.FRFCFSWindow, d.XORBankRow, d.BypassCap, d.AgeCap)
+	// settings may share one cache entry. dram.xorBankRow is a literal:
+	// the option is gone, and the line keeps v3 keys byte-identical until
+	// the charz/v4 bump of the address-map change drops it.
+	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.xorBankRow=false\ndram.bypassCap=%d\ndram.ageCap=%d\n",
+		d.FRFCFSWindow, d.BypassCap, d.AgeCap)
 	fmt.Fprintf(w, "spec.policy=%d\nspec.onChipLatency=%d\nspec.mshrs=%d\nspec.writeBufs=%d\nspec.writebackLag=%d\nspec.unloadedNs=%v\n",
 		s.Policy, s.OnChipLatency, s.MSHRs, s.WriteBufs, s.WritebackLag, s.UnloadedLatencyNs)
 }

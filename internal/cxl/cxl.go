@@ -42,15 +42,12 @@ type Config struct {
 // DDR5-5600 DIMM, CXL 2.0 ×8, maximum theoretical throughput ≈43.6 GB/s
 // for the best (balanced) traffic mix.
 func Default() Config {
-	ddr := dram.DDR5(5600, 1, 2)
-	ddr.CtrlLatency = sim.FromNanoseconds(8)
-	ddr.IdleClose = 250 * sim.Nanosecond
 	return Config{
 		TxGBs:             27,
 		RxGBs:             27,
 		HeaderBytes:       16,
 		PropagationOneWay: sim.FromNanoseconds(70),
-		DDR:               ddr,
+		DDR:               dram.DDR5(5600, 1, 2),
 	}
 }
 

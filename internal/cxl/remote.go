@@ -36,12 +36,9 @@ type RemoteSocketConfig struct {
 // saturated range but stays in the same class (the paper's emulation
 // reaches higher bandwidth than the target CXL device).
 func DefaultRemoteSocket() RemoteSocketConfig {
-	ddr := dram.DDR4(2666, 2, 1)
-	ddr.CtrlLatency = sim.FromNanoseconds(8)
-	ddr.IdleClose = 250 * sim.Nanosecond
 	return RemoteSocketConfig{
 		HopOneWay: sim.FromNanoseconds(92),
-		DDR:       ddr,
+		DDR:       dram.DDR4(2666, 2, 1),
 	}
 }
 

@@ -12,6 +12,13 @@
 // the completion time. That is the level of detail the Mess methodology is
 // sensitive to; per-command bus arbitration below that granularity changes
 // nothing the benchmark can observe.
+//
+// Each fact a platform shares with its memory technology is stated once, in
+// this package. The presets (DDR4, DDR5, HBM2, HBM2E) carry the device
+// timing and the controller front end — CtrlLatency and IdleClose — so a
+// platform only overrides what is its own (Zen 2's write watermarks). The
+// address map is one decode (Mapper.decode) that both the controller and
+// trace fingerprinting go through.
 package dram
 
 import (
@@ -58,7 +65,6 @@ type Config struct {
 	IdleClose    sim.Time // open row auto-precharges after this idle time (0 = open-page forever)
 	CtrlLatency  sim.Time // fixed front-end + PHY latency added to read completions
 	FRFCFSWindow int      // how deep FR-FCFS scans for a row hit
-	XORBankRow   bool     // XOR bank index with low row bits (conflict spreading)
 	// BypassCap bounds how many times the oldest read may be bypassed by
 	// row hits before it is served unconditionally. This is the
 	// anti-starvation mechanism of the scheduler; it bounds a victim's
@@ -101,6 +107,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("dram: config %q: banks must be positive, got %d", c.Name, c.Banks)
 	case c.RowBytes <= 0 || c.RowBytes%64 != 0:
 		return fmt.Errorf("dram: config %q: row bytes must be a positive multiple of 64, got %d", c.Name, c.RowBytes)
+	case !pow2(c.Ranks) || !pow2(c.Banks) || !pow2(c.RowBytes/64):
+		return fmt.Errorf("dram: config %q: ranks, banks and lines per row must be powers of two, got %d, %d and %d",
+			c.Name, c.Ranks, c.Banks, c.RowBytes/64)
 	case c.Timing.Burst <= 0:
 		return fmt.Errorf("dram: config %q: burst time must be positive", c.Name)
 	case c.Timing.CL <= 0 || c.Timing.RCD <= 0 || c.Timing.RP <= 0:
@@ -108,6 +117,8 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+func pow2(v int) bool { return v&(v-1) == 0 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -135,7 +146,9 @@ func (c *Config) PeakBandwidthGBs() float64 {
 func ns(v float64) sim.Time { return sim.FromNanoseconds(v) }
 
 // DDR4 returns a DDR4 configuration for the given transfer rate in MT/s
-// (2666 or 3200 are the rates used in the paper's platforms).
+// (2666 or 3200 are the rates used in the paper's platforms), behind a
+// controller that adds 8 ns of front end and PHY to every read and closes a
+// row left idle for 250 ns.
 func DDR4(mts int, channels, ranks int) Config {
 	tck := 2000.0 / float64(mts) // ns; DDR: two transfers per clock
 	t := Timing{
@@ -166,6 +179,9 @@ func DDR4(mts int, channels, ranks int) Config {
 		Banks:    16,
 		RowBytes: 8192,
 		Timing:   t,
+
+		CtrlLatency: ns(8),
+		IdleClose:   250 * sim.Nanosecond,
 	}
 }
 
@@ -173,7 +189,7 @@ func DDR4(mts int, channels, ranks int) Config {
 // (4800 or 5600 in the paper). Each physical DIMM channel is modelled as its
 // two independent 32-bit subchannels, each delivering a 64-byte line per
 // BL16 burst, so pass dimms as the number of DIMM channels; the model uses
-// 2×dimms independent channels.
+// 2×dimms independent channels. The controller is DDR4's.
 func DDR5(mts int, dimms, ranks int) Config {
 	tck := 2000.0 / float64(mts)
 	t := Timing{
@@ -200,12 +216,16 @@ func DDR5(mts int, dimms, ranks int) Config {
 		Banks:    32,
 		RowBytes: 8192,
 		Timing:   t,
+
+		CtrlLatency: ns(8),
+		IdleClose:   250 * sim.Nanosecond,
 	}
 }
 
 // HBM2 returns an HBM2 configuration with the given number of 128-bit
 // channels (32 GB/s each; the paper's A64FX uses 32 channels across four
-// stacks for 1024 GB/s).
+// stacks for 1024 GB/s), behind a controller with a 6 ns front end that
+// closes a row left idle for 250 ns.
 func HBM2(channels int) Config {
 	t := Timing{
 		TCK:   ns(1.0),
@@ -231,12 +251,16 @@ func HBM2(channels int) Config {
 		Banks:    16,
 		RowBytes: 2048,
 		Timing:   t,
+
+		CtrlLatency: ns(6),
+		IdleClose:   250 * sim.Nanosecond,
 	}
 }
 
 // HBM2E returns an HBM2E configuration with the given number of channels.
 // The H100 platform in the paper reaches 1631 GB/s; with 32 channels this
-// preset delivers 64 B per 1.256 ns per channel ≈ 1631 GB/s aggregate.
+// preset delivers 64 B per 1.256 ns per channel ≈ 1631 GB/s aggregate. The
+// controller is HBM2's.
 func HBM2E(channels int) Config {
 	cfg := HBM2(channels)
 	cfg.Name = "HBM2E"

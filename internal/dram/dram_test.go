@@ -8,9 +8,11 @@ import (
 	"github.com/mess-sim/mess/internal/sim"
 )
 
+// testConfig is two DDR4 channels kept open-page: the row-state tests
+// below place their second access long after the preset's 250 ns idle close.
 func testConfig() Config {
 	cfg := DDR4(2666, 2, 1)
-	cfg.CtrlLatency = ns(8)
+	cfg.IdleClose = 0
 	return cfg
 }
 
@@ -33,6 +35,23 @@ func TestConfigValidate(t *testing.T) {
 	bad.Timing.Burst = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero burst accepted")
+	}
+	// The address decode shifts ranks, banks and lines per row.
+	for name, mutate := range map[string]func(*Config){
+		"3 ranks":        func(c *Config) { c.Ranks = 3 },
+		"12 banks":       func(c *Config) { c.Banks = 12 },
+		"96 lines a row": func(c *Config) { c.RowBytes = 96 * 64 },
+	} {
+		bad = good
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	bad = good
+	bad.Channels = 3 // channels are a modulus, not a shift
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("three channels rejected: %v", err)
 	}
 }
 
@@ -57,8 +76,23 @@ func TestPeakBandwidth(t *testing.T) {
 	}
 }
 
-// unmap is the inverse of Mapper.Map for non-XOR mappings: the lowest
-// address of the line at the location.
+// Loc is a physical location in the memory system.
+type Loc struct {
+	Channel int
+	Rank    int
+	Bank    int
+	Row     int64
+	Col     int // line index within the row
+}
+
+// Map resolves addr to its location.
+func (m Mapper) Map(addr uint64) Loc {
+	ch, rank, bank, row, col := m.decode(addr)
+	return Loc{Channel: ch, Rank: rank, Bank: bank, Row: row, Col: col}
+}
+
+// unmap is the inverse of Mapper.Map: the lowest address of the line at the
+// location.
 func unmap(m Mapper, l Loc) uint64 {
 	line := uint64(l.Row)
 	line = line*uint64(m.Ranks) + uint64(l.Rank)
@@ -85,6 +119,17 @@ func TestMapperBijective(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MapReq and RoundTrips reach the controller's decode and the test-side
+// Map from the external decode test, which imports the platforms.
+func (m Mapper) MapReq(addr uint64) (ch int, bi int32, rank int32, row int64) {
+	return m.mapReq(addr)
+}
+
+func (m Mapper) RoundTrips(addr uint64) bool {
+	l := m.Map(addr)
+	return unmap(m, l) == addr&^(mem.LineSize-1)
 }
 
 func TestMapperSequentialLocality(t *testing.T) {

@@ -15,26 +15,13 @@ func init() {
 		Title: "Mess bandwidth–latency curves of the Skylake server with derived metrics",
 		Run:   runFig2,
 	})
-	letters := []struct {
-		suffix string
-		spec   func() platform.Spec
-	}{
-		{"a", platform.Skylake},
-		{"b", platform.CascadeLake},
-		{"c", platform.Zen2},
-		{"d", platform.Power9},
-		{"e", platform.Graviton3},
-		{"f", platform.SapphireRapids},
-		{"g", platform.A64FX},
-		{"h", platform.H100},
-	}
-	for _, l := range letters {
-		l := l
+	for i, spec := range platform.All() {
+		spec, letter := spec, string(rune('a'+i))
 		register(Experiment{
-			ID:    "fig3" + l.suffix,
-			Paper: "Fig. 3(" + l.suffix + ")",
-			Title: "Bandwidth–latency curves: " + l.spec().Name,
-			Run:   func(env *Env) (*Result, error) { return runPlatformCurves(l.spec(), env) },
+			ID:    "fig3" + letter,
+			Paper: "Fig. 3(" + letter + ")",
+			Title: "Bandwidth–latency curves: " + spec.Name,
+			Run:   func(env *Env) (*Result, error) { return runPlatformCurves(spec, env) },
 		})
 	}
 	register(Experiment{
@@ -99,11 +86,6 @@ func runPlatformCurves(spec platform.Spec, env *Env) (*Result, error) {
 
 func runTable1(env *Env) (*Result, error) {
 	specs := platform.All()
-	// The paper's Table I reference rows for the shape comparison.
-	paperSat := []string{"72–91%", "68–87%", "57–71%", "67–91%", "63–95%", "60–86%", "72–92%", "51–95%"}
-	paperUnloaded := []float64{89, 85, 113, 96, 129, 109, 122, 363}
-	paperMaxLat := []string{"242–391", "182–303", "257–657", "238–546", "332–527", "238–406", "338–428", "699–1433"}
-
 	r := &Result{
 		Title: "Quantitative memory performance comparison",
 		Header: []string{"platform", "theor. BW", "saturated range", "paper",
@@ -140,12 +122,12 @@ func runTable1(env *Env) (*Result, error) {
 			sp.Name,
 			fmt.Sprintf("%.0f GB/s", theor),
 			pct(m.SatLowFrac()) + "–" + pct(m.SatHighFrac()),
-			paperSat[i],
+			fmt.Sprintf("%.0f–%.0f%%", sp.SatRangePct[0], sp.SatRangePct[1]),
 			pct(stMin/theor) + "–" + pct(stMax/theor),
 			fmt.Sprintf("%.0f ns", m.UnloadedLatencyNs),
-			fmt.Sprintf("%.0f ns", paperUnloaded[i]),
+			fmt.Sprintf("%.0f ns", sp.UnloadedLatencyNs),
 			fmt.Sprintf("%.0f–%.0f ns", m.MaxLatencyMinNs, m.MaxLatencyMaxNs),
-			paperMaxLat[i] + " ns",
+			fmt.Sprintf("%.0f–%.0f ns", sp.MaxLatencyRangeNs[0], sp.MaxLatencyRangeNs[1]),
 		})
 	}
 	r.Notes = append(r.Notes,

@@ -18,7 +18,7 @@ import (
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fig2_quick.csv from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (fig2_quick.csv, request_keys.txt) from this run")
 
 // fig2Golden is the Quick fig2 release CSV as checked in: what holds a
 // refactor to the curves of the commit before it, where the legs of

@@ -71,26 +71,27 @@ func familyAgreement(ref, got *core.Family) float64 {
 }
 
 func runFig10(env *Env) (*Result, error) {
-	variants := []platform.Spec{scaleSpec(platform.ZSimSkylake(), env.Scale)}
-	if env.Scale == Full {
-		// The paper's DDR5 (58 cores) and HBM2 (192 cores) ZSim scale-ups.
-		ddr5 := platform.ZSimSkylake()
-		ddr5.Name = "ZSim 58 cores, 8×DDR5-4800"
-		ddr5.Cores = 58
-		ddr5.DRAM = dram.DDR5(4800, 8, 2)
-		ddr5.DRAM.CtrlLatency = sim.FromNanoseconds(8)
-		ddr5.DRAM.IdleClose = 250 * sim.Nanosecond
-		hbm := platform.ZSimSkylake()
-		hbm.Name = "ZSim 192 cores, 32×HBM2"
-		hbm.Cores = 192
-		hbm.DRAM = dram.HBM2(32)
-		hbm.DRAM.CtrlLatency = sim.FromNanoseconds(6)
-		hbm.DRAM.IdleClose = 250 * sim.Nanosecond
-		variants = append(variants, ddr5, hbm)
-	}
-
-	return messAgreement(env, variants, "ZSim + Mess simulator vs actual curves",
+	return messAgreement(env, fig10Variants(env.Scale), "ZSim + Mess simulator vs actual curves",
 		"The paper reports <1% unloaded-latency error, ≈3% maximum-latency error and 2% saturated-range error for ZSim+Mess (Sec. V-B.1).")
+}
+
+// fig10Variants are the memory systems of Fig. 10: the ZSim Skylake model
+// and, at Full scale, the paper's DDR5 (58 cores) and HBM2 (192 cores) ZSim
+// scale-ups.
+func fig10Variants(s Scale) []platform.Spec {
+	variants := []platform.Spec{scaleSpec(platform.ZSimSkylake(), s)}
+	if s != Full {
+		return variants
+	}
+	ddr5 := platform.ZSimSkylake()
+	ddr5.Name = "ZSim 58 cores, 8×DDR5-4800"
+	ddr5.Cores = 58
+	ddr5.DRAM = dram.DDR5(4800, 8, 2)
+	hbm := platform.ZSimSkylake()
+	hbm.Name = "ZSim 192 cores, 32×HBM2"
+	hbm.Cores = 192
+	hbm.DRAM = dram.HBM2(32)
+	return append(variants, ddr5, hbm)
 }
 
 // messAgreement is the body of Figs. 10 and 12: on each memory system, the
@@ -174,18 +175,22 @@ func runFig11(env *Env) (*Result, error) {
 }
 
 func runFig12(env *Env) (*Result, error) {
-	// 16 cores on a single DDR5-4800 channel / single HBM2 channel.
-	// The gem5 Neoverse cores have moderate memory-level parallelism; with
-	// a single channel, CPU-class MSHR depths would pin the system so deep
-	// into saturation that the curves degenerate to their last point.
+	return messAgreement(env, fig12Variants(), "gem5 + Mess simulator, single-channel configurations",
+		"The paper runs single-channel gem5 configurations because full-system cycle-accurate sweeps would take years; scaled to 8 channels the curves match the Graviton 3 measurements (Sec. V-B.2).")
+}
+
+// fig12Variants are the memory systems of Fig. 12: 16 cores on a single
+// DDR5-4800 channel and on a single HBM2 channel. The gem5 Neoverse cores
+// have moderate memory-level parallelism; with a single channel, CPU-class
+// MSHR depths would pin the system so deep into saturation that the curves
+// degenerate to their last point.
+func fig12Variants() []platform.Spec {
 	ddr5 := platform.Gem5Graviton3()
 	ddr5.Name = "gem5 16 cores, 1×DDR5-4800"
 	ddr5.Cores = 16
 	ddr5.MSHRs = 6
 	ddr5.WriteBufs = 8
 	ddr5.DRAM = dram.DDR5(4800, 1, 2)
-	ddr5.DRAM.CtrlLatency = sim.FromNanoseconds(8)
-	ddr5.DRAM.IdleClose = 250 * sim.Nanosecond
 
 	hbm := platform.Gem5Graviton3()
 	hbm.Name = "gem5 16 cores, 1×HBM2 channel"
@@ -193,11 +198,7 @@ func runFig12(env *Env) (*Result, error) {
 	hbm.MSHRs = 6
 	hbm.WriteBufs = 8
 	hbm.DRAM = dram.HBM2(1)
-	hbm.DRAM.CtrlLatency = sim.FromNanoseconds(6)
-	hbm.DRAM.IdleClose = 250 * sim.Nanosecond
-
-	return messAgreement(env, []platform.Spec{ddr5, hbm}, "gem5 + Mess simulator, single-channel configurations",
-		"The paper runs single-channel gem5 configurations because full-system cycle-accurate sweeps would take years; scaled to 8 channels the curves match the Graviton 3 measurements (Sec. V-B.2).")
+	return []platform.Spec{ddr5, hbm}
 }
 
 func runFig13(env *Env) (*Result, error) {

@@ -34,9 +34,12 @@ type Spec struct {
 	WriteBufs     int      // per-core posted-write buffer
 	WritebackLag  uint64
 
-	// UnloadedLatencyNs is the paper's Table I reference value, kept for
-	// reporting and validation; the simulated value must come out close.
+	// The paper's Table I reference values, kept for reporting and
+	// validation and left out of charz keys: unloaded latency, saturated
+	// bandwidth range in percent of theoretical, and maximum latency range.
 	UnloadedLatencyNs float64
+	SatRangePct       [2]float64
+	MaxLatencyRangeNs [2]float64
 }
 
 // CycleTime reports the core clock period.
@@ -101,36 +104,34 @@ func ns(v float64) sim.Time { return sim.FromNanoseconds(v) }
 // Skylake returns the Intel Skylake Xeon Platinum platform:
 // 24 cores @ 2.1 GHz, 6×DDR4-2666, 128 GB/s, 89 ns unloaded.
 func Skylake() Spec {
-	cfg := dram.DDR4(2666, 6, 1)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "Intel Skylake", Released: "2015",
 		Cores: 24, FreqGHz: 2.1,
-		DRAM:              cfg,
+		DRAM:              dram.DDR4(2666, 6, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(44.5),
 		MSHRs:             28,
 		WriteBufs:         32,
 		UnloadedLatencyNs: 89,
+		SatRangePct:       [2]float64{72, 91},
+		MaxLatencyRangeNs: [2]float64{242, 391},
 	}
 }
 
 // CascadeLake returns the Intel Cascade Lake Xeon Gold platform:
 // 16 cores @ 2.3 GHz, 6×DDR4-2666, 128 GB/s, 85 ns unloaded.
 func CascadeLake() Spec {
-	cfg := dram.DDR4(2666, 6, 1)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "Intel Cascade Lake", Released: "2019",
 		Cores: 16, FreqGHz: 2.3,
-		DRAM:              cfg,
+		DRAM:              dram.DDR4(2666, 6, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(40.5),
 		MSHRs:             32,
 		WriteBufs:         36,
 		UnloadedLatencyNs: 85,
+		SatRangePct:       [2]float64{68, 87},
+		MaxLatencyRangeNs: [2]float64{182, 303},
 	}
 }
 
@@ -140,8 +141,6 @@ func CascadeLake() Spec {
 // (Sec. III): balanced read/write mixes suffer frequent bus turnarounds.
 func Zen2() Spec {
 	cfg := dram.DDR4(3200, 8, 1)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	cfg.WriteHi = 10
 	cfg.WriteLo = 6
 	return Spec{
@@ -153,24 +152,25 @@ func Zen2() Spec {
 		MSHRs:             10,
 		WriteBufs:         12,
 		UnloadedLatencyNs: 113,
+		SatRangePct:       [2]float64{57, 71},
+		MaxLatencyRangeNs: [2]float64{257, 657},
 	}
 }
 
 // Power9 returns the IBM Power 9 platform: 20 cores @ 2.4 GHz,
 // 8×DDR4-2666, 170 GB/s, 96 ns unloaded.
 func Power9() Spec {
-	cfg := dram.DDR4(2666, 8, 1)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "IBM Power 9", Released: "2017",
 		Cores: 20, FreqGHz: 2.4,
-		DRAM:              cfg,
+		DRAM:              dram.DDR4(2666, 8, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(51.5),
 		MSHRs:             32,
 		WriteBufs:         36,
 		UnloadedLatencyNs: 96,
+		SatRangePct:       [2]float64{67, 91},
+		MaxLatencyRangeNs: [2]float64{238, 546},
 	}
 }
 
@@ -180,54 +180,51 @@ func Power9() Spec {
 // STREAM matching the Mess counters, "corresponding to a write-through
 // cache policy" (Sec. III).
 func Graviton3() Spec {
-	cfg := dram.DDR5(4800, 8, 2)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "Amazon Graviton 3", Released: "2022",
 		Cores: 64, FreqGHz: 2.6,
-		DRAM:              cfg,
+		DRAM:              dram.DDR5(4800, 8, 2),
 		Policy:            cache.WriteThrough,
 		OnChipLatency:     ns(83.5),
 		MSHRs:             20,
 		WriteBufs:         24,
 		UnloadedLatencyNs: 129,
+		SatRangePct:       [2]float64{63, 95},
+		MaxLatencyRangeNs: [2]float64{332, 527},
 	}
 }
 
 // SapphireRapids returns the Intel Sapphire Rapids Xeon Platinum platform:
 // 56 cores @ 2 GHz, 8×DDR5-4800, 307 GB/s, 109 ns unloaded.
 func SapphireRapids() Spec {
-	cfg := dram.DDR5(4800, 8, 2)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "Intel Sapphire Rapids", Released: "2023",
 		Cores: 56, FreqGHz: 2.0,
-		DRAM:              cfg,
+		DRAM:              dram.DDR5(4800, 8, 2),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(63.5),
 		MSHRs:             16,
 		WriteBufs:         20,
 		UnloadedLatencyNs: 109,
+		SatRangePct:       [2]float64{60, 86},
+		MaxLatencyRangeNs: [2]float64{238, 406},
 	}
 }
 
 // A64FX returns the Fujitsu A64FX platform: 48 cores @ 2.2 GHz,
 // 4×HBM2 (32 channels), 1024 GB/s, 122 ns unloaded.
 func A64FX() Spec {
-	cfg := dram.HBM2(32)
-	cfg.CtrlLatency = ns(6)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "Fujitsu A64FX", Released: "2019",
 		Cores: 48, FreqGHz: 2.2,
-		DRAM:              cfg,
+		DRAM:              dram.HBM2(32),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(80),
 		MSHRs:             56,
 		WriteBufs:         60,
 		UnloadedLatencyNs: 122,
+		SatRangePct:       [2]float64{72, 92},
+		MaxLatencyRangeNs: [2]float64{338, 428},
 	}
 }
 
@@ -236,13 +233,10 @@ func A64FX() Spec {
 // memory-level parallelism; like Graviton 3, its STREAM results match the
 // Mess counters, so stores are modelled without write-allocate.
 func H100() Spec {
-	cfg := dram.HBM2E(32)
-	cfg.CtrlLatency = ns(6)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "NVIDIA H100", Released: "2023",
 		Cores: 132, FreqGHz: 1.1,
-		DRAM:   cfg,
+		DRAM:   dram.HBM2E(32),
 		Policy: cache.WriteThrough,
 		// An SM's warps keep far more sectors in flight than a CPU
 		// core's MSHRs; 80 outstanding lines per SM covers the platform's
@@ -251,6 +245,8 @@ func H100() Spec {
 		MSHRs:             80,
 		WriteBufs:         84,
 		UnloadedLatencyNs: 363,
+		SatRangePct:       [2]float64{51, 95},
+		MaxLatencyRangeNs: [2]float64{699, 1433},
 	}
 }
 
@@ -297,13 +293,10 @@ func Gem5Graviton3() Spec {
 // OpenPiton Metro-MPI experiments: small in-order cores with 2-entry MSHRs,
 // which cannot saturate a high-end memory system (Sec. IV-C).
 func OpenPitonAriane() Spec {
-	cfg := dram.DDR4(2666, 1, 1)
-	cfg.CtrlLatency = ns(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return Spec{
 		Name: "OpenPiton Ariane", Released: "2023",
 		Cores: 64, FreqGHz: 1.0,
-		DRAM:              cfg,
+		DRAM:              dram.DDR4(2666, 1, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(60),
 		MSHRs:             2,

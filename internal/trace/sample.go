@@ -51,10 +51,8 @@ type SampleConfig struct {
 	// each window, as a fraction of the window span (default 0.5).
 	WarmupFrac float64
 	// BankRow maps an address to its (flat bank index, row) under the
-	// platform's DRAM geometry, for the row-hit-ratio feature — pass
-	// dram.Mapper.BankRow for the spec under study. Nil falls back to a
-	// generic 8 KiB-row, 16-bank layout: fingerprints stay usable, just
-	// less faithful to the platform.
+	// platform's DRAM geometry, for the row-hit-ratio feature: pass
+	// dram.Mapper.BankRow for the spec under study. Required.
 	BankRow func(addr uint64) (bank int, row int64)
 	// Telemetry, when set, records the pipeline's phases — fingerprint,
 	// cluster, per-cluster replay, reconstruct — as spans on its tracer
@@ -78,17 +76,7 @@ func (c SampleConfig) withDefaults() SampleConfig {
 	if c.WarmupFrac <= 0 {
 		c.WarmupFrac = 0.5
 	}
-	if c.BankRow == nil {
-		c.BankRow = defaultBankRow
-	}
 	return c
-}
-
-// defaultBankRow is the geometry-free fallback mapping: 8 KiB rows
-// interleaved over 16 banks.
-func defaultBankRow(addr uint64) (int, int64) {
-	r := addr / 8192
-	return int(r % 16), int64(r / 16)
 }
 
 // AccessVector is one window's memory-access fingerprint — the feature
@@ -195,6 +183,9 @@ func (r *SampledResult) WithinErrorBars(full ReplayResult, slack float64) bool {
 // produces it).
 func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.BankRow == nil {
+		return nil, fmt.Errorf("trace: sampled replay needs the platform's BankRow mapping")
+	}
 	if len(t.Records) == 0 {
 		return &SampledResult{SpeedupX: 1}, nil
 	}

@@ -142,18 +142,20 @@ func TestSampledClustersSeparatePhases(t *testing.T) {
 }
 
 // TestSampledEdgeCases covers the degenerate inputs: empty traces, traces
-// smaller than the window count, and non-monotonic traces (rejected — the
-// windowing math assumes time order).
+// smaller than the window count, non-monotonic traces (rejected — the
+// windowing math assumes time order) and a config without the platform's
+// BankRow (rejected — there is no geometry-free fallback).
 func TestSampledEdgeCases(t *testing.T) {
-	mk, _ := ddr4Factory()
+	mk, mapper := ddr4Factory()
+	cfg := SampleConfig{BankRow: mapper.BankRow}
 
-	res, err := Sampled(mk, &Trace{}, SampleConfig{})
+	res, err := Sampled(mk, &Trace{}, cfg)
 	if err != nil || res.TotalRecords != 0 {
 		t.Fatalf("empty trace: res %+v err %v", res, err)
 	}
 
 	tiny := sampleTrace(10)
-	res, err = Sampled(mk, tiny, SampleConfig{})
+	res, err = Sampled(mk, tiny, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +166,12 @@ func TestSampledEdgeCases(t *testing.T) {
 	bad := &Trace{Records: []Record{
 		{At: 100, Addr: 0x40}, {At: 50, Addr: 0x80},
 	}}
-	if _, err := Sampled(mk, bad, SampleConfig{}); err == nil {
+	if _, err := Sampled(mk, bad, cfg); err == nil {
 		t.Fatal("non-monotonic trace accepted")
+	}
+
+	if _, err := Sampled(mk, tiny, SampleConfig{}); err == nil {
+		t.Fatal("config without BankRow accepted")
 	}
 }
 
@@ -256,15 +262,14 @@ func fingerprintReference(t *Trace, windows []SampleWindow, cfg SampleConfig) {
 // TestFingerprintMatchesReference holds fingerprint's reused scratch tables
 // to the map-based reference on randomized traces and window cuts: every
 // window's vector must be equal, float for float. The bank mappings cover
-// the real one, the default, and a hostile custom BankRow whose bank ids
+// the real one and a hostile custom BankRow whose bank ids
 // are negative, beyond the dense table, and far beyond it — with rows that
 // repeat, so row hits happen on every path.
 func TestFingerprintMatchesReference(t *testing.T) {
 	cfg := dram.DDR4(3200, 2, 2)
 	mapper := dram.NewMapper(&cfg)
 	mappings := map[string]func(uint64) (int, int64){
-		"ddr4":    mapper.BankRow,
-		"default": defaultBankRow,
+		"ddr4": mapper.BankRow,
 		"hostile": func(addr uint64) (int, int64) {
 			row := int64(addr>>9) % 3
 			switch bank := int(addr>>6) % 7; bank {

@@ -22,6 +22,10 @@ import (
 	"github.com/mess-sim/mess/internal/sim"
 )
 
+// arrayBytes sizes each kernel array: it wraps, and exceeds the LLC so the
+// kernels stream.
+const arrayBytes = 32 << 20
+
 // Options configure a workload run.
 type Options struct {
 	// Cores is the number of benchmark copies; 0 runs one per platform
@@ -30,9 +34,6 @@ type Options struct {
 	// Warmup and Measure are the simulated window durations.
 	Warmup  sim.Time
 	Measure sim.Time
-	// ArrayBytes sizes each kernel array (wraps; must exceed the LLC for
-	// streaming behaviour).
-	ArrayBytes uint64
 	// Backend overrides the memory model; nil uses the platform's
 	// detailed DRAM system.
 	Backend mem.BackendFactory
@@ -51,9 +52,6 @@ func (o *Options) withDefaults(spec platform.Spec) Options {
 	}
 	if out.Measure == 0 {
 		out.Measure = 40 * sim.Microsecond
-	}
-	if out.ArrayBytes == 0 {
-		out.ArrayBytes = 32 << 20
 	}
 	return out
 }
@@ -107,7 +105,7 @@ func Run(spec platform.Spec, k cpu.Kernel, opt Options) (Result, error) {
 		core := cpu.NewKernelCore(eng, hier.Port(c), k, cpu.CoreConfig{
 			CycleTime:  spec.CycleTime(),
 			ArrayBases: bases,
-			ArrayBytes: o.ArrayBytes,
+			ArrayBytes: arrayBytes,
 			Seed:       uint64(c)*0x9e3779b97f4a7c15 + 0xdeadbeef,
 		})
 		core.Start()

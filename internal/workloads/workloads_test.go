@@ -15,12 +15,9 @@ import (
 )
 
 func miniSpec() platform.Spec {
-	cfg := dram.DDR4(2666, 2, 1)
-	cfg.CtrlLatency = sim.FromNanoseconds(8)
-	cfg.IdleClose = 250 * sim.Nanosecond
 	return platform.Spec{
 		Name: "mini", Cores: 6, FreqGHz: 2.0,
-		DRAM:              cfg,
+		DRAM:              dram.DDR4(2666, 2, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     sim.FromNanoseconds(44),
 		MSHRs:             12,

@@ -174,8 +174,11 @@ func readAllowlist(t *testing.T, path string) map[string]bool {
 // method, and an assignment to x.F under an `if` whose condition reads x.F
 // (how constructors default a field), do not count. A field nothing sets has
 // one value: make it a constant, or delete it with the path it selected.
-// Like its neighbour the test only parses and matches fields by name, so a
-// field hides behind a set field of the same name in another struct.
+// Like its neighbour the test only parses. A key of a literal of a named type
+// (T{F: …}, pkg.T{F: …}, through type aliases) sets that type's field only;
+// an assignment, or a key of a literal whose type is elided or unnamed, is
+// matched by field name, so there a field hides behind a set field of the
+// same name in another struct.
 // testdata/unset.txt is the reviewed list of exceptions, one
 // "pkg.Type.Field" a line followed by its reason (fingerprinted fields,
 // reference paths and clocks that only tests set); a line whose field gains
@@ -183,11 +186,14 @@ func readAllowlist(t *testing.T, path string) map[string]bool {
 func TestConfigFieldsAreSet(t *testing.T) {
 	files := moduleFiles(t)
 
-	set := map[string]bool{} // field names some non-test file writes
+	aliases := typeAliases(files)
+	set := map[string]bool{}      // field names some non-test file writes
+	setTyped := map[string]bool{} // "dir.Type.Field" keyed in a literal of that type
 	for _, f := range files {
 		if f.test {
 			continue
 		}
+		imports := importDirs(f.ast)
 		var inspect func(n ast.Node, guarded map[string]bool)
 		inspect = func(n ast.Node, guarded map[string]bool) {
 			ast.Inspect(n, func(n ast.Node) bool {
@@ -214,9 +220,20 @@ func TestConfigFieldsAreSet(t *testing.T) {
 						inspect(n.Else, guarded)
 					}
 					return false
-				case *ast.KeyValueExpr:
-					if key, ok := n.Key.(*ast.Ident); ok {
-						set[key.Name] = true
+				case *ast.CompositeLit:
+					typ := namedType(n.Type, f.dir, imports, aliases)
+					for _, elt := range n.Elts {
+						kv, ok := elt.(*ast.KeyValueExpr)
+						if !ok {
+							continue
+						}
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							if typ != "" {
+								setTyped[typ+"."+key.Name] = true
+							} else {
+								set[key.Name] = true
+							}
+						}
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
@@ -250,11 +267,12 @@ func TestConfigFieldsAreSet(t *testing.T) {
 			for _, field := range st.Fields.List {
 				for _, name := range field.Names {
 					id := pkg + "." + ts.Name.Name + "." + name.Name
+					isSet := set[name.Name] || setTyped[f.dir+"."+ts.Name.Name+"."+name.Name]
 					switch {
 					case !name.IsExported():
-					case !set[name.Name] && !allowed[id]:
+					case !isSet && !allowed[id]:
 						unset = append(unset, id)
-					case set[name.Name] && allowed[id]:
+					case isSet && allowed[id]:
 						t.Errorf("testdata/unset.txt lists %s, which non-test code sets; drop the line", id)
 					}
 					delete(allowed, id)
@@ -270,6 +288,46 @@ func TestConfigFieldsAreSet(t *testing.T) {
 	for id := range allowed {
 		t.Errorf("testdata/unset.txt lists %s, which is not an exported field of a Config or Options struct of internal/", id)
 	}
+}
+
+// typeAliases maps each type alias declared by a non-test file, as
+// "dir.Name", to the named type it stands for.
+func typeAliases(files []srcFile) map[string]string {
+	aliases := map[string]string{}
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		imports := importDirs(f.ast)
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+				if target := namedType(ts.Type, f.dir, imports, nil); target != "" {
+					aliases[f.dir+"."+ts.Name.Name] = target
+				}
+			}
+			return true
+		})
+	}
+	return aliases
+}
+
+// namedType is "dir.Name" for a type expression naming a type of this module
+// (T in dir, or pkg.T of an imported package), followed through aliases, and
+// "" for anything else: an elided, unnamed or generic type.
+func namedType(e ast.Expr, dir string, imports, aliases map[string]string) string {
+	var typ string
+	switch x := e.(type) {
+	case *ast.Ident:
+		typ = dir + "." + x.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+			typ = imports[pkg.Name] + "." + x.Sel.Name
+		}
+	}
+	for aliases[typ] != "" {
+		typ = aliases[typ]
+	}
+	return typ
 }
 
 // srcFile is one parsed Go file of the module.
