@@ -26,7 +26,8 @@
 //     sampler (framework/fig6_replay_sampled). The sampled row carries
 //     divergence_pct and speedup_x — deterministic accuracy numbers that
 //     -max-divergence and -min-speedup turn into hard gates (CI runs with
-//     -max-divergence 5 -min-speedup 5); -skip-replay disables the pair.
+//     -max-divergence 5 -min-speedup 5); -skip-replay disables the pair,
+//     and with either bound set fails, since the gate has no row to check.
 //     Since v8 the full-replay row is priced per trace record, and the same
 //     trace measures the release text format: io/trace_save and
 //     io/trace_read write and parse it in memory, one op per record, with
@@ -72,10 +73,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -597,24 +600,35 @@ func main() {
 		fmt.Printf("gate passed: no kernel benchmark dropped more than %.0f%% vs %s\n", 100*g.drop, g.path)
 	}
 
-	// The sampled-replay accuracy gate needs no baseline: divergence and
-	// speedup are absolute, deterministic properties of this build against
-	// its own full replay.
 	if *maxDiverge > 0 || *minSpeedup > 0 {
-		for _, r := range rep.Results {
-			if r.Name != "framework/fig6_replay_sampled" {
-				continue
-			}
-			if *maxDiverge > 0 && r.DivergencePct > *maxDiverge {
-				cli.Fatal(fmt.Errorf("gate: sampled replay diverges %.2f%% from the full replay (> %.1f%% allowed)",
-					r.DivergencePct, *maxDiverge))
-			}
-			if *minSpeedup > 0 && r.SpeedupX < *minSpeedup {
-				cli.Fatal(fmt.Errorf("gate: sampled replay simulated too much of the trace: %.1f× speedup (< %.1f× required)",
-					r.SpeedupX, *minSpeedup))
-			}
-			fmt.Printf("gate passed: sampled replay divergence %.2f%%, speedup %.1f×\n",
-				r.DivergencePct, r.SpeedupX)
+		r, err := sampledGate(rep, *maxDiverge, *minSpeedup)
+		if err != nil {
+			cli.Fatal(err)
 		}
+		fmt.Printf("gate passed: sampled replay divergence %.2f%%, speedup %.1f×\n",
+			r.DivergencePct, r.SpeedupX)
 	}
+}
+
+// sampledGate checks the sampled-replay row against its accuracy bounds (0
+// disables a bound) and returns it. It needs no baseline: divergence and
+// speedup are absolute, deterministic properties of this build against its
+// own full replay. A report without the row fails: a gate asked for must
+// have something to gate, so -skip-replay with a bound is an error, not a
+// pass.
+func sampledGate(fresh Report, maxDiverge, minSpeedup float64) (Result, error) {
+	i := slices.IndexFunc(fresh.Results, func(r Result) bool { return r.Name == "framework/fig6_replay_sampled" })
+	if i < 0 {
+		return Result{}, errors.New("gate: no framework/fig6_replay_sampled row to check the sampled-replay bounds against (drop -skip-replay)")
+	}
+	r := fresh.Results[i]
+	if maxDiverge > 0 && r.DivergencePct > maxDiverge {
+		return r, fmt.Errorf("gate: sampled replay diverges %.2f%% from the full replay (> %.1f%% allowed)",
+			r.DivergencePct, maxDiverge)
+	}
+	if minSpeedup > 0 && r.SpeedupX < minSpeedup {
+		return r, fmt.Errorf("gate: sampled replay simulated too much of the trace: %.1f× speedup (< %.1f× required)",
+			r.SpeedupX, minSpeedup)
+	}
+	return r, nil
 }

@@ -1,11 +1,111 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var sink [][]byte
+
+func allocs(n int64) *int64 { return &n }
+
+// writeBaseline stores a report with the given rows as a baseline file.
+func writeBaseline(t *testing.T, rows ...Result) string {
+	t.Helper()
+	data, err := json.Marshal(Report{Schema: Schema, Results: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// wantGate checks a gate's verdict: a pass when fail is empty, otherwise an
+// error that names fail.
+func wantGate(t *testing.T, name string, err error, fail string) {
+	t.Helper()
+	switch {
+	case fail == "" && err != nil:
+		t.Errorf("%s: gate failed: %v", name, err)
+	case fail != "" && err == nil:
+		t.Errorf("%s: gate passed, want a failure naming %q", name, fail)
+	case fail != "" && !strings.Contains(err.Error(), fail):
+		t.Errorf("%s: gate error %q does not name %q", name, err, fail)
+	}
+}
+
+// TestGate pins the regression gate every speed claim rests on: which rows
+// it compares, against which bound, and which it leaves alone.
+func TestGate(t *testing.T) {
+	base := writeBaseline(t,
+		Result{Name: "kernel/schedule_fire", EventsPerSec: 100e6, AllocsPerOp: allocs(0)},
+		Result{Name: "model/dram_reference", EventsPerSec: 5e6, AllocsPerOp: allocs(0)},
+		Result{Name: "framework/gone", EventsPerSec: 1e6, AllocsPerOp: allocs(0)},
+	)
+	for _, tc := range []struct {
+		name  string
+		fresh []Result
+		fail  string // substring of the error; "" for a pass
+	}{
+		{"kernel drop under the bound",
+			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 75e6, AllocsPerOp: allocs(0)}}, ""},
+		{"kernel drop over the bound",
+			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 65e6, AllocsPerOp: allocs(0)}}, "kernel/schedule_fire: 100000000 -> 65000000 events/s"},
+		{"model rows are trajectory only",
+			[]Result{{Name: "model/dram_reference", EventsPerSec: 1e6, AllocsPerOp: allocs(0)}}, ""},
+		{"allocs/op rise",
+			[]Result{{Name: "model/dram_reference", EventsPerSec: 5e6, AllocsPerOp: allocs(1)}}, "model/dram_reference: 0 -> 1 allocs/op"},
+		{"fresh row missing from the baseline is ignored",
+			[]Result{{Name: "kernel/new", EventsPerSec: 1, AllocsPerOp: allocs(9)}}, ""},
+		// The baseline's model and framework/gone rows are absent from
+		// this run, and an absent row is not a regression.
+		{"baseline row missing from the fresh run is ignored",
+			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 100e6, AllocsPerOp: allocs(0)}}, ""},
+	} {
+		wantGate(t, tc.name, gate(Report{Results: tc.fresh}, base, 0.30), tc.fail)
+	}
+	if err := gate(Report{}, filepath.Join(t.TempDir(), "absent.json"), 0.30); err == nil {
+		t.Error("gate passed against a baseline file that does not exist")
+	}
+}
+
+// TestSampledGate pins the sampled-replay accuracy gate: each bound fails
+// its own side of the limit, a zero bound is off, and a report with no
+// sampled row fails instead of passing with nothing checked.
+func TestSampledGate(t *testing.T) {
+	row := func(div, speedup float64) Report {
+		return Report{Results: []Result{
+			{Name: "framework/fig6_replay"},
+			{Name: "framework/fig6_replay_sampled", DivergencePct: div, SpeedupX: speedup},
+		}}
+	}
+	for _, tc := range []struct {
+		name                string
+		rep                 Report
+		maxDiverge, minSpdp float64
+		fail                string
+	}{
+		{"within both bounds", row(2.5, 8), 5, 5, ""},
+		{"divergence at the bound", row(5, 8), 5, 5, ""},
+		{"divergence over the bound", row(5.1, 8), 5, 5, "diverges 5.10%"},
+		{"divergence bound off", row(50, 8), 0, 5, ""},
+		{"speedup at the bound", row(2.5, 5), 5, 5, ""},
+		{"speedup under the bound", row(2.5, 4.9), 5, 5, "4.9× speedup"},
+		{"speedup bound off", row(2.5, 1), 5, 0, ""},
+		{"no sampled row", Report{Results: []Result{{Name: "framework/fig6_replay"}}}, 5, 5, "no framework/fig6_replay_sampled row"},
+		{"no sampled row, one bound", Report{}, 0, 5, "no framework/fig6_replay_sampled row"},
+	} {
+		_, err := sampledGate(tc.rep, tc.maxDiverge, tc.minSpdp)
+		wantGate(t, tc.name, err, tc.fail)
+	}
+}
 
 // TestIORowArithmetic pins what the io/ rows report: one op per record
 // (ns_per_op and events_per_sec are per record, allocs_per_op is mallocs

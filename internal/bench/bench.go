@@ -71,23 +71,15 @@ type Options struct {
 	// Cache overrides the platform's derived cache configuration — used
 	// for failure injection (e.g. the OpenPiton clean-eviction bug).
 	Cache *cache.Config
-	// Shards, when at least 2, runs each measurement point on a
-	// conservative time-window shard group of that many engines instead of
-	// one: the DRAM channels advance concurrently on shards 1..Shards-1
-	// while the cores and cache stay on shard 0. Results are byte-identical
-	// to the single-engine path (the exp determinism tests enforce it), so
-	// Shards is execution-only and cleared by Normalized. Silently ignored
-	// when a point cannot shard: a custom Backend owns its own engine
-	// placement, and a zero on-chip hop leaves the home shard no lookahead.
-	// It is slower than one engine on every measured point, so no tool
-	// sets it: the benchmark's point-sharded workload and the determinism
-	// tests do, until that workload stops and the runtime can be deleted.
+	// Shards is ignored: every point runs on one engine. The benchmark
+	// module's point-sharded workload still sets it, so the field stays
+	// until that workload stops; Normalized clears it, so it never reaches
+	// a cache key.
 	Shards int
-	// Telemetry, when set, observes the run: per-point spans and sharded
-	// window timelines on its tracer, sweep counters and throughput on its
-	// registry. Observation never changes results (the determinism tests
-	// run with it attached), so it is execution-only and cleared by
-	// Normalized.
+	// Telemetry, when set, observes the run: per-point spans on its tracer,
+	// sweep counters and throughput on its registry. Observation never
+	// changes results (the determinism tests run with it attached), so it
+	// is execution-only and cleared by Normalized.
 	Telemetry *telemetry.Set
 }
 
@@ -115,12 +107,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Parallelism == 0 {
 		out.Parallelism = runtime.GOMAXPROCS(0)
-		if out.Shards > 1 {
-			// Sharded points each occupy Shards goroutines; dividing the
-			// point-level parallelism keeps the two levels multiplying out
-			// to the machine instead of oversubscribing its spin barriers.
-			out.Parallelism = max(1, runtime.GOMAXPROCS(0)/out.Shards)
-		}
 	}
 	return out
 }
@@ -136,10 +122,7 @@ func (o Options) Normalized() Options {
 	out := o.withDefaults()
 	out.Parallelism = 0
 	out.Backend = nil
-	// Sharding is an execution strategy: a sharded and an unsharded run of
-	// the same sweep produce byte-identical families (the determinism test
-	// enforces it), so both may share one cache entry.
-	out.Shards = 0
+	out.Shards = 0 // ignored, so it must not split cache entries
 	out.Telemetry = nil
 	return out
 }
@@ -198,7 +181,6 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 
 	// A nonsensical Parallelism must not starve the sweep.
 	workers := max(1, min(o.Parallelism, len(samples)))
-	shards := o.shardCount(spec)
 
 	// Telemetry is pure observation: nil-safe metric handles and tracer
 	// calls, so the uninstrumented path pays a few nil checks per point.
@@ -206,23 +188,17 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	reg := o.Telemetry.Registry()
 	pointsC := reg.Counter("mess_bench_points_total", "benchmark sweep points simulated")
 	eventsC := reg.Counter("mess_sim_events_total", "simulation events executed by benchmark sweeps")
-	windowsC := reg.Counter("mess_sim_windows_total", "shard-group barrier windows executed")
-	msgsC := reg.Counter("mess_sim_messages_total", "cross-shard messages delivered")
-	spinsC := reg.Counter("mess_sim_barrier_spins_total", "barrier spin iterations while waiting")
-	yieldsC := reg.Counter("mess_sim_barrier_yields_total", "barrier runtime.Gosched calls while waiting")
-	parksC := reg.Counter("mess_sim_barrier_parks_total", "barrier parks (blocking waits)")
 	var totalSteps atomic.Uint64
 	wallStart := time.Now()
 	sweepSpan := tr.Begin(tr.NewTrack("bench", "sweep"), "sweep "+spec.Name)
 
-	// Worker w owns rigs[w], closed after the join, and draws its points on
-	// tracks[w]; the tracks are made here, in worker order, so a trace does
-	// not depend on which worker woke first.
+	// Worker w owns rigs[w] and draws its points on tracks[w]; the tracks are
+	// made here, in worker order, so a trace does not depend on which worker
+	// woke first.
 	rigs := make([]*rig, workers)
 	tracks := make([]telemetry.Track, workers)
 	for w := range rigs {
-		rigs[w] = newRig(shards)
-		defer rigs[w].close()
+		rigs[w] = newRig()
 		tracks[w] = tr.NewTrack("bench", fmt.Sprintf("worker-%d", w))
 	}
 	sweepErr := par.Workers(ctx, workers, len(samples), func(w, i int) (err error) {
@@ -233,20 +209,7 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 			samples[i], err = r.measure(spec, o, tracks[w], o.Mixes[(i-1)/paces], o.PacesNs[(i-1)%paces], spec.Cores-1)
 		}
 		pointsC.Inc()
-		if r.group != nil {
-			totalSteps.Add(r.group.Steps())
-			// Stats cover this point only (the rig's reset cleared
-			// them), so adding per point accumulates the whole sweep
-			// across all workers in the shared counters.
-			st := r.group.Stats()
-			windowsC.Add(int64(st.Windows))
-			msgsC.Add(int64(st.Messages))
-			spinsC.Add(int64(st.Spins))
-			yieldsC.Add(int64(st.Yields))
-			parksC.Add(int64(st.Parks))
-		} else {
-			totalSteps.Add(r.eng.Steps())
-		}
+		totalSteps.Add(r.eng.Steps())
 		return err
 	})
 	eventsC.Add(int64(totalSteps.Load()))
@@ -269,62 +232,36 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	return &Result{Spec: spec, Family: fam, Samples: samples[1:]}, nil
 }
 
-// MeasurePoint simulates one fully-loaded sweep point on a rig of its own (a
-// shard group, when the options ask for one) and reports its sample — the
-// interactive "explore this configuration now" case whose wall-clock the
-// sharded engine targets. Generators occupy every core but the chaser's.
+// MeasurePoint simulates one fully-loaded sweep point on a rig of its own and
+// reports its sample — the interactive "explore this configuration now" case.
+// Generators occupy every core but the chaser's.
 func MeasurePoint(spec platform.Spec, opt Options, mix Mix, paceNs float64) (Sample, error) {
 	o := opt.withDefaults()
-	r := newRig(o.shardCount(spec))
-	defer r.close()
-	return r.measure(spec, o, o.Telemetry.Trace().NewTrack("bench", "point"), mix, paceNs, spec.Cores-1)
+	return newRig().measure(spec, o, o.Telemetry.Trace().NewTrack("bench", "point"), mix, paceNs, spec.Cores-1)
 }
 
 // MeasureUnloaded runs only the pointer chase and reports the unloaded
 // load-to-use latency — the LMbench/multichase validation measurement.
 func MeasureUnloaded(spec platform.Spec, opt Options) (float64, error) {
 	o := opt.withDefaults()
-	s, err := newRig(1).measure(spec, o, telemetry.Track{}, Mix{}, 0, 0) // zero generators
+	s, err := newRig().measure(spec, o, telemetry.Track{}, Mix{}, 0, 0) // zero generators
 	if err != nil {
 		return 0, err
 	}
 	return s.LatNs, nil
 }
 
-// shardCount resolves the effective per-point shard-group size: 1 on the
-// single-engine path. Sharding needs the detailed DRAM backend (a custom
-// Backend factory owns its own engine placement), a positive outbound
-// on-chip hop (it becomes the home shard's lookahead), and never more
-// channel shards than the platform has channels.
-func (o *Options) shardCount(spec platform.Spec) int {
-	if o.Shards < 2 || o.Backend != nil {
-		return 1
-	}
-	ccfg := spec.CacheConfig()
-	if o.Cache != nil {
-		ccfg = *o.Cache
-	}
-	if ccfg.OnChipLatency/2 < 1 {
-		return 1
-	}
-	if m := spec.DRAM.Channels + 1; o.Shards > m {
-		return m
-	}
-	return o.Shards
-}
-
 // rig is the simulated machine a sweep worker measures its points on: the
-// engine (or shard group), the cache hierarchy with its request pool, and the
-// platform's detailed DRAM system. It lives as long as its worker and is
-// reset at the start of every point; each part's Reset is its constructor run
-// again over the storage the part has grown, so a point on a used rig and on
-// a new one run the same code from the same state. Rigs do not outlive their
-// sweep: an engine grown by one large simulation would hold that memory for
-// every small one after it.
+// engine, the cache hierarchy with its request pool, and the platform's
+// detailed DRAM system. It lives as long as its worker and is reset at the
+// start of every point; each part's Reset is its constructor run again over
+// the storage the part has grown, so a point on a used rig and on a new one
+// run the same code from the same state. Rigs do not outlive their sweep: an
+// engine grown by one large simulation would hold that memory for every small
+// one after it.
 type rig struct {
-	eng   *sim.Engine     // the home engine: cores, cache and, unsharded, DRAM
-	group *sim.ShardGroup // non-nil when points run sharded; eng is its shard 0
-	hier  cache.Hierarchy
+	eng  *sim.Engine
+	hier cache.Hierarchy
 
 	// The detailed DRAM system of the last point that used one, and what it
 	// was built from. A custom factory's product is opaque (a trace capture,
@@ -336,64 +273,29 @@ type rig struct {
 	dramCfg dram.Config
 }
 
-func newRig(shards int) *rig {
-	if shards > 1 {
-		g := sim.NewShardGroup(shards)
-		return &rig{eng: g.Engine(0), group: g}
-	}
-	return &rig{eng: sim.New()}
-}
+func newRig() *rig { return &rig{eng: sim.New()} }
 
-// close stops the shard group's workers, if the rig has one.
-func (r *rig) close() {
-	if r.group != nil {
-		r.group.Close()
-	}
-}
-
-// reset returns the rig's engines to time zero and reports the memory system
+// reset returns the rig's engine to time zero and reports the memory system
 // for the next point, itself new or reset.
 func (r *rig) reset(spec platform.Spec, o Options) mem.Backend {
-	if r.group != nil {
-		r.group.Reset()
-	} else {
-		r.eng.Reset()
-	}
+	r.eng.Reset()
 	if o.Backend != nil {
 		return o.Backend(r.eng)
 	}
 	if r.dram != nil && r.dramCfg == spec.DRAM {
 		r.dram.Reset()
-	} else if r.group != nil {
-		r.dram, r.dramCfg = dram.NewSharded(r.group, spec.DRAM, 0), spec.DRAM
 	} else {
 		r.dram, r.dramCfg = dram.New(r.eng, spec.DRAM), spec.DRAM
 	}
 	return r.dram
 }
 
-// measure simulates one sweep point on the rig. With a shard group the point
-// runs sharded: the DRAM channels advance on the group's other shards, and
-// the warmup/measure windows are driven through the group's conservative
-// window barrier, whose quiescent boundaries make the counter snapshots read
-// exactly the state the single-engine run would see.
+// measure simulates one sweep point on the rig.
 func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix Mix, paceNs float64, generators int) (Sample, error) {
-	eng, group := r.eng, r.group
-	tr := o.Telemetry.Trace()
+	eng := r.eng
 	var sp telemetry.SpanTimer
-	if tr != nil {
-		name := pointName(mix, paceNs, generators)
-		sp = tr.Begin(track, name)
-		if group != nil {
-			// The point's barrier windows go on their own sim-time track:
-			// timestamps are the home shard's simulated clock, so the row
-			// reads as the point's simulated timeline, not wall time.
-			wt := tr.NewTrack("sim", name)
-			group.SetWindowHook(func(start, end sim.Time) {
-				tr.Span(wt, "window", int64(start/sim.Nanosecond), int64((end-start)/sim.Nanosecond))
-			})
-			defer group.SetWindowHook(nil)
-		}
+	if tr := o.Telemetry.Trace(); tr != nil {
+		sp = tr.Begin(track, pointName(mix, paceNs, generators))
 	}
 	backend := r.reset(spec, o)
 	counting := mem.NewCounting(backend)
@@ -403,12 +305,6 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 	}
 	hier := &r.hier
 	hier.Reset(eng, ccfg, counting)
-	if group != nil {
-		// The cache's outbound hop is the minimum flight time of every
-		// home→channel delivery, i.e. the home shard's outbound edge to
-		// each channel shard.
-		group.SetLookaheadOut(0, hier.Config().OnChipLatency/2)
-	}
 
 	// Pointer chaser on core 0, in its own address region.
 	const chaseBase = 1 << 40
@@ -433,14 +329,8 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 		gens = append(gens, gen)
 	}
 
-	// Warm up, then measure over a counter delta. The sharded path drives
-	// the whole group; its engines are all quiescent at the target time
-	// when RunUntil returns, so the snapshots below are barrier-ordered.
-	runUntil := eng.RunUntil
-	if group != nil {
-		runUntil = group.RunUntil
-	}
-	runUntil(o.Warmup)
+	// Warm up, then measure over a counter delta.
+	eng.RunUntil(o.Warmup)
 	chaser.ResetStats()
 	c0 := counting.Snapshot()
 	var rs0 dram.RowStats
@@ -450,7 +340,7 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 	}
 	t0 := eng.Now()
 
-	runUntil(o.Warmup + o.Measure)
+	eng.RunUntil(o.Warmup + o.Measure)
 	c1 := counting.Snapshot()
 	t1 := eng.Now()
 	lat, n := chaser.MeanLatency()

@@ -21,7 +21,7 @@ type rigPoint struct {
 	paceNs     float64
 	generators int
 	// custom routes the point through the Backend factory, whose product
-	// the rig builds per point, on its home engine, and does not keep.
+	// the rig builds per point, on its engine, and does not keep.
 	custom bool
 }
 
@@ -40,7 +40,15 @@ func (p rigPoint) options() Options {
 }
 
 func (p rigPoint) on(r *rig) (Sample, error) {
-	return r.measure(p.spec, p.options(), telemetry.Track{}, p.mix, p.paceNs, p.generators)
+	return p.onSharded(r, 0)
+}
+
+// onSharded measures the point with Options.Shards set to shards, which the
+// rig must ignore.
+func (p rigPoint) onSharded(r *rig, shards int) (Sample, error) {
+	o := p.options()
+	o.Shards = shards
+	return r.measure(p.spec, o, telemetry.Track{}, p.mix, p.paceNs, p.generators)
 }
 
 // rigPoints is what one worker's rig may meet, and more: saturated and
@@ -71,28 +79,33 @@ func rigPoints() []rigPoint {
 
 // TestRigReuseMatchesFresh is the differential gate of rig reuse: one rig
 // driven through shuffled sequences of unlike points must return, for every
-// point, exactly the Sample a new rig returns — on one engine and on shard
-// groups of 2 to 4.
+// point, exactly the Sample a new rig returns. Each leg sets the ignored
+// Options.Shards to a count callers still pass, and must also land on the
+// first leg's Samples: asking for shards changes nothing.
 func TestRigReuseMatchesFresh(t *testing.T) {
 	points := rigPoints()
+	var serial []Sample
 	for shards := 1; shards <= 4; shards++ {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			fresh := make([]Sample, len(points))
 			for i, p := range points {
-				r := newRig(shards)
-				s, err := p.on(r)
-				r.close()
+				s, err := p.onSharded(newRig(), shards)
 				if err != nil {
 					t.Fatalf("fresh %v: %v", p, err)
 				}
+				if serial != nil && s != serial[i] {
+					t.Fatalf("%v:\nshards=%d %+v\nshards=1 %+v", p, shards, s, serial[i])
+				}
 				fresh[i] = s
 			}
-			warm := newRig(shards)
-			defer warm.close()
+			if serial == nil {
+				serial = fresh
+			}
+			warm := newRig()
 			for seed := int64(1); seed <= 2; seed++ {
 				for _, i := range rand.New(rand.NewSource(seed)).Perm(len(points)) {
-					got, err := points[i].on(warm)
+					got, err := points[i].onSharded(warm, shards)
 					if err != nil {
 						t.Fatalf("seed %d warm %v: %v", seed, points[i], err)
 					}
@@ -110,7 +123,7 @@ func TestRigReuseMatchesFresh(t *testing.T) {
 // events pending, and the next point's reset reclaims all of it.
 func TestRigResetFromMidFlight(t *testing.T) {
 	points := rigPoints()
-	r := newRig(1)
+	r := newRig()
 	if _, err := points[1].on(r); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +158,7 @@ func TestWarmRigGarbage(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	r := newRig(1)
+	r := newRig()
 	first := allocated(r)
 	records := r.hier.Pool().Allocated()
 	const bound = 24 << 10

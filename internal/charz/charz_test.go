@@ -358,8 +358,7 @@ func TestFingerprintStability(t *testing.T) {
 	if Fingerprint(same) != k {
 		t.Fatal("Parallelism leaked into the fingerprint")
 	}
-	// Sharding is execution-only too: sharded results are byte-identical,
-	// so sharded and unsharded environments must share cache entries.
+	// Shards is ignored by the runner, so it must not split cache entries.
 	sharded := base()
 	sharded.Options.Shards = 4
 	if Fingerprint(sharded) != k {

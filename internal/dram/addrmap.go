@@ -15,7 +15,7 @@ import (
 // degrades the hit rate under load (Sec. III of the paper).
 //
 // decode is the only address decode in the repository: the controller
-// (mapReq, on every System and Sharded access) and trace fingerprinting
+// (mapReq, on every System access) and trace fingerprinting
 // (BankRow) both go through it, so a change to the mapping reaches both.
 type Mapper struct {
 	Channels    int

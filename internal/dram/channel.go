@@ -281,16 +281,11 @@ type channel struct {
 	// whose events the engine already served are pruned lazily on push.
 	compRing [dirCount]handleRing
 
-	// complete, when set, replaces CompleteAtTagged as the completion
-	// path: the sharded system installs a hook that transmits the
-	// request's prebuilt fire closure back to its home shard, so Done and
-	// the pool release always run on the pool's own goroutine.
-	complete func(req *mem.Request, at sim.Time)
-
 	// tag is the channel's entity tag (global channel index + 1): every
 	// event the channel schedules — decides and completions — carries it,
 	// so equal-instant ties against other channels and against untagged
-	// home events resolve by tag, identically sharded or not.
+	// events resolve by tag. The release CSVs were generated in that
+	// order, so it is part of every result.
 	tag int32
 
 	counters mem.Counters
@@ -305,9 +300,8 @@ type channel struct {
 // added later starts from zero either way, and carries over only storage: the
 // slot store, ring buffers and per-bank tables, emptied and cleared of stale
 // request and event pointers. Their capacity is invisible to the scheduler,
-// so a reset channel behaves exactly as a new one. complete is the sharded
-// system's completion hook (nil otherwise).
-func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int, complete func(req *mem.Request, at sim.Time)) {
+// so a reset channel behaves exactly as a new one.
+func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 	old := *c
 	nbanks := cfg.Ranks * cfg.Banks
 	words := (nbanks + 63) / 64
@@ -327,7 +321,6 @@ func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int, complete func(re
 		availMask:   zeroed(old.availMask, words),
 		lookahead:   cfg.Timing.RP + cfg.Timing.RCD + cfg.Timing.CL,
 		decideFn:    old.decideFn,
-		complete:    complete,
 		tag:         int32(chIdx) + 1,
 	}
 	for i := range c.banks {
@@ -665,7 +658,7 @@ func (c *channel) fireOwnCompletion() bool {
 }
 
 // scheduleDecide queues the decide event as this channel's entity, so
-// equal-instant ties against other channels break by tag, sharded or not.
+// equal-instant ties against other channels break by tag.
 func (c *channel) scheduleDecide(at sim.Time) sim.Handle {
 	c.decidePending = true
 	c.decideAt = at
@@ -998,20 +991,12 @@ func (c *channel) issue(idx int32, isWrite bool) {
 	if isWrite {
 		// Posted write: completion (= write-queue acceptance upstream,
 		// drain here) releases the pooled record at the burst end.
-		if c.complete != nil {
-			c.complete(req, dataEnd)
-			return
-		}
 		c.pushComp(dirWrite, req.CompleteAtTagged(c.eng, dataEnd, c.tag))
 		return
 	}
 	completion := dataEnd + c.cfg.CtrlLatency
 	c.readLatSum += completion - s.at
 	c.readLatN++
-	if c.complete != nil {
-		c.complete(req, completion)
-		return
-	}
 	c.pushComp(dirRead, req.CompleteAtTagged(c.eng, completion, c.tag))
 }
 

@@ -86,8 +86,8 @@ type Config struct {
 	// identical either way — and the unfused path stays so that the test
 	// has something to hold the fused one to.
 	NoFusion bool
-	// NoCompBatch is the reference path of
-	// TestShardedCharacterizationDeterminism, not a user option: without
+	// NoCompBatch is the second reference path of
+	// TestFig2ReleaseCSVDeterminism, not a user option: without
 	// it, under saturated ladders the event blocking decide fusion is
 	// usually one of the channel's own scheduled completions, which the
 	// decide loop fires inline (the pre-claimed decide event keeps the

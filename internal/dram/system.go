@@ -39,7 +39,7 @@ func New(eng *sim.Engine, cfg Config) *System {
 // their pool must reclaim them (mem.RequestPool.Reset).
 func (s *System) Reset() {
 	for i, c := range s.chans {
-		c.init(s.eng, &s.cfg, i, nil)
+		c.init(s.eng, &s.cfg, i)
 	}
 }
 
@@ -55,10 +55,11 @@ func (s *System) Access(req *mem.Request) {
 }
 
 // AccessAt submits one transaction for delivery at absolute time at — the
-// backend-routed form of the issuer's SendAt hop (mem.TimedBackend). On the
-// single-engine system this schedules the same delivery event the issuer
-// would have; it exists so issuers drive this system and the sharded one
-// through one code path.
+// backend-routed form of the issuer's SendAt hop (mem.TimedBackend). It
+// schedules the same delivery event the issuer would have; it stays so that
+// a CountingBackend over the system counts each request at send, which
+// decides the window of every request that straddles a measurement
+// boundary, and every charz fingerprint since charz/v2 was measured so.
 func (s *System) AccessAt(req *mem.Request, at sim.Time) {
 	req.SendAt(s.eng, s, at)
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -50,11 +51,11 @@ func fig2QuickCSV(t *testing.T) []byte {
 
 // TestFig2ReleaseCSVDeterminism is the bit-exactness gate of the DRAM
 // scheduler: the Quick fig2 sweep must produce byte-identical release CSVs
-// across runs, and with decide-event fusion disabled. This is the contract
-// manual diffing enforced during the PR-2/PR-3 refactors, promoted to a
-// test so `go test ./...` catches any scheduler change that perturbs the
-// curves — and any fusion bug, since fusion is legal exactly because it
-// cannot change results.
+// across runs, and with decide-event fusion or completion batching
+// disabled. This is the contract manual diffing enforced during the
+// PR-2/PR-3 refactors, promoted to a test so `go test ./...` catches any
+// scheduler change that perturbs the curves — and any fusion or batching
+// bug, since both are legal exactly because they cannot change results.
 func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 	first := fig2QuickCSV(t)
 	if len(first) == 0 {
@@ -82,39 +83,22 @@ func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 		}
 	}
 
-	// The same characterization with fusion disabled: the scheduler takes
-	// only scheduled decide events, never the inline loop, and must land
-	// on the same curves byte for byte.
-	spec := scaleSpec(platform.Skylake(), Quick)
-	fused, err := NewEnv(Quick, charz.New(charz.Config{})).reference(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.DRAM.NoFusion = true
-	unfused, err := NewEnv(Quick, charz.New(charz.Config{})).reference(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bufFused, bufUnfused bytes.Buffer
-	if err := fused.WriteCSV(&bufFused); err != nil {
-		t.Fatal(err)
-	}
-	if err := unfused.WriteCSV(&bufUnfused); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufFused.Bytes(), bufUnfused.Bytes()) {
-		t.Fatalf("decide-event fusion changed the curves:\nfused:\n%s\nunfused:\n%s",
-			bufFused.Bytes(), bufUnfused.Bytes())
-	}
-}
-
-// shardedRun is bench.RunContext with every sweep point on a shard group of
-// the given size. No flag or Env field asks for sharding any more, so the
-// gates reach the sharded runtime through the service's Run seam.
-func shardedRun(shards int) charz.RunFunc {
-	return func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
-		opt.Shards = shards
-		return bench.RunContext(ctx, spec, opt)
+	// The same characterization on each reference path: with fusion
+	// disabled the scheduler takes only scheduled decide events, never the
+	// inline loop; with batching disabled the decide loop never fires one
+	// of its channel's own completions inline. Each must land on the same
+	// curves byte for byte.
+	base := referenceCSV(t, charz.Config{}, nil)
+	for _, leg := range []struct {
+		name  string
+		tweak func(*platform.Spec)
+	}{
+		{"decide-event fusion", func(spec *platform.Spec) { spec.DRAM.NoFusion = true }},
+		{"completion batching", func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
+	} {
+		if off := referenceCSV(t, charz.Config{}, leg.tweak); !bytes.Equal(base, off) {
+			t.Errorf("%s changed the curves:\non:\n%s\noff:\n%s", leg.name, base, off)
+		}
 	}
 }
 
@@ -138,33 +122,23 @@ func referenceCSV(t *testing.T, cfg charz.Config, tweakSpec func(*platform.Spec)
 	return buf.Bytes()
 }
 
-// TestShardedCharacterizationDeterminism is the bit-exactness gate of the
-// sharded engine: characterizing on per-channel shard engines advanced
-// concurrently under the conservative window barrier must land on the same
-// release CSV, byte for byte, as the single-engine run — across repeated
-// sharded runs, shard counts and with completion batching disabled.
-// Sharding is legal exactly because it cannot change results; any
-// divergence here is an ordering bug, not noise.
+// TestShardedCharacterizationDeterminism pins that a sweep whose points ask
+// for shards — the benchmark module's point-sharded workload still sets
+// bench.Options.Shards — runs on the one engine and lands on the same
+// release CSV, byte for byte, as a sweep that does not ask.
 func TestShardedCharacterizationDeterminism(t *testing.T) {
 	base := referenceCSV(t, charz.Config{}, nil)
 	if len(base) == 0 {
 		t.Fatal("reference characterization produced no CSV output")
 	}
-	legs := []struct {
-		name      string
-		shards    int
-		tweakSpec func(*platform.Spec)
-	}{
-		{"sharded-4", 4, nil},
-		{"sharded-4-again", 4, nil},
-		{"sharded-2", 2, nil},
-		{"sharded-nocompbatch", 4, func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
-	}
-	for _, leg := range legs {
-		got := referenceCSV(t, charz.Config{Run: shardedRun(leg.shards)}, leg.tweakSpec)
-		if !bytes.Equal(base, got) {
-			t.Errorf("%s: release CSV differs from the unsharded run:\nunsharded:\n%s\n%s:\n%s",
-				leg.name, base, leg.name, got)
+	for _, shards := range []int{4, 2} {
+		run := func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
+			opt.Shards = shards
+			return bench.RunContext(ctx, spec, opt)
+		}
+		if got := referenceCSV(t, charz.Config{Run: run}, nil); !bytes.Equal(base, got) {
+			t.Errorf("Shards=%d: release CSV differs from the run that does not set it:\nunset:\n%s\nShards=%d:\n%s",
+				shards, base, shards, got)
 		}
 	}
 }
@@ -173,14 +147,14 @@ func TestShardedCharacterizationDeterminism(t *testing.T) {
 // with telemetry fully enabled — registry, tracer and a verbose logger —
 // and returns the release CSV plus the sorted names of every complete
 // span the run recorded.
-func telemetryCSVAndSpans(t *testing.T, shards int) ([]byte, []string, *telemetry.Set) {
+func telemetryCSVAndSpans(t *testing.T) ([]byte, []string, *telemetry.Set) {
 	t.Helper()
 	set := &telemetry.Set{
 		Metrics: telemetry.NewRegistry(),
 		Tracer:  telemetry.NewTracer(),
 		Log:     telemetry.NewLogger(telemetry.LogConfig{Verbose: true, Output: io.Discard}),
 	}
-	csv := referenceCSV(t, charz.Config{Telemetry: set, Run: shardedRun(shards)}, nil)
+	csv := referenceCSV(t, charz.Config{Telemetry: set}, nil)
 	var buf bytes.Buffer
 	if err := set.Tracer.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -216,16 +190,15 @@ func countSpans(names []string, prefix string) int {
 }
 
 // TestTelemetryEnabledDeterminism is the observability contract of the
-// telemetry layer: with metrics, tracing and verbose logging all enabled —
-// on both the single-engine and the sharded runtime — the release CSVs
-// must stay byte-identical to the uninstrumented run, the recorded span
-// structure must be deterministic across runs, and the taxonomy's three
-// core span families (charz fill, bench point, barrier window) must
-// actually be present.
+// telemetry layer: with metrics, tracing and verbose logging all enabled,
+// the release CSVs must stay byte-identical to the uninstrumented run, the
+// recorded span structure must be deterministic across runs, and the
+// taxonomy's core span families (charz fill, bench point) must actually be
+// present.
 func TestTelemetryEnabledDeterminism(t *testing.T) {
 	base := referenceCSV(t, charz.Config{}, nil)
 
-	csv1, spans1, set := telemetryCSVAndSpans(t, 0)
+	csv1, spans1, set := telemetryCSVAndSpans(t)
 	if !bytes.Equal(base, csv1) {
 		t.Errorf("telemetry-enabled release CSV differs from the uninstrumented run:\nbase:\n%s\ninstrumented:\n%s", base, csv1)
 	}
@@ -243,27 +216,9 @@ func TestTelemetryEnabledDeterminism(t *testing.T) {
 		t.Error("charz run counter stayed 0 on an instrumented characterization")
 	}
 
-	_, spans2, _ := telemetryCSVAndSpans(t, 0)
-	if len(spans1) != len(spans2) || func() bool {
-		for i := range spans1 {
-			if spans1[i] != spans2[i] {
-				return true
-			}
-		}
-		return false
-	}() {
+	_, spans2, _ := telemetryCSVAndSpans(t)
+	if !slices.Equal(spans1, spans2) {
 		t.Errorf("span structure differs between identical runs:\nrun1: %v\nrun2: %v", spans1, spans2)
-	}
-
-	csvSharded, spansSharded, shardedSet := telemetryCSVAndSpans(t, 2)
-	if !bytes.Equal(base, csvSharded) {
-		t.Errorf("telemetry-enabled sharded release CSV differs from the uninstrumented run:\nbase:\n%s\nsharded:\n%s", base, csvSharded)
-	}
-	if got := countSpans(spansSharded, "window"); got == 0 {
-		t.Error("no barrier-window spans recorded on the sharded leg")
-	}
-	if snap := shardedSet.Metrics.Snapshot(); snap["mess_sim_windows_total"] == 0 {
-		t.Error("mess_sim_windows_total stayed 0 on a sharded sweep")
 	}
 }
 

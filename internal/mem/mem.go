@@ -155,9 +155,11 @@ func (r *Request) CompleteAt(eng *sim.Engine, at sim.Time) sim.Handle {
 }
 
 // CompleteAtTagged is CompleteAt with an explicit entity tag: the
-// completion event sorts among equal-(deadline, instant) events by tag,
-// which keeps completion order across entities (DRAM channels) identical
-// whether they share one engine or run on separate shards.
+// completion event sorts among equal-(deadline, instant) events by tag
+// instead of by schedule order. DRAM channels and the device models
+// (cxl.DevTagBase) complete this way, and every checked-in curve was
+// generated in that order, so moving a completion to plain CompleteAt
+// would change results where ties occur.
 func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) sim.Handle {
 	if r.Done == nil {
 		r.release()
@@ -173,30 +175,6 @@ func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) sim.
 func (r *Request) SendAt(eng *sim.Engine, to Backend, at sim.Time) {
 	r.dest = to
 	eng.ScheduleKeyed(at, eng.Now(), 0, r.deliverFn())
-}
-
-// SendVia schedules delivery of the request to a backend at time at
-// through a caller-supplied transmit function instead of a local engine —
-// the cross-shard form of SendAt. The transmit function (typically a
-// prebuilt ShardGroup send) receives the arrival time, the sender's
-// entity tag and the record's prebuilt deliver closure, so the hand-off
-// stays allocation-free. The target backend's Access runs on whichever
-// goroutine owns the receiving engine, which is what keeps the pool
-// contract intact under sharding: delivery only moves the record's
-// processing, never its pool.
-func (r *Request) SendVia(xmit func(at sim.Time, tag int32, fn func(sim.Time)), to Backend, at sim.Time, tag int32) {
-	r.dest = to
-	xmit(at, tag, r.deliverFn())
-}
-
-// CompleteVia schedules the request's completion at time at through a
-// caller-supplied transmit function — the cross-shard form of
-// CompleteAtTagged, used by DRAM channels running on a remote shard to
-// fire Done (and the pool release) back on the request's home goroutine.
-// Unlike CompleteAt it always transmits, even with no Done callback: the
-// release must run on the pool's own goroutine, not the sender's.
-func (r *Request) CompleteVia(xmit func(at sim.Time, tag int32, fn func(sim.Time)), at sim.Time, tag int32) {
-	xmit(at, tag, r.fireFn())
 }
 
 func (r *Request) fireFn() func(sim.Time) {
@@ -335,11 +313,11 @@ type Backend interface {
 }
 
 // TimedBackend is a Backend that also accepts requests at a future time:
-// AccessAt is the backend-routed form of SendAt, letting the backend pick
-// where (which engine, which shard) the delivery event lives instead of
-// the issuer scheduling it locally. The detailed DRAM system implements it
-// on both its single-engine and sharded forms, which is what lets the
-// cache hierarchy drive either through one code path.
+// AccessAt is the backend-routed form of SendAt. What it changes is where
+// traffic is counted: a CountingBackend over a timed backend counts each
+// request when it is sent, not when it arrives. The detailed DRAM system
+// implements it and the cache hierarchy sends through it, because every
+// charz fingerprint since charz/v2 was measured under count-at-send.
 type TimedBackend interface {
 	Backend
 	// AccessAt submits the request for delivery at absolute time at ≥ now,
@@ -349,11 +327,11 @@ type TimedBackend interface {
 }
 
 // TimedOn adapts an untimed backend to TimedBackend by scheduling each
-// delivery on the given engine — the single-engine counterpart of a
-// sharded device's cross-shard hand-off. An unsharded reference leg
-// built with TimedOn sees requests arrive at exactly the instants the
-// sharded leg delivers them, which is what makes the two completion
-// traces comparable byte for byte.
+// delivery on the given engine. It lets a closed loop drive an untimed
+// device model through the same timed hop the cache hierarchy gives the
+// detailed DRAM system: perfload.NewTimedClosedLoop over the CXL expander
+// is messperf's model/cxl row and the benchmark module's
+// cxl.closed_loop_ns, and both build it with TimedOn.
 type TimedOn struct {
 	Eng   *sim.Engine
 	Inner Backend

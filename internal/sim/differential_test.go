@@ -335,8 +335,8 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		case 1:
 			handles = append(handles, k.after(at-k.clock(), func() { fired(id, depth) }))
 		default:
-			// Keys before, at and (for an injected message's send instant
-			// on a lagging shard) after the clock, -1 as trace replay uses.
+			// Keys before, at and after the clock (the order is defined
+			// for any key), -1 as trace replay uses.
 			key := k.clock() - 1 - Time(rng.Intn(3000)) + Time(rng.Intn(2))*Time(rng.Intn(4000))
 			if rng.Intn(3) == 0 {
 				key = k.clock()

@@ -41,58 +41,26 @@
 // wheel is an internal routing layer only; it never reorders events with
 // respect to the (at, seq) total order the original heap implemented.
 //
-// # Sharded engine
+// # Event order
 //
-// ShardGroup is conservative-PDES parallelism inside a single sweep point,
-// layered on the kernel without changing any model code path; its type
-// documentation gives the window computation. The contract around it:
+// The full order is (deadline, key, tag, seq). ScheduleKeyed is the one
+// entry point that sets key and tag; Schedule, After, Timer and Ticker use
+// key = Now() and tag 0, which is why plain events keep the (deadline,
+// schedule order) above.
 //
-//   - Lookahead is a matrix, not a scalar. Every src→dst pair carries its
-//     own bound, declared with SetLookahead (SetLookaheadOut for one-to-all)
-//     and at least 1. Undeclared pairs are InfLookahead: Send panics, and
-//     the pair places no bound on either window, so on an 8-channel point
-//     only the 2(n−1) home edges constrain windows. A Send must satisfy
-//     at ≥ now(src) + look[src][dst], asserted at send and at delivery, so no
-//     shard ever receives an event in its past.
-//   - Who declares what: dram.Sharded declares Timing.Burst out of each
-//     channel shard; bench declares the cache's outbound hop
-//     (OnChipLatency/2) out of the home shard for every point.
-//     Declarations survive Reset.
-//   - The barrier escalates spin (2¹² iterations) → Gosched (2⁶) → a channel
-//     park with a CAS-undo race guard, so idle shards on oversubscribed
-//     hosts block instead of burning a core. Stats reports windows, mean
-//     home-window width, messages, spin/yield/park counts and per-shard busy
-//     fractions; like every aggregate surface (dram Counters, RowStats,
-//     ObservedReadLatency) it is read at quiescence only. Reset clears
-//     engines, outboxes and stats for reuse; use after Close and lookahead
-//     misuse panic.
-//   - Determinism is bit-exact. The engine's total order is (deadline, key,
-//     tag, seq): key is the schedule instant (the sender's clock for a
-//     cross-shard send), tag names the scheduling entity (0 home, channel i
-//     = i+1, device models cxl.DevTagBase), and same-entity ties fall back
-//     to seq, which matches the single-engine order inductively. Sharding
-//     is therefore execution-only: bench.Options.Shards is cleared by
-//     Normalized (sharded and unsharded runs share charz entries; below 2 is
-//     the single-engine path, as is any custom Backend). Gates:
-//     exp.TestShardedCharacterizationDeterminism (release CSVs identical
-//     across sharded-4, sharded-2, repeated and NoCompBatch legs, each set
-//     through the charz.Config.Run seam), the dram sharded tests
-//     (completion traces against the single-engine reference for 2–4 shards
-//     and six random channel→shard assignments), and
-//     bench.TestRigReuseMatchesFresh, all under -race in CI.
-//   - Each engine's mem.RequestPool stays single-goroutine: requests cross
-//     shards only as prebuilt closures through the outboxes
-//     (Request.SendVia/CompleteVia) and the home shard frees every request.
-//   - A timed hand-off counts a request as in flight at send, not delivery;
-//     when comparing an unsharded leg with a sharded one make the unsharded
-//     leg timed too (mem.TimedOn), or boundary-straddling requests are
-//     accounted differently. The charz fingerprint is versioned (charz/v3)
-//     for this semantics.
-//   - No knob. Sharding lost to the single engine on every paired row
-//     (1.9–4.9× slower), so no flag, environment field or messperf row asks
-//     for it: bench.Options.Shards is set by the benchmark's point-sharded
-//     workload and by the gates above, and the runtime stays only until
-//     that workload stops driving it.
+//   - key is the schedule instant. Completions pass Now(). Trace replay
+//     passes −1, so a record due at t runs before every backend event due
+//     at t, as it did when the whole trace was scheduled up front.
+//   - tag names the scheduling entity: 0 for cores, caches and issuers,
+//     i+1 for DRAM channel i (its decides and completions), cxl.DevTagBase
+//     for the device models. Equal (deadline, key) ties across entities
+//     resolve by tag, not by which entity happened to schedule first.
+//   - seq, the schedule order, breaks the ties left within one entity.
+//
+// Results depend on this order. Where two events tie, the one that runs
+// first decides what a controller sees next, so every checked-in curve,
+// golden and charz key (charz/v3) was produced under it: changing who sets
+// which key or tag is a change of results, with a charz/vN bump.
 package sim
 
 import "math/bits"
@@ -136,7 +104,7 @@ const (
 // still points at it.
 type event struct {
 	at    Time
-	key   Time   // schedule instant (or cross-engine send instant): first tie-break
+	key   Time   // schedule instant (ScheduleKeyed may state another): first tie-break
 	seq   uint64 // final tie-break so equal-(at, key, tag) events run in schedule order
 	gen   uint64 // bumped on recycle; Handles must match to act
 	tag   int32  // scheduling entity (0 = default); orders (at, key) ties across entities
@@ -242,16 +210,10 @@ func (e *Engine) After(d Time, fn func()) Handle { return e.add(e.now+d, e.now, 
 //   - completion callbacks pass key = Now(): storing the func(Time) instead
 //     of wrapping it as func() { done(at) } keeps the hot completion path
 //     allocation-free;
-//   - entities whose events other engines can observe under sharding (DRAM
-//     channels, device models) pass their globally unique tag, which makes
-//     cross-entity tie order a pure function of (at, key, tag) — the same
-//     whether the entities share one engine or run on separate shards —
-//     instead of an artifact of schedule interleaving that a sharded run
-//     cannot reproduce;
-//   - the shard coordinator injects a cross-engine message with key = the
-//     sender's clock at Send, so it sorts exactly where the equivalent
-//     single-engine call made at the send instant would have landed, even
-//     though the receiving engine's clock has already passed that instant;
+//   - entities whose relative order is part of the result (DRAM channels,
+//     device models) pass their unique tag, which makes cross-entity tie
+//     order a pure function of (at, key, tag) instead of an artifact of
+//     schedule interleaving;
 //   - trace replay passes key = -1, ahead of every locally scheduled event.
 func (e *Engine) ScheduleKeyed(at, key Time, tag int32, fn func(Time)) Handle {
 	return e.add(at, key, tag, nil, fn)
@@ -291,17 +253,13 @@ func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) Handle 
 	return Handle{eng: e, ev: ev, gen: ev.gen}
 }
 
-// less is the kernel's total event order: deadline, then schedule instant
-// (send instant for cross-engine injections), then entity tag, then
-// schedule order. For locally scheduled events key is the nondecreasing
-// engine clock, so among untagged events the order coincides with the
-// historical (at, seq) order. The key separates ties when an injected
-// event's send instant predates local schedules targeting the same
-// deadline; the tag separates full (at, key) ties across entities so the
-// order is reproducible on sharded engines, where the entities' relative
-// schedule interleaving is unknowable. Two events tying on all of (at,
-// key, tag) come from one entity, whose own schedule order (seq) is the
-// same sharded or not.
+// less is the kernel's total event order: deadline, then schedule instant,
+// then entity tag, then schedule order. For events keyed with Now() key is
+// the nondecreasing engine clock, so among untagged events the order
+// coincides with the historical (at, seq) order. The key separates ties
+// for events keyed before the clock (trace replay's −1); the tag separates
+// full (at, key) ties across entities (see "Event order" in the package
+// doc).
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at

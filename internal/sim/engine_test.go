@@ -745,3 +745,30 @@ func TestCancelHeavySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("cancel churn allocates %.4f/op at steady state, want ~0", per)
 	}
 }
+
+// TestScheduleKeyedOrder pins the keyed total order: equal-deadline
+// events fire by (schedule instant, entity tag, schedule order), and
+// plain schedules carry the current clock as their instant.
+func TestScheduleKeyedOrder(t *testing.T) {
+	eng := New()
+	var order []int
+	rec := func(id int) func(Time) {
+		return func(Time) { order = append(order, id) }
+	}
+	// All inserted at now=0 for deadline 100, in an order chosen to
+	// disagree with every tie-break level.
+	eng.ScheduleKeyed(100, 5, 0, rec(5))         // latest instant: last
+	eng.ScheduleKeyed(100, 3, 2, rec(4))         // instant 3, tag 2
+	eng.ScheduleKeyed(100, 3, 1, rec(2))         // instant 3, tag 1, first scheduled
+	eng.ScheduleKeyed(100, 3, 1, rec(3))         // same instant+tag: schedule order
+	eng.ScheduleKeyed(100, eng.Now(), 0, rec(1)) // local: instant = now = 0, first
+	eng.Run()
+	for i, id := range order {
+		if id != i+1 {
+			t.Fatalf("fire order %v, want [1 2 3 4 5]", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("fired %d events, want 5", len(order))
+	}
+}

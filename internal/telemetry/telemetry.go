@@ -4,12 +4,12 @@
 //
 // The Mess methodology is a profiling instrument, and an instrument whose
 // own runtime is opaque cannot be trusted at scale. Before this package,
-// runtime state lived in five disconnected surfaces (charz.Stats, the
-// curve client's circuit state, messcurved /v1/stats, ShardGroup.Stats,
-// messperf rows) with no common export. Every subsystem now registers into
-// one Registry, and every long-running phase can record spans into one
-// Tracer, so a fleet operator scrapes /metrics and a performance engineer
-// opens a run in Perfetto instead of reading five ad-hoc dumps.
+// runtime state lived in disconnected surfaces (charz.Stats, the curve
+// client's circuit state, messcurved /v1/stats, messperf rows) with no
+// common export. Every subsystem now registers into one Registry, and every
+// long-running phase can record spans into one Tracer, so a fleet operator
+// scrapes /metrics and a performance engineer opens a run in Perfetto
+// instead of reading ad-hoc dumps.
 //
 // Design constraints, in priority order:
 //

@@ -11,18 +11,15 @@ import (
 
 // Tracer records spans and exports them as Chrome trace_event JSON — the
 // format chrome://tracing and Perfetto load — so "where does the time
-// inside a run go" becomes a timeline instead of a guess. Two time domains
-// coexist in one trace, separated by process track:
-//
-//   - wall-clock tracks (charz fills, bench sweep points, trace-replay
-//     phases) timestamp events with the tracer's monotonic clock;
-//   - sim-time tracks (ShardGroup barrier windows) timestamp events with
-//     the simulation clock itself, one track per measurement point, so a
-//     window span's width is simulated nanoseconds — the timeline the
-//     "sim-timeline tracer" is named for.
+// inside a run go" becomes a timeline instead of a guess. Begin and End
+// timestamp spans with the tracer's monotonic clock (charz fills, bench
+// sweep points, trace-replay phases). Span takes its timestamps from the
+// caller, so a second time domain — simulated nanoseconds, the timeline
+// the "sim-timeline tracer" is named for — can share a trace on process
+// tracks of its own; the golden test records one.
 //
 // All recording methods are nil-receiver-safe and a recording is one
-// mutex-guarded append — cheap enough for per-window events, and exactly
+// mutex-guarded append — cheap enough for per-point events, and exactly
 // zero cost (one nil check) when tracing is off. The event buffer is
 // bounded (MaxEvents); once full, further events are counted as dropped
 // rather than growing without bound on a long fleet run.

@@ -36,10 +36,10 @@
 // the same inputs give byte-identical curve CSVs.
 //
 // The machinery underneath — the event kernel, the DRAM controller, the
-// service's cache tiers and curve server, the sharded runtime — is
-// documented in the internal packages that implement it (sim, dram,
-// charz, curvestore) and reachable through the cmd/ tools; this package
-// names only what a program built on the three components needs.
+// service's cache tiers and curve server — is documented in the internal
+// packages that implement it (sim, dram, charz, curvestore) and reachable
+// through the cmd/ tools; this package names only what a program built on
+// the three components needs.
 package mess
 
 import (
