@@ -131,13 +131,14 @@ func TestRigResetFromMidFlight(t *testing.T) {
 	if pool.Live() < 100 || r.eng.Pending() == 0 {
 		t.Fatalf("saturated point ended with %d requests in flight and %d events pending", pool.Live(), r.eng.Pending())
 	}
-	stale := r.eng.After(sim.Nanosecond, func() { t.Error("an event of the previous point fired") })
+	stale := r.eng.NewTimer(func() { t.Error("an event of the previous point fired") })
+	stale.ArmAfter(sim.Nanosecond)
 	s, err := points[3].on(r) // unloaded: only the chaser's one request at a time
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stale.Pending() || pool.Live() > 1 || s.BWGBs > 1 {
-		t.Fatalf("unloaded point after a saturated one: stale event pending=%v, %d requests in flight, %.2f GB/s", stale.Pending(), pool.Live(), s.BWGBs)
+	if stale.Armed() || pool.Live() > 1 || s.BWGBs > 1 {
+		t.Fatalf("unloaded point after a saturated one: stale event armed=%v, %d requests in flight, %.2f GB/s", stale.Armed(), pool.Live(), s.BWGBs)
 	}
 }
 

@@ -172,39 +172,6 @@ func (c *channel) compactRing(dir int) {
 	}
 }
 
-// handleRing is a growable power-of-two ring of event handles, the
-// completion-tracking analogue of reqRing.
-type handleRing struct {
-	buf  []sim.Handle
-	head int
-	n    int
-}
-
-func (r *handleRing) push(h sim.Handle) {
-	if r.n == len(r.buf) {
-		nc := 2 * len(r.buf)
-		if nc == 0 {
-			nc = 16
-		}
-		nb := make([]sim.Handle, nc)
-		mask := len(r.buf) - 1
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)&mask]
-		}
-		r.buf, r.head = nb, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = h
-	r.n++
-}
-
-func (r *handleRing) peek() sim.Handle { return r.buf[r.head] }
-
-func (r *handleRing) pop() {
-	r.buf[r.head] = sim.Handle{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-}
-
 // bankList is the FIFO of pending requests of one (bank, direction),
 // threaded through the slot store, plus the incremental row-match state:
 // match is the oldest pending request whose row equals the bank's open row
@@ -273,14 +240,6 @@ type channel struct {
 	decideAt      sim.Time
 	decideFn      func(sim.Time) // stored once: kick schedules it without a fresh closure
 
-	// compRing retains handles to the channel's own scheduled completion
-	// events, one ring per direction (each is monotonic in deadline: burst
-	// ends strictly increase, and read completions add a constant on top).
-	// The decide loop uses them to recognise when the event blocking fusion
-	// is one of its own completions and fire it inline via StepIf. Handles
-	// whose events the engine already served are pruned lazily on push.
-	compRing [dirCount]handleRing
-
 	// tag is the channel's entity tag (global channel index + 1): every
 	// event the channel schedules — decides and completions — carries it,
 	// so equal-instant ties against other channels and against untagged
@@ -299,8 +258,8 @@ type channel struct {
 // used one (System.Reset). It assigns a whole fresh channel value, so a field
 // added later starts from zero either way, and carries over only storage: the
 // slot store, ring buffers and per-bank tables, emptied and cleared of stale
-// request and event pointers. Their capacity is invisible to the scheduler,
-// so a reset channel behaves exactly as a new one.
+// request pointers. Their capacity is invisible to the scheduler, so a reset
+// channel behaves exactly as a new one.
 func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 	old := *c
 	nbanks := cfg.Ranks * cfg.Banks
@@ -328,7 +287,6 @@ func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 	}
 	for dir := 0; dir < dirCount; dir++ {
 		c.queues[dir].buf = old.queues[dir].buf
-		c.compRing[dir].buf = zeroed(old.compRing[dir].buf, len(old.compRing[dir].buf))
 		c.bq[dir] = zeroed(old.bq[dir], nbanks)
 		for b := range c.bq[dir] {
 			c.bq[dir][b] = bankList{head: -1, tail: -1, match: -1, openRow: -1}
@@ -571,19 +529,9 @@ func (c *channel) decideTime() sim.Time {
 // beyond the channel's next decide time, that decide would be the next
 // event fired anyway, so the loop advances the clock (RunUntil fires
 // nothing) and decides inline: the command sequence, timing and statistics
-// are identical by construction, with the scheduler hops removed.
-//
-// Under a saturated read ladder the fusion check usually fails on one of
-// the channel's *own* completions (each burst schedules one, landing a
-// CtrlLatency behind the decides chasing the bus). Completion batching
-// reclaims those decides: the loop pre-claims the decide event it was
-// about to schedule — consuming the same sequence number the unfused path
-// would, so every later tie breaks identically — then fires its own
-// blocking completions inline through StepIf (which refuses unless the
-// completion is exactly the engine's head). If the path to the decide time
-// clears, the claimed event is cancelled and the loop continues inline;
-// if a foreign event still intervenes, the claimed event simply is the
-// scheduled decide and the loop yields, exactly as without batching.
+// are identical by construction, with the scheduler hops removed. Any other
+// event due first — another channel's, a core's, or one of this channel's
+// own completions — makes the loop schedule its decide and yield.
 func (c *channel) decideLoop() {
 	for {
 		if !c.decideOnce() {
@@ -597,8 +545,7 @@ func (c *channel) decideLoop() {
 			c.scheduleDecide(at)
 			return
 		}
-		bound, bok := c.eng.RunBound()
-		if bok && at > bound {
+		if bound, ok := c.eng.RunBound(); ok && at > bound {
 			// The decide falls beyond the driving RunUntil's target: it
 			// must stay queued, exactly as its event would, so counters
 			// sampled at the boundary see identical state.
@@ -606,63 +553,20 @@ func (c *channel) decideLoop() {
 			return
 		}
 		if nd, ok := c.eng.NextDeadline(); ok && nd <= at {
-			// Another event precedes our decide: fusion alone would reorder.
-			if c.cfg.NoCompBatch || !bok {
-				c.scheduleDecide(at)
-				return
-			}
-			// Claim the decide event first: completions fired below see the
-			// same pending-decide state (and engine sequence numbering) the
-			// unfused schedule would have produced.
-			dh := c.scheduleDecide(at)
-			cleared := false
-			for c.fireOwnCompletion() {
-				if nd, ok = c.eng.NextDeadline(); !ok || nd > at {
-					cleared = true
-					break
-				}
-			}
-			if !cleared {
-				// A foreign event (another channel, a core wake) is still in
-				// the way: the claimed event stays as the scheduled decide.
-				return
-			}
-			dh.Cancel()
-			c.decidePending = false
+			// Another event precedes our decide: fusion would reorder.
+			c.scheduleDecide(at)
+			return
 		}
 		c.eng.RunUntil(at) // nothing fires: every pending deadline is later
 	}
 }
 
-// fireOwnCompletion fires the engine's next event inline if it is one of
-// this channel's scheduled completions, reporting whether it did. Handles
-// to completions the engine already served prune off the ring heads here
-// and on push.
-func (c *channel) fireOwnCompletion() bool {
-	for dir := 0; dir < dirCount; dir++ {
-		r := &c.compRing[dir]
-		for r.n > 0 {
-			h := r.peek()
-			if !h.Pending() {
-				r.pop()
-				continue
-			}
-			if c.eng.StepIf(h) {
-				r.pop()
-				return true
-			}
-			break
-		}
-	}
-	return false
-}
-
 // scheduleDecide queues the decide event as this channel's entity, so
 // equal-instant ties against other channels break by tag.
-func (c *channel) scheduleDecide(at sim.Time) sim.Handle {
+func (c *channel) scheduleDecide(at sim.Time) {
 	c.decidePending = true
 	c.decideAt = at
-	return c.eng.ScheduleKeyed(at, c.eng.Now(), c.tag, c.decideFn)
+	c.eng.ScheduleKeyed(at, c.eng.Now(), c.tag, c.decideFn)
 }
 
 // decideOnce picks the next request (FR-FCFS within the active direction)
@@ -991,28 +895,13 @@ func (c *channel) issue(idx int32, isWrite bool) {
 	if isWrite {
 		// Posted write: completion (= write-queue acceptance upstream,
 		// drain here) releases the pooled record at the burst end.
-		c.pushComp(dirWrite, req.CompleteAtTagged(c.eng, dataEnd, c.tag))
+		req.CompleteAtTagged(c.eng, dataEnd, c.tag)
 		return
 	}
 	completion := dataEnd + c.cfg.CtrlLatency
 	c.readLatSum += completion - s.at
 	c.readLatN++
-	c.pushComp(dirRead, req.CompleteAtTagged(c.eng, completion, c.tag))
-}
-
-// pushComp retains the handle of a just-scheduled completion for the
-// decide loop's batching, pruning already-served handles off the ring
-// head so the ring tracks only in-flight completions. The zero handle
-// (a completion with no observer releases immediately) is dropped.
-func (c *channel) pushComp(dir int, h sim.Handle) {
-	if c.cfg.NoCompBatch || !h.Pending() {
-		return
-	}
-	r := &c.compRing[dir]
-	for r.n > 0 && !r.peek().Pending() {
-		r.pop()
-	}
-	r.push(h)
+	req.CompleteAtTagged(c.eng, completion, c.tag)
 }
 
 // rankActConstraint reports the earliest time a new ACT may issue in the

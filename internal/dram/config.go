@@ -86,14 +86,6 @@ type Config struct {
 	// identical either way — and the unfused path stays so that the test
 	// has something to hold the fused one to.
 	NoFusion bool
-	// NoCompBatch is the second reference path of
-	// TestFig2ReleaseCSVDeterminism, not a user option: without
-	// it, under saturated ladders the event blocking decide fusion is
-	// usually one of the channel's own scheduled completions, which the
-	// decide loop fires inline (the pre-claimed decide event keeps the
-	// engine's (at, seq) order exact) and keeps looping. Like NoFusion,
-	// the unbatched path stays only for the test to compare against.
-	NoCompBatch bool
 }
 
 // Validate reports a descriptive error for an unusable configuration.

@@ -51,11 +51,11 @@ func fig2QuickCSV(t *testing.T) []byte {
 
 // TestFig2ReleaseCSVDeterminism is the bit-exactness gate of the DRAM
 // scheduler: the Quick fig2 sweep must produce byte-identical release CSVs
-// across runs, and with decide-event fusion or completion batching
-// disabled. This is the contract manual diffing enforced during the
-// PR-2/PR-3 refactors, promoted to a test so `go test ./...` catches any
-// scheduler change that perturbs the curves — and any fusion or batching
-// bug, since both are legal exactly because they cannot change results.
+// across runs, and with decide-event fusion disabled. This is the contract
+// manual diffing enforced during the PR-2/PR-3 refactors, promoted to a
+// test so `go test ./...` catches any scheduler change that perturbs the
+// curves — and any fusion bug, since fusion is legal exactly because it
+// cannot change results.
 func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 	first := fig2QuickCSV(t)
 	if len(first) == 0 {
@@ -83,22 +83,13 @@ func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 		}
 	}
 
-	// The same characterization on each reference path: with fusion
+	// The same characterization on the reference path: with fusion
 	// disabled the scheduler takes only scheduled decide events, never the
-	// inline loop; with batching disabled the decide loop never fires one
-	// of its channel's own completions inline. Each must land on the same
-	// curves byte for byte.
+	// inline loop, and must land on the same curves byte for byte.
 	base := referenceCSV(t, charz.Config{}, nil)
-	for _, leg := range []struct {
-		name  string
-		tweak func(*platform.Spec)
-	}{
-		{"decide-event fusion", func(spec *platform.Spec) { spec.DRAM.NoFusion = true }},
-		{"completion batching", func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
-	} {
-		if off := referenceCSV(t, charz.Config{}, leg.tweak); !bytes.Equal(base, off) {
-			t.Errorf("%s changed the curves:\non:\n%s\noff:\n%s", leg.name, base, off)
-		}
+	off := referenceCSV(t, charz.Config{}, func(spec *platform.Spec) { spec.DRAM.NoFusion = true })
+	if !bytes.Equal(base, off) {
+		t.Errorf("decide-event fusion changed the curves:\non:\n%s\noff:\n%s", base, off)
 	}
 }
 

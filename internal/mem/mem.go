@@ -146,12 +146,9 @@ func (r *Request) Complete(at sim.Time) {
 // CompleteAt schedules the request's completion at absolute time at, using
 // the record's prebuilt callback (no capturing closure). A request with no
 // Done callback has no observer: its record is released immediately rather
-// than holding a pool slot and an engine event until at. The returned
-// handle names the scheduled completion event (the zero Handle for the
-// no-observer case); most backends ignore it, the DRAM controller retains
-// it to batch its own completions into the decide loop.
-func (r *Request) CompleteAt(eng *sim.Engine, at sim.Time) sim.Handle {
-	return r.CompleteAtTagged(eng, at, 0)
+// than holding a pool slot and an engine event until at.
+func (r *Request) CompleteAt(eng *sim.Engine, at sim.Time) {
+	r.CompleteAtTagged(eng, at, 0)
 }
 
 // CompleteAtTagged is CompleteAt with an explicit entity tag: the
@@ -160,12 +157,12 @@ func (r *Request) CompleteAt(eng *sim.Engine, at sim.Time) sim.Handle {
 // (cxl.DevTagBase) complete this way, and every checked-in curve was
 // generated in that order, so moving a completion to plain CompleteAt
 // would change results where ties occur.
-func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) sim.Handle {
+func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) {
 	if r.Done == nil {
 		r.release()
-		return sim.Handle{}
+		return
 	}
-	return eng.ScheduleKeyed(at, eng.Now(), tag, r.fireFn())
+	eng.ScheduleKeyed(at, eng.Now(), tag, r.fireFn())
 }
 
 // SendAt schedules delivery of the request to a backend at absolute time

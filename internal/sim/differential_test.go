@@ -114,7 +114,6 @@ type kernel interface {
 	after(d Time, fn func()) int
 	keyed(at, key Time, tag int32, fn func(Time)) int
 	cancel(h int)
-	stepIf(h int) bool
 	next() (Time, bool)
 	timer(fn func()) int
 	arm(t int, at Time)
@@ -147,7 +146,6 @@ func (k *wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
 	return k.keep(k.e.ScheduleKeyed(at, key, tag, fn))
 }
 func (k *wheelKernel) cancel(h int)       { k.handles[h].Cancel() }
-func (k *wheelKernel) stepIf(h int) bool  { return k.e.StepIf(k.handles[h]) }
 func (k *wheelKernel) next() (Time, bool) { return k.e.NextDeadline() }
 func (k *wheelKernel) timer(fn func()) int {
 	k.timers = append(k.timers, k.e.NewTimer(fn))
@@ -204,12 +202,6 @@ func (k *heapKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
 	return k.keep(k.e.schedule(at, key, tag, fn))
 }
 func (k *heapKernel) cancel(h int) { k.e.cancel(k.handles[h]) }
-func (k *heapKernel) stepIf(h int) bool {
-	if ev := k.handles[h]; ev.idx != 0 {
-		return false
-	}
-	return k.e.step()
-}
 func (k *heapKernel) next() (Time, bool) {
 	if len(k.e.queue) == 0 {
 		return 0, false
@@ -266,9 +258,9 @@ const wheelSpan = Time(wheelSize << granBits)
 
 // runProgram drives k with the seeded random program and returns its log:
 // one line per fired event (id, deadline passed or clock read) and per
-// observation (peeks, StepIf outcomes, counters after each run). Every
-// choice comes from the program's own generator, callbacks included, so two
-// kernels that fire in the same order draw the same program.
+// observation (peeks, counters after each run). Every choice comes from the
+// program's own generator, callbacks included, so two kernels that fire in
+// the same order draw the same program.
 func runProgram(k kernel, seed int64, ops int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
@@ -390,10 +382,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		case r < 74:
 			at, ok := k.next()
 			log = append(log, fmt.Sprintf("next %d %v", at, ok))
-		case r < 79:
-			if h, ok := anyHandle(); ok {
-				log = append(log, fmt.Sprintf("stepIf %v", k.stepIf(h)))
-			}
 		case r < 98:
 			d := delta()
 			if d < 0 {
@@ -422,9 +410,9 @@ func runProgram(k kernel, seed int64, ops int) []string {
 
 // TestDifferentialAgainstHeap runs seeded random programs — plain and keyed
 // schedules with past keys and tags, cancels, timer re-arms, tickers,
-// RunUntil across the wheel horizon, peeks, StepIf, Reset — on Engine and
-// on the heap reference. The logs must match line for line: same events, in
-// the same order, at the same instants, with the same counters.
+// RunUntil across the wheel horizon, peeks, Reset — on Engine and on the
+// heap reference. The logs must match line for line: same events, in the
+// same order, at the same instants, with the same counters.
 func TestDifferentialAgainstHeap(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		want := runProgram(&heapKernel{}, seed, 1500)

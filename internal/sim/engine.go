@@ -126,12 +126,6 @@ type Handle struct {
 // live reports whether the handle still names a pending event.
 func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen && !h.ev.dead }
 
-// Pending reports whether the handle still names a queued event: false once
-// the event has fired, was cancelled, or for the zero Handle. Components
-// that retain handles to their own scheduled work (the DRAM controller's
-// completion ring) use it to prune records that the engine already served.
-func (h Handle) Pending() bool { return h.live() }
-
 // Cancel removes the pending event in O(1). Cancelling an event that has
 // already fired, was already cancelled, or was never scheduled (the zero
 // Handle) is a no-op: the generation counter detects a recycled record, so
@@ -503,24 +497,6 @@ func (e *Engine) Step() bool {
 		fn()
 	}
 	return true
-}
-
-// StepIf runs the next event only if it is exactly the event h names,
-// reporting whether it fired. It is the targeted form of Step for
-// components that want to absorb one of their own scheduled events inline
-// (the DRAM controller batching its completions into the decide loop):
-// because only the queue head can fire, the engine's (at, seq) total order
-// is preserved bit-for-bit — if any foreign event sorts earlier, StepIf
-// refuses and the caller falls back to the ordinary scheduled path.
-func (e *Engine) StepIf(h Handle) bool {
-	if h.eng != e || !h.live() {
-		return false
-	}
-	ev := e.peek()
-	if ev != h.ev || ev.gen != h.gen {
-		return false
-	}
-	return e.Step()
 }
 
 // Run executes events until the queue drains.
