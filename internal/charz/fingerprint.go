@@ -57,12 +57,9 @@ func writeSpec(w io.Writer, s platform.Spec) {
 		t.TCK, t.Burst, t.CL, t.RCD, t.RP, t.RAS, t.WR, t.WTR, t.RTW, t.RTP, t.CCD, t.RRD, t.FAW, t.REFI, t.RFC)
 	fmt.Fprintf(w, "dram.writeHi=%d\ndram.writeLo=%d\ndram.idleClose=%d\ndram.ctrlLatency=%d\n",
 		d.WriteHi, d.WriteLo, d.IdleClose, d.CtrlLatency)
-	// dram.NoFusion is deliberately excluded: decide-event fusion is an
-	// execution strategy, not a model parameter — results are bit-identical
-	// either way (enforced by exp's fig2 determinism test), so both
-	// settings may share one cache entry. dram.xorBankRow is a literal:
-	// the option is gone, and the line keeps v3 keys byte-identical until
-	// the charz/v4 bump of the address-map change drops it.
+	// dram.xorBankRow is a literal: the option is gone, and the line keeps
+	// v3 keys byte-identical until the charz/v4 bump of the address-map
+	// change drops it.
 	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.xorBankRow=false\ndram.bypassCap=%d\ndram.ageCap=%d\n",
 		d.FRFCFSWindow, d.BypassCap, d.AgeCap)
 	fmt.Fprintf(w, "spec.policy=%d\nspec.onChipLatency=%d\nspec.mshrs=%d\nspec.writeBufs=%d\nspec.writebackLag=%d\nspec.unloadedNs=%v\n",

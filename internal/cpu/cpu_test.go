@@ -222,16 +222,28 @@ func TestKernelCoreAppBandwidthAccounting(t *testing.T) {
 }
 
 func TestKernelCoreValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kernel with missing arrays accepted")
-		}
-	}()
-	NewKernelCore(sim.New(), nil, StreamAdd, CoreConfig{
-		CycleTime:  sim.Nanosecond,
-		ArrayBases: []uint64{0}, // needs 3
-		ArrayBytes: 1 << 20,
-	})
+	depRMW := Kernel{Name: "dep-rmw", Loads: 1, Stores: 1, ElemsPerLine: 1, Dependent: true}
+	for _, tc := range []struct {
+		what  string
+		k     Kernel
+		bases []uint64
+	}{
+		{"kernel with missing arrays", StreamAdd, []uint64{0}}, // needs 3
+		{"dependent kernel with a store", depRMW, []uint64{0, 1 << 30}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", tc.what)
+				}
+			}()
+			NewKernelCore(sim.New(), nil, tc.k, CoreConfig{
+				CycleTime:  sim.Nanosecond,
+				ArrayBases: tc.bases,
+				ArrayBytes: 1 << 20,
+			})
+		}()
+	}
 }
 
 func TestKernelInstrAccounting(t *testing.T) {

@@ -26,7 +26,8 @@ type Kernel struct {
 	// iteration (address arithmetic, FP ops, branch share).
 	ALUPerElem int
 	// Dependent serializes the kernel on its loads: the next line-step
-	// cannot begin until the previous load returns (pointer chase).
+	// cannot begin until the previous load returns (pointer chase). A
+	// dependent kernel is one load per step and no store.
 	Dependent bool
 	// NonTemporal uses streaming stores (no RFO).
 	NonTemporal bool
@@ -82,6 +83,9 @@ func (c *CoreConfig) validate(k Kernel) error {
 	if c.CycleTime <= 0 {
 		return fmt.Errorf("cpu: kernel core needs a positive cycle time")
 	}
+	if k.Dependent && (k.Loads != 1 || k.Stores != 0) {
+		return fmt.Errorf("cpu: dependent kernel %s must be one load and no store, got %d and %d", k.Name, k.Loads, k.Stores)
+	}
 	if len(c.ArrayBases) < k.Loads+k.Stores {
 		return fmt.Errorf("cpu: kernel %s needs %d arrays, got %d", k.Name, k.Loads+k.Stores, len(c.ArrayBases))
 	}
@@ -110,13 +114,8 @@ type KernelCore struct {
 
 	running  bool
 	stepOpen bool // a line-step is in progress (guards re-entrant wake-ups)
-	// depReturned records that the open step's dependent load completed,
-	// so an OnFree-driven drain of trailing ops knows it may retire the
-	// step (without it, a step whose stores stalled after the load
-	// returned would never complete).
-	depReturned bool
-	nextAt      sim.Time
-	wake        *sim.Timer // pacing alarm: re-armed in place, never re-allocated
+	nextAt   sim.Time
+	wake     *sim.Timer // pacing alarm: re-armed in place, never re-allocated
 
 	// Completion callbacks, allocated once and passed to the port for
 	// every operation: issuing a line-step captures nothing.
@@ -156,23 +155,9 @@ func NewKernelCore(eng *sim.Engine, port *cache.Port, k Kernel, cfg CoreConfig) 
 		rng:    cfg.Seed,
 		nextOp: k.Loads + k.Stores, // no step open yet
 	}
-	// The wake timer serves double duty, disambiguated by step state: with
-	// no step open it is the pacing alarm (begin the next step); with a
-	// step open it can only be the deferred on-chip delivery of the step's
-	// dependent load (issue arms it at ackAt), since the pacing arm always
-	// happens after the step closes. Folding both onto one timer keeps the
-	// dependent-load-with-trailing-ops path on the pooled fixed-callback
-	// event instead of a scheduled one — identical (at, seq) arrival, as
-	// the timer is always disarmed while a step is open.
-	c.wake = eng.NewTimer(func() {
-		if c.stepOpen {
-			c.dependentLoadDone(c.eng.Now())
-			return
-		}
-		c.beginStep()
-	})
+	c.wake = eng.NewTimer(c.beginStep)
 	c.resumeFn = func(sim.Time) { c.tryIssue() }
-	c.depDoneFn = c.dependentLoadDone
+	c.depDoneFn = func(sim.Time) { c.completeStep() }
 	return c
 }
 
@@ -248,7 +233,6 @@ func (c *KernelCore) beginStep() {
 	}
 	k := &c.kernel
 	c.stepOpen = true
-	c.depReturned = false
 	c.nextOp = 0
 	// Pace on the full instruction count: every instruction, memory ones
 	// included, occupies an issue slot, bounding IPC at the core width.
@@ -259,8 +243,9 @@ func (c *KernelCore) beginStep() {
 }
 
 // tryIssue drains the pending ops of the current step as buffers allow,
-// then completes the step. It is re-entrant: OnFree wake-ups may arrive
-// while no step is open, which must be a no-op.
+// then completes the step; a dependent step, whose one op is its load,
+// completes when the load returns instead. It is re-entrant: OnFree
+// wake-ups may arrive while no step is open, which must be a no-op.
 func (c *KernelCore) tryIssue() {
 	if !c.running || !c.stepOpen {
 		return
@@ -272,14 +257,8 @@ func (c *KernelCore) tryIssue() {
 		}
 		c.nextOp++
 		c.issue(op)
-		if c.kernel.Dependent && !op.isStore {
-			return // completeStep continues from the load callback
-		}
 	}
-	// A dependent step may drain its trailing ops here (an OnFree wake-up
-	// after the load already returned): it retires now, not in the load
-	// callback that has long since fired.
-	if !c.kernel.Dependent || c.depReturned {
+	if !c.kernel.Dependent {
 		c.completeStep()
 	}
 }
@@ -309,7 +288,7 @@ func (c *KernelCore) canIssue(op pendingOp) bool {
 //     The old scheduled wake-up always fired as a no-op; dropping it
 //     removes one event per on-chip hit with identical behaviour.
 //
-//   - A dependent load that is the last op of its step completes the step
+//   - A dependent load, the one op of its step, completes the step
 //     virtually: the IPC/step accounting is stamped with ackAt now, and
 //     the pacing timer is armed at the instant the next step would have
 //     begun (max of the pacing deadline and ackAt). The next step's port
@@ -320,13 +299,6 @@ func (c *KernelCore) canIssue(op pendingOp) bool {
 //     relative to the old arm-at-completion — an accepted model-level
 //     tie-break; the fig2 determinism gate, which exercises the
 //     chaser/generator cores, is unaffected.)
-//
-//   - A dependent load with trailing ops arms the wake timer at ackAt:
-//     those ops must reach the port at ackAt, not now, and the timer —
-//     always disarmed while a step is open — delivers dependentLoadDone
-//     there without scheduling a fresh callback. No standard kernel has
-//     dependent loads followed by stores, so this path is essentially
-//     dormant.
 func (c *KernelCore) issue(op pendingOp) {
 	addr := c.addrFor(op.arr)
 	done := c.resumeFn
@@ -348,10 +320,6 @@ func (c *KernelCore) issue(op pendingOp) {
 	if !onChip || !dep {
 		return // off-chip: the port delivers; on-chip non-dependent: no-op
 	}
-	if c.opsPending() {
-		c.wake.Arm(at)
-		return
-	}
 	c.virtualStepComplete(at)
 }
 
@@ -369,21 +337,6 @@ func (c *KernelCore) virtualStepComplete(at sim.Time) {
 	c.lineIdx++
 	c.lastAt = at
 	c.wake.Arm(max(c.nextAt, at))
-}
-
-// dependentLoadDone resumes a serialized kernel once its load returns.
-func (c *KernelCore) dependentLoadDone(at sim.Time) {
-	if !c.running || !c.stepOpen {
-		return
-	}
-	c.depReturned = true
-	if c.opsPending() {
-		// tryIssue retires the step itself once the trailing ops drain —
-		// immediately, or from a later OnFree wake-up if they stall.
-		c.tryIssue()
-		return
-	}
-	c.completeStep()
 }
 
 // completeStep retires the step's instructions and schedules the next step

@@ -117,34 +117,6 @@ func TestKernelCoreMixedHitsDeterministic(t *testing.T) {
 	}
 }
 
-// TestKernelCoreDependentTrailingStoreStall covers the dependent-kernel
-// shape with ops behind the load (no standard kernel has it): when the
-// trailing store stalls on write-buffer space and only drains via a later
-// OnFree wake-up, the step must still retire — the drain path completes
-// dependent steps whose load has already returned.
-func TestKernelCoreDependentTrailingStoreStall(t *testing.T) {
-	depRMW := Kernel{Name: "dep-rmw", Loads: 1, Stores: 1, ElemsPerLine: 1, ALUPerElem: 2, Dependent: true, Random: true}
-	// One write buffer and a laggy memory: the paired writeback of each
-	// store holds the only WB slot long enough that the next store's
-	// issue stalls until OnFree.
-	eng, _, h := rig(200*sim.Nanosecond, cache.Config{
-		MSHRs: 4, WriteBufs: 1, WritebackLag: 1 << 12,
-	})
-	core := NewKernelCore(eng, h.Port(0), depRMW, CoreConfig{
-		CycleTime:  sim.FromNanoseconds(0.5),
-		ArrayBases: []uint64{1 << 30, 1 << 31},
-		ArrayBytes: 1 << 22,
-	})
-	core.Start()
-	eng.RunUntil(200 * sim.Microsecond)
-	core.Stop()
-	// Before the drain-path fix the core wedged after its first stalled
-	// store (stepOpen stuck true, no wake armed): ~1 step, idle engine.
-	if core.Steps() < 50 {
-		t.Fatalf("dependent kernel with trailing stores made %d steps — wedged on a stalled store", core.Steps())
-	}
-}
-
 // TestKernelCoreAllOnChipStoresProgress pins the liveness argument for
 // dropping the non-dependent on-chip resume event: a kernel whose traffic
 // is entirely on-chip still makes progress, because every stall release

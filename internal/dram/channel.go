@@ -190,10 +190,7 @@ type bankList struct {
 // channel is one memory channel: its banks, its request queues and its
 // scheduler state. Channels are driven by decide events: at most one pending
 // decide event exists per channel, scheduled shortly before the data bus
-// frees so the scheduler can still reorder late-arriving row hits. When the
-// channel's own next decide would also be the engine's next event, the
-// decide loop runs it inline (decide-event fusion) instead of round-tripping
-// through the scheduler — identical ordering by construction.
+// frees so the scheduler can still reorder late-arriving row hits.
 type channel struct {
 	eng *sim.Engine
 	cfg *Config
@@ -521,44 +518,15 @@ func (c *channel) decideTime() sim.Time {
 	return at
 }
 
-// decideLoop runs decides until the queues drain or the next decide must
-// yield to another event. Without fusion every iteration round-trips
-// through the scheduler: schedule the decide, fire it, then schedule and
-// fire the burst it commits — kernel work that dwarfs the decision itself
-// under drains and mid-load plateaus. When the engine's next deadline lies
-// beyond the channel's next decide time, that decide would be the next
-// event fired anyway, so the loop advances the clock (RunUntil fires
-// nothing) and decides inline: the command sequence, timing and statistics
-// are identical by construction, with the scheduler hops removed. Any other
-// event due first — another channel's, a core's, or one of this channel's
-// own completions — makes the loop schedule its decide and yield.
+// decideLoop is the decide event: it commits one burst and, while requests
+// remain, schedules the next decide a lookahead before the bus frees and
+// yields. Everything due in between — other channels, cores, this channel's
+// own completions — fires in the engine's order before the next decision.
 func (c *channel) decideLoop() {
-	for {
-		if !c.decideOnce() {
-			return
-		}
-		if c.live[dirRead]+c.live[dirWrite] == 0 {
-			return
-		}
-		at := c.decideTime()
-		if c.cfg.NoFusion {
-			c.scheduleDecide(at)
-			return
-		}
-		if bound, ok := c.eng.RunBound(); ok && at > bound {
-			// The decide falls beyond the driving RunUntil's target: it
-			// must stay queued, exactly as its event would, so counters
-			// sampled at the boundary see identical state.
-			c.scheduleDecide(at)
-			return
-		}
-		if nd, ok := c.eng.NextDeadline(); ok && nd <= at {
-			// Another event precedes our decide: fusion would reorder.
-			c.scheduleDecide(at)
-			return
-		}
-		c.eng.RunUntil(at) // nothing fires: every pending deadline is later
+	if !c.decideOnce() || c.queued() == 0 {
+		return
 	}
+	c.scheduleDecide(c.decideTime())
 }
 
 // scheduleDecide queues the decide event as this channel's entity, so

@@ -78,14 +78,6 @@ type Config struct {
 	// maximum-latency bound; the platform presets leave it disabled, as
 	// the hit-first schedule reproduces the measured curve shapes.
 	AgeCap sim.Time
-	// NoFusion is the reference path of TestFig2ReleaseCSVDeterminism, not
-	// a user option: with it every controller decision round-trips through
-	// a scheduled event instead of looping inline when it would be the
-	// engine's next event anyway. Fusion is legal exactly because it cannot
-	// change results — command sequence, timing and statistics are
-	// identical either way — and the unfused path stays so that the test
-	// has something to hold the fused one to.
-	NoFusion bool
 }
 
 // Validate reports a descriptive error for an unusable configuration.

@@ -22,8 +22,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata goldens (fig2_quick.csv, request_keys.txt) from this run")
 
 // fig2Golden is the Quick fig2 release CSV as checked in: what holds a
-// refactor to the curves of the commit before it, where the legs of
-// TestFig2ReleaseCSVDeterminism only hold one run to another.
+// refactor to the curves of the commit before it, where the run-twice check
+// of TestFig2ReleaseCSVDeterminism only holds one run to another.
 const fig2Golden = "testdata/fig2_quick.csv"
 
 // fig2QuickCSV runs the Quick fig2 experiment on a fresh (uncached,
@@ -51,11 +51,8 @@ func fig2QuickCSV(t *testing.T) []byte {
 
 // TestFig2ReleaseCSVDeterminism is the bit-exactness gate of the DRAM
 // scheduler: the Quick fig2 sweep must produce byte-identical release CSVs
-// across runs, and with decide-event fusion disabled. This is the contract
-// manual diffing enforced during the PR-2/PR-3 refactors, promoted to a
-// test so `go test ./...` catches any scheduler change that perturbs the
-// curves — and any fusion bug, since fusion is legal exactly because it
-// cannot change results.
+// across two runs, and on amd64 the checked-in golden, so `go test ./...`
+// catches any scheduler change that perturbs the curves.
 func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 	first := fig2QuickCSV(t)
 	if len(first) == 0 {
@@ -82,27 +79,13 @@ func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 			t.Fatalf("fig2 release CSVs differ from %s; if the change is meant, regenerate with -update:\ngot:\n%s\nwant:\n%s", fig2Golden, first, want)
 		}
 	}
-
-	// The same characterization on the reference path: with fusion
-	// disabled the scheduler takes only scheduled decide events, never the
-	// inline loop, and must land on the same curves byte for byte.
-	base := referenceCSV(t, charz.Config{}, nil)
-	off := referenceCSV(t, charz.Config{}, func(spec *platform.Spec) { spec.DRAM.NoFusion = true })
-	if !bytes.Equal(base, off) {
-		t.Errorf("decide-event fusion changed the curves:\non:\n%s\noff:\n%s", base, off)
-	}
 }
 
 // referenceCSV characterizes the Quick-scaled Skylake reference on a fresh
-// service of the given configuration, with the given spec tweak, and
-// returns the CSV bytes.
-func referenceCSV(t *testing.T, cfg charz.Config, tweakSpec func(*platform.Spec)) []byte {
+// service of the given configuration and returns the CSV bytes.
+func referenceCSV(t *testing.T, cfg charz.Config) []byte {
 	t.Helper()
-	spec := scaleSpec(platform.Skylake(), Quick)
-	if tweakSpec != nil {
-		tweakSpec(&spec)
-	}
-	fam, err := NewEnv(Quick, charz.New(cfg)).reference(spec)
+	fam, err := NewEnv(Quick, charz.New(cfg)).reference(scaleSpec(platform.Skylake(), Quick))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +101,7 @@ func referenceCSV(t *testing.T, cfg charz.Config, tweakSpec func(*platform.Spec)
 // bench.Options.Shards — runs on the one engine and lands on the same
 // release CSV, byte for byte, as a sweep that does not ask.
 func TestShardedCharacterizationDeterminism(t *testing.T) {
-	base := referenceCSV(t, charz.Config{}, nil)
+	base := referenceCSV(t, charz.Config{})
 	if len(base) == 0 {
 		t.Fatal("reference characterization produced no CSV output")
 	}
@@ -127,7 +110,7 @@ func TestShardedCharacterizationDeterminism(t *testing.T) {
 			opt.Shards = shards
 			return bench.RunContext(ctx, spec, opt)
 		}
-		if got := referenceCSV(t, charz.Config{Run: run}, nil); !bytes.Equal(base, got) {
+		if got := referenceCSV(t, charz.Config{Run: run}); !bytes.Equal(base, got) {
 			t.Errorf("Shards=%d: release CSV differs from the run that does not set it:\nunset:\n%s\nShards=%d:\n%s",
 				shards, base, shards, got)
 		}
@@ -145,7 +128,7 @@ func telemetryCSVAndSpans(t *testing.T) ([]byte, []string, *telemetry.Set) {
 		Tracer:  telemetry.NewTracer(),
 		Log:     telemetry.NewLogger(telemetry.LogConfig{Verbose: true, Output: io.Discard}),
 	}
-	csv := referenceCSV(t, charz.Config{Telemetry: set}, nil)
+	csv := referenceCSV(t, charz.Config{Telemetry: set})
 	var buf bytes.Buffer
 	if err := set.Tracer.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -187,7 +170,7 @@ func countSpans(names []string, prefix string) int {
 // taxonomy's core span families (charz fill, bench point) must actually be
 // present.
 func TestTelemetryEnabledDeterminism(t *testing.T) {
-	base := referenceCSV(t, charz.Config{}, nil)
+	base := referenceCSV(t, charz.Config{})
 
 	csv1, spans1, set := telemetryCSVAndSpans(t)
 	if !bytes.Equal(base, csv1) {

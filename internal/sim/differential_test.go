@@ -114,7 +114,6 @@ type kernel interface {
 	after(d Time, fn func()) int
 	keyed(at, key Time, tag int32, fn func(Time)) int
 	cancel(h int)
-	next() (Time, bool)
 	timer(fn func()) int
 	arm(t int, at Time)
 	armAfter(t int, d Time)
@@ -145,8 +144,7 @@ func (k *wheelKernel) after(d Time, fn func()) int  { return k.keep(k.e.After(d,
 func (k *wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
 	return k.keep(k.e.ScheduleKeyed(at, key, tag, fn))
 }
-func (k *wheelKernel) cancel(h int)       { k.handles[h].Cancel() }
-func (k *wheelKernel) next() (Time, bool) { return k.e.NextDeadline() }
+func (k *wheelKernel) cancel(h int) { k.handles[h].Cancel() }
 func (k *wheelKernel) timer(fn func()) int {
 	k.timers = append(k.timers, k.e.NewTimer(fn))
 	return len(k.timers) - 1
@@ -202,12 +200,6 @@ func (k *heapKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
 	return k.keep(k.e.schedule(at, key, tag, fn))
 }
 func (k *heapKernel) cancel(h int) { k.e.cancel(k.handles[h]) }
-func (k *heapKernel) next() (Time, bool) {
-	if len(k.e.queue) == 0 {
-		return 0, false
-	}
-	return k.e.queue[0].at, true
-}
 func (k *heapKernel) timer(fn func()) int {
 	k.timers = append(k.timers, &heapTimer{fn: fn})
 	return len(k.timers) - 1
@@ -258,7 +250,7 @@ const wheelSpan = Time(wheelSize << granBits)
 
 // runProgram drives k with the seeded random program and returns its log:
 // one line per fired event (id, deadline passed or clock read) and per
-// observation (peeks, counters after each run). Every choice comes from the
+// observation (counters after each run). Every choice comes from the
 // program's own generator, callbacks included, so two kernels that fire in
 // the same order draw the same program.
 func runProgram(k kernel, seed int64, ops int) []string {
@@ -379,9 +371,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			k.startTicker(tickers[i])
 		case r < 69:
 			k.stopTicker(tickers[rng.Intn(len(tickers))])
-		case r < 74:
-			at, ok := k.next()
-			log = append(log, fmt.Sprintf("next %d %v", at, ok))
 		case r < 98:
 			d := delta()
 			if d < 0 {
@@ -410,7 +399,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 
 // TestDifferentialAgainstHeap runs seeded random programs — plain and keyed
 // schedules with past keys and tags, cancels, timer re-arms, tickers,
-// RunUntil across the wheel horizon, peeks, Reset — on Engine and on the
+// RunUntil across the wheel horizon, Reset — on Engine and on the
 // heap reference. The logs must match line for line: same events, in the
 // same order, at the same instants, with the same counters.
 func TestDifferentialAgainstHeap(t *testing.T) {

@@ -170,9 +170,6 @@ type Engine struct {
 	overflow []*event // min-heap by (at, seq): events beyond the horizon
 
 	pool *event // free list of recycled records
-
-	bound    Time // active RunUntil target, for RunBound
-	hasBound bool
 }
 
 // New returns an Engine with its clock at zero.
@@ -270,8 +267,16 @@ func less(a, b *event) bool {
 // insertCur merge-inserts ev into the unserved tail of the active run. The
 // new event carries the highest seq, so it lands after every queued event
 // with an equal or earlier deadline — exactly the (at, seq) order.
+//
+// A run whose every entry has been served is emptied first. peek only
+// empties it when it finds nothing left to serve, which never happens to a
+// callback that schedules its successor at Now() (a DRAM decide): without
+// the reset that chain appends to the run forever, and the served prefix is
+// never reclaimed.
 func (e *Engine) insertCur(ev *event) {
-	if e.curDead >= 64 && 2*e.curDead >= len(e.cur)-e.curPos {
+	if e.curPos == len(e.cur) {
+		e.cur, e.curPos = e.cur[:0], 0
+	} else if e.curDead >= 64 && 2*e.curDead >= len(e.cur)-e.curPos {
 		e.compactCur()
 	}
 	ev.inCur = true
@@ -451,31 +456,6 @@ func (e *Engine) recycle(ev *event) {
 	e.pool = ev
 }
 
-// NextDeadline reports the deadline of the earliest pending event without
-// firing it; ok is false when the queue is empty. Components that pace
-// themselves with recurring self-events (the DRAM decide loop) use it to
-// fuse iterations: when the component's own next event would be the
-// engine's next event anyway, it may run the work inline at that time
-// (advancing the clock with RunUntil, which fires nothing when every
-// pending deadline lies beyond the target) — the ordering is identical by
-// construction, without the schedule/fire round-trip. Peeking may
-// restructure internal queues (cascade overflow events, advance the wheel
-// cursor) but never reorders or fires anything.
-func (e *Engine) NextDeadline() (at Time, ok bool) {
-	// Fast path for the fusion loop's per-iteration check: a live head in
-	// the active run answers without touching the wheel.
-	if e.curPos < len(e.cur) {
-		if ev := e.cur[e.curPos]; !ev.dead {
-			return ev.at, true
-		}
-	}
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
 // Step runs the next event. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	ev := e.peek()
@@ -505,15 +485,10 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with deadlines ≤ t, then advances the clock to t.
-// Events scheduled exactly at t do run. While it runs, t is visible to
-// callbacks as RunBound: self-pacing components that fuse their recurring
-// events inline (the DRAM decide loop) stop at the bound, so work beyond t
-// stays queued exactly as it would with one event per iteration. Nested
-// RunUntil calls narrow the bound for their duration and restore it.
+// RunUntil executes events with deadlines ≤ t, including those its
+// callbacks schedule by t, then advances the clock to t. Events due after t
+// stay queued for the next run.
 func (e *Engine) RunUntil(t Time) {
-	prevBound, prevHas := e.bound, e.hasBound
-	e.bound, e.hasBound = t, true
 	for {
 		ev := e.peek()
 		if ev == nil || ev.at > t {
@@ -524,13 +499,7 @@ func (e *Engine) RunUntil(t Time) {
 	if e.now < t {
 		e.now = t
 	}
-	e.bound, e.hasBound = prevBound, prevHas
 }
-
-// RunBound reports the target time of the innermost RunUntil currently
-// executing; ok is false outside any RunUntil (Run, RunWhile, direct Step),
-// where a drain has no boundary for fused work to respect.
-func (e *Engine) RunBound() (t Time, ok bool) { return e.bound, e.hasBound }
 
 // RunWhile executes events while cond() holds and events remain.
 func (e *Engine) RunWhile(cond func() bool) {

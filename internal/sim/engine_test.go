@@ -638,59 +638,28 @@ func TestTickerStopOutsideCallbackCancelsPending(t *testing.T) {
 	}
 }
 
-func TestNextDeadline(t *testing.T) {
+// A callback that reschedules itself at Now() — a DRAM decide committing
+// its next burst at once — lands in the active run every time. Each time
+// the run has been served to its end, so the chain must reuse it instead of
+// growing it by one entry per event.
+func TestActiveRunRecycledWhenConsumed(t *testing.T) {
 	e := New()
-	if _, ok := e.NextDeadline(); ok {
-		t.Fatal("empty engine reports a deadline")
+	const chain = 100000
+	n := 0
+	var again func()
+	again = func() {
+		if n++; n < chain {
+			e.Schedule(e.Now(), again)
+		}
 	}
-	e.Schedule(40, func() {})
-	e.Schedule(15, func() {})
-	if at, ok := e.NextDeadline(); !ok || at != 15 {
-		t.Fatalf("NextDeadline = %d,%v, want 15,true", at, ok)
-	}
-	// Peeking consumes nothing and fires nothing.
-	if at, ok := e.NextDeadline(); !ok || at != 15 {
-		t.Fatalf("second NextDeadline = %d,%v, want 15,true", at, ok)
-	}
-	if e.Steps() != 0 || e.Pending() != 2 {
-		t.Fatalf("peek executed events: steps=%d pending=%d", e.Steps(), e.Pending())
-	}
-	e.Step()
-	if at, ok := e.NextDeadline(); !ok || at != 40 {
-		t.Fatalf("NextDeadline after step = %d,%v, want 40,true", at, ok)
-	}
-	// A cancelled head is skipped, not reported.
-	h := e.Schedule(20, func() {})
-	_ = h
-	h2 := e.Schedule(25, func() {})
-	h.Cancel()
-	_ = h2
-	if at, ok := e.NextDeadline(); !ok || at != 25 {
-		t.Fatalf("NextDeadline over tombstone = %d,%v, want 25,true", at, ok)
-	}
+	e.Schedule(10, again)
 	e.Run()
-	if _, ok := e.NextDeadline(); ok {
-		t.Fatal("drained engine reports a deadline")
+	if n != chain {
+		t.Fatalf("chain fired %d times, want %d", n, chain)
 	}
-}
-
-// NextDeadline must see events in every internal structure: the active run,
-// the wheel buckets, and the overflow heap.
-func TestNextDeadlineAcrossStructures(t *testing.T) {
-	e := New()
-	e.Schedule(5*Microsecond, func() {}) // far beyond the horizon: overflow
-	if at, ok := e.NextDeadline(); !ok || at != 5*Microsecond {
-		t.Fatalf("overflow-only NextDeadline = %d,%v", at, ok)
+	if c := cap(e.cur); c > 64 {
+		t.Fatalf("active run grew to capacity %d over a %d-event chain, want ≤ 64", c, chain)
 	}
-	e.Schedule(100*Nanosecond, func() {}) // within the horizon: bucket
-	if at, ok := e.NextDeadline(); !ok || at != 100*Nanosecond {
-		t.Fatalf("bucket NextDeadline = %d,%v", at, ok)
-	}
-	e.Schedule(0, func() {}) // at/before the cursor: active run
-	if at, ok := e.NextDeadline(); !ok || at != 0 {
-		t.Fatalf("cur NextDeadline = %d,%v", at, ok)
-	}
-	e.Run()
 }
 
 // RunUntil advancing the clock across an empty wheel must not strand the

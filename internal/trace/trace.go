@@ -154,12 +154,8 @@ func monotonic(recs []Record) bool {
 // which wins every deadline tie against backend events (whose keys are
 // real schedule instants ≥ 0). Record order needs no tie-break at all:
 // record i+1 is scheduled by record i's own firing, at a deadline no
-// earlier, so records fire in index order. And it is scheduled before
-// record i is delivered, so a backend that looks at the engine's next
-// deadline while it handles the delivery (the DRAM decide loop does, to
-// fuse iterations) sees the next arrival exactly as it saw the
-// pre-scheduled one. The firing sequence — and hence all completion
-// timing — is bit-identical to the eager one.
+// earlier, so records fire in index order. The firing sequence — and hence
+// all completion timing — is bit-identical to the eager one.
 const replayKey = sim.Time(-1)
 
 // replayer drives one replay of time-sorted records: a single shared fire
@@ -191,8 +187,8 @@ func (rp *replayer) schedule(i int) {
 func (rp *replayer) step(at sim.Time) {
 	i := rp.next
 	rp.next++
-	// Schedule the successor before delivering: the backend may consult
-	// the engine's next deadline while it handles this record.
+	// Key −1 puts the successor ahead of any backend event due at the same
+	// instant, so scheduling it before delivery changes no order.
 	if rp.next < len(rp.recs) {
 		rp.schedule(rp.next)
 	}

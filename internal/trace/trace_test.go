@@ -175,9 +175,8 @@ func scatterTrace() *Trace {
 // the same completion sequence instant by instant, as eagerly scheduling
 // every record up front. The backends are the event regimes replays run
 // in: an echo whose latency collides with arrival gaps, the detailed DRAM
-// system (tagged channel events, decide fusion peeking at the engine's
-// next deadline, scheduled completions) and the DRAMsim3-like replica that
-// trace-profile and fig6 replay into.
+// system (tagged decide and completion events) and the DRAMsim3-like
+// replica that trace-profile and fig6 replay into.
 func TestOneAheadReplayBitIdentical(t *testing.T) {
 	spec := platform.Skylake()
 	for _, tc := range []struct {

@@ -95,6 +95,9 @@ func Run(spec platform.Spec, k cpu.Kernel, opt Options) (Result, error) {
 	if narr == 0 {
 		return Result{}, fmt.Errorf("workloads: kernel %s touches no arrays", k.Name)
 	}
+	if k.Dependent && (k.Loads != 1 || k.Stores != 0) {
+		return Result{}, fmt.Errorf("workloads: dependent kernel %s must be one load and no store", k.Name)
+	}
 	for c := 0; c < o.Cores; c++ {
 		bases := make([]uint64, narr)
 		for a := 0; a < narr; a++ {

@@ -214,9 +214,17 @@ func TestPhasedAppTimeline(t *testing.T) {
 	}
 }
 
+// Run refuses, with an error rather than the core's panic, a kernel with no
+// arrays and a dependent kernel that is not one load and no store.
 func TestRunRejectsArraylessKernel(t *testing.T) {
-	if _, err := Run(miniSpec(), cpu.Kernel{Name: "empty"}, Options{}); err == nil {
-		t.Fatal("kernel without arrays accepted")
+	for _, k := range []cpu.Kernel{
+		{Name: "empty"},
+		{Name: "dep-rmw", Loads: 1, Stores: 1, ElemsPerLine: 1, Dependent: true},
+		{Name: "dep-pair", Loads: 2, ElemsPerLine: 1, Dependent: true},
+	} {
+		if _, err := Run(miniSpec(), k, Options{}); err == nil || !strings.Contains(err.Error(), k.Name) {
+			t.Errorf("kernel %s: got %v, want its rejection", k.Name, err)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func readAllowlist(t *testing.T, path string) map[string]bool {
 // same name in another struct.
 // testdata/unset.txt is the reviewed list of exceptions, one
 // "pkg.Type.Field" a line followed by its reason (fingerprinted fields,
-// reference paths and clocks that only tests set); a line whose field gains
+// ablation switches and clocks that only tests set); a line whose field gains
 // a caller, or disappears, fails the test too.
 func TestConfigFieldsAreSet(t *testing.T) {
 	files := moduleFiles(t)
