@@ -34,6 +34,9 @@
 //     mb_per_s beside the usual columns and their allocs_per_op (0: a
 //     handful of buffers per call) under the allocs gate.
 //     Since v5 there is the CXL expander's closed loop (model/cxl).
+//     Since v10 framework/hpcg_profile profiles the HPCG proxy (the paper's
+//     Sec. VI case, and the suite's one row driven by KernelCore cores)
+//     against the characterize_quick family, priced per memory transaction.
 //     Until v8 every DRAM row had a sharded twin (the same simulation on
 //     per-channel shard engines); the twins lost on every pair, 1.9–4.9×,
 //     and are gone. The gate ignores baseline rows a fresh run lacks.
@@ -95,8 +98,10 @@ import (
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/perfload"
 	"github.com/mess-sim/mess/internal/platform"
+	"github.com/mess-sim/mess/internal/profile"
 	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/trace"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // Schema identifies the BENCH_sim.json format. v2 added allocs_per_op to
@@ -115,13 +120,14 @@ import (
 // dropped the sharded rows of v3 and v5 (model/dram_sharded,
 // framework/fig2_quick_sharded, framework/fig2_point_sharded,
 // framework/fig4_point_sharded) with their per-row gomaxprocs, windows,
-// avg_window_ns and parks fields.
-const Schema = "mess-perf/v9"
+// avg_window_ns and parks fields; v10 added framework/hpcg_profile, one op
+// per memory transaction the application issued.
+const Schema = "mess-perf/v10"
 
 // Result is one measured quantity of the suite. AllocsPerOp follows the
 // `go test -benchmem` convention (total mallocs / ops, truncated): the
 // zero-allocation hot-path claim reads as a literal 0, while Mallocs keeps
-// the raw count so sub-integer drift (pool warmup, wheel-bucket growth)
+// the raw count so sub-integer drift (pool warmup, active-run growth)
 // stays visible in the trajectory, next to the bytes those allocations took.
 type Result struct {
 	Name         string  `json:"name"`
@@ -211,8 +217,8 @@ func withMBPerSec(r Result, bytes int) Result {
 
 // modelThroughput drives perfload's closed request loop against a memory
 // model and reports completions/sec and allocations/op. A short warmup run
-// first brings the engine's event pool, the model's queues and the wheel
-// buckets to steady state, so the measured window reflects the sustained
+// first brings the engine's event pool and active run and the model's
+// queues to steady state, so the measured window reflects the sustained
 // access path rather than cold-start growth.
 func modelThroughput(name string, n int, pattern perfload.LoopPattern, mk func(eng *sim.Engine) mem.Backend) Result {
 	eng := sim.New()
@@ -225,6 +231,22 @@ func modelThroughput(name string, n int, pattern perfload.LoopPattern, mk func(e
 // warmup is how many requests a closed loop runs unmeasured before a
 // measurement of n.
 func warmup(n int) int { return min(n/4, 50_000) }
+
+// hpcgProfileRow profiles the HPCG proxy on spec for dur of simulated time
+// against fam, through profile.Run as messprofile does. The row is priced
+// per memory transaction the application issued (its Counting total), not
+// per engine event: a change that removes events without removing traffic
+// then reads as faster, not as less work.
+func hpcgProfileRow(spec platform.Spec, fam *core.Family, dur sim.Time) Result {
+	var app *workloads.PhasedApp
+	return measureCounted("framework/hpcg_profile", func() int {
+		c := app.Counting.Snapshot()
+		return int(c.Reads + c.Writes)
+	}, func() {
+		app = workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
+		profile.Run(app, "HPCG proxy on "+spec.Name, fam, dur)
+	})
+}
 
 // mustFactory resolves a model kind or exits: the kinds here are literals.
 func mustFactory(kind memmodel.Kind, spec platform.Spec, fam *core.Family) mem.BackendFactory {
@@ -375,7 +397,7 @@ func main() {
 		add(best(func() Result {
 			eng := sim.New()
 			n := *kernelEvents
-			// Warm the engine first (event pool, wheel buckets, overflow
+			// Warm the engine first (event pool, active run, overflow
 			// array): without it, short -kernel-events runs measure mostly
 			// cold-start growth and are not comparable with a baseline
 			// taken at a different event count.
@@ -439,6 +461,9 @@ func main() {
 			fam = art.Family
 		})
 	}))
+	// The HPCG proxy on the same Quick-scaled Skylake, profiled against that
+	// family for fig15's Quick duration.
+	add(best(func() Result { return hpcgProfileRow(spec, fam, 700*sim.Microsecond) }))
 	// The closed loop has no CPU side, so no on-chip latency to subtract:
 	// the zero platform.
 	modelBest("model/mess_simulator", perfload.PatternReference, mustFactory(memmodel.KindMess, platform.Spec{}, fam))

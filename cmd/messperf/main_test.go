@@ -7,6 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/mess-sim/mess/internal/core"
+	"github.com/mess-sim/mess/internal/platform"
+	"github.com/mess-sim/mess/internal/sim"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 var sink [][]byte
@@ -48,6 +53,7 @@ func TestGate(t *testing.T) {
 		Result{Name: "kernel/schedule_fire", EventsPerSec: 100e6, AllocsPerOp: allocs(0)},
 		Result{Name: "model/dram_reference", EventsPerSec: 5e6, AllocsPerOp: allocs(0)},
 		Result{Name: "framework/gone", EventsPerSec: 1e6, AllocsPerOp: allocs(0)},
+		Result{Name: "framework/hpcg_profile", EventsPerSec: 2e6, AllocsPerOp: allocs(1)},
 	)
 	for _, tc := range []struct {
 		name  string
@@ -62,6 +68,10 @@ func TestGate(t *testing.T) {
 			[]Result{{Name: "model/dram_reference", EventsPerSec: 1e6, AllocsPerOp: allocs(0)}}, ""},
 		{"allocs/op rise",
 			[]Result{{Name: "model/dram_reference", EventsPerSec: 5e6, AllocsPerOp: allocs(1)}}, "model/dram_reference: 0 -> 1 allocs/op"},
+		{"framework rows are trajectory only for speed",
+			[]Result{{Name: "framework/hpcg_profile", EventsPerSec: 0.5e6, AllocsPerOp: allocs(1)}}, ""},
+		{"framework allocs/op rise",
+			[]Result{{Name: "framework/hpcg_profile", EventsPerSec: 2e6, AllocsPerOp: allocs(2)}}, "framework/hpcg_profile: 1 -> 2 allocs/op"},
 		{"fresh row missing from the baseline is ignored",
 			[]Result{{Name: "kernel/new", EventsPerSec: 1, AllocsPerOp: allocs(9)}}, ""},
 		// The baseline's model and framework/gone rows are absent from
@@ -140,5 +150,26 @@ func TestIORowArithmetic(t *testing.T) {
 	}
 	if per := r.EventsPerSec * r.NsPerOp; math.Abs(per-1e9) > 1e3 {
 		t.Errorf("events_per_sec × ns_per_op = %v, want 1e9", per)
+	}
+}
+
+// TestHPCGProfileRowCountsTransactions pins what framework/hpcg_profile
+// prices: one op per memory transaction the profiled application issued —
+// what a plain run of the same application for the same time sends to
+// memory — so removing engine events never reads as removing work.
+func TestHPCGProfileRowCountsTransactions(t *testing.T) {
+	spec := platform.Skylake()
+	spec.Cores, spec.DRAM.Channels = 2, 1
+	const dur = 40 * sim.Microsecond
+	r := hpcgProfileRow(spec, core.NewSynthetic(core.SyntheticSpec{}), dur)
+
+	app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
+	app.Run(dur)
+	c := app.Counting.Snapshot()
+	if want := int(c.Reads + c.Writes); r.Ops != want || want == 0 {
+		t.Fatalf("row counts %d ops, the application issued %d memory transactions", r.Ops, want)
+	}
+	if r.Name != "framework/hpcg_profile" || r.AllocsPerOp == nil || r.EventsPerSec <= 0 {
+		t.Fatalf("row is not an op-counted framework/hpcg_profile row under the allocs gate: %+v", r)
 	}
 }

@@ -144,7 +144,7 @@ func TestRigResetFromMidFlight(t *testing.T) {
 
 // TestWarmRigGarbage is the garbage gate: once a rig has run a point, running
 // it again creates no request record and allocates none of the machine —
-// channel slot stores, rings, bank tables, engine buckets. What a point still
+// channel slot stores, rings, bank tables, engine event pool. What a point still
 // allocates is its issuers (chaser, generators, their ports and timers) and
 // the counting wrapper, 8–13 KB on this 8-core platform; a new rig allocates
 // about 200 KB for the same point.

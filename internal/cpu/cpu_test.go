@@ -176,6 +176,31 @@ func TestKernelCoreStreamIPC(t *testing.T) {
 	}
 }
 
+// A non-dependent core runs no event of its own when its loads and RFOs
+// complete off chip: every stall is released through the port's OnFree
+// hook, so a resume at completion would do nothing. The engine's events are
+// then the on-chip hop and the completion of each memory access, plus at
+// most one pacing wake per line-step.
+func TestKernelCoreSchedulesNoResume(t *testing.T) {
+	eng, b, h := rig(80*sim.Nanosecond, cache.Config{OnChipLatency: 20 * sim.Nanosecond, MSHRs: 6, WriteBufs: 8})
+	core := NewKernelCore(eng, h.Port(0), StreamTriad, CoreConfig{
+		CycleTime:  sim.FromNanoseconds(0.5),
+		ArrayBases: []uint64{1 << 30, 1 << 31, 1 << 32},
+		ArrayBytes: 1 << 24,
+	})
+	core.Start()
+	eng.RunUntil(40 * sim.Microsecond)
+	core.Stop()
+	accesses := b.c.Reads + b.c.Writes
+	if b.c.Reads == 0 || core.Steps() == 0 {
+		t.Fatalf("no off-chip traffic: %v, %d steps", b.c, core.Steps())
+	}
+	if limit := 2*accesses + core.Steps() + 1; eng.Steps() > limit {
+		t.Fatalf("%d events for %d accesses and %d line-steps, want ≤ %d (hop + completion per access, one wake per step)",
+			eng.Steps(), accesses, core.Steps(), limit)
+	}
+}
+
 func TestKernelCoreDependentLatencyBound(t *testing.T) {
 	memLat := 100 * sim.Nanosecond
 	eng, _, h := rig(memLat, cache.Config{MSHRs: 8, WriteBufs: 8})

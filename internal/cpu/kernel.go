@@ -117,9 +117,9 @@ type KernelCore struct {
 	nextAt   sim.Time
 	wake     *sim.Timer // pacing alarm: re-armed in place, never re-allocated
 
-	// Completion callbacks, allocated once and passed to the port for
-	// every operation: issuing a line-step captures nothing.
-	resumeFn  func(sim.Time)
+	// Completion callback of a dependent load, allocated once and passed
+	// to the port for every step: issuing a line-step captures nothing.
+	// Non-dependent operations pass none (see the issue method).
 	depDoneFn func(sim.Time)
 
 	// A line-step issues one operation per array, loads before stores:
@@ -156,7 +156,6 @@ func NewKernelCore(eng *sim.Engine, port *cache.Port, k Kernel, cfg CoreConfig) 
 		nextOp: k.Loads + k.Stores, // no step open yet
 	}
 	c.wake = eng.NewTimer(c.beginStep)
-	c.resumeFn = func(sim.Time) { c.tryIssue() }
 	c.depDoneFn = func(sim.Time) { c.completeStep() }
 	return c
 }
@@ -277,50 +276,43 @@ func (c *KernelCore) canIssue(op pendingOp) bool {
 	}
 }
 
-// issue hands one operation to the port. On-chip completions come back as
-// a timestamp, which the core carries as a *virtual completion time*
-// instead of scheduling its stored callback at ackAt:
+// issue hands one operation to the port.
 //
-//   - A non-dependent op needs no resume at ackAt at all. The only thing a
-//     resume could do is un-stall the step, and every false→true
-//     transition of canIssue happens inside an MSHR/write-buffer release —
-//     which already invokes the port's OnFree hook and re-enters tryIssue.
-//     The old scheduled wake-up always fired as a no-op; dropping it
-//     removes one event per on-chip hit with identical behaviour.
+//   - A non-dependent op passes no completion callback, on chip or off.
+//     The only thing a resume at its completion could do is un-stall the
+//     step, and every false→true transition of canIssue happens inside an
+//     MSHR/write-buffer release — which already invokes the port's OnFree
+//     hook and re-enters tryIssue. A non-dependent step never rests with
+//     all its ops issued (tryIssue completes it at once), so such a resume
+//     would always run as a no-op, and the port schedules no event for it.
 //
-//   - A dependent load, the one op of its step, completes the step
-//     virtually: the IPC/step accounting is stamped with ackAt now, and
-//     the pacing timer is armed at the instant the next step would have
-//     begun (max of the pacing deadline and ackAt). The next step's port
-//     traffic therefore still issues at exactly the old engine time; only
-//     the intermediate completion hop at ackAt disappears whenever the
-//     pacing deadline lies beyond it. (When the wake shares a deadline
-//     with another component's event, its schedule order can shift
-//     relative to the old arm-at-completion — an accepted model-level
-//     tie-break; the fig2 determinism gate, which exercises the
-//     chaser/generator cores, is unaffected.)
+//   - A dependent load, the one op of its step, passes depDoneFn. Off
+//     chip the port delivers it. On chip the completion comes back as a
+//     timestamp, which the core carries as a *virtual completion time*
+//     instead of scheduling depDoneFn at ackAt: the IPC/step accounting is
+//     stamped with ackAt now, and the pacing timer is armed at the instant
+//     the next step would have begun (max of the pacing deadline and
+//     ackAt). The next step's port traffic therefore still issues at
+//     exactly the old engine time; only the intermediate completion hop at
+//     ackAt disappears whenever the pacing deadline lies beyond it. (When
+//     the wake shares a deadline with another component's event, its
+//     schedule order can shift relative to the old arm-at-completion — an
+//     accepted model-level tie-break; the fig2 determinism gate, which
+//     exercises the chaser/generator cores, is unaffected.)
 func (c *KernelCore) issue(op pendingOp) {
 	addr := c.addrFor(op.arr)
-	done := c.resumeFn
-	dep := false
-	var at sim.Time
-	var onChip bool
 	switch {
 	case op.isStore && c.kernel.NonTemporal:
-		at, onChip = c.port.StoreNT(addr, done)
+		c.port.StoreNT(addr, nil)
 	case op.isStore:
-		at, onChip = c.port.Store(addr, done)
+		c.port.Store(addr, nil)
 	case c.kernel.Dependent:
-		done = c.depDoneFn
-		dep = true
-		at, onChip = c.port.Load(addr, done)
+		if at, onChip := c.port.Load(addr, c.depDoneFn); onChip {
+			c.virtualStepComplete(at)
+		}
 	default:
-		at, onChip = c.port.Load(addr, done)
+		c.port.Load(addr, nil)
 	}
-	if !onChip || !dep {
-		return // off-chip: the port delivers; on-chip non-dependent: no-op
-	}
-	c.virtualStepComplete(at)
 }
 
 // virtualStepComplete retires a step whose closing dependent load hit on

@@ -103,18 +103,25 @@ type chanReq struct {
 // order. Push never memmoves; mid-queue removal is a tombstone skipped (and
 // reclaimed) when the head reaches it, so the per-issue queue cost is O(1)
 // amortized instead of the O(n) delete of a slice queue.
+//
+// Entries carry consecutive arrival sequence numbers, tombstones included:
+// the entry at ring offset i has seq base+i, so a slot's offset is its seq
+// minus base.
 type reqRing struct {
 	buf  []int32
 	head int
-	n    int // entries, tombstones included
+	n    int    // entries, tombstones included
+	base uint64 // seq of the head entry
 }
 
-func (r *reqRing) push(idx int32) {
+// push appends the slot and returns its arrival sequence number.
+func (r *reqRing) push(idx int32) uint64 {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = idx
 	r.n++
+	return r.base + uint64(r.n-1)
 }
 
 func (r *reqRing) grow() {
@@ -136,21 +143,19 @@ func (r *reqRing) pop() int32 {
 	idx := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
+	r.base++
 	return idx
 }
 
 // compactRing rewrites the ring without its tombstones, freeing their
-// slots and renumbering the survivors' arrival sequence densely (relative
-// order, which is all FR-FCFS age comparisons use, is preserved). Dead
-// entries inflate the arrival distance the window check reasons with,
-// pushing it onto its walk fallback; after compaction distance equals
-// position again. Triggered when tombstones dominate; amortized O(1) per
-// issued request.
+// slots and renumbering the survivors' arrival sequence densely from 0, so
+// that seq − base stays each entry's ring offset (relative order, which is
+// all FR-FCFS age comparisons use, is preserved). decideOnce runs it when
+// tombstones dominate the ring; amortized O(1) per issued request.
 func (c *channel) compactRing(dir int) {
 	r := &c.queues[dir]
 	mask := len(r.buf) - 1
 	out := 0
-	seq := uint64(0)
 	for i := 0; i < r.n; i++ {
 		idx := r.buf[(r.head+i)&mask]
 		s := &c.slots[idx]
@@ -158,13 +163,11 @@ func (c *channel) compactRing(dir int) {
 			c.freeSlot(idx)
 			continue
 		}
-		s.seq = seq
-		seq++
+		s.seq = uint64(out)
 		r.buf[(r.head+out)&mask] = idx
 		out++
 	}
-	r.n = out
-	c.arrival[dir] = seq
+	r.n, r.base = out, 0
 	for b := range c.bq[dir] {
 		if bl := &c.bq[dir][b]; bl.match >= 0 {
 			bl.matchSeq = c.slots[bl.match].seq
@@ -209,10 +212,14 @@ type channel struct {
 
 	slots    []chanReq
 	freeHead int32
-	arrival  [dirCount]uint64 // next chanReq.seq, per queue
 
 	queues [dirCount]reqRing
 	live   [dirCount]int // live (non-tombstone) entries per queue
+	// winEdge is, per queue, the slot of the FRFCFSWindow-th live entry —
+	// the last one a row hit may be picked from — or −1 while fewer are
+	// live (every live entry is then inside the window). It only moves
+	// toward the tail, past tombstones it never revisits.
+	winEdge [dirCount]int32
 
 	bq        [dirCount][]bankList
 	matchBits [dirCount][]uint64
@@ -274,6 +281,7 @@ func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 		lastCASBank: -1,
 		slots:       old.slots[:0],
 		freeHead:    -1,
+		winEdge:     [dirCount]int32{-1, -1},
 		availMask:   zeroed(old.availMask, words),
 		lookahead:   cfg.Timing.RP + cfg.Timing.RCD + cfg.Timing.CL,
 		decideFn:    old.decideFn,
@@ -397,10 +405,11 @@ func (c *channel) enqueue(req *mem.Request, bi, rank int32, row int64) {
 		// slots upstream provide back-pressure against unbounded queues.
 		dir = dirWrite
 	}
-	s.seq = c.arrival[dir]
-	c.arrival[dir]++
-	c.queues[dir].push(idx)
+	s.seq = c.queues[dir].push(idx)
 	c.live[dir]++
+	if c.live[dir] == c.cfg.FRFCFSWindow {
+		c.winEdge[dir] = idx
+	}
 	c.bankAppend(dir, idx)
 	c.kick()
 }
@@ -555,6 +564,7 @@ func (c *channel) decideOnce() bool {
 	s := &c.slots[idx]
 	s.queued = false
 	c.live[dir]--
+	c.leaveWindow(dir, idx)
 	c.bankDetach(dir, idx)
 	popped := idx == head
 	if popped {
@@ -628,11 +638,8 @@ func (c *channel) pickDirection() bool {
 // ones is the pick. The FRFCFSWindow bound on reorder depth is preserved
 // exactly: the per-bank match is the oldest hit of its bank, so the global
 // oldest hit — and any hit inside the first FRFCFSWindow queue entries — is
-// always some bank's match. A candidate only needs its queue position
-// checked when the queue is deeper than the window, and even then the check
-// is O(1) whenever arrival-sequence distance from the head already proves
-// membership (positions count live entries, sequence distance also counts
-// issued ones, so distance bounds position from above).
+// always some bank's match, and a candidate's membership is one comparison
+// against the queue's window edge (inWindow).
 func (c *channel) pick(dir int, head int32) int32 {
 	live := c.live[dir]
 	now := c.eng.Now()
@@ -681,16 +688,15 @@ func (c *channel) pick(dir int, head int32) int32 {
 			}
 		}
 	}
-	windowed := live > c.cfg.FRFCFSWindow
 	choice := head
 	hit := false
 	switch {
 	// If the oldest different-bank hit is beyond the window, every
 	// different-bank hit is (younger hits sit even deeper), and the
 	// same-bank candidate decides; likewise from there to the head.
-	case best >= 0 && (!windowed || c.inWindow(dir, best, head)):
+	case best >= 0 && c.inWindow(dir, best):
 		choice, hit = best, true
-	case lastCand >= 0 && (!windowed || c.inWindow(dir, lastCand, head)):
+	case lastCand >= 0 && c.inWindow(dir, lastCand):
 		choice, hit = lastCand, true
 	}
 	if isRead && hit && choice != head {
@@ -699,27 +705,31 @@ func (c *channel) pick(dir int, head int32) int32 {
 	return choice
 }
 
-// inWindow reports whether the slot sits among the first FRFCFSWindow live
-// entries of its queue. Sequence numbers are per queue, so the distance to
-// the head counts exactly the ring entries between them: the position is
-// that distance minus the tombstones among those entries. Distance below
-// the window proves membership; distance that stays at or above the window
-// after discounting every tombstone in the queue proves the opposite. In
-// the band between, the ring is compacted — an O(n) pass like the walk it
-// replaces, but it renumbers distance back to position, so decisions stay
-// O(1) until tombstones accumulate again.
-func (c *channel) inWindow(dir int, idx, head int32) bool {
-	limit := uint64(c.cfg.FRFCFSWindow)
-	dist := c.slots[idx].seq - c.slots[head].seq
-	if dist < limit {
-		return true
+// inWindow reports whether the live slot sits among the first FRFCFSWindow
+// live entries of its queue: whether it arrived no later than the window
+// edge, or the queue holds fewer entries than the window.
+func (c *channel) inWindow(dir int, idx int32) bool {
+	e := c.winEdge[dir]
+	return e < 0 || c.slots[idx].seq <= c.slots[e].seq
+}
+
+// leaveWindow keeps the window edge on the FRFCFSWindow-th live entry after
+// the slot, just marked issued, left the queue. A slot behind the edge
+// changes nothing; one at or before it moves the edge to the next live
+// entry toward the tail, or to −1 when none is left.
+func (c *channel) leaveWindow(dir int, idx int32) {
+	e := c.winEdge[dir]
+	if e < 0 || c.slots[idx].seq > c.slots[e].seq {
+		return
 	}
 	r := &c.queues[dir]
-	if dist >= limit+uint64(r.n-c.live[dir]) {
-		return false
+	for pos := int(c.slots[e].seq-r.base) + 1; pos < r.n; pos++ {
+		if j := r.at(pos); c.slots[j].queued {
+			c.winEdge[dir] = j
+			return
+		}
 	}
-	c.compactRing(dir)
-	return c.slots[idx].seq-c.slots[head].seq < limit
+	c.winEdge[dir] = -1
 }
 
 // rowAvail reports whether the bank's open row is still usable at t: it

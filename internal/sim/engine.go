@@ -21,7 +21,11 @@
 //     horizon (1024 buckets × 256 ps ≈ 262 ns — which covers DDR timing,
 //     issue pacing and completion latencies) are placed in O(1) buckets
 //     found again via an occupancy bitmap; only far-future events (refresh
-//     epochs, coarse pacing ladders) pay for the binary heap;
+//     epochs, coarse pacing ladders) pay for the binary heap. A bucket is a
+//     FIFO threaded through the events' own link field (the free-list
+//     link, unused while an event is pending), so the wheel owns no
+//     per-bucket storage: a drain walks the list into the active run, and
+//     neither a fresh nor a long-running engine allocates bucket arrays;
 //   - cancellation by tombstone: Cancel marks the event dead in O(1) and
 //     the sweep recycles it when its position drains, instead of restoring
 //     heap shape on every cancel.
@@ -112,8 +116,12 @@ type event struct {
 	inCur bool   // resident in the active run (drives tombstone compaction)
 	fn    func()
 	tfn   func(Time) // timed variant: called with the deadline
-	next  *event     // free-list link
+	next  *event     // free-list link; wheel-bucket FIFO link while pending in a bucket
 }
+
+// bucket is one wheel slot: a FIFO of pending events threaded through
+// event.next, in schedule (and cascade) order.
+type bucket struct{ head, tail *event }
 
 // Handle identifies one scheduled event. The zero Handle is valid and inert.
 // Handles are values: copying one copies the right to cancel.
@@ -164,7 +172,7 @@ type Engine struct {
 
 	wslot   int64 // wheel cursor: absolute slot (at >> granBits)
 	wheelN  int   // events resident in buckets
-	buckets [wheelSize][]*event
+	buckets [wheelSize]bucket
 	occ     [occWords]uint64
 
 	overflow []*event // min-heap by (at, seq): events beyond the horizon
@@ -317,9 +325,16 @@ func (e *Engine) compactCur() {
 
 func (e *Engine) bucketAdd(slot int64, ev *event) {
 	ev.inCur = false
+	ev.next = nil
 	idx := slot & wheelMask
-	e.buckets[idx] = append(e.buckets[idx], ev)
-	e.occ[idx>>6] |= 1 << (uint(idx) & 63)
+	b := &e.buckets[idx]
+	if b.tail == nil {
+		b.head = ev
+		e.occ[idx>>6] |= 1 << (uint(idx) & 63)
+	} else {
+		b.tail.next = ev
+	}
+	b.tail = ev
 	e.wheelN++
 }
 
@@ -370,29 +385,28 @@ func (e *Engine) peek() *event {
 		if len(e.cur) > 0 {
 			continue
 		}
-		// Advance to the next occupied bucket and make it the active run.
-		// Tombstones are swept here, before sorting: a cancel-heavy burst
-		// can fill a bucket with dead records, and ordering them first
-		// would waste the whole sort on events that fire nothing.
+		// Advance to the next occupied bucket and walk its list into the
+		// (empty) active run. Tombstones are swept here, before sorting: a
+		// cancel-heavy burst can fill a bucket with dead records, and
+		// ordering them first would waste the whole sort on events that
+		// fire nothing.
 		e.wslot += e.nextOccupied()
 		idx := e.wslot & wheelMask
-		e.cur, e.buckets[idx] = e.buckets[idx], e.cur[:0]
+		ev := e.buckets[idx].head
+		e.buckets[idx] = bucket{}
 		e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-		e.wheelN -= len(e.cur)
-		out := 0
-		for _, ev := range e.cur {
+		for ev != nil {
+			next := ev.next
+			e.wheelN--
 			if ev.dead {
 				e.recycle(ev)
-				continue
+			} else {
+				ev.next = nil
+				ev.inCur = true
+				e.cur = append(e.cur, ev)
 			}
-			ev.inCur = true
-			e.cur[out] = ev
-			out++
+			ev = next
 		}
-		for i := out; i < len(e.cur); i++ {
-			e.cur[i] = nil
-		}
-		e.cur = e.cur[:out]
 		sortEvents(e.cur)
 	}
 }
@@ -462,6 +476,12 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
+	e.fire(ev)
+	return true
+}
+
+// fire consumes ev, the event peek just returned, and runs its callback.
+func (e *Engine) fire(ev *event) {
 	e.curPos++
 	e.now = ev.at
 	e.nsteps++
@@ -476,7 +496,6 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
 // Run executes events until the queue drains.
@@ -489,12 +508,8 @@ func (e *Engine) Run() {
 // callbacks schedule by t, then advances the clock to t. Events due after t
 // stay queued for the next run.
 func (e *Engine) RunUntil(t Time) {
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
-		e.Step()
+	for ev := e.peek(); ev != nil && ev.at <= t; ev = e.peek() {
+		e.fire(ev)
 	}
 	if e.now < t {
 		e.now = t
@@ -509,7 +524,7 @@ func (e *Engine) RunWhile(cond func() bool) {
 
 // Reset returns the engine to its initial state — clock at zero, queue
 // empty, counters cleared — while keeping its allocated capacity warm: the
-// event pool, bucket slices and overflow array are retained, so a reused
+// event pool, the active run and the overflow array are retained, so a reused
 // engine simulates its next run without re-allocating kernel structures.
 // Every outstanding Handle, Timer and Ticker of the previous run goes
 // inert. This is how the benchmark harness reuses one engine per worker
@@ -519,19 +534,17 @@ func (e *Engine) Reset() {
 		e.recycle(ev)
 	}
 	e.cur, e.curPos = e.cur[:0], 0
-	if e.wheelN > 0 {
-		for i := range e.buckets {
-			if len(e.buckets[i]) == 0 {
-				continue
-			}
-			for _, ev := range e.buckets[i] {
+	for w, word := range e.occ {
+		for ; word != 0; word &= word - 1 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			for ev := e.buckets[idx].head; ev != nil; {
+				next := ev.next
 				e.recycle(ev)
+				ev = next
 			}
-			e.buckets[i] = e.buckets[i][:0]
+			e.buckets[idx] = bucket{}
 		}
-	}
-	for i := range e.occ {
-		e.occ[i] = 0
+		e.occ[w] = 0
 	}
 	e.wheelN = 0
 	for _, ev := range e.overflow {

@@ -702,16 +702,38 @@ func TestCancelHeavySteadyStateAllocs(t *testing.T) {
 		}
 		e.Run()
 	}
-	// Warm the pool and the bucket arrays. Each 1024-op drain cycle
-	// advances the clock more than a full wheel revolution, so successive
-	// cycles land in different bucket positions; covering all 1024 of them
-	// (growing each backing array once) takes on the order of a million
-	// ops before the steady state is allocation-free.
-	churn(1 << 20)
+	// Warm the event pool and the active run. Buckets are lists threaded
+	// through the events, so no bucket position needs warming of its own.
+	churn(4 * 16384)
 	const ops = 16384
 	allocs := testing.AllocsPerRun(5, func() { churn(ops) })
 	if per := allocs / ops; per >= 0.01 {
 		t.Fatalf("cancel churn allocates %.4f/op at steady state, want ~0", per)
+	}
+}
+
+// A fresh engine that fills every wheel bucket ahead of its cursor and runs
+// dry allocates its event records and the active run's growth, nothing per
+// bucket: buckets are lists threaded through the events themselves.
+func TestFreshEngineAllocatesNoBucketStorage(t *testing.T) {
+	nop := func() {}
+	const perBucket = 2
+	events := perBucket * (wheelSize - 1)
+	allocs := testing.AllocsPerRun(3, func() {
+		e := New()
+		for slot := int64(1); slot < wheelSize; slot++ {
+			for k := 0; k < perBucket; k++ {
+				e.Schedule(Time(slot<<granBits+int64(k)), nop)
+			}
+		}
+		e.Run()
+		if e.Steps() != uint64(events) {
+			t.Fatalf("ran %d events, want %d", e.Steps(), events)
+		}
+	})
+	// One for the engine, one per event record, a few for the active run.
+	if limit := float64(events + 8); allocs > limit {
+		t.Fatalf("fresh engine allocated %.0f times for %d events, want ≤ %.0f", allocs, events, limit)
 	}
 }
 
