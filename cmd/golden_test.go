@@ -50,8 +50,7 @@ func TestMain(m *testing.M) {
 var statSources sync.Once
 
 // run executes one built tool in dir and returns what it printed and its
-// exit code. The environment's curve server, if any, is left out: the
-// goldens are what a cold, local run prints.
+// exit code. The goldens are what a cold run prints.
 func run(t *testing.T, dir, tool string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	statSources.Do(func() {
@@ -69,7 +68,6 @@ func run(t *testing.T, dir, tool string, args ...string) (stdout, stderr string,
 	})
 	cmd := exec.Command(filepath.Join(binDir, tool), args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "MESS_CURVE_URL=")
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()

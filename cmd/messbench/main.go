@@ -4,14 +4,11 @@
 //
 // With -cache-dir the curve family persists under the directory keyed by
 // its content fingerprint, so re-running the same characterization loads
-// it instead of simulating. With -cache-url (or $MESS_CURVE_URL) the
-// family is shared fleet-wide through a cmd/messcurved curve server —
-// fetched if any machine already produced it, uploaded otherwise.
+// it instead of simulating.
 //
 // Usage:
 //
 //	messbench -platform "Intel Skylake" [-full] [-out curves.csv] [-cache-dir ~/.cache/mess]
-//	messbench -platform "Intel Skylake" -cache-url http://curves.internal:9400
 //	messbench -list
 package main
 

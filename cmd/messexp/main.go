@@ -6,15 +6,13 @@
 // and its characterization service, so `-run all` performs each unique
 // characterization — and each simulation several experiments report on —
 // exactly once; with -cache-dir the curves additionally persist across
-// invocations, and with -cache-url (or $MESS_CURVE_URL) they are shared
-// with the whole fleet through a cmd/messcurved curve server.
+// invocations.
 //
 // Usage:
 //
 //	messexp -list
 //	messexp -run fig2
 //	messexp -run all -scale full -outdir results/ [-cache-dir ~/.cache/mess]
-//	messexp -run all -cache-url http://curves.internal:9400
 package main
 
 import (

@@ -445,7 +445,7 @@ func main() {
 	// A whole sweep is priced per simulated event, read off the registry's
 	// event counter: what the harness allocates around its points shows in
 	// the row's mallocs and alloc_bytes and is under the allocs gate.
-	events := set.Registry().Counter("mess_sim_events_total", "simulation events executed by benchmark sweeps")
+	events := set.Registry().Counter("mess_sim_events_total")
 	sweep := func(name string, run func()) Result {
 		e0 := events.Value()
 		return measureCounted(name, func() int { return int(events.Value() - e0) }, run)

@@ -15,7 +15,6 @@
 // Usage:
 //
 //	messprofile -platform "Intel Cascade Lake" [-trace profile.prv] [-cache-dir ~/.cache/mess]
-//	messprofile -platform "Intel Cascade Lake" -cache-url http://curves.internal:9400
 //	messprofile -platform "Intel Skylake" -replay-trace trace.txt
 package main
 

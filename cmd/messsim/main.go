@@ -4,9 +4,7 @@
 // reference model — the Sec. IV/V methodology as a tool.
 //
 // The reference and per-model characterizations flow through one
-// characterization service; with -cache-dir they persist across runs, and
-// with -cache-url (or $MESS_CURVE_URL) they are shared across machines
-// via a cmd/messcurved curve server.
+// characterization service; with -cache-dir they persist across runs.
 //
 // Usage:
 //

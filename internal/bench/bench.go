@@ -186,8 +186,8 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	// calls, so the uninstrumented path pays a few nil checks per point.
 	tr := o.Telemetry.Trace()
 	reg := o.Telemetry.Registry()
-	pointsC := reg.Counter("mess_bench_points_total", "benchmark sweep points simulated")
-	eventsC := reg.Counter("mess_sim_events_total", "simulation events executed by benchmark sweeps")
+	pointsC := reg.Counter("mess_bench_points_total")
+	eventsC := reg.Counter("mess_sim_events_total")
 	var totalSteps atomic.Uint64
 	wallStart := time.Now()
 	sweepSpan := tr.Begin(tr.NewTrack("bench", "sweep"), "sweep "+spec.Name)
@@ -214,8 +214,7 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	})
 	eventsC.Add(int64(totalSteps.Load()))
 	if el := time.Since(wallStart).Seconds(); el > 0 {
-		reg.Gauge("mess_bench_events_per_second", "simulation events executed per wall-clock second, last sweep").
-			Set(float64(totalSteps.Load()) / el)
+		reg.Gauge("mess_bench_events_per_second").Set(float64(totalSteps.Load()) / el)
 	}
 	sweepSpan.End(telemetry.Int("points", int64(len(samples))), telemetry.Int("events", int64(totalSteps.Load())))
 	o.Telemetry.Logger().Debug("bench sweep done",

@@ -60,8 +60,10 @@ type Config struct {
 	// the LLC writes back every evicted line, clean or dirty, so load misses
 	// also generate write traffic.
 	EvictCleanAsDirty bool
-	Seed              uint64 // for the LLC hit-rate draw
 }
+
+// llcSeed seeds the LLC hit-rate draw of every hierarchy.
+const llcSeed = 0x9e3779b97f4a7c15
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -73,9 +75,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.WritebackLag == 0 {
 		out.WritebackLag = 4 << 20
-	}
-	if out.Seed == 0 {
-		out.Seed = 0x9e3779b97f4a7c15
 	}
 	return out
 }
@@ -127,7 +126,7 @@ func (h *Hierarchy) Reset(eng *sim.Engine, cfg Config, backend mem.Backend) {
 		pool = mem.NewRequestPool()
 	}
 	pool.Reset()
-	*h = Hierarchy{eng: eng, cfg: cfg, backend: backend, pool: pool, rng: cfg.Seed}
+	*h = Hierarchy{eng: eng, cfg: cfg, backend: backend, pool: pool, rng: llcSeed}
 	h.timed, _ = mem.Timed(backend)
 }
 
@@ -139,9 +138,11 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 func (h *Hierarchy) Pool() *mem.RequestPool { return h.pool }
 
 // Port returns a per-core issue port. The port's downstream completion
-// callbacks are bound once here — request issue captures nothing.
+// callbacks are bound once here, so sending a request captures nothing.
+// Ports of different cores behave alike; coreID only names the caller's
+// core.
 func (h *Hierarchy) Port(coreID int) *Port {
-	p := &Port{h: h, id: coreID}
+	p := &Port{h: h}
 	p.loadDoneFn = p.loadDone
 	p.storeDoneFn = p.storeDone
 	p.wbDoneFn = p.wbDone
@@ -166,7 +167,6 @@ func (h *Hierarchy) llcHit() bool {
 // safe for concurrent use; each belongs to one core on one engine.
 type Port struct {
 	h          *Hierarchy
-	id         int
 	inflight   int // demand misses holding MSHRs
 	wbInflight int // posted writebacks holding write-buffer slots
 
@@ -331,7 +331,6 @@ func (p *Port) buggedWriteback(addr uint64) {
 // completion; the inbound on-chip delay is added by finish for loads.
 func (p *Port) request(addr uint64, op mem.Op, done mem.DoneFunc, user func(at sim.Time)) {
 	req := p.h.pool.Get(addr, op, done)
-	req.Src = p.id
 	req.User = user
 	outbound := p.h.cfg.OnChipLatency / 2
 	if outbound == 0 {

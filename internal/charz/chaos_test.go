@@ -1,7 +1,7 @@
 package charz
 
 // Chaos tests: drive the real characterization stack — service, tiered
-// store, HTTP client, in-process messcurved handler — through seeded
+// store, HTTP client, in-process curve server — through seeded
 // hostile schedules (internal/faultz) and assert the resilience contract
 // the rest of the repository merely states:
 //

@@ -15,15 +15,12 @@
 //     rest block on the in-flight run and share its result;
 //   - an optional on-disk store persists families in the release CSV
 //     format, so repeated CLI invocations skip re-simulation entirely;
-//   - an optional remote tier (a curvestore.Store, typically the HTTP
-//     client for a cmd/messcurved curve server) shares families across
-//     machines: the service consults memory → disk → remote in order,
-//     promotes remote hits into the disk store, and uploads fresh runs —
-//     so a fleet performs each characterization once globally. The remote
-//     tier is fail-soft: a down or broken server reads as a miss and the
-//     characterization proceeds from local tiers, never failing;
-//   - CharacterizeAllContext fans a batch of requests out over a bounded
-//     worker pool, characterizing distinct platforms concurrently.
+//   - Config.Remote adds a further tier (any curvestore.Store), consulted
+//     after the disk store, promoted into it on a hit and uploaded to after
+//     a fresh run; a broken tier reads as a miss. No tool sets it: the
+//     tools persist under -cache-dir alone;
+//   - CharacterizeAllContext fans a batch of requests out on par.Do,
+//     characterizing distinct platforms concurrently.
 //
 // Results handed to callers are deep copies: experiments relabel and
 // resort families freely without corrupting the cache.
@@ -33,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +37,7 @@ import (
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/curvestore"
+	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/telemetry"
 )
@@ -56,8 +53,8 @@ const (
 	SourceMemory
 	// SourceDisk: loaded from the on-disk store without simulating.
 	SourceDisk
-	// SourceRemote: fetched from the fleet-shared curve server without
-	// simulating (and promoted into the local disk store, when present).
+	// SourceRemote: fetched from Config.Remote without simulating (and
+	// promoted into the local disk store, when present).
 	SourceRemote
 )
 
@@ -113,12 +110,12 @@ type RunFunc func(context.Context, platform.Spec, bench.Options) (*bench.Result,
 type Config struct {
 	// Store, when set, persists families across processes.
 	Store *DiskStore
-	// Remote, when set, shares families across machines — typically a
-	// curvestore.Client pointed at a cmd/messcurved server. It is the
-	// outermost tier: consulted after Store, written back into Store on a
-	// hit (promotion), and uploaded to after a fresh run. All traffic to
-	// it is fail-soft: a down server degrades the service to its local
-	// tiers and never fails a characterization.
+	// Remote, when set, is the outermost tier: consulted after Store,
+	// written back into Store on a hit (promotion), and uploaded to after
+	// a fresh run. All traffic to it is fail-soft: a broken remote tier
+	// degrades the service to its local tiers and never fails a
+	// characterization. Only tests and the benchmark's curve-tiers
+	// workload set it.
 	Remote curvestore.Store
 	// Run overrides the benchmark runner (test seam). Default:
 	// bench.RunContext.
@@ -140,7 +137,7 @@ type Stats struct {
 	MemoryHits int64
 	// DiskHits counts requests served from the on-disk store.
 	DiskHits int64
-	// RemoteHits counts requests served from the remote curve server.
+	// RemoteHits counts requests served from Config.Remote.
 	RemoteHits int64
 	// Uncacheable counts requests that bypassed the cache entirely
 	// (custom Backend without a Tag).
@@ -213,13 +210,12 @@ func New(cfg Config) *Service {
 	counterAsFunc := func(c *atomic.Int64) func() float64 {
 		return func() float64 { return float64(c.Load()) }
 	}
-	const reqHelp = "characterization requests by outcome source"
-	reg.CounterFunc(`mess_charz_requests_total{source="run"}`, reqHelp, counterAsFunc(&s.runs))
-	reg.CounterFunc(`mess_charz_requests_total{source="memory"}`, reqHelp, counterAsFunc(&s.memHits))
-	reg.CounterFunc(`mess_charz_requests_total{source="disk"}`, reqHelp, counterAsFunc(&s.diskHits))
-	reg.CounterFunc(`mess_charz_requests_total{source="remote"}`, reqHelp, counterAsFunc(&s.remoteHits))
-	reg.CounterFunc(`mess_charz_requests_total{source="uncacheable"}`, reqHelp, counterAsFunc(&s.uncacheable))
-	s.fillDur = reg.Histogram("mess_charz_fill_seconds", "cache-miss fill duration (tier walk plus any simulation)", nil)
+	reg.CounterFunc(`mess_charz_requests_total{source="run"}`, counterAsFunc(&s.runs))
+	reg.CounterFunc(`mess_charz_requests_total{source="memory"}`, counterAsFunc(&s.memHits))
+	reg.CounterFunc(`mess_charz_requests_total{source="disk"}`, counterAsFunc(&s.diskHits))
+	reg.CounterFunc(`mess_charz_requests_total{source="remote"}`, counterAsFunc(&s.remoteHits))
+	reg.CounterFunc(`mess_charz_requests_total{source="uncacheable"}`, counterAsFunc(&s.uncacheable))
+	s.fillDur = reg.Histogram("mess_charz_fill_seconds")
 	s.fillTrack = s.tel.Trace().NewTrack("charz", "fill")
 	return s
 }
@@ -350,7 +346,7 @@ func (s *Service) fill(ctx context.Context, key Key, e *entry, req Request) {
 	defer close(e.done)
 	if s.tiered != nil && !req.NeedSamples {
 		// Disk, then remote, with write-back promotion on a remote hit.
-		// Tier failures (corrupt cache file, down curve server) read as
+		// Tier failures (corrupt cache file, broken remote tier) read as
 		// misses and fall through to simulation — fail-soft.
 		fam, tier, _ := s.tiered.LoadTier(ctx, key)
 		if tier >= 0 {
@@ -379,11 +375,11 @@ func (s *Service) fill(ctx context.Context, key Key, e *entry, req Request) {
 	e.fam, e.res, e.src = res.Family, res, SourceRun
 	if s.tiered != nil {
 		// Persistence is best-effort on every tier: a read-only cache
-		// directory or an unreachable curve server must not fail the
+		// directory or a broken remote tier must not fail the
 		// characterization itself. A completed sweep is saved even if the
 		// caller's context has since been cancelled (WithoutCancel):
 		// throwing away minutes of finished simulation because the caller
-		// stopped waiting would force the fleet to pay for it again.
+		// stopped waiting would force the next run to pay for it again.
 		_ = s.tiered.Save(context.WithoutCancel(ctx), key, res.Family)
 	}
 }
@@ -428,37 +424,29 @@ func entryArtifact(key Key, e *entry, needSamples bool) *Artifact {
 	return art
 }
 
-// CharacterizeAllContext resolves a batch of requests over a bounded worker
-// pool (GOMAXPROCS workers). Artifacts are returned in request order; a nil slot
-// marks a failed request, and the joined error reports every failure.
-// Duplicate keys inside one batch still simulate only once: the pool fans
-// out, the singleflight layer fans back in. Cancellation drains the pool
-// promptly: requests not yet started fail with ctx.Err() without simulating,
-// and in-flight ones return as soon as their own blocking stage observes
-// the cancellation.
+// CharacterizeAllContext resolves a batch of requests on par.Do
+// (GOMAXPROCS workers). Artifacts are returned in request order; a nil slot
+// marks a failed request, and the joined error reports every failure — one
+// failure does not stop the batch. Duplicate keys inside one batch still
+// simulate only once: the pool fans out, the singleflight layer fans back
+// in. Cancellation drains the pool promptly: requests not yet started fail
+// with ctx.Err() without simulating, and in-flight ones return as soon as
+// their own blocking stage observes the cancellation.
 func (s *Service) CharacterizeAllContext(ctx context.Context, reqs []Request) ([]*Artifact, error) {
 	arts := make([]*Artifact, len(reqs))
 	errs := make([]error, len(reqs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
+	// Jobs never fail par.Do: a failed request is recorded, and the rest run.
+	undispatched := par.Do(ctx, len(reqs), func(i int) error {
+		arts[i], errs[i] = s.CharacterizeContext(ctx, reqs[i])
+		return nil
+	})
 	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("charz: %s: %w", reqs[i].Spec.Name, err)
-				return
-			}
-			art, err := s.CharacterizeContext(ctx, reqs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("charz: %s: %w", reqs[i].Spec.Name, err)
-				return
-			}
-			arts[i] = art
-		}(i)
+		if arts[i] == nil && errs[i] == nil {
+			errs[i] = undispatched // par.Do dispatched no job past ctx's end
+		}
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("charz: %s: %w", reqs[i].Spec.Name, errs[i])
+		}
 	}
-	wg.Wait()
 	return arts, errors.Join(errs...)
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,16 +276,61 @@ func TestCharacterizeAllReportsFailures(t *testing.T) {
 		var calls atomic.Int64
 		return fakeRun(&calls, 0)(ctx, spec, opt)
 	}
+	// One worker runs the batch in order, so the requests after the failure
+	// run only if a failure does not stop the batch.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	svc := New(Config{Run: run})
 	arts, err := svc.CharacterizeAllContext(bg, []Request{
 		{Spec: testSpec("good"), Options: bench.QuickOptions()},
 		{Spec: testSpec("bad"), Options: bench.QuickOptions()},
+		{Spec: testSpec("after"), Options: bench.QuickOptions()},
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if arts[0] == nil || arts[1] != nil {
+	if arts[0] == nil || arts[1] != nil || arts[2] == nil {
 		t.Fatalf("artifact slots wrong: %v", arts)
+	}
+}
+
+// TestCharacterizeAllCancelled pins what a batch does when its context ends
+// mid-way: the requests not yet started fail with ctx.Err(), each named in
+// the joined error, and never simulate; the finished one keeps its slot.
+func TestCharacterizeAllCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	base := fakeRun(&calls, 0)
+	run := func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
+		cancel() // the first simulation ends the batch's context
+		return base(ctx, spec, opt)
+	}
+	// One worker: the batch runs in order, so the first request is the
+	// only one started before the cancellation.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	svc := New(Config{Run: run})
+	names := []string{"first", "second", "third", "fourth"}
+	var reqs []Request
+	for _, name := range names {
+		reqs = append(reqs, Request{Spec: testSpec(name), Options: bench.QuickOptions()})
+	}
+	arts, err := svc.CharacterizeAllContext(ctx, reqs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d simulations ran, want 1: requests not yet started must not simulate", got)
+	}
+	if arts[0] == nil {
+		t.Fatal("the request that finished before the cancellation lost its artifact")
+	}
+	for i, name := range names[1:] {
+		if arts[i+1] != nil {
+			t.Errorf("cancelled request %s has an artifact", name)
+		}
+		if !strings.Contains(err.Error(), "charz: "+name+": ") {
+			t.Errorf("joined error does not name %s: %v", name, err)
+		}
 	}
 }
 
@@ -586,11 +633,7 @@ func TestDiskStoreGCEvictsLRU(t *testing.T) {
 			t.Fatalf("recent key %d was evicted", i)
 		}
 	}
-	sz, err := store.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sz > fileSize*4 {
+	if sz := storeBytes(t, dir); sz > fileSize*4 {
 		t.Fatalf("store size %d exceeds budget %d after GC", sz, fileSize*4)
 	}
 }
@@ -615,10 +658,7 @@ func TestDiskStoreSaveTriggersGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sz, err := store.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sz := storeBytes(t, dir)
 	// The store may transiently exceed the budget between GC passes, but
 	// after this many saves it must have been brought back near it (within
 	// one inter-GC batch of the bound).
@@ -629,4 +669,24 @@ func TestDiskStoreSaveTriggersGC(t *testing.T) {
 	if _, err := os.Stat(store.Path(keyForStoreTest(300 + 2*gcEvery - 1))); err != nil {
 		t.Fatalf("most recent save missing: %v", err)
 	}
+}
+
+// storeBytes sums the sizes of the curve files under a store's directory.
+func storeBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !isKeyFile(e.Name()) {
+			return err
+		}
+		fi, err := e.Info()
+		if err == nil {
+			total += fi.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return total
 }

@@ -15,9 +15,9 @@ import (
 // digest over a canonical encoding of the platform spec, the normalized
 // benchmark options and the backend tag. Equal keys mean the simulation
 // would produce bit-identical curve families, so one result can serve every
-// requester — in memory within a process, on disk across processes, and
-// (via a curve server) across machines. The type lives in curvestore, the
-// storage layer shared by every tier; this alias keeps charz's API stable.
+// requester — in memory within a process and on disk across processes.
+// The type lives in curvestore, the storage layer shared by every tier;
+// this alias keeps charz's API stable.
 type Key = curvestore.Key
 
 // Fingerprint computes the request's cache key. The encoding writes every
@@ -57,11 +57,11 @@ func writeSpec(w io.Writer, s platform.Spec) {
 		t.TCK, t.Burst, t.CL, t.RCD, t.RP, t.RAS, t.WR, t.WTR, t.RTW, t.RTP, t.CCD, t.RRD, t.FAW, t.REFI, t.RFC)
 	fmt.Fprintf(w, "dram.writeHi=%d\ndram.writeLo=%d\ndram.idleClose=%d\ndram.ctrlLatency=%d\n",
 		d.WriteHi, d.WriteLo, d.IdleClose, d.CtrlLatency)
-	// dram.xorBankRow is a literal: the option is gone, and the line keeps
-	// v3 keys byte-identical until the charz/v4 bump of the address-map
-	// change drops it.
-	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.xorBankRow=false\ndram.bypassCap=%d\ndram.ageCap=%d\n",
-		d.FRFCFSWindow, d.BypassCap, d.AgeCap)
+	// dram.xorBankRow and dram.ageCap are literals: the options are gone,
+	// and the lines keep v3 keys byte-identical until the charz/v4 bump
+	// drops them.
+	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.xorBankRow=false\ndram.bypassCap=%d\ndram.ageCap=0\n",
+		d.FRFCFSWindow, d.BypassCap)
 	fmt.Fprintf(w, "spec.policy=%d\nspec.onChipLatency=%d\nspec.mshrs=%d\nspec.writeBufs=%d\nspec.writebackLag=%d\nspec.unloadedNs=%v\n",
 		s.Policy, s.OnChipLatency, s.MSHRs, s.WriteBufs, s.WritebackLag, s.UnloadedLatencyNs)
 }
@@ -85,7 +85,9 @@ func writeCacheOverride(w io.Writer, c *cache.Config) {
 		fmt.Fprintf(w, "opt.cache=nil\n")
 		return
 	}
-	fmt.Fprintf(w, "opt.cache=%d,%d,%d,%d,%d,%v,%d,%t,%d\n",
+	// The trailing 0 is the LLC-draw seed field the cache config no longer
+	// has; it stays so every key is unchanged.
+	fmt.Fprintf(w, "opt.cache=%d,%d,%d,%d,%d,%v,%d,%t,0\n",
 		c.Policy, c.OnChipLatency, c.MSHRs, c.WriteBufs, c.WritebackLag,
-		c.LLCHitRate, c.LLCHitLatency, c.EvictCleanAsDirty, c.Seed)
+		c.LLCHitRate, c.LLCHitLatency, c.EvictCleanAsDirty)
 }

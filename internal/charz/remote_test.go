@@ -11,9 +11,8 @@ import (
 	"github.com/mess-sim/mess/internal/curvestore"
 )
 
-// newCurved starts an in-process curve server — the exact handler
-// cmd/messcurved serves — over a fresh sharded DiskStore, mirroring its
-// production memory→disk tier composition.
+// newCurved starts an in-process curve server over a fresh sharded
+// DiskStore behind a memory tier.
 func newCurved(t *testing.T) (*httptest.Server, *curvestore.Server, *DiskStore) {
 	t.Helper()
 	disk, err := NewDiskStore(t.TempDir())
@@ -22,7 +21,7 @@ func newCurved(t *testing.T) (*httptest.Server, *curvestore.Server, *DiskStore) 
 	}
 	srv := curvestore.NewServer(
 		curvestore.NewTiered(curvestore.NewMemory(64), disk),
-		curvestore.ServerConfig{SaveStore: disk, StatsStore: disk},
+		curvestore.ServerConfig{SaveStore: disk},
 	)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -53,7 +52,7 @@ func csvBytes(t *testing.T, art *Artifact) []byte {
 
 // TestRemoteStoreFleetRoundTrip is the shared-fleet acceptance test: two
 // independent characterization services (two machines) behind one
-// in-process messcurved perform exactly one benchmark run between them,
+// in-process curve server perform exactly one benchmark run between them,
 // and the curves served from the remote tier are byte-identical to the
 // locally produced ones.
 func TestRemoteStoreFleetRoundTrip(t *testing.T) {

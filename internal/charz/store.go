@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/mess-sim/mess/internal/core"
@@ -43,8 +42,6 @@ type DiskStore struct {
 	sizeKnown bool
 	sizeBytes int64 // approximate resident bytes while sizeKnown
 	saves     int   // saves since the last GC pass
-
-	evictions atomic.Int64 // cumulative files evicted by GC
 }
 
 // gcEvery bounds how many saves may elapse between automatic GC passes
@@ -168,19 +165,18 @@ func (d *DiskStore) Save(ctx context.Context, key Key, fam *core.Family) error {
 	return nil
 }
 
-// noteSave tracks the approximate store size and triggers the amortized GC
-// pass when the budget is exceeded (or every gcEvery saves as a backstop).
+// noteSave tracks the approximate store size under a budget and triggers
+// the amortized GC pass when the budget is exceeded (or every gcEvery saves
+// as a backstop). Without a budget it does nothing.
 func (d *DiskStore) noteSave(written int64) {
 	d.mu.Lock()
-	// Keep the size estimate fresh even with no budget: Size() feeds the
-	// curve server's /v1/stats, which must not report a stale walk.
-	if d.sizeKnown {
-		d.sizeBytes += written
-	}
 	max := d.maxBytes
 	if max <= 0 {
 		d.mu.Unlock()
 		return
+	}
+	if d.sizeKnown {
+		d.sizeBytes += written
 	}
 	d.saves++
 	over := d.sizeKnown && d.sizeBytes > max
@@ -269,28 +265,5 @@ func (d *DiskStore) GC() (evicted int, err error) {
 	d.sizeBytes = total
 	d.saves = 0
 	d.mu.Unlock()
-	d.evictions.Add(int64(evicted))
 	return evicted, err
-}
-
-// Evictions reports the cumulative number of files GC has evicted — the
-// counter the curve server surfaces in /v1/stats.
-func (d *DiskStore) Evictions() int64 { return d.evictions.Load() }
-
-// Size reports the store's current resident bytes (walking the store if no
-// estimate is cached yet).
-func (d *DiskStore) Size() (int64, error) {
-	d.mu.Lock()
-	if d.sizeKnown {
-		n := d.sizeBytes
-		d.mu.Unlock()
-		return n, nil
-	}
-	d.mu.Unlock()
-	if _, err := d.GC(); err != nil {
-		return 0, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sizeBytes, nil
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // TestDiskStoreConcurrentSaveLoadGC hammers one sharded directory from two
-// DiskStore instances (modelling two processes — exactly the access
-// pattern a messcurved server puts on its store while CLI runs share the
-// directory) with concurrent saves, loads and GC passes. The invariants:
+// DiskStore instances (modelling two processes — two CLI runs sharing one
+// -cache-dir) with concurrent saves, loads and GC passes. The invariants:
 // no operation errors, a Load never observes a torn file (temp-file +
 // rename atomicity), and every key that survives eviction parses as one of
 // the families that was actually written for it.

@@ -1,15 +1,14 @@
 // Package cli collects the small pieces every cmd/* binary previously
 // duplicated: fatal-error reporting, platform lookup and scale parsing,
 // the shared telemetry flags, and the shared -cache-dir / -cache-max-mb /
-// -cache-url / -timeout flags with the characterization service and root
-// context they describe.
+// -timeout flags with the characterization service and root context they
+// describe.
 package cli
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -17,9 +16,7 @@ import (
 	"time"
 
 	"github.com/mess-sim/mess/internal/charz"
-	"github.com/mess-sim/mess/internal/curvestore"
 	"github.com/mess-sim/mess/internal/exp"
-	"github.com/mess-sim/mess/internal/faultz"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/telemetry"
 )
@@ -148,22 +145,20 @@ func MustScale(name string) exp.Scale {
 }
 
 // Cache carries the flags every cached tool shares: where curve families
-// persist (-cache-dir, -cache-max-mb, -cache-url) and how long the run may
-// take (-timeout).
+// persist (-cache-dir, -cache-max-mb) and how long the run may take
+// (-timeout).
 type Cache struct {
 	dir     string
 	maxMB   int
-	url     string
 	timeout time.Duration
 }
 
-// CacheFlags registers -cache-dir, -cache-max-mb, -cache-url and -timeout
-// on the default flag set, beside TelemetryFlags. Call before flag.Parse.
+// CacheFlags registers -cache-dir, -cache-max-mb and -timeout on the
+// default flag set, beside TelemetryFlags. Call before flag.Parse.
 func CacheFlags() *Cache {
 	c := &Cache{}
 	flag.StringVar(&c.dir, "cache-dir", "", "persist curve families under this directory")
 	flag.IntVar(&c.maxMB, "cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
-	flag.StringVar(&c.url, "cache-url", "", "remote curve store base URL, e.g. http://host:9400 (cmd/messcurved; default $"+curvestore.EnvURL+"); fail-soft — a down server falls back to local tiers")
 	flag.DurationVar(&c.timeout, "timeout", 0, TimeoutUsage)
 	return c
 }
@@ -174,15 +169,12 @@ func (c *Cache) Context() (ctx context.Context, stop func()) { return Context(c.
 // Service builds the characterization service the flags describe: in-memory
 // only without -cache-dir, otherwise with a disk tier under it (sharded by
 // key prefix, LRU-bounded by a positive -cache-max-mb) that lets later
-// invocations skip re-simulation; and, with -cache-url or $MESS_CURVE_URL,
-// the fleet-shared remote tier, consulted after the local tiers and fully
-// fail-soft. A malformed URL is a configuration error and exits — fail-soft
-// covers the server being down, not a bad flag.
+// invocations skip re-simulation. -cache-dir alone decides where a curve
+// comes from.
 //
-// tel, when non-nil, instruments the whole stack the service fronts: the
-// service itself, the benchmark sweeps it runs, and the remote tier's
-// retry/circuit behaviour all report into tel's registry, tracer and
-// logger (see TelemetryFlags).
+// tel, when non-nil, instruments the service and the benchmark sweeps it
+// runs: both report into tel's registry, tracer and logger (see
+// TelemetryFlags).
 func (c *Cache) Service(tel *telemetry.Set) *charz.Service {
 	var store *charz.DiskStore
 	if c.dir != "" {
@@ -195,47 +187,8 @@ func (c *Cache) Service(tel *telemetry.Set) *charz.Service {
 			store.SetMaxBytes(int64(c.maxMB) << 20)
 		}
 	}
-	cacheURL := c.url
-	if cacheURL == "" {
-		cacheURL = os.Getenv(curvestore.EnvURL)
-	}
-	var remote curvestore.Store
-	if cacheURL != "" {
-		cfg := curvestore.ClientConfig{}
-		if spec := os.Getenv(FaultzEnv); spec != "" {
-			// Chaos harness hook: interpose the seeded fault transport
-			// between the client and the wire, so CI (and operators
-			// rehearsing an incident) can drive any tool through a hostile
-			// schedule without rebuilding it. A bad spec exits loudly — a
-			// silently-dropped fault plan tests nothing.
-			fcfg, err := faultz.ParseConfig(spec)
-			if err != nil {
-				Fatal(err)
-			}
-			plan, err := faultz.NewPlan(fcfg)
-			if err != nil {
-				Fatal(err)
-			}
-			cfg.HTTPClient = &http.Client{
-				Timeout:   30 * time.Second,
-				Transport: faultz.NewTransport(nil, plan),
-			}
-		}
-		client, err := curvestore.NewClient(cacheURL, cfg)
-		if err != nil {
-			Fatal(err)
-		}
-		client.Instrument(tel.Registry())
-		remote = client
-	}
-	return charz.New(charz.Config{Store: store, Remote: remote, Telemetry: tel})
+	return charz.New(charz.Config{Store: store, Telemetry: tel})
 }
-
-// FaultzEnv, when set, wraps every remote curve-store client Service
-// builds with the fault-injection transport it specifies (see
-// faultz.ParseConfig for the format) — the hook the CI chaos leg drives
-// the real binaries through.
-const FaultzEnv = "MESS_FAULTZ"
 
 // TimeoutUsage is the shared help text of the -timeout flag.
 const TimeoutUsage = "abort the run after this duration (e.g. 90s, 10m; 0 means none); in-flight sweeps stop at the next point boundary"

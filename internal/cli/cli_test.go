@@ -168,10 +168,14 @@ func TestWriteTrace(t *testing.T) {
 func TestCacheFlags(t *testing.T) {
 	ownFlagSet(t)
 	cache := CacheFlags()
-	for _, name := range []string{"cache-dir", "cache-max-mb", "cache-url", "timeout"} {
+	for _, name := range []string{"cache-dir", "cache-max-mb", "timeout"} {
 		if flag.Lookup(name) == nil {
 			t.Errorf("-%s is not registered", name)
 		}
+	}
+	// -cache-dir alone decides where a curve comes from.
+	if flag.Lookup("cache-url") != nil {
+		t.Error("-cache-url is registered")
 	}
 	dir := filepath.Join(t.TempDir(), "curves")
 	if err := flag.CommandLine.Parse([]string{"-cache-dir", dir, "-cache-max-mb", "8", "-timeout", "1h"}); err != nil {

@@ -20,12 +20,6 @@ import (
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
-// EnvURL is the environment variable naming the fleet's curve server. The
-// CLI tools consult it when -cache-url is empty, and the mess facade's
-// default characterization service joins it automatically — one variable
-// configures the whole fleet.
-const EnvURL = "MESS_CURVE_URL"
-
 // ErrUnavailable reports that the remote store is in its failure cooldown:
 // a recent request exhausted its retries, so the client short-circuits
 // instead of paying the timeout again. Callers composing tiers treat it
@@ -52,7 +46,7 @@ type ClientConfig struct {
 	Cooldown time.Duration
 }
 
-// Client is a Store backed by a curve server (cmd/messcurved) speaking the
+// Client is a Store backed by a curve server (Server) speaking the
 // content-addressed HTTP protocol: GET/PUT /v1/curves/{key} with gzip
 // bodies, ETag/If-None-Match revalidation and Content-SHA256 upload
 // verification.
@@ -89,7 +83,7 @@ type revalEntry struct {
 }
 
 // NewClient builds a client for the curve server at baseURL (e.g.
-// "http://curves.internal:9400"). The URL must name an http or https
+// "http://127.0.0.1:9400"). The URL must name an http or https
 // server; a malformed URL is a configuration error, reported loudly —
 // fail-soft applies to the server being down, not to a bad flag.
 func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
@@ -125,6 +119,27 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 	}
 	c.reval = newFIFOCache[revalEntry](revalidateEntries)
 	return c, nil
+}
+
+// Instrument attaches client-side metrics to c: requests, hits, retries
+// and the fail-soft circuit's trips and short circuits. Counters are
+// nil-safe, so an uninstrumented client pays a nil check per event.
+func (c *Client) Instrument(reg *telemetry.Registry) {
+	if reg == nil {
+		return
+	}
+	c.mLoads = reg.Counter(`mess_curve_client_requests_total{op="load"}`)
+	c.mSaves = reg.Counter(`mess_curve_client_requests_total{op="save"}`)
+	c.mHits = reg.Counter("mess_curve_client_hits_total")
+	c.mRetries = reg.Counter("mess_curve_client_retries_total")
+	c.mTrips = reg.Counter("mess_curve_client_circuit_trips_total")
+	c.mShorted = reg.Counter("mess_curve_client_short_circuits_total")
+	reg.GaugeFunc("mess_curve_client_circuit_open", func() float64 {
+		if c.CircuitOpen() {
+			return 1
+		}
+		return 0
+	})
 }
 
 func (c *Client) urlFor(key Key) string { return c.base + "/v1/curves/" + key.String() }
@@ -325,9 +340,7 @@ func sleepJitter(ctx context.Context, max time.Duration) error {
 
 // CircuitOpen reports whether the fail-soft circuit is open: a recent
 // request exhausted its retries and the client is inside its cooldown, so
-// calls short-circuit to a miss (Load) or ErrUnavailable (Save). Exported
-// so operators (CLI stats lines, health probes) can tell "server slow"
-// from "server written off".
+// calls short-circuit to a miss (Load) or ErrUnavailable (Save).
 func (c *Client) CircuitOpen() bool {
 	if c.cooldown <= 0 {
 		return false

@@ -6,7 +6,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"github.com/mess-sim/mess/internal/core"
+	"github.com/mess-sim/mess/internal/telemetry"
 )
 
 // countingStore wraps a Store and counts operations reaching it.
@@ -375,36 +375,40 @@ func TestClientFailSoftWhenServerDown(t *testing.T) {
 	}
 }
 
-func TestServerStatsEndpoint(t *testing.T) {
+// TestServerStats checks the server's counters against the traffic that
+// just happened, and the client's instrumented counters beside them.
+func TestServerStats(t *testing.T) {
 	srv := NewServer(NewMemory(0), ServerConfig{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	reg := telemetry.NewRegistry()
 	c := fastClient(t, ts.URL)
-	if err := c.Save(bg, testKey(27), testFam("stats")); err != nil {
+	c.Instrument(reg)
+	key := testKey(27)
+	if _, ok, err := c.Load(bg, key); ok || err != nil {
+		t.Fatalf("load before save: ok=%v err=%v", ok, err)
+	}
+	if err := c.Save(bg, key, testFam("stats")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := fastClient(t, ts.URL).Load(bg, testKey(27)); !ok || err != nil {
+	// The client remembers what it uploaded, so this load revalidates.
+	if _, ok, err := c.Load(bg, key); !ok || err != nil {
 		t.Fatalf("load: %v %v", ok, err)
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	if st := srv.Stats(); st.Puts != 1 || st.Hits != 1 || st.Revalidations != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 put, 1 hit (a revalidation) and 1 miss", st)
 	}
-	defer resp.Body.Close()
-	var st ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Puts != 1 || st.Hits != 1 {
-		t.Fatalf("/v1/stats = %+v, want 1 put and 1 hit", st)
-	}
-
-	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v %v", resp, err)
-	} else {
-		resp.Body.Close()
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{
+		`mess_curve_client_requests_total{op="load"}`: 2,
+		`mess_curve_client_requests_total{op="save"}`: 1,
+		"mess_curve_client_hits_total":                1,
+		"mess_curve_client_circuit_open":              0,
+	} {
+		if got := snap[name]; got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"io"
-	"log"
 	"net/http"
 	"strings"
 	"sync"
@@ -20,35 +18,25 @@ import (
 
 // ServerConfig parameterizes a curve server. The zero value is usable.
 type ServerConfig struct {
-	// MaxBodyBytes bounds an uploaded CSV (after decompression). Default
-	// 64 MiB — orders of magnitude above any real curve family.
-	MaxBodyBytes int64
 	// SaveStore, when set, is where uploads are persisted instead of the
 	// serving store. When the serving store is Tiered(memory, disk), a
 	// PUT through the tiered front would "succeed" into the bounded
 	// memory tier even with the disk broken — acknowledging durability
-	// the server does not have. messcurved therefore saves straight to
-	// the disk tier (a failed disk is a 500, never a silent 204); the hot
-	// tier fills on first GET via tiered promotion. Default: the serving
-	// store.
+	// the server does not have. Saving straight to the disk tier makes a
+	// failed disk a 500, never a silent 204; the hot tier fills on first
+	// GET via tiered promotion. Default: the serving store.
 	SaveStore Store
-	// StatsStore, when set, is the tier probed for store_bytes and
-	// evictions in /v1/stats — typically the DiskStore behind a Tiered
-	// front whose memory tier would otherwise hide it. Default: the store
-	// the server fronts.
-	StatsStore Store
-	// Log, when set, receives one line per completed request.
-	Log *log.Logger
 }
 
-// Server is the HTTP handler of the fleet-shared curve store, the handler
-// cmd/messcurved serves. The protocol is deliberately tiny and
-// content-addressed:
+// maxBodyBytes bounds an uploaded CSV (after decompression): 64 MiB,
+// orders of magnitude above any real curve family.
+const maxBodyBytes = 64 << 20
+
+// Server is the HTTP handler of the remote curve store. The protocol is
+// deliberately tiny and content-addressed:
 //
 //	GET  /v1/curves/{key}  → 200 text/csv (gzip when accepted) | 304 | 404
 //	PUT  /v1/curves/{key}  → 204 (stored or already present) | 400 | 422
-//	GET  /v1/stats         → 200 application/json counters
-//	GET  /healthz          → 200 "ok"
 //
 // Keys are 64-digit lowercase hex (charz fingerprints). Every 200 carries
 // a strong ETag — the SHA-256 of the canonical CSV — honoured via
@@ -58,24 +46,19 @@ type ServerConfig struct {
 // decompressed CSV is verified against it before anything is stored: a
 // corrupted or truncated upload is rejected with 422, never persisted.
 // Concurrent PUTs of one key are collapsed by per-key singleflight: the
-// first writer stores, the rest wait and acknowledge — exactly the
-// stampede a fleet of CI runners finishing the same characterization
-// produces.
+// first writer stores, the rest wait and acknowledge.
 type Server struct {
-	store     Store
-	saveTo    Store
-	statsFrom Store
-	maxBody   int64
-	logger    *log.Logger
+	store  Store
+	saveTo Store
 
 	mu       sync.Mutex
 	inflight map[Key]*putFlight
 
-	// etags caches each key's strong validator so revalidations (304) —
-	// the steady-state request of a warmed-up fleet — answer without
-	// loading, cloning, serializing or hashing the family. Entries are
-	// content-addressed and immutable, so a cached validator can never go
-	// stale; the FIFO bound only limits memory (≈100 B per entry).
+	// etags caches each key's strong validator so revalidations (304)
+	// answer without loading, cloning, serializing or hashing the family.
+	// Entries are content-addressed and immutable, so a cached validator
+	// can never go stale; the FIFO bound only limits memory (≈100 B per
+	// entry).
 	etags *fifoCache[string]
 
 	hits, misses, revalidations atomic.Int64
@@ -99,52 +82,39 @@ const etagCacheEntries = 1 << 14
 // disk.
 func NewServer(store Store, cfg ServerConfig) *Server {
 	s := &Server{
-		store:     store,
-		saveTo:    cfg.SaveStore,
-		statsFrom: cfg.StatsStore,
-		maxBody:   cfg.MaxBodyBytes,
-		logger:    cfg.Log,
-		inflight:  map[Key]*putFlight{},
-		etags:     newFIFOCache[string](etagCacheEntries),
+		store:    store,
+		saveTo:   cfg.SaveStore,
+		inflight: map[Key]*putFlight{},
+		etags:    newFIFOCache[string](etagCacheEntries),
 	}
 	if s.saveTo == nil {
 		s.saveTo = store
 	}
-	if s.statsFrom == nil {
-		s.statsFrom = store
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = 64 << 20
-	}
 	return s
 }
 
-// ServerStats is the /v1/stats document.
+// ServerStats are the server's cumulative counters.
 type ServerStats struct {
 	// Hits counts GETs served with curve data (200 and 304 alike);
 	// Revalidations is the 304 subset, served without a body.
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Revalidations int64 `json:"revalidations"`
+	Hits          int64
+	Misses        int64
+	Revalidations int64
 	// Puts counts stored uploads; PutDedups counts concurrent duplicate
 	// uploads collapsed by singleflight; BadPuts counts rejected ones
 	// (bad key, unparsable CSV, Content-SHA256 mismatch).
-	Puts      int64 `json:"puts"`
-	PutDedups int64 `json:"put_dedups"`
-	BadPuts   int64 `json:"bad_puts"`
+	Puts      int64
+	PutDedups int64
+	BadPuts   int64
 	// BytesOut / BytesIn count curve payload bytes on the wire (after /
 	// before compression).
-	BytesIn  int64 `json:"bytes_in"`
-	BytesOut int64 `json:"bytes_out"`
-	// StoreBytes / Evictions reflect the backing store, when it reports
-	// them (charz.DiskStore does).
-	StoreBytes int64 `json:"store_bytes"`
-	Evictions  int64 `json:"evictions"`
+	BytesIn  int64
+	BytesOut int64
 }
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
+	return ServerStats{
 		Hits:          s.hits.Load(),
 		Misses:        s.misses.Load(),
 		Revalidations: s.revalidations.Load(),
@@ -154,30 +124,10 @@ func (s *Server) Stats() ServerStats {
 		BytesIn:       s.bytesIn.Load(),
 		BytesOut:      s.bytesOut.Load(),
 	}
-	if sizer, ok := s.statsFrom.(interface{ Size() (int64, error) }); ok {
-		if n, err := sizer.Size(); err == nil {
-			st.StoreBytes = n
-		}
-	}
-	if ev, ok := s.statsFrom.(interface{ Evictions() int64 }); ok {
-		st.Evictions = ev.Evictions()
-	}
-	return st
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case r.URL.Path == "/healthz":
-		io.WriteString(w, "ok\n")
-	case r.URL.Path == "/v1/stats":
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.Stats())
 	case strings.HasPrefix(r.URL.Path, "/v1/curves/"):
 		rest := strings.TrimPrefix(r.URL.Path, "/v1/curves/")
 		key, err := ParseKey(rest)
@@ -231,9 +181,6 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request, key Key) {
 	if err != nil || !ok {
 		// Fail-soft on the serving side too: a corrupt entry reads as a
 		// miss, and the client re-simulates (and re-uploads) it.
-		if err != nil {
-			s.logf("GET %s: load error treated as miss: %v", key.Short(), err)
-		}
 		s.misses.Add(1)
 		http.Error(w, "unknown curve key", http.StatusNotFound)
 		return
@@ -268,7 +215,6 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request, key Key) {
 		n, _ := w.Write(buf.Bytes())
 		s.bytesOut.Add(int64(n))
 	}
-	s.logf("GET %s: hit (%d bytes)", key.Short(), buf.Len())
 }
 
 // etagMatches implements the subset of If-None-Match the Client emits: a
@@ -331,7 +277,7 @@ func (s *Server) put(w http.ResponseWriter, r *http.Request, key Key) {
 		close(flight.done)
 	}()
 
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		s.badPuts.Add(1)
@@ -347,13 +293,13 @@ func (s *Server) put(w http.ResponseWriter, r *http.Request, key Key) {
 			http.Error(w, "bad gzip body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		csv, err = io.ReadAll(io.LimitReader(zr, s.maxBody+1))
+		csv, err = io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
 		if err != nil {
 			s.badPuts.Add(1)
 			http.Error(w, "bad gzip body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if int64(len(csv)) > s.maxBody {
+		if len(csv) > maxBodyBytes {
 			s.badPuts.Add(1)
 			http.Error(w, "decompressed body too large", http.StatusRequestEntityTooLarge)
 			return
@@ -399,5 +345,4 @@ func (s *Server) put(w http.ResponseWriter, r *http.Request, key Key) {
 		w.Header().Set("ETag", etag)
 	}
 	w.WriteHeader(http.StatusNoContent)
-	s.logf("PUT %s: stored (%d bytes)", key.Short(), len(csv))
 }

@@ -1,22 +1,22 @@
 // Package curvestore is the storage layer for Mess curve families: the
-// Store interface every persistence tier implements, plus the composable
-// tiers themselves — a bounded in-memory cache, a tier composition with
-// write-back promotion, and (in client.go / server.go) an HTTP client and
-// server that share families across machines.
+// Store interface every persistence tier implements, a bounded in-memory
+// tier, and a tier composition with write-back promotion. charz.DiskStore
+// is the tier the tools persist to, under -cache-dir.
 //
 // Curve families are expensive — producing one means running the full Mess
 // benchmark sweep — and they are immutable once produced: a Key is a
 // content-addressed fingerprint of the characterization request, so the
 // family stored under a key can never change, only exist or not. Every tier
 // exploits that: entries need no invalidation, promotion between tiers is
-// always safe, and an evicted or lost entry is simply re-simulated.
+// always safe, and an evicted or lost entry is simply re-simulated. The
+// composition rule is fail-soft — a broken tier reads as a miss, never as a
+// failure, so losing every cache between a caller and its curves costs a
+// re-simulation, not an error.
 //
-// The canonical tier order is memory → disk → remote: a process checks its
-// cheapest tier first and falls through to the fleet-shared curve server
-// last. The composition rule is fail-soft — a broken tier (corrupt file,
-// unreachable server) reads as a miss, never as a failure, so losing every
-// cache between a caller and its curves costs a re-simulation, not an
-// error.
+// client.go and server.go hold an HTTP client and server that no binary
+// ships. They stay until the benchmark's curve-tiers workload, which drives
+// them in process, drops its HTTP leg; the charz remote and chaos tests use
+// them too.
 package curvestore
 
 import (
@@ -36,8 +36,7 @@ import (
 // benchmark options and the backend tag (computed by charz.Fingerprint).
 // Equal keys mean the simulation would produce bit-identical curve
 // families, so one stored result can serve every requester — in memory
-// within a process, on disk across processes, and over HTTP across
-// machines.
+// within a process and on disk across processes.
 type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex (the on-disk file stem and the
@@ -91,8 +90,7 @@ type Store interface {
 }
 
 // Memory is a concurrency-safe in-memory tier: a bounded LRU map of deep
-// copies. It is the hot tier in front of a DiskStore (the curve server's
-// configuration) and the cheapest member of a Tiered composition.
+// copies — the cheapest member of a Tiered composition.
 type Memory struct {
 	mu        sync.Mutex
 	max       int

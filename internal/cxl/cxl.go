@@ -140,7 +140,6 @@ func (e *Expander) Access(req *mem.Request) {
 		// Request flit over TX, DDR read, data over RX, back to host.
 		txDone := e.occupyTx(now, hdr)
 		inner := e.pool.Get(req.Addr, mem.Read, e.readDoneFn)
-		inner.Src = req.Src
 		inner.Parent = req
 		inner.SendAt(e.eng, e.ddr, txDone+prop)
 		return
@@ -148,7 +147,6 @@ func (e *Expander) Access(req *mem.Request) {
 	// Write: data over TX, DDR write; completion flit over RX.
 	txDone := e.occupyTx(now, req.Bytes()+hdr)
 	inner := e.pool.Get(req.Addr, mem.Write, e.writeDoneFn)
-	inner.Src = req.Src
 	inner.Parent = req
 	inner.SendAt(e.eng, e.ddr, txDone+prop)
 }

@@ -59,7 +59,6 @@ func NewRemoteSocket(eng *sim.Engine, cfg RemoteSocketConfig) *RemoteSocket {
 // the host request via Parent.
 func (r *RemoteSocket) Access(req *mem.Request) {
 	inner := r.pool.Get(req.Addr, req.Op, r.doneFn)
-	inner.Src = req.Src
 	inner.Parent = req
 	inner.SendAt(r.eng, r.ddr, r.eng.Now()+r.hop)
 }

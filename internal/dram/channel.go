@@ -89,8 +89,7 @@ const (
 // ring entry always names a valid slot.
 type chanReq struct {
 	req    *mem.Request
-	at     sim.Time // arrival at the controller
-	seq    uint64   // arrival order; the FR-FCFS age tiebreak
+	seq    uint64 // arrival order; the FR-FCFS age tiebreak
 	row    int64
 	bi     int32 // bank index: rank*Banks+bank
 	rank   int32
@@ -251,11 +250,7 @@ type channel struct {
 	// order, so it is part of every result.
 	tag int32
 
-	counters mem.Counters
 	rowStats RowStats
-
-	readLatSum sim.Time
-	readLatN   uint64
 }
 
 // init is the channel's one constructor, run on a new channel and again on a
@@ -393,7 +388,6 @@ func (c *channel) enqueue(req *mem.Request, bi, rank int32, row int64) {
 	idx := c.allocSlot()
 	s := &c.slots[idx]
 	s.req = req
-	s.at = c.eng.Now()
 	s.row = row
 	s.rank = rank
 	s.bi = bi
@@ -654,14 +648,6 @@ func (c *channel) pick(dir int, head int32) int32 {
 			return head
 		}
 	}
-	// Optional time-based escalation (disabled in the presets; see the
-	// AgeCap documentation).
-	if c.cfg.AgeCap > 0 {
-		bound := c.cfg.AgeCap + sim.Time(live)*c.t.Burst
-		if now-hs.at > bound {
-			return head
-		}
-	}
 	if live == 1 {
 		// Only the head is eligible; the scan could pick nothing else (a
 		// hit-pick of the head reports no bypass either way). This is the
@@ -868,7 +854,6 @@ func (c *channel) issue(idx int32, isWrite bool) {
 	c.rowStats.add(outcome)
 	req := s.req
 	s.req = nil
-	c.counters.Add(req.Op, req.Bytes())
 
 	if isWrite {
 		// Posted write: completion (= write-queue acceptance upstream,
@@ -876,10 +861,7 @@ func (c *channel) issue(idx int32, isWrite bool) {
 		req.CompleteAtTagged(c.eng, dataEnd, c.tag)
 		return
 	}
-	completion := dataEnd + c.cfg.CtrlLatency
-	c.readLatSum += completion - s.at
-	c.readLatN++
-	req.CompleteAtTagged(c.eng, completion, c.tag)
+	req.CompleteAtTagged(c.eng, dataEnd+c.cfg.CtrlLatency, c.tag)
 }
 
 // rankActConstraint reports the earliest time a new ACT may issue in the

@@ -71,13 +71,6 @@ type Config struct {
 	// queueing at ≈ BypassCap × Burst while costing at most one row-miss
 	// service per BypassCap hits.
 	BypassCap int
-	// AgeCap, when positive, enables age-based priority escalation: a
-	// request bypassed by row hits for longer than AgeCap plus the
-	// FIFO-fair drain time of the queue is served first-come-first-
-	// served. Escalation trades saturated bandwidth for a tighter
-	// maximum-latency bound; the platform presets leave it disabled, as
-	// the hit-first schedule reproduces the measured curve shapes.
-	AgeCap sim.Time
 }
 
 // Validate reports a descriptive error for an unusable configuration.

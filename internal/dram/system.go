@@ -33,7 +33,7 @@ func New(eng *sim.Engine, cfg Config) *System {
 }
 
 // Reset returns the system to the state New left it in — empty queues,
-// closed rows, zero counters — by running every channel's constructor again
+// closed rows, zero statistics — by running every channel's constructor again
 // over the storage the channel has grown, for reuse on an engine that was
 // itself Reset. Requests the system still held are forgotten, not completed:
 // their pool must reclaim them (mem.RequestPool.Reset).
@@ -64,16 +64,6 @@ func (s *System) AccessAt(req *mem.Request, at sim.Time) {
 	req.SendAt(s.eng, s, at)
 }
 
-// Counters reports accumulated system-wide traffic counters, the model
-// equivalent of the uncore bandwidth counters the Mess benchmark samples.
-func (s *System) Counters() mem.Counters {
-	var total mem.Counters
-	for _, c := range s.chans {
-		total.Merge(c.counters)
-	}
-	return total
-}
-
 // RowStats reports accumulated row-buffer hit/empty/miss statistics.
 func (s *System) RowStats() RowStats {
 	var total RowStats
@@ -95,24 +85,9 @@ func (s *System) Queued() int {
 	return n
 }
 
-// ObservedReadLatency reports the mean controller-level read latency.
-func (s *System) ObservedReadLatency() (sim.Time, uint64) {
-	var sum sim.Time
-	var n uint64
-	for _, c := range s.chans {
-		sum += c.readLatSum
-		n += c.readLatN
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / sim.Time(n), n
-}
-
 func (s *System) String() string {
 	return fmt.Sprintf("%s ×%d channels (peak %.1f GB/s)", s.cfg.Name, s.cfg.Channels, s.PeakBandwidthGBs())
 }
 
 var _ mem.Backend = (*System)(nil)
 var _ mem.TimedBackend = (*System)(nil)
-var _ mem.LatencyObserver = (*System)(nil)

@@ -1,17 +1,17 @@
 // Package faultz is the deterministic fault-injection layer behind the
-// chaos suite: a seeded, programmable plan of faults (errors, added
+// chaos tests: a seeded, programmable plan of faults (errors, added
 // latency, hang-until-cancel, corrupt bytes, truncated bodies,
-// fail-then-recover schedules) that can be interposed at the two seams the
-// fleet stack crosses — the curvestore.Store interface (NewStore) and the
-// HTTP transport under the curve-store client (NewTransport).
+// fail-then-recover schedules) that can be interposed at two seams — the
+// curvestore.Store interface (NewStore) and the HTTP transport under the
+// curve-store client (NewTransport).
 //
-// The point of the package is to make the repository's fail-soft contract
-// testable instead of asserted: "losing every cache can only cost a
-// re-simulation, never an error" is only trustworthy if something actually
-// injects a slow, flaky, corrupt or hung dependency and checks that the
-// callers above ride through it. The chaos tests (internal/charz) and the
-// CI chaos leg do exactly that, with plans seeded so a failure reproduces
-// from its seed.
+// It is chaos-test infrastructure: no binary wires it in. The point of the
+// package is to make the repository's fail-soft contract testable instead
+// of asserted: "losing every cache can only cost a re-simulation, never an
+// error" is only trustworthy if something actually injects a slow, flaky,
+// corrupt or hung dependency and checks that the callers above ride
+// through it. The chaos tests (internal/charz) do exactly that, with plans
+// seeded so a failure reproduces from its seed.
 //
 // # Determinism
 //
@@ -27,8 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -245,54 +243,4 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// ParseConfig parses the compact spec the MESS_FAULTZ environment variable
-// (and the CI chaos leg) uses: comma-separated key=value pairs.
-//
-//	seed=7,failfirst=3,error=0.2,hang=0.01,corrupt=0.1,truncate=0.05,latency=0.3:20ms
-//
-// latency takes probability:duration. Unknown keys are errors — a typo in
-// a chaos schedule must not silently weaken it.
-func ParseConfig(spec string) (Config, error) {
-	var cfg Config
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return cfg, fmt.Errorf("faultz: bad spec entry %q (want key=value)", part)
-		}
-		var err error
-		switch k {
-		case "seed":
-			cfg.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "failfirst":
-			cfg.FailFirst, err = strconv.Atoi(v)
-		case "error":
-			cfg.ErrorP, err = strconv.ParseFloat(v, 64)
-		case "hang":
-			cfg.HangP, err = strconv.ParseFloat(v, 64)
-		case "corrupt":
-			cfg.CorruptP, err = strconv.ParseFloat(v, 64)
-		case "truncate":
-			cfg.TruncateP, err = strconv.ParseFloat(v, 64)
-		case "latency":
-			p, d, ok := strings.Cut(v, ":")
-			if !ok {
-				return cfg, fmt.Errorf("faultz: latency wants probability:duration, got %q", v)
-			}
-			if cfg.LatencyP, err = strconv.ParseFloat(p, 64); err == nil {
-				cfg.Latency, err = time.ParseDuration(d)
-			}
-		default:
-			return cfg, fmt.Errorf("faultz: unknown spec key %q", k)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("faultz: parsing %q: %w", part, err)
-		}
-	}
-	return cfg, nil
 }

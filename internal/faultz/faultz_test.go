@@ -132,38 +132,6 @@ func TestProbabilisticRate(t *testing.T) {
 	}
 }
 
-func TestParseConfig(t *testing.T) {
-	cfg, err := ParseConfig("seed=7,failfirst=3,error=0.2,hang=0.01,corrupt=0.1,truncate=0.05,latency=0.3:20ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{Seed: 7, FailFirst: 3, ErrorP: 0.2, HangP: 0.01, CorruptP: 0.1, TruncateP: 0.05, LatencyP: 0.3, Latency: 20 * time.Millisecond}
-	if cfg.Seed != want.Seed || cfg.FailFirst != want.FailFirst ||
-		cfg.ErrorP != want.ErrorP || cfg.HangP != want.HangP ||
-		cfg.CorruptP != want.CorruptP || cfg.TruncateP != want.TruncateP ||
-		cfg.LatencyP != want.LatencyP || cfg.Latency != want.Latency {
-		t.Fatalf("parsed %+v, want %+v", cfg, want)
-	}
-	// Whitespace and empty entries are tolerated; the result must be a
-	// valid plan.
-	if _, err := ParseConfig(" seed=1 , error=0.1 ,"); err != nil {
-		t.Fatalf("spaced spec rejected: %v", err)
-	}
-
-	for _, bad := range []string{
-		"frobnicate=1",   // unknown key
-		"error",          // no value
-		"error=lots",     // bad float
-		"latency=0.1",    // missing duration
-		"latency=0.1:ns", // bad duration
-		"seed=-1",        // negative seed
-	} {
-		if _, err := ParseConfig(bad); err == nil {
-			t.Errorf("spec %q accepted, want error", bad)
-		}
-	}
-}
-
 func TestSleepInterruptible(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -88,7 +88,6 @@ type Request struct {
 	Op     Op
 	Size   int // bytes; 0 means LineSize
 	Issued sim.Time
-	Src    int // requester (core) id, for accounting; -1 if unknown
 
 	// Done is the completion callback; nil means fire-and-forget (the
 	// record is still released on completion).
@@ -253,8 +252,8 @@ type RequestPool struct {
 // recycled thereafter.
 func NewRequestPool() *RequestPool { return &RequestPool{} }
 
-// Get acquires a record initialized for one transaction: Size 0 (LineSize),
-// Src -1, and cleared context slots. The caller owns the record until it
+// Get acquires a record initialized for one transaction: Size 0 (LineSize)
+// and cleared context slots. The caller owns the record until it
 // hands it to a backend via Access; the pool takes it back when the backend
 // completes it.
 func (p *RequestPool) Get(addr uint64, op Op, done DoneFunc) *Request {
@@ -272,7 +271,7 @@ func (p *RequestPool) Get(addr uint64, op Op, done DoneFunc) *Request {
 		r.next = nil
 	}
 	r.Addr, r.Op, r.Done = addr, op, done
-	r.Size, r.Issued, r.Src, r.Ctx = 0, 0, -1, 0
+	r.Size, r.Issued, r.Ctx = 0, 0, 0
 	r.inflight = true
 	p.live++
 	return r
@@ -386,14 +385,6 @@ func (c *Counters) Add(op Op, bytes int) {
 	}
 }
 
-// Merge accumulates other into c.
-func (c *Counters) Merge(other Counters) {
-	c.Reads += other.Reads
-	c.Writes += other.Writes
-	c.ReadBytes += other.ReadBytes
-	c.WriteBytes += other.WriteBytes
-}
-
 // Sub returns the element-wise difference c − prev, i.e. the traffic between
 // two counter snapshots.
 func (c Counters) Sub(prev Counters) Counters {
@@ -464,9 +455,3 @@ func (b *CountingBackend) AccessAt(req *Request, at sim.Time) {
 
 // Snapshot returns the current counter values.
 func (b *CountingBackend) Snapshot() Counters { return b.C }
-
-// LatencyObserver is implemented by backends that can report the mean
-// service latency they have delivered; used by trace-driven evaluation.
-type LatencyObserver interface {
-	ObservedReadLatency() (mean sim.Time, samples uint64)
-}

@@ -42,21 +42,22 @@ func TestBandwidthGBs(t *testing.T) {
 }
 
 func TestCountersSubMergeProperty(t *testing.T) {
-	// (a merged b).Sub(a) == b, and byte totals are conserved.
+	// Counting b's traffic on top of a's, then subtracting a, leaves b, and
+	// byte totals are conserved.
 	prop := func(r1, w1, r2, w2 uint16) bool {
-		mk := func(r, w uint16) Counters {
-			var c Counters
+		count := func(c *Counters, r, w uint16) {
 			for i := 0; i < int(r%200); i++ {
 				c.Add(Read, 64)
 			}
 			for i := 0; i < int(w%200); i++ {
 				c.Add(Write, 64)
 			}
-			return c
 		}
-		a, b := mk(r1, w1), mk(r2, w2)
+		var a, b Counters
+		count(&a, r1, w1)
+		count(&b, r2, w2)
 		sum := a
-		sum.Merge(b)
+		count(&sum, r2, w2)
 		diff := sum.Sub(a)
 		return diff == b && sum.TotalBytes() == a.TotalBytes()+b.TotalBytes()
 	}
@@ -114,8 +115,8 @@ func TestRequestPoolReuseAfterRelease(t *testing.T) {
 	if p.Live() != 1 || p.Allocated() != 1 {
 		t.Fatalf("after Get: live=%d allocated=%d", p.Live(), p.Allocated())
 	}
-	if r1.Src != -1 || r1.Bytes() != LineSize {
-		t.Fatalf("Get defaults: src=%d bytes=%d", r1.Src, r1.Bytes())
+	if r1.Bytes() != LineSize {
+		t.Fatalf("Get defaults: bytes=%d", r1.Bytes())
 	}
 	r1.Complete(10)
 	if p.Live() != 0 {

@@ -92,8 +92,8 @@ func TestInstrumentedDRAMSteadyStateZeroAllocs(t *testing.T) {
 	eng := sim.New()
 	sys := &instrumentedBackend{
 		inner: dram.New(eng, dram.DDR4(2666, 2, 2)),
-		reqs:  reg.Counter("mess_test_requests_total", "requests through the instrumented loop"),
-		sizes: reg.Histogram("mess_test_request_bytes", "request sizes", []float64{32, 64, 128}),
+		reqs:  reg.Counter("mess_test_requests_total"),
+		sizes: reg.Histogram("mess_test_request_bytes"),
 	}
 	if per := steadyStateAllocsPerOp(t, eng, sys, perfload.PatternMixed, 4000); per >= allocTolerance {
 		t.Fatalf("instrumented DRAM steady state allocates %.4f/op, want ~0", per)

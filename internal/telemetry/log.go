@@ -11,7 +11,7 @@ import (
 // progress line is one atomic Write carrying key=value fields instead of
 // an interleavable fmt.Fprintf. Subsystems take a *Logger and log with
 // fields (experiment id, curve key, tier, duration); the CLI layer picks
-// the handler (text for humans, JSON for fleet collectors) from the
+// the handler (text for humans, JSON for log collectors) from the
 // shared -log-json / -v flags.
 type Logger = slog.Logger
 

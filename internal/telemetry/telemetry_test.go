@@ -2,26 +2,25 @@ package telemetry
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("mess_test_total", "test counter")
+	c := r.Counter("mess_test_total")
 	c.Inc()
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	g := r.Gauge("mess_test_gauge", "test gauge")
+	g := r.Gauge("mess_test_gauge")
 	g.Set(1.5)
 	g.Add(-0.5)
 	if got := g.Value(); got != 1.0 {
 		t.Fatalf("gauge = %v, want 1", got)
 	}
-	h := r.Histogram("mess_test_seconds", "test histogram", []float64{0.1, 1, 10})
+	h := r.Histogram("mess_test_seconds")
 	for _, v := range []float64{0.05, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -31,15 +30,12 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	if got, want := h.Sum(), 55.55; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("hist sum = %v, want %v", got, want)
 	}
-	if got := h.snapshot(); got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] != 1 {
-		t.Fatalf("hist buckets = %v, want one sample each", got)
-	}
 }
 
 func TestGetOrCreateSharesMetrics(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("mess_shared_total", "shared")
-	b := r.Counter("mess_shared_total", "shared")
+	a := r.Counter("mess_shared_total")
+	b := r.Counter("mess_shared_total")
 	if a != b {
 		t.Fatalf("same name produced distinct counters")
 	}
@@ -52,20 +48,20 @@ func TestGetOrCreateSharesMetrics(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("mess_kind_total", "")
+	r.Counter("mess_kind_total")
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("mess_kind_total", "")
+	r.Gauge("mess_kind_total")
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
-	h := r.Histogram("x_seconds", "", nil)
+	c := r.Counter("x_total")
+	g := r.Gauge("x")
+	h := r.Histogram("x_seconds")
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
@@ -76,9 +72,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if r.Snapshot() != nil {
 		t.Fatalf("nil registry snapshot must be nil")
-	}
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatalf("nil registry WritePrometheus: %v", err)
 	}
 	var tr *Tracer
 	tr.Span(Track{}, "x", 0, 1)
@@ -98,9 +91,9 @@ func TestNilSafety(t *testing.T) {
 // the exact final counts prove no update was lost.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("mess_conc_total", "")
-	g := r.Gauge("mess_conc_gauge", "")
-	h := r.Histogram("mess_conc_seconds", "", []float64{1, 2, 3})
+	c := r.Counter("mess_conc_total")
+	g := r.Gauge("mess_conc_gauge")
+	h := r.Histogram("mess_conc_seconds")
 	const workers, perWorker = 16, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,9 +128,9 @@ func TestConcurrentUpdates(t *testing.T) {
 // loops rely on: recording a metric never allocates, live or nil.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("mess_alloc_total", "")
-	g := r.Gauge("mess_alloc_gauge", "")
-	h := r.Histogram("mess_alloc_seconds", "", nil)
+	c := r.Counter("mess_alloc_total")
+	g := r.Gauge("mess_alloc_gauge")
+	h := r.Histogram("mess_alloc_seconds")
 	var nilC *Counter
 	var nilG *Gauge
 	var nilH *Histogram
@@ -160,50 +153,11 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(`mess_charz_hits_total{tier="disk"}`, "charz cache hits by tier").Add(3)
-	r.Counter(`mess_charz_hits_total{tier="memory"}`, "charz cache hits by tier").Add(9)
-	r.Gauge("mess_inflight_requests", "in-flight requests").Set(2)
-	h := r.Histogram("mess_req_seconds", "request duration", []float64{0.01, 0.1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(7)
-	r.CounterFunc("mess_func_total", "read-time counter", func() float64 { return 11 })
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	want := `# HELP mess_charz_hits_total charz cache hits by tier
-# TYPE mess_charz_hits_total counter
-mess_charz_hits_total{tier="disk"} 3
-mess_charz_hits_total{tier="memory"} 9
-# HELP mess_func_total read-time counter
-# TYPE mess_func_total counter
-mess_func_total 11
-# HELP mess_inflight_requests in-flight requests
-# TYPE mess_inflight_requests gauge
-mess_inflight_requests 2
-# HELP mess_req_seconds request duration
-# TYPE mess_req_seconds histogram
-mess_req_seconds_bucket{le="0.01"} 1
-mess_req_seconds_bucket{le="0.1"} 2
-mess_req_seconds_bucket{le="+Inf"} 3
-mess_req_seconds_sum 7.055
-mess_req_seconds_count 3
-`
-	if got != want {
-		t.Fatalf("prometheus output mismatch:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_total", "").Add(2)
-	r.Gauge("a", "").Set(1.25)
-	h := r.Histogram("c_seconds", "", []float64{1})
+	r.Counter("b_total").Add(2)
+	r.Gauge("a").Set(1.25)
+	h := r.Histogram("c_seconds")
 	h.Observe(0.5)
 	h.Observe(3)
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -22,7 +23,7 @@ import (
 // mutex-guarded append — cheap enough for per-point events, and exactly
 // zero cost (one nil check) when tracing is off. The event buffer is
 // bounded (MaxEvents); once full, further events are counted as dropped
-// rather than growing without bound on a long fleet run.
+// rather than growing without bound on a long run.
 type Tracer struct {
 	mu      sync.Mutex
 	events  []traceEvent
@@ -319,6 +320,18 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// fmtFloat renders a span argument: integers without a fraction,
+// everything else in shortest-round-trip form, +Inf as "+Inf".
+func fmtFloat(v float64) string {
+	if math.IsInf(v, +1) {
+		return "+Inf"
+	}
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // writeMicros renders ns as microseconds with ns precision, no trailing

@@ -36,22 +36,20 @@
 // the same inputs give byte-identical curve CSVs.
 //
 // The machinery underneath — the event kernel, the DRAM controller, the
-// service's cache tiers and curve server — is documented in the internal
-// packages that implement it (sim, dram, charz, curvestore) and reachable
-// through the cmd/ tools; this package names only what a program built on
-// the three components needs.
+// service's cache tiers — is documented in the internal packages that
+// implement it (sim, dram, charz, curvestore) and reachable through the
+// cmd/ tools; this package names only what a program built on the three
+// components needs.
 package mess
 
 import (
 	"context"
 	"io"
-	"os"
 	"sync"
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/core"
-	"github.com/mess-sim/mess/internal/curvestore"
 	"github.com/mess-sim/mess/internal/cxl"
 	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/platform"
@@ -175,18 +173,9 @@ func NewCharacterizationService(cfg CharacterizationConfig) *CharacterizationSer
 func NewCurveStore(dir string) (*CurveStore, error) { return charz.NewDiskStore(dir) }
 
 // defaultService is built by the first call that needs it, not at import.
-// When $MESS_CURVE_URL names a curve server (cmd/messcurved) it joins that
-// fleet-shared store as the cmd/ tools do — fail-soft: an unreachable
-// server, or a URL that does not parse, leaves it in-memory.
-var defaultService = sync.OnceValue(func() *charz.Service {
-	cfg := charz.Config{}
-	if u := os.Getenv(curvestore.EnvURL); u != "" {
-		if client, err := curvestore.NewClient(u, curvestore.ClientConfig{}); err == nil {
-			cfg.Remote = client
-		}
-	}
-	return charz.New(cfg)
-})
+// It is in-memory only: a program that wants curves on disk builds its own
+// service over a NewCurveStore.
+var defaultService = sync.OnceValue(func() *charz.Service { return charz.New(charz.Config{}) })
 
 // DefaultCharacterizationService returns the process-wide service behind
 // Characterize and RunExperiment. Its Stats count simulations run against
