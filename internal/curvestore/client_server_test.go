@@ -375,17 +375,10 @@ func TestClientFailSoftWhenServerDown(t *testing.T) {
 	}
 }
 
-// TestServerStats checks the server's counters against the traffic that
-// just happened, and the client's instrumented counters beside them.
-func TestServerStats(t *testing.T) {
-	srv := NewServer(NewMemory(0), ServerConfig{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	reg := telemetry.NewRegistry()
-	c := fastClient(t, ts.URL)
-	c.Instrument(reg)
-	key := testKey(27)
+// missSaveLoad drives one miss, one upload and one revalidating load of key
+// through c: the traffic the two stats tests below count.
+func missSaveLoad(t *testing.T, c *Client, key Key) {
+	t.Helper()
 	if _, ok, err := c.Load(bg, key); ok || err != nil {
 		t.Fatalf("load before save: ok=%v err=%v", ok, err)
 	}
@@ -396,9 +389,31 @@ func TestServerStats(t *testing.T) {
 	if _, ok, err := c.Load(bg, key); !ok || err != nil {
 		t.Fatalf("load: %v %v", ok, err)
 	}
+}
+
+// TestServerStats checks the server's counters against the traffic that
+// just happened.
+func TestServerStats(t *testing.T) {
+	srv := NewServer(NewMemory(0), ServerConfig{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	missSaveLoad(t, fastClient(t, ts.URL), testKey(27))
 	if st := srv.Stats(); st.Puts != 1 || st.Hits != 1 || st.Revalidations != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 put, 1 hit (a revalidation) and 1 miss", st)
 	}
+}
+
+// TestClientInstrumentCounters checks the counters Client.Instrument
+// registers against the same traffic, read back through Registry.Snapshot.
+func TestClientInstrumentCounters(t *testing.T) {
+	ts := httptest.NewServer(NewServer(NewMemory(0), ServerConfig{}))
+	defer ts.Close()
+
+	reg := telemetry.NewRegistry()
+	c := fastClient(t, ts.URL)
+	c.Instrument(reg)
+	missSaveLoad(t, c, testKey(27))
 	snap := reg.Snapshot()
 	for name, want := range map[string]float64{
 		`mess_curve_client_requests_total{op="load"}`: 2,
