@@ -79,16 +79,28 @@ func TestGate(t *testing.T) {
 		{"baseline row missing from the fresh run is ignored",
 			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 100e6, AllocsPerOp: allocs(0)}}, ""},
 	} {
-		wantGate(t, tc.name, gate(Report{Results: tc.fresh}, base, 0.30), tc.fail)
+		wantGate(t, tc.name, gate(Report{Results: tc.fresh}, base, gateDrop), tc.fail)
 	}
-	if err := gate(Report{}, filepath.Join(t.TempDir(), "absent.json"), 0.30); err == nil {
+	// The previous-run gate is the tight one: 10%.
+	for _, tc := range []struct {
+		name string
+		eps  float64
+		fail string
+	}{
+		{"previous-run drop under the bound", 92e6, ""},
+		{"previous-run drop over the bound", 88e6, "12% drop > 10% allowed"},
+	} {
+		fresh := Report{Results: []Result{{Name: "kernel/schedule_fire", EventsPerSec: tc.eps, AllocsPerOp: allocs(0)}}}
+		wantGate(t, tc.name, gate(fresh, base, gatePrevDrop), tc.fail)
+	}
+	if err := gate(Report{}, filepath.Join(t.TempDir(), "absent.json"), gateDrop); err == nil {
 		t.Error("gate passed against a baseline file that does not exist")
 	}
 }
 
-// TestSampledGate pins the sampled-replay accuracy gate: each bound fails
-// its own side of the limit, a zero bound is off, and a report with no
-// sampled row fails instead of passing with nothing checked.
+// TestSampledGate pins the sampled-replay accuracy gate: each bound (5%
+// divergence, 5× speedup) fails its own side of the limit, and a report
+// with no sampled row fails instead of passing with nothing checked.
 func TestSampledGate(t *testing.T) {
 	row := func(div, speedup float64) Report {
 		return Report{Results: []Result{
@@ -97,22 +109,19 @@ func TestSampledGate(t *testing.T) {
 		}}
 	}
 	for _, tc := range []struct {
-		name                string
-		rep                 Report
-		maxDiverge, minSpdp float64
-		fail                string
+		name string
+		rep  Report
+		fail string
 	}{
-		{"within both bounds", row(2.5, 8), 5, 5, ""},
-		{"divergence at the bound", row(5, 8), 5, 5, ""},
-		{"divergence over the bound", row(5.1, 8), 5, 5, "diverges 5.10%"},
-		{"divergence bound off", row(50, 8), 0, 5, ""},
-		{"speedup at the bound", row(2.5, 5), 5, 5, ""},
-		{"speedup under the bound", row(2.5, 4.9), 5, 5, "4.9× speedup"},
-		{"speedup bound off", row(2.5, 1), 5, 0, ""},
-		{"no sampled row", Report{Results: []Result{{Name: "framework/fig6_replay"}}}, 5, 5, "no framework/fig6_replay_sampled row"},
-		{"no sampled row, one bound", Report{}, 0, 5, "no framework/fig6_replay_sampled row"},
+		{"within both bounds", row(2.5, 8), ""},
+		{"divergence at the bound", row(5, 8), ""},
+		{"divergence over the bound", row(5.1, 8), "diverges 5.10% from the full replay (> 5.0% allowed)"},
+		{"speedup at the bound", row(2.5, 5), ""},
+		{"speedup under the bound", row(2.5, 4.9), "4.9× speedup (< 5.0× required)"},
+		{"no sampled row", Report{Results: []Result{{Name: "framework/fig6_replay"}}}, "no framework/fig6_replay_sampled row"},
+		{"empty report", Report{}, "no framework/fig6_replay_sampled row"},
 	} {
-		_, err := sampledGate(tc.rep, tc.maxDiverge, tc.minSpdp)
+		_, err := sampledGate(tc.rep)
 		wantGate(t, tc.name, err, tc.fail)
 	}
 }

@@ -16,7 +16,7 @@ type fakeBackend struct {
 }
 
 func (f *fakeBackend) Access(req *mem.Request) {
-	f.c.Add(req.Op, req.Bytes())
+	f.c.Add(req.Op, mem.LineSize)
 	f.reqs = append(f.reqs, *req)
 	req.CompleteAt(f.eng, f.eng.Now()+f.delay)
 }

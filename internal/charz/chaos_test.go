@@ -378,25 +378,6 @@ func TestDiskStoreQuarantineHealsBySave(t *testing.T) {
 	if err != nil || !ok || fam.Label != "healed" {
 		t.Fatalf("key not healed by re-save: fam=%v ok=%v err=%v", fam, ok, err)
 	}
-
-	// GC sweeps the quarantined file once it is older than the post-mortem
-	// window, but leaves a fresh one alone.
-	if _, err := store.GC(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(bad); err != nil {
-		t.Fatalf("fresh quarantine file swept too early: %v", err)
-	}
-	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(bad, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.GC(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(bad); !os.IsNotExist(err) {
-		t.Fatalf("stale quarantine file survived GC: %v", err)
-	}
 }
 
 // TestCharacterizeContextCancelsBlockedRun proves caller cancellation cuts

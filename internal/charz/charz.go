@@ -316,17 +316,6 @@ func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Reset drops every completed and in-flight entry from the in-memory
-// cache (in-flight runs finish for their current waiters but will not be
-// re-served). Long-lived processes characterizing many distinct
-// configurations use this as the eviction escape hatch; the disk store,
-// being content-addressed, needs no invalidation.
-func (s *Service) Reset() {
-	s.mu.Lock()
-	s.entries = map[Key]*entry{}
-	s.mu.Unlock()
-}
-
 // fill executes the cache miss path for the entry it owns and publishes
 // the outcome by closing done.
 func (s *Service) fill(ctx context.Context, key Key, e *entry, req Request) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -472,23 +471,6 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-func TestResetEvictsEntries(t *testing.T) {
-	var calls atomic.Int64
-	svc := New(Config{Run: fakeRun(&calls, 0)})
-	req := Request{Spec: testSpec("reset"), Options: bench.QuickOptions()}
-	if _, err := svc.Characterize(req); err != nil {
-		t.Fatal(err)
-	}
-	svc.Reset()
-	art, err := svc.Characterize(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Source != SourceRun || calls.Load() != 2 {
-		t.Fatalf("post-Reset request: source=%v calls=%d, want a fresh run", art.Source, calls.Load())
-	}
-}
-
 func TestFamilyOnlyHitSkipsSampleCopy(t *testing.T) {
 	var calls atomic.Int64
 	svc := New(Config{Run: fakeRun(&calls, 0)})
@@ -579,114 +561,4 @@ func TestDiskStoreShardsByKeyPrefix(t *testing.T) {
 	if fam.Label != "sharded" {
 		t.Fatalf("label = %q", fam.Label)
 	}
-}
-
-func TestDiskStoreGCEvictsLRU(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	keys := make([]Key, n)
-	var fileSize int64
-	for i := range keys {
-		keys[i] = keyForStoreTest(100 + i)
-		if err := store.Save(bg, keys[i], famForStoreTest("gc")); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(store.Path(keys[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fileSize = fi.Size()
-		// Distinct mtimes establish the LRU order: keys[0] oldest.
-		old := time.Now().Add(-time.Duration(n-i) * time.Hour)
-		if err := os.Chtimes(store.Path(keys[i]), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch the oldest via Load: it becomes the most recently used.
-	if _, ok, err := store.Load(bg, keys[0]); !ok || err != nil {
-		t.Fatalf("load: ok=%v err=%v", ok, err)
-	}
-
-	store.SetMaxBytes(fileSize * 4)
-	evicted, err := store.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evicted != n-4 {
-		t.Fatalf("evicted %d files, want %d", evicted, n-4)
-	}
-	// The loaded key survived; the next-oldest untouched keys are gone.
-	if _, ok, _ := store.Load(bg, keys[0]); !ok {
-		t.Fatal("recently loaded key was evicted")
-	}
-	for i := 1; i <= n-4; i++ {
-		if _, ok, _ := store.Load(bg, keys[i]); ok {
-			t.Fatalf("stale key %d survived GC", i)
-		}
-	}
-	for i := n - 3; i < n; i++ {
-		if _, ok, _ := store.Load(bg, keys[i]); !ok {
-			t.Fatalf("recent key %d was evicted", i)
-		}
-	}
-	if sz := storeBytes(t, dir); sz > fileSize*4 {
-		t.Fatalf("store size %d exceeds budget %d after GC", sz, fileSize*4)
-	}
-}
-
-func TestDiskStoreSaveTriggersGC(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Budget of ~2 files: saving many more must keep the store bounded.
-	if err := store.Save(bg, keyForStoreTest(200), famForStoreTest("seed")); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(store.Path(keyForStoreTest(200)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetMaxBytes(fi.Size()*2 + fi.Size()/2)
-	for i := 0; i < 2*gcEvery; i++ {
-		if err := store.Save(bg, keyForStoreTest(300+i), famForStoreTest("fill")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sz := storeBytes(t, dir)
-	// The store may transiently exceed the budget between GC passes, but
-	// after this many saves it must have been brought back near it (within
-	// one inter-GC batch of the bound).
-	limit := fi.Size()*2 + fi.Size()/2 + int64(gcEvery+1)*fi.Size()
-	if sz > limit {
-		t.Fatalf("store size %d never bounded (limit %d)", sz, limit)
-	}
-	if _, err := os.Stat(store.Path(keyForStoreTest(300 + 2*gcEvery - 1))); err != nil {
-		t.Fatalf("most recent save missing: %v", err)
-	}
-}
-
-// storeBytes sums the sizes of the curve files under a store's directory.
-func storeBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	var total int64
-	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
-		if err != nil || e.IsDir() || !isKeyFile(e.Name()) {
-			return err
-		}
-		fi, err := e.Info()
-		if err == nil {
-			total += fi.Size()
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return total
 }

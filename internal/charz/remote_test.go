@@ -171,7 +171,8 @@ func TestRemoteStoreFailSoft(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
-	svc := New(Config{Run: fakeRun(&calls, 0), Store: disk, Remote: remoteClient(t, ts.URL)})
+	cfg := Config{Run: fakeRun(&calls, 0), Store: disk, Remote: remoteClient(t, ts.URL)}
+	svc := New(cfg)
 
 	warm := Request{Spec: testSpec("warm"), Options: bench.QuickOptions()}
 	if _, err := svc.Characterize(warm); err != nil {
@@ -181,7 +182,7 @@ func TestRemoteStoreFailSoft(t *testing.T) {
 	ts.Close() // the server dies mid-run
 
 	// A key already in the local disk tier: served from disk.
-	svc.Reset() // force past the in-memory entry to the tier lookup
+	svc = New(cfg) // same tiers, empty memory: the lookup reaches them
 	art, err := svc.Characterize(warm)
 	if err != nil {
 		t.Fatalf("disk-backed characterization failed with the server down: %v", err)

@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"time"
 
 	"github.com/mess-sim/mess/internal/core"
 )
@@ -29,24 +25,16 @@ import (
 //
 // # Eviction
 //
-// An optional size bound (SetMaxBytes, or the -cache-max-mb CLI flag)
-// turns the store into an LRU cache: Load refreshes a file's modification
-// time, and a GC pass evicts least-recently-used families until the store
-// fits the budget. GC runs automatically after saves (amortized — roughly
-// every 32 writes once the budget is near) and can be invoked explicitly.
+// None: the store grows by one file per distinct characterization and
+// nothing is ever removed, so Load is read-only. A whole Quick-scale
+// registry run fills it with a few dozen families of a few KiB each. A
+// temp file orphaned by a killed writer and a quarantined *.bad file stay
+// too; neither is ever read. Content addressing makes deleting the directory (or any file in it) safe
+// at any time: a missing family is re-simulated and re-saved on its next
+// request.
 type DiskStore struct {
 	dir string
-
-	mu        sync.Mutex
-	maxBytes  int64
-	sizeKnown bool
-	sizeBytes int64 // approximate resident bytes while sizeKnown
-	saves     int   // saves since the last GC pass
 }
-
-// gcEvery bounds how many saves may elapse between automatic GC passes
-// once a size budget is set.
-const gcEvery = 32
 
 // NewDiskStore opens (creating if needed) a store rooted at dir.
 func NewDiskStore(dir string) (*DiskStore, error) {
@@ -59,32 +47,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 // Dir reports the store's root directory.
 func (d *DiskStore) Dir() string { return d.dir }
 
-// SetMaxBytes bounds the store's on-disk size; 0 (the default) disables
-// eviction. The bound is enforced by GC passes, not per write, so the store
-// may transiently exceed it by the files saved since the last pass.
-func (d *DiskStore) SetMaxBytes(n int64) {
-	d.mu.Lock()
-	d.maxBytes = n
-	d.mu.Unlock()
-}
-
-// isKeyFile reports whether name is a content-addressed curve file.
-func isKeyFile(name string) bool {
-	if !strings.HasSuffix(name, ".csv") {
-		return false
-	}
-	stem := strings.TrimSuffix(name, ".csv")
-	if len(stem) != 64 {
-		return false
-	}
-	for _, c := range stem {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Path reports where the family for key lives (whether or not it exists).
 func (d *DiskStore) Path(key Key) string {
 	k := key.String()
@@ -94,10 +56,8 @@ func (d *DiskStore) Path(key Key) string {
 // Load reads the family for key. ok is false when the key is absent; a
 // present but unparsable file is an error — and is quarantined: the file
 // is renamed to <name>.bad, so the key reads as a clean miss from then on
-// and heals by re-save, instead of re-erroring on every lookup forever. A
-// hit refreshes the file's modification time, which is the recency signal
-// the GC pass evicts by. Local file I/O is fast enough that the context is
-// checked only on entry.
+// and heals by re-save, instead of re-erroring on every lookup forever.
+// Local file I/O is fast enough that the context is checked only on entry.
 func (d *DiskStore) Load(ctx context.Context, key Key) (fam *core.Family, ok bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -116,24 +76,20 @@ func (d *DiskStore) Load(ctx context.Context, key Key) (fam *core.Family, ok boo
 		d.quarantine(path)
 		return nil, false, fmt.Errorf("charz: parsing cached curves %s: %w", path, err)
 	}
-	// Best-effort LRU touch; a read-only store still serves hits.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
 	return fam, true, nil
 }
 
 // quarantine sidelines an unreadable curve file as <name>.bad — kept for a
-// post-mortem rather than deleted, invisible to isKeyFile so the key is a
-// clean miss until a re-save heals it, and swept by GC like an orphaned
-// temp file. Best-effort: on a read-only store the rename fails and the
-// file keeps erroring, which is no worse than before.
+// post-mortem rather than deleted, under a name Load never opens, so the
+// key is a clean miss until a re-save heals it. Best-effort: on a read-only
+// store the rename fails and the file keeps erroring, which is no worse
+// than before.
 func (d *DiskStore) quarantine(path string) {
 	_ = os.Rename(path, path+".bad")
 }
 
 // Save writes the family for key atomically (temp file + rename), so a
-// crashed or concurrent writer never leaves a torn CSV for readers. When a
-// size budget is set, an amortized GC pass keeps the store under it.
+// crashed or concurrent writer never leaves a torn CSV for readers.
 func (d *DiskStore) Save(ctx context.Context, key Key, fam *core.Family) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -151,119 +107,11 @@ func (d *DiskStore) Save(ctx context.Context, key Key, fam *core.Family) error {
 		tmp.Close()
 		return fmt.Errorf("charz: writing cached curves: %w", err)
 	}
-	var written int64
-	if fi, err := tmp.Stat(); err == nil {
-		written = fi.Size()
-	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp.Name(), d.Path(key)); err != nil {
 		return fmt.Errorf("charz: installing cached curves: %w", err)
 	}
-	d.noteSave(written)
 	return nil
-}
-
-// noteSave tracks the approximate store size under a budget and triggers
-// the amortized GC pass when the budget is exceeded (or every gcEvery saves
-// as a backstop). Without a budget it does nothing.
-func (d *DiskStore) noteSave(written int64) {
-	d.mu.Lock()
-	max := d.maxBytes
-	if max <= 0 {
-		d.mu.Unlock()
-		return
-	}
-	if d.sizeKnown {
-		d.sizeBytes += written
-	}
-	d.saves++
-	over := d.sizeKnown && d.sizeBytes > max
-	due := d.saves >= gcEvery || !d.sizeKnown
-	d.mu.Unlock()
-	if over || due {
-		_, _ = d.GC()
-	}
-}
-
-// GC evicts least-recently-used curve files until the store fits its size
-// budget, reporting how many files it removed. With no budget set it only
-// refreshes the internal size estimate. Eviction is safe at any time: the
-// store is content-addressed, so an evicted family is simply re-simulated
-// (and re-saved) on its next request.
-func (d *DiskStore) GC() (evicted int, err error) {
-	type file struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var files []file
-	var total int64
-	shards, err := os.ReadDir(d.dir)
-	if err != nil {
-		return 0, fmt.Errorf("charz: scanning cache dir: %w", err)
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		entries, err := os.ReadDir(filepath.Join(d.dir, sh.Name()))
-		if err != nil {
-			continue // shard vanished under us
-		}
-		for _, e := range entries {
-			fi, err := e.Info()
-			if err != nil {
-				continue
-			}
-			if !isKeyFile(e.Name()) {
-				// Sweep temp files orphaned by a killed writer and
-				// quarantined (.bad) files past their post-mortem window:
-				// both are invisible to Load yet consume the budget.
-				// Anything still mid-write is far younger than an hour.
-				stale := strings.HasSuffix(e.Name(), ".tmp") || strings.HasSuffix(e.Name(), ".bad")
-				if stale && time.Since(fi.ModTime()) > time.Hour {
-					_ = os.Remove(filepath.Join(d.dir, sh.Name(), e.Name()))
-				}
-				continue
-			}
-			files = append(files, file{
-				path:  filepath.Join(d.dir, sh.Name(), e.Name()),
-				size:  fi.Size(),
-				mtime: fi.ModTime(),
-			})
-			total += fi.Size()
-		}
-	}
-
-	d.mu.Lock()
-	max := d.maxBytes
-	d.mu.Unlock()
-	if max > 0 && total > max {
-		// Oldest (least recently loaded or saved) first.
-		sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-		for _, f := range files {
-			if total <= max {
-				break
-			}
-			if rmErr := os.Remove(f.path); rmErr != nil {
-				if os.IsNotExist(rmErr) {
-					total -= f.size
-					continue
-				}
-				err = rmErr
-				continue
-			}
-			total -= f.size
-			evicted++
-		}
-	}
-
-	d.mu.Lock()
-	d.sizeKnown = true
-	d.sizeBytes = total
-	d.saves = 0
-	d.mu.Unlock()
-	return evicted, err
 }

@@ -1,8 +1,7 @@
 // Package cli collects the small pieces every cmd/* binary previously
 // duplicated: fatal-error reporting, platform lookup and scale parsing,
-// the shared telemetry flags, and the shared -cache-dir / -cache-max-mb /
-// -timeout flags with the characterization service and root context they
-// describe.
+// the shared telemetry flags, and the shared -cache-dir / -timeout flags
+// with the characterization service and root context they describe.
 package cli
 
 import (
@@ -145,20 +144,17 @@ func MustScale(name string) exp.Scale {
 }
 
 // Cache carries the flags every cached tool shares: where curve families
-// persist (-cache-dir, -cache-max-mb) and how long the run may take
-// (-timeout).
+// persist (-cache-dir) and how long the run may take (-timeout).
 type Cache struct {
 	dir     string
-	maxMB   int
 	timeout time.Duration
 }
 
-// CacheFlags registers -cache-dir, -cache-max-mb and -timeout on the
-// default flag set, beside TelemetryFlags. Call before flag.Parse.
+// CacheFlags registers -cache-dir and -timeout on the default flag set,
+// beside TelemetryFlags. Call before flag.Parse.
 func CacheFlags() *Cache {
 	c := &Cache{}
 	flag.StringVar(&c.dir, "cache-dir", "", "persist curve families under this directory")
-	flag.IntVar(&c.maxMB, "cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
 	flag.DurationVar(&c.timeout, "timeout", 0, TimeoutUsage)
 	return c
 }
@@ -168,9 +164,8 @@ func (c *Cache) Context() (ctx context.Context, stop func()) { return Context(c.
 
 // Service builds the characterization service the flags describe: in-memory
 // only without -cache-dir, otherwise with a disk tier under it (sharded by
-// key prefix, LRU-bounded by a positive -cache-max-mb) that lets later
-// invocations skip re-simulation. -cache-dir alone decides where a curve
-// comes from.
+// key prefix, never evicted) that lets later invocations skip
+// re-simulation. -cache-dir alone decides where a curve comes from.
 //
 // tel, when non-nil, instruments the service and the benchmark sweeps it
 // runs: both report into tel's registry, tracer and logger (see
@@ -182,9 +177,6 @@ func (c *Cache) Service(tel *telemetry.Set) *charz.Service {
 		store, err = charz.NewDiskStore(c.dir)
 		if err != nil {
 			Fatal(err)
-		}
-		if c.maxMB > 0 {
-			store.SetMaxBytes(int64(c.maxMB) << 20)
 		}
 	}
 	return charz.New(charz.Config{Store: store, Telemetry: tel})

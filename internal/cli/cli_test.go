@@ -168,17 +168,20 @@ func TestWriteTrace(t *testing.T) {
 func TestCacheFlags(t *testing.T) {
 	ownFlagSet(t)
 	cache := CacheFlags()
-	for _, name := range []string{"cache-dir", "cache-max-mb", "timeout"} {
+	for _, name := range []string{"cache-dir", "timeout"} {
 		if flag.Lookup(name) == nil {
 			t.Errorf("-%s is not registered", name)
 		}
 	}
-	// -cache-dir alone decides where a curve comes from.
-	if flag.Lookup("cache-url") != nil {
-		t.Error("-cache-url is registered")
+	// -cache-dir alone decides where a curve comes from, and the store it
+	// names has no size budget to set.
+	for _, name := range []string{"cache-url", "cache-max-mb"} {
+		if flag.Lookup(name) != nil {
+			t.Errorf("-%s is registered", name)
+		}
 	}
 	dir := filepath.Join(t.TempDir(), "curves")
-	if err := flag.CommandLine.Parse([]string{"-cache-dir", dir, "-cache-max-mb", "8", "-timeout", "1h"}); err != nil {
+	if err := flag.CommandLine.Parse([]string{"-cache-dir", dir, "-timeout", "1h"}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, stop := cache.Context()

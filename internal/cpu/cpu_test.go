@@ -18,7 +18,7 @@ type fixedBackend struct {
 }
 
 func (f *fixedBackend) Access(req *mem.Request) {
-	f.c.Add(req.Op, req.Bytes())
+	f.c.Add(req.Op, mem.LineSize)
 	req.CompleteAt(f.eng, f.eng.Now()+f.delay)
 }
 

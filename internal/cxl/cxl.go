@@ -145,7 +145,7 @@ func (e *Expander) Access(req *mem.Request) {
 		return
 	}
 	// Write: data over TX, DDR write; completion flit over RX.
-	txDone := e.occupyTx(now, req.Bytes()+hdr)
+	txDone := e.occupyTx(now, mem.LineSize+hdr)
 	inner := e.pool.Get(req.Addr, mem.Write, e.writeDoneFn)
 	inner.Parent = req
 	inner.SendAt(e.eng, e.ddr, txDone+prop)
@@ -155,7 +155,7 @@ func (e *Expander) Access(req *mem.Request) {
 // host, then the host request completes (and returns to its pool).
 func (e *Expander) readDone(ddrDone sim.Time, inner *mem.Request) {
 	host := inner.Parent
-	rxDone := e.occupyRx(ddrDone, host.Bytes()+e.cfg.HeaderBytes)
+	rxDone := e.occupyRx(ddrDone, mem.LineSize+e.cfg.HeaderBytes)
 	host.CompleteAtTagged(e.eng, rxDone+e.cfg.PropagationOneWay, DevTagBase)
 }
 

@@ -67,7 +67,7 @@ func NewOptane(eng *sim.Engine, cfg OptaneConfig) *Optane {
 // bandwidths), but pending writes stall reads.
 func (o *Optane) Access(req *mem.Request) {
 	now := o.eng.Now()
-	bytes := float64(req.Bytes())
+	const bytes = float64(mem.LineSize)
 	if req.Op == mem.Write {
 		svc := sim.FromNanoseconds(bytes / (o.cfg.WriteGBs * float64(o.cfg.Modules)))
 		start := max(now, o.writeFree)

@@ -370,7 +370,7 @@ func TestCountersConservation(t *testing.T) {
 	sys := New(eng, cfg)
 	counting := mem.NewCounting(sys)
 	var completed mem.Counters
-	done := func(_ sim.Time, r *mem.Request) { completed.Add(r.Op, r.Bytes()) }
+	done := func(_ sim.Time, r *mem.Request) { completed.Add(r.Op, mem.LineSize) }
 	reads, writes := 0, 0
 	rng := uint64(12345)
 	for i := 0; i < 3000; i++ {

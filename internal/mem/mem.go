@@ -16,8 +16,8 @@
 //     simulation instance — pools, like engines, are single-goroutine) and
 //     fills in address, op and completion callback;
 //   - Access transfers ownership to the backend. From that point the issuer
-//     must not retain the pointer past completion; use Handle for any
-//     monitoring reference that may outlive the request;
+//     must not retain the pointer past completion: the record is recycled
+//     for an unrelated transaction;
 //   - the backend completes the request exactly once — Complete(at) now, or
 //     CompleteAt(eng, at) to schedule completion — which invokes Done and
 //     then releases the record back to its pool automatically. Completing a
@@ -78,7 +78,8 @@ func (o Op) String() string {
 // the pointer.
 type DoneFunc func(at sim.Time, req *Request)
 
-// Request is one memory transaction. Requests are issued asynchronously:
+// Request is one memory transaction of one LineSize line: the DRAM model
+// serves one burst per request. Requests are issued asynchronously:
 // the backend completes each request exactly once (for reads at data
 // return; writes are posted and complete when the controller accepts them
 // into its write queue). Acquire requests from a RequestPool on hot paths;
@@ -86,7 +87,6 @@ type DoneFunc func(at sim.Time, req *Request)
 type Request struct {
 	Addr   uint64
 	Op     Op
-	Size   int // bytes; 0 means LineSize
 	Issued sim.Time
 
 	// Done is the completion callback; nil means fire-and-forget (the
@@ -107,7 +107,6 @@ type Request struct {
 	Parent *Request
 
 	pool     *RequestPool // owning pool; nil for literal requests
-	gen      uint32       // bumped on release; Handles must match to act
 	inflight bool         // acquired and not yet released
 	next     *Request     // free-list link
 
@@ -117,14 +116,6 @@ type Request struct {
 	fire    func(sim.Time)
 	deliver func(sim.Time)
 	dest    Backend // delivery target for SendAt
-}
-
-// Bytes reports the transaction size, defaulting to LineSize.
-func (r *Request) Bytes() int {
-	if r.Size <= 0 {
-		return LineSize
-	}
-	return r.Size
 }
 
 // Complete finishes the request at time at: it invokes Done (when set) and
@@ -202,39 +193,11 @@ func (r *Request) release() {
 	if !r.inflight {
 		panic("mem: request released after release (double completion?)")
 	}
-	r.gen++
 	r.inflight = false
 	r.Done, r.User, r.Parent, r.dest = nil, nil, nil, nil
 	r.next = p.free
 	p.free = r
 	p.live--
-}
-
-// Handle returns a stale-safe reference to the request: once the record is
-// released (and possibly recycled for an unrelated transaction), the handle
-// reads as dead instead of aliasing the new occupant.
-func (r *Request) Handle() RequestHandle { return RequestHandle{req: r, gen: r.gen} }
-
-// RequestHandle is a generation-counted reference to a pooled request. The
-// zero handle is valid and dead. Handles are values; copying one copies the
-// right to observe.
-type RequestHandle struct {
-	req *Request
-	gen uint32
-}
-
-// Live reports whether the handle still names the in-flight request it was
-// taken from.
-func (h RequestHandle) Live() bool {
-	return h.req != nil && h.req.gen == h.gen && h.req.inflight
-}
-
-// Request returns the referenced request, or nil when the handle is stale.
-func (h RequestHandle) Request() *Request {
-	if !h.Live() {
-		return nil
-	}
-	return h.req
 }
 
 // RequestPool is a free-list allocator for Request records, one per
@@ -252,10 +215,9 @@ type RequestPool struct {
 // recycled thereafter.
 func NewRequestPool() *RequestPool { return &RequestPool{} }
 
-// Get acquires a record initialized for one transaction: Size 0 (LineSize)
-// and cleared context slots. The caller owns the record until it
-// hands it to a backend via Access; the pool takes it back when the backend
-// completes it.
+// Get acquires a record initialized for one transaction, with cleared
+// context slots. The caller owns the record until it hands it to a backend
+// via Access; the pool takes it back when the backend completes it.
 func (p *RequestPool) Get(addr uint64, op Op, done DoneFunc) *Request {
 	r := p.free
 	if r == nil {
@@ -271,7 +233,7 @@ func (p *RequestPool) Get(addr uint64, op Op, done DoneFunc) *Request {
 		r.next = nil
 	}
 	r.Addr, r.Op, r.Done = addr, op, done
-	r.Size, r.Issued, r.Ctx = 0, 0, 0
+	r.Issued, r.Ctx = 0, 0
 	r.inflight = true
 	p.live++
 	return r
@@ -287,8 +249,8 @@ func (p *RequestPool) Allocated() int { return len(p.all) }
 
 // Reset reclaims every record still acquired, for a pool whose simulation
 // was abandoned mid-flight (its engine Reset with completions pending). Done
-// is not invoked; the records go through the ordinary release, so earlier
-// handles read as dead and completing a reclaimed record panics.
+// is not invoked; the records go through the ordinary release, so
+// completing a reclaimed record panics.
 func (p *RequestPool) Reset() {
 	for _, r := range p.all {
 		if r.inflight {
@@ -441,7 +403,7 @@ func NewCounting(inner Backend) *CountingBackend { return &CountingBackend{Inner
 
 // Access counts the request and forwards it.
 func (b *CountingBackend) Access(req *Request) {
-	b.C.Add(req.Op, req.Bytes())
+	b.C.Add(req.Op, LineSize)
 	b.Inner.Access(req)
 }
 
@@ -449,7 +411,7 @@ func (b *CountingBackend) Access(req *Request) {
 // delivery. Only valid when the inner backend is a TimedBackend — gate
 // through Timed rather than asserting on the wrapper directly.
 func (b *CountingBackend) AccessAt(req *Request, at sim.Time) {
-	b.C.Add(req.Op, req.Bytes())
+	b.C.Add(req.Op, LineSize)
 	b.Inner.(TimedBackend).AccessAt(req, at)
 }
 

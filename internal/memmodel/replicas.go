@@ -25,10 +25,11 @@ func newBWTracker(window sim.Time) *bwTracker {
 	return &bwTracker{window: window, lastRd: 1}
 }
 
-func (t *bwTracker) observe(now sim.Time, op mem.Op, bytes int) {
-	t.winBytes += uint64(bytes)
+// observe counts one line-sized transaction at now.
+func (t *bwTracker) observe(now sim.Time, op mem.Op) {
+	t.winBytes += mem.LineSize
 	if op == mem.Read {
-		t.rdBytes += uint64(bytes)
+		t.rdBytes += mem.LineSize
 	}
 	if now-t.winStart >= t.window {
 		dur := now - t.winStart
@@ -98,7 +99,7 @@ func NewDRAMsim3Like(eng *sim.Engine, spec platform.Spec) *DRAMsim3Like {
 // Access implements mem.Backend.
 func (d *DRAMsim3Like) Access(req *mem.Request) {
 	now := d.eng.Now()
-	d.track.observe(now, req.Op, req.Bytes())
+	d.track.observe(now, req.Op)
 	d.recordRow()
 	req.CompleteAt(d.eng, d.fifo.admit(now, req.Addr)+sim.FromNanoseconds(d.latency()))
 }
@@ -160,7 +161,7 @@ func NewRamulatorLike(eng *sim.Engine, spec platform.Spec) *RamulatorLike {
 // Access implements mem.Backend.
 func (r *RamulatorLike) Access(req *mem.Request) {
 	now := r.eng.Now()
-	r.track.observe(now, req.Op, req.Bytes())
+	r.track.observe(now, req.Op)
 	r.recordRow()
 	req.CompleteAt(r.eng, now+r.lat)
 }

@@ -176,10 +176,9 @@ func (s *Simulator) Access(req *mem.Request) {
 		s.started = true
 		s.winStart = now
 	}
-	bytes := uint64(req.Bytes())
-	s.winBytes += bytes
+	s.winBytes += mem.LineSize
 	if req.Op == mem.Read {
-		s.winRdBytes += bytes
+		s.winRdBytes += mem.LineSize
 	}
 	s.winOps++
 

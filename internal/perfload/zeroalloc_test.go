@@ -78,7 +78,7 @@ type instrumentedBackend struct {
 
 func (b *instrumentedBackend) Access(req *mem.Request) {
 	b.reqs.Inc()
-	b.sizes.Observe(float64(req.Size))
+	b.sizes.Observe(mem.LineSize)
 	b.inner.Access(req)
 }
 

@@ -1,10 +1,10 @@
-// Package platform assembles complete simulated systems: a memory backend,
+// Package platform describes complete simulated systems: a memory backend,
 // a cache hierarchy and a set of cores, configured to mirror the eight
 // platforms of the paper's Table I plus the CPU-simulator configurations of
 // Sec. IV (ZSim-like, gem5-like, OpenPiton-like).
 //
-// A Spec is pure data; Build instantiates it on a fresh engine. The
-// calibration targets are the paper's measured characteristics — unloaded
+// A Spec is pure data; the packages that run a platform (bench, workloads)
+// instantiate it. The calibration targets are the paper's measured characteristics — unloaded
 // latency, saturated-bandwidth range, maximum latency range — not the
 // microarchitectural details of the real chips.
 package platform
@@ -14,7 +14,6 @@ import (
 
 	"github.com/mess-sim/mess/internal/cache"
 	"github.com/mess-sim/mess/internal/dram"
-	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/sim"
 )
 
@@ -49,33 +48,6 @@ func (s Spec) CycleTime() sim.Time {
 
 // TheoreticalBandwidthGBs reports the peak memory bandwidth.
 func (s Spec) TheoreticalBandwidthGBs() float64 { return s.DRAM.PeakBandwidthGBs() }
-
-// System is an instantiated platform: engine, memory, hierarchy.
-type System struct {
-	Spec Spec
-	Eng  *sim.Engine
-	Mem  *dram.System
-	Hier *cache.Hierarchy
-}
-
-// Build instantiates the platform on a fresh engine with its detailed DRAM
-// backend (the "actual hardware" of every experiment).
-func (s Spec) Build() *System {
-	eng := sim.New()
-	m := dram.New(eng, s.DRAM)
-	h := cache.New(eng, s.CacheConfig(), m)
-	return &System{Spec: s, Eng: eng, Mem: m, Hier: h}
-}
-
-// BuildOn instantiates the platform's cache hierarchy and cores over an
-// arbitrary memory backend — how the Sec. IV/V experiments swap memory
-// models under an unchanged CPU side. It returns the hierarchy and the
-// counting wrapper that stands in for the uncore bandwidth counters.
-func (s Spec) BuildOn(eng *sim.Engine, backend mem.Backend) (*cache.Hierarchy, *mem.CountingBackend) {
-	counting := mem.NewCounting(backend)
-	h := cache.New(eng, s.CacheConfig(), counting)
-	return h, counting
-}
 
 // CacheConfig derives the hierarchy configuration from the spec.
 func (s Spec) CacheConfig() cache.Config {

@@ -79,16 +79,6 @@ func TestCycleTime(t *testing.T) {
 	}
 }
 
-func TestBuildConstructsSystem(t *testing.T) {
-	sys := Skylake().Build()
-	if sys.Eng == nil || sys.Mem == nil || sys.Hier == nil {
-		t.Fatal("Build left nil components")
-	}
-	if sys.Mem.PeakBandwidthGBs() < 120 {
-		t.Fatal("built memory system has wrong bandwidth")
-	}
-}
-
 func TestSimulatorVariants(t *testing.T) {
 	op := OpenPitonAriane()
 	if op.MSHRs != 2 {

@@ -516,12 +516,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunWhile executes events while cond() holds and events remain.
-func (e *Engine) RunWhile(cond func() bool) {
-	for cond() && e.Step() {
-	}
-}
-
 // Reset returns the engine to its initial state — clock at zero, queue
 // empty, counters cleared — while keeping its allocated capacity warm: the
 // event pool, the active run and the overflow array are retained, so a reused

@@ -370,22 +370,6 @@ func TestScheduleBehindCursor(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	e := New()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		e.Schedule(i, func() { count++ })
-	}
-	e.RunWhile(func() bool { return count < 4 })
-	if count != 4 {
-		t.Fatalf("RunWhile ran %d events, want 4", count)
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("drain ran %d events, want 10", count)
-	}
-}
-
 // --- determinism ---
 
 // chaoticRun exercises every kernel structure: cascades, equal-time ties,

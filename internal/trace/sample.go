@@ -165,16 +165,6 @@ func (r *SampledResult) DivergencePct(full ReplayResult) float64 {
 	return 100 * d
 }
 
-// WithinErrorBars reports whether a full replay's bandwidth and latency
-// both land inside the sampled estimate's error bars (with slack standing
-// in for the reconstruction's own bias terms, as a fraction of the full
-// value — 0.02 means "error bar plus 2%").
-func (r *SampledResult) WithinErrorBars(full ReplayResult, slack float64) bool {
-	bwOK := math.Abs(r.Estimate.BWGBs-full.BWGBs) <= r.BWErrGBs+slack*full.BWGBs
-	latOK := math.Abs(r.Estimate.ReadLatNs-full.ReadLatNs) <= r.LatErrNs+slack*full.ReadLatNs
-	return bwOK && latOK
-}
-
 // Sampled estimates what Replay would report for the trace by replaying
 // one representative window (plus probes) per behaviour cluster through
 // fresh backend instances built by mk — one instance per replayed window,

@@ -22,7 +22,7 @@ type echoBackend struct {
 }
 
 func (e *echoBackend) Access(req *mem.Request) {
-	e.c.Add(req.Op, req.Bytes())
+	e.c.Add(req.Op, mem.LineSize)
 	req.CompleteAt(e.eng, e.eng.Now()+e.lat)
 }
 

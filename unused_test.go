@@ -22,33 +22,15 @@ const modulePath = "github.com/mess-sim/mess"
 // ordinary PR may edit, tests included). It only parses, so it matches by
 // name: a function or type is named by its identifier in its own package or
 // by pkg.Name in a file importing that package; a method is named by any
-// .Name selector or interface method of that name anywhere. Methods of the
-// types the root package aliases are the module's public API and exempt, as
-// are methods of unexported types, which only an interface can reach.
+// .Name selector or interface method of that name anywhere. Methods of
+// unexported types, which only an interface can reach, are exempt; methods
+// of the types the root package aliases are not, since an alias does not
+// name a method.
 // testdata/testonly.txt is the reviewed allowlist of seams tests use to
 // observe something else, one "pkg.Name" or "pkg.Type.Method" a line
 // followed by its reason; a line that stops being needed fails the test too.
 func TestInternalExportsAreNamed(t *testing.T) {
 	files := moduleFiles(t)
-
-	// What the root package aliases, as "dir.Type".
-	public := map[string]bool{}
-	for _, f := range files {
-		if f.dir != "." || f.test {
-			continue
-		}
-		imports := importDirs(f.ast)
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if ts, ok := n.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
-				if sel, ok := ts.Type.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						public[imports[x.Name]+"."+sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
-	}
 
 	// Names used: "dir.Name" for package-level names, ".Name" for selectors
 	// and interface methods that may be a method.
@@ -121,8 +103,8 @@ func TestInternalExportsAreNamed(t *testing.T) {
 					continue
 				}
 				recv := receiverName(d.Recv.List[0].Type)
-				if !ast.IsExported(recv) || public[f.dir+"."+recv] {
-					continue // reached through an interface only, or public API
+				if !ast.IsExported(recv) {
+					continue // reached through an interface only
 				}
 				check(pkg+"."+recv+"."+d.Name.Name, used["."+d.Name.Name])
 			case *ast.GenDecl:
