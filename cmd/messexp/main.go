@@ -72,8 +72,7 @@ func main() {
 	env.Ctx = ctx
 	// Progress and failure reporting go through the structured logger: each
 	// slog record is written with a single atomic Write, so interleaved
-	// output from concurrent characterizations never shears a line — and
-	// -log-json makes the run machine-parseable for CI.
+	// output from concurrent characterizations never shears a line.
 	log := tel.Set().Logger()
 	track := tel.Set().Trace().NewTrack("messexp", "experiments")
 	failed := 0

@@ -121,7 +121,10 @@ import (
 // framework/fig2_quick_sharded, framework/fig2_point_sharded,
 // framework/fig4_point_sharded) with their per-row gomaxprocs, windows,
 // avg_window_ns and parks fields; v10 added framework/hpcg_profile, one op
-// per memory transaction the application issued.
+// per memory transaction the application issued. The telemetry block is
+// never gated and its series are not part of the schema: it now holds the
+// counters mess_bench_points_total and mess_sim_events_total only (the
+// charz source counts live in charz.Stats), still under v10.
 const Schema = "mess-perf/v10"
 
 // The run's shape and bounds.
@@ -179,11 +182,11 @@ type Report struct {
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	BestOf     int      `json:"best_of,omitempty"`
 	Results    []Result `json:"results"`
-	// Telemetry is the run's internal metrics registry, flattened
-	// (histograms appear as _count/_sum). Work counters — sweep points,
-	// simulated events — contextualize the wall-clock rows: a row that
-	// slowed down while its work counters held steady regressed, one whose
-	// counters moved measured different work.
+	// Telemetry is the run's counter registry, flattened: the work
+	// counters mess_bench_points_total and mess_sim_events_total. They
+	// contextualize the wall-clock rows: a row that slowed down while its
+	// work counters held steady regressed, one whose counters moved
+	// measured different work.
 	// Volatile by construction, so never gated.
 	Telemetry map[string]float64 `json:"telemetry,omitempty"`
 }

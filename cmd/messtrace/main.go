@@ -27,7 +27,6 @@
 //	messtrace -platform "Intel Skylake" -capture trace.txt -measure-us 400 -limit 0
 //	messtrace -replay trace.txt -model dramsim3 -platform "Intel Skylake"
 //	messtrace -replay trace.txt -model dramsim3 -sampled -compare-full
-//	messtrace -replay trace.txt -sampled -windows 96 -clusters 8 -probes 2 -warmup 0.5
 package main
 
 import (
@@ -57,13 +56,9 @@ func main() {
 		limit   = flag.Int("limit", 200000, "capture: maximum records")
 		measUs  = flag.Int("measure-us", 15, "capture: measured window in µs (captures destined for -sampled replay want hundreds: sampling needs many µs-span windows)")
 
-		sampled  = flag.Bool("sampled", false, "replay: sample one window per behaviour cluster instead of every record")
-		windows  = flag.Int("windows", 0, "sampled: target window count (0 = default)")
-		clusters = flag.Int("clusters", 0, "sampled: behaviour cluster count (0 = default)")
-		probes   = flag.Int("probes", 0, "sampled: extra windows replayed per cluster for error bars (0 = default)")
-		warmup   = flag.Float64("warmup", 0, "sampled: warm-up prefix as a fraction of the window span (0 = default)")
-		compare  = flag.Bool("compare-full", false, "sampled: also run the full replay and report the divergence")
-		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
+		sampled = flag.Bool("sampled", false, "replay: sample one window per behaviour cluster instead of every record")
+		compare = flag.Bool("compare-full", false, "sampled: also run the full replay and report the divergence")
+		timeout = flag.Duration("timeout", 0, cli.TimeoutUsage)
 	)
 	flag.Parse()
 
@@ -81,11 +76,7 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		cfg := trace.SampleConfig{
-			Windows: *windows, Clusters: *clusters, Probes: *probes,
-			WarmupFrac: *warmup,
-		}
-		doReplay(spec, *replay, *model, mk, *sampled, *compare, cfg)
+		doReplay(spec, *replay, *model, mk, *sampled, *compare)
 	default:
 		fmt.Println("use -capture <file> or -replay <file>; see -h")
 	}
@@ -114,7 +105,7 @@ func doCapture(ctx context.Context, spec platform.Spec, path string, stores int,
 	fmt.Printf("trace written to %s\n", path)
 }
 
-func doReplay(spec platform.Spec, path, kind string, mk mem.BackendFactory, sampled, compare bool, cfg trace.SampleConfig) {
+func doReplay(spec platform.Spec, path, kind string, mk mem.BackendFactory, sampled, compare bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatal(err)
@@ -136,8 +127,7 @@ func doReplay(spec platform.Spec, path, kind string, mk mem.BackendFactory, samp
 	}
 
 	mapper := dram.NewMapper(&spec.DRAM)
-	cfg.BankRow = mapper.BankRow
-	sam, err := trace.Sampled(mk, tr, cfg)
+	sam, err := trace.Sampled(mk, tr, trace.SampleConfig{BankRow: mapper.BankRow})
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -213,9 +213,6 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 		return err
 	})
 	eventsC.Add(int64(totalSteps.Load()))
-	if el := time.Since(wallStart).Seconds(); el > 0 {
-		reg.Gauge("mess_bench_events_per_second").Set(float64(totalSteps.Load()) / el)
-	}
 	sweepSpan.End(telemetry.Int("points", int64(len(samples))), telemetry.Int("events", int64(totalSteps.Load())))
 	o.Telemetry.Logger().Debug("bench sweep done",
 		"spec", spec.Name, "points", len(samples), "events", totalSteps.Load(),

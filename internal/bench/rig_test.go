@@ -132,7 +132,7 @@ func TestRigResetFromMidFlight(t *testing.T) {
 		t.Fatalf("saturated point ended with %d requests in flight and %d events pending", pool.Live(), r.eng.Pending())
 	}
 	stale := r.eng.NewTimer(func() { t.Error("an event of the previous point fired") })
-	stale.ArmAfter(sim.Nanosecond)
+	stale.Arm(r.eng.Now() + sim.Nanosecond)
 	s, err := points[3].on(r) // unloaded: only the chaser's one request at a time
 	if err != nil {
 		t.Fatal(err)

@@ -220,7 +220,7 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 					p.Load(addr, nil)
 				}
 			}
-			eng.After(7*sim.Nanosecond, issue)
+			eng.Schedule(eng.Now()+7*sim.Nanosecond, issue)
 		}
 		issue()
 		eng.RunUntil(until)

@@ -161,11 +161,11 @@ type Service struct {
 
 	runs, memHits, diskHits, remoteHits, uncacheable atomic.Int64
 
-	// Telemetry (all nil-safe; zero-valued when the service is
-	// uninstrumented): the bundle handed to benchmark runs, the fill
-	// duration histogram, and the tracer row fills record onto.
+	// Telemetry (nil-safe; zero-valued when the service is
+	// uninstrumented): the bundle handed to benchmark runs and the tracer
+	// row fills record onto. The cache outcomes above are reported by
+	// Stats alone; the service registers no metric.
 	tel       *telemetry.Set
-	fillDur   *telemetry.Histogram
 	fillTrack telemetry.Track
 }
 
@@ -203,19 +203,6 @@ func New(cfg Config) *Service {
 		s.tiered = curvestore.NewTiered(tiers...)
 	}
 	s.tel = cfg.Telemetry
-	// Registration is read-time re-export of the existing atomic counters
-	// — the hot paths keep writing the same atomics they always did. All
-	// of this no-ops on a nil registry.
-	reg := s.tel.Registry()
-	counterAsFunc := func(c *atomic.Int64) func() float64 {
-		return func() float64 { return float64(c.Load()) }
-	}
-	reg.CounterFunc(`mess_charz_requests_total{source="run"}`, counterAsFunc(&s.runs))
-	reg.CounterFunc(`mess_charz_requests_total{source="memory"}`, counterAsFunc(&s.memHits))
-	reg.CounterFunc(`mess_charz_requests_total{source="disk"}`, counterAsFunc(&s.diskHits))
-	reg.CounterFunc(`mess_charz_requests_total{source="remote"}`, counterAsFunc(&s.remoteHits))
-	reg.CounterFunc(`mess_charz_requests_total{source="uncacheable"}`, counterAsFunc(&s.uncacheable))
-	s.fillDur = reg.Histogram("mess_charz_fill_seconds")
 	s.fillTrack = s.tel.Trace().NewTrack("charz", "fill")
 	return s
 }
@@ -323,7 +310,6 @@ func (s *Service) fill(ctx context.Context, key Key, e *entry, req Request) {
 	sp := s.tel.Trace().Begin(s.fillTrack, "characterize "+req.Spec.Name)
 	defer func() {
 		d := time.Since(start)
-		s.fillDur.Observe(d.Seconds())
 		outcome := "error"
 		if e.err == nil {
 			outcome = e.src.String()

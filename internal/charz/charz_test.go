@@ -19,6 +19,7 @@ import (
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/sim"
+	"github.com/mess-sim/mess/internal/telemetry"
 )
 
 // bg is the do-not-care context for calls whose cancellation behaviour is
@@ -561,4 +562,30 @@ func TestDiskStoreShardsByKeyPrefix(t *testing.T) {
 	if fam.Label != "sharded" {
 		t.Fatalf("label = %q", fam.Label)
 	}
+}
+
+// TestServiceCollectableWithTelemetry holds the registry to counters it
+// owns: a service built on a long-lived registry must not stay reachable
+// through it once the service itself is dropped.
+func TestServiceCollectableWithTelemetry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	collected := make(chan struct{})
+	func() {
+		var calls atomic.Int64
+		s := New(Config{Run: fakeRun(&calls, 0), Telemetry: &telemetry.Set{Metrics: reg}})
+		if _, err := s.Characterize(Request{Spec: testSpec("collectable"), Options: bench.QuickOptions()}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(s, func(*Service) { close(collected) })
+	}()
+	// A finalizer runs on its own goroutine after the collection that
+	// found the service unreachable, so give it a bounded time to report.
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped Service is still reachable through the telemetry registry")
+	}
+	runtime.KeepAlive(reg)
 }

@@ -20,22 +20,20 @@ import (
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
-// Telemetry carries the shared observability flags (-log-json, -v, and
-// for tools that opt in, -trace-out) and builds the telemetry.Set the
-// tool threads through the stack.
+// Telemetry carries the shared observability flags (-v, and for tools
+// that opt in, -trace-out) and builds the telemetry.Set the tool threads
+// through the stack.
 type Telemetry struct {
-	LogJSON  bool
 	Verbose  bool
 	TraceOut string
 
 	set *telemetry.Set
 }
 
-// TelemetryFlags registers -log-json and -v on the default flag set —
-// the convention every cmd/* binary follows. Call before flag.Parse.
+// TelemetryFlags registers -v on the default flag set — the convention
+// every cmd/* binary follows. Call before flag.Parse.
 func TelemetryFlags() *Telemetry {
 	t := &Telemetry{}
-	flag.BoolVar(&t.LogJSON, "log-json", false, "write structured logs as JSON (one object per line) instead of text")
 	flag.BoolVar(&t.Verbose, "v", false, "verbose: log per-characterization and per-request detail")
 	return t
 }
@@ -54,7 +52,7 @@ func (t *Telemetry) Set() *telemetry.Set {
 	if t.set == nil {
 		t.set = &telemetry.Set{
 			Metrics: telemetry.NewRegistry(),
-			Log:     telemetry.NewLogger(telemetry.LogConfig{JSON: t.LogJSON, Verbose: t.Verbose}),
+			Log:     telemetry.NewLogger(telemetry.LogConfig{Verbose: t.Verbose}),
 		}
 		if t.TraceOut != "" {
 			t.set.Tracer = telemetry.NewTracer()

@@ -100,8 +100,8 @@ func telemetryFlags(t *testing.T, args ...string) *Telemetry {
 }
 
 func TestTelemetrySetIdempotent(t *testing.T) {
-	tel := telemetryFlags(t, "-v", "-log-json")
-	if !tel.Verbose || !tel.LogJSON || tel.TraceOut != "" {
+	tel := telemetryFlags(t, "-v")
+	if !tel.Verbose || tel.TraceOut != "" {
 		t.Fatalf("flags parsed as %+v", tel)
 	}
 	set := tel.Set()

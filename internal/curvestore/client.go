@@ -134,12 +134,6 @@ func (c *Client) Instrument(reg *telemetry.Registry) {
 	c.mRetries = reg.Counter("mess_curve_client_retries_total")
 	c.mTrips = reg.Counter("mess_curve_client_circuit_trips_total")
 	c.mShorted = reg.Counter("mess_curve_client_short_circuits_total")
-	reg.GaugeFunc("mess_curve_client_circuit_open", func() float64 {
-		if c.CircuitOpen() {
-			return 1
-		}
-		return 0
-	})
 }
 
 func (c *Client) urlFor(key Key) string { return c.base + "/v1/curves/" + key.String() }

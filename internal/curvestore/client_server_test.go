@@ -419,7 +419,6 @@ func TestClientInstrumentCounters(t *testing.T) {
 		`mess_curve_client_requests_total{op="load"}`: 2,
 		`mess_curve_client_requests_total{op="save"}`: 1,
 		"mess_curve_client_hits_total":                1,
-		"mess_curve_client_circuit_open":              0,
 	} {
 		if got := snap[name]; got != want {
 			t.Errorf("%s = %g, want %g", name, got, want)

@@ -176,7 +176,7 @@ func TestWarmWorkersMatchFreshPoints(t *testing.T) {
 		wf, rate := o.WriteFractions[i/nr], o.RatesGBs[i%nr]
 		for k := 0; k < 40; k++ {
 			pool.Get(uint64(k), mem.Write, nil)
-			eng.After(sim.Time(k), func() { t.Error("an event of the previous point fired") })
+			eng.Schedule(eng.Now()+sim.Time(k), func() { t.Error("an event of the previous point fired") })
 		}
 		warm := measureDevicePoint(eng, pool, mk, wf, rate, o)
 		fresh := measureDevicePoint(sim.New(), mem.NewRequestPool(), mk, wf, rate, o)

@@ -96,8 +96,9 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 	// Open-loop injector: deterministic spacing, Bresenham write mix,
 	// sequential addresses across several streams. Cap outstanding to
 	// bound queue growth past saturation. The fixed injection rate rides
-	// on a kernel Ticker (one pooled event re-armed in place) and the
-	// requests on a point-local pool (records recycled on completion).
+	// on a kernel Timer re-armed after each injection (one pooled event)
+	// and the requests on a point-local pool (records recycled on
+	// completion).
 	interval := sim.FromNanoseconds(float64(mem.LineSize) / rate)
 	const maxOutstanding = 256
 	outstanding := 0
@@ -119,16 +120,16 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 			counting.Access(pool.Get(addr, op, injectDone))
 		}
 	}
-	var tick *sim.Ticker
-	tick = eng.NewTicker(interval, func() {
+	var tick *sim.Timer
+	tick = eng.NewTimer(func() {
 		if eng.Now() >= deadline {
-			tick.Stop()
 			return
 		}
 		injectOne()
+		tick.Arm(eng.Now() + interval)
 	})
 	injectOne()
-	tick.Start()
+	tick.Arm(eng.Now() + interval)
 
 	// Latency probe: dependent reads in their own address region. The probe
 	// and completion callbacks are allocated once; the single in-flight
@@ -143,7 +144,7 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 			probeLatSum += at - probeStart
 			probeN++
 		}
-		eng.After(sim.Nanosecond, probe)
+		eng.Schedule(eng.Now()+sim.Nanosecond, probe)
 	}
 	probe = func() {
 		if eng.Now() >= deadline {

@@ -21,11 +21,11 @@ func ScheduleFire(eng *sim.Engine, n int) {
 	tick = func() {
 		fired++
 		if fired < n {
-			eng.After(3*sim.Nanosecond+sim.Time(fired%7)*100, tick)
+			eng.Schedule(eng.Now()+3*sim.Nanosecond+sim.Time(fired%7)*100, tick)
 		}
 	}
 	for i := 0; i < 8 && i < n; i++ {
-		eng.After(sim.Time(i)*sim.Nanosecond, tick)
+		eng.Schedule(eng.Now()+sim.Time(i)*sim.Nanosecond, tick)
 	}
 	eng.Run()
 }
@@ -38,11 +38,11 @@ func WheelDense(eng *sim.Engine, n int) {
 	tick = func() {
 		fired++
 		if fired < n {
-			eng.After(sim.Time(500+fired%97*13), tick)
+			eng.Schedule(eng.Now()+sim.Time(500+fired%97*13), tick)
 		}
 	}
 	for i := 0; i < 512 && i < n; i++ {
-		eng.After(sim.Time(i), tick)
+		eng.Schedule(eng.Now()+sim.Time(i), tick)
 	}
 	eng.Run()
 }
@@ -56,11 +56,11 @@ func FarHorizon(eng *sim.Engine, n int) {
 	tick = func() {
 		fired++
 		if fired < n {
-			eng.After(far+sim.Time(fired%13)*1000, tick)
+			eng.Schedule(eng.Now()+far+sim.Time(fired%13)*1000, tick)
 		}
 	}
 	for i := 0; i < 8 && i < n; i++ {
-		eng.After(sim.Time(i), tick)
+		eng.Schedule(eng.Now()+sim.Time(i), tick)
 	}
 	eng.Run()
 }
@@ -86,10 +86,10 @@ func TimerRearm(eng *sim.Engine, n int) {
 	tm = eng.NewTimer(func() {
 		fired++
 		if fired < n {
-			tm.ArmAfter(sim.Time(200 + fired%31))
+			tm.Arm(eng.Now() + sim.Time(200+fired%31))
 		}
 	})
-	tm.ArmAfter(1)
+	tm.Arm(eng.Now() + 1)
 	eng.Run()
 }
 

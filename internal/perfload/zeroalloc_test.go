@@ -66,26 +66,26 @@ func TestMessSimulatorSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // instrumentedBackend forwards every access to the inner model while
-// updating a telemetry counter and histogram per request — denser
-// instrumentation than any production path (which meters per point, not
-// per access), so it bounds what wiring the registry into a hot loop can
-// ever cost.
+// updating two telemetry counters per request (requests and bytes) —
+// denser instrumentation than any production path (which meters per
+// point, not per access), so it bounds what wiring the registry into a hot
+// loop can ever cost.
 type instrumentedBackend struct {
 	inner mem.Backend
 	reqs  *telemetry.Counter
-	sizes *telemetry.Histogram
+	bytes *telemetry.Counter
 }
 
 func (b *instrumentedBackend) Access(req *mem.Request) {
 	b.reqs.Inc()
-	b.sizes.Observe(mem.LineSize)
+	b.bytes.Add(mem.LineSize)
 	b.inner.Access(req)
 }
 
-// The telemetry contract of ISSUE 10: an instrumented model hot loop keeps
-// the zero-allocation steady state. Counter.Inc and Histogram.Observe are
-// atomic updates on pre-registered series — registration happens once,
-// outside the loop — so the per-op cost is branches and atomics, never an
+// The telemetry contract: an instrumented model hot loop keeps the
+// zero-allocation steady state. Counter.Inc and Counter.Add are atomic
+// updates on pre-registered counters — registration happens once, outside
+// the loop — so the per-op cost is branches and atomics, never an
 // allocation.
 func TestInstrumentedDRAMSteadyStateZeroAllocs(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -93,13 +93,16 @@ func TestInstrumentedDRAMSteadyStateZeroAllocs(t *testing.T) {
 	sys := &instrumentedBackend{
 		inner: dram.New(eng, dram.DDR4(2666, 2, 2)),
 		reqs:  reg.Counter("mess_test_requests_total"),
-		sizes: reg.Histogram("mess_test_request_bytes"),
+		bytes: reg.Counter("mess_test_request_bytes_total"),
 	}
 	if per := steadyStateAllocsPerOp(t, eng, sys, perfload.PatternMixed, 4000); per >= allocTolerance {
 		t.Fatalf("instrumented DRAM steady state allocates %.4f/op, want ~0", per)
 	}
 	if sys.reqs.Value() == 0 {
 		t.Fatal("instrumentation never fired: counter stayed 0")
+	}
+	if got, want := sys.bytes.Value(), sys.reqs.Value()*mem.LineSize; got != want {
+		t.Fatalf("byte counter = %d, want %d (one line per request)", got, want)
 	}
 }
 

@@ -25,16 +25,18 @@ type CounterWindow struct {
 
 // Sampler periodically snapshots a counting backend, building the raw
 // window stream. It must be driven by RunUntil on the same engine; Stop
-// cancels the periodic event. The period rides on a kernel Ticker, so
-// sampling reschedules in place instead of allocating a closure per window.
+// cancels the periodic event. The period rides on a kernel Timer that each
+// sample re-arms, so sampling reschedules in place instead of allocating a
+// closure per window.
 type Sampler struct {
 	eng      *sim.Engine
 	counting *mem.CountingBackend
+	every    sim.Time
 
 	prev    mem.Counters
 	prevAt  sim.Time
 	windows []CounterWindow
-	tick    *sim.Ticker
+	tick    *sim.Timer
 }
 
 // NewSampler builds a sampler with the given period (the paper's default
@@ -44,22 +46,22 @@ func NewSampler(eng *sim.Engine, counting *mem.CountingBackend, every sim.Time) 
 	if every <= 0 {
 		panic("profile: sampler period must be positive")
 	}
-	s := &Sampler{eng: eng, counting: counting}
-	s.tick = eng.NewTicker(every, s.sample)
+	s := &Sampler{eng: eng, counting: counting, every: every}
+	s.tick = eng.NewTimer(s.sample)
 	return s
 }
 
 // Start begins sampling at the current time.
 func (s *Sampler) Start() {
-	if s.tick.Running() {
+	if s.tick.Armed() {
 		return
 	}
 	s.prev = s.counting.Snapshot()
 	s.prevAt = s.eng.Now()
-	s.tick.Start()
+	s.tick.Arm(s.prevAt + s.every)
 }
 
-// sample closes the current window at each ticker expiry.
+// sample closes the current window at each timer expiry and opens the next.
 func (s *Sampler) sample() {
 	now := s.eng.Now()
 	cur := s.counting.Snapshot()
@@ -69,6 +71,7 @@ func (s *Sampler) sample() {
 		Traffic: cur.Sub(s.prev),
 	})
 	s.prev, s.prevAt = cur, now
+	s.tick.Arm(now + s.every)
 }
 
 // Stop halts sampling.

@@ -111,16 +111,11 @@ func (e *heapEngine) reset() {
 type kernel interface {
 	clock() Time
 	plain(at Time, fn func()) int
-	after(d Time, fn func()) int
 	keyed(at, key Time, tag int32, fn func(Time)) int
 	cancel(h int)
 	timer(fn func()) int
 	arm(t int, at Time)
-	armAfter(t int, d Time)
 	stopTimer(t int)
-	ticker(period Time, fn func()) int
-	startTicker(t int)
-	stopTicker(t int)
 	until(t Time)
 	drain()
 	clear()
@@ -131,7 +126,6 @@ type wheelKernel struct {
 	e       *Engine
 	handles []Handle
 	timers  []*Timer
-	tickers []*Ticker
 }
 
 func (k *wheelKernel) keep(h Handle) int {
@@ -140,7 +134,6 @@ func (k *wheelKernel) keep(h Handle) int {
 }
 func (k *wheelKernel) clock() Time                  { return k.e.Now() }
 func (k *wheelKernel) plain(at Time, fn func()) int { return k.keep(k.e.Schedule(at, fn)) }
-func (k *wheelKernel) after(d Time, fn func()) int  { return k.keep(k.e.After(d, fn)) }
 func (k *wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
 	return k.keep(k.e.ScheduleKeyed(at, key, tag, fn))
 }
@@ -149,41 +142,26 @@ func (k *wheelKernel) timer(fn func()) int {
 	k.timers = append(k.timers, k.e.NewTimer(fn))
 	return len(k.timers) - 1
 }
-func (k *wheelKernel) arm(t int, at Time)     { k.timers[t].Arm(at) }
-func (k *wheelKernel) armAfter(t int, d Time) { k.timers[t].ArmAfter(d) }
-func (k *wheelKernel) stopTimer(t int)        { k.timers[t].Stop() }
-func (k *wheelKernel) ticker(period Time, fn func()) int {
-	k.tickers = append(k.tickers, k.e.NewTicker(period, fn))
-	return len(k.tickers) - 1
-}
-func (k *wheelKernel) startTicker(t int) { k.tickers[t].Start() }
-func (k *wheelKernel) stopTicker(t int)  { k.tickers[t].Stop() }
-func (k *wheelKernel) until(t Time)      { k.e.RunUntil(t) }
-func (k *wheelKernel) drain()            { k.e.Run() }
-func (k *wheelKernel) clear()            { k.e.Reset() }
+func (k *wheelKernel) arm(t int, at Time) { k.timers[t].Arm(at) }
+func (k *wheelKernel) stopTimer(t int)    { k.timers[t].Stop() }
+func (k *wheelKernel) until(t Time)       { k.e.RunUntil(t) }
+func (k *wheelKernel) drain()             { k.e.Run() }
+func (k *wheelKernel) clear()             { k.e.Reset() }
 func (k *wheelKernel) state() string {
 	return fmt.Sprintf("now=%d steps=%d pending=%d", k.e.Now(), k.e.Steps(), k.e.Pending())
 }
 
-// heapKernel states Timer and Ticker in terms of schedule and cancel, the
-// way their doc comments define them.
+// heapKernel states Timer in terms of schedule and cancel, the way its doc
+// comments define it.
 type heapKernel struct {
 	e       heapEngine
 	handles []*heapEvent
 	timers  []*heapTimer
-	tickers []*heapTicker
 }
 
 type heapTimer struct {
 	fn func()
 	ev *heapEvent
-}
-
-type heapTicker struct {
-	period  Time
-	fn      func()
-	ev      *heapEvent
-	running bool
 }
 
 func (k *heapKernel) keep(ev *heapEvent) int {
@@ -195,7 +173,6 @@ func (k *heapKernel) local(at Time, fn func()) *heapEvent {
 }
 func (k *heapKernel) clock() Time                  { return k.e.now }
 func (k *heapKernel) plain(at Time, fn func()) int { return k.keep(k.local(at, fn)) }
-func (k *heapKernel) after(d Time, fn func()) int  { return k.keep(k.local(k.e.now+d, fn)) }
 func (k *heapKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
 	return k.keep(k.e.schedule(at, key, tag, fn))
 }
@@ -209,32 +186,8 @@ func (k *heapKernel) arm(t int, at Time) {
 	k.e.cancel(tm.ev)
 	tm.ev = k.local(at, tm.fn)
 }
-func (k *heapKernel) armAfter(t int, d Time) { k.arm(t, k.e.now+d) }
-func (k *heapKernel) stopTimer(t int)        { k.e.cancel(k.timers[t].ev) }
-func (k *heapKernel) ticker(period Time, fn func()) int {
-	k.tickers = append(k.tickers, &heapTicker{period: period, fn: fn})
-	return len(k.tickers) - 1
-}
-func (k *heapKernel) tick(tk *heapTicker) {
-	tk.fn()
-	if tk.running && (tk.ev == nil || tk.ev.idx < 0) {
-		tk.ev = k.local(k.e.now+tk.period, func() { k.tick(tk) })
-	}
-}
-func (k *heapKernel) startTicker(t int) {
-	tk := k.tickers[t]
-	if tk.running {
-		return
-	}
-	tk.running = true
-	tk.ev = k.local(k.e.now+tk.period, func() { k.tick(tk) })
-}
-func (k *heapKernel) stopTicker(t int) {
-	tk := k.tickers[t]
-	tk.running = false
-	k.e.cancel(tk.ev)
-}
-func (k *heapKernel) until(t Time) { k.e.runUntil(t) }
+func (k *heapKernel) stopTimer(t int) { k.e.cancel(k.timers[t].ev) }
+func (k *heapKernel) until(t Time)    { k.e.runUntil(t) }
 func (k *heapKernel) drain() {
 	for k.e.step() {
 	}
@@ -287,7 +240,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		return handles[rng.Intn(len(handles))], true
 	}
 
-	var timers, tickers []int
+	var timers []int
 	var spawn func(depth int)
 	fired := func(id, depth int) {
 		log = append(log, fmt.Sprintf("fire %d @%d", id, k.clock()))
@@ -305,7 +258,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 				k.cancel(h)
 			}
 		case 4:
-			k.armAfter(timers[rng.Intn(len(timers))], delta())
+			k.arm(timers[rng.Intn(len(timers))], k.clock()+delta())
 		}
 	}
 	// spawn schedules one event through a random entry point.
@@ -314,10 +267,8 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		nextID++
 		at := k.clock() + delta()
 		switch rng.Intn(4) {
-		case 0:
+		case 0, 1:
 			handles = append(handles, k.plain(at, func() { fired(id, depth) }))
-		case 1:
-			handles = append(handles, k.after(at-k.clock(), func() { fired(id, depth) }))
 		default:
 			// Keys before, at and after the clock (the order is defined
 			// for any key), -1 as trace replay uses.
@@ -336,22 +287,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		id := -1 - i
 		timers = append(timers, k.timer(func() { fired(id, 1) }))
 	}
-	// One ticker inside the wheel, one whose every tick lands beyond its
-	// horizon. A started ticker runs for 25 ticks, so a millisecond RunUntil
-	// does not drown the log in them.
-	var left [2]int
-	for i := range left {
-		i, id := i, -10-i
-		tickers = append(tickers, k.ticker(700+Time(i)*wheelSpan, func() {
-			fired(id, 2)
-			if left[i]--; left[i] <= 0 {
-				k.stopTicker(tickers[i])
-			} else if rng.Intn(10) == 0 { // restart from inside the callback
-				k.stopTicker(tickers[i])
-				k.startTicker(tickers[i])
-			}
-		}))
-	}
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
@@ -365,12 +300,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			k.arm(timers[rng.Intn(len(timers))], k.clock()+delta())
 		case r < 63:
 			k.stopTimer(timers[rng.Intn(len(timers))])
-		case r < 66:
-			i := rng.Intn(len(tickers))
-			left[i] = 25
-			k.startTicker(tickers[i])
-		case r < 69:
-			k.stopTicker(tickers[rng.Intn(len(tickers))])
 		case r < 98:
 			d := delta()
 			if d < 0 {
@@ -379,9 +308,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			k.until(k.clock() + d)
 			log = append(log, "until "+k.state())
 		case r < 99:
-			for _, t := range tickers {
-				k.stopTicker(t)
-			}
 			k.drain()
 			log = append(log, "drain "+k.state())
 		default:
@@ -390,16 +316,13 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			log = append(log, "reset "+k.state())
 		}
 	}
-	for _, t := range tickers {
-		k.stopTicker(t)
-	}
 	k.drain()
 	return append(log, "end "+k.state())
 }
 
 // TestDifferentialAgainstHeap runs seeded random programs — plain and keyed
-// schedules with past keys and tags, cancels, timer re-arms, tickers,
-// RunUntil across the wheel horizon, Reset — on Engine and on the
+// schedules with past keys and tags, cancels, timer re-arms (inside their
+// own callbacks too), RunUntil across the wheel horizon, Reset — on Engine and on the
 // heap reference. The logs must match line for line: same events, in the
 // same order, at the same instants, with the same counters.
 func TestDifferentialAgainstHeap(t *testing.T) {

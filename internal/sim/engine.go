@@ -31,9 +31,14 @@
 //     heap shape on every cancel.
 //
 // Steady-rate components should hold a Timer (re-armable one-shot with a
-// fixed callback) or a Ticker (fixed-period recurring event) instead of
-// scheduling fresh closures, which removes the remaining per-event closure
-// allocations from their paths.
+// fixed callback) instead of scheduling fresh closures, which removes the
+// remaining per-event closure allocations from their paths. A fixed-period
+// component (the profile sampler, the CXL injector) re-arms its Timer at
+// the end of its own callback.
+//
+// Three entry points schedule: Schedule (a closure at an absolute time),
+// ScheduleKeyed (a timed callback with explicit tie-break keys) and Timer.
+// A delay is Schedule(Now()+d, fn).
 //
 // # Determinism
 //
@@ -48,9 +53,10 @@
 // # Event order
 //
 // The full order is (deadline, key, tag, seq). ScheduleKeyed is the one
-// entry point that sets key and tag; Schedule, After, Timer and Ticker use
-// key = Now() and tag 0, which is why plain events keep the (deadline,
-// schedule order) above.
+// entry point that sets key and tag; Schedule and Timer use key = Now()
+// and tag 0, which is why plain events keep the (deadline, schedule order)
+// above. A Timer that re-arms at the end of its callback schedules its next
+// expiry after everything the callback scheduled.
 //
 //   - key is the schedule instant. Completions pass Now(). Trace replay
 //     passes −1, so a record due at t runs before every backend event due
@@ -197,13 +203,10 @@ func (e *Engine) Pending() int { return e.live }
 // (before Now) fires the event at Now; the kernel never runs time backwards.
 func (e *Engine) Schedule(at Time, fn func()) Handle { return e.add(at, e.now, 0, fn, nil) }
 
-// After queues fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) Handle { return e.add(e.now+d, e.now, 0, fn, nil) }
-
 // ScheduleKeyed queues fn to run at absolute time at, invoked with that
 // deadline, and states the event's place among equal-deadline events
 // outright: they fire in (key, tag, schedule order), where Schedule and
-// After use key = Now() and tag = 0. It is the one form for everything
+// Timer use key = Now() and tag = 0. It is the one form for everything
 // that is not a plain local closure:
 //
 //   - completion callbacks pass key = Now(): storing the func(Time) instead
@@ -520,9 +523,9 @@ func (e *Engine) RunUntil(t Time) {
 // empty, counters cleared — while keeping its allocated capacity warm: the
 // event pool, the active run and the overflow array are retained, so a reused
 // engine simulates its next run without re-allocating kernel structures.
-// Every outstanding Handle, Timer and Ticker of the previous run goes
-// inert. This is how the benchmark harness reuses one engine per worker
-// across sweep points instead of rebuilding the kernel for each.
+// Every outstanding Handle and Timer of the previous run goes inert. This
+// is how the benchmark harness reuses one engine per worker across sweep
+// points instead of rebuilding the kernel for each.
 func (e *Engine) Reset() {
 	for _, ev := range e.cur[e.curPos:] {
 		e.recycle(ev)
@@ -615,9 +618,6 @@ func (t *Timer) Arm(at Time) {
 	t.h = t.eng.Schedule(at, t.fn)
 }
 
-// ArmAfter schedules the timer to fire d picoseconds from now.
-func (t *Timer) ArmAfter(d Time) { t.Arm(t.eng.now + d) }
-
 // Stop cancels a pending expiry; stopping a disarmed timer is a no-op.
 func (t *Timer) Stop() {
 	t.h.Cancel()
@@ -635,55 +635,3 @@ func (t *Timer) When() (at Time, ok bool) {
 	}
 	return t.h.ev.at, true
 }
-
-// Ticker fires a fixed callback every period, rescheduling in place: one
-// event record cycles through the pool instead of a fresh closure per tick.
-// The first tick fires one period after Start. The callback may call Stop
-// to end the chain (the tick after a Stop is never scheduled).
-type Ticker struct {
-	eng     *Engine
-	period  Time
-	fn      func()
-	tick    func()
-	h       Handle
-	running bool
-}
-
-// NewTicker builds a stopped ticker with the given period.
-func (e *Engine) NewTicker(period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t := &Ticker{eng: e, period: period, fn: fn}
-	// The reschedule runs after fn, matching the schedule order of the
-	// callback-chain idiom this replaces. The h.live() guard keeps a
-	// callback that restarts the ticker (Stop then Start) from forking a
-	// second tick chain: Start already scheduled the next tick.
-	t.tick = func() {
-		t.fn()
-		if t.running && !t.h.live() {
-			t.h = t.eng.Schedule(t.eng.now+t.period, t.tick)
-		}
-	}
-	return t
-}
-
-// Start begins ticking; the first tick fires one period from now. It is
-// idempotent.
-func (t *Ticker) Start() {
-	if t.running {
-		return
-	}
-	t.running = true
-	t.h = t.eng.Schedule(t.eng.now+t.period, t.tick)
-}
-
-// Stop halts the ticker; a pending tick is cancelled. It is idempotent.
-func (t *Ticker) Stop() {
-	t.running = false
-	t.h.Cancel()
-	t.h = Handle{}
-}
-
-// Running reports whether the ticker is active.
-func (t *Ticker) Running() bool { return t.running }

@@ -84,10 +84,10 @@ func TestAfterCascade(t *testing.T) {
 	tick = func() {
 		ticks = append(ticks, e.Now())
 		if len(ticks) < 5 {
-			e.After(7, tick)
+			e.Schedule(e.Now()+7, tick)
 		}
 	}
-	e.After(7, tick)
+	e.Schedule(e.Now()+7, tick)
 	e.Run()
 	for i, at := range ticks {
 		if want := Time(7 * (i + 1)); at != want {
@@ -397,7 +397,7 @@ func chaoticRun(e *Engine) (order []uint64, steps uint64) {
 			n := int(next(4))
 			for i := 0; i < n; i++ {
 				d := Time(next(uint64(horizonT)))
-				h := e.After(d, spawn(depth+1))
+				h := e.Schedule(e.Now()+d, spawn(depth+1))
 				if next(5) == 0 {
 					handles = append(handles, h)
 				}
@@ -468,7 +468,7 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	}
 }
 
-// --- ScheduleKeyed / Timer / Ticker ---
+// --- ScheduleKeyed / Timer ---
 
 func TestScheduleKeyedPassesDeadline(t *testing.T) {
 	e := New()
@@ -507,13 +507,13 @@ func TestTimerArmStopRearm(t *testing.T) {
 	if tm.Armed() {
 		t.Fatal("fired timer reads armed")
 	}
-	tm.ArmAfter(7)
+	tm.Arm(e.Now() + 7)
 	tm.Stop()
 	e.Run()
 	if len(fires) != 1 {
 		t.Fatalf("stopped timer fired: %v", fires)
 	}
-	tm.ArmAfter(3) // rearm after stop
+	tm.Arm(e.Now() + 3) // rearm after stop
 	e.Run()
 	if len(fires) != 2 || fires[1] != 8 {
 		t.Fatalf("fires = %v, want [5 8]", fires)
@@ -530,7 +530,7 @@ func TestTimerRearmInsideCallback(t *testing.T) {
 			t.Fatal("timer reads armed inside its own callback")
 		}
 		if len(fires) < 3 {
-			tm.ArmAfter(4)
+			tm.Arm(e.Now() + 4)
 		}
 	})
 	tm.Arm(4)
@@ -543,82 +543,6 @@ func TestTimerRearmInsideCallback(t *testing.T) {
 		if fires[i] != want[i] {
 			t.Fatalf("fires = %v, want %v", fires, want)
 		}
-	}
-}
-
-func TestTickerPeriodAndStop(t *testing.T) {
-	e := New()
-	var ticks []Time
-	var tk *Ticker
-	tk = e.NewTicker(10, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 4 {
-			tk.Stop()
-		}
-	})
-	tk.Start()
-	tk.Start() // idempotent
-	e.Run()
-	want := []Time{10, 20, 30, 40}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-	if tk.Running() {
-		t.Fatal("stopped ticker reads running")
-	}
-	// Restart keeps working.
-	tk.Start()
-	e.RunUntil(e.Now() + 25)
-	if len(ticks) != 6 {
-		t.Fatalf("restarted ticker ticked %d times total, want 6", len(ticks))
-	}
-	tk.Stop()
-	e.Run()
-}
-
-// A callback that restarts its own ticker (Stop then Start, e.g. to
-// resynchronize phase) must not fork a second tick chain.
-func TestTickerRestartInsideCallbackSingleChain(t *testing.T) {
-	e := New()
-	var ticks []Time
-	var tk *Ticker
-	tk = e.NewTicker(10, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 2 {
-			tk.Stop()
-			tk.Start() // re-sync: next tick 10 from now, one chain only
-		}
-	})
-	tk.Start()
-	e.RunUntil(60)
-	tk.Stop()
-	e.Run()
-	want := []Time{10, 20, 30, 40, 50, 60}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v (restart forked a chain?)", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerStopOutsideCallbackCancelsPending(t *testing.T) {
-	e := New()
-	n := 0
-	tk := e.NewTicker(10, func() { n++ })
-	tk.Start()
-	e.RunUntil(25)
-	tk.Stop()
-	e.Run()
-	if n != 2 {
-		t.Fatalf("ticker fired %d times, want 2", n)
 	}
 }
 

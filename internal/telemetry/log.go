@@ -11,16 +11,12 @@ import (
 // progress line is one atomic Write carrying key=value fields instead of
 // an interleavable fmt.Fprintf. Subsystems take a *Logger and log with
 // fields (experiment id, curve key, tier, duration); the CLI layer picks
-// the handler (text for humans, JSON for log collectors) from the
-// shared -log-json / -v flags.
+// the level from the shared -v flag.
 type Logger = slog.Logger
 
 // LogConfig parameterizes NewLogger. The zero value is a text logger to
 // stderr at Info level.
 type LogConfig struct {
-	// JSON selects the slog JSON handler (one object per line) instead of
-	// the human-readable text handler.
-	JSON bool
 	// Verbose lowers the level to Debug — per-characterization and
 	// per-request detail instead of lifecycle milestones.
 	Verbose bool
@@ -40,14 +36,7 @@ func NewLogger(cfg LogConfig) *Logger {
 	if cfg.Verbose {
 		level = slog.LevelDebug
 	}
-	opts := &slog.HandlerOptions{Level: level}
-	var h slog.Handler
-	if cfg.JSON {
-		h = slog.NewJSONHandler(out, opts)
-	} else {
-		h = slog.NewTextHandler(out, opts)
-	}
-	return slog.New(h)
+	return slog.New(slog.NewTextHandler(out, &slog.HandlerOptions{Level: level}))
 }
 
 var (

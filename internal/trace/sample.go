@@ -27,29 +27,32 @@ import (
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
-// SampleConfig tunes the sampling pipeline. The zero value selects
-// defaults chosen so that Quick-scale benchmark traces replay an order of
-// magnitude fewer records than the full trace while staying inside a few
-// percent of the full-replay estimates.
+// The sampling pipeline's shape, chosen so that Quick-scale benchmark
+// traces replay an order of magnitude fewer records than the full trace
+// while staying inside a few percent of the full-replay estimates.
+const (
+	// sampleWindows is the target number of fixed-span windows the trace
+	// is cut into when SampleConfig.Span is 0. The span is
+	// Duration/sampleWindows; the last window absorbs the remainder.
+	sampleWindows = 128
+	// sampleClusters is k for the k-means pass (clamped to the number of
+	// non-empty windows).
+	sampleClusters = 6
+	// sampleProbes is how many additional member windows per cluster are
+	// replayed to measure within-cluster spread — the error bars. Probes
+	// pick the members farthest from the centroid: the worst case bounds
+	// the cluster, not a flattering average.
+	sampleProbes = 1
+	// sampleWarmupFrac sizes the warm-up prefix replayed (unmeasured)
+	// before each window, as a fraction of the window span.
+	sampleWarmupFrac = 0.5
+)
+
+// SampleConfig parameterizes the sampling pipeline for one trace.
 type SampleConfig struct {
-	// Windows is the target number of fixed-span windows the trace is cut
-	// into (default 128). The span is Duration/Windows; the last window
-	// absorbs the remainder.
-	Windows int
-	// Span overrides the derived window span with a fixed one (0 = derive
-	// from Windows).
+	// Span fixes the window span (0 = derive it from the trace duration
+	// and the 128-window target).
 	Span sim.Time
-	// Clusters is k for the k-means pass (default 6; clamped to the
-	// number of non-empty windows).
-	Clusters int
-	// Probes is how many additional member windows per cluster are
-	// replayed to measure within-cluster spread — the error bars
-	// (default 1). Probes pick the members farthest from the centroid:
-	// the worst case bounds the cluster, not a flattering average.
-	Probes int
-	// WarmupFrac sizes the warm-up prefix replayed (unmeasured) before
-	// each window, as a fraction of the window span (default 0.5).
-	WarmupFrac float64
 	// BankRow maps an address to its (flat bank index, row) under the
 	// platform's DRAM geometry, for the row-hit-ratio feature: pass
 	// dram.Mapper.BankRow for the spec under study. Required.
@@ -59,24 +62,6 @@ type SampleConfig struct {
 	// and a summary line on its logger. Observation only: estimates are
 	// unaffected.
 	Telemetry *telemetry.Set
-}
-
-func (c SampleConfig) withDefaults() SampleConfig {
-	if c.Windows <= 0 {
-		c.Windows = 128
-	}
-	if c.Clusters <= 0 {
-		c.Clusters = 6
-	}
-	if c.Probes < 0 {
-		c.Probes = 0
-	} else if c.Probes == 0 {
-		c.Probes = 1
-	}
-	if c.WarmupFrac <= 0 {
-		c.WarmupFrac = 0.5
-	}
-	return c
 }
 
 // AccessVector is one window's memory-access fingerprint — the feature
@@ -172,7 +157,6 @@ func (r *SampledResult) DivergencePct(full ReplayResult) float64 {
 // point. The trace must be time-ordered (Read guarantees it; Capture
 // produces it).
 func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.BankRow == nil {
 		return nil, fmt.Errorf("trace: sampled replay needs the platform's BankRow mapping")
 	}
@@ -201,10 +185,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 			occupied = append(occupied, i)
 		}
 	}
-	k := cfg.Clusters
-	if k > len(occupied) {
-		k = len(occupied)
-	}
+	k := min(sampleClusters, len(occupied))
 	vecs := make([][nFeat]float64, len(occupied))
 	for i, wi := range occupied {
 		vecs[i] = windows[wi].Vec.vec()
@@ -224,7 +205,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 	}
 
 	// Replay each cluster's representative (and probes) with warm-up.
-	warm := sim.Time(cfg.WarmupFrac * float64(span))
+	warm := sim.Time(sampleWarmupFrac * float64(span))
 	res.Clusters = make([]ClusterEstimate, k)
 	for c := 0; c < k; c++ {
 		members := make([]int, 0, 8) // indices into `occupied`
@@ -250,7 +231,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 			ce.Reads += w.Reads
 		}
 
-		// Replay the member closest to the centroid plus Probes members
+		// Replay the member closest to the centroid plus sampleProbes members
 		// farthest from it. The cluster estimate is the MEAN of the
 		// replayed members — a single window, even the most central one,
 		// can be dynamically atypical (the cold trace start, a refresh
@@ -263,7 +244,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 		ce.Rep = occupied[rep]
 		probed := map[int]bool{rep: true}
 		sampled := []windowMeasure{replayWindowRange(mk, t, &windows[occupied[rep]], warm)}
-		for p := 0; p < cfg.Probes && len(probed) < len(members); p++ {
+		for p := 0; p < sampleProbes && len(probed) < len(members); p++ {
 			pr := pickFarthest(vecs, centers[c], members, probed)
 			probed[pr] = true
 			sampled = append(sampled, replayWindowRange(mk, t, &windows[occupied[pr]], warm))
@@ -309,7 +290,7 @@ func cutWindows(t *Trace, cfg SampleConfig) ([]SampleWindow, sim.Time) {
 	dur := t.Duration()
 	span := cfg.Span
 	if span <= 0 {
-		span = dur / sim.Time(cfg.Windows)
+		span = dur / sampleWindows
 		// A window must cover many memory latencies for queueing to reach
 		// steady state inside it; a short trace gets fewer, µs-scale
 		// windows rather than the target count of meaningless ones.

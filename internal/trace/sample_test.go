@@ -99,7 +99,7 @@ func TestSampledFidelity(t *testing.T) {
 func TestSampledDeterministic(t *testing.T) {
 	tr := phaseTrace(12000)
 	mk, mapper := ddr4Factory()
-	cfg := SampleConfig{Windows: 64, Clusters: 4, BankRow: mapper.BankRow}
+	cfg := SampleConfig{Span: 3 * sim.Microsecond, BankRow: mapper.BankRow}
 
 	a, err := Sampled(mk, tr, cfg)
 	if err != nil {
@@ -115,13 +115,12 @@ func TestSampledDeterministic(t *testing.T) {
 }
 
 // TestSampledClustersSeparatePhases checks the clustering actually tells
-// the synthetic phases apart: with k = phase count, windows from different
-// phases must not all collapse into one cluster, and every non-empty
-// window must be assigned.
+// the synthetic phases apart: windows from the three phases must not all
+// collapse into one cluster, and every non-empty window must be assigned.
 func TestSampledClustersSeparatePhases(t *testing.T) {
 	tr := phaseTrace(18000)
 	mk, mapper := ddr4Factory()
-	res, err := Sampled(mk, tr, SampleConfig{Windows: 54, Clusters: 3, BankRow: mapper.BankRow})
+	res, err := Sampled(mk, tr, SampleConfig{Span: tr.Duration() / 54, BankRow: mapper.BankRow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +321,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			sc := SampleConfig{
 				Span:    sim.Time(50+rng.Intn(4000)) * sim.Nanosecond,
 				BankRow: bankRow,
-			}.withDefaults()
+			}
 			got, _ := cutWindows(tr, sc)
 			want := append([]SampleWindow(nil), got...)
 			fingerprint(tr, got, sc)
