@@ -5,8 +5,9 @@
 // All experiments in one invocation share a single experiment environment
 // and its characterization service, so `-run all` performs each unique
 // characterization — and each simulation several experiments report on —
-// exactly once; with -cache-dir the curves additionally persist across
-// invocations.
+// exactly once; with -cache-dir the curves and every other simulation
+// output a report prints persist across invocations, so a second run over
+// the same directory simulates nothing but tablespeed's timed sweeps.
 //
 // Usage:
 //

@@ -1,5 +1,7 @@
 // Package charz is the characterization service: the single path from a
-// (platform, benchmark options) pair to its bandwidth–latency curve family.
+// (platform, benchmark options) pair to its bandwidth–latency curve family,
+// and from any other deterministic simulation a report prints to its
+// output.
 //
 // Every component of the framework — the experiment registry, the CLI
 // tools, the public facade — consumes curve families, and producing one
@@ -14,7 +16,8 @@
 //     concurrent requests for one key run exactly one simulation — the
 //     rest block on the in-flight run and share its result;
 //   - an optional on-disk store persists families in the release CSV
-//     format, so repeated CLI invocations skip re-simulation entirely;
+//     format, and the samples of runs that needed them beside their
+//     family, so repeated CLI invocations skip re-simulation entirely;
 //   - Config.Remote adds a further tier (any curvestore.Store), consulted
 //     after the disk store, promoted into it on a hit and uploaded to after
 //     a fresh run; a broken tier reads as a miss. No tool sets it: the
@@ -24,6 +27,42 @@
 //
 // Results handed to callers are deep copies: experiments relabel and
 // resort families freely without corrupting the cache.
+//
+// # Artifacts
+//
+// Memo widens the cache from curve families to any deterministic
+// simulation output — a workload suite's results, trace replays, a
+// profiled run's counter windows. An ArtifactRequest names one by its
+// kind and every input (ArtifactKey hashes them under the same charz/vN
+// version line as Fingerprint, so one bump invalidates both); it runs the
+// same cache loop as a family, counts in the same Stats and persists in
+// the same disk store, as JSON in the output's one canonical encoding.
+// The in-memory entry keeps the encoded bytes and every caller decodes a
+// private copy. A stored file that is not exactly that encoding, under
+// its own key and kind, is quarantined and recomputed.
+//
+// # Contract
+//
+// Every curve family, and every simulation an experiment report prints,
+// flows through one service; `messexp -run all` performs each unique
+// characterization and computes each artifact exactly once, and with
+// -cache-dir a second invocation simulates nothing. New consumers go
+// through the service — tag custom backends with Request.Tag, name
+// artifact inputs in ArtifactRequest — rather than calling
+// bench.RunContext directly. The sanctioned direct callers are
+// wall-clock timing runs (the tablespeed experiment, whose timing is its
+// result) and the trace-capturing and workload runs inside a Memo's
+// compute. Cache outputs, never rendered rows: a report is rebuilt from
+// its artifacts on every call.
+//
+// The disk store is sharded into 256 subdirectories by key prefix and has
+// no size bound: it evicts nothing, and Load is read-only. A whole
+// `messexp -run all -scale quick` fills it with 31 families (18,388 B),
+// the samples of 5 of them (12,476 B) and 37 artifacts (40,721 B); one
+// Full-scale family (fig2 Skylake) is 7,139 B. There is no LRU budget and
+// no in-memory Reset: no caller set them. The pins: TestFingerprintGolden
+// and TestArtifactKeyStability here, and exp.TestRequestKeysGolden for the
+// key of every request and artifact the shipped tools make.
 package charz
 
 import (
@@ -84,16 +123,15 @@ type Request struct {
 	// (e.g. "model:ramulator2"). A request with a Backend and no Tag is
 	// uncacheable and always simulates.
 	Tag string
-	// NeedSamples requires the raw measurement samples, which the disk
-	// store does not persist: the request skips disk loads and upgrades a
-	// family-only memory entry by re-simulating.
+	// NeedSamples requires the raw measurement samples. The disk store
+	// keeps them beside the family of a run that needed them; a request
+	// finding a family without them (on disk or in memory) re-simulates.
 	NeedSamples bool
 }
 
 // Artifact is a completed characterization. Family is always set; Result
 // (the family plus raw samples) is populated only for requests that set
-// NeedSamples and could not be satisfied from the on-disk store. Both are
-// private deep copies.
+// NeedSamples. Both are private deep copies.
 type Artifact struct {
 	Key    Key
 	Family *core.Family
@@ -108,7 +146,8 @@ type RunFunc func(context.Context, platform.Spec, bench.Options) (*bench.Result,
 
 // Config parameterizes a Service.
 type Config struct {
-	// Store, when set, persists families across processes.
+	// Store, when set, persists families, their samples and artifacts
+	// across processes.
 	Store *DiskStore
 	// Remote, when set, is the outermost tier: consulted after Store,
 	// written back into Store on a hit (promotion), and uploaded to after
@@ -128,9 +167,11 @@ type Config struct {
 	Telemetry *telemetry.Set
 }
 
-// Stats are cumulative service counters.
+// Stats are cumulative service counters. Artifacts (Memo) count in the
+// same fields as curve families.
 type Stats struct {
-	// Runs counts benchmark sweeps actually executed.
+	// Runs counts benchmark sweeps and artifact computations actually
+	// executed.
 	Runs int64
 	// MemoryHits counts requests served from the in-memory cache,
 	// including requests that waited on an in-flight run for their key.
@@ -155,6 +196,8 @@ type Service struct {
 	// the service is memory-only.
 	tiered  *curvestore.Tiered
 	tierSrc []Source
+	// store is Config.Store, the one tier artifacts and samples persist to.
+	store *DiskStore
 
 	mu      sync.Mutex
 	entries map[Key]*entry
@@ -170,12 +213,15 @@ type Service struct {
 }
 
 // entry is one cache slot: done closes when the first requester finishes,
-// after which fam/res/err/src are immutable. claimed hands the true source
-// (run or disk) to exactly one caller; everyone else reports a memory hit.
+// after which fam/res/blob/err/src are immutable. claimed hands the true
+// source (run or disk) to exactly one caller; everyone else reports a
+// memory hit. A family entry sets fam (and res when it holds samples); an
+// artifact entry sets blob.
 type entry struct {
 	done    chan struct{}
 	fam     *core.Family  // canonical copy; cloned per caller
-	res     *bench.Result // nil when the entry was filled from disk
+	res     *bench.Result // nil when the entry was filled from a family-only file
+	blob    []byte        // an artifact's canonical encoding; decoded per caller
 	err     error
 	src     Source // how the filling requester obtained it
 	claimed atomic.Bool
@@ -188,6 +234,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		run:     cfg.Run,
+		store:   cfg.Store,
 		entries: map[Key]*entry{},
 	}
 	var tiers []curvestore.Store
@@ -251,6 +298,24 @@ func (s *Service) CharacterizeContext(ctx context.Context, req Request) (*Artifa
 	}
 
 	key := Fingerprint(req)
+	e, err := s.resolve(ctx, key,
+		func(e *entry) { s.fill(ctx, key, e, req) },
+		// An entry satisfied from disk without samples cannot serve a
+		// caller that needs them: it is retired and simulated (once) for
+		// the samples. Not a cache hit.
+		func(e *entry) bool { return !req.NeedSamples || e.res != nil })
+	if err != nil {
+		return nil, err
+	}
+	return entryArtifact(key, e, req.NeedSamples), nil
+}
+
+// resolve is the cache loop every request runs, curve family or artifact:
+// the first requester of key owns a new entry and fills it; everyone else
+// waits for that fill and shares it. usable (nil: always) reports whether
+// a filled entry can serve this caller; one that cannot is retired and
+// filled again.
+func (s *Service) resolve(ctx context.Context, key Key, fill func(*entry), usable func(*entry) bool) (*entry, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -262,7 +327,7 @@ func (s *Service) CharacterizeContext(ctx context.Context, req Request) (*Artifa
 			e = &entry{done: make(chan struct{})}
 			s.entries[key] = e
 			s.mu.Unlock()
-			s.fill(ctx, key, e, req)
+			fill(e)
 		} else {
 			s.mu.Unlock()
 			select {
@@ -284,17 +349,14 @@ func (s *Service) CharacterizeContext(ctx context.Context, req Request) (*Artifa
 			}
 			return nil, e.err
 		}
-		if req.NeedSamples && e.res == nil {
-			// The entry was satisfied from disk but this caller needs the
-			// raw samples: retire the family-only entry and loop to
-			// simulate (once) for the samples. Not a cache hit.
+		if usable != nil && !usable(e) {
 			s.dropIf(key, e)
 			continue
 		}
 		if waited {
 			s.memHits.Add(1)
 		}
-		return entryArtifact(key, e, req.NeedSamples), nil
+		return e, nil
 	}
 }
 
@@ -306,20 +368,22 @@ func ctxErr(err error) bool {
 // fill executes the cache miss path for the entry it owns and publishes
 // the outcome by closing done.
 func (s *Service) fill(ctx context.Context, key Key, e *entry, req Request) {
-	start := time.Now()
-	sp := s.tel.Trace().Begin(s.fillTrack, "characterize "+req.Spec.Name)
-	defer func() {
-		d := time.Since(start)
-		outcome := "error"
-		if e.err == nil {
-			outcome = e.src.String()
-		}
-		sp.End(telemetry.String("source", outcome))
-		s.tel.Logger().Debug("charz fill",
-			"spec", req.Spec.Name, "source", outcome, "elapsed", d.Round(time.Millisecond))
-	}()
+	defer s.traceFill(e, "characterize "+req.Spec.Name, "spec", req.Spec.Name)()
 	defer close(e.done)
-	if s.tiered != nil && !req.NeedSamples {
+	switch {
+	case req.NeedSamples && s.store != nil:
+		// Samples persist on disk alone, beside their family: both must
+		// load, or the request simulates. A family-only file still does.
+		fam, ok, _ := s.store.Load(ctx, key)
+		if ok {
+			if samples, ok := s.store.loadSamples(ctx, key, req.Options); ok {
+				s.diskHits.Add(1)
+				e.fam, e.src = fam, SourceDisk
+				e.res = &bench.Result{Spec: req.Spec, Family: fam, Samples: samples}
+				return
+			}
+		}
+	case s.tiered != nil && !req.NeedSamples:
 		// Disk, then remote, with write-back promotion on a remote hit.
 		// Tier failures (corrupt cache file, broken remote tier) read as
 		// misses and fall through to simulation — fail-soft.
@@ -355,7 +419,28 @@ func (s *Service) fill(ctx context.Context, key Key, e *entry, req Request) {
 		// caller's context has since been cancelled (WithoutCancel):
 		// throwing away minutes of finished simulation because the caller
 		// stopped waiting would force the next run to pay for it again.
-		_ = s.tiered.Save(context.WithoutCancel(ctx), key, res.Family)
+		saveCtx := context.WithoutCancel(ctx)
+		_ = s.tiered.Save(saveCtx, key, res.Family)
+		if req.NeedSamples && s.store != nil {
+			_ = s.store.saveSamples(saveCtx, key, res.Samples)
+		}
+	}
+}
+
+// traceFill opens a fill's span; the returned func, deferred before done
+// closes, ends it with the fill's outcome and logs the fill under the
+// given attribute.
+func (s *Service) traceFill(e *entry, span, attr, val string) func() {
+	start := time.Now()
+	sp := s.tel.Trace().Begin(s.fillTrack, span)
+	return func() {
+		outcome := "error"
+		if e.err == nil {
+			outcome = e.src.String()
+		}
+		sp.End(telemetry.String("source", outcome))
+		s.tel.Logger().Debug("charz fill", attr, val, "source", outcome,
+			"elapsed", time.Since(start).Round(time.Millisecond))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -215,6 +216,28 @@ func TestNeedSamplesUpgradesDiskEntry(t *testing.T) {
 	}
 	if again.Source != SourceMemory || calls.Load() != 1 {
 		t.Fatalf("post-upgrade request: source=%v calls=%d", again.Source, calls.Load())
+	}
+
+	// Samples on disk: a run that needed samples saves them beside its
+	// family, and a fresh service serves the next such request from disk.
+	req = Request{Spec: testSpec("upgrade-samples"), Options: bench.QuickOptions(), NeedSamples: true}
+	cold, err := New(Config{Run: gridRun(&calls), Store: store}).Characterize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Config{Run: gridRun(&calls), Store: store})
+	warm, err := fresh.Characterize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Source != SourceDisk || calls.Load() != 2 {
+		t.Fatalf("samples-on-disk request: source=%v calls=%d, want a disk hit", warm.Source, calls.Load())
+	}
+	if !reflect.DeepEqual(warm.Result.Samples, cold.Result.Samples) || warm.Result.Spec != req.Spec {
+		t.Fatal("samples served from disk differ from the run's")
+	}
+	if st := fresh.Stats(); st.Runs != 0 || st.DiskHits != 1 {
+		t.Fatalf("samples-on-disk stats = %+v, want one disk hit", st)
 	}
 }
 

@@ -2,10 +2,14 @@ package charz
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
+	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/core"
 )
 
@@ -19,19 +23,27 @@ import (
 // # Layout
 //
 // Files are sharded into 256 subdirectories by the first two hex digits of
-// the key (dir/ab/abcdef….csv), so a full-sweep cache of thousands of
-// families never produces a directory large enough to slow lookups or
-// directory scans.
+// the key, so a full-sweep cache of thousands of families never produces a
+// directory large enough to slow lookups or directory scans. Under a key:
+//
+//   - dir/ab/<key>.csv: a curve family;
+//   - dir/ab/<key>.samples.json: the raw samples of that family's run,
+//     when a request needed them;
+//   - dir/ab/<key>.json: an artifact (Memo), in its one JSON encoding
+//     wrapped with the key and kind it was stored under.
+//
+// A file of either JSON kind that does not decode to exactly what the
+// store would write for its name is quarantined, as a bad CSV is.
 //
 // # Eviction
 //
 // None: the store grows by one file per distinct characterization and
 // nothing is ever removed, so Load is read-only. A whole Quick-scale
-// registry run fills it with a few dozen families of a few KiB each. A
-// temp file orphaned by a killed writer and a quarantined *.bad file stay
-// too; neither is ever read. Content addressing makes deleting the directory (or any file in it) safe
-// at any time: a missing family is re-simulated and re-saved on its next
-// request.
+// registry run fills it with a few dozen families of a few KiB each and
+// about as many artifacts. A temp file orphaned by a killed writer and a
+// quarantined *.bad file stay too; neither is ever read. Content
+// addressing makes deleting the directory (or any file in it) safe at any
+// time: a missing file is recomputed and re-saved on its next request.
 type DiskStore struct {
 	dir string
 }
@@ -94,7 +106,13 @@ func (d *DiskStore) Save(ctx context.Context, key Key, fam *core.Family) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	shard := filepath.Dir(d.Path(key))
+	return d.install(key, d.Path(key), fam.WriteCSV)
+}
+
+// install writes path (in key's shard) atomically: write fills a temp
+// file, which is then renamed into place.
+func (d *DiskStore) install(key Key, path string, write func(io.Writer) error) error {
+	shard := filepath.Dir(path)
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("charz: creating shard dir: %w", err)
 	}
@@ -103,15 +121,83 @@ func (d *DiskStore) Save(ctx context.Context, key Key, fam *core.Family) error {
 		return fmt.Errorf("charz: creating cache temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := fam.WriteCSV(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("charz: writing cached curves: %w", err)
+		return fmt.Errorf("charz: writing cache file: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), d.Path(key)); err != nil {
-		return fmt.Errorf("charz: installing cached curves: %w", err)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("charz: installing cache file: %w", err)
 	}
 	return nil
+}
+
+// artifactPath is where the artifact for key lives: dir/ab/<key>.json.
+func (d *DiskStore) artifactPath(key Key) string {
+	return strings.TrimSuffix(d.Path(key), ".csv") + ".json"
+}
+
+// samplesPath is where the samples of the family stored under key live,
+// beside it: dir/ab/<key>.samples.json.
+func (d *DiskStore) samplesPath(key Key) string {
+	return strings.TrimSuffix(d.Path(key), ".csv") + ".samples.json"
+}
+
+// loadArtifact reads the artifact file at path for key and kind and
+// returns its value. Any failure reads as a miss; a present file that does
+// not decode is quarantined, as Load does for curves.
+func (d *DiskStore) loadArtifact(ctx context.Context, path string, key Key, kind string, check func([]byte) error) ([]byte, bool) {
+	if ctx.Err() != nil {
+		return nil, false
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	value, err := decodeArtifact(data, key, kind, check)
+	if err != nil {
+		d.quarantine(path)
+		return nil, false
+	}
+	return value, true
+}
+
+// saveArtifact installs the artifact file of value for key and kind at
+// path.
+func (d *DiskStore) saveArtifact(ctx context.Context, path string, key Key, kind string, value []byte) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	data, err := encodeArtifact(key, kind, value)
+	if err != nil {
+		return err
+	}
+	return d.install(key, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// loadSamples reads the samples stored beside the family for key; they
+// must be one per sweep point of opt, in sweep order.
+func (d *DiskStore) loadSamples(ctx context.Context, key Key, opt bench.Options) ([]bench.Sample, bool) {
+	value, ok := d.loadArtifact(ctx, d.samplesPath(key), key, samplesKind, checkSamples(opt))
+	if !ok {
+		return nil, false
+	}
+	var samples []bench.Sample
+	if err := json.Unmarshal(value, &samples); err != nil {
+		return nil, false
+	}
+	return samples, true
+}
+
+func (d *DiskStore) saveSamples(ctx context.Context, key Key, samples []bench.Sample) error {
+	value, err := json.Marshal(samples)
+	if err != nil {
+		return err
+	}
+	return d.saveArtifact(ctx, d.samplesPath(key), key, samplesKind, value)
 }

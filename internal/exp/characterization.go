@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/platform"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // Figs. 2 and 3 and Table I: characterization of the eight platforms.
@@ -29,6 +32,19 @@ func init() {
 		Paper: "Table I",
 		Title: "Quantitative memory performance comparison of all platforms",
 		Run:   runTable1,
+	})
+}
+
+// streamRequest names the platform's STREAM suite with default options.
+func streamRequest(spec platform.Spec) charz.ArtifactRequest {
+	return charz.ArtifactRequest{Kind: "workloads.stream", Spec: spec, Workload: &workloads.Options{}}
+}
+
+// streamSuite runs the four STREAM kernels on the platform with default
+// options, once per service (fig2 and table1 both report Skylake's).
+func (env *Env) streamSuite(spec platform.Spec) ([]workloads.Result, error) {
+	return charz.Memo(env.Context(), env.Charz, streamRequest(spec), func(context.Context) ([]workloads.Result, error) {
+		return workloads.StreamSuite(spec, workloads.Options{})
 	})
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -118,11 +119,31 @@ type ipcPair struct {
 
 func (p ipcPair) delta() float64 { return (p.remIPC - p.cxlIPC) / p.cxlIPC }
 
+// specOptions are a SPEC-like benchmark's run options at the scale, less
+// the device backend.
+func specOptions(b workloads.SpecBenchmark, s Scale) workloads.Options {
+	o := workloads.Options{LLCHitRate: b.LLCHitRate}
+	if s == Quick {
+		o.Warmup = 5 * sim.Microsecond
+		o.Measure = 20 * sim.Microsecond
+	}
+	return o
+}
+
+// specPairRequest names one benchmark's pair of runs on the host: under
+// the Mess simulator loaded with the CXL curves, then the remote-socket
+// curves. Both families are pure functions of the scale's device sweep.
+func specPairRequest(host platform.Spec, b workloads.SpecBenchmark, s Scale) charz.ArtifactRequest {
+	o := specOptions(b, s)
+	return charz.ArtifactRequest{Kind: "workloads.cxl-vs-remote", Spec: host, Workload: &o,
+		Tag: fmt.Sprintf("kernel=%+v;models=mess:cxl,mess:remote-socket;sweep=%+v", b.Kernel, cxlSweep(s))}
+}
+
 // runCXLvsRemote executes each SPEC-like benchmark against the Mess
 // simulator loaded with the CXL curves and with the remote-socket curves
 // and reports both IPCs plus the benchmark's bandwidth utilization, in suite
-// order. Benchmarks run side by side; both families are resolved before the
-// fan-out and only read inside it.
+// order. Benchmarks run side by side, each pair one memoised artifact; both
+// families are resolved before the fan-out and only read inside it.
 func runCXLvsRemote(env *Env, suite []workloads.SpecBenchmark, host platform.Spec) ([]ipcPair, error) {
 	families := [2]*core.Family{cxlFamily(env.Scale), remoteFamily(env.Scale)}
 	var devices [2]mem.BackendFactory
@@ -135,17 +156,20 @@ func runCXLvsRemote(env *Env, suite []workloads.SpecBenchmark, host platform.Spe
 	out := make([]ipcPair, len(suite))
 	err := par.Do(env.Context(), len(suite), func(n int) error {
 		b := suite[n]
-		var res [2]workloads.Result
-		for i, device := range devices {
-			o := workloads.Options{LLCHitRate: b.LLCHitRate, Backend: device}
-			if env.Scale == Quick {
-				o.Warmup = 5 * sim.Microsecond
-				o.Measure = 20 * sim.Microsecond
+		res, err := charz.Memo(env.Context(), env.Charz, specPairRequest(host, b, env.Scale), func(context.Context) ([2]workloads.Result, error) {
+			var res [2]workloads.Result
+			for i, device := range devices {
+				o := specOptions(b, env.Scale)
+				o.Backend = device
+				var err error
+				if res[i], err = workloads.Run(host, b.Kernel, o); err != nil {
+					return res, err
+				}
 			}
-			var err error
-			if res[i], err = workloads.Run(host, b.Kernel, o); err != nil {
-				return err
-			}
+			return res, nil
+		})
+		if err != nil {
+			return err
 		}
 		out[n] = ipcPair{b.Name, res[0].IPC, res[1].IPC, res[0].MemBWGBs / families[0].TheoreticalBW}
 		return nil
@@ -153,25 +177,50 @@ func runCXLvsRemote(env *Env, suite []workloads.SpecBenchmark, host platform.Spe
 	return out, err
 }
 
+// fig17Suite is Fig. 17's two characteristic benchmarks: perlbench, then
+// lbm.
+func fig17Suite() []workloads.SpecBenchmark {
+	var out []workloads.SpecBenchmark
+	for _, name := range []string{"perlbench", "lbm"} {
+		for _, b := range workloads.SpecSuite() {
+			if b.Name == name {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
+}
+
+// fig18Suite is the SPEC-like suite Fig. 18 runs: at Quick scale a
+// representative subset spanning the utilization range.
+func fig18Suite(s Scale) []workloads.SpecBenchmark {
+	suite := workloads.SpecSuite()
+	if s != Quick {
+		return suite
+	}
+	keep := map[string]bool{
+		"namd": true, "perlbench": true, "astar": true, "dealII": true,
+		"hmmer": true, "zeusmp": true, "soplex": true, "milc": true,
+		"libquantum": true, "leslie3d": true, "lbm": true,
+	}
+	var sub []workloads.SpecBenchmark
+	for _, b := range suite {
+		if keep[b.Name] {
+			sub = append(sub, b)
+		}
+	}
+	return sub
+}
+
 func runFig17(env *Env) (*Result, error) {
 	s := env.Scale
 	host := scaleSpec(platform.ZSimSkylake(), s)
-	suite := workloads.SpecSuite()
-	var perl, lbm *workloads.SpecBenchmark
-	for i := range suite {
-		switch suite[i].Name {
-		case "perlbench":
-			perl = &suite[i]
-		case "lbm":
-			lbm = &suite[i]
-		}
-	}
 	r := &Result{
 		Title:  "CXL vs remote-socket emulation: characteristic benchmarks",
 		Header: []string{"benchmark", "CXL IPC", "remote IPC", "Δ", "BW util of CXL max"},
 	}
 	r.Families = append(r.Families, cxlFamily(s), remoteFamily(s))
-	ipcs, err := runCXLvsRemote(env, []workloads.SpecBenchmark{*perl, *lbm}, host)
+	ipcs, err := runCXLvsRemote(env, fig17Suite(), host)
 	if err != nil {
 		return nil, err
 	}
@@ -188,23 +237,7 @@ func runFig17(env *Env) (*Result, error) {
 func runFig18(env *Env) (*Result, error) {
 	s := env.Scale
 	host := scaleSpec(platform.ZSimSkylake(), s)
-	suite := workloads.SpecSuite()
-	if s == Quick {
-		// A representative subset spanning the utilization range.
-		keep := map[string]bool{
-			"namd": true, "perlbench": true, "astar": true, "dealII": true,
-			"hmmer": true, "zeusmp": true, "soplex": true, "milc": true,
-			"libquantum": true, "leslie3d": true, "lbm": true,
-		}
-		var sub []workloads.SpecBenchmark
-		for _, b := range suite {
-			if keep[b.Name] {
-				sub = append(sub, b)
-			}
-		}
-		suite = sub
-	}
-
+	suite := fig18Suite(s)
 	rows, err := runCXLvsRemote(env, suite, host)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -216,18 +217,35 @@ func renderAll(t *testing.T, env *Env, ids ...string) map[string][]byte {
 	return reports
 }
 
+// sharedCurves builds an in-memory service of its own whose curve
+// families come from the test binary's shared service:
+// reference curves are not what its callers test, while every artifact it
+// memoises, and every sweep over a model backend, is computed afresh.
+func sharedCurves() *charz.Service {
+	return charz.New(charz.Config{Run: func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
+		if opt.Backend != nil {
+			return bench.RunContext(ctx, spec, opt)
+		}
+		art, err := testEnv.Charz.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: opt, NeedSamples: true})
+		if err != nil {
+			return nil, err
+		}
+		return art.Result, nil
+	}})
+}
+
 // TestFanOutAndMemoAreInvisible pins the experiment-layer execution
 // contract: every experiment that fans its simulations out, or draws on a
-// result memoised on the Env, renders the same bytes on one worker as on
-// four, and fig16 served from fig15's HPCG run equals fig16 on an
-// environment of its own. The passes share the test binary's
-// characterization service — reference curves are not what is under test —
-// but never an Env.
+// simulation memoised by the service, renders the same bytes on one worker
+// as on four, and fig16 served from fig15's HPCG run equals fig16 on a
+// service of its own. Each pass memoises on a service of its own, so it
+// simulates everything afresh; reference curves come from the test
+// binary's shared service.
 func TestFanOutAndMemoAreInvisible(t *testing.T) {
 	ids := []string{"fig6", "fig6s", "fig11", "fig13", "fig18", "table1", "fig2", "fig15", "fig16"}
 	at := func(procs int, ids ...string) map[string][]byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return renderAll(t, NewEnv(Quick, testEnv.Charz), ids...)
+		return renderAll(t, NewEnv(Quick, sharedCurves()), ids...)
 	}
 	serial := at(1, ids...)
 	parallel := at(4, ids...)
@@ -240,6 +258,55 @@ func TestFanOutAndMemoAreInvisible(t *testing.T) {
 		}
 	}
 	if alone := at(4, "fig16")["fig16"]; !bytes.Equal(alone, serial["fig16"]) {
-		t.Errorf("fig16 on its own environment differs from fig16 after fig15:\n--- alone ---\n%s\n--- shared ---\n%s", alone, serial["fig16"])
+		t.Errorf("fig16 on its own service differs from fig16 after fig15:\n--- alone ---\n%s\n--- shared ---\n%s", alone, serial["fig16"])
+	}
+}
+
+// TestDiskWarmRegistrySimulatesNothing runs experiments covering every
+// artifact kind — STREAM and evaluation suites, trace replays and sampled
+// replays, the HPCG run, the CXL-versus-remote pairs, families with
+// samples — on the shared environment, whose service stores everything it
+// computes, then on a fresh service over the same directory: the warm
+// reports must be byte-identical and the warm pass must simulate nothing.
+// Every artifact in the store must be one TestRequestKeysGolden pins.
+func TestDiskWarmRegistrySimulatesNothing(t *testing.T) {
+	ids := []string{"fig2", "fig6s", "fig7", "fig13", "fig15", "fig16", "fig18", "openpiton-bug"}
+	cold := renderAll(t, testEnv, ids...)
+
+	warmSvc := charz.New(charz.Config{Store: testStore, Run: func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
+		t.Errorf("the warm pass simulated a sweep on %s", spec.Name)
+		return bench.RunContext(ctx, spec, opt)
+	}})
+	warm := renderAll(t, NewEnv(Quick, warmSvc), ids...)
+	for _, id := range ids {
+		if !bytes.Equal(cold[id], warm[id]) {
+			t.Errorf("%s: the disk-warm report differs from the cold one:\n--- cold ---\n%s\n--- warm ---\n%s", id, cold[id], warm[id])
+		}
+	}
+	if st := warmSvc.Stats(); st.Runs != 0 || st.DiskHits == 0 {
+		t.Errorf("warm pass: %+v, want no runs and disk hits", st)
+	}
+
+	pinned, err := os.ReadFile(keysGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts, err := filepath.Glob(filepath.Join(testStore.Dir(), "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, path := range artifacts {
+		name := filepath.Base(path)
+		if strings.HasSuffix(name, ".samples.json") {
+			continue
+		}
+		n++
+		if key := strings.TrimSuffix(name, ".json"); !bytes.Contains(pinned, []byte(key+"  ")) {
+			t.Errorf("artifact %s is not pinned in %s", key, keysGolden)
+		}
+	}
+	if n == 0 {
+		t.Error("the cold pass stored no artifact")
 	}
 }

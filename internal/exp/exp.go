@@ -15,7 +15,9 @@
 //     cannot fail — an unknown kind is its error, before any simulation;
 //     modelFamily here runs it under charz, tagged "model:<kind>";
 //   - trace capture of a sweep point: trace.CapturePoint;
-//   - profile run (sampler, application, analysis): profile.Run;
+//   - profile run (sampler, application, analysis): profile.Run, or its
+//     two halves profile.Record (the simulation, memoised here) and
+//     profile.Build (the analysis, run live);
 //   - IPC-error table: workloads.IPCErrors;
 //   - worker pool: par.Workers and its GOMAXPROCS form par.Do, also under
 //     bench.RunContext and cxl.MeasureFamily;
@@ -24,7 +26,7 @@
 //
 // # Execution
 //
-// The simulations the charz cache cannot serve — workload suites, trace
+// The simulations besides the curve families — workload suites, trace
 // captures and replays, the HPCG profile — are independent and
 // deterministic, so the harness runs them side by side and once; what a
 // report says never depends on either. The primitive is par.Do (see that
@@ -46,26 +48,38 @@
 //     captures of fig6s — a 192 µs capture is the largest object the
 //     registry builds, and serial captures mean a second one is never live;
 //     everything charz serves (the service has its own bounded pool).
-//   - Memoised per Env: the HPCG profile (fig15 + fig16) and
-//     StreamSuite(spec) with default options (Skylake in fig2 + table1),
-//     each behind a sync.Once. messexp builds one Env per invocation and the
-//     benchmark one per pass, so both see it; the facade's RunExperiment
-//     still builds an Env per call. The CXL and remote-socket device
-//     families are pure functions of the scale: a sync.OnceValue per scale,
-//     process-wide, resolved before a fan-out, never inside it.
-//   - Shared results are read-only: the memoised *profile.Profile (and its
-//     Family, which fig15 hands to its Result), the STREAM
-//     []workloads.Result, a captured *trace.Trace during its replays, and
-//     the reference *core.Family behind concurrent memmodel/messsim
-//     backends. Family.Sort and label edits are for the goroutine that
-//     built the family, before it is shared.
+//   - Memoised by the service: every simulation a report prints goes
+//     through charz.Memo on env.Charz, keyed by everything it is computed
+//     from — the STREAM suites (fig2, table1), the evaluation suites of
+//     fig11/fig13 (each model's keyed by its reference family too), fig6's
+//     captures and replays (one artifact per platform), fig6s's full and
+//     sampled replays (one per pace), the HPCG run's counter windows and
+//     phase timeline (fig15, fig16), and each benchmark's pair of
+//     workloads.Run in fig17/fig18. A service computes each once, and a
+//     disk store (-cache-dir) keeps them across invocations, so a
+//     disk-warm registry simulates nothing but tablespeed's timed sweeps.
+//     Outputs are cached, never rendered rows: families, profiles and
+//     rows are rebuilt from them on every call. messexp builds one Env
+//     per invocation and the benchmark one per pass; the facade's
+//     RunExperiment builds an Env per call over the same service. The CXL
+//     and remote-socket device families are pure functions of the scale:
+//     a sync.OnceValue per scale, process-wide, resolved before a
+//     fan-out, never inside it.
+//   - Shared results are read-only: a captured *trace.Trace during its
+//     replays, and the reference *core.Family behind concurrent
+//     memmodel/messsim backends. Family.Sort and label edits are for the
+//     goroutine that built the family, before it is shared. A memoised
+//     output is a private copy per caller (charz decodes one each).
 //
-// Gates: TestFanOutAndMemoAreInvisible (reports byte-identical at GOMAXPROCS
-// 1 and 4; fig16 alone == fig16 after fig15), workloads'
-// TestSuitesMatchSerialRuns, the internal/par tests under -race, and cpu's
-// TestKernelCoreSteadyStateZeroAllocs — a running cpu.KernelCore tracks its
-// line-step's unissued operations as one index (operation i touches array
-// i), never as a slice it re-slices and re-appends.
+// Gates: TestFanOutAndMemoAreInvisible (reports byte-identical at
+// GOMAXPROCS 1 and 4; fig16 alone == fig16 after fig15),
+// TestDiskWarmRegistrySimulatesNothing (a disk-warm service renders the
+// same bytes and runs nothing), TestRequestKeysGolden (every artifact
+// key), workloads' TestSuitesMatchSerialRuns, the internal/par tests under
+// -race, and cpu's TestKernelCoreSteadyStateZeroAllocs — a running
+// cpu.KernelCore tracks its line-step's unissued operations as one index
+// (operation i touches array i), never as a slice it re-slices and
+// re-appends.
 package exp
 
 import (
@@ -73,7 +87,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
@@ -81,7 +94,6 @@ import (
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/sim"
-	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // Scale selects experiment fidelity.
@@ -165,10 +177,8 @@ func (r *Result) Render(w io.Writer) error {
 // fidelity scale plus the shared characterization service. One Env driving
 // a whole registry run (messexp -run all) performs each unique
 // characterization exactly once — the service's content-addressed keys
-// dedupe across experiments, not just within one. The simulations the
-// service cannot serve but several experiments share (the HPCG profile of
-// fig15 and fig16, a platform's STREAM suite in fig2 and table1) are
-// memoised on the Env the same way: once per Env, read-only afterwards.
+// dedupe across experiments, not just within one — and computes each
+// simulation output it memoises (charz.Memo) once as well.
 type Env struct {
 	Scale Scale
 	Charz *charz.Service
@@ -176,40 +186,6 @@ type Env struct {
 	// issues runs under — a CLI -timeout or SIGINT cancels the experiment's
 	// reference sweeps at the next point boundary. nil means background.
 	Ctx context.Context
-
-	hpcg struct {
-		once sync.Once
-		run  *hpcgRun
-		err  error
-	}
-	stream struct {
-		sync.Mutex
-		suites map[platform.Spec]*streamSuite
-	}
-}
-
-// streamSuite is one platform's STREAM results, simulated on first use.
-type streamSuite struct {
-	once    sync.Once
-	results []workloads.Result
-	err     error
-}
-
-// streamSuite runs the four STREAM kernels on the platform with default
-// options, once per environment; callers must not modify the results.
-func (env *Env) streamSuite(spec platform.Spec) ([]workloads.Result, error) {
-	env.stream.Lock()
-	if env.stream.suites == nil {
-		env.stream.suites = map[platform.Spec]*streamSuite{}
-	}
-	st := env.stream.suites[spec]
-	if st == nil {
-		st = &streamSuite{}
-		env.stream.suites[spec] = st
-	}
-	env.stream.Unlock()
-	st.once.Do(func() { st.results, st.err = workloads.StreamSuite(spec, workloads.Options{}) })
-	return st.results, st.err
 }
 
 // NewEnv builds an environment. A nil service gets a fresh in-memory one,
@@ -229,11 +205,17 @@ func (env *Env) Context() context.Context {
 	return context.Background()
 }
 
-// reference returns the platform's measured reference family — the curves
-// of the detailed DRAM model standing in for "actual hardware" — via the
+// refRequest is the characterization of the platform's reference family at
+// the scale: the curves of the detailed DRAM model standing in for "actual
+// hardware".
+func refRequest(spec platform.Spec, s Scale) charz.Request {
+	return charz.Request{Spec: spec, Options: benchOptions(s)}
+}
+
+// reference returns the platform's reference family via the
 // characterization service (cached, deduplicated across experiments).
 func (env *Env) reference(spec platform.Spec) (*core.Family, error) {
-	art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: benchOptions(env.Scale)})
+	art, err := env.Charz.CharacterizeContext(env.Context(), refRequest(spec, env.Scale))
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +227,7 @@ func (env *Env) reference(spec platform.Spec) (*core.Family, error) {
 func (env *Env) referenceAll(specs []platform.Spec) ([]*core.Family, error) {
 	reqs := make([]charz.Request, len(specs))
 	for i, spec := range specs {
-		reqs[i] = charz.Request{Spec: spec, Options: benchOptions(env.Scale)}
+		reqs[i] = refRequest(spec, env.Scale)
 	}
 	arts, err := env.Charz.CharacterizeAllContext(env.Context(), reqs)
 	if err != nil {

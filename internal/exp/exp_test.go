@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,9 +17,29 @@ import (
 )
 
 // testEnv is shared by every test in the binary, so reference families
-// measured once (Skylake, ZSim Skylake, …) serve all experiments — the
-// same sharing messexp -run all gets from one service.
-var testEnv = NewEnv(Quick, nil)
+// measured once (Skylake, ZSim Skylake, …) and every artifact serve all
+// experiments — the same sharing messexp -run all gets from one service.
+// Its service persists to testStore, a directory of the binary's own, as
+// messexp's does under -cache-dir.
+var (
+	testEnv   *Env
+	testStore *charz.DiskStore
+)
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "exp-store-")
+	if err == nil {
+		testStore, err = charz.NewDiskStore(dir)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	testEnv = NewEnv(Quick, charz.New(charz.Config{Store: testStore}))
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/memmodel"
@@ -119,20 +121,50 @@ func messAgreement(env *Env, specs []platform.Spec, title, note string) (*Result
 	return r, nil
 }
 
+// evalOptions are the evaluation suite's run windows at the scale.
+func evalOptions(s Scale) workloads.Options {
+	var o workloads.Options
+	if s == Quick {
+		o.Warmup = 5 * sim.Microsecond
+		o.Measure = 20 * sim.Microsecond
+	}
+	return o
+}
+
+// evalRequest names the evaluation suite on spec at the scale: on the
+// platform's own memory for KindReference, else on the model of that kind
+// built over the platform's reference family.
+func evalRequest(spec platform.Spec, s Scale, kind memmodel.Kind) charz.ArtifactRequest {
+	o := evalOptions(s)
+	req := charz.ArtifactRequest{Kind: "workloads.eval", Spec: spec, Workload: &o}
+	if kind != memmodel.KindReference {
+		req.Tag = "model:" + string(kind)
+		req.Ref = charz.Fingerprint(refRequest(spec, s))
+	}
+	return req
+}
+
 // ipcErrors is the body of Figs. 11 and 13: it runs the evaluation suite on
 // the reference and each model and reports the per-benchmark absolute IPC
 // error plus averages.
 func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind, title, note string) (*Result, error) {
-	wopt := workloads.Options{}
-	if env.Scale == Quick {
-		wopt.Warmup = 5 * sim.Microsecond
-		wopt.Measure = 20 * sim.Microsecond
-	}
 	ref, err := env.reference(spec)
 	if err != nil {
 		return nil, err
 	}
-	refResults, err := workloads.EvalSuite(spec, wopt)
+	suite := func(kind memmodel.Kind) ([]workloads.Result, error) {
+		return charz.Memo(env.Context(), env.Charz, evalRequest(spec, env.Scale, kind), func(context.Context) ([]workloads.Result, error) {
+			o := evalOptions(env.Scale)
+			if kind != memmodel.KindReference {
+				var err error
+				if o.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {
+					return nil, err
+				}
+			}
+			return workloads.EvalSuite(spec, o)
+		})
+	}
+	refResults, err := suite(memmodel.KindReference)
 	if err != nil {
 		return nil, err
 	}
@@ -144,11 +176,7 @@ func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind, title, note 
 	r.Header = append(r.Header, "average")
 
 	for _, kind := range kinds {
-		o := wopt
-		if o.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {
-			return nil, err
-		}
-		got, err := workloads.EvalSuite(spec, o)
+		got, err := suite(kind)
 		if err != nil {
 			return nil, err
 		}
@@ -164,13 +192,21 @@ func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind, title, note 
 	return r, nil
 }
 
-func runFig11(env *Env) (*Result, error) {
-	spec := scaleSpec(platform.ZSimSkylake(), env.Scale)
-	kinds := []memmodel.Kind{
+// The models Figs. 11 and 13 score, in row order.
+var (
+	fig11Models = []memmodel.Kind{
 		memmodel.KindFixed, memmodel.KindMD1, memmodel.KindInternalDDR,
 		memmodel.KindDRAMsim3, memmodel.KindRamulator, memmodel.KindMess,
 	}
-	return ipcErrors(env, spec, kinds, "ZSim memory-model IPC error (absolute, vs reference platform)",
+	fig13Models = []memmodel.Kind{
+		memmodel.KindFixed, memmodel.KindInternalDDR,
+		memmodel.KindRamulator2, memmodel.KindMess,
+	}
+)
+
+func runFig11(env *Env) (*Result, error) {
+	spec := scaleSpec(platform.ZSimSkylake(), env.Scale)
+	return ipcErrors(env, spec, fig11Models, "ZSim memory-model IPC error (absolute, vs reference platform)",
 		"Paper: Mess averages 1.3%; M/D/1 and internal DDR follow; fixed-latency and Ramulator exceed 80% (Fig. 11). The ordering, not the absolute values, is the reproduction target.")
 }
 
@@ -203,10 +239,6 @@ func fig12Variants() []platform.Spec {
 
 func runFig13(env *Env) (*Result, error) {
 	spec := scaleSpec(platform.Gem5Graviton3(), env.Scale)
-	kinds := []memmodel.Kind{
-		memmodel.KindFixed, memmodel.KindInternalDDR,
-		memmodel.KindRamulator2, memmodel.KindMess,
-	}
-	return ipcErrors(env, spec, kinds, "gem5 memory-model IPC error (absolute, vs reference platform)",
+	return ipcErrors(env, spec, fig13Models, "gem5 memory-model IPC error (absolute, vs reference platform)",
 		"Paper: simple memory 30%, internal DDR 15%, Ramulator 2 52%, Mess 3% (Fig. 13). The reproduction target is Mess lowest by a wide margin; the fixed model errs far more here than gem5's SimpleMemory, which throttles bandwidth internally.")
 }

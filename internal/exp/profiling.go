@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"github.com/mess-sim/mess/internal/charz"
+	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/profile"
 	"github.com/mess-sim/mess/internal/sim"
@@ -33,28 +36,48 @@ type hpcgRun struct {
 	spec    platform.Spec
 }
 
-// hpcgProfile runs the HPCG proxy with the window sampler and analyzes it
-// against the platform's reference curves — once per environment; the run
-// is shared, so callers only read it.
-func hpcgProfile(env *Env) (*hpcgRun, error) {
-	env.hpcg.once.Do(func() { env.hpcg.run, env.hpcg.err = profileHPCG(env) })
-	return env.hpcg.run, env.hpcg.err
+// hpcgRecord is what the HPCG simulation outputs: the sampler's counter
+// windows and the application's phase timeline.
+type hpcgRecord struct {
+	Windows []profile.CounterWindow
+	Events  []profile.PhaseSpan
 }
 
-func profileHPCG(env *Env) (*hpcgRun, error) {
-	spec := scaleSpec(platform.CascadeLake(), env.Scale)
+// hpcgSpec and hpcgDuration are the platform and simulated time of the
+// HPCG run at the scale: several iterations at Full scale.
+func hpcgSpec(s Scale) platform.Spec { return scaleSpec(platform.CascadeLake(), s) }
+
+func hpcgDuration(s Scale) sim.Time {
+	if s == Quick {
+		return 700 * sim.Microsecond
+	}
+	return 2 * sim.Millisecond
+}
+
+// hpcgRequest names the HPCG proxy's sampled run at the scale.
+func hpcgRequest(s Scale) charz.ArtifactRequest {
+	return charz.ArtifactRequest{Kind: "profile.hpcg", Spec: hpcgSpec(s), Tag: fmt.Sprintf("duration=%d", hpcgDuration(s))}
+}
+
+// hpcgProfile runs the HPCG proxy with the window sampler — once per
+// service, through its memo — and analyzes the windows against the
+// platform's reference curves.
+func hpcgProfile(env *Env) (*hpcgRun, error) {
+	spec := hpcgSpec(env.Scale)
 	fam, err := env.reference(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
-	dur := 2 * sim.Millisecond // several HPCG iterations
-	if env.Scale == Quick {
-		dur = 700 * sim.Microsecond
+	rec, err := charz.Memo(env.Context(), env.Charz, hpcgRequest(env.Scale), func(context.Context) (hpcgRecord, error) {
+		app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
+		windows := profile.Record(app, hpcgDuration(env.Scale))
+		return hpcgRecord{Windows: windows, Events: app.Events()}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	p := profile.Run(app, "HPCG proxy on "+spec.Name, fam, dur)
-	return &hpcgRun{profile: p, events: app.Events(), spec: spec}, nil
+	p := profile.Build("HPCG proxy on "+spec.Name, fam, rec.Windows, rec.Events, core.DefaultStressWeights)
+	return &hpcgRun{profile: p, events: rec.Events, spec: spec}, nil
 }
 
 func runFig15(env *Env) (*Result, error) {

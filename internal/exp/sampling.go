@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/mess-sim/mess/internal/bench"
+	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/par"
@@ -39,15 +41,50 @@ func samplingPaces(s Scale) []float64 {
 	return []float64{0, 2, 8, 32, 128, 512}
 }
 
+// sampledOptions is the sweep fig6s captures from: a much longer run than
+// the curve sweeps use. Sampling only pays off when the trace holds many
+// windows of a span long enough for queueing to reach steady state inside
+// each one (~µs, tens of latencies), and the default quick Measure yields
+// barely a dozen.
+func sampledOptions(s Scale) bench.Options {
+	opt := benchOptions(s)
+	opt.Measure = 192 * sim.Microsecond
+	return opt
+}
+
+// sampledSpan is the window span of fig6s's sampled replays.
+const sampledSpan = 2 * sim.Microsecond
+
+// minSampledRecords is the shortest capture fig6s windows: shorter ones
+// are too short to window meaningfully.
+const minSampledRecords = 256
+
+// sampledPoint is what fig6s simulates at one pace: the capture's length,
+// then — for a capture of at least minSampledRecords — its full replay and
+// the sampled replay's estimate, error bars, divergence from the full
+// replay and speedup.
+type sampledPoint struct {
+	Records                 int
+	Full, Estimate          trace.ReplayResult
+	BWErrGBs, LatErrNs      float64
+	DivergencePct, SpeedupX float64
+}
+
+// sampledRequest names fig6s's capture and replays at one pace: the sweep
+// narrowed to the one (mix, pace) point it captures.
+func sampledRequest(spec platform.Spec, s Scale, pace float64) charz.ArtifactRequest {
+	opt := sampledOptions(s)
+	opt.Mixes, opt.PacesNs = []bench.Mix{sampledMix}, []float64{pace}
+	return charz.ArtifactRequest{Kind: "trace.sampled", Spec: spec, Bench: &opt,
+		Tag: fmt.Sprintf("model:%s;limit=%d;min=%d;span=%d", memmodel.KindDRAMsim3, captureLimit, minSampledRecords, sampledSpan)}
+}
+
+// sampledMix is the kernel mix fig6s captures.
+var sampledMix = bench.Mix{StorePercent: 40}
+
 func runFig6s(env *Env) (*Result, error) {
 	spec := scaleSpec(platform.ZSimSkylake(), env.Scale)
-	opt := benchOptions(env.Scale)
-	// Capture a much longer run than the curve sweeps use: sampling only
-	// pays off when the trace holds many windows of a span long enough
-	// for queueing to reach steady state inside each one (~µs, tens of
-	// latencies), and the default quick Measure yields barely a dozen.
-	opt.Measure = 192 * sim.Microsecond
-	mix := bench.Mix{StorePercent: 40}
+	opt := sampledOptions(env.Scale)
 	mapper := dram.NewMapper(&spec.DRAM)
 	mk, err := memmodel.Factory(memmodel.KindDRAMsim3, spec, nil)
 	if err != nil {
@@ -62,50 +99,58 @@ func runFig6s(env *Env) (*Result, error) {
 
 	var maxDiv float64
 	for _, pace := range samplingPaces(env.Scale) {
-		tr, _, err := trace.CapturePoint(env.Context(), spec, opt, mix, pace, captureLimit)
-		if err != nil {
-			return nil, err
-		}
-		if len(tr.Records) < 256 {
-			continue // too short to window meaningfully
-		}
-		// The full and the sampled replay only read the trace, so they run
-		// side by side. Captures stay serial: no second trace of this
-		// length is ever live.
-		var full trace.ReplayResult
-		var sam *trace.SampledResult
-		err = par.Do(env.Context(), 2, func(i int) error {
-			if i == 0 {
-				eng := sim.New()
-				full = trace.Replay(eng, mk(eng), tr)
-				return nil
+		pt, err := charz.Memo(env.Context(), env.Charz, sampledRequest(spec, env.Scale, pace), func(ctx context.Context) (sampledPoint, error) {
+			tr, _, err := trace.CapturePoint(ctx, spec, opt, sampledMix, pace, captureLimit)
+			if err != nil {
+				return sampledPoint{}, err
 			}
-			var err error
-			sam, err = trace.Sampled(mk, tr, trace.SampleConfig{
-				Span:    2 * sim.Microsecond,
-				BankRow: mapper.BankRow,
+			pt := sampledPoint{Records: len(tr.Records)}
+			if pt.Records < minSampledRecords {
+				return pt, nil
+			}
+			// The full and the sampled replay only read the trace, so they
+			// run side by side. Captures stay serial: no second trace of
+			// this length is ever live.
+			var sam *trace.SampledResult
+			err = par.Do(ctx, 2, func(i int) error {
+				if i == 0 {
+					eng := sim.New()
+					pt.Full = trace.Replay(eng, mk(eng), tr)
+					return nil
+				}
+				var err error
+				sam, err = trace.Sampled(mk, tr, trace.SampleConfig{
+					Span:    sampledSpan,
+					BankRow: mapper.BankRow,
+				})
+				return err
 			})
-			return err
+			if err != nil {
+				return sampledPoint{}, err
+			}
+			pt.Estimate, pt.BWErrGBs, pt.LatErrNs = sam.Estimate, sam.BWErrGBs, sam.LatErrNs
+			pt.DivergencePct, pt.SpeedupX = sam.DivergencePct(pt.Full), sam.SpeedupX
+			return pt, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if full.Reads == 0 {
+		if pt.Records < minSampledRecords || pt.Full.Reads == 0 {
 			continue
 		}
-		div := sam.DivergencePct(full)
+		div := pt.DivergencePct
 		if div > maxDiv {
 			maxDiv = div
 		}
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%.0f", pace),
-			fmt.Sprintf("%d", len(tr.Records)),
-			fmt.Sprintf("%.2f", full.BWGBs),
-			fmt.Sprintf("%.2f ± %.2f", sam.Estimate.BWGBs, sam.BWErrGBs),
-			fmt.Sprintf("%.1f", full.ReadLatNs),
-			fmt.Sprintf("%.1f ± %.1f", sam.Estimate.ReadLatNs, sam.LatErrNs),
+			fmt.Sprintf("%d", pt.Records),
+			fmt.Sprintf("%.2f", pt.Full.BWGBs),
+			fmt.Sprintf("%.2f ± %.2f", pt.Estimate.BWGBs, pt.BWErrGBs),
+			fmt.Sprintf("%.1f", pt.Full.ReadLatNs),
+			fmt.Sprintf("%.1f ± %.1f", pt.Estimate.ReadLatNs, pt.LatErrNs),
 			fmt.Sprintf("%.1f%%", div),
-			fmt.Sprintf("%.1f×", sam.SpeedupX),
+			fmt.Sprintf("%.1f×", pt.SpeedupX),
 		})
 	}
 	if len(r.Rows) == 0 {

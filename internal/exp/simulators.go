@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/mess-sim/mess/internal/bench"
@@ -129,29 +130,32 @@ type replica struct {
 	kind memmodel.Kind
 }
 
-// runFig6 captures a trace on the reference platform at each sweep point
-// and replays it into every standalone replica of that platform.
-func runFig6(env *Env) (*Result, error) {
-	skl := scaleSpec(platform.ZSimSkylake(), env.Scale)
-	g3 := scaleSpec(platform.Gem5Graviton3(), env.Scale)
+// fig6Platform is one reference platform of Fig. 6 with the trace-driven
+// replicas its captures are replayed into.
+type fig6Platform struct {
+	spec     platform.Spec
+	replicas []replica
+}
 
-	r := &Result{
-		Title:  "Trace-driven cycle-accurate simulators",
-		Header: []string{"simulator", "trace points", "max BW [GB/s]", "actual max BW [GB/s]"},
-	}
-
-	platforms := []struct {
-		spec     platform.Spec
-		replicas []replica
-	}{
-		{g3, []replica{{"Ramulator2 (trace-driven)", memmodel.KindRamulator2}}},
-		{skl, []replica{
+func fig6Platforms(s Scale) []fig6Platform {
+	return []fig6Platform{
+		{scaleSpec(platform.Gem5Graviton3(), s), []replica{{"Ramulator2 (trace-driven)", memmodel.KindRamulator2}}},
+		{scaleSpec(platform.ZSimSkylake(), s), []replica{
 			{"DRAMsim3 (trace-driven)", memmodel.KindDRAMsim3},
 			{"Ramulator (trace-driven)", memmodel.KindRamulator},
 		}},
 	}
-	for _, pf := range platforms {
-		fams, actualMax, err := traceDrivenFamilies(env, pf.spec, pf.replicas)
+}
+
+// runFig6 captures a trace on the reference platform at each sweep point
+// and replays it into every standalone replica of that platform.
+func runFig6(env *Env) (*Result, error) {
+	r := &Result{
+		Title:  "Trace-driven cycle-accurate simulators",
+		Header: []string{"simulator", "trace points", "max BW [GB/s]", "actual max BW [GB/s]"},
+	}
+	for _, pf := range fig6Platforms(env.Scale) {
+		fams, actualMax, err := traceDrivenFamilies(env, pf)
 		if err != nil {
 			return nil, err
 		}
@@ -171,18 +175,11 @@ func runFig6(env *Env) (*Result, error) {
 	return r, nil
 }
 
-// traceDrivenFamilies captures one trace per (mix, pace) sweep point on the
-// reference platform and replays it into a fresh instance of every replica,
-// returning one family per replica plus the platform's actual maximum
-// bandwidth. The sweep points are independent simulations and run side by
-// side; each worker drops its trace once the replicas have consumed it, and
-// the curves are assembled in pace order after the join, so the families do
-// not depend on the worker count. Captures bypass the characterization
-// service: the capturing backend accumulates state per run, so a cached
-// replay would be meaningless.
-func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*core.Family, float64, error) {
-	opt := benchOptions(env.Scale)
-	if env.Scale == Full {
+// fig6Options is the sweep Fig. 6 captures its traces from: the scale's
+// sweep on a pacing ladder of its own.
+func fig6Options(s Scale) bench.Options {
+	opt := benchOptions(s)
+	if s == Full {
 		// Trace capture is memory-hungry; thin the pacing ladder.
 		opt.PacesNs = []float64{0, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 	} else {
@@ -192,47 +189,73 @@ func traceDrivenFamilies(env *Env, spec platform.Spec, replicas []replica) ([]*c
 		// valid points for the figure to render its shape.
 		opt.PacesNs = []float64{0, 1, 2, 4, 6, 10, 16, 24, 48, 96, 192, 384}
 	}
+	return opt
+}
+
+// minReplayRecords is the smallest capture fig6 replays: short quick-scale
+// windows at heavy pacing legitimately record few transactions, and a few
+// dozen replayed requests still yield a valid (BW, latency) point.
+const minReplayRecords = 32
+
+// replaysRequest names the platform's fig6 captures and replays.
+func replaysRequest(pf fig6Platform, s Scale) charz.ArtifactRequest {
+	opt := fig6Options(s)
+	tag := fmt.Sprintf("limit=%d;min=%d;replicas=", captureLimit, minReplayRecords)
+	for _, rep := range pf.replicas {
+		tag += string(rep.kind) + ";"
+	}
+	return charz.ArtifactRequest{Kind: "trace.replays", Spec: pf.spec, Bench: &opt, Tag: tag}
+}
+
+// traceDrivenFamilies captures one trace per (mix, pace) sweep point on the
+// reference platform and replays it into a fresh instance of every replica,
+// returning one family per replica plus the platform's actual maximum
+// bandwidth. The sweep points are independent simulations and run side by
+// side; each worker drops its trace once the replicas have consumed it, and
+// the curves are assembled in pace order after the join, so the families do
+// not depend on the worker count. The replay results are one memoised
+// artifact per platform; the families are built from them on every call.
+func traceDrivenFamilies(env *Env, pf fig6Platform) ([]*core.Family, float64, error) {
+	spec, opt := pf.spec, fig6Options(env.Scale)
 	actual, err := env.reference(spec)
 	if err != nil {
 		return nil, 0, err
 	}
-	mks := make([]mem.BackendFactory, len(replicas))
-	for t, rep := range replicas {
-		if mks[t], err = memmodel.Factory(rep.kind, spec, nil); err != nil {
-			return nil, 0, err
-		}
-	}
-
 	// replays[m*paces+p][t] is replica t's replay of the trace captured at
 	// mix m, pace p; the row stays nil when the capture was discarded.
 	paces := len(opt.PacesNs)
-	replays := make([][]trace.ReplayResult, len(opt.Mixes)*paces)
-	err = par.Do(env.Context(), len(opt.Mixes)*paces, func(i int) error {
-		tr, _, err := trace.CapturePoint(env.Context(), spec, opt, opt.Mixes[i/paces], opt.PacesNs[i%paces], captureLimit)
-		if err != nil {
-			return err
+	replays, err := charz.Memo(env.Context(), env.Charz, replaysRequest(pf, env.Scale), func(ctx context.Context) ([][]trace.ReplayResult, error) {
+		mks := make([]mem.BackendFactory, len(pf.replicas))
+		for t, rep := range pf.replicas {
+			var err error
+			if mks[t], err = memmodel.Factory(rep.kind, spec, nil); err != nil {
+				return nil, err
+			}
 		}
-		// Discard only truly empty captures: short quick-scale windows
-		// at heavy pacing legitimately record few transactions, and a
-		// few dozen replayed requests still yield a valid (BW, latency)
-		// point. The old threshold of 100 silently starved the figure
-		// at Quick scale.
-		if len(tr.Records) < 32 {
+		replays := make([][]trace.ReplayResult, len(opt.Mixes)*paces)
+		err := par.Do(ctx, len(replays), func(i int) error {
+			tr, _, err := trace.CapturePoint(ctx, spec, opt, opt.Mixes[i/paces], opt.PacesNs[i%paces], captureLimit)
+			if err != nil {
+				return err
+			}
+			if len(tr.Records) < minReplayRecords {
+				return nil
+			}
+			replays[i] = make([]trace.ReplayResult, len(mks))
+			for t, mk := range mks {
+				eng := sim.New()
+				replays[i][t] = trace.Replay(eng, mk(eng), tr)
+			}
 			return nil
-		}
-		replays[i] = make([]trace.ReplayResult, len(replicas))
-		for t, mk := range mks {
-			eng := sim.New()
-			replays[i][t] = trace.Replay(eng, mk(eng), tr)
-		}
-		return nil
+		})
+		return replays, err
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 
-	fams := make([]*core.Family, len(replicas))
-	for t := range replicas {
+	fams := make([]*core.Family, len(pf.replicas))
+	for t := range pf.replicas {
 		mixes := make([][]core.Measured, len(opt.Mixes))
 		for m := range mixes {
 			for p := paces - 1; p >= 0; p-- { // ascending pressure

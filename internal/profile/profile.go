@@ -131,16 +131,23 @@ func Build(label string, fam *core.Family, windows []CounterWindow, phases []Pha
 	return p
 }
 
-// Run profiles the application for dur of simulated time — sampler on at
-// the 10 µs period, the run, sampler off — and analyzes the windows against
-// the curve family with the paper's stress weights and the app's own phase
-// timeline.
-func Run(app *workloads.PhasedApp, label string, fam *core.Family, dur sim.Time) *Profile {
+// Record runs the application for dur of simulated time with the sampler
+// on at the 10 µs period and returns the raw windows: the simulation half
+// of Run.
+func Record(app *workloads.PhasedApp, dur sim.Time) []CounterWindow {
 	sampler := NewSampler(app.Eng, app.Counting, 10*sim.Microsecond)
 	sampler.Start()
 	app.Run(dur)
 	sampler.Stop()
-	return Build(label, fam, sampler.Windows(), app.Events(), core.DefaultStressWeights)
+	return sampler.Windows()
+}
+
+// Run profiles the application for dur of simulated time (Record) and
+// analyzes the windows against the curve family with the paper's stress
+// weights and the app's own phase timeline.
+func Run(app *workloads.PhasedApp, label string, fam *core.Family, dur sim.Time) *Profile {
+	windows := Record(app, dur)
+	return Build(label, fam, windows, app.Events(), core.DefaultStressWeights)
 }
 
 func dominantPhase(phases []PhaseSpan, start, end sim.Time) (string, bool, bool) {

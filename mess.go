@@ -179,8 +179,9 @@ var defaultService = sync.OnceValue(func() *charz.Service { return charz.New(cha
 
 // DefaultCharacterizationService returns the process-wide service behind
 // Characterize and RunExperiment. Its Stats count simulations run against
-// cache hits; long-lived processes characterizing many distinct
-// configurations can bound its memory with Reset.
+// cache hits. It keeps every family and experiment artifact it computes
+// for the life of the process; a program that needs a bound builds its
+// own service.
 func DefaultCharacterizationService() *CharacterizationService { return defaultService() }
 
 // Experiment reproduction: every table and figure of the paper.

@@ -357,8 +357,8 @@ func moduleFiles(t *testing.T) []srcFile {
 // by calling memmodel.New or messsim.New inside a function literal of its
 // own, where an unknown kind can only panic; captures a sweep point's trace
 // through trace.CapturePoint, never by wrapping trace.NewCapture itself;
-// profiles an application through profile.Run (the facade re-exports
-// NewSampler); and registers -cache-dir once, in cli.CacheFlags. Like its
+// profiles an application through profile.Run or profile.Record (the
+// facade re-exports NewSampler); and registers -cache-dir once, in cli.CacheFlags. Like its
 // neighbour it only parses.
 func TestPipelinesAssembledOnce(t *testing.T) {
 	cacheDirFlags := 0
@@ -392,7 +392,7 @@ func TestPipelinesAssembledOnce(t *testing.T) {
 					case name == "internal/trace.NewCapture":
 						t.Errorf("%s: calls trace.NewCapture; capture a sweep point with trace.CapturePoint", f.path)
 					case name == "internal/profile.NewSampler" && f.path != "facade.go":
-						t.Errorf("%s: calls profile.NewSampler; profile an application with profile.Run", f.path)
+						t.Errorf("%s: calls profile.NewSampler; profile an application with profile.Run or profile.Record", f.path)
 					}
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 {
 						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
