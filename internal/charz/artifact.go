@@ -41,11 +41,11 @@ type ArtifactRequest struct {
 }
 
 // ArtifactKey computes the request's cache key: SHA-256 over the same
-// version line as Fingerprint — one bump invalidates families and
+// version line as Fingerprint — one change of results moves families and
 // artifacts together — then the kind and every input, field by field.
 func ArtifactKey(req ArtifactRequest) Key {
 	h := sha256.New()
-	fmt.Fprintf(h, "charz/v3\nartifact=%q\ntag=%q\nref=%s\n", req.Kind, req.Tag, req.Ref)
+	fmt.Fprintf(h, "%s\nartifact=%q\ntag=%q\nref=%s\n", version, req.Kind, req.Tag, req.Ref)
 	writeSpec(h, req.Spec)
 	if req.Bench != nil {
 		fmt.Fprintf(h, "bench=true\nbench.hasBackend=%t\n", req.Bench.Backend != nil)

@@ -33,8 +33,8 @@
 // Memo widens the cache from curve families to any deterministic
 // simulation output — a workload suite's results, trace replays, a
 // profiled run's counter windows. An ArtifactRequest names one by its
-// kind and every input (ArtifactKey hashes them under the same charz/vN
-// version line as Fingerprint, so one bump invalidates both); it runs the
+// kind and every input (ArtifactKey hashes them under the same version
+// line as Fingerprint, so one change of results moves both); it runs the
 // same cache loop as a family, counts in the same Stats and persists in
 // the same disk store, as JSON in the output's one canonical encoding.
 // The in-memory entry keeps the encoded bytes and every caller decodes a
@@ -44,25 +44,23 @@
 // # Contract
 //
 // Every curve family, and every simulation an experiment report prints,
-// flows through one service; `messexp -run all` performs each unique
-// characterization and computes each artifact exactly once, and with
-// -cache-dir a second invocation simulates nothing. New consumers go
-// through the service — tag custom backends with Request.Tag, name
-// artifact inputs in ArtifactRequest — rather than calling
-// bench.RunContext directly. The sanctioned direct callers are
-// wall-clock timing runs (the tablespeed experiment, whose timing is its
-// result) and the trace-capturing and workload runs inside a Memo's
-// compute. Cache outputs, never rendered rows: a report is rebuilt from
-// its artifacts on every call.
+// flows through one service, which computes each once; with -cache-dir a
+// second `messexp -run all` simulates nothing. New consumers go through
+// the service — tag custom backends with Request.Tag, name artifact inputs
+// in ArtifactRequest — rather than calling bench.RunContext directly, as
+// only wall-clock timing runs (tablespeed) and the runs inside a Memo's
+// compute do. Cache outputs, never rendered rows.
 //
-// The disk store is sharded into 256 subdirectories by key prefix and has
-// no size bound: it evicts nothing, and Load is read-only. A whole
-// `messexp -run all -scale quick` fills it with 31 families (18,388 B),
-// the samples of 5 of them (12,476 B) and 37 artifacts (40,721 B); one
-// Full-scale family (fig2 Skylake) is 7,139 B. There is no LRU budget and
-// no in-memory Reset: no caller set them. The pins: TestFingerprintGolden
-// and TestArtifactKeyStability here, and exp.TestRequestKeysGolden for the
-// key of every request and artifact the shipped tools make.
+// # The pins
+//
+// Every key opens with "charz/" and a hash of result_digests.txt, the
+// embedded results golden: the SHA-256 of every value a Quick registry run
+// stores. A change of results (the results golden moves) moves every key,
+// and a -cache-dir of the old model reads cold. exp.TestResultDigests names
+// the labels that moved; to move them on purpose, run
+// `go test ./internal/exp -update` twice (the second pass rewrites
+// request_keys.txt under the new golden). A result the Quick registry does
+// not store moves no key.
 package charz
 
 import (

@@ -421,6 +421,9 @@ func TestFingerprintStability(t *testing.T) {
 	if k != Fingerprint(base()) {
 		t.Fatal("identical requests fingerprint differently")
 	}
+	if k.Short() != k.String()[:12] {
+		t.Fatalf("short key = %q, want the first 12 hex digits of %s", k.Short(), k)
+	}
 
 	// Execution-only knobs must not move the key.
 	same := base()
@@ -476,22 +479,6 @@ func TestFingerprintStability(t *testing.T) {
 			t.Errorf("mutation %q collides with %q", name, prev)
 		}
 		seen[got] = name
-	}
-}
-
-// TestFingerprintGolden pins the digest of a fixed reference request. If
-// this fails after an intentional spec/options change, bump the encoding
-// version prefix in Fingerprint and update the constant — silently
-// re-keying would orphan every on-disk cache entry. The keys of every
-// request the shipped tools make are pinned by exp.TestRequestKeysGolden.
-func TestFingerprintGolden(t *testing.T) {
-	const want = "76bc82094efc7bc7a0861b30415230dbdc3c9293ee3ed9ebbe8e248dc7a22790"
-	a := Fingerprint(Request{Spec: platform.Skylake(), Options: bench.QuickOptions()})
-	if a.String() != want {
-		t.Fatalf("Skylake quick key = %s, want %s", a, want)
-	}
-	if a.Short() != want[:12] {
-		t.Fatalf("short key = %q, want %q", a.Short(), want[:12])
 	}
 }
 

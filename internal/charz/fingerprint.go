@@ -2,6 +2,8 @@ package charz
 
 import (
 	"crypto/sha256"
+	_ "embed"
+	"encoding/hex"
 	"fmt"
 	"io"
 
@@ -20,25 +22,28 @@ import (
 // this alias keeps charz's API stable.
 type Key = curvestore.Key
 
+//go:embed result_digests.txt
+var resultDigests []byte
+
+// version opens every key: "charz/" and 16 hex digits of the results
+// golden's SHA-256 (see "The pins" in the package doc).
+var version = func() string {
+	sum := sha256.Sum256(resultDigests)
+	return "charz/" + hex.EncodeToString(sum[:8])
+}()
+
 // Fingerprint computes the request's cache key. The encoding writes every
 // semantically relevant field in a fixed order with explicit field names,
 // so reordering struct fields cannot silently alias two distinct
 // configurations; adding a new field to Spec or Options requires extending
-// this function (the stability test pins the digest of a reference config
-// to catch accidental drift).
+// this function (TestFingerprintStability varies every field).
 //
 // Execution-only knobs are excluded: Options.Parallelism changes host
 // scheduling, not results, and Options.Backend is a function value whose
 // identity must instead be carried by Request.Tag.
 func Fingerprint(req Request) Key {
 	h := sha256.New()
-	// v3: device models (CXL expander, remote socket, Optane) now commit
-	// completions as tagged entities (DevTagBase) instead of untagged
-	// CompleteAt, so exact equal-instant ties against other events can
-	// resolve differently than v2 for backends that include a device —
-	// v2 curves in shared stores must not satisfy v3 requests.
-	// (v2: timed hand-off counted at send; entity-tag tie order.)
-	fmt.Fprintf(h, "charz/v3\ntag=%q\nhasBackend=%t\n", req.Tag, req.Options.Backend != nil)
+	fmt.Fprintf(h, "%s\ntag=%q\nhasBackend=%t\n", version, req.Tag, req.Options.Backend != nil)
 	writeSpec(h, req.Spec)
 	writeOptions(h, req.Options.Normalized())
 	var k Key
@@ -57,10 +62,7 @@ func writeSpec(w io.Writer, s platform.Spec) {
 		t.TCK, t.Burst, t.CL, t.RCD, t.RP, t.RAS, t.WR, t.WTR, t.RTW, t.RTP, t.CCD, t.RRD, t.FAW, t.REFI, t.RFC)
 	fmt.Fprintf(w, "dram.writeHi=%d\ndram.writeLo=%d\ndram.idleClose=%d\ndram.ctrlLatency=%d\n",
 		d.WriteHi, d.WriteLo, d.IdleClose, d.CtrlLatency)
-	// dram.xorBankRow and dram.ageCap are literals: the options are gone,
-	// and the lines keep v3 keys byte-identical until the charz/v4 bump
-	// drops them.
-	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.xorBankRow=false\ndram.bypassCap=%d\ndram.ageCap=0\n",
+	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.bypassCap=%d\n",
 		d.FRFCFSWindow, d.BypassCap)
 	fmt.Fprintf(w, "spec.policy=%d\nspec.onChipLatency=%d\nspec.mshrs=%d\nspec.writeBufs=%d\nspec.writebackLag=%d\nspec.unloadedNs=%v\n",
 		s.Policy, s.OnChipLatency, s.MSHRs, s.WriteBufs, s.WritebackLag, s.UnloadedLatencyNs)
@@ -85,9 +87,7 @@ func writeCacheOverride(w io.Writer, c *cache.Config) {
 		fmt.Fprintf(w, "opt.cache=nil\n")
 		return
 	}
-	// The trailing 0 is the LLC-draw seed field the cache config no longer
-	// has; it stays so every key is unchanged.
-	fmt.Fprintf(w, "opt.cache=%d,%d,%d,%d,%d,%v,%d,%t,0\n",
+	fmt.Fprintf(w, "opt.cache=%d,%d,%d,%d,%d,%v,%d,%t\n",
 		c.Policy, c.OnChipLatency, c.MSHRs, c.WriteBufs, c.WritebackLag,
 		c.LLCHitRate, c.LLCHitLatency, c.EvictCleanAsDirty)
 }

@@ -626,14 +626,10 @@ func (c *channel) pickDirection() bool {
 // aging, which under saturation escalates everything and collapses row-hit
 // batching (and with it, bandwidth).
 //
-// The scan is incremental: instead of walking the queue window per decide,
-// the per-bank match bitmap names exactly the banks holding a pending
-// request to their open row; the oldest-arrival winner among the available
-// ones is the pick. The FRFCFSWindow bound on reorder depth is preserved
-// exactly: the per-bank match is the oldest hit of its bank, so the global
-// oldest hit — and any hit inside the first FRFCFSWindow queue entries — is
-// always some bank's match, and a candidate's membership is one comparison
-// against the queue's window edge (inWindow).
+// The scan is incremental (bankList): the pick is the oldest available
+// match. The FRFCFSWindow bound holds exactly: the oldest hit, and every hit
+// inside the window, is some bank's match, and a candidate's membership is
+// one comparison against the queue's window edge (inWindow).
 func (c *channel) pick(dir int, head int32) int32 {
 	live := c.live[dir]
 	now := c.eng.Now()

@@ -19,6 +19,14 @@
 // platform only overrides what is its own (Zen 2's write watermarks). The
 // address map is one decode (Mapper.decode) that both the controller and
 // trace fingerprinting go through.
+//
+// # The channel scheduler
+//
+// Decide, pick and issue are indexed, not scanned; each contract is on its
+// type or method in channel.go (reqRing, bankList, pick, and decideLoop,
+// the one way to decide). TestWindowEdgeMatchesRingWalk holds the window
+// edge to a ring walk; results alone check a scheduler change (the charz
+// results golden, exp.TestFig2ReleaseCSVDeterminism).
 package dram
 
 import (

@@ -58,8 +58,8 @@ func (s *System) Access(req *mem.Request) {
 // backend-routed form of the issuer's SendAt hop (mem.TimedBackend). It
 // schedules the same delivery event the issuer would have; it stays so that
 // a CountingBackend over the system counts each request at send, which
-// decides the window of every request that straddles a measurement
-// boundary, and every charz fingerprint since charz/v2 was measured so.
+// decides the window of a request that straddles a measurement boundary:
+// counting at arrival is a change of results (the results golden moves).
 func (s *System) AccessAt(req *mem.Request, at sim.Time) {
 	req.SendAt(s.eng, s, at)
 }

@@ -146,8 +146,9 @@ func runTable1(env *Env) (*Result, error) {
 			fmt.Sprintf("%.0f–%.0f ns", sp.MaxLatencyRangeNs[0], sp.MaxLatencyRangeNs[1]),
 		})
 	}
-	r.Notes = append(r.Notes,
-		"Quick scale shrinks large platforms (cores and channels by the same factor); percentages of theoretical bandwidth remain comparable.",
-		"Maximum latencies depend on total outstanding requests; the paper's absolute values depend on controller queue depths not public for these machines.")
+	if env.Scale == Quick {
+		r.Notes = append(r.Notes, "Quick scale shrinks large platforms (cores and channels by the same factor); percentages of theoretical bandwidth remain comparable.")
+	}
+	r.Notes = append(r.Notes, "Maximum latencies depend on total outstanding requests; the paper's absolute values depend on controller queue depths not public for these machines.")
 	return r, nil
 }

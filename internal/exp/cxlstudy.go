@@ -54,7 +54,7 @@ func cxlSweep(s Scale) cxl.SweepOptions {
 
 // The manufacturer's CXL curves and the remote-socket curves are pure
 // functions of the scale, swept at most once per process.
-var cxlFamilies, remoteFamilies = perScale(cxl.Family), perScale(cxl.RemoteSocketFamily)
+var cxlFamily, remoteFamily = perScale(cxl.Family), perScale(cxl.RemoteSocketFamily)
 
 func perScale(sweep func(cxl.SweepOptions) *core.Family) (fams [2]func() *core.Family) {
 	for _, s := range []Scale{Quick, Full} {
@@ -64,11 +64,8 @@ func perScale(sweep func(cxl.SweepOptions) *core.Family) (fams [2]func() *core.F
 	return fams
 }
 
-func cxlFamily(s Scale) *core.Family    { return cxlFamilies[s]() }
-func remoteFamily(s Scale) *core.Family { return remoteFamilies[s]() }
-
 func runFig14(env *Env) (*Result, error) {
-	manufacturer := cxlFamily(env.Scale)
+	manufacturer := cxlFamily[env.Scale]()
 
 	r := &Result{
 		Title:  "CXL memory expander: manufacturer's model vs Mess-integrated CPU simulators",
@@ -79,20 +76,14 @@ func runFig14(env *Env) (*Result, error) {
 	r.Rows = append(r.Rows, []string{"Manufacturer device model",
 		fmt.Sprintf("%.1f", mm.SatBWHighGBs), fmt.Sprintf("%.0f", mm.MaxLatencyMaxNs)})
 
-	hosts := []platform.Spec{
-		platform.OpenPitonAriane(),
-		scaleSpec(platform.Gem5Graviton3(), env.Scale),
-		scaleSpec(platform.ZSimSkylake(), env.Scale),
-	}
-	for _, host := range hosts {
-		opt := benchOptions(env.Scale)
-		var err error
-		if opt.Backend, err = memmodel.Factory(memmodel.KindMess, host, manufacturer); err != nil {
+	for _, host := range fig14Hosts(env.Scale) {
+		mk, err := memmodel.Factory(memmodel.KindMess, host, manufacturer)
+		if err != nil {
 			return nil, err
 		}
 		// The manufacturer family is a pure function of the scale, which
 		// the options already encode, so the tag is a stable identity.
-		art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: host, Options: opt, Tag: "messsim:cxl"})
+		art, err := env.Charz.CharacterizeContext(env.Context(), modelRequest(host, env.Scale, "messsim:cxl", mk))
 		if err != nil {
 			return nil, err
 		}
@@ -108,6 +99,11 @@ func runFig14(env *Env) (*Result, error) {
 		"CXL is full-duplex: balanced read/write mixes reach the highest bandwidth; 100%-read or 100%-write saturates one link direction early — the inverse of DDR (Sec. V-C).",
 		"The OpenPiton Ariane host (2-entry MSHRs, in-order) cannot saturate the device, so its maximum latency stays below the manufacturer curves, as in the paper.")
 	return r, nil
+}
+
+// fig14Hosts are the CPU simulators Fig. 14 loads with the CXL curves.
+func fig14Hosts(s Scale) []platform.Spec {
+	return []platform.Spec{platform.OpenPitonAriane(), scaleSpec(platform.Gem5Graviton3(), s), scaleSpec(platform.ZSimSkylake(), s)}
 }
 
 // ipcPair is one SPEC-like benchmark's outcome on the two device models.
@@ -145,7 +141,7 @@ func specPairRequest(host platform.Spec, b workloads.SpecBenchmark, s Scale) cha
 // order. Benchmarks run side by side, each pair one memoised artifact; both
 // families are resolved before the fan-out and only read inside it.
 func runCXLvsRemote(env *Env, suite []workloads.SpecBenchmark, host platform.Spec) ([]ipcPair, error) {
-	families := [2]*core.Family{cxlFamily(env.Scale), remoteFamily(env.Scale)}
+	families := [2]*core.Family{cxlFamily[env.Scale](), remoteFamily[env.Scale]()}
 	var devices [2]mem.BackendFactory
 	for i, fam := range families {
 		var err error
@@ -219,7 +215,7 @@ func runFig17(env *Env) (*Result, error) {
 		Title:  "CXL vs remote-socket emulation: characteristic benchmarks",
 		Header: []string{"benchmark", "CXL IPC", "remote IPC", "Δ", "BW util of CXL max"},
 	}
-	r.Families = append(r.Families, cxlFamily(s), remoteFamily(s))
+	r.Families = append(r.Families, cxlFamily[s](), remoteFamily[s]())
 	ipcs, err := runCXLvsRemote(env, fig17Suite(), host)
 	if err != nil {
 		return nil, err

@@ -49,13 +49,9 @@
 //     registry builds, and serial captures mean a second one is never live;
 //     everything charz serves (the service has its own bounded pool).
 //   - Memoised by the service: every simulation a report prints goes
-//     through charz.Memo on env.Charz, keyed by everything it is computed
-//     from — the STREAM suites (fig2, table1), the evaluation suites of
-//     fig11/fig13 (each model's keyed by its reference family too), fig6's
-//     captures and replays (one artifact per platform), fig6s's full and
-//     sampled replays (one per pace), the HPCG run's counter windows and
-//     phase timeline (fig15, fig16), and each benchmark's pair of
-//     workloads.Run in fig17/fig18. A service computes each once, and a
+//     through env.Charz (a family, or charz.Memo keyed by everything it is
+//     computed from), built by a request builder the test list
+//     registryRequests calls too. A service computes each once, and a
 //     disk store (-cache-dir) keeps them across invocations, so a
 //     disk-warm registry simulates nothing but tablespeed's timed sweeps.
 //     Outputs are cached, never rendered rows: families, profiles and
@@ -74,12 +70,12 @@
 // Gates: TestFanOutAndMemoAreInvisible (reports byte-identical at
 // GOMAXPROCS 1 and 4; fig16 alone == fig16 after fig15),
 // TestDiskWarmRegistrySimulatesNothing (a disk-warm service renders the
-// same bytes and runs nothing), TestRequestKeysGolden (every artifact
-// key), workloads' TestSuitesMatchSerialRuns, the internal/par tests under
-// -race, and cpu's TestKernelCoreSteadyStateZeroAllocs — a running
-// cpu.KernelCore tracks its line-step's unissued operations as one index
-// (operation i touches array i), never as a slice it re-slices and
-// re-appends.
+// same bytes and runs nothing), TestResultDigests (every stored value, and
+// no file outside registryRequests), workloads' TestSuitesMatchSerialRuns,
+// the internal/par tests under -race, and cpu's
+// TestKernelCoreSteadyStateZeroAllocs — a running cpu.KernelCore tracks its
+// line-step's unissued operations as one index (operation i touches array
+// i), never as a slice it re-slices and re-appends.
 package exp
 
 import (

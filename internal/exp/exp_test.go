@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,7 +14,9 @@ import (
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
+	"github.com/mess-sim/mess/internal/core"
 	"github.com/mess-sim/mess/internal/platform"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // testEnv is shared by every test in the binary, so reference families
@@ -454,5 +457,34 @@ func TestOpenPitonBugExperiment(t *testing.T) {
 	flagged, _ := strconv.Atoi(parts[0])
 	if flagged == 0 {
 		t.Error("bug detection flagged no measurement points")
+	}
+}
+
+// TestTable1ScaleNote runs table1 on synthetic curves and STREAM results,
+// since at Full scale the real platforms take minutes: the note on Quick's
+// shrunken platforms appears at Quick scale only, where scaleSpec shrinks
+// them.
+func TestTable1ScaleNote(t *testing.T) {
+	synthetic := func(ctx context.Context, spec platform.Spec, opt bench.Options) (*bench.Result, error) {
+		mix := []core.Measured{{Point: core.Point{BW: 10, Latency: 90}}, {Point: core.Point{BW: 40, Latency: 200}}}
+		return &bench.Result{Spec: spec, Family: core.MeasuredFamily(spec.Name, spec.TheoreticalBandwidthGBs(), nil, [][]core.Measured{mix})}, nil
+	}
+	for _, sc := range []Scale{Quick, Full} {
+		env := NewEnv(sc, charz.New(charz.Config{Run: synthetic}))
+		for _, spec := range platform.All() {
+			if _, err := charz.Memo(context.Background(), env.Charz, streamRequest(scaleSpec(spec, sc)), func(context.Context) ([]workloads.Result, error) {
+				return []workloads.Result{{Name: "Copy", AppBWGBs: 20}}, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := runTable1(env)
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		quickNote := slices.ContainsFunc(res.Notes, func(n string) bool { return strings.HasPrefix(n, "Quick scale") })
+		if quickNote != (sc == Quick) {
+			t.Errorf("%s scale: Quick-scale note present = %t, notes %q", sc, quickNote, res.Notes)
+		}
 	}
 }

@@ -192,8 +192,10 @@ func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind, title, note 
 	return r, nil
 }
 
-// The models Figs. 11 and 13 score, in row order.
+// The models Figs. 4 and 5 draw and Figs. 11 and 13 score, in row order.
 var (
+	fig4Models  = []memmodel.Kind{memmodel.KindFixed, memmodel.KindInternalDDR, memmodel.KindRamulator2}
+	fig5Models  = []memmodel.Kind{memmodel.KindFixed, memmodel.KindMD1, memmodel.KindInternalDDR, memmodel.KindDRAMsim3, memmodel.KindRamulator}
 	fig11Models = []memmodel.Kind{
 		memmodel.KindFixed, memmodel.KindMD1, memmodel.KindInternalDDR,
 		memmodel.KindDRAMsim3, memmodel.KindRamulator, memmodel.KindMess,

@@ -45,18 +45,25 @@ func init() {
 	})
 }
 
+// modelRequest is the scale's sweep over the memory model mk, named by tag
+// ("model:<kind>", or Fig. 14's "messsim:cxl").
+func modelRequest(spec platform.Spec, s Scale, tag string, mk mem.BackendFactory) charz.Request {
+	opt := benchOptions(s)
+	opt.Backend = mk
+	return charz.Request{Spec: spec, Options: opt, Tag: tag}
+}
+
 // modelFamily runs the Mess benchmark over the given memory model under
 // the platform's unchanged CPU side; the caller labels the family. The
 // model backend is deterministic given the spec — for the Mess kind, given
 // ref, the platform's reference family, itself a pure function of (spec,
 // scale options) — so the kind tag makes the run cacheable.
 func modelFamily(env *Env, spec platform.Spec, kind memmodel.Kind, ref *core.Family) (*core.Family, error) {
-	opt := benchOptions(env.Scale)
-	var err error
-	if opt.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {
+	mk, err := memmodel.Factory(kind, spec, ref)
+	if err != nil {
 		return nil, err
 	}
-	art, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: opt, Tag: "model:" + string(kind)})
+	art, err := env.Charz.CharacterizeContext(env.Context(), modelRequest(spec, env.Scale, "model:"+string(kind), mk))
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +104,7 @@ func runFig4(env *Env) (*Result, error) {
 		Notes: []string{
 			"Paper findings encoded/reproduced: unrealistically low model latencies; Ramulator 2's bandwidth wall below half the measured system bandwidth (Fig. 4d)."},
 	}
-	kinds := []memmodel.Kind{memmodel.KindFixed, memmodel.KindInternalDDR, memmodel.KindRamulator2}
-	return modelComparison(env, r, scaleSpec(platform.Gem5Graviton3(), env.Scale), kinds, func(m core.Metrics) string {
+	return modelComparison(env, r, scaleSpec(platform.Gem5Graviton3(), env.Scale), fig4Models, func(m core.Metrics) string {
 		if m.MaxLatencyMaxNs < 2*m.UnloadedLatencyNs {
 			return "no"
 		}
@@ -114,12 +120,8 @@ func runFig5(env *Env) (*Result, error) {
 		Notes: []string{
 			"Fixed-latency and Ramulator exceed the theoretical bandwidth (no bandwidth model); the internal DDR model under-estimates the saturated range; DRAMsim3 never saturates (Sec. IV-B)."},
 	}
-	kinds := []memmodel.Kind{
-		memmodel.KindFixed, memmodel.KindMD1, memmodel.KindInternalDDR,
-		memmodel.KindDRAMsim3, memmodel.KindRamulator,
-	}
 	theor := spec.TheoreticalBandwidthGBs()
-	return modelComparison(env, r, spec, kinds, func(m core.Metrics) string {
+	return modelComparison(env, r, spec, fig5Models, func(m core.Metrics) string {
 		return fmt.Sprintf("%.2f×", m.SatBWHighGBs/theor)
 	})
 }
@@ -276,29 +278,35 @@ func traceDrivenFamilies(env *Env, pf fig6Platform) ([]*core.Family, float64, er
 // keeps: trace capture is memory-hungry.
 const captureLimit = 400000
 
+// rowBufferRequest is Fig. 7's sweep, reads only and all stores, with its
+// samples, over the replica of the kind. The reference is the platform's
+// own detailed model: no backend and no tag, so the run keeps a plain
+// characterization's cache identity.
+func rowBufferRequest(spec platform.Spec, s Scale, kind memmodel.Kind) (charz.Request, error) {
+	req := charz.Request{Spec: spec, Options: benchOptions(s), NeedSamples: true}
+	req.Options.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 100}}
+	if kind == memmodel.KindReference {
+		return req, nil
+	}
+	req.Tag = "replica:" + string(kind)
+	var err error
+	req.Options.Backend, err = memmodel.Factory(kind, spec, nil)
+	return req, err
+}
+
 func runFig7(env *Env) (*Result, error) {
 	spec := scaleSpec(platform.ZSimSkylake(), env.Scale)
-	opt := benchOptions(env.Scale)
-	opt.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 100}}
-
 	r := &Result{
 		Title:  "Row-buffer statistics under load: actual vs DRAMsim3 vs Ramulator",
 		Header: []string{"system", "traffic", "BW [GB/s]", "hit", "empty", "miss"},
 	}
-
-	// The reference is the platform's own detailed model: no backend and no
-	// tag, so the run keeps a plain characterization's cache identity.
 	for _, sys := range []struct {
 		name string
 		kind memmodel.Kind
 	}{{"actual (reference)", memmodel.KindReference}, {"DRAMsim3", memmodel.KindDRAMsim3}, {"Ramulator", memmodel.KindRamulator}} {
-		req := charz.Request{Spec: spec, Options: opt, NeedSamples: true}
-		if sys.kind != memmodel.KindReference {
-			var err error
-			if req.Options.Backend, err = memmodel.Factory(sys.kind, spec, nil); err != nil {
-				return nil, err
-			}
-			req.Tag = "replica:" + string(sys.kind)
+		req, err := rowBufferRequest(spec, env.Scale, sys.kind)
+		if err != nil {
+			return nil, err
 		}
 		art, err := env.Charz.CharacterizeContext(env.Context(), req)
 		if err != nil {

@@ -97,32 +97,30 @@ func runTableSpeed(env *Env) (*Result, error) {
 	return r, nil
 }
 
+// openPitonRequests are the healthy and the bugged OpenPiton sweeps. Both
+// need raw samples (per-point read ratios); the cache override is part of
+// the fingerprint, so the two occupy distinct cache slots.
+func openPitonRequests(s Scale) []charz.Request {
+	spec := platform.OpenPitonAriane()
+	opt := benchOptions(s)
+	opt.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 40}}
+	opt.PacesNs = []float64{0, 16, 128}
+	bugged := spec.CacheConfig()
+	bugged.EvictCleanAsDirty = true
+	optBug := opt
+	optBug.Cache = &bugged
+	return []charz.Request{{Spec: spec, Options: opt, NeedSamples: true}, {Spec: spec, Options: optBug, NeedSamples: true}}
+}
+
 // runOpenPitonBug reproduces the Sec. IV-C discovery: holistic Mess
 // characterization exposes a coherency bug as write traffic that the
 // executed kernel mix cannot explain.
 func runOpenPitonBug(env *Env) (*Result, error) {
-	spec := platform.OpenPitonAriane()
-	opt := benchOptions(env.Scale)
-	opt.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 40}}
-	opt.PacesNs = []float64{0, 16, 128}
-
-	// Both runs need raw samples (per-point read ratios); the cache
-	// override is part of the fingerprint, so healthy and bugged
-	// characterizations occupy distinct cache slots.
-	healthyArt, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: opt, NeedSamples: true})
+	arts, err := env.Charz.CharacterizeAllContext(env.Context(), openPitonRequests(env.Scale))
 	if err != nil {
 		return nil, err
 	}
-	healthy := healthyArt.Result
-	buggedCfg := spec.CacheConfig()
-	buggedCfg.EvictCleanAsDirty = true
-	optBug := opt
-	optBug.Cache = &buggedCfg
-	buggedArt, err := env.Charz.CharacterizeContext(env.Context(), charz.Request{Spec: spec, Options: optBug, NeedSamples: true})
-	if err != nil {
-		return nil, err
-	}
-	bugged := buggedArt.Result
+	healthy, bugged := arts[0].Result, arts[1].Result
 
 	r := &Result{
 		Title:  "OpenPiton coherency bug: measured write share of memory traffic",

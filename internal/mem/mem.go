@@ -28,17 +28,12 @@
 //     emulation) acquire the inner request from their own pool and link the
 //     original via Parent, completing it from the inner request's Done.
 //
-// Completion is a stored callback plus context: Done is invoked as
-// Done(at, req), so per-request state (address, issue time, the Ctx word,
-// the User callback, the Parent link) rides in the record instead of in a
-// captured closure. Each pooled record carries prebuilt fire and deliver
-// closures, so scheduling a completion (CompleteAt) or a timed hand-off
-// (SendAt) allocates nothing in steady state: issue and complete are
-// 0 allocs/op once the pool is warm.
-//
-// Requests constructed directly (&Request{...}) still work everywhere a
-// pooled record does — Complete simply skips the release — so external
-// callers and tests keep the literal form.
+// Done(at, req) is a stored callback, with per-request state in the record
+// (see DoneFunc), and prebuilt per-record closures let CompleteAt and
+// SendAt schedule without allocating: issue and complete are 0 allocs/op
+// once the pool is warm (perfload's steady-state tests). A new issuer on a
+// hot path acquires from a pool, as cache.Hierarchy does; a literal
+// &Request{...} works everywhere, and Complete skips its release.
 package mem
 
 import (
@@ -275,7 +270,8 @@ type Backend interface {
 // traffic is counted: a CountingBackend over a timed backend counts each
 // request when it is sent, not when it arrives. The detailed DRAM system
 // implements it and the cache hierarchy sends through it, because every
-// charz fingerprint since charz/v2 was measured under count-at-send.
+// result was measured under count-at-send: moving the count to arrival is a
+// change of results (the results golden moves).
 type TimedBackend interface {
 	Backend
 	// AccessAt submits the request for delivery at absolute time at ≥ now,

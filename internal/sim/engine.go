@@ -69,8 +69,8 @@
 //
 // Results depend on this order. Where two events tie, the one that runs
 // first decides what a controller sees next, so every checked-in curve,
-// golden and charz key (charz/v3) was produced under it: changing who sets
-// which key or tag is a change of results, with a charz/vN bump.
+// golden and charz key was produced under it: changing who sets which key
+// or tag is a change of results (the results golden moves).
 package sim
 
 import "math/bits"
