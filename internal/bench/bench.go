@@ -57,11 +57,6 @@ type Options struct {
 	// measurement windows for every point.
 	Warmup  sim.Time
 	Measure sim.Time
-	// ChaseLines is the pointer-chase array size in cache lines (power of
-	// two).
-	ChaseLines uint64
-	// ArrayBytes is the per-generator array length.
-	ArrayBytes uint64
 	// Parallelism bounds concurrent measurement points (each point owns an
 	// engine). Default: GOMAXPROCS.
 	Parallelism int
@@ -98,12 +93,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Measure == 0 {
 		out.Measure = 50 * sim.Microsecond
-	}
-	if out.ChaseLines == 0 {
-		out.ChaseLines = 1 << 19 // 32 MiB: far beyond any LLC
-	}
-	if out.ArrayBytes == 0 {
-		out.ArrayBytes = 32 << 20
 	}
 	if out.Parallelism == 0 {
 		out.Parallelism = runtime.GOMAXPROCS(0)
@@ -302,9 +291,10 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 	hier := &r.hier
 	hier.Reset(eng, ccfg, counting)
 
-	// Pointer chaser on core 0, in its own address region.
-	const chaseBase = 1 << 40
-	chaser := cpu.NewChaser(eng, hier.Port(0), chaseBase, o.ChaseLines, 12345)
+	// Pointer chaser on core 0, in its own address region, over 1<<19 lines
+	// (32 MiB: far beyond any LLC).
+	const chaseBase, chaseLines = 1 << 40, 1 << 19
+	chaser := cpu.NewChaser(eng, hier.Port(0), chaseBase, chaseLines, 12345)
 	chaser.Start()
 
 	// Traffic generators on the remaining cores. Each core gets disjoint
@@ -319,7 +309,7 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 			PacePerOp:    sim.FromNanoseconds(paceNs),
 			LoadBase:     base,
 			StoreBase:    base + 1<<27 + 32<<10,
-			ArrayBytes:   o.ArrayBytes,
+			ArrayBytes:   32 << 20, // per generator
 		})
 		gen.Start()
 		gens = append(gens, gen)

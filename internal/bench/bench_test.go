@@ -239,11 +239,9 @@ func TestOptionsNormalized(t *testing.T) {
 	// usable as cache-key material.
 	zero := Options{}.Normalized()
 	explicit := Options{
-		PacesNs:    []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512},
-		Warmup:     20 * sim.Microsecond,
-		Measure:    50 * sim.Microsecond,
-		ChaseLines: 1 << 19,
-		ArrayBytes: 32 << 20,
+		PacesNs: []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512},
+		Warmup:  20 * sim.Microsecond,
+		Measure: 50 * sim.Microsecond,
 	}
 	for s := 0; s <= 100; s += 20 {
 		explicit.Mixes = append(explicit.Mixes, Mix{StorePercent: s})

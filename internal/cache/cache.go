@@ -53,7 +53,6 @@ type Config struct {
 	OnChipLatency sim.Time // round-trip core↔controller component of load-to-use
 	MSHRs         int      // per-core outstanding demand misses (loads + RFOs)
 	WriteBufs     int      // per-core outstanding posted writebacks
-	WritebackLag  uint64   // eviction distance in bytes for writeback addresses
 	LLCHitRate    float64  // probability an access is served on-chip
 	LLCHitLatency sim.Time // latency of on-chip hits
 	// EvictCleanAsDirty reproduces the OpenPiton coherency bug (Sec. IV-C):
@@ -65,6 +64,9 @@ type Config struct {
 // llcSeed seeds the LLC hit-rate draw of every hierarchy.
 const llcSeed = 0x9e3779b97f4a7c15
 
+// writebackLag is the eviction distance in bytes for writeback addresses.
+const writebackLag = 4 << 20
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.MSHRs == 0 {
@@ -72,9 +74,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.WriteBufs == 0 {
 		out.WriteBufs = 16
-	}
-	if out.WritebackLag == 0 {
-		out.WritebackLag = 4 << 20
 	}
 	return out
 }
@@ -130,9 +129,6 @@ func (h *Hierarchy) Reset(eng *sim.Engine, cfg Config, backend mem.Backend) {
 	h.timed, _ = mem.Timed(backend)
 }
 
-// Config reports the hierarchy configuration (after defaulting).
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // Pool exposes the hierarchy's request pool (diagnostics and tests: a
 // drained simulation must report Live() == 0).
 func (h *Hierarchy) Pool() *mem.RequestPool { return h.pool }
@@ -185,8 +181,7 @@ type Port struct {
 	OnFree func()
 
 	// Stats.
-	Loads, Stores, NTStores uint64
-	LLCHits                 uint64
+	Loads, Stores, LLCHits uint64
 }
 
 func (p *Port) releaseMSHR() {
@@ -290,7 +285,6 @@ func (p *Port) wbDone(sim.Time, *mem.Request) { p.releaseWB() }
 // RFO. The core-side acceptance is always on chip — reported like a hit,
 // never scheduled or invoked by the port.
 func (p *Port) StoreNT(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onChip bool) {
-	p.NTStores++
 	if !p.FreeWB() {
 		panic("cache: StoreNT issued with no free write buffer")
 	}
@@ -300,17 +294,16 @@ func (p *Port) StoreNT(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onC
 }
 
 // writebackFor issues the posted writeback paired with a write-allocate
-// store: the line evicted is modelled as WritebackLag bytes behind the
+// store: the line evicted is modelled as writebackLag bytes behind the
 // current address, preserving the sequential locality of eviction streams.
 // The write-buffer slot reserved by Store is released when the write drains.
 func (p *Port) writebackFor(addr uint64) {
-	lag := p.h.cfg.WritebackLag
-	if addr < lag {
+	if addr < writebackLag {
 		// Cold lines: nothing dirty to evict yet.
 		p.releaseWB()
 		return
 	}
-	p.request(addr-lag, mem.Write, p.wbDoneFn, nil)
+	p.request(addr-writebackLag, mem.Write, p.wbDoneFn, nil)
 }
 
 // buggedWriteback models the OpenPiton clean-eviction bug: the fill caused
@@ -318,11 +311,10 @@ func (p *Port) writebackFor(addr uint64) {
 // Bug traffic deliberately bypasses the write-buffer limit — the broken
 // protocol generates it regardless of buffer occupancy.
 func (p *Port) buggedWriteback(addr uint64) {
-	lag := p.h.cfg.WritebackLag
-	if addr < lag {
+	if addr < writebackLag {
 		return
 	}
-	p.request(addr-lag, mem.Write, nil, nil)
+	p.request(addr-writebackLag, mem.Write, nil, nil)
 }
 
 // request acquires a pooled transaction and sends it to the backend after

@@ -41,8 +41,7 @@ func TestLoadRoundTripIncludesOnChip(t *testing.T) {
 }
 
 func TestWriteAllocateStoreTraffic(t *testing.T) {
-	cfg := Config{Policy: WriteAllocate, WritebackLag: 1 << 20}
-	eng, b, h := setup(cfg)
+	eng, b, h := setup(Config{Policy: WriteAllocate})
 	p := h.Port(0)
 	addr := uint64(8 << 20) // above the writeback lag: eviction flows
 	p.Store(addr, nil)
@@ -50,15 +49,14 @@ func TestWriteAllocateStoreTraffic(t *testing.T) {
 	if b.c.Reads != 1 || b.c.Writes != 1 {
 		t.Fatalf("write-allocate store traffic = %v, want 1 read (RFO) + 1 write", b.c)
 	}
-	if b.reqs[1].Addr != addr-1<<20 {
-		t.Fatalf("writeback address %#x, want store−lag %#x", b.reqs[1].Addr, addr-1<<20)
+	if b.reqs[1].Addr != addr-writebackLag {
+		t.Fatalf("writeback address %#x, want store−lag %#x", b.reqs[1].Addr, addr-writebackLag)
 	}
 }
 
 func TestWriteAllocateColdStoreSkipsWriteback(t *testing.T) {
-	cfg := Config{Policy: WriteAllocate, WritebackLag: 1 << 30}
-	eng, b, h := setup(cfg)
-	h.Port(0).Store(64, nil)
+	eng, b, h := setup(Config{Policy: WriteAllocate})
+	h.Port(0).Store(64, nil) // below the writeback lag: nothing to evict
 	eng.Run()
 	if b.c.Reads != 1 || b.c.Writes != 0 {
 		t.Fatalf("cold store traffic = %v, want RFO only", b.c)
@@ -134,7 +132,7 @@ func TestOpenPitonBugGeneratesWriteTraffic(t *testing.T) {
 	// The Sec. IV-C coherency bug: loads evict clean lines as writebacks,
 	// so a pure-load stream shows ~50% write traffic at the controller —
 	// the anomaly the Mess characterization flagged.
-	cfg := Config{Policy: WriteAllocate, EvictCleanAsDirty: true, WritebackLag: 1 << 20}
+	cfg := Config{Policy: WriteAllocate, EvictCleanAsDirty: true}
 	eng, b, h := setup(cfg)
 	p := h.Port(0)
 	for i := 0; i < 100; i++ {
@@ -207,7 +205,7 @@ func TestConfigValidation(t *testing.T) {
 // restarts from the seed), every old record must be reclaimed, and the pool
 // must serve the second run without creating a record.
 func TestHierarchyResetMatchesNew(t *testing.T) {
-	cfg := Config{OnChipLatency: 40 * sim.Nanosecond, LLCHitRate: 0.3, WritebackLag: 1 << 20}
+	cfg := Config{OnChipLatency: 40 * sim.Nanosecond, LLCHitRate: 0.3}
 	drive := func(eng *sim.Engine, h *Hierarchy, until sim.Time) {
 		p := h.Port(0)
 		var issue func()
@@ -238,8 +236,8 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 	eng2.Reset()
 	*b2 = fakeBackend{eng: eng2, delay: b2.delay}
 	h2.Reset(eng2, cfg, b2)
-	if h2.Pool().Live() != 0 || h2.Config() != h.Config() {
-		t.Fatalf("after Reset: %d live records, config %+v", h2.Pool().Live(), h2.Config())
+	if h2.Pool().Live() != 0 || h2.cfg != h.cfg {
+		t.Fatalf("after Reset: %d live records, config %+v", h2.Pool().Live(), h2.cfg)
 	}
 	drive(eng2, h2, 2*sim.Microsecond)
 	if len(b2.reqs) != len(ref.reqs) || b2.c != ref.c {

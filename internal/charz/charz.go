@@ -252,11 +252,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Telemetry returns the service's observability bundle (nil when the
-// service was built without one) — the handle layers above the service
-// (experiments, the facade) use to share one registry and tracer.
-func (s *Service) Telemetry() *telemetry.Set { return s.tel }
-
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
 	return Stats{

@@ -437,12 +437,12 @@ func TestFingerprintStability(t *testing.T) {
 	if Fingerprint(sharded) != k {
 		t.Fatal("Shards leaked into the fingerprint")
 	}
-	// Explicitly writing a default must equal leaving it zero.
-	defaulted := base()
-	defaulted.Options.ChaseLines = 1 << 19
-	defaulted.Options.ArrayBytes = 32 << 20
-	if Fingerprint(defaulted) != k {
-		t.Fatal("explicit defaults fingerprint differently from implied defaults")
+	// The Table I reference ranges stay out of the key (see platform.Spec).
+	reference := base()
+	reference.Spec.SatRangePct[0]++
+	reference.Spec.MaxLatencyRangeNs[1]++
+	if Fingerprint(reference) != k {
+		t.Fatal("a Table I reference range moved the fingerprint")
 	}
 
 	// Every semantically relevant change must move the key.
@@ -455,13 +455,12 @@ func TestFingerprintStability(t *testing.T) {
 		"write policy":   func(r *Request) { r.Spec.Policy = cache.WriteThrough },
 		"on-chip lat":    func(r *Request) { r.Spec.OnChipLatency += sim.Nanosecond },
 		"mshrs":          func(r *Request) { r.Spec.MSHRs++ },
+		"unloaded lat":   func(r *Request) { r.Spec.UnloadedLatencyNs++ },
 		"mixes":          func(r *Request) { r.Options.Mixes = append(r.Options.Mixes, bench.Mix{StorePercent: 70}) },
 		"nt mix":         func(r *Request) { r.Options.Mixes[0].NonTemporal = true },
 		"paces":          func(r *Request) { r.Options.PacesNs = append(r.Options.PacesNs, 1024) },
 		"warmup":         func(r *Request) { r.Options.Warmup = 9 * sim.Microsecond },
 		"measure":        func(r *Request) { r.Options.Measure = 9 * sim.Microsecond },
-		"chase lines":    func(r *Request) { r.Options.ChaseLines = 1 << 20 },
-		"array bytes":    func(r *Request) { r.Options.ArrayBytes = 1 << 20 },
 		"tag":            func(r *Request) { r.Tag = "model:fixed" },
 		"cache override": func(r *Request) { r.Options.Cache = &cache.Config{MSHRs: 4} },
 		"bugged evict": func(r *Request) {

@@ -36,11 +36,12 @@ var version = func() string {
 // semantically relevant field in a fixed order with explicit field names,
 // so reordering struct fields cannot silently alias two distinct
 // configurations; adding a new field to Spec or Options requires extending
-// this function (TestFingerprintStability varies every field).
+// this function (TestFingerprintStability varies every keyed field).
 //
-// Execution-only knobs are excluded: Options.Parallelism changes host
-// scheduling, not results, and Options.Backend is a function value whose
-// identity must instead be carried by Request.Tag.
+// Excluded: Spec's Table I reference ranges (see its doc);
+// execution-only knobs — Options.Parallelism changes host scheduling, not
+// results; and Options.Backend, a function value whose identity must
+// instead be carried by Request.Tag.
 func Fingerprint(req Request) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\ntag=%q\nhasBackend=%t\n", version, req.Tag, req.Options.Backend != nil)
@@ -52,8 +53,7 @@ func Fingerprint(req Request) Key {
 }
 
 func writeSpec(w io.Writer, s platform.Spec) {
-	fmt.Fprintf(w, "spec.name=%q\nspec.released=%q\nspec.cores=%d\nspec.freqGHz=%v\n",
-		s.Name, s.Released, s.Cores, s.FreqGHz)
+	fmt.Fprintf(w, "spec.name=%q\nspec.cores=%d\nspec.freqGHz=%v\n", s.Name, s.Cores, s.FreqGHz)
 	d := s.DRAM
 	fmt.Fprintf(w, "dram.name=%q\ndram.channels=%d\ndram.ranks=%d\ndram.banks=%d\ndram.rowBytes=%d\n",
 		d.Name, d.Channels, d.Ranks, d.Banks, d.RowBytes)
@@ -64,8 +64,8 @@ func writeSpec(w io.Writer, s platform.Spec) {
 		d.WriteHi, d.WriteLo, d.IdleClose, d.CtrlLatency)
 	fmt.Fprintf(w, "dram.frfcfsWindow=%d\ndram.bypassCap=%d\n",
 		d.FRFCFSWindow, d.BypassCap)
-	fmt.Fprintf(w, "spec.policy=%d\nspec.onChipLatency=%d\nspec.mshrs=%d\nspec.writeBufs=%d\nspec.writebackLag=%d\nspec.unloadedNs=%v\n",
-		s.Policy, s.OnChipLatency, s.MSHRs, s.WriteBufs, s.WritebackLag, s.UnloadedLatencyNs)
+	fmt.Fprintf(w, "spec.policy=%d\nspec.onChipLatency=%d\nspec.mshrs=%d\nspec.writeBufs=%d\nspec.unloadedNs=%v\n",
+		s.Policy, s.OnChipLatency, s.MSHRs, s.WriteBufs, s.UnloadedLatencyNs)
 }
 
 func writeOptions(w io.Writer, o bench.Options) {
@@ -77,8 +77,7 @@ func writeOptions(w io.Writer, o bench.Options) {
 	for _, p := range o.PacesNs {
 		fmt.Fprintf(w, "%v;", p)
 	}
-	fmt.Fprintf(w, "\nopt.warmup=%d\nopt.measure=%d\nopt.chaseLines=%d\nopt.arrayBytes=%d\n",
-		o.Warmup, o.Measure, o.ChaseLines, o.ArrayBytes)
+	fmt.Fprintf(w, "\nopt.warmup=%d\nopt.measure=%d\n", o.Warmup, o.Measure)
 	writeCacheOverride(w, o.Cache)
 }
 
@@ -87,7 +86,6 @@ func writeCacheOverride(w io.Writer, c *cache.Config) {
 		fmt.Fprintf(w, "opt.cache=nil\n")
 		return
 	}
-	fmt.Fprintf(w, "opt.cache=%d,%d,%d,%d,%d,%v,%d,%t\n",
-		c.Policy, c.OnChipLatency, c.MSHRs, c.WriteBufs, c.WritebackLag,
-		c.LLCHitRate, c.LLCHitLatency, c.EvictCleanAsDirty)
+	fmt.Fprintf(w, "opt.cache=%d,%d,%d,%d,%v,%d,%t\n",
+		c.Policy, c.OnChipLatency, c.MSHRs, c.WriteBufs, c.LLCHitRate, c.LLCHitLatency, c.EvictCleanAsDirty)
 }

@@ -126,7 +126,7 @@ func TestGeneratorMixPattern(t *testing.T) {
 
 func TestGeneratorStoreTrafficAmplification(t *testing.T) {
 	eng, b, h := rig(50*sim.Nanosecond, cache.Config{
-		Policy: cache.WriteAllocate, MSHRs: 16, WriteBufs: 16, WritebackLag: 1 << 20,
+		Policy: cache.WriteAllocate, MSHRs: 16, WriteBufs: 16,
 	})
 	g := NewGenerator(eng, h.Port(0), GenConfig{
 		StorePercent: 100,
@@ -222,7 +222,7 @@ func TestKernelCoreDependentLatencyBound(t *testing.T) {
 
 func TestKernelCoreAppBandwidthAccounting(t *testing.T) {
 	eng, b, h := rig(20*sim.Nanosecond, cache.Config{
-		Policy: cache.WriteAllocate, MSHRs: 16, WriteBufs: 20, WritebackLag: 1 << 20,
+		Policy: cache.WriteAllocate, MSHRs: 16, WriteBufs: 20,
 	})
 	core := NewKernelCore(eng, h.Port(0), StreamCopy, CoreConfig{
 		CycleTime:  sim.FromNanoseconds(0.5),

@@ -29,8 +29,6 @@ type Kernel struct {
 	// cannot begin until the previous load returns (pointer chase). A
 	// dependent kernel is one load per step and no store.
 	Dependent bool
-	// NonTemporal uses streaming stores (no RFO).
-	NonTemporal bool
 	// Random makes every access target a random line of its array (GUPS).
 	Random bool
 }
@@ -266,14 +264,7 @@ func (c *KernelCore) tryIssue() {
 func (c *KernelCore) opsPending() bool { return c.nextOp < c.kernel.Loads+c.kernel.Stores }
 
 func (c *KernelCore) canIssue(op pendingOp) bool {
-	switch {
-	case !op.isStore:
-		return c.port.FreeMSHR()
-	case c.kernel.NonTemporal:
-		return c.port.FreeWB()
-	default:
-		return c.port.FreeMSHR() && c.port.FreeWB()
-	}
+	return c.port.FreeMSHR() && (!op.isStore || c.port.FreeWB())
 }
 
 // issue hands one operation to the port.
@@ -302,8 +293,6 @@ func (c *KernelCore) canIssue(op pendingOp) bool {
 func (c *KernelCore) issue(op pendingOp) {
 	addr := c.addrFor(op.arr)
 	switch {
-	case op.isStore && c.kernel.NonTemporal:
-		c.port.StoreNT(addr, nil)
 	case op.isStore:
 		c.port.Store(addr, nil)
 	case c.kernel.Dependent:

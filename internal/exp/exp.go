@@ -184,12 +184,8 @@ type Env struct {
 	Ctx context.Context
 }
 
-// NewEnv builds an environment. A nil service gets a fresh in-memory one,
-// so standalone experiment runs still dedupe internally.
+// NewEnv builds an environment over the service.
 func NewEnv(s Scale, svc *charz.Service) *Env {
-	if svc == nil {
-		svc = charz.New(charz.Config{})
-	}
 	return &Env{Scale: s, Charz: svc}
 }
 

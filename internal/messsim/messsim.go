@@ -102,7 +102,6 @@ type Stats struct {
 	Adjustments uint64
 	MessBWGBs   float64 // current operating-point bandwidth
 	LatencyNs   float64 // current full load-to-use latency from the curves
-	MemLatNs    float64 // latency currently applied to requests
 	ReadRatio   float64 // read ratio of the last window
 }
 
@@ -165,7 +164,6 @@ func (s *Simulator) applyLatency() {
 	s.memLat = sim.FromNanoseconds(memLat)
 	s.stats.MessBWGBs = s.messBW
 	s.stats.LatencyNs = s.curLat
-	s.stats.MemLatNs = memLat
 }
 
 // Access serves one request with the operating point's latency and runs the

@@ -19,10 +19,9 @@ import (
 
 // Spec describes a platform.
 type Spec struct {
-	Name     string
-	Released string
-	Cores    int     // cores (or GPU SMs) generating traffic
-	FreqGHz  float64 // core frequency
+	Name    string
+	Cores   int     // cores (or GPU SMs) generating traffic
+	FreqGHz float64 // core frequency
 
 	DRAM dram.Config
 
@@ -31,11 +30,12 @@ type Spec struct {
 	OnChipLatency sim.Time // round-trip on-chip component of load-to-use
 	MSHRs         int      // per-core outstanding demand misses
 	WriteBufs     int      // per-core posted-write buffer
-	WritebackLag  uint64
 
-	// The paper's Table I reference values, kept for reporting and
-	// validation and left out of charz keys: unloaded latency, saturated
+	// The paper's Table I reference values: unloaded latency, saturated
 	// bandwidth range in percent of theoretical, and maximum latency range.
+	// The two ranges serve reports and validation only and are left out of
+	// charz keys. UnloadedLatencyNs is keyed: memmodel's fixed and M/D/1
+	// models read it as their base latency.
 	UnloadedLatencyNs float64
 	SatRangePct       [2]float64
 	MaxLatencyRangeNs [2]float64
@@ -56,7 +56,6 @@ func (s Spec) CacheConfig() cache.Config {
 		OnChipLatency: s.OnChipLatency,
 		MSHRs:         s.MSHRs,
 		WriteBufs:     s.WriteBufs,
-		WritebackLag:  s.WritebackLag,
 	}
 }
 
@@ -77,8 +76,7 @@ func ns(v float64) sim.Time { return sim.FromNanoseconds(v) }
 // 24 cores @ 2.1 GHz, 6×DDR4-2666, 128 GB/s, 89 ns unloaded.
 func Skylake() Spec {
 	return Spec{
-		Name: "Intel Skylake", Released: "2015",
-		Cores: 24, FreqGHz: 2.1,
+		Name: "Intel Skylake", Cores: 24, FreqGHz: 2.1,
 		DRAM:              dram.DDR4(2666, 6, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(44.5),
@@ -94,8 +92,7 @@ func Skylake() Spec {
 // 16 cores @ 2.3 GHz, 6×DDR4-2666, 128 GB/s, 85 ns unloaded.
 func CascadeLake() Spec {
 	return Spec{
-		Name: "Intel Cascade Lake", Released: "2019",
-		Cores: 16, FreqGHz: 2.3,
+		Name: "Intel Cascade Lake", Cores: 16, FreqGHz: 2.3,
 		DRAM:              dram.DDR4(2666, 6, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(40.5),
@@ -116,8 +113,7 @@ func Zen2() Spec {
 	cfg.WriteHi = 10
 	cfg.WriteLo = 6
 	return Spec{
-		Name: "AMD Zen 2", Released: "2019",
-		Cores: 64, FreqGHz: 2.25,
+		Name: "AMD Zen 2", Cores: 64, FreqGHz: 2.25,
 		DRAM:              cfg,
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(70),
@@ -133,8 +129,7 @@ func Zen2() Spec {
 // 8×DDR4-2666, 170 GB/s, 96 ns unloaded.
 func Power9() Spec {
 	return Spec{
-		Name: "IBM Power 9", Released: "2017",
-		Cores: 20, FreqGHz: 2.4,
+		Name: "IBM Power 9", Cores: 20, FreqGHz: 2.4,
 		DRAM:              dram.DDR4(2666, 8, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(51.5),
@@ -153,8 +148,7 @@ func Power9() Spec {
 // cache policy" (Sec. III).
 func Graviton3() Spec {
 	return Spec{
-		Name: "Amazon Graviton 3", Released: "2022",
-		Cores: 64, FreqGHz: 2.6,
+		Name: "Amazon Graviton 3", Cores: 64, FreqGHz: 2.6,
 		DRAM:              dram.DDR5(4800, 8, 2),
 		Policy:            cache.WriteThrough,
 		OnChipLatency:     ns(83.5),
@@ -170,8 +164,7 @@ func Graviton3() Spec {
 // 56 cores @ 2 GHz, 8×DDR5-4800, 307 GB/s, 109 ns unloaded.
 func SapphireRapids() Spec {
 	return Spec{
-		Name: "Intel Sapphire Rapids", Released: "2023",
-		Cores: 56, FreqGHz: 2.0,
+		Name: "Intel Sapphire Rapids", Cores: 56, FreqGHz: 2.0,
 		DRAM:              dram.DDR5(4800, 8, 2),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(63.5),
@@ -187,8 +180,7 @@ func SapphireRapids() Spec {
 // 4×HBM2 (32 channels), 1024 GB/s, 122 ns unloaded.
 func A64FX() Spec {
 	return Spec{
-		Name: "Fujitsu A64FX", Released: "2019",
-		Cores: 48, FreqGHz: 2.2,
+		Name: "Fujitsu A64FX", Cores: 48, FreqGHz: 2.2,
 		DRAM:              dram.HBM2(32),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(80),
@@ -206,8 +198,7 @@ func A64FX() Spec {
 // Mess counters, so stores are modelled without write-allocate.
 func H100() Spec {
 	return Spec{
-		Name: "NVIDIA H100", Released: "2023",
-		Cores: 132, FreqGHz: 1.1,
+		Name: "NVIDIA H100", Cores: 132, FreqGHz: 1.1,
 		DRAM:   dram.HBM2E(32),
 		Policy: cache.WriteThrough,
 		// An SM's warps keep far more sectors in flight than a CPU
@@ -266,8 +257,7 @@ func Gem5Graviton3() Spec {
 // which cannot saturate a high-end memory system (Sec. IV-C).
 func OpenPitonAriane() Spec {
 	return Spec{
-		Name: "OpenPiton Ariane", Released: "2023",
-		Cores: 64, FreqGHz: 1.0,
+		Name: "OpenPiton Ariane", Cores: 64, FreqGHz: 1.0,
 		DRAM:              dram.DDR4(2666, 1, 1),
 		Policy:            cache.WriteAllocate,
 		OnChipLatency:     ns(60),

@@ -89,7 +89,6 @@ type PhaseSpan = workloads.PhaseSpan
 type Sample struct {
 	Start, End sim.Time
 	BWGBs      float64
-	ReadRatio  float64
 	LatencyNs  float64
 	Stress     float64
 	Phase      string
@@ -119,7 +118,6 @@ func Build(label string, fam *core.Family, windows []CounterWindow, phases []Pha
 			Start:     win.Start,
 			End:       win.End,
 			BWGBs:     bw,
-			ReadRatio: ratio,
 			LatencyNs: fam.LatencyAt(ratio, bw),
 			Stress:    fam.StressScore(ratio, bw, w),
 		}

@@ -9,8 +9,8 @@
 // trace records just before it, so queues and row buffers reach the
 // window's steady state before measurement starts — and reconstructs the
 // full-trace bandwidth and latency estimates as cluster-weighted sums.
-// Extra probe windows per cluster bound the within-cluster spread, which
-// becomes the estimate's error bars.
+// A probe window per cluster, its member farthest from the centroid,
+// bounds the within-cluster spread, which becomes the estimate's error bars.
 //
 // Everything is deterministic: the same trace and configuration produce
 // byte-identical estimates. Window order, cluster iteration, the k-means
@@ -38,11 +38,6 @@ const (
 	// sampleClusters is k for the k-means pass (clamped to the number of
 	// non-empty windows).
 	sampleClusters = 6
-	// sampleProbes is how many additional member windows per cluster are
-	// replayed to measure within-cluster spread — the error bars. Probes
-	// pick the members farthest from the centroid: the worst case bounds
-	// the cluster, not a flattering average.
-	sampleProbes = 1
 	// sampleWarmupFrac sizes the warm-up prefix replayed (unmeasured)
 	// before each window, as a fraction of the window span.
 	sampleWarmupFrac = 0.5
@@ -100,7 +95,6 @@ type ClusterEstimate struct {
 	Windows int    // member windows
 	Records int    // trace records covered
 	Reads   uint64 // read records covered
-	Rep     int    // representative window index (into SampledResult.Windows)
 	Weight  float64
 	// Representative-window measurements.
 	BWGBs     float64
@@ -110,7 +104,6 @@ type ClusterEstimate struct {
 	// clusters, whose representative covers the cluster exactly.
 	StretchErr float64
 	LatErrNs   float64
-	Centroid   AccessVector
 }
 
 // SampledResult is the outcome of a sampled replay: full-trace estimates
@@ -126,7 +119,6 @@ type SampledResult struct {
 	BWErrGBs float64
 	LatErrNs float64
 
-	WindowSpan      sim.Time
 	Windows         []SampleWindow
 	Clusters        []ClusterEstimate
 	TotalRecords    int
@@ -199,7 +191,6 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 	sp.End(telemetry.Int("k", int64(k)), telemetry.Int("occupied", int64(len(occupied))))
 
 	res := &SampledResult{
-		WindowSpan:   span,
 		Windows:      windows,
 		TotalRecords: len(t.Records),
 	}
@@ -216,13 +207,10 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 		}
 		ce := &res.Clusters[c]
 		ce.Windows = len(members)
-		// Centroids are only meaningful relative to each other, so they are
-		// reported as they are, in normalized coordinates.
-		ce.Centroid = unvec(centers[c])
 		if len(members) == 0 {
 			// k-means left the cluster empty (k near the window count);
 			// no window references it, so it contributes nothing.
-			ce.Rep, ce.Stretch = -1, 1
+			ce.Stretch = 1
 			continue
 		}
 		for _, m := range members {
@@ -231,23 +219,19 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 			ce.Reads += w.Reads
 		}
 
-		// Replay the member closest to the centroid plus sampleProbes members
-		// farthest from it. The cluster estimate is the MEAN of the
+		// Replay the member closest to the centroid and, as the probe, the
+		// member farthest from it. The cluster estimate is the MEAN of the
 		// replayed members — a single window, even the most central one,
 		// can be dynamically atypical (the cold trace start, a refresh
 		// alignment) in ways its access vector cannot show; averaging the
-		// centre with the edges cancels that noise. The error bar is the
-		// spread around the mean, and probing the farthest members makes
+		// centre with the edge cancels that noise. The error bar is the
+		// spread around the mean, and probing the farthest member makes
 		// it a worst-case bound, not a flattering one.
 		rep := pickClosest(vecs, centers[c], members)
 		csp := tr.Begin(track, fmt.Sprintf("replay cluster %d", c))
-		ce.Rep = occupied[rep]
-		probed := map[int]bool{rep: true}
 		sampled := []windowMeasure{replayWindowRange(mk, t, &windows[occupied[rep]], warm)}
-		for p := 0; p < sampleProbes && len(probed) < len(members); p++ {
-			pr := pickFarthest(vecs, centers[c], members, probed)
-			probed[pr] = true
-			sampled = append(sampled, replayWindowRange(mk, t, &windows[occupied[pr]], warm))
+		if far := pickFarthest(vecs, centers[c], members, rep); far >= 0 {
+			sampled = append(sampled, replayWindowRange(mk, t, &windows[occupied[far]], warm))
 		}
 		for _, m := range sampled {
 			ce.BWGBs += m.bwGBs
@@ -658,13 +642,6 @@ func normalize(vecs [][nFeat]float64) {
 	}
 }
 
-func unvec(v [nFeat]float64) AccessVector {
-	return AccessVector{
-		RowHit: v[0], SeqFrac: v[1], NearFrac: v[2], FarFrac: v[3],
-		ReadFrac: v[4], Footprint: v[5], Rate: v[6], Burst: v[7],
-	}
-}
-
 func dist2(a, b [nFeat]float64) float64 {
 	var s float64
 	for d := 0; d < nFeat; d++ {
@@ -803,12 +780,12 @@ func pickClosest(vecs [][nFeat]float64, center [nFeat]float64, members []int) in
 	return best
 }
 
-// pickFarthest returns the unprobed member farthest from the center;
-// lowest index wins ties.
-func pickFarthest(vecs [][nFeat]float64, center [nFeat]float64, members []int, probed map[int]bool) int {
+// pickFarthest returns the member other than skip farthest from the
+// center, or -1 when there is none; lowest index wins ties.
+func pickFarthest(vecs [][nFeat]float64, center [nFeat]float64, members []int, skip int) int {
 	best, bestD := -1, -1.0
 	for _, m := range members {
-		if probed[m] {
+		if m == skip {
 			continue
 		}
 		if d := dist2(vecs[m], center); d > bestD {
