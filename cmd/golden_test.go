@@ -178,11 +178,14 @@ func TestUnknownModelKindExits(t *testing.T) {
 
 // TestRefusedArgumentExits pins the other one-line refusals. messprofile
 // used to characterize the platform and print an empty profile for a
-// duration no window fits in.
+// duration no window fits in; messbench and messsim read -scale as messexp
+// does.
 func TestRefusedArgumentExits(t *testing.T) {
 	refused(t, "messexp: unknown experiment nope (-list shows them)\n", "messexp", "-run", "nope")
 	refused(t, "messprofile: -duration-us 0: the application must run for at least 1 µs\n", "messprofile", "-duration-us", "0")
 	refused(t, "messprofile: -duration-us -5: the application must run for at least 1 µs\n", "messprofile", "-duration-us", "-5")
+	refused(t, "messbench: unknown scale \"medium\" (want quick or full)\n", "messbench", "-scale", "medium")
+	refused(t, "messsim: unknown scale \"medium\" (want quick or full)\n", "messsim", "-scale", "medium")
 }
 
 // TestMessbenchUnknownPlatformGolden: status 1 and the platforms there are.

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	messbench -platform "Intel Skylake" [-full] [-out curves.csv] [-cache-dir ~/.cache/mess]
+//	messbench -platform "Intel Skylake" [-scale quick|full] [-out curves.csv] [-cache-dir ~/.cache/mess]
 //	messbench -list
 package main
 
@@ -18,19 +18,19 @@ import (
 	"os"
 	"time"
 
-	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
 )
 
 func main() {
 	var (
-		name = flag.String("platform", "Intel Skylake", "platform to characterize (see -list)")
-		list = flag.Bool("list", false, "list available platforms and exit")
-		full = flag.Bool("full", false, "run the full sweep (dense mixes and pacing; slower)")
-		out  = flag.String("out", "", "write the curve family as CSV to this file")
+		name  = flag.String("platform", "Intel Skylake", "platform to characterize (see -list)")
+		list  = flag.Bool("list", false, "list available platforms and exit")
+		scale = flag.String("scale", "quick", "quick (coarse sweep) or full (the paper's sweep; slower)")
+		out   = flag.String("out", "", "write the curve family as CSV to this file")
 	)
 	cache, tel := cli.CacheFlags(), cli.TelemetryFlags()
 	flag.Parse()
@@ -43,10 +43,7 @@ func main() {
 	}
 
 	spec := cli.MustPlatform(*name)
-	opt := bench.QuickOptions()
-	if *full {
-		opt = bench.Options{}
-	}
+	opt := exp.Sweep(cli.MustScale(*scale))
 
 	ctx, stop := cache.Context()
 	defer stop()

@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/profile"
 	"github.com/mess-sim/mess/internal/sim"
@@ -48,7 +48,7 @@ func main() {
 	defer stop()
 	svc := cache.Service(tel.Set())
 	fmt.Printf("characterizing %s for the profiling curves ...\n", spec.Name)
-	ref, err := svc.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: bench.QuickOptions()})
+	ref, err := svc.CharacterizeContext(ctx, charz.Request{Spec: spec, Options: exp.Sweep(exp.Quick)})
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 	"os"
 	"strings"
 
-	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/cli"
+	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/platform"
@@ -33,12 +33,13 @@ func main() {
 		name   = flag.String("platform", "Intel Skylake", "platform (CPU side) to evaluate under")
 		models = flag.String("models", "fixed,md1,internal-ddr,dramsim3,ramulator,mess", "comma-separated model kinds")
 		ipc    = flag.Bool("ipc", false, "run the workload IPC-error evaluation instead of curves")
-		full   = flag.Bool("full", false, "use the full benchmark sweep")
+		scale  = flag.String("scale", "quick", "quick (coarse sweep) or full (the paper's sweep)")
 	)
 	cache, tel := cli.CacheFlags(), cli.TelemetryFlags()
 	flag.Parse()
 
 	spec := cli.MustPlatform(*name)
+	opt := exp.Sweep(cli.MustScale(*scale))
 	// A misspelt kind ends the run here, not after the reference sweep; all
 	// the mess kind lacks is that sweep's curves, and it resolves with them.
 	kinds := parseKinds(*models)
@@ -46,11 +47,6 @@ func main() {
 		if _, err := memmodel.Factory(kind, spec, nil); err != nil && kind != memmodel.KindMess {
 			cli.Fatal(err)
 		}
-	}
-
-	opt := bench.QuickOptions()
-	if *full {
-		opt = bench.Options{}
 	}
 
 	ctx, stop := cache.Context()

@@ -38,6 +38,7 @@ import (
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/cli"
 	"github.com/mess-sim/mess/internal/dram"
+	"github.com/mess-sim/mess/internal/exp"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/platform"
@@ -83,7 +84,7 @@ func main() {
 }
 
 func doCapture(ctx context.Context, spec platform.Spec, path string, stores int, pace float64, limit, measUs int) {
-	opt := bench.QuickOptions()
+	opt := exp.Sweep(exp.Quick)
 	if measUs > 0 {
 		opt.Measure = sim.Time(measUs) * sim.Microsecond
 	}

@@ -23,7 +23,7 @@ func main() {
 		opt := mess.QuickBenchmarkOptions()
 		if spec.UnloadedLatencyNs > 200 {
 			// GPU-class platforms (H100) queue so deeply at saturation
-			// that the quick 15 µs window records no chase samples.
+			// that the quick 18 µs window records no chase samples.
 			opt.Measure = 45 * mess.Microsecond
 		}
 		reqs[i] = mess.CharacterizationRequest{Spec: spec, Options: opt}

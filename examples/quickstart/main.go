@@ -17,7 +17,7 @@ func main() {
 	fmt.Println("platform:", spec.String())
 
 	// Run a reduced Mess benchmark sweep: three read/write kernel mixes,
-	// a coarse pacing ladder. mess.BenchmarkOptions{} runs the full
+	// a coarse pacing ladder. mess.BenchmarkOptions{} runs the paper's
 	// sweep instead; cancelling the context stops either at the next
 	// measurement point.
 	res, err := mess.Characterize(context.Background(), spec, mess.QuickBenchmarkOptions())

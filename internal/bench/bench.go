@@ -7,6 +7,18 @@
 // (standing in for actual hardware) or any model from the zoo — which is
 // exactly how the paper uses the benchmark to characterize both servers
 // (Sec. III) and simulators (Sec. IV).
+//
+// # Warm rigs
+//
+// Each sweep worker owns one rig, the whole simulated machine, and resets
+// it between points. A reset is the constructor run again over retained
+// storage, with no second construction path and no switch, so a reset rig
+// and a new one run the same code from the same state. A rig never
+// outlives its sweep: a process-wide pool of warm engines was measured and
+// rejected (wall time flat, peak RSS +72%, as engines grown by trace replay
+// stayed resident). TestRigReuseMatchesFresh, TestRigResetFromMidFlight and
+// TestWarmRigGarbage, with the Reset tests of sim, mem, cache, dram and
+// cxl, are the gates; CI runs them -race -shuffle=on -count=3.
 package bench
 
 import (
@@ -47,11 +59,14 @@ func (m Mix) String() string {
 
 // Options configure a benchmark run.
 type Options struct {
-	// Mixes to sweep. Default: store percentages 0..100 in steps of 20
-	// with regular stores (read ratios 1.0 → 0.5).
+	// Mixes to sweep. Default: the paper's, store percentages 0..100 in
+	// steps of 10 with regular stores (read ratios 1.0 → 0.5), then
+	// non-temporal stores at 40, 70 and 100%, which reach the write-heavy
+	// half of the space.
 	Mixes []Mix
 	// PacesNs is the per-op pacing sweep in nanoseconds (the nopCount
-	// knob). Default: a log-spaced ladder from 0 (full pressure) to 512.
+	// knob). Default: a log-spaced ladder of 20 steps from 0 (full
+	// pressure) to 768.
 	PacesNs []float64
 	// Warmup and Measure are the simulated durations of the warm-up and
 	// measurement windows for every point.
@@ -81,12 +96,15 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if len(out.Mixes) == 0 {
-		for s := 0; s <= 100; s += 20 {
+		for s := 0; s <= 100; s += 10 {
 			out.Mixes = append(out.Mixes, Mix{StorePercent: s})
+		}
+		for _, s := range []int{40, 70, 100} {
+			out.Mixes = append(out.Mixes, Mix{StorePercent: s, NonTemporal: true})
 		}
 	}
 	if len(out.PacesNs) == 0 {
-		out.PacesNs = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512}
+		out.PacesNs = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768}
 	}
 	if out.Warmup == 0 {
 		out.Warmup = 20 * sim.Microsecond
@@ -157,8 +175,8 @@ func Run(spec platform.Spec, opt Options) (*Result, error) {
 // cancellation is observed at point boundaries: no point is handed out once
 // ctx is done, each worker finishes (at most) the point it is on, and
 // RunContext returns ctx.Err(). Worst-case cancellation latency is
-// therefore one sweep point per worker, which QuickOptions-sized points
-// keep in the tens of milliseconds.
+// therefore one sweep point per worker, which a Quick sweep's points keep
+// in the tens of milliseconds.
 func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, error) {
 	o := opt.withDefaults()
 	// Point 0 is the unloaded anchor: the pointer chase alone, as the paper
@@ -397,8 +415,11 @@ func assemble(spec platform.Spec, o Options, samples []Sample, unloaded Sample) 
 	return core.MeasuredFamily(spec.Name, spec.TheoreticalBandwidthGBs(), anchor, mixes)
 }
 
-// QuickOptions returns a reduced sweep suitable for tests: three mixes,
-// a coarse pacing ladder and short windows.
+// QuickOptions returns a reduced sweep: three mixes, a coarse pacing ladder
+// and short windows. Its only callers outside tests are the benchmark
+// module and messperf, whose recorded baselines were measured with it;
+// everything else takes its Quick sweep from exp.Sweep. It goes when those
+// baselines are regenerated.
 func QuickOptions() Options {
 	return Options{
 		Mixes:   []Mix{{StorePercent: 0}, {StorePercent: 50}, {StorePercent: 100}},

@@ -234,17 +234,20 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestOptionsNormalized(t *testing.T) {
-	// The zero value and an explicit spelling of every default must
-	// normalize identically — that equivalence is what makes Options
-	// usable as cache-key material.
+	// The zero value is the paper's sweep, and it and an explicit spelling
+	// of every default must normalize identically — that equivalence is
+	// what makes Options usable as cache-key material.
 	zero := Options{}.Normalized()
 	explicit := Options{
-		PacesNs: []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512},
+		PacesNs: []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768},
 		Warmup:  20 * sim.Microsecond,
 		Measure: 50 * sim.Microsecond,
 	}
-	for s := 0; s <= 100; s += 20 {
+	for s := 0; s <= 100; s += 10 {
 		explicit.Mixes = append(explicit.Mixes, Mix{StorePercent: s})
+	}
+	for _, s := range []int{40, 70, 100} {
+		explicit.Mixes = append(explicit.Mixes, Mix{StorePercent: s, NonTemporal: true})
 	}
 	got := explicit.Normalized()
 	if fmt.Sprint(zero) != fmt.Sprint(got) {

@@ -323,7 +323,7 @@ func TestLatencyAtPropertyBounded(t *testing.T) {
 		ratio := 0.5 + float64(rRaw%5000)/10000.0
 		bw := float64(bwRaw%1400) / 10.0
 		lat := f.LatencyAt(ratio, bw)
-		if !saneFloat(lat) || lat <= 0 {
+		if !finite(lat) || lat <= 0 {
 			return false
 		}
 		// Within the measured domain, latency must stay within the

@@ -79,6 +79,3 @@ func NewSynthetic(spec SyntheticSpec) *Family {
 	f.Sort()
 	return f
 }
-
-// saneFloat reports whether v is a usable finite number.
-func saneFloat(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

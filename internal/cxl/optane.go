@@ -18,8 +18,6 @@ import (
 //   - idle read latency ≈ 170 ns at the module, far above DRAM;
 //   - read bandwidth ≈ 6.6 GB/s per module, write ≈ 2.3 GB/s — strongly
 //     asymmetric, unlike any DRAM;
-//   - 256-byte internal access granularity: the on-module buffer merges
-//     64-byte lines, so random traffic wastes device bandwidth;
 //   - mixed read/write traffic interferes severely (writes stall reads in
 //     the module's internal controller).
 type Optane struct {

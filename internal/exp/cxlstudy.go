@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,7 +14,6 @@ import (
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/par"
 	"github.com/mess-sim/mess/internal/platform"
-	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/workloads"
 )
 
@@ -40,26 +40,14 @@ func init() {
 	})
 }
 
-func cxlSweep(s Scale) cxl.SweepOptions {
-	if s == Quick {
-		return cxl.SweepOptions{
-			WriteFractions: []float64{0, 0.5, 1.0},
-			RatesGBs:       []float64{2, 8, 16, 24, 32, 40, 48},
-			Warmup:         8 * sim.Microsecond,
-			Measure:        24 * sim.Microsecond,
-		}
-	}
-	return cxl.SweepOptions{}
-}
-
 // The manufacturer's CXL curves and the remote-socket curves are pure
 // functions of the scale, swept at most once per process.
 var cxlFamily, remoteFamily = perScale(cxl.Family), perScale(cxl.RemoteSocketFamily)
 
 func perScale(sweep func(cxl.SweepOptions) *core.Family) (fams [2]func() *core.Family) {
-	for _, s := range []Scale{Quick, Full} {
+	for s := range scales {
 		s := s
-		fams[s] = sync.OnceValue(func() *core.Family { return sweep(cxlSweep(s)) })
+		fams[s] = sync.OnceValue(func() *core.Family { return sweep(scales[s].cxl) })
 	}
 	return fams
 }
@@ -118,11 +106,8 @@ func (p ipcPair) delta() float64 { return (p.remIPC - p.cxlIPC) / p.cxlIPC }
 // specOptions are a SPEC-like benchmark's run options at the scale, less
 // the device backend.
 func specOptions(b workloads.SpecBenchmark, s Scale) workloads.Options {
-	o := workloads.Options{LLCHitRate: b.LLCHitRate}
-	if s == Quick {
-		o.Warmup = 5 * sim.Microsecond
-		o.Measure = 20 * sim.Microsecond
-	}
+	o := scales[s].workload
+	o.LLCHitRate = b.LLCHitRate
 	return o
 }
 
@@ -132,7 +117,7 @@ func specOptions(b workloads.SpecBenchmark, s Scale) workloads.Options {
 func specPairRequest(host platform.Spec, b workloads.SpecBenchmark, s Scale) charz.ArtifactRequest {
 	o := specOptions(b, s)
 	return charz.ArtifactRequest{Kind: "workloads.cxl-vs-remote", Spec: host, Workload: &o,
-		Tag: fmt.Sprintf("kernel=%+v;models=mess:cxl,mess:remote-socket;sweep=%+v", b.Kernel, cxlSweep(s))}
+		Tag: fmt.Sprintf("kernel=%+v;models=mess:cxl,mess:remote-socket;sweep=%+v", b.Kernel, scales[s].cxl)}
 }
 
 // runCXLvsRemote executes each SPEC-like benchmark against the Mess
@@ -173,39 +158,18 @@ func runCXLvsRemote(env *Env, suite []workloads.SpecBenchmark, host platform.Spe
 	return out, err
 }
 
-// fig17Suite is Fig. 17's two characteristic benchmarks: perlbench, then
-// lbm.
-func fig17Suite() []workloads.SpecBenchmark {
-	var out []workloads.SpecBenchmark
-	for _, name := range []string{"perlbench", "lbm"} {
-		for _, b := range workloads.SpecSuite() {
-			if b.Name == name {
-				out = append(out, b)
-			}
-		}
-	}
-	return out
-}
+// fig17Suite is Fig. 17's two characteristic benchmarks: perlbench, then lbm.
+func fig17Suite() []workloads.SpecBenchmark { return specSubset([]string{"perlbench", "lbm"}) }
 
-// fig18Suite is the SPEC-like suite Fig. 18 runs: at Quick scale a
-// representative subset spanning the utilization range.
-func fig18Suite(s Scale) []workloads.SpecBenchmark {
-	suite := workloads.SpecSuite()
-	if s != Quick {
-		return suite
-	}
-	keep := map[string]bool{
-		"namd": true, "perlbench": true, "astar": true, "dealII": true,
-		"hmmer": true, "zeusmp": true, "soplex": true, "milc": true,
-		"libquantum": true, "leslie3d": true, "lbm": true,
-	}
-	var sub []workloads.SpecBenchmark
-	for _, b := range suite {
-		if keep[b.Name] {
-			sub = append(sub, b)
-		}
-	}
-	return sub
+// fig18Suite is the SPEC-like suite Fig. 18 runs at the scale.
+func fig18Suite(s Scale) []workloads.SpecBenchmark { return specSubset(scales[s].fig18) }
+
+// specSubset is the SPEC-like suite, in suite order, less the benchmarks
+// names leaves out; nil names keeps them all.
+func specSubset(names []string) []workloads.SpecBenchmark {
+	return slices.DeleteFunc(workloads.SpecSuite(), func(b workloads.SpecBenchmark) bool {
+		return names != nil && !slices.Contains(names, b.Name)
+	})
 }
 
 func runFig17(env *Env) (*Result, error) {

@@ -82,14 +82,17 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/core"
+	"github.com/mess-sim/mess/internal/cxl"
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/plot"
 	"github.com/mess-sim/mess/internal/sim"
+	"github.com/mess-sim/mess/internal/workloads"
 )
 
 // Scale selects experiment fidelity.
@@ -201,7 +204,7 @@ func (env *Env) Context() context.Context {
 // the scale: the curves of the detailed DRAM model standing in for "actual
 // hardware".
 func refRequest(spec platform.Spec, s Scale) charz.Request {
-	return charz.Request{Spec: spec, Options: benchOptions(s)}
+	return charz.Request{Spec: spec, Options: Sweep(s)}
 }
 
 // reference returns the platform's reference family via the
@@ -305,30 +308,72 @@ func scaleSpec(spec platform.Spec, s Scale) platform.Spec {
 	return out
 }
 
-// benchOptions returns the sweep settings per scale.
-func benchOptions(s Scale) bench.Options {
-	if s == Quick {
-		return bench.Options{
+// scaleConfig is what a scale decides besides the platforms (scaleSpec):
+// every sweep, ladder and window an experiment reads by scale. Full's row
+// leaves a field zero wherever the package that reads it has a zero-value
+// default.
+type scaleConfig struct {
+	// sweep is the Mess benchmark sweep of every reference family (Sweep).
+	sweep bench.Options
+	// fig6Paces is fig6's capture ladder. Quick's sweep ladder leaves the
+	// replayed curves too sparse to draw (a replica curve can survive with
+	// the bare 2-point minimum), so Quick's is denser; trace capture is
+	// memory-hungry, so Full's is thinner.
+	fig6Paces []float64
+	// sampledPaces is fig6s's divergence sweep: it covers unloaded,
+	// mid-pressure and saturated traffic, not the whole curve.
+	sampledPaces []float64
+	// workload holds the windows of the evaluation suite and SPEC-like runs.
+	workload workloads.Options
+	// hpcg is the HPCG run's simulated time: several iterations at Full.
+	hpcg sim.Time
+	// cxl is the CXL and remote-socket device sweep.
+	cxl cxl.SweepOptions
+	// speedMeasure is the measure window of tablespeed's timed sweeps.
+	speedMeasure sim.Time
+	// fig18 names the SPEC-like benchmarks Fig. 18 runs, a representative
+	// subset spanning the utilization range; nil runs the whole suite.
+	fig18 []string
+}
+
+var scales = [...]scaleConfig{
+	Quick: {
+		sweep: bench.Options{
 			Mixes:   []bench.Mix{{StorePercent: 0}, {StorePercent: 40}, {StorePercent: 100}},
 			PacesNs: []float64{0, 2, 6, 16, 48, 128, 384},
 			Warmup:  6 * sim.Microsecond,
 			Measure: 18 * sim.Microsecond,
-		}
-	}
-	var mixes []bench.Mix
-	for p := 0; p <= 100; p += 10 {
-		mixes = append(mixes, bench.Mix{StorePercent: p})
-	}
-	// Streaming-store kernels cover the write-heavy half of the space.
-	for _, p := range []int{40, 70, 100} {
-		mixes = append(mixes, bench.Mix{StorePercent: p, NonTemporal: true})
-	}
-	return bench.Options{
-		Mixes:   mixes,
-		PacesNs: []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768},
-		Warmup:  20 * sim.Microsecond,
-		Measure: 50 * sim.Microsecond,
-	}
+		},
+		fig6Paces:    []float64{0, 1, 2, 4, 6, 10, 16, 24, 48, 96, 192, 384},
+		sampledPaces: []float64{2, 16, 128},
+		workload:     workloads.Options{Warmup: 5 * sim.Microsecond, Measure: 20 * sim.Microsecond},
+		hpcg:         700 * sim.Microsecond,
+		cxl: cxl.SweepOptions{
+			WriteFractions: []float64{0, 0.5, 1.0},
+			RatesGBs:       []float64{2, 8, 16, 24, 32, 40, 48},
+			Warmup:         8 * sim.Microsecond,
+			Measure:        24 * sim.Microsecond,
+		},
+		speedMeasure: 25 * sim.Microsecond,
+		fig18: []string{"namd", "perlbench", "astar", "dealII", "hmmer", "zeusmp",
+			"soplex", "milc", "libquantum", "leslie3d", "lbm"},
+	},
+	Full: {
+		sweep:        bench.Options{}.Normalized(),
+		fig6Paces:    []float64{0, 2, 4, 8, 16, 32, 64, 128, 256, 512},
+		sampledPaces: []float64{0, 2, 8, 32, 128, 512},
+		hpcg:         2 * sim.Millisecond,
+		speedMeasure: 100 * sim.Microsecond,
+	},
+}
+
+// Sweep is the Mess benchmark sweep at the scale, the one every reference
+// family and every tool that characterizes a platform runs: at Full the
+// paper's (the zero bench.Options), at Quick a coarse one.
+func Sweep(s Scale) bench.Options {
+	o := scales[s].sweep
+	o.Mixes, o.PacesNs = slices.Clone(o.Mixes), slices.Clone(o.PacesNs)
+	return o
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
 	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/memmodel"
@@ -111,7 +110,7 @@ func registryRequests(t *testing.T, s Scale) []labelled {
 	for _, pf := range fig6Platforms(s) {
 		art(pf.spec.Name, replaysRequest(pf, s))
 	}
-	for _, pace := range samplingPaces(s) {
+	for _, pace := range scales[s].sampledPaces {
 		art(fmt.Sprintf("%s at %v ns", zsim.Name, pace), sampledRequest(zsim, s, pace))
 	}
 	art(hpcgSpec(s).Name, hpcgRequest(s))
@@ -270,7 +269,7 @@ func TestRequestKeysGolden(t *testing.T) {
 		}
 	}
 	for _, spec := range platform.All() {
-		fmt.Fprintf(&b, "%s  messbench: %s\n", charz.Fingerprint(charz.Request{Spec: spec, Options: bench.QuickOptions()}), spec.Name)
+		fmt.Fprintf(&b, "%s  messbench: %s\n", charz.Fingerprint(charz.Request{Spec: spec, Options: Sweep(Quick)}), spec.Name)
 	}
 	got := b.String()
 

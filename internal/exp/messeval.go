@@ -10,7 +10,6 @@ import (
 	"github.com/mess-sim/mess/internal/dram"
 	"github.com/mess-sim/mess/internal/memmodel"
 	"github.com/mess-sim/mess/internal/platform"
-	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/workloads"
 )
 
@@ -121,21 +120,11 @@ func messAgreement(env *Env, specs []platform.Spec, title, note string) (*Result
 	return r, nil
 }
 
-// evalOptions are the evaluation suite's run windows at the scale.
-func evalOptions(s Scale) workloads.Options {
-	var o workloads.Options
-	if s == Quick {
-		o.Warmup = 5 * sim.Microsecond
-		o.Measure = 20 * sim.Microsecond
-	}
-	return o
-}
-
 // evalRequest names the evaluation suite on spec at the scale: on the
 // platform's own memory for KindReference, else on the model of that kind
 // built over the platform's reference family.
 func evalRequest(spec platform.Spec, s Scale, kind memmodel.Kind) charz.ArtifactRequest {
-	o := evalOptions(s)
+	o := scales[s].workload
 	req := charz.ArtifactRequest{Kind: "workloads.eval", Spec: spec, Workload: &o}
 	if kind != memmodel.KindReference {
 		req.Tag = "model:" + string(kind)
@@ -154,7 +143,7 @@ func ipcErrors(env *Env, spec platform.Spec, kinds []memmodel.Kind, title, note 
 	}
 	suite := func(kind memmodel.Kind) ([]workloads.Result, error) {
 		return charz.Memo(env.Context(), env.Charz, evalRequest(spec, env.Scale, kind), func(context.Context) ([]workloads.Result, error) {
-			o := evalOptions(env.Scale)
+			o := scales[env.Scale].workload
 			if kind != memmodel.KindReference {
 				var err error
 				if o.Backend, err = memmodel.Factory(kind, spec, ref); err != nil {

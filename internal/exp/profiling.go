@@ -43,20 +43,12 @@ type hpcgRecord struct {
 	Events  []profile.PhaseSpan
 }
 
-// hpcgSpec and hpcgDuration are the platform and simulated time of the
-// HPCG run at the scale: several iterations at Full scale.
+// hpcgSpec is the platform of the HPCG run at the scale.
 func hpcgSpec(s Scale) platform.Spec { return scaleSpec(platform.CascadeLake(), s) }
-
-func hpcgDuration(s Scale) sim.Time {
-	if s == Quick {
-		return 700 * sim.Microsecond
-	}
-	return 2 * sim.Millisecond
-}
 
 // hpcgRequest names the HPCG proxy's sampled run at the scale.
 func hpcgRequest(s Scale) charz.ArtifactRequest {
-	return charz.ArtifactRequest{Kind: "profile.hpcg", Spec: hpcgSpec(s), Tag: fmt.Sprintf("duration=%d", hpcgDuration(s))}
+	return charz.ArtifactRequest{Kind: "profile.hpcg", Spec: hpcgSpec(s), Tag: fmt.Sprintf("duration=%d", scales[s].hpcg)}
 }
 
 // hpcgProfile runs the HPCG proxy with the window sampler — once per
@@ -70,7 +62,7 @@ func hpcgProfile(env *Env) (*hpcgRun, error) {
 	}
 	rec, err := charz.Memo(env.Context(), env.Charz, hpcgRequest(env.Scale), func(context.Context) (hpcgRecord, error) {
 		app := workloads.NewPhasedApp(spec, workloads.HPCGPhases(), nil)
-		windows := profile.Record(app, hpcgDuration(env.Scale))
+		windows := profile.Record(app, scales[env.Scale].hpcg)
 		return hpcgRecord{Windows: windows, Events: app.Events()}, nil
 	})
 	if err != nil {

@@ -31,23 +31,13 @@ func init() {
 	})
 }
 
-// samplingPaces picks a small pacing ladder for the divergence sweep: the
-// point is to cover unloaded, mid-pressure and saturated traffic, not to
-// redraw the whole curve.
-func samplingPaces(s Scale) []float64 {
-	if s == Quick {
-		return []float64{2, 16, 128}
-	}
-	return []float64{0, 2, 8, 32, 128, 512}
-}
-
 // sampledOptions is the sweep fig6s captures from: a much longer run than
 // the curve sweeps use. Sampling only pays off when the trace holds many
 // windows of a span long enough for queueing to reach steady state inside
 // each one (~µs, tens of latencies), and the default quick Measure yields
 // barely a dozen.
 func sampledOptions(s Scale) bench.Options {
-	opt := benchOptions(s)
+	opt := Sweep(s)
 	opt.Measure = 192 * sim.Microsecond
 	return opt
 }
@@ -98,7 +88,7 @@ func runFig6s(env *Env) (*Result, error) {
 	}
 
 	var maxDiv float64
-	for _, pace := range samplingPaces(env.Scale) {
+	for _, pace := range scales[env.Scale].sampledPaces {
 		pt, err := charz.Memo(env.Context(), env.Charz, sampledRequest(spec, env.Scale, pace), func(ctx context.Context) (sampledPoint, error) {
 			tr, _, err := trace.CapturePoint(ctx, spec, opt, sampledMix, pace, captureLimit)
 			if err != nil {

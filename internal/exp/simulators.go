@@ -48,7 +48,7 @@ func init() {
 // modelRequest is the scale's sweep over the memory model mk, named by tag
 // ("model:<kind>", or Fig. 14's "messsim:cxl").
 func modelRequest(spec platform.Spec, s Scale, tag string, mk mem.BackendFactory) charz.Request {
-	opt := benchOptions(s)
+	opt := Sweep(s)
 	opt.Backend = mk
 	return charz.Request{Spec: spec, Options: opt, Tag: tag}
 }
@@ -180,17 +180,8 @@ func runFig6(env *Env) (*Result, error) {
 // fig6Options is the sweep Fig. 6 captures its traces from: the scale's
 // sweep on a pacing ladder of its own.
 func fig6Options(s Scale) bench.Options {
-	opt := benchOptions(s)
-	if s == Full {
-		// Trace capture is memory-hungry; thin the pacing ladder.
-		opt.PacesNs = []float64{0, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	} else {
-		// The default quick ladder leaves the replayed curves too sparse to
-		// draw meaningfully (a replica curve can survive with the bare
-		// 2-point minimum): densify the sweep so every mix replays enough
-		// valid points for the figure to render its shape.
-		opt.PacesNs = []float64{0, 1, 2, 4, 6, 10, 16, 24, 48, 96, 192, 384}
-	}
+	opt := Sweep(s)
+	opt.PacesNs = scales[s].fig6Paces
 	return opt
 }
 
@@ -283,7 +274,7 @@ const captureLimit = 400000
 // own detailed model: no backend and no tag, so the run keeps a plain
 // characterization's cache identity.
 func rowBufferRequest(spec platform.Spec, s Scale, kind memmodel.Kind) (charz.Request, error) {
-	req := charz.Request{Spec: spec, Options: benchOptions(s), NeedSamples: true}
+	req := charz.Request{Spec: spec, Options: Sweep(s), NeedSamples: true}
 	req.Options.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 100}}
 	if kind == memmodel.KindReference {
 		return req, nil

@@ -44,11 +44,8 @@ func runTableSpeed(env *Env) (*Result, error) {
 		Mixes:       []bench.Mix{{StorePercent: 40}},
 		PacesNs:     []float64{0, 8, 64},
 		Warmup:      5 * sim.Microsecond,
-		Measure:     25 * sim.Microsecond,
+		Measure:     scales[env.Scale].speedMeasure,
 		Parallelism: 1,
-	}
-	if env.Scale == Full {
-		opt.Measure = 100 * sim.Microsecond
 	}
 
 	kinds := []memmodel.Kind{
@@ -102,7 +99,7 @@ func runTableSpeed(env *Env) (*Result, error) {
 // the fingerprint, so the two occupy distinct cache slots.
 func openPitonRequests(s Scale) []charz.Request {
 	spec := platform.OpenPitonAriane()
-	opt := benchOptions(s)
+	opt := Sweep(s)
 	opt.Mixes = []bench.Mix{{StorePercent: 0}, {StorePercent: 40}}
 	opt.PacesNs = []float64{0, 16, 128}
 	bugged := spec.CacheConfig()

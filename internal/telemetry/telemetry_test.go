@@ -123,7 +123,8 @@ func TestFmtFloat(t *testing.T) {
 		-7:              "-7",
 		1.25:            "1.25",
 		0.0005:          "0.0005",
-		math.Inf(1):     "+Inf",
+		math.Inf(1):     `"+Inf"`,
+		math.Inf(-1):    `"-Inf"`,
 		1e15:            "1e+15",
 		123456789012345: "123456789012345",
 	}

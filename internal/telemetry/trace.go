@@ -322,11 +322,12 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return bw.Flush()
 }
 
-// fmtFloat renders a span argument: integers without a fraction,
-// everything else in shortest-round-trip form, +Inf as "+Inf".
+// fmtFloat renders a span argument as a JSON value: integers without a
+// fraction, other finite values in shortest-round-trip form, and the values
+// JSON has no number for as the strings "+Inf", "-Inf" and "NaN".
 func fmtFloat(v float64) string {
-	if math.IsInf(v, +1) {
-		return "+Inf"
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return `"` + strconv.FormatFloat(v, 'g', -1, 64) + `"`
 	}
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.FormatInt(int64(v), 10)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -104,6 +106,33 @@ func TestWriteChromeIsValidTraceEventJSON(t *testing.T) {
 	// 3 process_name + 3 thread_name metadata, 4 spans.
 	if meta != 6 || complete != 4 {
 		t.Fatalf("event mix meta=%d complete=%d, want 6/4", meta, complete)
+	}
+}
+
+// TestWriteChromeNonFiniteArgs: JSON has no number for an infinite or
+// NaN span argument, so the trace writes it as a string and stays valid.
+func TestWriteChromeNonFiniteArgs(t *testing.T) {
+	tr := NewTracer()
+	tr.Span(tr.NewTrack("sim", "point-0"), "window", 0, 10,
+		Float("x", math.Inf(1)), Float("y", math.NaN()), Float("z", math.Inf(-1)))
+	var b bytes.Buffer
+	if err := tr.WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatalf("trace with non-finite args is not valid JSON: %v\n%s", err, b.Bytes())
+	}
+	want := map[string]any{"x": "+Inf", "y": "NaN", "z": "-Inf"}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && !reflect.DeepEqual(ev.Args, want) {
+			t.Fatalf("args = %v, want %v", ev.Args, want)
+		}
 	}
 }
 

@@ -1,21 +1,3 @@
-// Sampled trace replay: phase-clustered simulation of long application
-// traces ("Memory Access Vectors": sample selection clustered by memory-
-// access behaviour, not instruction position). The pipeline windows a
-// trace into fixed-span segments, fingerprints each window with an access
-// vector (row-hit ratio under the platform's address mapping, stride mix,
-// read/write ratio, unique-line footprint, arrival rate and burstiness),
-// clusters the vectors with a deterministic k-means, replays ONE
-// representative window per cluster — preceded by a warm-up prefix of the
-// trace records just before it, so queues and row buffers reach the
-// window's steady state before measurement starts — and reconstructs the
-// full-trace bandwidth and latency estimates as cluster-weighted sums.
-// A probe window per cluster, its member farthest from the centroid,
-// bounds the within-cluster spread, which becomes the estimate's error bars.
-//
-// Everything is deterministic: the same trace and configuration produce
-// byte-identical estimates. Window order, cluster iteration, the k-means
-// seed and all tie-breaks are fixed; no map iteration order leaks into any
-// result.
 package trace
 
 import (

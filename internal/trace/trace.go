@@ -3,6 +3,30 @@
 // all memory operations during a Mess benchmark run, then drive standalone
 // memory models with the trace, eliminating the CPU simulator and its
 // interfaces as an error source.
+//
+// # Sampled replay
+//
+// Sampled replays a long trace by phase clustering ("Memory Access
+// Vectors": samples chosen by memory-access behaviour, not instruction
+// position). It cuts the trace into fixed-span windows, fingerprints each
+// with an access vector (row-hit ratio under the platform's mapping, stride
+// mix, read fraction, footprint, arrival rate, burstiness), clusters the
+// vectors with a deterministic k-means and replays one representative per
+// cluster, on the original trace clock after a warm-up prefix, plus a probe
+// (its member farthest from the centroid) whose spread becomes the error
+// bars. Full-trace bandwidth and latency are cluster-weighted sums. The
+// shape is constants: 128 windows, 6 clusters, one probe, half a span of
+// warm-up.
+//
+// The same trace and configuration give a byte-identical SampledResult:
+// the seed and every tie-break are fixed, and no map order, wall clock or
+// global randomness reaches a result. The estimates hold for
+// quasi-stationary, closed-loop traffic: an oversaturated open-loop trace
+// has no steady state a window can represent. A span must cover many
+// latencies (~µs), so captures meant for sampling measure long windows:
+// fig6s and messperf capture 192 µs and sample 2 µs spans, and every
+// messperf run gates the estimates within 5% of the full replay at 5× fewer
+// records.
 package trace
 
 import (

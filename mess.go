@@ -105,7 +105,7 @@ func PlatformByName(name string) (Platform, error) { return platform.ByName(name
 // The Mess benchmark.
 type (
 	// BenchmarkOptions configure a characterization; the zero value is the
-	// full default sweep.
+	// paper's sweep: 14 traffic mixes × 20 paces over 20/50 µs windows.
 	BenchmarkOptions = bench.Options
 	// TrafficMix selects one kernel composition of the sweep.
 	TrafficMix = bench.Mix
@@ -114,9 +114,9 @@ type (
 	BenchmarkResult = bench.Result
 )
 
-// QuickBenchmarkOptions returns a reduced sweep (three mixes, coarse
-// pacing) for fast exploration.
-func QuickBenchmarkOptions() BenchmarkOptions { return bench.QuickOptions() }
+// QuickBenchmarkOptions returns the reduced sweep of quick-scale
+// experiments (three mixes, coarse pacing) for fast exploration.
+func QuickBenchmarkOptions() BenchmarkOptions { return exp.Sweep(exp.Quick) }
 
 // Characterize runs the Mess benchmark on the platform's detailed memory
 // model and returns the curve family with all samples. It is served by the
@@ -135,7 +135,7 @@ func Characterize(ctx context.Context, p Platform, opt BenchmarkOptions) (*Bench
 // MeasureUnloadedLatency runs only the pointer chase and reports the
 // platform's unloaded load-to-use latency in nanoseconds.
 func MeasureUnloadedLatency(p Platform) (float64, error) {
-	return bench.MeasureUnloaded(p, bench.QuickOptions())
+	return bench.MeasureUnloaded(p, exp.Sweep(exp.Quick))
 }
 
 // CXLFamily measures the bandwidth–latency curves of the modelled CXL
