@@ -74,12 +74,7 @@ func main() {
 	fmt.Printf("\n%s\n", m.String())
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		if err := art.Family.WriteCSV(f); err != nil {
+		if err := cli.WriteFile(*out, art.Family.WriteCSV); err != nil {
 			cli.Fatal(err)
 		}
 		fmt.Printf("curves written to %s\n", *out)

@@ -106,16 +106,9 @@ func main() {
 			"duration", time.Since(start).Round(time.Millisecond).String())
 
 		if *outdir != "" {
-			path := filepath.Join(*outdir, id+".txt")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := cli.WriteFile(filepath.Join(*outdir, id+".txt"), res.Render); err != nil {
 				cli.Fatal(err)
 			}
-			if err := res.Render(f); err != nil {
-				f.Close()
-				cli.Fatal(err)
-			}
-			f.Close()
 		}
 	}
 	cli.PrintStats(svc)

@@ -94,12 +94,7 @@ func main() {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		if err := p.WriteTrace(f); err != nil {
+		if err := cli.WriteFile(*out, p.WriteTrace); err != nil {
 			cli.Fatal(err)
 		}
 		fmt.Printf("\ntrace written to %s\n", *out)

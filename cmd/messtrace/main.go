@@ -95,12 +95,7 @@ func doCapture(ctx context.Context, spec platform.Spec, path string, stores int,
 	fmt.Printf("captured %d records at %.1f GB/s (read ratio %.2f, latency %.0f ns)\n",
 		len(tr.Records), s.BWGBs, s.RdRatio, s.LatNs)
 
-	f, err := os.Create(path)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	defer f.Close()
-	if err := tr.Save(f); err != nil {
+	if err := cli.WriteFile(path, tr.Save); err != nil {
 		cli.Fatal(err)
 	}
 	fmt.Printf("trace written to %s\n", path)

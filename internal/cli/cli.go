@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -69,15 +70,7 @@ func (t *Telemetry) WriteTrace() error {
 		return nil
 	}
 	tr := t.Set().Trace()
-	f, err := os.Create(t.TraceOut)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteFile(t.TraceOut, tr.WriteChrome); err != nil {
 		return err
 	}
 	if n := tr.Dropped(); n > 0 {
@@ -85,6 +78,21 @@ func (t *Telemetry) WriteTrace() error {
 	}
 	t.Set().Logger().Info("trace written", "path", t.TraceOut, "events", tr.Events())
 	return nil
+}
+
+// WriteFile creates the file at path, fills it with write and closes it,
+// returning the first error of the three: a file whose Close failed, which
+// is where a full disk may show, is not reported as written.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // prog is the invoked binary's base name, used as the error prefix.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -196,5 +197,31 @@ func TestCacheFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Errorf("-cache-dir was not opened as a curve store: %v", err)
+	}
+}
+
+// A write the device refuses is an error, not "written": /dev/full accepts
+// the open and fails every write with ENOSPC, as a full disk does.
+func TestWriteFileReportsAFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here:", err)
+	}
+	err := WriteFile("/dev/full", func(w io.Writer) error {
+		_, err := w.Write([]byte("curves\n"))
+		return err
+	})
+	if err == nil {
+		t.Fatal("WriteFile to /dev/full reported success")
+	}
+
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "curves\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "curves\n" {
+		t.Fatalf("read back %q, %v", data, err)
 	}
 }

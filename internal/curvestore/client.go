@@ -2,13 +2,13 @@ package curvestore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -157,6 +157,10 @@ func (c *Client) Load(ctx context.Context, key Key) (*core.Family, bool, error) 
 		if err != nil {
 			return nil, err
 		}
+		// Asking for gzip here, not leaving it to the transport, makes the
+		// transport hand over the compressed body, which a pooled reader
+		// decodes below.
+		req.Header.Set("Accept-Encoding", "gzip")
 		if cached != nil && etag != "" {
 			req.Header.Set("If-None-Match", etag)
 		}
@@ -171,8 +175,12 @@ func (c *Client) Load(ctx context.Context, key Key) (*core.Family, bool, error) 
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		// The transport handles Content-Encoding: gzip transparently.
-		body, err := io.ReadAll(resp.Body)
+		var body []byte
+		if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+			body, err = gunzip(resp.Body, math.MaxInt64)
+		} else {
+			body, err = io.ReadAll(resp.Body)
+		}
 		if err != nil {
 			return nil, false, fmt.Errorf("curvestore: remote load %s: reading body: %w", key.Short(), err)
 		}
@@ -218,11 +226,7 @@ func (c *Client) Save(ctx context.Context, key Key, fam *core.Family) error {
 	}
 	sum := sha256.Sum256(raw.Bytes())
 	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(raw.Bytes()); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
+	if err := gzipTo(&gz, raw.Bytes()); err != nil {
 		return err
 	}
 	resp, err := c.do(ctx, func() (*http.Request, error) {

@@ -2,7 +2,6 @@ package curvestore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -207,9 +206,7 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request, key Key) {
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		w.Header().Set("Content-Encoding", "gzip")
 		cw := &countWriter{w: w}
-		zw := gzip.NewWriter(cw)
-		zw.Write(buf.Bytes())
-		zw.Close()
+		gzipTo(cw, buf.Bytes())
 		s.bytesOut.Add(cw.n)
 	} else {
 		n, _ := w.Write(buf.Bytes())
@@ -287,13 +284,7 @@ func (s *Server) put(w http.ResponseWriter, r *http.Request, key Key) {
 	s.bytesIn.Add(int64(len(raw)))
 	csv := raw
 	if strings.Contains(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			s.badPuts.Add(1)
-			http.Error(w, "bad gzip body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		csv, err = io.ReadAll(io.LimitReader(zr, maxBodyBytes+1))
+		csv, err = gunzip(bytes.NewReader(raw), maxBodyBytes+1)
 		if err != nil {
 			s.badPuts.Add(1)
 			http.Error(w, "bad gzip body: "+err.Error(), http.StatusBadRequest)

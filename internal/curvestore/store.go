@@ -16,7 +16,9 @@
 // client.go and server.go hold an HTTP client and server that no binary
 // ships. They stay until the benchmark's curve-tiers workload, which drives
 // them in process, drops its HTTP leg; the charz remote and chaos tests use
-// them too.
+// them too. Both ends share pooled gzip codecs (gzip.go), Reset before each
+// message and returned to the pool only once it is closed or fully read, so
+// no message pays for a new compressor's state.
 package curvestore
 
 import (

@@ -73,7 +73,11 @@ type (
 var DefaultStressWeights = core.DefaultStressWeights
 
 // ReadCurvesCSV parses a family from the release CSV format, the one
-// Family.WriteCSV writes.
+// Family.WriteCSV writes: '#' comment lines (two of which, "# label:" and
+// "# theoretical_bw_gbs:", set the label and the theoretical bandwidth), an
+// optional header row, and rows of three unquoted numbers — read ratio,
+// bandwidth in GB/s, latency in ns. Anything else, or a family that does not
+// validate, is an error.
 func ReadCurvesCSV(r io.Reader) (*Family, error) { return core.ReadCSV(r) }
 
 // PlotCurves renders the family as an ASCII chart.
