@@ -517,12 +517,14 @@ func main() {
 	// The fig6-class trace-replay pair: one mid-pressure trace (40% stores,
 	// 16 ns pacing) is captured once on the same Quick-scaled Skylake, then
 	// replayed in full (framework/fig6_replay, priced per record) and through
-	// the phase-clustered sampler (framework/fig6_replay_sampled). The sampled
-	// row additionally records how far its reconstructed estimates diverge
-	// from the full replay and what fraction of the records it avoided
-	// simulating; both numbers are deterministic per trace, so sampledGate
-	// holds them to hard accuracy bounds next to the (noisy,
-	// trajectory-only) wall-clock columns.
+	// the phase-clustered sampler (framework/fig6_replay_sampled). The
+	// capture is held packed, as fig6's are, so these two rows and
+	// io/trace_save price reading the packed form; io/trace_read prices Read,
+	// which builds a []Record trace. The sampled row additionally records how
+	// far its reconstructed estimates diverge from the full replay and what
+	// fraction of the records it avoided simulating; both numbers are
+	// deterministic per trace, so sampledGate holds them to hard accuracy
+	// bounds next to the (noisy, trajectory-only) wall-clock columns.
 	topt := bench.QuickOptions()
 	// Sampling pays off only when the trace holds many windows of a
 	// span long enough for queueing to reach steady state (~µs); the
@@ -546,16 +548,16 @@ func main() {
 	}
 	save()
 	add(best(func() Result {
-		return withMBPerSec(measure("io/trace_save", len(tr.Records), save), text.Len())
+		return withMBPerSec(measure("io/trace_save", tr.Len(), save), text.Len())
 	}))
 	add(best(func() Result {
-		r := measure("io/trace_read", len(tr.Records), func() {
+		r := measure("io/trace_read", tr.Len(), func() {
 			back, err := trace.Read(bytes.NewReader(text.Bytes()))
 			if err != nil {
 				cli.Fatal(err)
 			}
-			if len(back.Records) != len(tr.Records) {
-				cli.Fatal(fmt.Errorf("io/trace_read: %d records read back, %d saved", len(back.Records), len(tr.Records)))
+			if len(back.Records) != tr.Len() {
+				cli.Fatal(fmt.Errorf("io/trace_read: %d records read back, %d saved", len(back.Records), tr.Len()))
 			}
 		})
 		return withMBPerSec(r, text.Len())
@@ -564,7 +566,7 @@ func main() {
 	mkReplay := mustFactory(memmodel.KindDRAMsim3, point, nil)
 	var full trace.ReplayResult
 	add(best(func() Result {
-		return measure("framework/fig6_replay", len(tr.Records), func() {
+		return measure("framework/fig6_replay", tr.Len(), func() {
 			eng := sim.New()
 			full = trace.Replay(eng, mkReplay(eng), tr)
 		})

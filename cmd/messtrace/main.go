@@ -93,7 +93,7 @@ func doCapture(ctx context.Context, spec platform.Spec, path string, stores int,
 		cli.Fatal(err)
 	}
 	fmt.Printf("captured %d records at %.1f GB/s (read ratio %.2f, latency %.0f ns)\n",
-		len(tr.Records), s.BWGBs, s.RdRatio, s.LatNs)
+		tr.Len(), s.BWGBs, s.RdRatio, s.LatNs)
 
 	if err := cli.WriteFile(path, tr.Save); err != nil {
 		cli.Fatal(err)
@@ -127,8 +127,14 @@ func doReplay(spec platform.Spec, path, kind string, mk mem.BackendFactory, samp
 	if err != nil {
 		cli.Fatal(err)
 	}
+	// Every cluster replays its representative window and, when it has
+	// another member, a probe.
+	simulated := 0
+	for i := range sam.Clusters {
+		simulated += min(sam.Clusters[i].Windows, 2)
+	}
 	fmt.Printf("sampled replay of %d records through %s (%d of %d windows simulated, %.1f× speedup):\n",
-		sam.TotalRecords, kind, len(sam.Clusters), len(sam.Windows), sam.SpeedupX)
+		sam.TotalRecords, kind, simulated, len(sam.Windows), sam.SpeedupX)
 	fmt.Printf("  bandwidth:        %.1f ± %.1f GB/s\n", sam.Estimate.BWGBs, sam.BWErrGBs)
 	fmt.Printf("  mean read latency: %.1f ± %.1f ns (controller level)\n", sam.Estimate.ReadLatNs, sam.LatErrNs)
 	fmt.Printf("  read ratio:       %.2f\n", sam.Estimate.ReadRatio)

@@ -94,13 +94,14 @@ func runFig6s(env *Env) (*Result, error) {
 			if err != nil {
 				return sampledPoint{}, err
 			}
-			pt := sampledPoint{Records: len(tr.Records)}
+			pt := sampledPoint{Records: tr.Len()}
 			if pt.Records < minSampledRecords {
 				return pt, nil
 			}
-			// The full and the sampled replay only read the trace, so they
-			// run side by side. Captures stay serial: no second trace of
-			// this length is ever live.
+			// The full and the sampled replay only read the packed trace,
+			// each through a cursor of its own, so they run side by side.
+			// Captures stay serial: one packed capture, about 6.5 bytes a
+			// record, is live at a time.
 			var sam *trace.SampledResult
 			err = par.Do(ctx, 2, func(i int) error {
 				if i == 0 {

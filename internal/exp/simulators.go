@@ -231,7 +231,7 @@ func traceDrivenFamilies(env *Env, pf fig6Platform) ([]*core.Family, float64, er
 			if err != nil {
 				return err
 			}
-			if len(tr.Records) < minReplayRecords {
+			if tr.Len() < minReplayRecords {
 				return nil
 			}
 			replays[i] = make([]trace.ReplayResult, len(mks))
@@ -266,7 +266,8 @@ func traceDrivenFamilies(env *Env, pf fig6Platform) ([]*core.Family, float64, er
 }
 
 // captureLimit bounds the records one trace.CapturePoint of fig6 or fig6s
-// keeps: trace capture is memory-hungry.
+// keeps: held packed, about 6.5 bytes a record, a capture at the limit
+// takes about 2.7 MB, and fig6 holds one per worker.
 const captureLimit = 400000
 
 // rowBufferRequest is Fig. 7's sweep, reads only and all stores, with its

@@ -32,16 +32,21 @@ const (
 )
 
 // Save serializes the trace in the release text format.
-func (t *Trace) Save(w io.Writer) error {
+func (t *Trace) Save(w io.Writer) error { return save(w, t) }
+
+// save writes src in the release text format.
+func save(w io.Writer, src Source) error {
 	// Records are appended to one buffer that goes to w whenever it passes
 	// saveChunk; the slack keeps a whole line inside the first allocation.
+	n := src.Len()
 	buf := make([]byte, 0, saveChunk+64)
 	buf = append(buf, headerPrefix...)
-	buf = strconv.AppendInt(buf, int64(len(t.Records)), 10)
+	buf = strconv.AppendInt(buf, int64(n), 10)
 	buf = append(buf, headerSuffix...)
 	buf = append(buf, '\n')
-	for i := range t.Records {
-		r := &t.Records[i]
+	recs := src.cursor(0)
+	for i := 0; i < n; i++ {
+		r := recs.next()
 		buf = strconv.AppendInt(buf, int64(r.At), 10)
 		buf = append(buf, " 0x"...)
 		buf = strconv.AppendUint(buf, r.Addr, 16)

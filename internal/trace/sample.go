@@ -130,14 +130,15 @@ func (r *SampledResult) DivergencePct(full ReplayResult) float64 {
 // exactly as fig6-class harnesses instantiate a model per measurement
 // point. The trace must be time-ordered (Read guarantees it; Capture
 // produces it).
-func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult, error) {
+func Sampled(mk mem.BackendFactory, src Source, cfg SampleConfig) (*SampledResult, error) {
 	if cfg.BankRow == nil {
 		return nil, fmt.Errorf("trace: sampled replay needs the platform's BankRow mapping")
 	}
-	if len(t.Records) == 0 {
+	if src.Len() == 0 {
 		return &SampledResult{SpeedupX: 1}, nil
 	}
-	if !monotonic(t.Records) {
+	first, last, ok := timeOrder(src)
+	if !ok {
 		return nil, fmt.Errorf("trace: sampled replay requires time-ordered records")
 	}
 
@@ -148,8 +149,8 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 	}
 
 	sp := tr.Begin(track, "fingerprint")
-	windows, span := cutWindows(t, cfg)
-	fingerprint(t, windows, cfg)
+	windows, span := cutWindows(src, first, last, cfg)
+	fingerprint(src, windows, cfg)
 	sp.End(telemetry.Int("windows", int64(len(windows))))
 
 	// Cluster the non-empty windows.
@@ -174,7 +175,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 
 	res := &SampledResult{
 		Windows:      windows,
-		TotalRecords: len(t.Records),
+		TotalRecords: src.Len(),
 	}
 
 	// Replay each cluster's representative (and probes) with warm-up.
@@ -211,9 +212,9 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 		// it a worst-case bound, not a flattering one.
 		rep := pickClosest(vecs, centers[c], members)
 		csp := tr.Begin(track, fmt.Sprintf("replay cluster %d", c))
-		sampled := []windowMeasure{replayWindowRange(mk, t, &windows[occupied[rep]], warm)}
+		sampled := []windowMeasure{replayWindowRange(mk, src, windows, occupied[rep], warm)}
 		if far := pickFarthest(vecs, centers[c], members, rep); far >= 0 {
-			sampled = append(sampled, replayWindowRange(mk, t, &windows[occupied[far]], warm))
+			sampled = append(sampled, replayWindowRange(mk, src, windows, occupied[far], warm))
 		}
 		for _, m := range sampled {
 			ce.BWGBs += m.bwGBs
@@ -237,7 +238,7 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 	}
 
 	sp = tr.Begin(track, "reconstruct")
-	reconstruct(t, res)
+	reconstruct(res)
 	sp.End()
 	if res.ReplayedRecords > 0 {
 		res.SpeedupX = float64(res.TotalRecords) / float64(res.ReplayedRecords)
@@ -250,10 +251,10 @@ func Sampled(mk mem.BackendFactory, t *Trace, cfg SampleConfig) (*SampledResult,
 	return res, nil
 }
 
-// cutWindows splits the trace into fixed-span segments.
-func cutWindows(t *Trace, cfg SampleConfig) ([]SampleWindow, sim.Time) {
-	base := t.Records[0].At
-	dur := t.Duration()
+// cutWindows splits the time-ordered, non-empty trace whose records run
+// from first to last into fixed-span segments.
+func cutWindows(src Source, first, last sim.Time, cfg SampleConfig) ([]SampleWindow, sim.Time) {
+	base, dur := first, last-first
 	span := cfg.Span
 	if span <= 0 {
 		span = dur / sampleWindows
@@ -275,6 +276,7 @@ func cutWindows(t *Trace, cfg SampleConfig) ([]SampleWindow, sim.Time) {
 		n = 1
 	}
 	windows := make([]SampleWindow, n)
+	recs, total := src.cursor(0), src.Len()
 	ri := 0
 	for i := range windows {
 		w := &windows[i]
@@ -284,8 +286,8 @@ func cutWindows(t *Trace, cfg SampleConfig) ([]SampleWindow, sim.Time) {
 			w.To = base + dur + 1 // absorb remainder; include the last record
 		}
 		w.Start = ri
-		for ri < len(t.Records) && (i == n-1 || t.Records[ri].At < w.To) {
-			if !t.Records[ri].Write {
+		for ri < total && (i == n-1 || recs.peek().At < w.To) {
+			if !recs.next().Write {
 				w.Reads++
 			}
 			ri++
@@ -296,8 +298,9 @@ func cutWindows(t *Trace, cfg SampleConfig) ([]SampleWindow, sim.Time) {
 	return windows, span
 }
 
-// fingerprint computes each window's access vector.
-func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
+// fingerprint computes each window's access vector. The windows are
+// cutWindows's: consecutive, and covering the whole trace.
+func fingerprint(src Source, windows []SampleWindow, cfg SampleConfig) {
 	largest := 0
 	for i := range windows {
 		if n := windows[i].End - windows[i].Start; n > largest {
@@ -305,6 +308,7 @@ func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
 		}
 	}
 	sc := newFingerprintScratch(largest)
+	recs := src.cursor(0)
 	for i := range windows {
 		w := &windows[i]
 		n := w.End - w.Start
@@ -314,8 +318,9 @@ func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
 		sc.nextWindow()
 		var hits, seq, near, far, reads, burst int
 		var prevLine int64 = -1 << 62
+		var prevAt sim.Time
 		for ri := w.Start; ri < w.End; ri++ {
-			rec := &t.Records[ri]
+			rec := recs.next()
 			line := int64(rec.Addr / mem.LineSize)
 			if ri > w.Start {
 				switch d := line - prevLine; {
@@ -326,11 +331,11 @@ func fingerprint(t *Trace, windows []SampleWindow, cfg SampleConfig) {
 				default:
 					far++
 				}
-				if rec.At == t.Records[ri-1].At {
+				if rec.At == prevAt {
 					burst++
 				}
 			}
-			prevLine = line
+			prevLine, prevAt = line, rec.At
 			if !rec.Write {
 				reads++
 			}
@@ -451,22 +456,32 @@ type windowMeasure struct {
 	replayed int
 }
 
-// replayWindowRange replays the window plus its warm-up prefix on a fresh
+// replayWindowRange replays window wi plus its warm-up prefix on a fresh
 // engine/backend pair and measures only the window's own records. Stretch
 // is the ratio of the time the backend needed for the window over the
 // window's nominal span: 1 when the backend keeps up with the trace's
 // pacing, > 1 when queueing backs it up — the quantity whose cluster-
 // weighted sum reconstructs the full replay's end time.
-func replayWindowRange(mk mem.BackendFactory, t *Trace, w *SampleWindow, warm sim.Time) windowMeasure {
-	warmStart := w.Start
+func replayWindowRange(mk mem.BackendFactory, src Source, windows []SampleWindow, wi int, warm sim.Time) windowMeasure {
+	// The warm-up prefix is the records from warmFrom on. warm is at most
+	// a span, so the prefix starts inside the window before (the first
+	// window's starts before the trace does), and records before that
+	// window's start are earlier than warmFrom.
+	w := &windows[wi]
 	warmFrom := w.From - warm
-	for warmStart > 0 && t.Records[warmStart-1].At >= warmFrom {
-		warmStart--
+	warmStart := 0
+	if wi > 0 {
+		warmStart = windows[wi-1].Start
 	}
-	recs := t.Records[warmStart:w.End]
-	if len(recs) == 0 {
+	recs := src.cursor(warmStart)
+	for warmStart < w.Start && recs.peek().At < warmFrom {
+		recs.next()
+		warmStart++
+	}
+	if w.End == warmStart {
 		return windowMeasure{stretch: 1}
 	}
+	base := windows[0].From // the trace's first record
 	eng := sim.New()
 	backend := mk(eng)
 	// base is the TRACE start, not the window start: the window replays at
@@ -479,20 +494,19 @@ func replayWindowRange(mk mem.BackendFactory, t *Trace, w *SampleWindow, warm si
 	// more than the whole error budget. The engine simply fast-forwards
 	// over the empty prefix.
 	rp := &replayer{
-		eng: eng, backend: backend, recs: recs,
-		base: t.Records[0].At, pool: mem.NewRequestPool(),
+		eng: eng, backend: backend, pool: mem.NewRequestPool(),
 		measureFrom: w.Start - warmStart,
 	}
-	rp.run()
+	rp.run(recs, w.End-warmStart, base)
 
-	m := windowMeasure{replayed: len(recs)}
+	m := windowMeasure{replayed: w.End - warmStart}
 	var lat sim.Time
 	if rp.reads > 0 {
 		lat = rp.latSum / sim.Time(rp.reads)
 		m.latNs = lat.Nanoseconds()
 	}
 	span := w.To - w.From
-	fromRel := w.From - t.Records[0].At // window start on the engine clock
+	fromRel := w.From - base // window start on the engine clock
 	if fromRel < 0 {
 		fromRel = 0
 	}
@@ -521,7 +535,7 @@ func replayWindowRange(mk mem.BackendFactory, t *Trace, w *SampleWindow, warm si
 // estimated latency is the read-weighted mean of cluster latencies. The
 // error bars re-evaluate both sums at the edge of every cluster's probe
 // spread.
-func reconstruct(t *Trace, res *SampledResult) {
+func reconstruct(res *SampledResult) {
 	evalTime := func(dir float64) sim.Time {
 		var total sim.Time
 		for i := range res.Windows {
@@ -558,10 +572,15 @@ func reconstruct(t *Trace, res *SampledResult) {
 		readsSum += float64(c.Reads)
 	}
 
-	est := ReplayResult{ReadRatio: t.ReadRatio(), Reads: uint64(readsSum)}
+	var readRecs uint64
+	for i := range res.Windows {
+		readRecs += res.Windows[i].Reads
+	}
+	bytes := uint64(res.TotalRecords) * mem.LineSize
+	est := ReplayResult{ReadRatio: float64(readRecs) / float64(res.TotalRecords), Reads: uint64(readsSum)}
 	totalTime := evalTime(0) + tail
 	if totalTime > 0 {
-		est.BWGBs = float64(t.Bytes()) / totalTime.Seconds() / 1e9
+		est.BWGBs = float64(bytes) / totalTime.Seconds() / 1e9
 	}
 	if readsSum > 0 {
 		est.ReadLatNs = latSum / readsSum
@@ -571,8 +590,8 @@ func reconstruct(t *Trace, res *SampledResult) {
 
 	lo, hi := evalTime(1)+tail, evalTime(-1)+tail // more time = less BW
 	if hi > 0 && lo > 0 {
-		bwHi := float64(t.Bytes()) / hi.Seconds() / 1e9
-		bwLo := float64(t.Bytes()) / lo.Seconds() / 1e9
+		bwHi := float64(bytes) / hi.Seconds() / 1e9
+		bwLo := float64(bytes) / lo.Seconds() / 1e9
 		res.BWErrGBs = (bwHi - bwLo) / 2
 	}
 

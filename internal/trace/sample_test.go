@@ -56,20 +56,34 @@ func ddr4Factory() (mem.BackendFactory, dram.Mapper) {
 // TestSampledFidelity pins the headline contract: on a phase-switching
 // trace, the sampled estimate lands within a few percent of the full
 // replay on both bandwidth and latency, inside the reported error bars,
-// while replaying a small fraction of the records.
+// while replaying a small fraction of the records. The same records packed
+// give the same results, to the bit.
 func TestSampledFidelity(t *testing.T) {
 	tr := phaseTrace(48000)
+	pk := pack(tr.Records)
 	mk, mapper := ddr4Factory()
 
 	eng := sim.New()
 	full := Replay(eng, mk(eng), tr)
+	eng = sim.New()
+	if packed := Replay(eng, mk(eng), pk); packed != full {
+		t.Fatalf("full replay of the packed trace %+v, of the trace %+v", packed, full)
+	}
 
 	// The explicit 2 µs span matches how production captures sample (fig6s,
 	// messperf): enough latencies per window for queue steady state, many
 	// windows per phase so the clusters keep the speedup high.
-	res, err := Sampled(mk, tr, SampleConfig{Span: 2 * sim.Microsecond, BankRow: mapper.BankRow})
+	cfg := SampleConfig{Span: 2 * sim.Microsecond, BankRow: mapper.BankRow}
+	res, err := Sampled(mk, tr, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	packed, err := Sampled(mk, pk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, packed) {
+		t.Fatalf("sampled replay of the packed trace differs:\ntrace  %+v\npacked %+v", res, packed)
 	}
 	if d := res.DivergencePct(full); d > 5 {
 		t.Fatalf("sampled estimate diverges %.2f%% from full replay\nfull    %+v\nsampled %+v",
@@ -88,14 +102,15 @@ func TestSampledFidelity(t *testing.T) {
 		t.Errorf("speedup %.1fx < 5x (replayed %d of %d records)",
 			res.SpeedupX, res.ReplayedRecords, res.TotalRecords)
 	}
-	if res.Estimate.Reads == 0 || res.Estimate.ReadRatio != tr.ReadRatio() {
+	if res.Estimate.Reads == 0 || res.Estimate.ReadRatio != full.ReadRatio {
 		t.Errorf("estimate bookkeeping wrong: %+v", res.Estimate)
 	}
 }
 
 // TestSampledDeterministic pins the reproducibility contract: same trace,
 // same config → byte-identical result, run to run — clustering, window
-// selection and all estimates included.
+// selection and all estimates included — and whichever form holds the
+// records.
 func TestSampledDeterministic(t *testing.T) {
 	tr := phaseTrace(12000)
 	mk, mapper := ddr4Factory()
@@ -105,12 +120,14 @@ func TestSampledDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sampled(mk, tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sampled replay not deterministic:\nrun 1 %+v\nrun 2 %+v", a, b)
+	for _, src := range []Source{tr, pack(tr.Records)} {
+		b, err := Sampled(mk, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("sampled replay of a %T not deterministic:\nrun 1 %+v\nrun 2 %+v", src, a, b)
+		}
 	}
 }
 
@@ -120,7 +137,8 @@ func TestSampledDeterministic(t *testing.T) {
 func TestSampledClustersSeparatePhases(t *testing.T) {
 	tr := phaseTrace(18000)
 	mk, mapper := ddr4Factory()
-	res, err := Sampled(mk, tr, SampleConfig{Span: tr.Duration() / 54, BankRow: mapper.BankRow})
+	dur := tr.Records[len(tr.Records)-1].At - tr.Records[0].At
+	res, err := Sampled(mk, tr, SampleConfig{Span: dur / 54, BankRow: mapper.BankRow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +340,9 @@ func TestFingerprintMatchesReference(t *testing.T) {
 				Span:    sim.Time(50+rng.Intn(4000)) * sim.Nanosecond,
 				BankRow: bankRow,
 			}
-			got, _ := cutWindows(tr, sc)
+			got, _ := cutWindows(tr, tr.Records[0].At, tr.Records[len(tr.Records)-1].At, sc)
 			want := append([]SampleWindow(nil), got...)
-			fingerprint(tr, got, sc)
+			fingerprint(pack(tr.Records), got, sc)
 			fingerprintReference(tr, want, sc)
 			for i := range want {
 				if got[i] != want[i] {

@@ -4,6 +4,18 @@
 // memory models with the trace, eliminating the CPU simulator and its
 // interfaces as an error source.
 //
+// # Two in-memory forms
+//
+// A Trace is a []Record, 24 bytes a record: the form Read returns, the one
+// NewCapture records into, and the one a trace built in memory takes. A
+// Packed holds records delta-coded in fixed-size blocks, about 6.5 bytes a
+// record on the fig6 captures, and is what CapturePoint returns: the
+// experiments hold their captures packed, so a 400,000-record capture
+// costs about 2.7 MB instead of 9.6 MB and append's growth copies. Both
+// are a Source, which Replay, Sampled and Save read through a cursor of
+// their own; a packed trace Saves the same bytes and replays to the same
+// results, bit for bit, as the Trace of the same records.
+//
 // # Sampled replay
 //
 // Sampled replays a long trace by phase clustering ("Memory Access
@@ -46,82 +58,62 @@ type Record struct {
 	Write bool
 }
 
-// Trace is an ordered sequence of records.
+// Trace is an ordered sequence of records: the form Read returns and
+// NewCapture records into, 24 bytes a record. CapturePoint records into a
+// Packed instead.
 type Trace struct {
 	Records []Record
-}
-
-// Bytes reports total traffic bytes (one line per record).
-func (t *Trace) Bytes() uint64 { return uint64(len(t.Records)) * mem.LineSize }
-
-// ReadRatio reports the fraction of reads.
-func (t *Trace) ReadRatio() float64 {
-	if len(t.Records) == 0 {
-		return 1
-	}
-	reads := 0
-	for _, r := range t.Records {
-		if !r.Write {
-			reads++
-		}
-	}
-	return float64(reads) / float64(len(t.Records))
-}
-
-// Duration reports the trace's time span.
-func (t *Trace) Duration() sim.Time {
-	if len(t.Records) < 2 {
-		return 0
-	}
-	return t.Records[len(t.Records)-1].At - t.Records[0].At
 }
 
 // Capture wraps a backend and records every request that passes through.
 type Capture struct {
 	Inner mem.Backend
 	eng   *sim.Engine
-	T     Trace
-	Limit int // stop recording beyond this many records; 0 = unlimited
+	T     Trace    // the records of a capture NewCapture built
+	Limit int      // stop recording beyond this many records; 0 = unlimited
+	to    recorder // &T, or the packed capture of CapturePoint
 }
 
-// NewCapture builds a capturing wrapper.
+// NewCapture builds a capturing wrapper that records into T.
 func NewCapture(eng *sim.Engine, inner mem.Backend, limit int) *Capture {
-	return &Capture{Inner: inner, eng: eng, Limit: limit}
+	c := &Capture{Inner: inner, eng: eng, Limit: limit}
+	c.to = &c.T
+	return c
 }
 
 // Access implements mem.Backend.
 func (c *Capture) Access(req *mem.Request) {
-	if c.Limit == 0 || len(c.T.Records) < c.Limit {
-		c.T.Records = append(c.T.Records, Record{
-			At:    c.eng.Now(),
-			Addr:  req.Addr,
-			Write: req.Op == mem.Write,
-		})
-	}
+	c.record(Record{At: c.eng.Now(), Addr: req.Addr, Write: req.Op == mem.Write})
 	c.Inner.Access(req)
+}
+
+func (c *Capture) record(r Record) {
+	if c.Limit == 0 || c.to.Len() < c.Limit {
+		c.to.add(r)
+	}
 }
 
 // CapturePoint simulates one loaded point of the Mess benchmark sweep — the
 // platform's detailed DRAM system under the given mix and pacing — behind a
 // capturing wrapper, and returns the first limit records that reached the
-// memory controller (0: all of them) with the point's sample. The point runs
-// on a machine of its own, so the trace is the one a whole sweep would have
-// captured at that point. opt.Backend is ignored: the capture is the backend.
-func CapturePoint(ctx context.Context, spec platform.Spec, opt bench.Options, mix bench.Mix, paceNs float64, limit int) (*Trace, bench.Sample, error) {
+// memory controller (0: all of them), packed, with the point's sample. The
+// point runs on a machine of its own, so the trace is the one a whole sweep
+// would have captured at that point. opt.Backend is ignored: the capture is
+// the backend.
+func CapturePoint(ctx context.Context, spec platform.Spec, opt bench.Options, mix bench.Mix, paceNs float64, limit int) (*Packed, bench.Sample, error) {
 	if err := ctx.Err(); err != nil { // a point is atomic: the one place to stop
 		return nil, bench.Sample{}, err
 	}
-	var cap *Capture
+	var pk *Packed // holds nothing of the capture's machine
 	opt.Backend = func(eng *sim.Engine) mem.Backend {
-		cap = NewCapture(eng, dram.New(eng, spec.DRAM), limit)
-		return cap
+		pk = &Packed{}
+		return &Capture{Inner: dram.New(eng, spec.DRAM), eng: eng, Limit: limit, to: pk}
 	}
 	s, err := bench.MeasurePoint(spec, opt, mix, paceNs)
 	if err != nil {
 		return nil, s, err
 	}
-	tr := cap.T // a copy: the trace must not keep the capture's machine alive
-	return &tr, s, nil
+	return pk, s, nil
 }
 
 // ReplayResult is the outcome of a trace-driven simulation.
@@ -140,32 +132,37 @@ type ReplayResult struct {
 // single shared completion callback reads the issue time off the request:
 // zero per-record closures, one live record event however long the trace.
 // Traces whose timestamps are not non-decreasing (Read rejects them, but a
-// Trace built in memory can be anything) fall back to eager scheduling,
+// trace built in memory can be anything) fall back to eager scheduling,
 // whose semantics the one-ahead feed reproduces only for time-ordered
 // records.
-func Replay(eng *sim.Engine, backend mem.Backend, t *Trace) ReplayResult {
-	if len(t.Records) == 0 {
+func Replay(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
+	n := src.Len()
+	if n == 0 {
 		return ReplayResult{}
 	}
-	if !monotonic(t.Records) {
-		return replayEager(eng, backend, t)
+	first, _, ok := timeOrder(src)
+	if !ok {
+		return replayEager(eng, backend, src)
 	}
-	rp := &replayer{
-		eng: eng, backend: backend, recs: t.Records,
-		base: t.Records[0].At, pool: mem.NewRequestPool(),
-	}
-	rp.run()
-	return replayResult(t, eng.Now(), rp.latSum, rp.reads)
+	rp := &replayer{eng: eng, backend: backend, pool: mem.NewRequestPool()}
+	rp.run(src.cursor(0), n, first)
+	return replayResult(n, rp.readRecs, eng.Now(), rp.latSum, rp.reads)
 }
 
-// monotonic reports whether the records' timestamps are non-decreasing.
-func monotonic(recs []Record) bool {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].At < recs[i-1].At {
-			return false
+// timeOrder reads a non-empty source once and reports its first and last
+// timestamps and whether they are non-decreasing throughout.
+func timeOrder(src Source) (first, last sim.Time, ok bool) {
+	c := src.cursor(0)
+	first = c.next().At
+	last = first
+	for i, n := 1, src.Len(); i < n; i++ {
+		at := c.next().At
+		if at < last {
+			return first, at, false
 		}
+		last = at
 	}
-	return true
+	return first, last, true
 }
 
 // replayKey is the tie-break key (sim.Engine's "schedule instant"
@@ -190,39 +187,44 @@ const replayKey = sim.Time(-1)
 type replayer struct {
 	eng     *sim.Engine
 	backend mem.Backend
-	recs    []Record
-	base    sim.Time
 	pool    *mem.RequestPool
-	next    int // index of the record whose event is pending
+	base    sim.Time // the engine clock's zero on the trace clock
+
+	recs    cursor // the records after the pending one
+	n       int    // records to replay
+	next    int    // index of the record whose event is pending
+	pending Record
 
 	measureFrom int // records at or past this index count toward stats
 	latSum      sim.Time
 	reads       uint64
+	readRecs    int      // read records delivered, measured or not
 	lastDone    sim.Time // latest measured read completion instant
 
 	fire     func(sim.Time)
 	readDone mem.DoneFunc
 }
 
-func (rp *replayer) schedule(i int) {
-	rp.eng.ScheduleKeyed(rp.recs[i].At-rp.base, replayKey, 0, rp.fire)
+func (rp *replayer) scheduleNext() {
+	rp.pending = rp.recs.next()
+	rp.eng.ScheduleKeyed(rp.pending.At-rp.base, replayKey, 0, rp.fire)
 }
 
 func (rp *replayer) step(at sim.Time) {
-	i := rp.next
+	i, rec := rp.next, rp.pending
 	rp.next++
 	// Key −1 puts the successor ahead of any backend event due at the same
 	// instant, so scheduling it before delivery changes no order.
-	if rp.next < len(rp.recs) {
-		rp.schedule(rp.next)
+	if rp.next < rp.n {
+		rp.scheduleNext()
 	}
-	rec := &rp.recs[i]
 	op := mem.Read
 	var done mem.DoneFunc
 	if rec.Write {
 		op = mem.Write
 	} else {
 		done = rp.readDone
+		rp.readRecs++
 	}
 	req := rp.pool.Get(rec.Addr, op, done)
 	if i >= rp.measureFrom {
@@ -232,10 +234,11 @@ func (rp *replayer) step(at sim.Time) {
 	rp.backend.Access(req)
 }
 
-// run replays recs[0:] (time-sorted, not empty), counting read latency
-// only for records at index ≥ measureFrom, and returns after the engine
-// drains.
-func (rp *replayer) run() {
+// run replays the next n (≥ 1, time-sorted) records of recs on an engine
+// clock whose zero is base on the trace clock, counting read latency only
+// for records at index ≥ measureFrom, and returns after the engine drains.
+func (rp *replayer) run(recs cursor, n int, base sim.Time) {
+	rp.recs, rp.n, rp.base = recs, n, base
 	rp.fire = rp.step
 	rp.readDone = func(done sim.Time, req *mem.Request) {
 		if req.Ctx != 0 {
@@ -246,42 +249,49 @@ func (rp *replayer) run() {
 			}
 		}
 	}
-	rp.schedule(0)
+	rp.scheduleNext()
 	rp.eng.Run()
 }
 
 // replayEager schedules one delivery event per record before running —
 // the historical Replay, kept for traces without time order (the one-ahead
 // feed's sequential delivery assumes firing order equals record order).
-func replayEager(eng *sim.Engine, backend mem.Backend, t *Trace) ReplayResult {
-	base := t.Records[0].At
+func replayEager(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
+	n := src.Len()
+	recs := src.cursor(0)
+	base := recs.peek().At
 	pool := mem.NewRequestPool()
 	var latSum sim.Time
 	var reads uint64
+	readRecs := 0
 	readDone := func(done sim.Time, req *mem.Request) {
 		latSum += done - req.Issued
 		reads++
 	}
-	for i := range t.Records {
-		r := &t.Records[i]
+	for i := 0; i < n; i++ {
+		r := recs.next()
 		op := mem.Read
 		var done mem.DoneFunc
 		if r.Write {
 			op = mem.Write
 		} else {
 			done = readDone
+			readRecs++
 		}
 		req := pool.Get(r.Addr, op, done)
 		req.SendAt(eng, backend, r.At-base)
 	}
 	eng.Run()
-	return replayResult(t, eng.Now(), latSum, reads)
+	return replayResult(n, readRecs, eng.Now(), latSum, reads)
 }
 
-func replayResult(t *Trace, end, latSum sim.Time, reads uint64) ReplayResult {
-	res := ReplayResult{ReadRatio: t.ReadRatio(), Reads: reads}
+// replayResult is the result of replaying n records, readRecs of them
+// reads, that ended at end with reads measured reads of total latency
+// latSum.
+func replayResult(n, readRecs int, end, latSum sim.Time, reads uint64) ReplayResult {
+	res := ReplayResult{ReadRatio: float64(readRecs) / float64(n), Reads: reads}
 	if end > 0 {
-		res.BWGBs = float64(t.Bytes()) / end.Seconds() / 1e9
+		res.BWGBs = float64(uint64(n)*mem.LineSize) / end.Seconds() / 1e9
 	}
 	if reads > 0 {
 		res.ReadLatNs = (latSum / sim.Time(reads)).Nanoseconds()

@@ -38,10 +38,38 @@ func sampleTrace(n int) *Trace {
 	return t
 }
 
+// pack records recs in the packed form.
+func pack(recs []Record) *Packed {
+	p := &Packed{}
+	for _, r := range recs {
+		p.add(r)
+	}
+	return p
+}
+
+// records reads a source's records into a slice.
+func records(src Source) []Record {
+	recs := make([]Record, src.Len())
+	c := src.cursor(0)
+	for i := range recs {
+		recs[i] = c.next()
+	}
+	return recs
+}
+
+// captures builds a capture of each form: NewCapture's, into T, and
+// CapturePoint's, into a Packed.
+func captures(eng *sim.Engine, inner mem.Backend, limit int) map[string]*Capture {
+	return map[string]*Capture{
+		"trace":  NewCapture(eng, inner, limit),
+		"packed": {Inner: inner, eng: eng, Limit: limit, to: &Packed{}},
+	}
+}
+
 func TestCaptureRecords(t *testing.T) {
 	eng := sim.New()
 	inner := &echoBackend{eng: eng, lat: 10 * sim.Nanosecond}
-	cap := NewCapture(eng, inner, 0)
+	caps := captures(eng, inner, 0)
 	for i := 0; i < 50; i++ {
 		i := i
 		eng.Schedule(sim.Time(i)*sim.Nanosecond, func() {
@@ -49,35 +77,41 @@ func TestCaptureRecords(t *testing.T) {
 			if i%2 == 0 {
 				op = mem.Write
 			}
-			cap.Access(&mem.Request{Addr: uint64(i) * 64, Op: op})
+			for _, cap := range caps {
+				cap.Access(&mem.Request{Addr: uint64(i) * 64, Op: op})
+			}
 		})
 	}
 	eng.Run()
-	if len(cap.T.Records) != 50 {
-		t.Fatalf("captured %d records", len(cap.T.Records))
-	}
-	if cap.T.ReadRatio() != 0.5 {
-		t.Fatalf("read ratio %.2f", cap.T.ReadRatio())
-	}
-	if inner.c.TotalOps() != 50 {
+	if inner.c.TotalOps() != 2*50 {
 		t.Fatal("capture did not forward requests")
 	}
-	// Arrival times preserved in order.
-	for i := 1; i < len(cap.T.Records); i++ {
-		if cap.T.Records[i].At < cap.T.Records[i-1].At {
-			t.Fatal("records out of order")
+	for form, cap := range caps {
+		recs := records(cap.to)
+		if len(recs) != 50 {
+			t.Fatalf("%s: captured %d records", form, len(recs))
 		}
+		for i, r := range recs {
+			// Arrival times preserved in order.
+			if want := (Record{At: sim.Time(i) * sim.Nanosecond, Addr: uint64(i) * 64, Write: i%2 == 0}); r != want {
+				t.Fatalf("%s: record %d is %+v, want %+v", form, i, r, want)
+			}
+		}
+	}
+	if got := caps["trace"].T.Records; len(got) != 50 {
+		t.Fatalf("NewCapture's capture holds %d records in T", len(got))
 	}
 }
 
 func TestCaptureLimit(t *testing.T) {
 	eng := sim.New()
-	cap := NewCapture(eng, &echoBackend{eng: eng}, 10)
-	for i := 0; i < 100; i++ {
-		cap.Access(&mem.Request{Addr: uint64(i) * 64, Op: mem.Read})
-	}
-	if len(cap.T.Records) != 10 {
-		t.Fatalf("limit ignored: %d records", len(cap.T.Records))
+	for form, cap := range captures(eng, &echoBackend{eng: eng}, 10) {
+		for i := 0; i < 100; i++ {
+			cap.Access(&mem.Request{Addr: uint64(i) * 64, Op: mem.Read})
+		}
+		if n := cap.to.Len(); n != 10 {
+			t.Fatalf("%s: limit ignored: %d records", form, n)
+		}
 	}
 }
 
@@ -96,9 +130,8 @@ func TestReplayTiming(t *testing.T) {
 	if res.BWGBs < 5.5 || res.BWGBs > 7.0 {
 		t.Fatalf("replay bandwidth %.2f GB/s", res.BWGBs)
 	}
-	wantRatio := tr.ReadRatio()
-	if res.ReadRatio != wantRatio {
-		t.Fatalf("read ratio %.2f, want %.2f", res.ReadRatio, wantRatio)
+	if res.ReadRatio != 0.66 { // every third record, from the first, writes
+		t.Fatalf("read ratio %v, want 0.66", res.ReadRatio)
 	}
 }
 
@@ -173,10 +206,11 @@ func scatterTrace() *Trace {
 // time-ordered trace, Replay — one record event pending at a time, each
 // scheduled by its predecessor's firing — produces the same results, and
 // the same completion sequence instant by instant, as eagerly scheduling
-// every record up front. The backends are the event regimes replays run
-// in: an echo whose latency collides with arrival gaps, the detailed DRAM
-// system (tagged decide and completion events) and the DRAMsim3-like
-// replica that trace-profile and fig6 replay into.
+// every record up front, whether it reads a *Trace or the same records
+// packed. The backends are the event regimes replays run in: an echo
+// whose latency collides with arrival gaps, the detailed DRAM system
+// (tagged decide and completion events) and the DRAMsim3-like replica that
+// trace-profile and fig6 replay into.
 func TestOneAheadReplayBitIdentical(t *testing.T) {
 	spec := platform.Skylake()
 	for _, tc := range []struct {
@@ -201,26 +235,28 @@ func TestOneAheadReplayBitIdentical(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(replay func(*sim.Engine, mem.Backend, *Trace) ReplayResult) (ReplayResult, []completion, sim.Time) {
+			run := func(replay func(*sim.Engine, mem.Backend, Source) ReplayResult, src Source) (ReplayResult, []completion, sim.Time) {
 				eng := sim.New()
 				rec := &recordingBackend{inner: tc.mk(eng)}
-				res := replay(eng, rec, tc.tr)
+				res := replay(eng, rec, src)
 				return res, rec.log, eng.Now()
 			}
-			eagerRes, eagerLog, eagerEnd := run(replayEager)
-			res, log, end := run(Replay)
-			if eagerRes != res {
-				t.Fatalf("results diverge:\neager     %+v\none-ahead %+v", eagerRes, res)
-			}
-			if eagerEnd != end {
-				t.Fatalf("engines drain at different instants: eager %d one-ahead %d", eagerEnd, end)
-			}
-			if len(eagerLog) == 0 || len(eagerLog) != len(log) {
-				t.Fatalf("completion counts diverge: %d vs %d", len(eagerLog), len(log))
-			}
-			for i := range eagerLog {
-				if eagerLog[i] != log[i] {
-					t.Fatalf("completion %d diverges: eager %+v one-ahead %+v", i, eagerLog[i], log[i])
+			eagerRes, eagerLog, eagerEnd := run(replayEager, tc.tr)
+			for form, src := range map[string]Source{"trace": tc.tr, "packed": pack(tc.tr.Records)} {
+				res, log, end := run(Replay, src)
+				if eagerRes != res {
+					t.Fatalf("%s: results diverge:\neager     %+v\none-ahead %+v", form, eagerRes, res)
+				}
+				if eagerEnd != end {
+					t.Fatalf("%s: engines drain at different instants: eager %d one-ahead %d", form, eagerEnd, end)
+				}
+				if len(eagerLog) == 0 || len(eagerLog) != len(log) {
+					t.Fatalf("%s: completion counts diverge: %d vs %d", form, len(eagerLog), len(log))
+				}
+				for i := range eagerLog {
+					if eagerLog[i] != log[i] {
+						t.Fatalf("%s: completion %d diverges: eager %+v one-ahead %+v", form, i, eagerLog[i], log[i])
+					}
 				}
 			}
 		})
@@ -274,10 +310,11 @@ func (p *probeBackend) Access(req *mem.Request) {
 }
 
 func TestEmptyTraceReplay(t *testing.T) {
-	eng := sim.New()
-	res := Replay(eng, &echoBackend{eng: eng}, &Trace{})
-	if res.Reads != 0 || res.BWGBs != 0 {
-		t.Fatalf("empty replay produced %+v", res)
+	for _, src := range []Source{&Trace{}, &Packed{}} {
+		eng := sim.New()
+		if res := Replay(eng, &echoBackend{eng: eng}, src); res != (ReplayResult{}) {
+			t.Fatalf("empty %T replay produced %+v", src, res)
+		}
 	}
 }
 
@@ -305,10 +342,10 @@ func TestCapturePointMatchesSweepCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != limit {
-		t.Fatalf("captured %d records, want the limit of %d", len(tr.Records), limit)
+	if tr.Len() != limit {
+		t.Fatalf("captured %d records, want the limit of %d", tr.Len(), limit)
 	}
-	if want := caps[1].T.Records; !slices.Equal(tr.Records, want) {
+	if want := caps[1].T.Records; !slices.Equal(records(tr), want) {
 		t.Error("the trace differs from the one a sweep captures at the same point")
 	}
 	if s != res.Samples[0] {
