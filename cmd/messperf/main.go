@@ -100,6 +100,7 @@ import (
 	"github.com/mess-sim/mess/internal/platform"
 	"github.com/mess-sim/mess/internal/profile"
 	"github.com/mess-sim/mess/internal/sim"
+	"github.com/mess-sim/mess/internal/telemetry"
 	"github.com/mess-sim/mess/internal/trace"
 	"github.com/mess-sim/mess/internal/workloads"
 )
@@ -352,6 +353,7 @@ func main() {
 	// lands in the report's telemetry block so the trajectory records the
 	// amount of simulation work behind the wall-clock rows.
 	set := tel.Set()
+	set.Metrics = telemetry.NewRegistry()
 
 	rep := Report{
 		Schema:     Schema,

@@ -149,7 +149,9 @@ type (
 func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // ReplayTrace drives the backend with the full trace and measures the
-// achieved bandwidth and mean read latency.
+// achieved bandwidth and mean read latency. Records are delivered in index
+// order: one timestamped below its predecessor is delivered at the
+// predecessor's instant.
 func ReplayTrace(eng *Engine, backend MemBackend, t *Trace) TraceReplayResult {
 	return trace.Replay(eng, backend, t)
 }

@@ -46,15 +46,13 @@ func (t *Telemetry) WithTrace() *Telemetry {
 	return t
 }
 
-// Set resolves the flags into the tool's observability bundle: a metrics
-// registry and a structured logger always, a tracer when -trace-out asked
-// for one. Idempotent after flag.Parse.
+// Set resolves the flags into the tool's observability bundle: a
+// structured logger always, a tracer when -trace-out asked for one. It
+// holds no metrics registry: a tool that reads counters sets Metrics
+// itself. Idempotent after flag.Parse.
 func (t *Telemetry) Set() *telemetry.Set {
 	if t.set == nil {
-		t.set = &telemetry.Set{
-			Metrics: telemetry.NewRegistry(),
-			Log:     telemetry.NewLogger(telemetry.LogConfig{Verbose: t.Verbose}),
-		}
+		t.set = &telemetry.Set{Log: telemetry.NewLogger(telemetry.LogConfig{Verbose: t.Verbose})}
 		if t.TraceOut != "" {
 			t.set.Tracer = telemetry.NewTracer()
 		}
@@ -174,8 +172,8 @@ func (c *Cache) Context() (ctx context.Context, stop func()) { return Context(c.
 // re-simulation. -cache-dir alone decides where a curve comes from.
 //
 // tel, when non-nil, instruments the service and the benchmark sweeps it
-// runs: both report into tel's registry, tracer and logger (see
-// TelemetryFlags).
+// runs: both report into tel's tracer and logger, and into its registry
+// when the tool set one (see Telemetry.Set).
 func (c *Cache) Service(tel *telemetry.Set) *charz.Service {
 	var store *charz.DiskStore
 	if c.dir != "" {

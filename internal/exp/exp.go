@@ -61,11 +61,12 @@
 //     and remote-socket device families are pure functions of the scale:
 //     a sync.OnceValue per scale, process-wide, resolved before a
 //     fan-out, never inside it.
-//   - Shared results are read-only: a captured *trace.Trace during its
-//     replays, and the reference *core.Family behind concurrent
-//     memmodel/messsim backends. Family.Sort and label edits are for the
-//     goroutine that built the family, before it is shared. A memoised
-//     output is a private copy per caller (charz decodes one each).
+//   - Shared results are read-only: a captured *trace.Packed during its
+//     replays (each decodes it through a cursor of its own), and the
+//     reference *core.Family behind concurrent memmodel/messsim
+//     backends. Family.Sort and label edits are for the goroutine that
+//     built the family, before it is shared. A memoised output is a
+//     private copy per caller (charz decodes one each).
 //
 // Gates: TestFanOutAndMemoAreInvisible (reports byte-identical at
 // GOMAXPROCS 1 and 4; fig16 alone == fig16 after fig15),

@@ -60,10 +60,14 @@
 //
 // # Surfaces
 //
-// -v on every tool but messtrace (cli.TelemetryFlags), messexp -trace-out,
-// the facade's DefaultCharacterizationService().Stats(), and messperf's
-// telemetry block. Only the standard library is imported, so every
-// internal package may import this one without cycles.
+// The logger: -v on every tool but messtrace (cli.TelemetryFlags). The
+// tracer: messexp -trace-out. The registry: messperf's telemetry block and
+// the benchmark harness's per-layer counters, the only readers of
+// counters; the other tools build no registry, so their counters are nil
+// and count nothing. A cache's outcomes reach the facade through
+// DefaultCharacterizationService().Stats(), not the registry. Only the
+// standard library is imported, so every internal package may import this
+// one without cycles.
 package telemetry
 
 import (

@@ -129,17 +129,13 @@ func (r *SampledResult) DivergencePct(full ReplayResult) float64 {
 // fresh backend instances built by mk — one instance per replayed window,
 // exactly as fig6-class harnesses instantiate a model per measurement
 // point. The trace must be time-ordered (Read guarantees it; Capture
-// produces it).
+// produces it); Sampled fails naming the first record that is not.
 func Sampled(mk mem.BackendFactory, src Source, cfg SampleConfig) (*SampledResult, error) {
 	if cfg.BankRow == nil {
 		return nil, fmt.Errorf("trace: sampled replay needs the platform's BankRow mapping")
 	}
 	if src.Len() == 0 {
 		return &SampledResult{SpeedupX: 1}, nil
-	}
-	first, last, ok := timeOrder(src)
-	if !ok {
-		return nil, fmt.Errorf("trace: sampled replay requires time-ordered records")
 	}
 
 	tr := cfg.Telemetry.Trace()
@@ -149,7 +145,10 @@ func Sampled(mk mem.BackendFactory, src Source, cfg SampleConfig) (*SampledResul
 	}
 
 	sp := tr.Begin(track, "fingerprint")
-	windows, span := cutWindows(src, first, last, cfg)
+	windows, span, err := cutWindows(src, cfg)
+	if err != nil {
+		return nil, err
+	}
 	fingerprint(src, windows, cfg)
 	sp.End(telemetry.Int("windows", int64(len(windows))))
 
@@ -251,10 +250,15 @@ func Sampled(mk mem.BackendFactory, src Source, cfg SampleConfig) (*SampledResul
 	return res, nil
 }
 
-// cutWindows splits the time-ordered, non-empty trace whose records run
-// from first to last into fixed-span segments.
-func cutWindows(src Source, first, last sim.Time, cfg SampleConfig) ([]SampleWindow, sim.Time) {
-	base, dur := first, last-first
+// cutWindows splits the non-empty trace into fixed-span segments between
+// its first and last timestamps, and fails naming the first record out of
+// time order.
+func cutWindows(src Source, cfg SampleConfig) ([]SampleWindow, sim.Time, error) {
+	total := src.Len()
+	last := src.cursor(total - 1)
+	recs := src.cursor(0)
+	base := recs.peek().At
+	dur := last.peek().At - base
 	span := cfg.Span
 	if span <= 0 {
 		span = dur / sampleWindows
@@ -276,8 +280,7 @@ func cutWindows(src Source, first, last sim.Time, cfg SampleConfig) ([]SampleWin
 		n = 1
 	}
 	windows := make([]SampleWindow, n)
-	recs, total := src.cursor(0), src.Len()
-	ri := 0
+	ri, prev := 0, base
 	for i := range windows {
 		w := &windows[i]
 		w.From = base + sim.Time(i)*span
@@ -287,7 +290,12 @@ func cutWindows(src Source, first, last sim.Time, cfg SampleConfig) ([]SampleWin
 		}
 		w.Start = ri
 		for ri < total && (i == n-1 || recs.peek().At < w.To) {
-			if !recs.next().Write {
+			rec := recs.next()
+			if rec.At < prev {
+				return nil, 0, fmt.Errorf("trace: sampled replay requires time-ordered records: record %d at %d precedes its predecessor at %d", ri, rec.At, prev)
+			}
+			prev = rec.At
+			if !rec.Write {
 				w.Reads++
 			}
 			ri++
@@ -295,7 +303,7 @@ func cutWindows(src Source, first, last sim.Time, cfg SampleConfig) ([]SampleWin
 		w.End = ri
 		w.Cluster = -1
 	}
-	return windows, span
+	return windows, span, nil
 }
 
 // fingerprint computes each window's access vector. The windows are

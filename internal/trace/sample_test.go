@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/mess-sim/mess/internal/dram"
@@ -164,9 +165,10 @@ func TestSampledClustersSeparatePhases(t *testing.T) {
 }
 
 // TestSampledEdgeCases covers the degenerate inputs: empty traces, traces
-// smaller than the window count, non-monotonic traces (rejected — the
-// windowing math assumes time order) and a config without the platform's
-// BankRow (rejected — there is no geometry-free fallback).
+// smaller than the window count, non-monotonic traces (rejected, naming
+// the first record out of order — the windowing math assumes time order)
+// and a config without the platform's BankRow (rejected — there is no
+// geometry-free fallback).
 func TestSampledEdgeCases(t *testing.T) {
 	mk, mapper := ddr4Factory()
 	cfg := SampleConfig{BankRow: mapper.BankRow}
@@ -185,11 +187,19 @@ func TestSampledEdgeCases(t *testing.T) {
 		t.Fatalf("tiny trace produced no estimate: %+v", res)
 	}
 
+	// Record 2 goes back in time while the last record is still the
+	// latest: the rejection must come from the walk over every record.
 	bad := &Trace{Records: []Record{
-		{At: 100, Addr: 0x40}, {At: 50, Addr: 0x80},
+		{At: 100, Addr: 0x40}, {At: 150, Addr: 0x80}, {At: 120, Addr: 0xc0}, {At: 200, Addr: 0x100},
 	}}
-	if _, err := Sampled(mk, bad, cfg); err == nil {
-		t.Fatal("non-monotonic trace accepted")
+	for form, src := range map[string]Source{"trace": bad, "packed": pack(bad.Records)} {
+		_, err := Sampled(mk, src, cfg)
+		if err == nil {
+			t.Fatalf("%s: non-monotonic trace accepted", form)
+		}
+		if !strings.Contains(err.Error(), "record 2 ") {
+			t.Errorf("%s: the rejection does not name record 2: %v", form, err)
+		}
 	}
 
 	if _, err := Sampled(mk, tiny, SampleConfig{}); err == nil {
@@ -340,7 +350,10 @@ func TestFingerprintMatchesReference(t *testing.T) {
 				Span:    sim.Time(50+rng.Intn(4000)) * sim.Nanosecond,
 				BankRow: bankRow,
 			}
-			got, _ := cutWindows(tr, tr.Records[0].At, tr.Records[len(tr.Records)-1].At, sc)
+			got, _, err := cutWindows(tr, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := append([]SampleWindow(nil), got...)
 			fingerprint(pack(tr.Records), got, sc)
 			fingerprintReference(tr, want, sc)

@@ -4,6 +4,12 @@
 // memory models with the trace, eliminating the CPU simulator and its
 // interfaces as an error source.
 //
+// A trace is replayed in index order. Read rejects timestamps that go
+// backwards and a capture records the engine clock, which never does, so
+// the traces the tools make are in time order too; Replay delivers a trace
+// built in memory in index order whatever its timestamps, and Sampled,
+// whose windows cut the trace clock, rejects one out of time order.
+//
 // # Two in-memory forms
 //
 // A Trace is a []Record, 24 bytes a record: the form Read returns, the one
@@ -126,64 +132,46 @@ type ReplayResult struct {
 
 // Replay drives the backend with the trace's own timing (arrival gaps
 // encode the non-memory work, as DRAMsim3 trace formats do) and measures
-// the achieved bandwidth and mean read latency. Requests come from a
-// replay-local pool, the engine holds one record ahead of the clock — each
-// firing record schedules its successor before it is delivered — and a
-// single shared completion callback reads the issue time off the request:
-// zero per-record closures, one live record event however long the trace.
-// Traces whose timestamps are not non-decreasing (Read rejects them, but a
-// trace built in memory can be anything) fall back to eager scheduling,
-// whose semantics the one-ahead feed reproduces only for time-ordered
-// records.
+// the achieved bandwidth and mean read latency. Records are delivered in
+// index order, on an engine clock whose zero is the first record's
+// timestamp; a record timestamped below its predecessor is delivered at the
+// predecessor's instant, since the engine runs a past deadline at Now.
+// Requests come from a replay-local pool, the engine holds one record ahead
+// of the clock — each firing record schedules its successor before it is
+// delivered — and a single shared completion callback reads the issue time
+// off the request: zero per-record closures, one live record event however
+// long the trace.
 func Replay(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
 	n := src.Len()
 	if n == 0 {
 		return ReplayResult{}
 	}
-	first, _, ok := timeOrder(src)
-	if !ok {
-		return replayEager(eng, backend, src)
-	}
+	recs := src.cursor(0)
 	rp := &replayer{eng: eng, backend: backend, pool: mem.NewRequestPool()}
-	rp.run(src.cursor(0), n, first)
+	rp.run(recs, n, recs.peek().At)
 	return replayResult(n, rp.readRecs, eng.Now(), rp.latSum, rp.reads)
-}
-
-// timeOrder reads a non-empty source once and reports its first and last
-// timestamps and whether they are non-decreasing throughout.
-func timeOrder(src Source) (first, last sim.Time, ok bool) {
-	c := src.cursor(0)
-	first = c.next().At
-	last = first
-	for i, n := 1, src.Len(); i < n; i++ {
-		at := c.next().At
-		if at < last {
-			return first, at, false
-		}
-		last = at
-	}
-	return first, last, true
 }
 
 // replayKey is the tie-break key (sim.Engine's "schedule instant"
 // coordinate) carried by every replayed record's delivery event. Eager
-// replay schedules all records before the run, so each record event holds
-// key 0 and a seq below every event the backend will ever schedule: at
-// equal deadlines, records fire first, in record order. The one-ahead feed
-// schedules records mid-run, where the engine would stamp them with the
-// current clock and a late seq — so it injects them with key −1 instead,
-// which wins every deadline tie against backend events (whose keys are
-// real schedule instants ≥ 0). Record order needs no tie-break at all:
-// record i+1 is scheduled by record i's own firing, at a deadline no
-// earlier, so records fire in index order. The firing sequence — and hence
-// all completion timing — is bit-identical to the eager one.
+// replay (the reference kept in trace_test.go) schedules all records before
+// the run, so each record event holds key 0 and a seq below every event the
+// backend will ever schedule: at equal deadlines, records fire first, in
+// record order. The one-ahead feed schedules records mid-run, where the
+// engine would stamp them with the current clock and a late seq — so it
+// injects them with key −1 instead, which wins every deadline tie against
+// backend events (whose keys are real schedule instants ≥ 0). Record order
+// needs no tie-break at all: record i+1 is scheduled by record i's own
+// firing, at a deadline no earlier (a past one runs at Now), so records
+// fire in index order. For a time-ordered trace the firing sequence — and
+// hence all completion timing — is bit-identical to the eager one.
 const replayKey = sim.Time(-1)
 
-// replayer drives one replay of time-sorted records: a single shared fire
-// callback schedules the next record, then delivers the current one. Only
-// one record event is ever pending, mostly a few ns ahead of the clock, so
-// it lands in the engine's timing wheel, not the overflow heap beyond the
-// wheel's horizon.
+// replayer drives one replay of records in index order: a single shared
+// fire callback schedules the next record, then delivers the current one.
+// Only one record event is ever pending, mostly a few ns ahead of the
+// clock, so it lands in the engine's timing wheel, not the overflow heap
+// beyond the wheel's horizon.
 type replayer struct {
 	eng     *sim.Engine
 	backend mem.Backend
@@ -234,9 +222,9 @@ func (rp *replayer) step(at sim.Time) {
 	rp.backend.Access(req)
 }
 
-// run replays the next n (≥ 1, time-sorted) records of recs on an engine
-// clock whose zero is base on the trace clock, counting read latency only
-// for records at index ≥ measureFrom, and returns after the engine drains.
+// run replays the next n (≥ 1) records of recs on an engine clock whose
+// zero is base on the trace clock, counting read latency only for records
+// at index ≥ measureFrom, and returns after the engine drains.
 func (rp *replayer) run(recs cursor, n int, base sim.Time) {
 	rp.recs, rp.n, rp.base = recs, n, base
 	rp.fire = rp.step
@@ -251,38 +239,6 @@ func (rp *replayer) run(recs cursor, n int, base sim.Time) {
 	}
 	rp.scheduleNext()
 	rp.eng.Run()
-}
-
-// replayEager schedules one delivery event per record before running —
-// the historical Replay, kept for traces without time order (the one-ahead
-// feed's sequential delivery assumes firing order equals record order).
-func replayEager(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
-	n := src.Len()
-	recs := src.cursor(0)
-	base := recs.peek().At
-	pool := mem.NewRequestPool()
-	var latSum sim.Time
-	var reads uint64
-	readRecs := 0
-	readDone := func(done sim.Time, req *mem.Request) {
-		latSum += done - req.Issued
-		reads++
-	}
-	for i := 0; i < n; i++ {
-		r := recs.next()
-		op := mem.Read
-		var done mem.DoneFunc
-		if r.Write {
-			op = mem.Write
-		} else {
-			done = readDone
-			readRecs++
-		}
-		req := pool.Get(r.Addr, op, done)
-		req.SendAt(eng, backend, r.At-base)
-	}
-	eng.Run()
-	return replayResult(n, readRecs, eng.Now(), latSum, reads)
 }
 
 // replayResult is the result of replaying n records, readRecs of them

@@ -202,6 +202,38 @@ func scatterTrace() *Trace {
 	return tr
 }
 
+// replayEager schedules one delivery event per record before running —
+// the historical Replay, kept as the reference the one-ahead feed is held
+// to: on a time-ordered trace both fire the same sequence.
+func replayEager(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
+	n := src.Len()
+	recs := src.cursor(0)
+	base := recs.peek().At
+	pool := mem.NewRequestPool()
+	var latSum sim.Time
+	var reads uint64
+	readRecs := 0
+	readDone := func(done sim.Time, req *mem.Request) {
+		latSum += done - req.Issued
+		reads++
+	}
+	for i := 0; i < n; i++ {
+		r := recs.next()
+		op := mem.Read
+		var done mem.DoneFunc
+		if r.Write {
+			op = mem.Write
+		} else {
+			done = readDone
+			readRecs++
+		}
+		req := pool.Get(r.Addr, op, done)
+		req.SendAt(eng, backend, r.At-base)
+	}
+	eng.Run()
+	return replayResult(n, readRecs, eng.Now(), latSum, reads)
+}
+
 // TestOneAheadReplayBitIdentical pins the one-ahead feed's contract: for a
 // time-ordered trace, Replay — one record event pending at a time, each
 // scheduled by its predecessor's firing — produces the same results, and
@@ -260,6 +292,53 @@ func TestOneAheadReplayBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayDeliversInIndexOrder pins Replay's contract for a trace whose
+// timestamps go backwards: records are delivered in index order, each one
+// timestamped below its predecessor at the predecessor's instant. Every
+// 13th record of scatterTrace is moved back by up to 40 ns; the replay must
+// equal, result and completion log alike, the replay of its running-max
+// copy, from either form, on the echo and the detailed DRAM backends.
+// Eager scheduling would deliver those records early instead, out of index
+// order, and read other latencies.
+func TestReplayDeliversInIndexOrder(t *testing.T) {
+	back := scatterTrace()
+	inversions := 0
+	for i := 13; i < len(back.Records); i += 13 {
+		back.Records[i].At -= sim.Time(1+(i/13)%40) * sim.Nanosecond
+		if back.Records[i].At < back.Records[i-1].At {
+			inversions++
+		}
+	}
+	if inversions == 0 {
+		t.Fatal("no record moved below its predecessor; the test proves nothing")
+	}
+	ordered := &Trace{Records: slices.Clone(back.Records)}
+	for i := 1; i < len(ordered.Records); i++ {
+		ordered.Records[i].At = max(ordered.Records[i].At, ordered.Records[i-1].At)
+	}
+	for name, mk := range map[string]mem.BackendFactory{
+		"echo": func(eng *sim.Engine) mem.Backend { return &echoBackend{eng: eng, lat: 25 * sim.Nanosecond} },
+		"dram": func(eng *sim.Engine) mem.Backend { return dram.New(eng, dram.DDR4(3200, 2, 2)) },
+	} {
+		run := func(src Source) (ReplayResult, []completion, sim.Time) {
+			eng := sim.New()
+			rec := &recordingBackend{inner: mk(eng)}
+			return Replay(eng, rec, src), rec.log, eng.Now()
+		}
+		wantRes, wantLog, wantEnd := run(ordered)
+		for form, src := range map[string]Source{"trace": back, "packed": pack(back.Records)} {
+			res, log, end := run(src)
+			if res != wantRes {
+				t.Errorf("%s/%s: results diverge from the running-max copy's:\nwant %+v\ngot  %+v", name, form, wantRes, res)
+			}
+			if end != wantEnd || !slices.Equal(log, wantLog) {
+				t.Errorf("%s/%s: completions diverge from the running-max copy's (%d completions, drained at %d; want %d at %d)",
+					name, form, len(log), end, len(wantLog), wantEnd)
+			}
+		}
 	}
 }
 
