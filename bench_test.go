@@ -239,8 +239,8 @@ func mustQuickFamilyB(b *testing.B) *mess.Family {
 }
 
 // Kernel micro-benchmarks (run with -bench=Kernel). The workloads live in
-// internal/perfload, shared with cmd/messperf so the regression gate here
-// and the BENCH_sim.json trajectory always measure the same thing. The
+// internal/perfload, shared with cmd/messperf so these benchmarks, its
+// paired gate and the BENCH_sim.json trajectory measure the same thing. The
 // baseline that keeps the speedup of the pooled/wheel design measurable —
 // the pre-wheel kernel, one heap and one allocated record per event — is
 // internal/sim's BenchmarkKernelScheduleFireHeapBaseline, on the heap

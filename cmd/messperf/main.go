@@ -1,85 +1,69 @@
 // Command messperf runs the repository's hot-path performance suite and
-// writes the results as a JSON trajectory artifact (BENCH_sim.json by
-// default), so kernel and simulator speed is tracked across changes the
-// same way the figures track accuracy.
+// writes the results as JSON (BENCH_sim.json by default). With -gate it
+// holds them to the parent commit's messperf, run on the same host.
 //
-// It measures three layers, using the canonical workloads of
-// internal/perfload (shared with the root -bench=Kernel benchmarks, so the
-// gate and the trajectory always measure the same thing):
+// It measures four layers, using the canonical workloads of
+// internal/perfload (shared with the root -bench=Kernel benchmarks):
 //
-//   - the event kernel: schedule/fire throughput on the wheel and overflow
-//     paths, cancel churn, and timer re-arming;
-//   - the memory models: events/sec and allocs/op of the detailed DRAM
-//     reference model and the Mess analytical simulator under closed-loop
-//     load (the zero-allocation request-lifecycle claim is a tracked
-//     artifact: allocs_per_op on these rows must stay ≈ 0);
-//   - the framework: wall-clock of a Quick-scale characterization and of
-//     the fig2 experiment (full benchmark sweeps on fresh services, no
-//     caches; since v7 priced per simulated event, so their mallocs,
-//     alloc_bytes and allocs_per_op put what a sweep allocates around its
-//     points under the allocs gate), plus a single fully-loaded sweep point
-//     on the Quick-scaled Skylake and on the 8-channel Graviton 3 model
-//     (framework/fig2_point, framework/fig4_point).
-//     Since v4 the framework layer also measures the trace-replay pair:
-//     one fig6-class trace captured on the Quick-scaled platform, replayed
-//     in full (framework/fig6_replay) and through the phase-clustered
-//     sampler (framework/fig6_replay_sampled). The sampled row carries
-//     divergence_pct and speedup_x — deterministic accuracy numbers that
-//     every run holds to hard bounds (maxDivergencePct, minSpeedupX).
-//     Since v8 the full-replay row is priced per trace record, and the same
-//     trace measures the release text format: io/trace_save and
-//     io/trace_read write and parse it in memory, one op per record, with
-//     mb_per_s beside the usual columns and their allocs_per_op (0: a
-//     handful of buffers per call) under the allocs gate.
-//     Since v5 there is the CXL expander's closed loop (model/cxl).
-//     Since v10 framework/hpcg_profile profiles the HPCG proxy (the paper's
-//     Sec. VI case, and the suite's one row driven by KernelCore cores)
-//     against the characterize_quick family, priced per memory transaction.
-//     Until v8 every DRAM row had a sharded twin (the same simulation on
-//     per-channel shard engines); the twins lost on every pair, 1.9–4.9×,
-//     and are gone. The gate ignores baseline rows a fresh run lacks.
+//   - kernel/: schedule/fire throughput of the event kernel on the wheel
+//     and overflow paths, cancel churn and timer re-arming;
+//   - model/: completions/sec of the detailed DRAM model under three
+//     traffic regimes, of the CXL expander and of the Mess analytical
+//     simulator, each under a closed loop (the zero-allocation request
+//     lifecycle reads as allocs_per_op 0 on these rows);
+//   - framework/: a Quick-scale characterization and the Quick fig2
+//     experiment on fresh services, priced per simulated event; one fully
+//     loaded sweep point on the Quick-scaled Skylake and on the 8-channel
+//     Graviton 3 model; the HPCG proxy profile, priced per memory
+//     transaction; one fig6-class trace replayed in full, priced per
+//     record, and through the phase-clustered sampler;
+//   - io/: the same trace saved to and read from the release text format
+//     in memory, one op per record, with mb_per_s beside the usual columns.
 //
-// With -cpuprofile/-memprofile, messperf writes pprof profiles covering
-// exactly the measured region (every benchmark, none of the report or
-// gate machinery) — the intended way to hunt kernel or scheduler hot spots
-// on a machine where a row regressed.
+// Every measurement is taken bestOf (3) times and the best sample (highest
+// events/sec; lowest wall-clock for wall-only rows) is recorded. Every run
+// holds the sampled replay to absolute bounds (sampledGate): its estimates
+// within maxDivergencePct of the full replay of the same trace, while
+// simulating at most 1/minSpeedupX of the records. Both numbers are
+// deterministic properties of the build, not of the host.
 //
-// Every measurement is taken bestOf (3) times and only the best sample
-// (highest events/sec; lowest wall-clock for wall-only rows) is recorded
-// and gated. Single runs on shared CI runners carry scheduling noise well
-// above the 10% previous-run gate; the best of three is a far more stable
-// estimator of what the code can do on that machine.
+// With -gate, messperf measures nothing itself. It runs its own binary and
+// the parent commit's as child processes with -out only, pairs times each,
+// alternating which side goes first, and compares them pair by pair (gate).
+// A row fails when the median over pairs of its change/parent cost ratio
+// (ns_per_op, or wall_ms for wall-only rows) exceeds maxSlowdown, or when
+// its median allocs_per_op rose above the parent's. Every row is gated; a
+// row either side lacks is skipped. -out then receives the change's
+// per-row medians. Both sides run on one host in one job, so the gate
+// compares code, not machines.
 //
-// With -gate, messperf additionally compares the fresh results against a
-// baseline artifact and exits nonzero when any kernel benchmark's
-// events/sec dropped by more than gateDrop (30%), or when any result's
-// allocs_per_op rose above its baseline (a machine-independent check:
-// 0 → ≥1 allocs/op fails anywhere). -gate-prev layers a second, tighter
-// gate over the same measurement at gatePrevDrop (10%): CI always enforces
-// the committed BENCH_sim.json at the loose bound (an absolute
-// cross-machine floor that a chain of small regressions cannot ratchet
-// away) and, when the previous successful run of the branch left an
-// artifact, additionally enforces that one at the tight bound — successive
-// runs share a runner class, so it tracks real drift.
+// BENCH_sim.json at the repository root is the trajectory record, written
+// by a plain run; no gate reads it.
 //
-// The run's shape (event counts, sample count, bounds) is fixed: a baseline
-// is only comparable with a run of the same shape, so the only flags are
-// file paths.
+// With -cpuprofile/-memprofile, a plain run writes pprof profiles covering
+// exactly the measured region (every benchmark, none of the report
+// machinery) — the way to hunt the hot spot of a row the gate failed.
+//
+// The run's shape (event counts, samples, pairs, bounds) is constants, so
+// every run is comparable with every other; the only flags are paths.
 //
 // Usage:
 //
-//	messperf [-out BENCH_sim.json] [-gate BENCH_sim.json] [-gate-prev prev.json]
-//	         [-cpuprofile cpu.out] [-memprofile mem.out]
+//	messperf [-out BENCH_sim.json] [-gate messperf.parent]
+//	         [-cpuprofile cpu.out] [-memprofile mem.out] [-v]
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -105,27 +89,8 @@ import (
 	"github.com/mess-sim/mess/internal/workloads"
 )
 
-// Schema identifies the BENCH_sim.json format. v2 added allocs_per_op to
-// every op-counted result; v3 added framework/fig2_point; v4 added the
-// trace-replay pair (framework/fig6_replay, framework/fig6_replay_sampled)
-// with the sampled row's divergence_pct and speedup_x accuracy fields; v5
-// added the CXL closed loop (model/cxl) and framework/fig4_point; v6 added
-// the top-level telemetry block — a snapshot of the run's internal metrics
-// registry (bench sweep-point and charz source counters), so the
-// trajectory records not only how fast the suite ran but how much
-// simulation work it did; v7 added alloc_bytes to
-// every op-counted row and made framework/characterize_quick and
-// framework/fig2_quick op-counted, one op per simulated event; v8 added
-// the io/trace_save and io/trace_read rows with their mb_per_s field and
-// made framework/fig6_replay op-counted, one op per trace record; v9
-// dropped the sharded rows of v3 and v5 (model/dram_sharded,
-// framework/fig2_quick_sharded, framework/fig2_point_sharded,
-// framework/fig4_point_sharded) with their per-row gomaxprocs, windows,
-// avg_window_ns and parks fields; v10 added framework/hpcg_profile, one op
-// per memory transaction the application issued. The telemetry block is
-// never gated and its series are not part of the schema: it now holds the
-// counters mess_bench_points_total and mess_sim_events_total only (the
-// charz source counts live in charz.Stats), still under v10.
+// Schema identifies the BENCH_sim.json format; CHANGES.md records what
+// each version changed. The telemetry block's series are not part of it.
 const Schema = "mess-perf/v10"
 
 // The run's shape and bounds.
@@ -138,10 +103,13 @@ const (
 	// bestOf is how many times each measurement is taken; the best sample
 	// is recorded.
 	bestOf = 3
-	// gateDrop and gatePrevDrop are the largest fractional events/sec drop
-	// a kernel benchmark may show against -gate and -gate-prev.
-	gateDrop     = 0.30
-	gatePrevDrop = 0.10
+	// pairs is how many runs -gate takes of each side; odd, so each
+	// median is one pair's. maxSlowdown is the largest median change/parent
+	// cost ratio a row may show. Both are set from same-binary (A/A) runs
+	// on a shared 2-core host: one pair's ratio spanned 0.56–3.06, and the
+	// worst row's median over 9 pairs passed 1.40 in 1% of resampled gates.
+	pairs       = 9
+	maxSlowdown = 1.45
 	// maxDivergencePct and minSpeedupX bound the sampled replay: its
 	// estimates within 5% of the full replay of the same trace, while
 	// simulating at most a fifth of the records.
@@ -282,72 +250,162 @@ func mustFactory(kind memmodel.Kind, spec platform.Spec, fam *core.Family) mem.B
 	return mk
 }
 
-// gate compares fresh results against a baseline artifact and fails on two
-// kinds of regression:
-//
-//   - a kernel benchmark losing more than maxDrop of its events/sec. This
-//     is a same-class-machine comparison: the committed baseline and the
-//     runner differ, so the bound is deliberately loose — it catches
-//     order-of-magnitude breakage (an accidental O(n) queue, a lost fast
-//     path), not percent-level drift. Model and framework rows are
-//     trajectory-only for the same reason.
-//   - any result whose allocs_per_op integer rose above its baseline. This
-//     check is machine-independent (allocation counts do not depend on the
-//     runner), so a hot path regressing from 0 to ≥1 allocs/op fails
-//     anywhere.
-func gate(fresh Report, baselinePath string, maxDrop float64) error {
-	data, err := os.ReadFile(baselinePath)
+// pairedGate runs the change and parent binaries pairs times each with
+// -out only, alternating which side goes first, gates the change's runs
+// against the parent's and writes the change's per-row medians to out.
+// Each child also holds its own run to the sampled-replay bounds.
+func pairedGate(change, parent, out string) error {
+	dir, err := os.MkdirTemp("", "messperf-gate")
 	if err != nil {
-		return fmt.Errorf("gate: read baseline: %w", err)
+		return err
 	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("gate: parse baseline: %w", err)
-	}
-	baseline := make(map[string]Result, len(base.Results))
-	for _, r := range base.Results {
-		baseline[r.Name] = r
-	}
-	var failures []string
-	for _, r := range fresh.Results {
-		was, ok := baseline[r.Name]
-		if !ok {
-			continue // new benchmark: no trajectory yet
-		}
-		if strings.HasPrefix(r.Name, "kernel/") && r.EventsPerSec > 0 && was.EventsPerSec > 0 {
-			drop := 1 - r.EventsPerSec/was.EventsPerSec
-			status := "ok"
-			if drop > maxDrop {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f events/s (%.0f%% drop > %.0f%% allowed)",
-					r.Name, was.EventsPerSec, r.EventsPerSec, 100*drop, 100*maxDrop))
+	defer os.RemoveAll(dir)
+	bins := [2]string{change, parent}
+	var runs [2][]Report
+	order := [2]int{1, 0} // parent first in even pairs, change first in odd
+	for i := 0; i < pairs; i++ {
+		for _, side := range order {
+			path := filepath.Join(dir, fmt.Sprintf("%d-%d.json", i, side))
+			if output, err := exec.Command(bins[side], "-out", path).CombinedOutput(); err != nil {
+				return fmt.Errorf("gate: %s: %w\n%s", bins[side], err, output)
 			}
-			fmt.Printf("gate %-28s %12.0f -> %12.0f events/s  %+6.1f%%  %s\n",
-				r.Name, was.EventsPerSec, r.EventsPerSec, -100*drop, status)
+			var rep Report
+			data, err := os.ReadFile(path)
+			if err == nil {
+				err = json.Unmarshal(data, &rep)
+			}
+			if err != nil {
+				return fmt.Errorf("gate: %s: %w", bins[side], err)
+			}
+			runs[side] = append(runs[side], rep)
+			fmt.Printf("pair %d/%d: ran %s\n", i+1, pairs, bins[side])
 		}
-		if r.AllocsPerOp != nil && was.AllocsPerOp != nil && *r.AllocsPerOp > *was.AllocsPerOp {
-			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op",
-				r.Name, *was.AllocsPerOp, *r.AllocsPerOp))
-			fmt.Printf("gate %-28s %12d -> %12d allocs/op  FAIL\n", r.Name, *was.AllocsPerOp, *r.AllocsPerOp)
+		order[0], order[1] = order[1], order[0]
+	}
+	med, gerr := gate(runs[0], runs[1])
+	if err := writeReport(med, out); err != nil {
+		return err
+	}
+	return gerr
+}
+
+// cost is what a row spends: ns_per_op on op-counted rows, wall_ms on
+// wall-only ones.
+func cost(r Result) float64 {
+	if r.Ops > 0 {
+		return r.NsPerOp
+	}
+	return r.WallMs
+}
+
+// median returns the middle of xs (the upper one of an even count),
+// sorting xs in place.
+func median[T int64 | float64](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
+// samples returns the named row of every report, or false if one lacks it.
+func samples(reps []Report, name string) ([]Result, bool) {
+	rows := make([]Result, len(reps))
+	for i, rep := range reps {
+		j := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Name == name })
+		if j < 0 {
+			return nil, false
+		}
+		rows[i] = rep.Results[j]
+	}
+	return rows, true
+}
+
+// gate holds the change's runs to the parent's, run i against run i, and
+// fails on two kinds of regression, on every row:
+//
+//   - the median over pairs of the row's change/parent cost ratio above
+//     maxSlowdown. The median lets a minority of disturbed pairs pass;
+//     both sides of a pair ran on the same host seconds apart.
+//   - the row's median allocs_per_op above the parent's: allocation counts
+//     do not depend on the host, so the comparison is exact.
+//
+// A row either side lacks in some run is not gated. gate returns the
+// change's per-row medians: of each row, the sample with the median cost.
+func gate(change, parent []Report) (Report, error) {
+	med := change[0]
+	med.Results = nil
+	var failures []string
+	for _, r := range change[0].Results {
+		cs, ok := samples(change, r.Name)
+		if !ok {
+			continue
+		}
+		byCost := slices.Clone(cs)
+		slices.SortFunc(byCost, func(a, b Result) int { return cmp.Compare(cost(a), cost(b)) })
+		med.Results = append(med.Results, byCost[len(byCost)/2])
+		ps, ok := samples(parent, r.Name)
+		if !ok {
+			continue
+		}
+		ratios := make([]float64, len(cs))
+		var was, now []int64 // allocs_per_op of the op-counted rows
+		for i := range cs {
+			ratios[i] = cost(cs[i]) / cost(ps[i])
+			if cs[i].AllocsPerOp != nil && ps[i].AllocsPerOp != nil {
+				was, now = append(was, *ps[i].AllocsPerOp), append(now, *cs[i].AllocsPerOp)
+			}
+		}
+		ratio := median(ratios)
+		status := "ok"
+		if ratio > maxSlowdown {
+			status = "FAIL"
+			failures = append(failures, fmt.Sprintf("%s: %.2f× the parent's cost (median of %d pairs, %.2f× allowed)",
+				r.Name, ratio, len(cs), maxSlowdown))
+		}
+		fmt.Printf("gate %-30s %5.3f× (pairs %.2f..%.2f)  %s\n", r.Name, ratio, ratios[0], ratios[len(ratios)-1], status)
+		if len(now) > 0 && median(now) > median(was) {
+			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op", r.Name, median(was), median(now)))
+			fmt.Printf("gate %-30s %d -> %d allocs/op  FAIL\n", r.Name, median(was), median(now))
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("gate: regression vs %s:\n  %s",
-			baselinePath, strings.Join(failures, "\n  "))
+		return med, fmt.Errorf("gate: regression vs the parent:\n  %s", strings.Join(failures, "\n  "))
 	}
+	return med, nil
+}
+
+// writeReport writes rep to path as indented JSON.
+func writeReport(rep Report, path string) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 
 func main() {
 	var (
-		out         = flag.String("out", "BENCH_sim.json", "write the JSON report here")
-		gateAgainst = flag.String("gate", "", fmt.Sprintf("baseline BENCH_sim.json to gate kernel events/sec against (%.0f%% drop allowed)", 100*gateDrop))
-		gatePrev    = flag.String("gate-prev", "", fmt.Sprintf("additional baseline (the previous CI run's artifact) to gate against (%.0f%% drop allowed)", 100*gatePrevDrop))
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured region here")
-		memProfile  = flag.String("memprofile", "", "write a heap profile taken at the end of the measured region here")
+		out        = flag.String("out", "BENCH_sim.json", "write the JSON report here")
+		parent     = flag.String("gate", "", fmt.Sprintf("the parent commit's messperf binary: run it and this one in %d alternating pairs and fail any row whose median cost ratio exceeds %.2f×", pairs, maxSlowdown))
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the measured region here")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the measured region here")
 	)
 	tel := cli.TelemetryFlags()
 	flag.Parse()
+
+	if *parent != "" {
+		self, err := os.Executable()
+		if err != nil {
+			cli.Fatal(err)
+		}
+		if err := pairedGate(self, *parent, *out); err != nil {
+			cli.Fatal(err)
+		}
+		fmt.Printf("gate passed: no row more than %.2f× the parent's cost, no allocs/op rise\n", maxSlowdown)
+		return
+	}
 
 	// One registry spans every framework-layer measurement; its snapshot
 	// lands in the report's telemetry block so the trajectory records the
@@ -395,8 +453,8 @@ func main() {
 	}
 	// The profile window covers exactly the measurements: it opens here,
 	// after flag handling and report setup, and closes (below) before the
-	// report is marshalled and the gates run, so kernel and scheduler hot
-	// spots are not diluted by artifact bookkeeping.
+	// report is written and the sampled replay gated, so kernel and
+	// scheduler hot spots are not diluted by artifact bookkeeping.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -526,7 +584,7 @@ func main() {
 	// far its reconstructed estimates diverge from the full replay and what
 	// fraction of the records it avoided simulating; both numbers are
 	// deterministic per trace, so sampledGate holds them to hard accuracy
-	// bounds next to the (noisy, trajectory-only) wall-clock columns.
+	// bounds next to the (host-dependent) wall-clock columns.
 	topt := bench.QuickOptions()
 	// Sampling pays off only when the trace holds many windows of a
 	// span long enough for queueing to reach steady state (~µs); the
@@ -611,29 +669,8 @@ func main() {
 	}
 
 	rep.Telemetry = set.Registry().Snapshot()
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(rep, *out); err != nil {
 		cli.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		cli.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", *out)
-
-	// Both gates see the same fresh results — one measurement, two bounds.
-	for _, g := range []struct {
-		path string
-		drop float64
-	}{{*gateAgainst, gateDrop}, {*gatePrev, gatePrevDrop}} {
-		if g.path == "" {
-			continue
-		}
-		if err := gate(rep, g.path, g.drop); err != nil {
-			cli.Fatal(err)
-		}
-		fmt.Printf("gate passed: no kernel benchmark dropped more than %.0f%% vs %s\n", 100*g.drop, g.path)
 	}
 
 	r, err := sampledGate(rep)

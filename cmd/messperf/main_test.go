@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,20 +19,6 @@ import (
 var sink [][]byte
 
 func allocs(n int64) *int64 { return &n }
-
-// writeBaseline stores a report with the given rows as a baseline file.
-func writeBaseline(t *testing.T, rows ...Result) string {
-	t.Helper()
-	data, err := json.Marshal(Report{Schema: Schema, Results: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
 // wantGate checks a gate's verdict: a pass when fail is empty, otherwise an
 // error that names fail.
@@ -46,55 +34,161 @@ func wantGate(t *testing.T, name string, err error, fail string) {
 	}
 }
 
-// TestGate pins the regression gate every speed claim rests on: which rows
-// it compares, against which bound, and which it leaves alone.
+// fakeChildLog names the environment variable that turns the test binary
+// into a stand-in messperf child (see TestMain).
+const fakeChildLog = "MESSPERF_TEST_FAKE_CHILD_LOG"
+
+// TestMain lets the test binary stand in for a messperf child: with
+// fakeChildLog set, it appends the name it was run under to that log and
+// writes to its -out a report whose one row costs 100 + the number of
+// runs before it, instead of running the tests.
+func TestMain(m *testing.M) {
+	log := os.Getenv(fakeChildLog)
+	if log == "" {
+		os.Exit(m.Run())
+	}
+	before, _ := os.ReadFile(log)
+	n := strings.Count(string(before), "\n")
+	side := filepath.Base(os.Args[0])
+	rep := Report{Schema: side, Results: []Result{{Name: "kernel/schedule_fire", Ops: 1, NsPerOp: float64(100 + n), AllocsPerOp: allocs(0)}}}
+	data, err := json.Marshal(rep)
+	if err == nil && len(os.Args) == 3 && os.Args[1] == "-out" {
+		err = os.WriteFile(os.Args[2], data, 0o644)
+	}
+	if err == nil {
+		err = os.WriteFile(log, append(before, side+"\n"...), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// reports returns pairs reports of the given rows, with f applied to the
+// rows of report i.
+func reports(rows []Result, f func(i int, r *Result)) []Report {
+	reps := make([]Report, pairs)
+	for i := range reps {
+		reps[i].Results = slices.Clone(rows)
+		for j := range reps[i].Results {
+			f(i, &reps[i].Results[j])
+		}
+	}
+	return reps
+}
+
+// TestGate pins the paired regression gate every speed claim rests on:
+// every row is held to the parent's runs by its median cost ratio, a
+// minority of disturbed pairs does not fail it, allocs/op may not rise on
+// any row, and a row only one side has is left alone.
 func TestGate(t *testing.T) {
-	base := writeBaseline(t,
-		Result{Name: "kernel/schedule_fire", EventsPerSec: 100e6, AllocsPerOp: allocs(0)},
-		Result{Name: "model/dram_reference", EventsPerSec: 5e6, AllocsPerOp: allocs(0)},
-		Result{Name: "framework/gone", EventsPerSec: 1e6, AllocsPerOp: allocs(0)},
-		Result{Name: "framework/hpcg_profile", EventsPerSec: 2e6, AllocsPerOp: allocs(1)},
-	)
-	for _, tc := range []struct {
-		name  string
-		fresh []Result
-		fail  string // substring of the error; "" for a pass
-	}{
-		{"kernel drop under the bound",
-			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 75e6, AllocsPerOp: allocs(0)}}, ""},
-		{"kernel drop over the bound",
-			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 65e6, AllocsPerOp: allocs(0)}}, "kernel/schedule_fire: 100000000 -> 65000000 events/s"},
-		{"model rows are trajectory only",
-			[]Result{{Name: "model/dram_reference", EventsPerSec: 1e6, AllocsPerOp: allocs(0)}}, ""},
-		{"allocs/op rise",
-			[]Result{{Name: "model/dram_reference", EventsPerSec: 5e6, AllocsPerOp: allocs(1)}}, "model/dram_reference: 0 -> 1 allocs/op"},
-		{"framework rows are trajectory only for speed",
-			[]Result{{Name: "framework/hpcg_profile", EventsPerSec: 0.5e6, AllocsPerOp: allocs(1)}}, ""},
-		{"framework allocs/op rise",
-			[]Result{{Name: "framework/hpcg_profile", EventsPerSec: 2e6, AllocsPerOp: allocs(2)}}, "framework/hpcg_profile: 1 -> 2 allocs/op"},
-		{"fresh row missing from the baseline is ignored",
-			[]Result{{Name: "kernel/new", EventsPerSec: 1, AllocsPerOp: allocs(9)}}, ""},
-		// The baseline's model and framework/gone rows are absent from
-		// this run, and an absent row is not a regression.
-		{"baseline row missing from the fresh run is ignored",
-			[]Result{{Name: "kernel/schedule_fire", EventsPerSec: 100e6, AllocsPerOp: allocs(0)}}, ""},
-	} {
-		wantGate(t, tc.name, gate(Report{Results: tc.fresh}, base, gateDrop), tc.fail)
+	rows := []Result{
+		{Name: "kernel/schedule_fire", Ops: 1000, NsPerOp: 50, AllocsPerOp: allocs(0)},
+		{Name: "model/dram_reference", Ops: 1000, NsPerOp: 400, AllocsPerOp: allocs(0)},
+		{Name: "framework/hpcg_profile", Ops: 1000, NsPerOp: 600, AllocsPerOp: allocs(1)},
+		{Name: "framework/fig2_point", WallMs: 12},
+		{Name: "io/trace_save", Ops: 1000, NsPerOp: 100, AllocsPerOp: allocs(0)},
 	}
-	// The previous-run gate is the tight one: 10%.
-	for _, tc := range []struct {
-		name string
-		eps  float64
-		fail string
-	}{
-		{"previous-run drop under the bound", 92e6, ""},
-		{"previous-run drop over the bound", 88e6, "12% drop > 10% allowed"},
-	} {
-		fresh := Report{Results: []Result{{Name: "kernel/schedule_fire", EventsPerSec: tc.eps, AllocsPerOp: allocs(0)}}}
-		wantGate(t, tc.name, gate(fresh, base, gatePrevDrop), tc.fail)
+	parent := reports(rows, func(int, *Result) {})
+	// slower scales the named row's cost by x in the pairs where pick holds.
+	slower := func(name string, x float64, pick func(i int) bool) []Report {
+		return reports(rows, func(i int, r *Result) {
+			if r.Name == name && pick(i) {
+				r.NsPerOp *= x
+				r.WallMs *= x
+			}
+		})
 	}
-	if err := gate(Report{}, filepath.Join(t.TempDir(), "absent.json"), gateDrop); err == nil {
-		t.Error("gate passed against a baseline file that does not exist")
+	every := func(int) bool { return true }
+	for _, tc := range []struct {
+		name   string
+		change []Report
+		fail   string // substring of the error; "" for a pass
+	}{
+		{"A/A", reports(rows, func(int, *Result) {}), ""},
+		{"2× slower in every pair", slower("model/dram_reference", 2, every), "model/dram_reference: 2.00× the parent's cost"},
+		{"a minority of slow pairs", slower("kernel/schedule_fire", 3, func(i int) bool { return i < pairs/2 }), ""},
+		{"a majority of slow pairs", slower("kernel/schedule_fire", 3, func(i int) bool { return i <= pairs/2 }), "kernel/schedule_fire: 3.00×"},
+		{"just under the bound", slower("io/trace_save", 0.99*maxSlowdown, every), ""},
+		{"just over the bound", slower("io/trace_save", 1.01*maxSlowdown, every), "io/trace_save"},
+		{"framework rows are gated on speed", slower("framework/hpcg_profile", 1.5, every), "framework/hpcg_profile"},
+		{"wall-only rows are gated on wall_ms", slower("framework/fig2_point", 1.5, every), "framework/fig2_point"},
+		{"kernel rows are gated on speed", slower("kernel/schedule_fire", 1.5, every), "kernel/schedule_fire"},
+	} {
+		_, err := gate(tc.change, parent)
+		wantGate(t, tc.name, err, tc.fail)
+	}
+	for _, row := range rows {
+		if row.AllocsPerOp == nil {
+			continue
+		}
+		change := reports(rows, func(_ int, r *Result) {
+			if r.Name == row.Name {
+				r.AllocsPerOp = allocs(*r.AllocsPerOp + 1)
+			}
+		})
+		_, err := gate(change, parent)
+		wantGate(t, "allocs/op rise", err, fmt.Sprintf("%s: %d -> %d allocs/op", row.Name, *row.AllocsPerOp, *row.AllocsPerOp+1))
+	}
+
+	// A row the parent lacks is new: reported, not gated. A row the change
+	// lacks is gone: not a regression.
+	change := reports(append(slices.Clone(rows[1:]), Result{Name: "kernel/new", Ops: 1, NsPerOp: 1e9, AllocsPerOp: allocs(9)}), func(int, *Result) {})
+	med, err := gate(change, parent)
+	wantGate(t, "row present on one side only", err, "")
+	if len(med.Results) != len(rows) || med.Results[len(rows)-1].Name != "kernel/new" {
+		t.Errorf("medians hold %d rows ending %q, want the change's %d ending kernel/new", len(med.Results), med.Results[len(med.Results)-1].Name, len(rows))
+	}
+}
+
+// TestPairedGateAlternates runs the gate on stand-in children (the test
+// binary under two names, see TestMain): the sides take turns going first,
+// and -out receives the change's per-row medians, not the parent's.
+func TestPairedGateAlternates(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, side := range []string{"change", "parent"} {
+		if err := os.Symlink(self, filepath.Join(dir, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := filepath.Join(dir, "order.log")
+	t.Setenv(fakeChildLog, log)
+	out := filepath.Join(dir, "medians.json")
+	if err := pairedGate(filepath.Join(dir, "change"), filepath.Join(dir, "parent"), out); err != nil {
+		t.Fatal(err)
+	}
+
+	order, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Repeat("parent\nchange\nchange\nparent\n", pairs/2+1)[:len("parent\nchange\n")*pairs]
+	if string(order) != want {
+		t.Errorf("children ran in the order\n%swant\n%s", order, want)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var med Report
+	if err := json.Unmarshal(data, &med); err != nil {
+		t.Fatal(err)
+	}
+	// Run k cost 100+k, so the change's runs cost 101, 102, 105, 106, …
+	// and the parent's 100, 103, 104, 107, …: their medians differ by one.
+	var costs []float64
+	for k, side := range strings.Fields(want) {
+		if side == "change" {
+			costs = append(costs, float64(100+k))
+		}
+	}
+	if m := median(costs); med.Schema != "change" || len(med.Results) != 1 || med.Results[0].NsPerOp != m {
+		t.Errorf("-out holds %+v, want the change's median row, %v ns/op", med, m)
 	}
 }
 
