@@ -576,8 +576,10 @@ func main() {
 
 	// The fig6-class trace-replay pair: one mid-pressure trace (40% stores,
 	// 16 ns pacing) is captured once on the same Quick-scaled Skylake, then
-	// replayed in full (framework/fig6_replay, priced per record) and through
-	// the phase-clustered sampler (framework/fig6_replay_sampled). The
+	// replayed into the DRAMsim3 replica in full (framework/fig6_replay,
+	// priced per record: the replica serves, so this prices Replay's loop
+	// of Serve calls, not the event feed) and through the phase-clustered
+	// sampler (framework/fig6_replay_sampled). The
 	// capture is held packed, as fig6's are, so these two rows and
 	// io/trace_save price reading the packed form; io/trace_read prices Read,
 	// which builds a []Record trace. The sampled row additionally records how

@@ -38,7 +38,9 @@
 //     caller loops over suites serially (fig2, table1, the per-model loop of
 //     fig11/fig13, model scoring). exp fans out only over loops whose bodies
 //     are single simulations: fig6 over (mix, pace) sweep points — one
-//     capture per point, replayed into every replica of that platform,
+//     capture per point, replayed into every replica of that platform
+//     (the replicas serve, so each replay is a loop over the packed
+//     records that holds no request or event for a backlogged read),
 //     curves assembled in pace order after the join; fig17/fig18 over
 //     benchmarks (two serial workloads.Run each); fig6s over the full and
 //     the sampled replay of one trace.

@@ -10,6 +10,19 @@
 // bandwidth–latency behaviour, so replicas that reproduce those behaviours
 // reproduce the paper's findings. Each replica's doc comment cites the
 // figure it is calibrated against.
+//
+// # Models that serve
+//
+// Fixed, MD1 and the three replicas (DRAMsim3Like, RamulatorLike,
+// Ramulator2Like) fix a request's completion time the moment it arrives:
+// their state advances with arrivals alone. Each has a method Serve(at,
+// addr, op) that holds the whole model and returns that time, and its
+// Access is Serve plus CompleteAt. A trace replay drives such a model as a
+// plain loop over the records, with no request records and no events. The
+// internal DDR model and the reference (dram.System) do not serve: they
+// queue requests and pick among them from events of their own, so a
+// request's completion depends on what arrives after it. The Mess
+// simulator, in its own package, is reached through Access alone.
 package memmodel
 
 import (
@@ -109,9 +122,12 @@ func NewFixed(eng *sim.Engine, latency sim.Time) *Fixed {
 	return &Fixed{eng: eng, Latency: latency}
 }
 
+// Serve reports when a line access arriving at at completes.
+func (f *Fixed) Serve(at sim.Time, _ uint64, _ mem.Op) sim.Time { return at + f.Latency }
+
 // Access implements mem.Backend.
 func (f *Fixed) Access(req *mem.Request) {
-	req.CompleteAt(f.eng, f.eng.Now()+f.Latency)
+	req.CompleteAt(f.eng, f.Serve(f.eng.Now(), req.Addr, req.Op))
 }
 
 // MD1 is ZSim's M/D/1 queue model: one deterministic-service FIFO per
@@ -136,10 +152,14 @@ func NewMD1(eng *sim.Engine, spec platform.Spec) *MD1 {
 	return &MD1{eng: eng, base: sim.FromNanoseconds(memLat), fifo: newChanFIFO(ch, perChan)}
 }
 
+// Serve queues a line access arriving at at and reports when it completes.
+func (m *MD1) Serve(at sim.Time, addr uint64, _ mem.Op) sim.Time {
+	return m.fifo.admit(at, addr) + m.fifo.svc + m.base
+}
+
 // Access implements mem.Backend.
 func (m *MD1) Access(req *mem.Request) {
-	start := m.fifo.admit(m.eng.Now(), req.Addr)
-	req.CompleteAt(m.eng, start+m.fifo.svc+m.base)
+	req.CompleteAt(m.eng, m.Serve(m.eng.Now(), req.Addr, req.Op))
 }
 
 // chanFIFO is the bandwidth limit MD1 and two replicas share: lines

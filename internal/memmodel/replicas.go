@@ -96,12 +96,16 @@ func NewDRAMsim3Like(eng *sim.Engine, spec platform.Spec) *DRAMsim3Like {
 	}
 }
 
+// Serve admits a line access arriving at at and reports when it completes.
+func (d *DRAMsim3Like) Serve(at sim.Time, addr uint64, op mem.Op) sim.Time {
+	d.track.observe(at, op)
+	d.recordRow()
+	return d.fifo.admit(at, addr) + sim.FromNanoseconds(d.latency())
+}
+
 // Access implements mem.Backend.
 func (d *DRAMsim3Like) Access(req *mem.Request) {
-	now := d.eng.Now()
-	d.track.observe(now, req.Op)
-	d.recordRow()
-	req.CompleteAt(d.eng, d.fifo.admit(now, req.Addr)+sim.FromNanoseconds(d.latency()))
+	req.CompleteAt(d.eng, d.Serve(d.eng.Now(), req.Addr, req.Op))
 }
 
 func (d *DRAMsim3Like) latency() float64 {
@@ -158,12 +162,16 @@ func NewRamulatorLike(eng *sim.Engine, spec platform.Spec) *RamulatorLike {
 	}
 }
 
+// Serve admits a line access arriving at at and reports when it completes.
+func (r *RamulatorLike) Serve(at sim.Time, _ uint64, op mem.Op) sim.Time {
+	r.track.observe(at, op)
+	r.recordRow()
+	return at + r.lat
+}
+
 // Access implements mem.Backend.
 func (r *RamulatorLike) Access(req *mem.Request) {
-	now := r.eng.Now()
-	r.track.observe(now, req.Op)
-	r.recordRow()
-	req.CompleteAt(r.eng, now+r.lat)
+	req.CompleteAt(r.eng, r.Serve(r.eng.Now(), req.Addr, req.Op))
 }
 
 func (r *RamulatorLike) recordRow() {
@@ -209,8 +217,12 @@ func NewRamulator2Like(eng *sim.Engine, spec platform.Spec) *Ramulator2Like {
 	return &Ramulator2Like{eng: eng, base: sim.FromNanoseconds(30), fifo: newChanFIFO(ch, wall/float64(ch))}
 }
 
+// Serve queues a line access arriving at at and reports when it completes.
+func (r *Ramulator2Like) Serve(at sim.Time, addr uint64, _ mem.Op) sim.Time {
+	return r.fifo.admit(at, addr) + r.fifo.svc + r.base
+}
+
 // Access implements mem.Backend.
 func (r *Ramulator2Like) Access(req *mem.Request) {
-	start := r.fifo.admit(r.eng.Now(), req.Addr)
-	req.CompleteAt(r.eng, start+r.fifo.svc+r.base)
+	req.CompleteAt(r.eng, r.Serve(r.eng.Now(), req.Addr, req.Op))
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -21,6 +20,8 @@ const (
 
 	// maxLineBytes is the longest line Read accepts, terminator excluded.
 	maxLineBytes = 1<<20 - 1
+	// readChunk is the size of Read's buffer, which only a longer line grows.
+	readChunk = 64 << 10
 	// minLineBytes is the shortest line that holds a record ("0 0 R\n"):
 	// an input of n bytes cannot hold more than n/minLineBytes records.
 	minLineBytes = 6
@@ -72,35 +73,72 @@ func save(w io.Writer, src Source) error {
 // order), so Read rejects it with the offending line number instead of
 // deferring the breakage to analysis time.
 //
-// The input is streamed, and Records is sized once from the header's count
-// when there is one. The header is only a hint from an untrusted file: the
-// reservation never exceeds what the input can hold (its size, for readers
-// that report one through Stat or Len, over the shortest possible line;
-// sizelessReserve records otherwise), and a trace holding more records
-// than announced still reads in full.
+// The input is streamed through a readChunk buffer that grows only for a
+// line longer than it, and each record line of the form Save writes is
+// parsed in one pass from the buffer. Records is sized once from the
+// header's count when there is one. The header is only a hint from an
+// untrusted file: the reservation never exceeds what the input can hold
+// (its size, for readers that report one through Stat or Len, over the
+// shortest possible line; sizelessReserve records otherwise), and a trace
+// holding more records than announced still reads in full.
 func Read(r io.Reader) (*Trace, error) {
 	p := parser{reserve: maxRecords(r)}
-	br := bufio.NewReaderSize(r, maxLineBytes+1)
-	for lineNo := 1; ; lineNo++ {
-		line, err := br.ReadSlice('\n')
-		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
-		}
-		// A caller's own, larger bufio.Reader comes back from NewReaderSize
-		// as it is, so the length is checked here as well.
-		if err == bufio.ErrBufferFull || len(line) > maxLineBytes {
-			return nil, fmt.Errorf("trace: line %d: longer than %d bytes", lineNo, maxLineBytes)
-		}
-		if len(line) > 0 {
-			if perr := p.line(line); perr != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", lineNo, perr)
+	buf := make([]byte, readChunk)
+	start, end := 0, 0 // buf[start:end] holds the input not yet parsed
+	for lineNo, stalls := 1, 0; ; {
+		n, rerr := r.Read(buf[end:])
+		if n == 0 && rerr == nil {
+			if stalls++; stalls == 100 { // where bufio gives up on a reader too
+				return nil, fmt.Errorf("trace: %w", io.ErrNoProgress)
 			}
+			continue
 		}
-		if err == io.EOF {
+		stalls = 0
+		end += n
+		if rerr == io.EOF && end > start && buf[end-1] != '\n' {
+			buf = append(buf[:end], '\n') // the last line, terminated like any other
+			end++
+		}
+		for start < end {
+			rec, k := parseSaved(buf[start:end])
+			if k > 0 {
+				if err := p.checkOrder(rec.At); err != nil {
+					return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+				}
+				p.add(rec)
+			} else {
+				// Anything but the exact bytes Save writes for a record —
+				// comments, extra or non-ASCII whitespace, signs, a
+				// malformed field — takes the general path, which decides
+				// with strconv itself.
+				if k = bytes.IndexByte(buf[start:end], '\n'); k < 0 {
+					break // the line goes on in the next read
+				}
+				if k > maxLineBytes {
+					return nil, fmt.Errorf("trace: line %d: longer than %d bytes", lineNo, maxLineBytes)
+				}
+				if err := p.lineGeneral(buf[start : start+k]); err != nil {
+					return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+				}
+				k++
+			}
+			start += k
+			lineNo++
+		}
+		if rerr == io.EOF {
 			return &Trace{Records: p.recs}, nil
+		}
+		if rerr != nil {
+			return nil, fmt.Errorf("trace: %w", rerr)
+		}
+		// Move the unfinished line to the front; one that fills the buffer
+		// doubles it, up to the longest line Read accepts.
+		end, start = copy(buf, buf[start:end]), 0
+		if end == len(buf) {
+			if end > maxLineBytes {
+				return nil, fmt.Errorf("trace: line %d: longer than %d bytes", lineNo, maxLineBytes)
+			}
+			buf = append(buf, make([]byte, min(end, maxLineBytes+1-end))...)
 		}
 	}
 }
@@ -123,23 +161,6 @@ type parser struct {
 	recs    []Record
 	prevAt  sim.Time
 	reserve int // most records a header may reserve
-}
-
-// line parses one non-empty line, terminator stripped. Its errors carry no
-// position; Read adds the line number.
-func (p *parser) line(b []byte) error {
-	rec, ok := parseSaved(b)
-	if !ok {
-		// Anything but the exact bytes Save writes for a record — comments,
-		// extra or non-ASCII whitespace, signs, a malformed field — takes
-		// the general path, which decides with strconv itself.
-		return p.lineGeneral(b)
-	}
-	if err := p.checkOrder(rec.At); err != nil {
-		return err
-	}
-	p.add(rec)
-	return nil
 }
 
 func (p *parser) add(rec Record) {
@@ -169,18 +190,21 @@ var hexVal = func() (t [256]byte) {
 	return t
 }()
 
-// parseSaved parses a line of exactly the form Save writes: 1–18 decimal
-// digits, a space, "0x", 1–16 hex digits, a space, 'R' or 'W'. The digit
-// limits keep both numbers inside their types without overflow checks;
-// longer (zero-padded) numbers are legal but rare, and not ok here.
-func parseSaved(b []byte) (rec Record, ok bool) {
+// parseSaved parses the line at the start of b if it is exactly what Save
+// writes for a record: 1–18 decimal digits, a space, "0x", 1–16 hex
+// digits, a space, 'R' or 'W', '\n'. It reports the record and the bytes
+// the line takes, or 0 for any other line and for one b cuts short. The
+// digit limits keep both numbers inside their types without overflow
+// checks; longer (zero-padded) numbers are legal but rare, and not parsed
+// here.
+func parseSaved(b []byte) (rec Record, n int) {
 	i := 0
 	var at int64
 	for ; i < len(b) && b[i]-'0' <= 9; i++ {
 		at = at*10 + int64(b[i]-'0')
 	}
-	if i == 0 || i > 18 || len(b) < i+6 || b[i] != ' ' || b[i+1] != '0' || b[i+2] != 'x' {
-		return rec, false
+	if i == 0 || i > 18 || len(b) < i+7 || b[i] != ' ' || b[i+1] != '0' || b[i+2] != 'x' {
+		return rec, 0
 	}
 	i += 3
 	start := i
@@ -188,18 +212,18 @@ func parseSaved(b []byte) (rec Record, ok bool) {
 	for ; i < len(b) && hexVal[b[i]] != 0xff; i++ {
 		addr = addr<<4 | uint64(hexVal[b[i]])
 	}
-	if i == start || i-start > 16 || len(b) != i+2 || b[i] != ' ' {
-		return rec, false
+	if i == start || i-start > 16 || len(b) < i+3 || b[i] != ' ' || b[i+2] != '\n' {
+		return rec, 0
 	}
 	switch b[i+1] {
 	case 'R':
 	case 'W':
 		rec.Write = true
 	default:
-		return rec, false
+		return rec, 0
 	}
 	rec.At, rec.Addr = sim.Time(at), addr
-	return rec, true
+	return rec, i + 3
 }
 
 // lineGeneral is the format's definition: whitespace-separated fields as

@@ -139,6 +139,9 @@ func TestSaveReadProperty(t *testing.T) {
 // line it names.
 func TestReadErrors(t *testing.T) {
 	long := strings.Repeat("7", maxLineBytes+1)
+	// The record after these lines straddles the first chunk's end.
+	filler := strings.Repeat("1 0x40 R\n", readChunk/len("1 0x40 R\n"))
+	fillerLines := strings.Count(filler, "\n")
 	for _, tc := range []struct {
 		name, in, want string
 	}{
@@ -161,6 +164,12 @@ func TestReadErrors(t *testing.T) {
 			fmt.Sprintf("trace: line 2: longer than %d bytes", maxLineBytes)},
 		{"over-long last line", "10 0x40 R\n# " + long, fmt.Sprintf("trace: line 2: longer than %d bytes", maxLineBytes)},
 		{"first fault wins", "10 0x40 R\n5 zz X\n", "trace: line 2: non-monotonic timestamp 5 (previous record at 10)"},
+		{"record across a chunk boundary", filler + "123456 0x40 R\n123455 0x40 R\n",
+			fmt.Sprintf("trace: line %d: non-monotonic timestamp 123455 (previous record at 123456)", fillerLines+2)},
+		{"comment longer than a chunk", "10 0x40 R\n# " + strings.Repeat("c", readChunk) + "\n5 0x80 R\n",
+			"trace: line 3: non-monotonic timestamp 5 (previous record at 10)"},
+		{"line one byte over the limit", "10 0x40 R\n20 0x80 R" + strings.Repeat(" ", maxLineBytes+1-len("20 0x80 R")) + "\n",
+			fmt.Sprintf("trace: line 2: longer than %d bytes", maxLineBytes)},
 	} {
 		tr, err := Read(strings.NewReader(tc.in))
 		if err == nil {
@@ -211,6 +220,10 @@ func TestReadReportsReaderErrors(t *testing.T) {
 	_, err := Read(&errReader{data: "10 0x40 R\n20 0x8", err: errDiskFull})
 	if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "trace: ") {
 		t.Fatalf("Read over a failing reader returned %v", err)
+	}
+	// A reader that returns nothing, and no error, forever.
+	if _, err := Read(&errReader{data: "10 0x40 R\n"}); !errors.Is(err, io.ErrNoProgress) {
+		t.Fatalf("Read over a reader that never progresses returned %v", err)
 	}
 }
 

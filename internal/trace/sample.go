@@ -501,10 +501,7 @@ func replayWindowRange(mk mem.BackendFactory, src Source, windows []SampleWindow
 	// each rank either always or never, biasing latency either way by
 	// more than the whole error budget. The engine simply fast-forwards
 	// over the empty prefix.
-	rp := &replayer{
-		eng: eng, backend: backend, pool: mem.NewRequestPool(),
-		measureFrom: w.Start - warmStart,
-	}
+	rp := &replayer{eng: eng, backend: backend, measureFrom: w.Start - warmStart}
 	rp.run(recs, w.End-warmStart, base)
 
 	m := windowMeasure{replayed: w.End - warmStart}

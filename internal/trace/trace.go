@@ -10,6 +10,16 @@
 // built in memory in index order whatever its timestamps, and Sampled,
 // whose windows cut the trace clock, rejects one out of time order.
 //
+// # Two replay drivers
+//
+// Replay keeps one contract (see Replay) with either of two drivers, bit
+// for bit. A backend that fixes each completion time when the request
+// arrives — a Serve method, as memmodel's Fixed, MD1 and replicas have —
+// is replayed as a plain loop of Serve calls, with no request records and
+// no engine events. Every other backend (the detailed DRAM model, the
+// internal DDR model, the Mess simulator, the CXL models) gets the event
+// feed.
+//
 // # Two in-memory forms
 //
 // A Trace is a []Record, 24 bytes a record: the form Read returns, the one
@@ -44,7 +54,9 @@
 // latencies (~µs), so captures meant for sampling measure long windows:
 // fig6s and messperf capture 192 µs and sample 2 µs spans, and every
 // messperf run gates the estimates within 5% of the full replay at 5× fewer
-// records.
+// records. Sampling saves time only on a backend that gets the event feed:
+// a serving model's full replay costs no more than the fingerprint pass
+// alone.
 package trace
 
 import (
@@ -132,24 +144,40 @@ type ReplayResult struct {
 
 // Replay drives the backend with the trace's own timing (arrival gaps
 // encode the non-memory work, as DRAMsim3 trace formats do) and measures
-// the achieved bandwidth and mean read latency. Records are delivered in
-// index order, on an engine clock whose zero is the first record's
-// timestamp; a record timestamped below its predecessor is delivered at the
-// predecessor's instant, since the engine runs a past deadline at Now.
-// Requests come from a replay-local pool, the engine holds one record ahead
-// of the clock — each firing record schedules its successor before it is
-// delivered — and a single shared completion callback reads the issue time
-// off the request: zero per-record closures, one live record event however
-// long the trace.
+// the achieved bandwidth and mean read latency.
+//
+// Records are delivered in index order, on an engine clock whose zero is
+// the first record's timestamp: record i arrives at
+// d_i = max(At_i − base, d_{i−1}), starting from the engine's clock, so a
+// record timestamped below its predecessor arrives at the predecessor's
+// instant. A read's latency is its completion minus d_i; a write completes
+// unobserved. The engine ends at the later of the last arrival and the
+// last read completion.
+//
+// Two drivers keep that contract, bit for bit. A backend that fixes a
+// request's completion time at its arrival (memmodel's Fixed, MD1 and
+// replicas: a Serve method) is driven as a plain loop over the records,
+// with no request records and no events, whenever the engine holds no
+// events of the caller's. Any other backend gets the event feed: requests
+// from a replay-local pool, one record event ahead of the clock — each
+// firing record schedules its successor before it is delivered — and one
+// shared completion callback that reads the issue time off the request.
 func Replay(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
 	n := src.Len()
 	if n == 0 {
 		return ReplayResult{}
 	}
 	recs := src.cursor(0)
-	rp := &replayer{eng: eng, backend: backend, pool: mem.NewRequestPool()}
+	rp := &replayer{eng: eng, backend: backend}
 	rp.run(recs, n, recs.peek().At)
 	return replayResult(n, rp.readRecs, eng.Now(), rp.latSum, rp.reads)
+}
+
+// server is a backend whose Serve holds the whole model: it admits a line
+// access arriving at at and reports when the access completes. Replay
+// drives one without the engine.
+type server interface {
+	Serve(at sim.Time, addr uint64, op mem.Op) sim.Time
 }
 
 // replayKey is the tie-break key (sim.Engine's "schedule instant"
@@ -167,11 +195,11 @@ func Replay(eng *sim.Engine, backend mem.Backend, src Source) ReplayResult {
 // hence all completion timing — is bit-identical to the eager one.
 const replayKey = sim.Time(-1)
 
-// replayer drives one replay of records in index order: a single shared
-// fire callback schedules the next record, then delivers the current one.
-// Only one record event is ever pending, mostly a few ns ahead of the
-// clock, so it lands in the engine's timing wheel, not the overflow heap
-// beyond the wheel's horizon.
+// replayer drives one replay of records in index order. On the event feed a
+// single shared fire callback schedules the next record, then delivers the
+// current one. Only one record event is ever pending, mostly a few ns
+// ahead of the clock, so it lands in the engine's timing wheel, not the
+// overflow heap beyond the wheel's horizon.
 type replayer struct {
 	eng     *sim.Engine
 	backend mem.Backend
@@ -224,9 +252,14 @@ func (rp *replayer) step(at sim.Time) {
 
 // run replays the next n (≥ 1) records of recs on an engine clock whose
 // zero is base on the trace clock, counting read latency only for records
-// at index ≥ measureFrom, and returns after the engine drains.
+// at index ≥ measureFrom, and returns with the engine at the replay's end.
 func (rp *replayer) run(recs cursor, n int, base sim.Time) {
+	if s, ok := rp.backend.(server); ok && rp.eng.Pending() == 0 {
+		rp.serve(s, recs, n, base)
+		return
+	}
 	rp.recs, rp.n, rp.base = recs, n, base
+	rp.pool = mem.NewRequestPool()
 	rp.fire = rp.step
 	rp.readDone = func(done sim.Time, req *mem.Request) {
 		if req.Ctx != 0 {
@@ -239,6 +272,31 @@ func (rp *replayer) run(recs cursor, n int, base sim.Time) {
 	}
 	rp.scheduleNext()
 	rp.eng.Run()
+}
+
+// serve is run's loop for a backend that serves: each record is served at
+// the instant the feed would deliver it, and the engine is moved to where
+// the feed's drain would leave it.
+func (rp *replayer) serve(s server, recs cursor, n int, base sim.Time) {
+	at := rp.eng.Now()
+	end := at
+	for i := 0; i < n; i++ {
+		rec := recs.next()
+		at = max(at, rec.At-base)
+		if rec.Write {
+			s.Serve(at, rec.Addr, mem.Write)
+			continue
+		}
+		done := max(s.Serve(at, rec.Addr, mem.Read), at) // as the engine runs a past deadline
+		rp.readRecs++
+		end = max(end, done)
+		if i >= rp.measureFrom {
+			rp.latSum += done - at
+			rp.reads++
+			rp.lastDone = max(rp.lastDone, done)
+		}
+	}
+	rp.eng.RunUntil(max(at, end))
 }
 
 // replayResult is the result of replaying n records, readRecs of them
