@@ -276,16 +276,6 @@ func BenchmarkKernelFarHorizon(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkKernelCancel measures the schedule+cancel churn the DRAM decide
-// path and pacing timers generate. One op = one schedule + one cancel
-// (tombstoned, swept in bulk at the periodic drains).
-func BenchmarkKernelCancel(b *testing.B) {
-	eng := mess.NewEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	perfload.Cancel(eng, b.N)
-}
-
 // BenchmarkKernelTimerRearm measures the re-armable pacing alarm: one op =
 // one arm + one fire of a fixed-callback timer.
 func BenchmarkKernelTimerRearm(b *testing.B) {

@@ -6,7 +6,7 @@
 // internal/perfload (shared with the root -bench=Kernel benchmarks):
 //
 //   - kernel/: schedule/fire throughput of the event kernel on the wheel
-//     and overflow paths, cancel churn and timer re-arming;
+//     and overflow paths, and timer re-arming;
 //   - model/: completions/sec of the detailed DRAM model under three
 //     traffic regimes, of the CXL expander and of the Mess analytical
 //     simulator, each under a closed loop (the zero-allocation request
@@ -91,7 +91,7 @@ import (
 
 // Schema identifies the BENCH_sim.json format; CHANGES.md records what
 // each version changed. The telemetry block's series are not part of it.
-const Schema = "mess-perf/v10"
+const Schema = "mess-perf/v11"
 
 // The run's shape and bounds.
 const (
@@ -480,7 +480,6 @@ func main() {
 	kernel("schedule_fire", perfload.ScheduleFire)
 	kernel("wheel_dense", perfload.WheelDense)
 	kernel("far_horizon", perfload.FarHorizon)
-	kernel("schedule_cancel", perfload.Cancel)
 	kernel("timer_rearm", perfload.TimerRearm)
 
 	// The detailed DRAM model is measured under three traffic regimes: the
@@ -679,15 +678,15 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	fmt.Printf("gate passed: sampled replay divergence %.2f%%, speedup %.1f×\n",
+	fmt.Printf("gate passed: sampled replay divergence %.2f%%, record reduction %.1f×\n",
 		r.DivergencePct, r.SpeedupX)
 }
 
 // sampledGate checks the sampled-replay row against its accuracy bounds
 // (maxDivergencePct, minSpeedupX) and returns it. It needs no baseline:
-// divergence and speedup are absolute, deterministic properties of this
-// build against its own full replay. A report without the row fails: the
-// gate must have something to gate.
+// divergence and record reduction are absolute, deterministic properties
+// of this build against its own full replay. A report without the row
+// fails: the gate must have something to gate.
 func sampledGate(fresh Report) (Result, error) {
 	i := slices.IndexFunc(fresh.Results, func(r Result) bool { return r.Name == "framework/fig6_replay_sampled" })
 	if i < 0 {
@@ -699,7 +698,7 @@ func sampledGate(fresh Report) (Result, error) {
 			r.DivergencePct, float64(maxDivergencePct))
 	}
 	if r.SpeedupX < minSpeedupX {
-		return r, fmt.Errorf("gate: sampled replay simulated too much of the trace: %.1f× speedup (< %.1f× required)",
+		return r, fmt.Errorf("gate: sampled replay simulated too much of the trace: %.1f× record reduction (< %.1f× required)",
 			r.SpeedupX, float64(minSpeedupX))
 	}
 	return r, nil

@@ -211,7 +211,7 @@ func TestSampledGate(t *testing.T) {
 		{"divergence at the bound", row(5, 8), ""},
 		{"divergence over the bound", row(5.1, 8), "diverges 5.10% from the full replay (> 5.0% allowed)"},
 		{"speedup at the bound", row(2.5, 5), ""},
-		{"speedup under the bound", row(2.5, 4.9), "4.9× speedup (< 5.0× required)"},
+		{"speedup under the bound", row(2.5, 4.9), "4.9× record reduction (< 5.0× required)"},
 		{"no sampled row", Report{Results: []Result{{Name: "framework/fig6_replay"}}}, "no framework/fig6_replay_sampled row"},
 		{"empty report", Report{}, "no framework/fig6_replay_sampled row"},
 	} {

@@ -133,7 +133,7 @@ func doReplay(spec platform.Spec, path, kind string, mk mem.BackendFactory, samp
 	for i := range sam.Clusters {
 		simulated += min(sam.Clusters[i].Windows, 2)
 	}
-	fmt.Printf("sampled replay of %d records through %s (%d of %d windows simulated, %.1f× speedup):\n",
+	fmt.Printf("sampled replay of %d records through %s (%d of %d windows simulated, %.1f× record reduction):\n",
 		sam.TotalRecords, kind, simulated, len(sam.Windows), sam.SpeedupX)
 	fmt.Printf("  bandwidth:        %.1f ± %.1f GB/s\n", sam.Estimate.BWGBs, sam.BWErrGBs)
 	fmt.Printf("  mean read latency: %.1f ± %.1f ns (controller level)\n", sam.Estimate.ReadLatNs, sam.LatErrNs)

@@ -19,7 +19,7 @@ import (
 // both the full replay and the phase-clustered sampled replay
 // (trace.Sampled) over the same captured traces and reports, per sweep
 // point, how far the reconstructed estimates diverge and how much of the
-// trace was actually simulated — the accuracy-vs-speedup trade the
+// trace was actually simulated — the accuracy-vs-records trade the
 // sampling layer sells.
 
 func init() {

@@ -65,13 +65,15 @@ func FarHorizon(eng *sim.Engine, n int) {
 	eng.Run()
 }
 
-// Cancel drives n schedule+cancel pairs — the churn the DRAM decide path
-// generates — with periodic drains so tombstones are swept in bulk.
+// Cancel drives n schedules that their owner abandons: each fires as a
+// no-op, which is how a component drops a wake-up it no longer wants (the
+// kernel has no cancellation). Deadlines lie 1–3 ns out, spread over a few
+// wheel buckets, with periodic drains. It stays for the benchmark's
+// sim.cancel_ns.
 func Cancel(eng *sim.Engine, n int) {
 	nop := func() {}
 	for i := 0; i < n; i++ {
-		h := eng.Schedule(eng.Now()+sim.Time(100+i%211), nop)
-		h.Cancel()
+		eng.Schedule(eng.Now()+sim.Nanosecond+sim.Time(i%2001), nop)
 		if i%1024 == 1023 {
 			eng.RunUntil(eng.Now() + 300*sim.Nanosecond)
 		}

@@ -24,15 +24,17 @@ type CounterWindow struct {
 }
 
 // Sampler periodically snapshots a counting backend, building the raw
-// window stream. It must be driven by RunUntil on the same engine; Stop
-// cancels the periodic event. The period rides on a kernel Timer that each
-// sample re-arms, so sampling reschedules in place instead of allocating a
-// closure per window.
+// window stream. It must be driven by RunUntil on the same engine. The
+// period rides on a kernel Timer that each sample re-arms, so sampling
+// reschedules in place instead of allocating a closure per window. Stop
+// clears a flag, the way cpu.Generator stops: the expiry already queued
+// still fires, records nothing and does not re-arm.
 type Sampler struct {
 	eng      *sim.Engine
 	counting *mem.CountingBackend
 	every    sim.Time
 
+	running bool
 	prev    mem.Counters
 	prevAt  sim.Time
 	windows []CounterWindow
@@ -51,18 +53,25 @@ func NewSampler(eng *sim.Engine, counting *mem.CountingBackend, every sim.Time) 
 	return s
 }
 
-// Start begins sampling at the current time.
+// Start begins sampling at the current time. After a Stop whose expiry is
+// still queued, the first window closes at that expiry.
 func (s *Sampler) Start() {
-	if s.tick.Armed() {
+	if s.running {
 		return
 	}
+	s.running = true
 	s.prev = s.counting.Snapshot()
 	s.prevAt = s.eng.Now()
-	s.tick.Arm(s.prevAt + s.every)
+	if !s.tick.Armed() {
+		s.tick.Arm(s.prevAt + s.every)
+	}
 }
 
 // sample closes the current window at each timer expiry and opens the next.
 func (s *Sampler) sample() {
+	if !s.running {
+		return
+	}
 	now := s.eng.Now()
 	cur := s.counting.Snapshot()
 	s.windows = append(s.windows, CounterWindow{
@@ -75,7 +84,7 @@ func (s *Sampler) sample() {
 }
 
 // Stop halts sampling.
-func (s *Sampler) Stop() { s.tick.Stop() }
+func (s *Sampler) Stop() { s.running = false }
 
 // Windows reports the collected raw windows.
 func (s *Sampler) Windows() []CounterWindow { return s.windows }

@@ -9,9 +9,9 @@ import (
 
 // heapEngine is the kernel as it was before the wheel: one container/heap
 // queue in the (deadline, key, tag, schedule order) total order, one
-// allocated record per event, cancel by heap removal. It is the reference
-// the differential test holds Engine to and the baseline
-// BenchmarkKernelScheduleFireHeapBaseline prices the wheel against.
+// allocated record per event. It is the reference the differential test
+// holds Engine to and the baseline BenchmarkKernelScheduleFireHeapBaseline
+// prices the wheel against.
 type heapEngine struct {
 	now   Time
 	seq   uint64
@@ -24,7 +24,7 @@ type heapEvent struct {
 	tag     int32
 	seq     uint64
 	fn      func(Time)
-	idx     int // position in the queue; -1 once fired, cancelled or reset
+	idx     int // position in the queue; -1 once fired or reset
 }
 
 type heapEvents []*heapEvent
@@ -72,12 +72,6 @@ func (e *heapEngine) schedule(at, key Time, tag int32, fn func(Time)) *heapEvent
 	return ev
 }
 
-func (e *heapEngine) cancel(ev *heapEvent) {
-	if ev != nil && ev.idx >= 0 {
-		heap.Remove(&e.queue, ev.idx)
-	}
-}
-
 func (e *heapEngine) step() bool {
 	if len(e.queue) == 0 {
 		return false
@@ -107,15 +101,14 @@ func (e *heapEngine) reset() {
 
 // kernel is what a differential program drives: the whole scheduling
 // surface of Engine, spelled so the heap reference can offer it too. A
-// handle is an opaque index into the implementation's own table.
+// timer is an opaque index into the implementation's own table.
 type kernel interface {
 	clock() Time
-	plain(at Time, fn func()) int
-	keyed(at, key Time, tag int32, fn func(Time)) int
-	cancel(h int)
+	plain(at Time, fn func())
+	keyed(at, key Time, tag int32, fn func(Time))
 	timer(fn func()) int
 	arm(t int, at Time)
-	stopTimer(t int)
+	armed(t int) bool
 	until(t Time)
 	drain()
 	clear()
@@ -123,27 +116,21 @@ type kernel interface {
 }
 
 type wheelKernel struct {
-	e       *Engine
-	handles []Handle
-	timers  []*Timer
+	e      *Engine
+	timers []*Timer
 }
 
-func (k *wheelKernel) keep(h Handle) int {
-	k.handles = append(k.handles, h)
-	return len(k.handles) - 1
+func (k *wheelKernel) clock() Time              { return k.e.Now() }
+func (k *wheelKernel) plain(at Time, fn func()) { k.e.Schedule(at, fn) }
+func (k *wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) {
+	k.e.ScheduleKeyed(at, key, tag, fn)
 }
-func (k *wheelKernel) clock() Time                  { return k.e.Now() }
-func (k *wheelKernel) plain(at Time, fn func()) int { return k.keep(k.e.Schedule(at, fn)) }
-func (k *wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
-	return k.keep(k.e.ScheduleKeyed(at, key, tag, fn))
-}
-func (k *wheelKernel) cancel(h int) { k.handles[h].Cancel() }
 func (k *wheelKernel) timer(fn func()) int {
 	k.timers = append(k.timers, k.e.NewTimer(fn))
 	return len(k.timers) - 1
 }
 func (k *wheelKernel) arm(t int, at Time) { k.timers[t].Arm(at) }
-func (k *wheelKernel) stopTimer(t int)    { k.timers[t].Stop() }
+func (k *wheelKernel) armed(t int) bool   { return k.timers[t].Armed() }
 func (k *wheelKernel) until(t Time)       { k.e.RunUntil(t) }
 func (k *wheelKernel) drain()             { k.e.Run() }
 func (k *wheelKernel) clear()             { k.e.Reset() }
@@ -151,12 +138,11 @@ func (k *wheelKernel) state() string {
 	return fmt.Sprintf("now=%d steps=%d pending=%d", k.e.Now(), k.e.Steps(), k.e.Pending())
 }
 
-// heapKernel states Timer in terms of schedule and cancel, the way its doc
-// comments define it.
+// heapKernel states Timer in terms of schedule, the way its doc comments
+// define it: a timer is armed while its one expiry is queued.
 type heapKernel struct {
-	e       heapEngine
-	handles []*heapEvent
-	timers  []*heapTimer
+	e      heapEngine
+	timers []*heapTimer
 }
 
 type heapTimer struct {
@@ -164,30 +150,27 @@ type heapTimer struct {
 	ev *heapEvent
 }
 
-func (k *heapKernel) keep(ev *heapEvent) int {
-	k.handles = append(k.handles, ev)
-	return len(k.handles) - 1
-}
 func (k *heapKernel) local(at Time, fn func()) *heapEvent {
 	return k.e.schedule(at, k.e.now, 0, func(Time) { fn() })
 }
-func (k *heapKernel) clock() Time                  { return k.e.now }
-func (k *heapKernel) plain(at Time, fn func()) int { return k.keep(k.local(at, fn)) }
-func (k *heapKernel) keyed(at, key Time, tag int32, fn func(Time)) int {
-	return k.keep(k.e.schedule(at, key, tag, fn))
+func (k *heapKernel) clock() Time              { return k.e.now }
+func (k *heapKernel) plain(at Time, fn func()) { k.local(at, fn) }
+func (k *heapKernel) keyed(at, key Time, tag int32, fn func(Time)) {
+	k.e.schedule(at, key, tag, fn)
 }
-func (k *heapKernel) cancel(h int) { k.e.cancel(k.handles[h]) }
 func (k *heapKernel) timer(fn func()) int {
 	k.timers = append(k.timers, &heapTimer{fn: fn})
 	return len(k.timers) - 1
 }
 func (k *heapKernel) arm(t int, at Time) {
 	tm := k.timers[t]
-	k.e.cancel(tm.ev)
 	tm.ev = k.local(at, tm.fn)
 }
-func (k *heapKernel) stopTimer(t int) { k.e.cancel(k.timers[t].ev) }
-func (k *heapKernel) until(t Time)    { k.e.runUntil(t) }
+func (k *heapKernel) armed(t int) bool {
+	ev := k.timers[t].ev
+	return ev != nil && ev.idx >= 0
+}
+func (k *heapKernel) until(t Time) { k.e.runUntil(t) }
 func (k *heapKernel) drain() {
 	for k.e.step() {
 	}
@@ -210,7 +193,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
 	nextID := 0
-	var handles []int
 
 	// delta spreads deadlines over everything the kernel routes apart: the
 	// active run (zero and past), one bucket, the wheel, its horizon's
@@ -233,32 +215,28 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			return Time(rng.Int63n(int64(3 * Millisecond)))
 		}
 	}
-	anyHandle := func() (int, bool) {
-		if len(handles) == 0 {
-			return 0, false
-		}
-		return handles[rng.Intn(len(handles))], true
-	}
-
 	var timers []int
+	// armSome arms a random timer if it is disarmed: a Timer holds one
+	// expiry, and arming an armed one panics.
+	armSome := func() {
+		if t := timers[rng.Intn(len(timers))]; !k.armed(t) {
+			k.arm(t, k.clock()+delta())
+		}
+	}
 	var spawn func(depth int)
 	fired := func(id, depth int) {
 		log = append(log, fmt.Sprintf("fire %d @%d", id, k.clock()))
 		if depth >= 3 {
 			return
 		}
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0, 1:
 			spawn(depth + 1)
 		case 2:
 			spawn(depth + 1)
 			spawn(depth + 1)
 		case 3:
-			if h, ok := anyHandle(); ok {
-				k.cancel(h)
-			}
-		case 4:
-			k.arm(timers[rng.Intn(len(timers))], k.clock()+delta())
+			armSome()
 		}
 	}
 	// spawn schedules one event through a random entry point.
@@ -268,7 +246,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		at := k.clock() + delta()
 		switch rng.Intn(4) {
 		case 0, 1:
-			handles = append(handles, k.plain(at, func() { fired(id, depth) }))
+			k.plain(at, func() { fired(id, depth) })
 		default:
 			// Keys before, at and after the clock (the order is defined
 			// for any key), -1 as trace replay uses.
@@ -277,10 +255,10 @@ func runProgram(k kernel, seed int64, ops int) []string {
 				key = k.clock()
 			}
 			tag := int32(rng.Intn(4))
-			handles = append(handles, k.keyed(at, key, tag, func(got Time) {
+			k.keyed(at, key, tag, func(got Time) {
 				log = append(log, fmt.Sprintf("deadline %d", got))
 				fired(id, depth)
-			}))
+			})
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -290,16 +268,10 @@ func runProgram(k kernel, seed int64, ops int) []string {
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 45:
+		case r < 50:
 			spawn(0)
-		case r < 55:
-			if h, ok := anyHandle(); ok {
-				k.cancel(h)
-			}
-		case r < 60:
-			k.arm(timers[rng.Intn(len(timers))], k.clock()+delta())
-		case r < 63:
-			k.stopTimer(timers[rng.Intn(len(timers))])
+		case r < 58:
+			armSome()
 		case r < 98:
 			d := delta()
 			if d < 0 {
@@ -312,7 +284,6 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			log = append(log, "drain "+k.state())
 		default:
 			k.clear()
-			handles = handles[:0] // all inert now: later cancels should aim at live events
 			log = append(log, "reset "+k.state())
 		}
 	}
@@ -321,7 +292,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 }
 
 // TestDifferentialAgainstHeap runs seeded random programs — plain and keyed
-// schedules with past keys and tags, cancels, timer re-arms (inside their
+// schedules with past keys and tags, arms of disarmed timers (inside their
 // own callbacks too), RunUntil across the wheel horizon, Reset — on Engine and on the
 // heap reference. The logs must match line for line: same events, in the
 // same order, at the same instants, with the same counters.

@@ -11,12 +11,10 @@
 //
 // The kernel is built for the workload the Mess sweep produces: millions of
 // short-horizon events (DDR command timing, pacing, completion callbacks)
-// per curve point. Three mechanisms keep the per-event cost down:
+// per curve point. Two mechanisms keep the per-event cost down:
 //
 //   - a free-list event pool: event records are recycled as soon as they
-//     fire or are swept, so steady-state simulation schedules without
-//     allocating. Handles carry a generation counter, making Cancel on an
-//     already-fired (and possibly recycled) event a safe no-op;
+//     fire, so steady-state simulation schedules without allocating;
 //   - a calendar timer wheel in front of the heap: events within the wheel
 //     horizon (1024 buckets × 256 ps ≈ 262 ns — which covers DDR timing,
 //     issue pacing and completion latencies) are placed in O(1) buckets
@@ -25,16 +23,18 @@
 //     FIFO threaded through the events' own link field (the free-list
 //     link, unused while an event is pending), so the wheel owns no
 //     per-bucket storage: a drain walks the list into the active run, and
-//     neither a fresh nor a long-running engine allocates bucket arrays;
-//   - cancellation by tombstone: Cancel marks the event dead in O(1) and
-//     the sweep recycles it when its position drains, instead of restoring
-//     heap shape on every cancel.
+//     neither a fresh nor a long-running engine allocates bucket arrays.
 //
-// Steady-rate components should hold a Timer (re-armable one-shot with a
-// fixed callback) instead of scheduling fresh closures, which removes the
-// remaining per-event closure allocations from their paths. A fixed-period
-// component (the profile sampler, the CXL injector) re-arms its Timer at
-// the end of its own callback.
+// A scheduled event always fires: the kernel has no cancellation. A
+// component that no longer wants a wake-up it queued lets it fire and
+// ignores it (a stopped generator or sampler checks a flag).
+//
+// Steady-rate components should hold a Timer (a one-shot with a fixed
+// callback) instead of scheduling fresh closures, which removes the
+// remaining per-event closure allocations from their paths. A Timer holds
+// at most one expiry: it is armed only while disarmed, and arming an armed
+// Timer panics. A fixed-period component (the profile sampler, the CXL
+// injector) re-arms its Timer at the end of its own callback.
 //
 // Three entry points schedule: Schedule (a closure at an absolute time),
 // ScheduleKeyed (a timed callback with explicit tie-break keys) and Timer.
@@ -109,52 +109,22 @@ const (
 )
 
 // event is one scheduled callback record. Records are pooled: after firing
-// (or after a cancelled record is swept) the record returns to the engine's
-// free list with its generation bumped, which invalidates every Handle that
-// still points at it.
+// (or on Reset) the record returns to the engine's free list with its
+// generation bumped, which tells a Timer its expiry is gone.
 type event struct {
-	at    Time
-	key   Time   // schedule instant (ScheduleKeyed may state another): first tie-break
-	seq   uint64 // final tie-break so equal-(at, key, tag) events run in schedule order
-	gen   uint64 // bumped on recycle; Handles must match to act
-	tag   int32  // scheduling entity (0 = default); orders (at, key) ties across entities
-	dead  bool   // cancelled tombstone, swept lazily
-	inCur bool   // resident in the active run (drives tombstone compaction)
-	fn    func()
-	tfn   func(Time) // timed variant: called with the deadline
-	next  *event     // free-list link; wheel-bucket FIFO link while pending in a bucket
+	at   Time
+	key  Time   // schedule instant (ScheduleKeyed may state another): first tie-break
+	seq  uint64 // final tie-break so equal-(at, key, tag) events run in schedule order
+	gen  uint64 // bumped on recycle; a Timer matches it to read as armed
+	tag  int32  // scheduling entity (0 = default); orders (at, key) ties across entities
+	fn   func()
+	tfn  func(Time) // timed variant: called with the deadline
+	next *event     // free-list link; wheel-bucket FIFO link while pending in a bucket
 }
 
 // bucket is one wheel slot: a FIFO of pending events threaded through
 // event.next, in schedule (and cascade) order.
 type bucket struct{ head, tail *event }
-
-// Handle identifies one scheduled event. The zero Handle is valid and inert.
-// Handles are values: copying one copies the right to cancel.
-type Handle struct {
-	eng *Engine
-	ev  *event
-	gen uint64
-}
-
-// live reports whether the handle still names a pending event.
-func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen && !h.ev.dead }
-
-// Cancel removes the pending event in O(1). Cancelling an event that has
-// already fired, was already cancelled, or was never scheduled (the zero
-// Handle) is a no-op: the generation counter detects a recycled record, so
-// a stale handle can never cancel an unrelated future event.
-func (h Handle) Cancel() {
-	if !h.live() {
-		return
-	}
-	h.ev.dead = true
-	h.ev.fn, h.ev.tfn = nil, nil
-	h.eng.live--
-	if h.ev.inCur {
-		h.eng.curDead++
-	}
-}
 
 // Engine is a single-threaded discrete-event scheduler. It is intentionally
 // not safe for concurrent use: every simulation instance owns one engine and
@@ -163,18 +133,13 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	nsteps uint64
-	live   int // pending, non-cancelled events
+	live   int // queued events
 
 	// cur is the active sorted run: every queued event whose slot is
 	// ≤ wslot, ordered by (at, seq) and served from curPos. New events
-	// landing at or before the cursor are merge-inserted here. curDead
-	// counts tombstones resident in the unserved tail: when they dominate
-	// it, insertCur compacts instead of memmoving over dead records —
-	// without this, schedule+cancel churn at the cursor degenerates to
-	// O(n) per insert.
-	cur     []*event
-	curPos  int
-	curDead int
+	// landing at or before the cursor are merge-inserted here.
+	cur    []*event
+	curPos int
 
 	wslot   int64 // wheel cursor: absolute slot (at >> granBits)
 	wheelN  int   // events resident in buckets
@@ -195,13 +160,12 @@ func (e *Engine) Now() Time { return e.now }
 // Steps reports how many events have been executed.
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
-// Pending reports the number of live queued events. Cancelled events never
-// count here, even while their tombstones await sweeping.
+// Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.live }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) fires the event at Now; the kernel never runs time backwards.
-func (e *Engine) Schedule(at Time, fn func()) Handle { return e.add(at, e.now, 0, fn, nil) }
+func (e *Engine) Schedule(at Time, fn func()) { e.add(at, e.now, 0, fn, nil) }
 
 // ScheduleKeyed queues fn to run at absolute time at, invoked with that
 // deadline, and states the event's place among equal-deadline events
@@ -217,11 +181,12 @@ func (e *Engine) Schedule(at Time, fn func()) Handle { return e.add(at, e.now, 0
 //     order a pure function of (at, key, tag) instead of an artifact of
 //     schedule interleaving;
 //   - trace replay passes key = -1, ahead of every locally scheduled event.
-func (e *Engine) ScheduleKeyed(at, key Time, tag int32, fn func(Time)) Handle {
-	return e.add(at, key, tag, nil, fn)
+func (e *Engine) ScheduleKeyed(at, key Time, tag int32, fn func(Time)) {
+	e.add(at, key, tag, nil, fn)
 }
 
-func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) Handle {
+// add queues one event and returns its record.
+func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) *event {
 	if at < e.now {
 		at = e.now
 	}
@@ -229,8 +194,8 @@ func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) Handle 
 	// buckets. RunUntil (and far-future cascades) can advance the clock many
 	// horizons past wslot; without this catch-up, every short-delta schedule
 	// after such a jump computes slot-wslot ≥ wheelSize and detours through
-	// the overflow heap — the pathology that made cancel-heavy churn pay
-	// O(log n) heap traffic for deadlines only nanoseconds away. The jump is
+	// the overflow heap, paying O(log n) heap traffic for deadlines only
+	// nanoseconds away. The jump is
 	// safe exactly when the buckets are empty: cur entries are served
 	// regardless of the cursor, and every pending overflow event has a
 	// deadline ≥ now, so its slot stays ahead of (or lands on) the new
@@ -252,7 +217,7 @@ func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) Handle 
 	default:
 		e.heapPush(ev)
 	}
-	return Handle{eng: e, ev: ev, gen: ev.gen}
+	return ev
 }
 
 // less is the kernel's total event order: deadline, then schedule instant,
@@ -287,10 +252,7 @@ func less(a, b *event) bool {
 func (e *Engine) insertCur(ev *event) {
 	if e.curPos == len(e.cur) {
 		e.cur, e.curPos = e.cur[:0], 0
-	} else if e.curDead >= 64 && 2*e.curDead >= len(e.cur)-e.curPos {
-		e.compactCur()
 	}
-	ev.inCur = true
 	lo, hi := e.curPos, len(e.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -305,29 +267,7 @@ func (e *Engine) insertCur(ev *event) {
 	e.cur[lo] = ev
 }
 
-// compactCur sweeps tombstones out of the unserved tail of the active run,
-// preserving the order of the survivors. Triggered when dead records are
-// about to dominate insert cost; amortized O(1) per cancel.
-func (e *Engine) compactCur() {
-	out := e.curPos
-	for i := e.curPos; i < len(e.cur); i++ {
-		ev := e.cur[i]
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		e.cur[out] = ev
-		out++
-	}
-	for i := out; i < len(e.cur); i++ {
-		e.cur[i] = nil
-	}
-	e.cur = e.cur[:out]
-	e.curDead = 0
-}
-
 func (e *Engine) bucketAdd(slot int64, ev *event) {
-	ev.inCur = false
 	ev.next = nil
 	idx := slot & wheelMask
 	b := &e.buckets[idx]
@@ -341,20 +281,13 @@ func (e *Engine) bucketAdd(slot int64, ev *event) {
 	e.wheelN++
 }
 
-// peek returns the next live event without consuming it, advancing the
-// wheel cursor and cascading overflow as needed. It returns nil when the
-// queue is empty (sweeping any remaining tombstones on the way).
+// peek returns the next event without consuming it, advancing the wheel
+// cursor and cascading overflow as needed. It returns nil when the queue is
+// empty.
 func (e *Engine) peek() *event {
 	for {
-		for e.curPos < len(e.cur) {
-			ev := e.cur[e.curPos]
-			if ev.dead {
-				e.curPos++
-				e.curDead--
-				e.recycle(ev)
-				continue
-			}
-			return ev
+		if e.curPos < len(e.cur) {
+			return e.cur[e.curPos]
 		}
 		if len(e.cur) > 0 || e.curPos > 0 {
 			e.cur, e.curPos = e.cur[:0], 0
@@ -376,10 +309,6 @@ func (e *Engine) peek() *event {
 			}
 			ev := e.heapPop()
 			if slot := int64(ev.at) >> granBits; slot <= e.wslot {
-				ev.inCur = true
-				if ev.dead {
-					e.curDead++
-				}
 				e.cur = append(e.cur, ev)
 			} else {
 				e.bucketAdd(slot, ev)
@@ -389,10 +318,7 @@ func (e *Engine) peek() *event {
 			continue
 		}
 		// Advance to the next occupied bucket and walk its list into the
-		// (empty) active run. Tombstones are swept here, before sorting: a
-		// cancel-heavy burst can fill a bucket with dead records, and
-		// ordering them first would waste the whole sort on events that
-		// fire nothing.
+		// (empty) active run.
 		e.wslot += e.nextOccupied()
 		idx := e.wslot & wheelMask
 		ev := e.buckets[idx].head
@@ -401,13 +327,8 @@ func (e *Engine) peek() *event {
 		for ev != nil {
 			next := ev.next
 			e.wheelN--
-			if ev.dead {
-				e.recycle(ev)
-			} else {
-				ev.next = nil
-				ev.inCur = true
-				e.cur = append(e.cur, ev)
-			}
+			ev.next = nil
+			e.cur = append(e.cur, ev)
 			ev = next
 		}
 		sortEvents(e.cur)
@@ -438,8 +359,7 @@ func (e *Engine) nextOccupied() int64 {
 // are appended in schedule order, so live runs are short and nearly
 // sorted; insertion sort beats the generic sort here (a pdqsort fallback
 // for long runs measured ~50% slower on the dense-wheel workload, because
-// even crowded buckets arrive almost in order once tombstones are swept
-// before sorting).
+// even crowded buckets arrive almost in order).
 func sortEvents(evs []*event) {
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
@@ -462,13 +382,11 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-// recycle returns a served or swept record to the pool, bumping its
-// generation so outstanding Handles go inert.
+// recycle returns a fired or reset record to the pool, bumping its
+// generation so a Timer holding it reads as disarmed.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.tfn = nil, nil
-	ev.dead = false
-	ev.inCur = false
 	ev.next = e.pool
 	e.pool = ev
 }
@@ -491,8 +409,8 @@ func (e *Engine) fire(ev *event) {
 	e.live--
 	fn, tfn, at := ev.fn, ev.tfn, ev.at
 	// Recycle before invoking: the callback's own scheduling reuses the
-	// record immediately, and the generation bump inertly expires any
-	// handle still pointing at it.
+	// record immediately, and the generation bump disarms the Timer, if
+	// any, that this expiry belonged to.
 	e.recycle(ev)
 	if tfn != nil {
 		tfn(at)
@@ -523,9 +441,9 @@ func (e *Engine) RunUntil(t Time) {
 // empty, counters cleared — while keeping its allocated capacity warm: the
 // event pool, the active run and the overflow array are retained, so a reused
 // engine simulates its next run without re-allocating kernel structures.
-// Every outstanding Handle and Timer of the previous run goes inert. This
-// is how the benchmark harness reuses one engine per worker across sweep
-// points instead of rebuilding the kernel for each.
+// Every Timer armed in the previous run reads as disarmed. This is how the
+// benchmark harness reuses one engine per worker across sweep points
+// instead of rebuilding the kernel for each.
 func (e *Engine) Reset() {
 	for _, ev := range e.cur[e.curPos:] {
 		e.recycle(ev)
@@ -548,14 +466,13 @@ func (e *Engine) Reset() {
 		e.recycle(ev)
 	}
 	e.overflow = e.overflow[:0]
-	e.now, e.seq, e.nsteps, e.live, e.wslot, e.curDead = 0, 0, 0, 0, 0, 0
+	e.now, e.seq, e.nsteps, e.live, e.wslot = 0, 0, 0, 0, 0
 }
 
 // Overflow heap: a plain slice min-heap by (at, seq), hand-rolled to avoid
 // the container/heap interface dispatch on the far-event path.
 
 func (e *Engine) heapPush(ev *event) {
-	ev.inCur = false
 	h := append(e.overflow, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -596,42 +513,32 @@ func (e *Engine) heapPop() *event {
 	return top
 }
 
-// Timer is a re-armable one-shot timer with a fixed callback, the
-// replacement for components that repeatedly schedule the same wake-up
-// closure (issue pacing, controller decide events). The callback func is
-// captured once at construction, so arming allocates nothing beyond the
-// pooled event record. Arming an armed timer reschedules it; a timer whose
-// event has fired reads as disarmed.
+// Timer is a one-shot with a fixed callback, for components that
+// repeatedly schedule the same wake-up (issue pacing, periodic sampling).
+// The callback func is captured once at construction, so arming allocates
+// nothing beyond the pooled event record. A Timer holds at most one expiry:
+// arming an armed Timer panics. Once its expiry fires, or the engine is
+// Reset, it reads as disarmed and may be armed again.
 type Timer struct {
 	eng *Engine
 	fn  func()
-	h   Handle
+	ev  *event // the record of the last expiry armed
+	gen uint64 // ev's generation when armed
 }
 
 // NewTimer builds a timer that runs fn when it expires.
 func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
 
-// Arm schedules the timer to fire at absolute time at, replacing any
-// pending expiry.
+// Arm schedules the timer to fire at absolute time at. The timer must be
+// disarmed.
 func (t *Timer) Arm(at Time) {
-	t.h.Cancel()
-	t.h = t.eng.Schedule(at, t.fn)
-}
-
-// Stop cancels a pending expiry; stopping a disarmed timer is a no-op.
-func (t *Timer) Stop() {
-	t.h.Cancel()
-	t.h = Handle{}
+	if t.Armed() {
+		panic("sim: Timer armed while armed")
+	}
+	t.ev = t.eng.add(at, t.eng.now, 0, t.fn, nil)
+	t.gen = t.ev.gen
 }
 
 // Armed reports whether an expiry is pending. Inside the timer's own
 // callback the timer already reads as disarmed, so callbacks can re-arm.
-func (t *Timer) Armed() bool { return t.h.live() }
-
-// When reports the pending expiry time; ok is false when disarmed.
-func (t *Timer) When() (at Time, ok bool) {
-	if !t.h.live() {
-		return 0, false
-	}
-	return t.h.ev.at, true
-}
+func (t *Timer) Armed() bool { return t.ev != nil && t.ev.gen == t.gen }

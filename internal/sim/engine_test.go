@@ -47,17 +47,6 @@ func TestScheduleInPastClamps(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	count := 0
@@ -134,150 +123,26 @@ func TestStepsCounts(t *testing.T) {
 	}
 }
 
-func TestCancelRemovesFromQueue(t *testing.T) {
-	e := New()
-	ev := e.Schedule(10, func() { t.Fatal("cancelled event fired") })
-	e.Schedule(20, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	ev.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1 (cancelled events must not count)", e.Pending())
-	}
-	ev.Cancel() // idempotent
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after double cancel = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if e.Steps() != 1 {
-		t.Fatalf("Steps = %d, want 1", e.Steps())
-	}
-}
-
-func TestCancelFiredEventNoOp(t *testing.T) {
-	e := New()
-	ev := e.Schedule(5, func() {})
-	e.Schedule(10, func() {})
-	e.Run()
-	ev.Cancel() // already fired: must not disturb the (empty) queue
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", e.Pending())
-	}
-}
-
-func TestCancelMidQueuePreservesOrder(t *testing.T) {
-	e := New()
-	var order []Time
-	var evs []Handle
-	for i := Time(1); i <= 50; i++ {
-		i := i
-		evs = append(evs, e.Schedule(i, func() { order = append(order, i) }))
-	}
-	// Cancel every third event, including interior queue positions.
-	for i := 0; i < len(evs); i += 3 {
-		evs[i].Cancel()
-	}
-	e.Run()
-	want := 0
-	for i := Time(1); i <= 50; i++ {
-		if (i-1)%3 == 0 {
-			continue
-		}
-		if order[want] != i {
-			t.Fatalf("event %d fired out of order: got %v", i, order[:want+1])
-		}
-		want++
-	}
-	if len(order) != want {
-		t.Fatalf("fired %d events, want %d", len(order), want)
-	}
-}
-
-func TestCancelInsideCallback(t *testing.T) {
-	e := New()
-	var late Handle
-	fired := false
-	e.Schedule(1, func() { late.Cancel() })
-	late = e.Schedule(2, func() { fired = true })
-	e.Run()
-	if fired {
-		t.Fatal("event cancelled from an earlier callback still fired")
-	}
-}
-
-func TestRunUntilSkipsCancelled(t *testing.T) {
-	e := New()
-	count := 0
-	var evs []Handle
-	for i := Time(1); i <= 10; i++ {
-		evs = append(evs, e.Schedule(i*10, func() { count++ }))
-	}
-	evs[0].Cancel()
-	evs[4].Cancel()
-	e.RunUntil(50)
-	if count != 3 {
-		t.Fatalf("ran %d events until t=50, want 3", count)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("clock = %d, want 50", e.Now())
-	}
-}
-
 // --- pooled-event and generation-counter invariants ---
 
-// A handle whose event has fired must go inert even after the record is
-// recycled into a new event: cancelling through the stale handle must not
-// cancel (or double-fire) the record's next occupant.
-func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
+// A Timer's expiry record is recycled when it fires and may at once carry
+// another event. The generation bump must keep the timer disarmed while the
+// record's next occupant is pending, and arming the timer again must not
+// disturb that occupant.
+func TestTimerDisarmedAfterRecordReuse(t *testing.T) {
 	e := New()
-	h1 := e.Schedule(5, func() {})
-	e.Run() // fires and recycles the record
-
 	fired := 0
-	h2 := e.Schedule(10, func() { fired++ })
-	h1.Cancel() // stale: must be a no-op even if h2 reuses h1's record
+	tm := e.NewTimer(func() { fired++ })
+	tm.Arm(5)
 	e.Run()
-	if fired != 1 {
-		t.Fatalf("event fired %d times, want 1 (stale handle interfered)", fired)
+	e.Schedule(10, func() { fired++ }) // reuses the timer's record
+	if tm.Armed() {
+		t.Fatal("fired timer reads armed while its record holds another event")
 	}
-	_ = h2
-}
-
-// Cancelling a fired event inside a later callback — after the record has
-// been recycled and re-armed — must not kill the new occupant.
-func TestCancelAfterFireDuringRun(t *testing.T) {
-	e := New()
-	var h1 Handle
-	fired := 0
-	h1 = e.Schedule(1, func() {
-		// Reuse the pool immediately: this new event likely occupies h1's
-		// record. The deferred cancel below must not touch it.
-		e.Schedule(3, func() { fired++ })
-		e.Schedule(2, func() { h1.Cancel() })
-	})
+	tm.Arm(7)
 	e.Run()
-	if fired != 1 {
-		t.Fatalf("recycled event fired %d times, want 1", fired)
-	}
-}
-
-// A cancelled-then-swept record must be reusable without double-firing.
-func TestNoDoubleFireAfterCancelAndReuse(t *testing.T) {
-	e := New()
-	h := e.Schedule(5, func() { t.Fatal("cancelled event fired") })
-	h.Cancel()
-	fired := 0
-	e.Schedule(6, func() { fired++ })
-	e.Run()
-	h.Cancel() // stale again
-	e.Schedule(7, func() { fired++ })
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d, want 2", fired)
-	}
-	if e.Steps() != 2 {
-		t.Fatalf("Steps = %d, want 2 (cancelled events must not count)", e.Steps())
+	if fired != 3 || e.Now() != 10 {
+		t.Fatalf("fired %d events ending at %d, want 3 ending at 10", fired, e.Now())
 	}
 }
 
@@ -373,8 +238,8 @@ func TestScheduleBehindCursor(t *testing.T) {
 // --- determinism ---
 
 // chaoticRun exercises every kernel structure: cascades, equal-time ties,
-// cancels, timers, and spans from sub-bucket to far beyond the horizon. It
-// returns the exact fire sequence.
+// and spans from sub-bucket to far beyond the horizon. It returns the exact
+// fire sequence.
 func chaoticRun(e *Engine) (order []uint64, steps uint64) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(n uint64) uint64 {
@@ -383,7 +248,6 @@ func chaoticRun(e *Engine) (order []uint64, steps uint64) {
 		rng ^= rng << 17
 		return rng % n
 	}
-	var handles []Handle
 	var id uint64
 	var spawn func(depth int) func()
 	spawn = func(depth int) func() {
@@ -397,13 +261,7 @@ func chaoticRun(e *Engine) (order []uint64, steps uint64) {
 			n := int(next(4))
 			for i := 0; i < n; i++ {
 				d := Time(next(uint64(horizonT)))
-				h := e.Schedule(e.Now()+d, spawn(depth+1))
-				if next(5) == 0 {
-					handles = append(handles, h)
-				}
-			}
-			if len(handles) > 0 && next(3) == 0 {
-				handles[int(next(uint64(len(handles))))].Cancel()
+				e.Schedule(e.Now()+d, spawn(depth+1))
 			}
 		}
 	}
@@ -457,9 +315,12 @@ func TestResetDropsPendingEvents(t *testing.T) {
 	e := New()
 	e.Schedule(10, func() { t.Fatal("event survived Reset") })
 	e.Schedule(horizonT, func() { t.Fatal("overflow event survived Reset") })
-	h := e.Schedule(20, func() { t.Fatal("event survived Reset") })
+	tm := e.NewTimer(func() { t.Fatal("timer survived Reset") })
+	tm.Arm(20)
 	e.Reset()
-	h.Cancel() // stale post-reset handle: no-op
+	if tm.Armed() {
+		t.Fatal("timer armed before Reset reads armed after it")
+	}
 	fired := false
 	e.Schedule(5, func() { fired = true })
 	e.Run()
@@ -496,28 +357,32 @@ func TestTimerArmStopRearm(t *testing.T) {
 	if !tm.Armed() {
 		t.Fatal("armed timer reads disarmed")
 	}
-	if at, ok := tm.When(); !ok || at != 10 {
-		t.Fatalf("When = %d,%v want 10,true", at, ok)
-	}
-	tm.Arm(5) // re-arm earlier: replaces, not duplicates
 	e.Run()
-	if len(fires) != 1 || fires[0] != 5 {
-		t.Fatalf("fires = %v, want [5]", fires)
+	if len(fires) != 1 || fires[0] != 10 {
+		t.Fatalf("fires = %v, want [10]", fires)
 	}
 	if tm.Armed() {
 		t.Fatal("fired timer reads armed")
 	}
-	tm.Arm(e.Now() + 7)
-	tm.Stop()
+	tm.Arm(e.Now() + 3) // rearm after the fire
 	e.Run()
-	if len(fires) != 1 {
-		t.Fatalf("stopped timer fired: %v", fires)
+	if len(fires) != 2 || fires[1] != 13 {
+		t.Fatalf("fires = %v, want [10 13]", fires)
 	}
-	tm.Arm(e.Now() + 3) // rearm after stop
-	e.Run()
-	if len(fires) != 2 || fires[1] != 8 {
-		t.Fatalf("fires = %v, want [5 8]", fires)
-	}
+}
+
+// A Timer holds one expiry: arming it while armed is a caller's bug, not a
+// reschedule, and panics.
+func TestTimerArmWhileArmedPanics(t *testing.T) {
+	e := New()
+	tm := e.NewTimer(func() {})
+	tm.Arm(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming an armed timer did not panic")
+		}
+	}()
+	tm.Arm(5)
 }
 
 func TestTimerRearmInsideCallback(t *testing.T) {
@@ -589,34 +454,6 @@ func TestShortDeltaAfterClockJumpStaysOrdered(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-// Cancel-heavy churn with periodic drains — the DRAM decide pattern at
-// steady state — must neither allocate per op nor detour through the
-// overflow heap. This pins the kernel/schedule_cancel trajectory fix: the
-// pathology was the wheel cursor lagging the clock after each drain, which
-// sent every subsequent short-delta schedule to the heap.
-func TestCancelHeavySteadyStateAllocs(t *testing.T) {
-	e := New()
-	nop := func() {}
-	churn := func(n int) {
-		for i := 0; i < n; i++ {
-			h := e.Schedule(e.Now()+Time(100+i%211), nop)
-			h.Cancel()
-			if i%1024 == 1023 {
-				e.RunUntil(e.Now() + 300*Nanosecond)
-			}
-		}
-		e.Run()
-	}
-	// Warm the event pool and the active run. Buckets are lists threaded
-	// through the events, so no bucket position needs warming of its own.
-	churn(4 * 16384)
-	const ops = 16384
-	allocs := testing.AllocsPerRun(5, func() { churn(ops) })
-	if per := allocs / ops; per >= 0.01 {
-		t.Fatalf("cancel churn allocates %.4f/op at steady state, want ~0", per)
 	}
 }
 
