@@ -83,95 +83,32 @@ const (
 )
 
 // chanReq is one queued transaction, resident in the channel's slot store.
-// Slots are reused through a free list; a slot stays allocated from enqueue
-// until its FIFO position drains out of the ring (an issued mid-queue entry
-// becomes a tombstone — queued=false — until the ring head passes it), so a
-// ring entry always names a valid slot.
+// Slots are reused through a free list; a slot is allocated on enqueue and
+// freed the moment its request issues. Two lists thread it: its direction's
+// arrival queue (older/newer) and its bank FIFO (prev/next).
 type chanReq struct {
-	req    *mem.Request
-	seq    uint64 // arrival order; the FR-FCFS age tiebreak
-	row    int64
-	bi     int32 // bank index: rank*Banks+bank
-	rank   int32
-	prev   int32 // per-bank FIFO links (-1 = none)
-	next   int32 // doubles as the free-list link
-	queued bool
+	req          *mem.Request
+	seq          uint64 // arrival order in its queue; the FR-FCFS age tiebreak
+	row          int64
+	bi           int32 // bank index: rank*Banks+bank
+	rank         int32
+	older, newer int32 // arrival-queue links (-1 = none)
+	prev         int32 // per-bank FIFO links (-1 = none)
+	next         int32 // doubles as the free-list link
 }
 
-// reqRing is a growable power-of-two ring buffer of slot indices in arrival
-// order. Push never memmoves; mid-queue removal is a tombstone skipped (and
-// reclaimed) when the head reaches it, so the per-issue queue cost is O(1)
-// amortized instead of the O(n) delete of a slice queue.
+// reqQueue is one direction's pending requests in arrival order, a doubly
+// linked list threaded through the slot store. Any entry leaves in O(1).
 //
-// Entries carry consecutive arrival sequence numbers, tombstones included:
-// the entry at ring offset i has seq base+i, so a slot's offset is its seq
-// minus base.
-type reqRing struct {
-	buf  []int32
-	head int
-	n    int    // entries, tombstones included
-	base uint64 // seq of the head entry
-}
-
-// push appends the slot and returns its arrival sequence number.
-func (r *reqRing) push(idx int32) uint64 {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = idx
-	r.n++
-	return r.base + uint64(r.n-1)
-}
-
-func (r *reqRing) grow() {
-	nc := 2 * len(r.buf)
-	if nc == 0 {
-		nc = 64
-	}
-	nb := make([]int32, nc)
-	mask := len(r.buf) - 1
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&mask]
-	}
-	r.buf, r.head = nb, 0
-}
-
-func (r *reqRing) at(pos int) int32 { return r.buf[(r.head+pos)&(len(r.buf)-1)] }
-
-func (r *reqRing) pop() int32 {
-	idx := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	r.base++
-	return idx
-}
-
-// compactRing rewrites the ring without its tombstones, freeing their
-// slots and renumbering the survivors' arrival sequence densely from 0, so
-// that seq − base stays each entry's ring offset (relative order, which is
-// all FR-FCFS age comparisons use, is preserved). decideOnce runs it when
-// tombstones dominate the ring; amortized O(1) per issued request.
-func (c *channel) compactRing(dir int) {
-	r := &c.queues[dir]
-	mask := len(r.buf) - 1
-	out := 0
-	for i := 0; i < r.n; i++ {
-		idx := r.buf[(r.head+i)&mask]
-		s := &c.slots[idx]
-		if !s.queued {
-			c.freeSlot(idx)
-			continue
-		}
-		s.seq = uint64(out)
-		r.buf[(r.head+out)&mask] = idx
-		out++
-	}
-	r.n, r.base = out, 0
-	for b := range c.bq[dir] {
-		if bl := &c.bq[dir][b]; bl.match >= 0 {
-			bl.matchSeq = c.slots[bl.match].seq
-		}
-	}
+// seq numbers the queue's arrivals and never goes back, so it names one
+// request for the life of the channel. edge is the slot of the
+// FRFCFSWindow-th entry — the last one a row hit may be picked from — or −1
+// while fewer are queued (every entry is then inside the window).
+type reqQueue struct {
+	head, tail int32 // oldest and newest entry (-1 = empty)
+	n          int
+	arrivals   uint64 // seq of the next arrival
+	edge       int32
 }
 
 // bankList is the FIFO of pending requests of one (bank, direction),
@@ -212,13 +149,7 @@ type channel struct {
 	slots    []chanReq
 	freeHead int32
 
-	queues [dirCount]reqRing
-	live   [dirCount]int // live (non-tombstone) entries per queue
-	// winEdge is, per queue, the slot of the FRFCFSWindow-th live entry —
-	// the last one a row hit may be picked from — or −1 while fewer are
-	// live (every live entry is then inside the window). It only moves
-	// toward the tail, past tombstones it never revisits.
-	winEdge [dirCount]int32
+	queues [dirCount]reqQueue
 
 	bq        [dirCount][]bankList
 	matchBits [dirCount][]uint64
@@ -236,8 +167,8 @@ type channel struct {
 	draining   bool
 	drainCount int // writes served in the current drain episode
 
-	readHead       *mem.Request // current head of the read queue
-	readHeadBypass int          // times the head was bypassed by row hits
+	readHeadSeq    uint64 // seq of the read head readHeadBypass counts for
+	readHeadBypass int    // times that head was bypassed by row hits
 
 	decidePending bool
 	decideAt      sim.Time
@@ -256,8 +187,8 @@ type channel struct {
 // init is the channel's one constructor, run on a new channel and again on a
 // used one (System.Reset). It assigns a whole fresh channel value, so a field
 // added later starts from zero either way, and carries over only storage: the
-// slot store, ring buffers and per-bank tables, emptied and cleared of stale
-// request pointers. Their capacity is invisible to the scheduler, so a reset
+// slot store and per-bank tables, emptied and cleared of stale request
+// pointers. Their capacity is invisible to the scheduler, so a reset
 // channel behaves exactly as a new one.
 func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 	old := *c
@@ -276,7 +207,6 @@ func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 		lastCASBank: -1,
 		slots:       old.slots[:0],
 		freeHead:    -1,
-		winEdge:     [dirCount]int32{-1, -1},
 		availMask:   zeroed(old.availMask, words),
 		lookahead:   cfg.Timing.RP + cfg.Timing.RCD + cfg.Timing.CL,
 		decideFn:    old.decideFn,
@@ -286,7 +216,7 @@ func (c *channel) init(eng *sim.Engine, cfg *Config, chIdx int) {
 		c.banks[i].openRow = -1
 	}
 	for dir := 0; dir < dirCount; dir++ {
-		c.queues[dir].buf = old.queues[dir].buf
+		c.queues[dir] = reqQueue{head: -1, tail: -1, edge: -1}
 		c.bq[dir] = zeroed(old.bq[dir], nbanks)
 		for b := range c.bq[dir] {
 			c.bq[dir][b] = bankList{head: -1, tail: -1, match: -1, openRow: -1}
@@ -391,7 +321,6 @@ func (c *channel) enqueue(req *mem.Request, bi, rank int32, row int64) {
 	s.row = row
 	s.rank = rank
 	s.bi = bi
-	s.queued = true
 	dir := dirRead
 	if req.Op == mem.Write {
 		// Writes are posted: the core never waits on them. Done still
@@ -399,10 +328,18 @@ func (c *channel) enqueue(req *mem.Request, bi, rank int32, row int64) {
 		// slots upstream provide back-pressure against unbounded queues.
 		dir = dirWrite
 	}
-	s.seq = c.queues[dir].push(idx)
-	c.live[dir]++
-	if c.live[dir] == c.cfg.FRFCFSWindow {
-		c.winEdge[dir] = idx
+	q := &c.queues[dir]
+	s.seq = q.arrivals
+	q.arrivals++
+	s.older, s.newer = q.tail, -1
+	if q.tail >= 0 {
+		c.slots[q.tail].newer = idx
+	} else {
+		q.head = idx
+	}
+	q.tail = idx
+	if q.n++; q.n == c.cfg.FRFCFSWindow {
+		q.edge = idx
 	}
 	c.bankAppend(dir, idx)
 	c.kick()
@@ -484,26 +421,10 @@ func (c *channel) setMatch(dir int, bi, idx int32, seq uint64) {
 	}
 }
 
-// ringHead reports the oldest live entry of the queue, reclaiming any
-// tombstones that have drained to the front. Every issued entry is passed
-// exactly once, so the skip cost is O(1) amortized per request.
-func (c *channel) ringHead(dir int) int32 {
-	r := &c.queues[dir]
-	for r.n > 0 {
-		idx := r.at(0)
-		if c.slots[idx].queued {
-			return idx
-		}
-		r.pop()
-		c.freeSlot(idx)
-	}
-	return -1
-}
-
 // kick (re)schedules the decide event. The event is placed a lookahead
 // before the bus frees, so the scheduler commits each burst just in time.
 func (c *channel) kick() {
-	if c.live[dirRead]+c.live[dirWrite] == 0 {
+	if c.queued() == 0 {
 		return
 	}
 	at := c.decideTime()
@@ -549,35 +470,15 @@ func (c *channel) decideOnce() bool {
 	if writes {
 		dir = dirWrite
 	}
-	if c.live[dir] == 0 {
+	if c.queues[dir].n == 0 {
 		c.kick()
 		return false
 	}
-	head := c.ringHead(dir)
-	idx := c.pick(dir, head)
-	s := &c.slots[idx]
-	s.queued = false
-	c.live[dir]--
-	c.leaveWindow(dir, idx)
+	idx := c.pick(dir)
+	c.leaveQueue(dir, idx)
 	c.bankDetach(dir, idx)
-	popped := idx == head
-	if popped {
-		c.queues[dir].pop()
-		if dir == dirRead {
-			// The tracked head is leaving the queue: drop the reference now.
-			// Holding it past issue would alias a recycled pool record — a
-			// new request reusing this record could inherit the dead head's
-			// bypass count.
-			c.readHead = nil
-			c.readHeadBypass = 0
-		}
-	}
 	c.issue(idx, writes)
-	if popped {
-		c.freeSlot(idx) // a mid-queue pick instead becomes a ring tombstone
-	} else if r := &c.queues[dir]; r.n-c.live[dir] > 64 && r.n > 2*c.live[dir] {
-		c.compactRing(dir)
-	}
+	c.freeSlot(idx)
 	return true
 }
 
@@ -591,9 +492,9 @@ func (c *channel) decideOnce() bool {
 func (c *channel) pickDirection() bool {
 	if c.draining {
 		switch {
-		case c.live[dirWrite] <= c.cfg.WriteLo || c.live[dirWrite] == 0:
+		case c.queues[dirWrite].n <= c.cfg.WriteLo || c.queues[dirWrite].n == 0:
 			c.draining = false
-		case c.drainCount >= 2*c.cfg.WriteHi && c.live[dirRead] > 0:
+		case c.drainCount >= 2*c.cfg.WriteHi && c.queues[dirRead].n > 0:
 			// Yield to the waiting reads immediately; the drain (and its
 			// episode counter) restarts on the next decision.
 			c.draining = false
@@ -603,10 +504,10 @@ func (c *channel) pickDirection() bool {
 			return true
 		}
 	}
-	if c.live[dirRead] == 0 {
-		return c.live[dirWrite] > 0
+	if c.queues[dirRead].n == 0 {
+		return c.queues[dirWrite].n > 0
 	}
-	if c.live[dirWrite] >= c.cfg.WriteHi {
+	if c.queues[dirWrite].n >= c.cfg.WriteHi {
 		c.draining = true
 		c.drainCount = 1
 		return true
@@ -630,21 +531,21 @@ func (c *channel) pickDirection() bool {
 // match. The FRFCFSWindow bound holds exactly: the oldest hit, and every hit
 // inside the window, is some bank's match, and a candidate's membership is
 // one comparison against the queue's window edge (inWindow).
-func (c *channel) pick(dir int, head int32) int32 {
-	live := c.live[dir]
+func (c *channel) pick(dir int) int32 {
+	q := &c.queues[dir]
+	head := q.head
 	now := c.eng.Now()
-	hs := &c.slots[head]
 	isRead := dir == dirRead
 	if isRead {
-		if hs.req != c.readHead {
-			c.readHead = hs.req
+		if hs := c.slots[head].seq; hs != c.readHeadSeq {
+			c.readHeadSeq = hs
 			c.readHeadBypass = 0
 		}
 		if c.cfg.BypassCap > 0 && c.readHeadBypass >= c.cfg.BypassCap {
 			return head
 		}
 	}
-	if live == 1 {
+	if q.n == 1 {
 		// Only the head is eligible; the scan could pick nothing else (a
 		// hit-pick of the head reports no bypass either way). This is the
 		// common case across the low-pressure half of every sweep.
@@ -687,31 +588,34 @@ func (c *channel) pick(dir int, head int32) int32 {
 	return choice
 }
 
-// inWindow reports whether the live slot sits among the first FRFCFSWindow
-// live entries of its queue: whether it arrived no later than the window
-// edge, or the queue holds fewer entries than the window.
+// inWindow reports whether the queued slot sits among the first
+// FRFCFSWindow entries of its queue: whether it arrived no later than the
+// window edge, or the queue holds fewer entries than the window.
 func (c *channel) inWindow(dir int, idx int32) bool {
-	e := c.winEdge[dir]
+	e := c.queues[dir].edge
 	return e < 0 || c.slots[idx].seq <= c.slots[e].seq
 }
 
-// leaveWindow keeps the window edge on the FRFCFSWindow-th live entry after
-// the slot, just marked issued, left the queue. A slot behind the edge
-// changes nothing; one at or before it moves the edge to the next live
-// entry toward the tail, or to −1 when none is left.
-func (c *channel) leaveWindow(dir int, idx int32) {
-	e := c.winEdge[dir]
-	if e < 0 || c.slots[idx].seq > c.slots[e].seq {
-		return
+// leaveQueue unlinks the slot from its direction's queue. A slot at or
+// before the window edge moves the edge one entry toward the tail (to −1
+// when the queue drops below the window); one behind it changes nothing.
+func (c *channel) leaveQueue(dir int, idx int32) {
+	q := &c.queues[dir]
+	s := &c.slots[idx]
+	if q.edge >= 0 && s.seq <= c.slots[q.edge].seq {
+		q.edge = c.slots[q.edge].newer
 	}
-	r := &c.queues[dir]
-	for pos := int(c.slots[e].seq-r.base) + 1; pos < r.n; pos++ {
-		if j := r.at(pos); c.slots[j].queued {
-			c.winEdge[dir] = j
-			return
-		}
+	if s.older >= 0 {
+		c.slots[s.older].newer = s.newer
+	} else {
+		q.head = s.newer
 	}
-	c.winEdge[dir] = -1
+	if s.newer >= 0 {
+		c.slots[s.newer].older = s.older
+	} else {
+		q.tail = s.older
+	}
+	q.n--
 }
 
 // rowAvail reports whether the bank's open row is still usable at t: it
@@ -778,8 +682,8 @@ func (c *channel) touchBank(bi int32, rank int32, at sim.Time) {
 
 // issue commits one transaction: resolves the row outcome, computes the
 // earliest legal data burst, updates bank/rank/bus state and schedules the
-// completion callback. The slot has already been detached from its queue
-// and bank list.
+// completion callback. The slot has already left its queue and bank list;
+// the caller frees it.
 func (c *channel) issue(idx int32, isWrite bool) {
 	s := &c.slots[idx]
 	now := c.eng.Now()
@@ -848,16 +752,13 @@ func (c *channel) issue(idx int32, isWrite bool) {
 	c.lastCASBank = bi
 
 	c.rowStats.add(outcome)
-	req := s.req
-	s.req = nil
-
 	if isWrite {
 		// Posted write: completion (= write-queue acceptance upstream,
 		// drain here) releases the pooled record at the burst end.
-		req.CompleteAtTagged(c.eng, dataEnd, c.tag)
+		s.req.CompleteAtTagged(c.eng, dataEnd, c.tag)
 		return
 	}
-	req.CompleteAtTagged(c.eng, dataEnd+c.cfg.CtrlLatency, c.tag)
+	s.req.CompleteAtTagged(c.eng, dataEnd+c.cfg.CtrlLatency, c.tag)
 }
 
 // rankActConstraint reports the earliest time a new ACT may issue in the
@@ -885,4 +786,4 @@ func (c *channel) recordActivate(rank int32, at sim.Time) {
 	}
 }
 
-func (c *channel) queued() int { return c.live[dirRead] + c.live[dirWrite] }
+func (c *channel) queued() int { return c.queues[dirRead].n + c.queues[dirWrite].n }

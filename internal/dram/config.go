@@ -23,9 +23,12 @@
 // # The channel scheduler
 //
 // Decide, pick and issue are indexed, not scanned; each contract is on its
-// type or method in channel.go (reqRing, bankList, pick, and decideLoop,
-// the one way to decide). TestWindowEdgeMatchesRingWalk holds the window
-// edge to a ring walk; results alone check a scheduler change (the charz
+// type or method in channel.go (reqQueue, bankList, pick, and decideLoop,
+// the one way to decide). Each direction's queue is a list in arrival
+// order: a request leaves it, and frees its slot, the moment it issues.
+// TestWindowEdgeMatchesQueueWalk holds the window edge to a walk of the
+// list, and TestPickMatchesScan holds every pick to a plain scan of pick's
+// rules over the queue; results check a scheduler change too (the charz
 // results golden, exp.TestFig2ReleaseCSVDeterminism).
 package dram
 
