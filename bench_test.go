@@ -276,8 +276,8 @@ func BenchmarkKernelFarHorizon(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkKernelTimerRearm measures the re-armable pacing alarm: one op =
-// one arm + one fire of a fixed-callback timer.
+// BenchmarkKernelTimerRearm measures a pacing component's wake: one op =
+// one fire of its prebuilt callback, which schedules itself again.
 func BenchmarkKernelTimerRearm(b *testing.B) {
 	eng := mess.NewEngine()
 	b.ReportAllocs()
@@ -290,7 +290,7 @@ func BenchmarkKernelTimerRearm(b *testing.B) {
 // the benchmark harness: fill, drain, Reset.
 func BenchmarkKernelEngineReset(b *testing.B) {
 	eng := mess.NewEngine()
-	nop := func() {}
+	nop := func(mess.SimTime) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -179,13 +179,22 @@ func TestUnknownModelKindExits(t *testing.T) {
 // TestRefusedArgumentExits pins the other one-line refusals. messprofile
 // used to characterize the platform and print an empty profile for a
 // duration no window fits in; messbench and messsim read -scale as messexp
-// does.
+// does. messtrace used to panic on a store percentage outside [0, 100],
+// write an empty trace for a negative -limit, capture with a negative
+// pacing and measure Quick's window for -measure-us ≤ 0.
 func TestRefusedArgumentExits(t *testing.T) {
 	refused(t, "messexp: unknown experiment nope (-list shows them)\n", "messexp", "-run", "nope")
 	refused(t, "messprofile: -duration-us 0: the application must run for at least 1 µs\n", "messprofile", "-duration-us", "0")
 	refused(t, "messprofile: -duration-us -5: the application must run for at least 1 µs\n", "messprofile", "-duration-us", "-5")
 	refused(t, "messbench: unknown scale \"medium\" (want quick or full)\n", "messbench", "-scale", "medium")
 	refused(t, "messsim: unknown scale \"medium\" (want quick or full)\n", "messsim", "-scale", "medium")
+	refused(t, "messtrace: -stores 150: the store percentage must lie in [0, 100]\n", "messtrace", "-capture", "t.trace", "-stores", "150")
+	refused(t, "messtrace: -stores -1: the store percentage must lie in [0, 100]\n", "messtrace", "-capture", "t.trace", "-stores", "-1")
+	refused(t, "messtrace: -pace -5: the pacing must be a finite number of ns/op, 0 or more\n", "messtrace", "-capture", "t.trace", "-pace", "-5")
+	refused(t, "messtrace: -pace NaN: the pacing must be a finite number of ns/op, 0 or more\n", "messtrace", "-capture", "t.trace", "-pace", "NaN")
+	refused(t, "messtrace: -limit -3: the record limit must be positive, or 0 for none\n", "messtrace", "-capture", "t.trace", "-limit", "-3")
+	refused(t, "messtrace: -measure-us 0: the measured window must be at least 1 µs\n", "messtrace", "-capture", "t.trace", "-measure-us", "0")
+	refused(t, "messtrace: -measure-us -2: the measured window must be at least 1 µs\n", "messtrace", "-capture", "t.trace", "-measure-us", "-2")
 }
 
 // TestMessbenchUnknownPlatformGolden: status 1 and the platforms there are.

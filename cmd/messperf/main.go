@@ -6,7 +6,8 @@
 // internal/perfload (shared with the root -bench=Kernel benchmarks):
 //
 //   - kernel/: schedule/fire throughput of the event kernel on the wheel
-//     and overflow paths, and timer re-arming;
+//     and overflow paths, and of a pacing component that schedules its one
+//     prebuilt wake callback again at the end of each fire;
 //   - model/: completions/sec of the detailed DRAM model under three
 //     traffic regimes, of the CXL expander and of the Mess analytical
 //     simulator, each under a closed loop (the zero-allocation request
@@ -91,7 +92,7 @@ import (
 
 // Schema identifies the BENCH_sim.json format; CHANGES.md records what
 // each version changed. The telemetry block's series are not part of it.
-const Schema = "mess-perf/v11"
+const Schema = "mess-perf/v12"
 
 // The run's shape and bounds.
 const (
@@ -480,6 +481,8 @@ func main() {
 	kernel("schedule_fire", perfload.ScheduleFire)
 	kernel("wheel_dense", perfload.WheelDense)
 	kernel("far_horizon", perfload.FarHorizon)
+	// The row keeps its name from the kernel's former Timer: it prices a
+	// component re-scheduling its stored wake callback inside each fire.
 	kernel("timer_rearm", perfload.TimerRearm)
 
 	// The detailed DRAM model is measured under three traffic regimes: the

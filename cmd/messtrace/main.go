@@ -33,6 +33,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"github.com/mess-sim/mess/internal/bench"
@@ -84,10 +85,18 @@ func main() {
 }
 
 func doCapture(ctx context.Context, spec platform.Spec, path string, stores int, pace float64, limit, measUs int) {
-	opt := exp.Sweep(exp.Quick)
-	if measUs > 0 {
-		opt.Measure = sim.Time(measUs) * sim.Microsecond
+	switch {
+	case stores < 0 || stores > 100:
+		cli.Fatalf("-stores %d: the store percentage must lie in [0, 100]", stores)
+	case !(pace >= 0) || math.IsInf(pace, 1):
+		cli.Fatalf("-pace %v: the pacing must be a finite number of ns/op, 0 or more", pace)
+	case limit < 0:
+		cli.Fatalf("-limit %d: the record limit must be positive, or 0 for none", limit)
+	case measUs <= 0:
+		cli.Fatalf("-measure-us %d: the measured window must be at least 1 µs", measUs)
 	}
+	opt := exp.Sweep(exp.Quick)
+	opt.Measure = sim.Time(measUs) * sim.Microsecond
 	tr, s, err := trace.CapturePoint(ctx, spec, opt, bench.Mix{StorePercent: stores}, pace, limit)
 	if err != nil {
 		cli.Fatal(err)

@@ -131,21 +131,20 @@ func TestRigResetFromMidFlight(t *testing.T) {
 	if pool.Live() < 100 || r.eng.Pending() == 0 {
 		t.Fatalf("saturated point ended with %d requests in flight and %d events pending", pool.Live(), r.eng.Pending())
 	}
-	stale := r.eng.NewTimer(func() { t.Error("an event of the previous point fired") })
-	stale.Arm(r.eng.Now() + sim.Nanosecond)
+	r.eng.Schedule(r.eng.Now()+sim.Nanosecond, func(sim.Time) { t.Error("an event of the previous point fired") })
 	s, err := points[3].on(r) // unloaded: only the chaser's one request at a time
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stale.Armed() || pool.Live() > 1 || s.BWGBs > 1 {
-		t.Fatalf("unloaded point after a saturated one: stale event armed=%v, %d requests in flight, %.2f GB/s", stale.Armed(), pool.Live(), s.BWGBs)
+	if pool.Live() > 1 || s.BWGBs > 1 {
+		t.Fatalf("unloaded point after a saturated one: %d requests in flight, %.2f GB/s", pool.Live(), s.BWGBs)
 	}
 }
 
 // TestWarmRigGarbage is the garbage gate: once a rig has run a point, running
 // it again creates no request record and allocates none of the machine —
 // channel slot stores, rings, bank tables, engine event pool. What a point still
-// allocates is its issuers (chaser, generators, their ports and timers) and
+// allocates is its issuers (chaser, generators, their ports and wake callbacks) and
 // the counting wrapper, about 4 KB on this 8-core platform; a new rig
 // allocates about 100 KB for the same point.
 func TestWarmRigGarbage(t *testing.T) {

@@ -208,8 +208,8 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 	cfg := Config{OnChipLatency: 40 * sim.Nanosecond, LLCHitRate: 0.3}
 	drive := func(eng *sim.Engine, h *Hierarchy, until sim.Time) {
 		p := h.Port(0)
-		var issue func()
-		issue = func() {
+		var issue func(sim.Time)
+		issue = func(sim.Time) {
 			for i := 0; p.FreeMSHR() && p.FreeWB() && i < 4; i++ {
 				addr := uint64(8<<20) + p.Loads*64 + p.Stores*4096
 				if (p.Loads+p.Stores)%3 == 0 {
@@ -220,7 +220,7 @@ func TestHierarchyResetMatchesNew(t *testing.T) {
 			}
 			eng.Schedule(eng.Now()+7*sim.Nanosecond, issue)
 		}
-		issue()
+		issue(eng.Now())
 		eng.RunUntil(until)
 	}
 

@@ -39,7 +39,7 @@ type Chaser struct {
 
 	// The chase is fully serialized, so the hop and completion callbacks
 	// are allocated once and reused for every hop.
-	hopFn  func()
+	hopFn  func(sim.Time)
 	doneFn func(sim.Time)
 
 	latSum sim.Time
@@ -67,7 +67,7 @@ func NewChaser(eng *sim.Engine, port *cache.Port, base uint64, lines uint64, see
 		cur:         seed % lines,
 		hopOverhead: sim.Nanosecond / 2,
 	}
-	c.hopFn = c.hop
+	c.hopFn = func(sim.Time) { c.hop() }
 	c.doneFn = c.hopDone
 	return c
 }

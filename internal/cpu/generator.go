@@ -62,7 +62,8 @@ type Generator struct {
 
 	nextAt  sim.Time
 	running bool
-	wake    *sim.Timer // pacing alarm: re-armed in place, never re-allocated
+	asleep  bool           // a pacing wake is queued
+	wakeFn  func(sim.Time) // the pacing wake, built once and scheduled again each stall
 
 	ops uint64
 }
@@ -80,7 +81,10 @@ func NewGenerator(eng *sim.Engine, port *cache.Port, cfg GenConfig) *Generator {
 		lines: cfg.ArrayBytes / mem.LineSize,
 	}
 	g.pattern = mixPattern(cfg.StorePercent)
-	g.wake = eng.NewTimer(g.tryIssue)
+	g.wakeFn = func(sim.Time) {
+		g.asleep = false
+		g.tryIssue()
+	}
 	return g
 }
 
@@ -115,15 +119,17 @@ func (g *Generator) Start() {
 func (g *Generator) Stop() { g.running = false }
 
 // tryIssue issues as many operations as pacing and buffer space allow, then
-// arranges to be woken by either the pacing timer or a completion.
+// arranges to be woken by either its pacing wake or a completion.
 func (g *Generator) tryIssue() {
 	for g.running {
 		now := g.eng.Now()
 		if now < g.nextAt {
-			// Pacing stall: sleep on the re-armable alarm until the next
-			// issue slot (a pending alarm is already set for it).
-			if !g.wake.Armed() {
-				g.wake.Arm(g.nextAt)
+			// Pacing stall: sleep until the next issue slot, unless a
+			// wake is already queued for it (an OnFree re-entry during
+			// the stall must not queue a second).
+			if !g.asleep {
+				g.asleep = true
+				g.eng.Schedule(g.nextAt, g.wakeFn)
 			}
 			return
 		}

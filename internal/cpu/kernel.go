@@ -113,7 +113,8 @@ type KernelCore struct {
 	running  bool
 	stepOpen bool // a line-step is in progress (guards re-entrant wake-ups)
 	nextAt   sim.Time
-	wake     *sim.Timer // pacing alarm: re-armed in place, never re-allocated
+	asleep   bool           // a pacing wake is queued
+	wakeFn   func(sim.Time) // the pacing wake, built once and scheduled again each step
 
 	// Completion callback of a dependent load, allocated once and passed
 	// to the port for every step: issuing a line-step captures nothing.
@@ -153,7 +154,10 @@ func NewKernelCore(eng *sim.Engine, port *cache.Port, k Kernel, cfg CoreConfig) 
 		rng:    cfg.Seed,
 		nextOp: k.Loads + k.Stores, // no step open yet
 	}
-	c.wake = eng.NewTimer(c.beginStep)
+	c.wakeFn = func(sim.Time) {
+		c.asleep = false
+		c.beginStep()
+	}
 	c.depDoneFn = func(sim.Time) { c.completeStep() }
 	return c
 }
@@ -281,13 +285,13 @@ func (c *KernelCore) canIssue(op pendingOp) bool {
 //     chip the port delivers it. On chip the completion comes back as a
 //     timestamp, which the core carries as a *virtual completion time*
 //     instead of scheduling depDoneFn at ackAt: the IPC/step accounting is
-//     stamped with ackAt now, and the pacing timer is armed at the instant
-//     the next step would have begun (max of the pacing deadline and
+//     stamped with ackAt now, and the pacing wake is queued for the
+//     instant the next step would have begun (max of the pacing deadline and
 //     ackAt). The next step's port traffic therefore still issues at
 //     exactly the old engine time; only the intermediate completion hop at
 //     ackAt disappears whenever the pacing deadline lies beyond it. (When
 //     the wake shares a deadline with another component's event, its
-//     schedule order can shift relative to the old arm-at-completion — an
+//     schedule order can shift relative to the old wake-at-completion — an
 //     accepted model-level tie-break; the fig2 determinism gate, which
 //     exercises the chaser/generator cores, is unaffected.)
 func (c *KernelCore) issue(op pendingOp) {
@@ -306,7 +310,7 @@ func (c *KernelCore) issue(op pendingOp) {
 
 // virtualStepComplete retires a step whose closing dependent load hit on
 // chip, without an event at the completion instant: the accounting is
-// stamped with the virtual completion time at, and the wake timer carries
+// stamped with the virtual completion time at, and the pacing wake carries
 // execution to where the old completion callback would have resumed it.
 func (c *KernelCore) virtualStepComplete(at sim.Time) {
 	if !c.running || !c.stepOpen {
@@ -317,7 +321,7 @@ func (c *KernelCore) virtualStepComplete(at sim.Time) {
 	c.steps++
 	c.lineIdx++
 	c.lastAt = at
-	c.wake.Arm(max(c.nextAt, at))
+	c.sleep(max(c.nextAt, at))
 }
 
 // completeStep retires the step's instructions and schedules the next step
@@ -332,10 +336,18 @@ func (c *KernelCore) completeStep() {
 	c.lineIdx++
 	c.lastAt = c.eng.Now()
 	if c.nextAt > c.eng.Now() {
-		if !c.wake.Armed() {
-			c.wake.Arm(c.nextAt)
-		}
+		c.sleep(c.nextAt)
 		return
 	}
 	c.beginStep()
+}
+
+// sleep queues the pacing wake for at, unless one is queued already: after
+// a Stop and Start the wake queued before the Stop still stands and begins
+// the next step.
+func (c *KernelCore) sleep(at sim.Time) {
+	if !c.asleep {
+		c.asleep = true
+		c.eng.Schedule(at, c.wakeFn)
+	}
 }

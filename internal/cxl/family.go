@@ -96,9 +96,9 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 	// Open-loop injector: deterministic spacing, Bresenham write mix,
 	// sequential addresses across several streams. Cap outstanding to
 	// bound queue growth past saturation. The fixed injection rate rides
-	// on a kernel Timer re-armed after each injection (one pooled event)
-	// and the requests on a point-local pool (records recycled on
-	// completion).
+	// on one tick callback that schedules itself again after each
+	// injection (one pooled event) and the requests on a point-local pool
+	// (records recycled on completion).
 	interval := sim.FromNanoseconds(float64(mem.LineSize) / rate)
 	const maxOutstanding = 256
 	outstanding := 0
@@ -120,16 +120,16 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 			counting.Access(pool.Get(addr, op, injectDone))
 		}
 	}
-	var tick *sim.Timer
-	tick = eng.NewTimer(func() {
-		if eng.Now() >= deadline {
+	var tick func(sim.Time)
+	tick = func(now sim.Time) {
+		if now >= deadline {
 			return
 		}
 		injectOne()
-		tick.Arm(eng.Now() + interval)
-	})
+		eng.Schedule(now+interval, tick)
+	}
 	injectOne()
-	tick.Arm(eng.Now() + interval)
+	eng.Schedule(eng.Now()+interval, tick)
 
 	// Latency probe: dependent reads in their own address region. The probe
 	// and completion callbacks are allocated once; the single in-flight
@@ -138,7 +138,7 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 	var probeN uint64
 	var probeStart sim.Time
 	probeLine := uint64(0)
-	var probe func()
+	var probe func(sim.Time)
 	probeDone := func(at sim.Time, _ *mem.Request) {
 		if probeStart >= o.Warmup {
 			probeLatSum += at - probeStart
@@ -146,16 +146,16 @@ func measureDevicePoint(eng *sim.Engine, pool *mem.RequestPool, makeBackend mem.
 		}
 		eng.Schedule(eng.Now()+sim.Nanosecond, probe)
 	}
-	probe = func() {
-		if eng.Now() >= deadline {
+	probe = func(now sim.Time) {
+		if now >= deadline {
 			return
 		}
 		probeLine = probeLine*1664525 + 1013904223
 		addr := uint64(1)<<41 + (probeLine%(1<<18))*mem.LineSize
-		probeStart = eng.Now()
+		probeStart = now
 		counting.Access(pool.Get(addr, mem.Read, probeDone))
 	}
-	probe()
+	probe(eng.Now())
 
 	eng.RunUntil(o.Warmup)
 	c0 := counting.Snapshot()

@@ -29,7 +29,7 @@ func (f flood) start(cfg Config) (*sim.Engine, *System, *int) {
 	served := new(int)
 	done := func(sim.Time, *mem.Request) { *served++ }
 	rng := f.seed | 1
-	burst := func() {
+	burst := func(sim.Time) {
 		for i := 0; i < f.size; i++ {
 			rng ^= rng << 13
 			rng ^= rng >> 7

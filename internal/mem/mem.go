@@ -156,7 +156,7 @@ func (r *Request) CompleteAtTagged(eng *sim.Engine, at sim.Time, tag int32) {
 // allocation-free.
 func (r *Request) SendAt(eng *sim.Engine, to Backend, at sim.Time) {
 	r.dest = to
-	eng.ScheduleKeyed(at, eng.Now(), 0, r.deliverFn())
+	eng.Schedule(at, r.deliverFn())
 }
 
 func (r *Request) fireFn() func(sim.Time) {

@@ -38,7 +38,7 @@ type InternalDDR struct {
 
 	queues  [][]*mem.Request
 	pending []bool
-	serveFn []func() // per channel, allocated once: the serve-resume event
+	serveFn []func(sim.Time) // per channel, allocated once: the serve-resume event
 }
 
 // NewInternalDDR derives geometry and timing from the platform's DRAM
@@ -65,10 +65,10 @@ func NewInternalDDR(eng *sim.Engine, spec platform.Spec) *InternalDDR {
 	m.lastIsW = make([]bool, d.Channels)
 	m.queues = make([][]*mem.Request, d.Channels)
 	m.pending = make([]bool, d.Channels)
-	m.serveFn = make([]func(), d.Channels)
+	m.serveFn = make([]func(sim.Time), d.Channels)
 	for ch := 0; ch < d.Channels; ch++ {
 		ch := ch
-		m.serveFn[ch] = func() {
+		m.serveFn[ch] = func(sim.Time) {
 			m.pending[ch] = false
 			m.serve(ch)
 		}

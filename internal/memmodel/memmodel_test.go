@@ -260,7 +260,7 @@ func completions(eng *sim.Engine, b mem.Backend) []sim.Time {
 		if i%5 == 4 {
 			op = mem.Write
 		}
-		eng.Schedule(sim.Time(i/8)*20*sim.Nanosecond, func() {
+		eng.Schedule(sim.Time(i/8)*20*sim.Nanosecond, func(sim.Time) {
 			b.Access(&mem.Request{Addr: addr, Op: op, Done: done})
 		})
 	}

@@ -17,8 +17,8 @@ import (
 // scheduler and pacing loops generate. The headline kernel number.
 func ScheduleFire(eng *sim.Engine, n int) {
 	fired := 0
-	var tick func()
-	tick = func() {
+	var tick func(sim.Time)
+	tick = func(sim.Time) {
 		fired++
 		if fired < n {
 			eng.Schedule(eng.Now()+3*sim.Nanosecond+sim.Time(fired%7)*100, tick)
@@ -34,8 +34,8 @@ func ScheduleFire(eng *sim.Engine, n int) {
 // wheel with many occupied buckets.
 func WheelDense(eng *sim.Engine, n int) {
 	fired := 0
-	var tick func()
-	tick = func() {
+	var tick func(sim.Time)
+	tick = func(sim.Time) {
 		fired++
 		if fired < n {
 			eng.Schedule(eng.Now()+sim.Time(500+fired%97*13), tick)
@@ -52,8 +52,8 @@ func WheelDense(eng *sim.Engine, n int) {
 func FarHorizon(eng *sim.Engine, n int) {
 	fired := 0
 	far := 2 * sim.Microsecond // ≫ the 262 ns wheel horizon
-	var tick func()
-	tick = func() {
+	var tick func(sim.Time)
+	tick = func(sim.Time) {
 		fired++
 		if fired < n {
 			eng.Schedule(eng.Now()+far+sim.Time(fired%13)*1000, tick)
@@ -71,7 +71,7 @@ func FarHorizon(eng *sim.Engine, n int) {
 // wheel buckets, with periodic drains. It stays for the benchmark's
 // sim.cancel_ns.
 func Cancel(eng *sim.Engine, n int) {
-	nop := func() {}
+	nop := func(sim.Time) {}
 	for i := 0; i < n; i++ {
 		eng.Schedule(eng.Now()+sim.Nanosecond+sim.Time(i%2001), nop)
 		if i%1024 == 1023 {
@@ -81,17 +81,22 @@ func Cancel(eng *sim.Engine, n int) {
 	eng.Run()
 }
 
-// TimerRearm drives n arm+fire cycles of a fixed-callback pacing timer.
+// TimerRearm drives n fire+reschedule cycles of one pacing component: its
+// wake callback is built once and, at the end of each fire, schedules
+// itself again. The kernel has no timer type; this is the pattern every
+// steady-rate component follows instead (cpu.Generator's and
+// cpu.KernelCore's pacing wakes, profile.Sampler, the CXL injector). It
+// keeps its name for the benchmark's sim.timer_rearm_ns.
 func TimerRearm(eng *sim.Engine, n int) {
 	fired := 0
-	var tm *sim.Timer
-	tm = eng.NewTimer(func() {
+	var wake func(sim.Time)
+	wake = func(now sim.Time) {
 		fired++
 		if fired < n {
-			tm.Arm(eng.Now() + sim.Time(200+fired%31))
+			eng.Schedule(now+sim.Time(200+fired%31), wake)
 		}
-	})
-	tm.Arm(eng.Now() + 1)
+	}
+	eng.Schedule(eng.Now()+1, wake)
 	eng.Run()
 }
 

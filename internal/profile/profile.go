@@ -25,10 +25,11 @@ type CounterWindow struct {
 
 // Sampler periodically snapshots a counting backend, building the raw
 // window stream. It must be driven by RunUntil on the same engine. The
-// period rides on a kernel Timer that each sample re-arms, so sampling
-// reschedules in place instead of allocating a closure per window. Stop
-// clears a flag, the way cpu.Generator stops: the expiry already queued
-// still fires, records nothing and does not re-arm.
+// period rides on one expiry callback, built once, that each sample
+// schedules again, so sampling allocates no closure per window. At most
+// one expiry is queued. Stop clears a flag, the way cpu.Generator stops:
+// the expiry already queued still fires, records nothing and schedules no
+// successor.
 type Sampler struct {
 	eng      *sim.Engine
 	counting *mem.CountingBackend
@@ -38,7 +39,8 @@ type Sampler struct {
 	prev    mem.Counters
 	prevAt  sim.Time
 	windows []CounterWindow
-	tick    *sim.Timer
+	queued  bool           // an expiry is pending
+	tick    func(sim.Time) // the expiry callback
 }
 
 // NewSampler builds a sampler with the given period (the paper's default
@@ -49,7 +51,10 @@ func NewSampler(eng *sim.Engine, counting *mem.CountingBackend, every sim.Time) 
 		panic("profile: sampler period must be positive")
 	}
 	s := &Sampler{eng: eng, counting: counting, every: every}
-	s.tick = eng.NewTimer(s.sample)
+	s.tick = func(now sim.Time) {
+		s.queued = false
+		s.sample(now)
+	}
 	return s
 }
 
@@ -62,17 +67,22 @@ func (s *Sampler) Start() {
 	s.running = true
 	s.prev = s.counting.Snapshot()
 	s.prevAt = s.eng.Now()
-	if !s.tick.Armed() {
-		s.tick.Arm(s.prevAt + s.every)
+	if !s.queued {
+		s.schedule(s.prevAt + s.every)
 	}
 }
 
-// sample closes the current window at each timer expiry and opens the next.
-func (s *Sampler) sample() {
+// schedule queues the next expiry.
+func (s *Sampler) schedule(at sim.Time) {
+	s.queued = true
+	s.eng.Schedule(at, s.tick)
+}
+
+// sample closes the current window at each expiry and opens the next.
+func (s *Sampler) sample(now sim.Time) {
 	if !s.running {
 		return
 	}
-	now := s.eng.Now()
 	cur := s.counting.Snapshot()
 	s.windows = append(s.windows, CounterWindow{
 		Start:   s.prevAt,
@@ -80,7 +90,7 @@ func (s *Sampler) sample() {
 		Traffic: cur.Sub(s.prev),
 	})
 	s.prev, s.prevAt = cur, now
-	s.tick.Arm(now + s.every)
+	s.schedule(now + s.every)
 }
 
 // Stop halts sampling.

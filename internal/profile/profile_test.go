@@ -27,7 +27,7 @@ func TestSamplerWindows(t *testing.T) {
 	// Inject 64 B every 100 ns → 0.64 GB/s.
 	for i := 0; i < 1000; i++ {
 		at := sim.Time(i) * 100 * sim.Nanosecond
-		eng.Schedule(at, func() {
+		eng.Schedule(at, func(sim.Time) {
 			counting.Access(&mem.Request{Addr: 0, Op: mem.Read})
 		})
 	}
@@ -59,6 +59,41 @@ func TestSamplerStopCancels(t *testing.T) {
 	eng.RunUntil(10 * sim.Microsecond)
 	if len(s.Windows()) != n {
 		t.Fatal("sampler kept sampling after Stop")
+	}
+}
+
+// A Sampler holds at most one expiry. Start after a Stop whose expiry is
+// still queued reuses that expiry instead of queuing a second; an expiry
+// that fires while stopped records nothing and lets the next Start queue
+// afresh.
+func TestSamplerRestartKeepsOneExpiry(t *testing.T) {
+	eng := sim.New()
+	us := sim.Microsecond
+	s := NewSampler(eng, mem.NewCounting(stubBackend{}), us)
+	s.Start()
+	eng.RunUntil(2*us + us/2)
+	s.Stop()
+	s.Start() // the expiry at 3 µs is still queued
+	eng.RunUntil(6 * us)
+	s.Stop()
+	eng.RunUntil(8*us + us/2) // the expiry at 7 µs fires, stopped
+	s.Start()
+	eng.RunUntil(11*us + us/2)
+	want := []CounterWindow{
+		{Start: 0, End: us}, {Start: us, End: 2 * us},
+		{Start: 2*us + us/2, End: 3 * us}, {Start: 3 * us, End: 4 * us},
+		{Start: 4 * us, End: 5 * us}, {Start: 5 * us, End: 6 * us},
+		{Start: 8*us + us/2, End: 9*us + us/2}, {Start: 9*us + us/2, End: 10*us + us/2},
+		{Start: 10*us + us/2, End: 11*us + us/2},
+	}
+	got := s.Windows()
+	if len(got) != len(want) {
+		t.Fatalf("%d windows, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].Start != want[i].Start || got[i].End != want[i].End {
+			t.Fatalf("window %d spans %v–%v, want %v–%v", i, got[i].Start, got[i].End, want[i].Start, want[i].End)
+		}
 	}
 }
 

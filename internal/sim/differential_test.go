@@ -24,7 +24,6 @@ type heapEvent struct {
 	tag     int32
 	seq     uint64
 	fn      func(Time)
-	idx     int // position in the queue; -1 once fired or reset
 }
 
 type heapEvents []*heapEvent
@@ -43,33 +42,23 @@ func (h heapEvents) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h heapEvents) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *heapEvents) Push(x any) {
-	ev := x.(*heapEvent)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
+func (h heapEvents) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *heapEvents) Push(x any)   { *h = append(*h, x.(*heapEvent)) }
 func (h *heapEvents) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	ev.idx = -1
 	return ev
 }
 
-func (e *heapEngine) schedule(at, key Time, tag int32, fn func(Time)) *heapEvent {
+func (e *heapEngine) schedule(at, key Time, tag int32, fn func(Time)) {
 	if at < e.now {
 		at = e.now
 	}
-	ev := &heapEvent{at: at, key: key, tag: tag, seq: e.seq, fn: fn}
+	heap.Push(&e.queue, &heapEvent{at: at, key: key, tag: tag, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
 }
 
 func (e *heapEngine) step() bool {
@@ -92,83 +81,42 @@ func (e *heapEngine) runUntil(t Time) {
 	}
 }
 
-func (e *heapEngine) reset() {
-	for _, ev := range e.queue {
-		ev.idx = -1
-	}
-	*e = heapEngine{queue: e.queue[:0]}
-}
+func (e *heapEngine) reset() { *e = heapEngine{queue: e.queue[:0]} }
 
 // kernel is what a differential program drives: the whole scheduling
-// surface of Engine, spelled so the heap reference can offer it too. A
-// timer is an opaque index into the implementation's own table.
+// surface of Engine, spelled so the heap reference can offer it too.
 type kernel interface {
 	clock() Time
-	plain(at Time, fn func())
+	plain(at Time, fn func(Time))
 	keyed(at, key Time, tag int32, fn func(Time))
-	timer(fn func()) int
-	arm(t int, at Time)
-	armed(t int) bool
 	until(t Time)
 	drain()
 	clear()
 	state() string
 }
 
-type wheelKernel struct {
-	e      *Engine
-	timers []*Timer
-}
+type wheelKernel struct{ e *Engine }
 
-func (k *wheelKernel) clock() Time              { return k.e.Now() }
-func (k *wheelKernel) plain(at Time, fn func()) { k.e.Schedule(at, fn) }
-func (k *wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) {
+func (k wheelKernel) clock() Time                  { return k.e.Now() }
+func (k wheelKernel) plain(at Time, fn func(Time)) { k.e.Schedule(at, fn) }
+func (k wheelKernel) keyed(at, key Time, tag int32, fn func(Time)) {
 	k.e.ScheduleKeyed(at, key, tag, fn)
 }
-func (k *wheelKernel) timer(fn func()) int {
-	k.timers = append(k.timers, k.e.NewTimer(fn))
-	return len(k.timers) - 1
-}
-func (k *wheelKernel) arm(t int, at Time) { k.timers[t].Arm(at) }
-func (k *wheelKernel) armed(t int) bool   { return k.timers[t].Armed() }
-func (k *wheelKernel) until(t Time)       { k.e.RunUntil(t) }
-func (k *wheelKernel) drain()             { k.e.Run() }
-func (k *wheelKernel) clear()             { k.e.Reset() }
-func (k *wheelKernel) state() string {
+func (k wheelKernel) until(t Time) { k.e.RunUntil(t) }
+func (k wheelKernel) drain()       { k.e.Run() }
+func (k wheelKernel) clear()       { k.e.Reset() }
+func (k wheelKernel) state() string {
 	return fmt.Sprintf("now=%d steps=%d pending=%d", k.e.Now(), k.e.Steps(), k.e.Pending())
 }
 
-// heapKernel states Timer in terms of schedule, the way its doc comments
-// define it: a timer is armed while its one expiry is queued.
-type heapKernel struct {
-	e      heapEngine
-	timers []*heapTimer
-}
+// heapKernel states Schedule in terms of ScheduleKeyed, the way its doc
+// comment defines it: key Now(), tag 0.
+type heapKernel struct{ e heapEngine }
 
-type heapTimer struct {
-	fn func()
-	ev *heapEvent
-}
-
-func (k *heapKernel) local(at Time, fn func()) *heapEvent {
-	return k.e.schedule(at, k.e.now, 0, func(Time) { fn() })
-}
-func (k *heapKernel) clock() Time              { return k.e.now }
-func (k *heapKernel) plain(at Time, fn func()) { k.local(at, fn) }
+func (k *heapKernel) clock() Time                  { return k.e.now }
+func (k *heapKernel) plain(at Time, fn func(Time)) { k.e.schedule(at, k.e.now, 0, fn) }
 func (k *heapKernel) keyed(at, key Time, tag int32, fn func(Time)) {
 	k.e.schedule(at, key, tag, fn)
-}
-func (k *heapKernel) timer(fn func()) int {
-	k.timers = append(k.timers, &heapTimer{fn: fn})
-	return len(k.timers) - 1
-}
-func (k *heapKernel) arm(t int, at Time) {
-	tm := k.timers[t]
-	tm.ev = k.local(at, tm.fn)
-}
-func (k *heapKernel) armed(t int) bool {
-	ev := k.timers[t].ev
-	return ev != nil && ev.idx >= 0
 }
 func (k *heapKernel) until(t Time) { k.e.runUntil(t) }
 func (k *heapKernel) drain() {
@@ -215,12 +163,25 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			return Time(rng.Int63n(int64(3 * Millisecond)))
 		}
 	}
-	var timers []int
-	// armSome arms a random timer if it is disarmed: a Timer holds one
-	// expiry, and arming an armed one panics.
-	armSome := func() {
-		if t := timers[rng.Intn(len(timers))]; !k.armed(t) {
-			k.arm(t, k.clock()+delta())
+	// wakes are steady-rate components: each holds one prebuilt callback
+	// and at most one pending wake, flagged while queued and cleared first
+	// thing in the callback, so a wake may schedule itself again inside its
+	// own fire.
+	var wakes [3]struct {
+		fn      func(Time)
+		pending bool
+	}
+	wakeSome := func() {
+		w := &wakes[rng.Intn(len(wakes))]
+		if w.pending {
+			return
+		}
+		w.pending = true
+		at := k.clock() + delta()
+		if rng.Intn(2) == 0 {
+			k.plain(at, w.fn)
+		} else {
+			k.keyed(at, k.clock(), int32(rng.Intn(4)), w.fn)
 		}
 	}
 	var spawn func(depth int)
@@ -236,7 +197,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			spawn(depth + 1)
 			spawn(depth + 1)
 		case 3:
-			armSome()
+			wakeSome()
 		}
 	}
 	// spawn schedules one event through a random entry point.
@@ -246,7 +207,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		at := k.clock() + delta()
 		switch rng.Intn(4) {
 		case 0, 1:
-			k.plain(at, func() { fired(id, depth) })
+			k.plain(at, func(Time) { fired(id, depth) })
 		default:
 			// Keys before, at and after the clock (the order is defined
 			// for any key), -1 as trace replay uses.
@@ -261,9 +222,12 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			})
 		}
 	}
-	for i := 0; i < 3; i++ {
-		id := -1 - i
-		timers = append(timers, k.timer(func() { fired(id, 1) }))
+	for i := range wakes {
+		id, w := -1-i, &wakes[i]
+		w.fn = func(Time) {
+			w.pending = false
+			fired(id, 1)
+		}
 	}
 
 	for op := 0; op < ops; op++ {
@@ -271,7 +235,7 @@ func runProgram(k kernel, seed int64, ops int) []string {
 		case r < 50:
 			spawn(0)
 		case r < 58:
-			armSome()
+			wakeSome()
 		case r < 98:
 			d := delta()
 			if d < 0 {
@@ -284,6 +248,9 @@ func runProgram(k kernel, seed int64, ops int) []string {
 			log = append(log, "drain "+k.state())
 		default:
 			k.clear()
+			for i := range wakes {
+				wakes[i].pending = false
+			}
 			log = append(log, "reset "+k.state())
 		}
 	}
@@ -292,14 +259,14 @@ func runProgram(k kernel, seed int64, ops int) []string {
 }
 
 // TestDifferentialAgainstHeap runs seeded random programs — plain and keyed
-// schedules with past keys and tags, arms of disarmed timers (inside their
-// own callbacks too), RunUntil across the wheel horizon, Reset — on Engine and on the
-// heap reference. The logs must match line for line: same events, in the
+// schedules with past keys and tags, components scheduling their one
+// prebuilt wake (inside its own fire too), RunUntil across the wheel
+// horizon, Reset — on Engine and on the heap reference. The logs must match line for line: same events, in the
 // same order, at the same instants, with the same counters.
 func TestDifferentialAgainstHeap(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		want := runProgram(&heapKernel{}, seed, 1500)
-		got := runProgram(&wheelKernel{e: New()}, seed, 1500)
+		got := runProgram(wheelKernel{New()}, seed, 1500)
 		for i := range want {
 			if i >= len(got) || got[i] != want[i] {
 				g := "<log ended>"

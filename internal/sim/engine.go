@@ -13,8 +13,9 @@
 // short-horizon events (DDR command timing, pacing, completion callbacks)
 // per curve point. Two mechanisms keep the per-event cost down:
 //
-//   - a free-list event pool: event records are recycled as soon as they
-//     fire, so steady-state simulation schedules without allocating;
+//   - a free-list event pool: event records (48 B each) are recycled as
+//     soon as they fire, so steady-state simulation schedules without
+//     allocating;
 //   - a calendar timer wheel in front of the heap: events within the wheel
 //     horizon (1024 buckets × 256 ps ≈ 262 ns — which covers DDR timing,
 //     issue pacing and completion latencies) are placed in O(1) buckets
@@ -29,15 +30,13 @@
 // component that no longer wants a wake-up it queued lets it fire and
 // ignores it (a stopped generator or sampler checks a flag).
 //
-// Steady-rate components should hold a Timer (a one-shot with a fixed
-// callback) instead of scheduling fresh closures, which removes the
-// remaining per-event closure allocations from their paths. A Timer holds
-// at most one expiry: it is armed only while disarmed, and arming an armed
-// Timer panics. A fixed-period component (the profile sampler, the CXL
-// injector) re-arms its Timer at the end of its own callback.
-//
-// Three entry points schedule: Schedule (a closure at an absolute time),
-// ScheduleKeyed (a timed callback with explicit tie-break keys) and Timer.
+// Two entry points schedule: Schedule (a callback at an absolute time) and
+// ScheduleKeyed (the same with explicit tie-break keys). Both take a
+// func(Time), called with the event's deadline. A steady-rate component
+// (a pacing core, the profile sampler, the CXL injector) builds its wake
+// callback once and schedules that same func again, which keeps closure
+// allocations off its path; where it must hold at most one pending wake, it
+// sets a flag when it schedules and clears it first thing in the callback.
 // A delay is Schedule(Now()+d, fn).
 //
 // # Determinism
@@ -53,10 +52,8 @@
 // # Event order
 //
 // The full order is (deadline, key, tag, seq). ScheduleKeyed is the one
-// entry point that sets key and tag; Schedule and Timer use key = Now()
-// and tag 0, which is why plain events keep the (deadline, schedule order)
-// above. A Timer that re-arms at the end of its callback schedules its next
-// expiry after everything the callback scheduled.
+// entry point that sets key and tag; Schedule uses key = Now() and tag 0,
+// which is why plain events keep the (deadline, schedule order) above.
 //
 //   - key is the schedule instant. Completions pass Now(). Trace replay
 //     passes −1, so a record due at t runs before every backend event due
@@ -109,16 +106,13 @@ const (
 )
 
 // event is one scheduled callback record. Records are pooled: after firing
-// (or on Reset) the record returns to the engine's free list with its
-// generation bumped, which tells a Timer its expiry is gone.
+// (or on Reset) the record returns to the engine's free list.
 type event struct {
 	at   Time
-	key  Time   // schedule instant (ScheduleKeyed may state another): first tie-break
-	seq  uint64 // final tie-break so equal-(at, key, tag) events run in schedule order
-	gen  uint64 // bumped on recycle; a Timer matches it to read as armed
-	tag  int32  // scheduling entity (0 = default); orders (at, key) ties across entities
-	fn   func()
-	tfn  func(Time) // timed variant: called with the deadline
+	key  Time       // schedule instant (ScheduleKeyed may state another): first tie-break
+	seq  uint64     // final tie-break so equal-(at, key, tag) events run in schedule order
+	tag  int32      // scheduling entity (0 = default); orders (at, key) ties across entities
+	fn   func(Time) // called with the deadline
 	next *event     // free-list link; wheel-bucket FIFO link while pending in a bucket
 }
 
@@ -163,30 +157,22 @@ func (e *Engine) Steps() uint64 { return e.nsteps }
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.live }
 
-// Schedule queues fn to run at absolute time at. Scheduling in the past
-// (before Now) fires the event at Now; the kernel never runs time backwards.
-func (e *Engine) Schedule(at Time, fn func()) { e.add(at, e.now, 0, fn, nil) }
+// Schedule queues fn to run at absolute time at, invoked with that
+// deadline. Scheduling in the past (before Now) fires the event at Now; the
+// kernel never runs time backwards.
+func (e *Engine) Schedule(at Time, fn func(Time)) { e.ScheduleKeyed(at, e.now, 0, fn) }
 
-// ScheduleKeyed queues fn to run at absolute time at, invoked with that
-// deadline, and states the event's place among equal-deadline events
-// outright: they fire in (key, tag, schedule order), where Schedule and
-// Timer use key = Now() and tag = 0. It is the one form for everything
-// that is not a plain local closure:
+// ScheduleKeyed is Schedule that states the event's place among
+// equal-deadline events outright: they fire in (key, tag, schedule order),
+// where Schedule uses key = Now() and tag = 0. It is for the events whose
+// order is not a plain local one:
 //
-//   - completion callbacks pass key = Now(): storing the func(Time) instead
-//     of wrapping it as func() { done(at) } keeps the hot completion path
-//     allocation-free;
 //   - entities whose relative order is part of the result (DRAM channels,
 //     device models) pass their unique tag, which makes cross-entity tie
 //     order a pure function of (at, key, tag) instead of an artifact of
 //     schedule interleaving;
 //   - trace replay passes key = -1, ahead of every locally scheduled event.
 func (e *Engine) ScheduleKeyed(at, key Time, tag int32, fn func(Time)) {
-	e.add(at, key, tag, nil, fn)
-}
-
-// add queues one event and returns its record.
-func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) *event {
 	if at < e.now {
 		at = e.now
 	}
@@ -206,7 +192,7 @@ func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) *event 
 		}
 	}
 	ev := e.alloc()
-	ev.at, ev.key, ev.tag, ev.seq, ev.fn, ev.tfn = at, key, tag, e.seq, fn, tfn
+	ev.at, ev.key, ev.tag, ev.seq, ev.fn = at, key, tag, e.seq, fn
 	e.seq++
 	e.live++
 	switch slot := int64(at) >> granBits; {
@@ -217,7 +203,6 @@ func (e *Engine) add(at, key Time, tag int32, fn func(), tfn func(Time)) *event 
 	default:
 		e.heapPush(ev)
 	}
-	return ev
 }
 
 // less is the kernel's total event order: deadline, then schedule instant,
@@ -382,11 +367,9 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-// recycle returns a fired or reset record to the pool, bumping its
-// generation so a Timer holding it reads as disarmed.
+// recycle returns a fired or reset record to the pool.
 func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn, ev.tfn = nil, nil
+	ev.fn = nil
 	ev.next = e.pool
 	e.pool = ev
 }
@@ -407,16 +390,11 @@ func (e *Engine) fire(ev *event) {
 	e.now = ev.at
 	e.nsteps++
 	e.live--
-	fn, tfn, at := ev.fn, ev.tfn, ev.at
+	fn, at := ev.fn, ev.at
 	// Recycle before invoking: the callback's own scheduling reuses the
-	// record immediately, and the generation bump disarms the Timer, if
-	// any, that this expiry belonged to.
+	// record immediately.
 	e.recycle(ev)
-	if tfn != nil {
-		tfn(at)
-	} else {
-		fn()
-	}
+	fn(at)
 }
 
 // Run executes events until the queue drains.
@@ -441,7 +419,7 @@ func (e *Engine) RunUntil(t Time) {
 // empty, counters cleared — while keeping its allocated capacity warm: the
 // event pool, the active run and the overflow array are retained, so a reused
 // engine simulates its next run without re-allocating kernel structures.
-// Every Timer armed in the previous run reads as disarmed. This is how the
+// Events queued in the previous run never fire. This is how the
 // benchmark harness reuses one engine per worker across sweep points
 // instead of rebuilding the kernel for each.
 func (e *Engine) Reset() {
@@ -512,33 +490,3 @@ func (e *Engine) heapPop() *event {
 	e.overflow = h
 	return top
 }
-
-// Timer is a one-shot with a fixed callback, for components that
-// repeatedly schedule the same wake-up (issue pacing, periodic sampling).
-// The callback func is captured once at construction, so arming allocates
-// nothing beyond the pooled event record. A Timer holds at most one expiry:
-// arming an armed Timer panics. Once its expiry fires, or the engine is
-// Reset, it reads as disarmed and may be armed again.
-type Timer struct {
-	eng *Engine
-	fn  func()
-	ev  *event // the record of the last expiry armed
-	gen uint64 // ev's generation when armed
-}
-
-// NewTimer builds a timer that runs fn when it expires.
-func (e *Engine) NewTimer(fn func()) *Timer { return &Timer{eng: e, fn: fn} }
-
-// Arm schedules the timer to fire at absolute time at. The timer must be
-// disarmed.
-func (t *Timer) Arm(at Time) {
-	if t.Armed() {
-		panic("sim: Timer armed while armed")
-	}
-	t.ev = t.eng.add(at, t.eng.now, 0, t.fn, nil)
-	t.gen = t.ev.gen
-}
-
-// Armed reports whether an expiry is pending. Inside the timer's own
-// callback the timer already reads as disarmed, so callbacks can re-arm.
-func (t *Timer) Armed() bool { return t.ev != nil && t.ev.gen == t.gen }

@@ -3,14 +3,15 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.Schedule(30, func(Time) { order = append(order, 3) })
+	e.Schedule(10, func(Time) { order = append(order, 1) })
+	e.Schedule(20, func(Time) { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
@@ -25,7 +26,7 @@ func TestEqualTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		e.Schedule(5, func(Time) { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -38,8 +39,8 @@ func TestEqualTimeFIFO(t *testing.T) {
 func TestScheduleInPastClamps(t *testing.T) {
 	e := New()
 	var at Time = -1
-	e.Schedule(100, func() {
-		e.Schedule(50, func() { at = e.Now() })
+	e.Schedule(100, func(Time) {
+		e.Schedule(50, func(Time) { at = e.Now() })
 	})
 	e.Run()
 	if at != 100 {
@@ -51,7 +52,7 @@ func TestRunUntil(t *testing.T) {
 	e := New()
 	count := 0
 	for i := Time(1); i <= 10; i++ {
-		e.Schedule(i*10, func() { count++ })
+		e.Schedule(i*10, func(Time) { count++ })
 	}
 	e.RunUntil(50)
 	if count != 5 {
@@ -69,8 +70,8 @@ func TestRunUntil(t *testing.T) {
 func TestAfterCascade(t *testing.T) {
 	e := New()
 	var ticks []Time
-	var tick func()
-	tick = func() {
+	var tick func(Time)
+	tick = func(Time) {
 		ticks = append(ticks, e.Now())
 		if len(ticks) < 5 {
 			e.Schedule(e.Now()+7, tick)
@@ -115,7 +116,7 @@ func TestFromNanosecondsRoundTrip(t *testing.T) {
 func TestStepsCounts(t *testing.T) {
 	e := New()
 	for i := 0; i < 17; i++ {
-		e.Schedule(Time(i), func() {})
+		e.Schedule(Time(i), func(Time) {})
 	}
 	e.Run()
 	if e.Steps() != 17 {
@@ -123,26 +124,17 @@ func TestStepsCounts(t *testing.T) {
 	}
 }
 
-// --- pooled-event and generation-counter invariants ---
+// --- pooled event records ---
 
-// A Timer's expiry record is recycled when it fires and may at once carry
-// another event. The generation bump must keep the timer disarmed while the
-// record's next occupant is pending, and arming the timer again must not
-// disturb that occupant.
-func TestTimerDisarmedAfterRecordReuse(t *testing.T) {
-	e := New()
-	fired := 0
-	tm := e.NewTimer(func() { fired++ })
-	tm.Arm(5)
-	e.Run()
-	e.Schedule(10, func() { fired++ }) // reuses the timer's record
-	if tm.Armed() {
-		t.Fatal("fired timer reads armed while its record holds another event")
+// One event shape serves every schedule: deadline, key, seq, tag, one
+// callback and the pool/bucket link, 48 B on a 64-bit target. Every pending
+// event holds one record, so a field added here is paid by every event.
+func TestEventRecordIs48Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record size is pinned for 64-bit targets")
 	}
-	tm.Arm(7)
-	e.Run()
-	if fired != 3 || e.Now() != 10 {
-		t.Fatalf("fired %d events ending at %d, want 3 ending at 10", fired, e.Now())
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event record is %d B, want 48", got)
 	}
 }
 
@@ -159,14 +151,14 @@ func TestOverflowCascadeOrdering(t *testing.T) {
 	var order []int
 	// Far events first (lower seq), then near events, then a pump that
 	// schedules an equal-time rival of a far event via the wheel path.
-	e.Schedule(horizonT, func() { order = append(order, 1) })   // overflow, seq 0
-	e.Schedule(horizonT+7, func() { order = append(order, 3) }) // overflow, seq 1
-	e.Schedule(3, func() { order = append(order, 0) })          // near
-	e.Schedule(horizonT-5, func() {
+	e.Schedule(horizonT, func(Time) { order = append(order, 1) })   // overflow, seq 0
+	e.Schedule(horizonT+7, func(Time) { order = append(order, 3) }) // overflow, seq 1
+	e.Schedule(3, func(Time) { order = append(order, 0) })          // near
+	e.Schedule(horizonT-5, func(Time) {
 		// Scheduled once time is near the horizon event: lands via the
 		// wheel/cur path at the same deadline as the first far event, but
 		// with a higher seq — must fire after it.
-		e.Schedule(horizonT, func() { order = append(order, 2) })
+		e.Schedule(horizonT, func(Time) { order = append(order, 2) })
 	})
 	e.Run()
 	for i, v := range order {
@@ -181,10 +173,10 @@ func TestOverflowCascadeOrdering(t *testing.T) {
 func TestRunUntilBoundariesOnWheel(t *testing.T) {
 	e := New()
 	count := 0
-	e.Schedule(100, func() { count++ })           // near bucket
-	e.Schedule(100, func() { count++ })           // same bucket, same time
-	e.Schedule(50*Nanosecond, func() { count++ }) // later bucket
-	e.Schedule(horizonT, func() { count++ })      // overflow
+	e.Schedule(100, func(Time) { count++ })           // near bucket
+	e.Schedule(100, func(Time) { count++ })           // same bucket, same time
+	e.Schedule(50*Nanosecond, func(Time) { count++ }) // later bucket
+	e.Schedule(horizonT, func(Time) { count++ })      // overflow
 
 	e.RunUntil(99)
 	if count != 0 || e.Now() != 99 {
@@ -216,7 +208,7 @@ func TestRunUntilBoundariesOnWheel(t *testing.T) {
 func TestScheduleBehindCursor(t *testing.T) {
 	e := New()
 	var order []Time
-	rec := func() { order = append(order, e.Now()) }
+	rec := func(Time) { order = append(order, e.Now()) }
 	e.Schedule(horizonT, rec)
 	// peek inside RunUntil advances the cursor toward horizonT.
 	e.RunUntil(10 * Nanosecond)
@@ -249,11 +241,11 @@ func chaoticRun(e *Engine) (order []uint64, steps uint64) {
 		return rng % n
 	}
 	var id uint64
-	var spawn func(depth int) func()
-	spawn = func(depth int) func() {
+	var spawn func(depth int) func(Time)
+	spawn = func(depth int) func(Time) {
 		myID := id
 		id++
-		return func() {
+		return func(Time) {
 			order = append(order, myID)
 			if depth >= 6 {
 				return
@@ -313,23 +305,18 @@ func TestResetMatchesFreshEngine(t *testing.T) {
 
 func TestResetDropsPendingEvents(t *testing.T) {
 	e := New()
-	e.Schedule(10, func() { t.Fatal("event survived Reset") })
-	e.Schedule(horizonT, func() { t.Fatal("overflow event survived Reset") })
-	tm := e.NewTimer(func() { t.Fatal("timer survived Reset") })
-	tm.Arm(20)
+	e.Schedule(10, func(Time) { t.Fatal("event survived Reset") })
+	e.Schedule(horizonT, func(Time) { t.Fatal("overflow event survived Reset") })
 	e.Reset()
-	if tm.Armed() {
-		t.Fatal("timer armed before Reset reads armed after it")
-	}
 	fired := false
-	e.Schedule(5, func() { fired = true })
+	e.Schedule(5, func(Time) { fired = true })
 	e.Run()
 	if !fired {
 		t.Fatal("post-reset event did not fire")
 	}
 }
 
-// --- ScheduleKeyed / Timer ---
+// --- ScheduleKeyed ---
 
 func TestScheduleKeyedPassesDeadline(t *testing.T) {
 	e := New()
@@ -346,71 +333,6 @@ func TestScheduleKeyedPassesDeadline(t *testing.T) {
 	}
 }
 
-func TestTimerArmStopRearm(t *testing.T) {
-	e := New()
-	var fires []Time
-	tm := e.NewTimer(func() { fires = append(fires, e.Now()) })
-	if tm.Armed() {
-		t.Fatal("new timer reads armed")
-	}
-	tm.Arm(10)
-	if !tm.Armed() {
-		t.Fatal("armed timer reads disarmed")
-	}
-	e.Run()
-	if len(fires) != 1 || fires[0] != 10 {
-		t.Fatalf("fires = %v, want [10]", fires)
-	}
-	if tm.Armed() {
-		t.Fatal("fired timer reads armed")
-	}
-	tm.Arm(e.Now() + 3) // rearm after the fire
-	e.Run()
-	if len(fires) != 2 || fires[1] != 13 {
-		t.Fatalf("fires = %v, want [10 13]", fires)
-	}
-}
-
-// A Timer holds one expiry: arming it while armed is a caller's bug, not a
-// reschedule, and panics.
-func TestTimerArmWhileArmedPanics(t *testing.T) {
-	e := New()
-	tm := e.NewTimer(func() {})
-	tm.Arm(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("arming an armed timer did not panic")
-		}
-	}()
-	tm.Arm(5)
-}
-
-func TestTimerRearmInsideCallback(t *testing.T) {
-	e := New()
-	var fires []Time
-	var tm *Timer
-	tm = e.NewTimer(func() {
-		fires = append(fires, e.Now())
-		if tm.Armed() {
-			t.Fatal("timer reads armed inside its own callback")
-		}
-		if len(fires) < 3 {
-			tm.Arm(e.Now() + 4)
-		}
-	})
-	tm.Arm(4)
-	e.Run()
-	want := []Time{4, 8, 12}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
-	}
-}
-
 // A callback that reschedules itself at Now() — a DRAM decide committing
 // its next burst at once — lands in the active run every time. Each time
 // the run has been served to its end, so the chain must reuse it instead of
@@ -419,8 +341,8 @@ func TestActiveRunRecycledWhenConsumed(t *testing.T) {
 	e := New()
 	const chain = 100000
 	n := 0
-	var again func()
-	again = func() {
+	var again func(Time)
+	again = func(Time) {
 		if n++; n < chain {
 			e.Schedule(e.Now(), again)
 		}
@@ -441,7 +363,7 @@ func TestActiveRunRecycledWhenConsumed(t *testing.T) {
 func TestShortDeltaAfterClockJumpStaysOrdered(t *testing.T) {
 	e := New()
 	var order []Time
-	rec := func() { order = append(order, e.Now()) }
+	rec := func(Time) { order = append(order, e.Now()) }
 	e.Schedule(10, rec)
 	e.Run()
 	e.RunUntil(3 * Microsecond) // ≫ the wheel horizon, queue empty
@@ -461,7 +383,7 @@ func TestShortDeltaAfterClockJumpStaysOrdered(t *testing.T) {
 // dry allocates its event records and the active run's growth, nothing per
 // bucket: buckets are lists threaded through the events themselves.
 func TestFreshEngineAllocatesNoBucketStorage(t *testing.T) {
-	nop := func() {}
+	nop := func(Time) {}
 	const perBucket = 2
 	events := perBucket * (wheelSize - 1)
 	allocs := testing.AllocsPerRun(3, func() {

@@ -72,7 +72,7 @@ func TestCaptureRecords(t *testing.T) {
 	caps := captures(eng, inner, 0)
 	for i := 0; i < 50; i++ {
 		i := i
-		eng.Schedule(sim.Time(i)*sim.Nanosecond, func() {
+		eng.Schedule(sim.Time(i)*sim.Nanosecond, func(sim.Time) {
 			op := mem.Read
 			if i%2 == 0 {
 				op = mem.Write

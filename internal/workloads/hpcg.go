@@ -90,9 +90,8 @@ func NewPhasedApp(spec platform.Spec, phases []Phase, backend mem.BackendFactory
 // Run executes the schedule until the deadline, looping over the phases.
 func (a *PhasedApp) Run(until sim.Time) {
 	idx := 0
-	var runPhase func()
-	runPhase = func() {
-		now := a.Eng.Now()
+	var runPhase func(sim.Time)
+	runPhase = func(now sim.Time) {
 		if now >= until {
 			a.stopCores()
 			return
@@ -107,7 +106,7 @@ func (a *PhasedApp) Run(until sim.Time) {
 		}
 		a.Eng.Schedule(end, runPhase)
 	}
-	runPhase()
+	runPhase(a.Eng.Now())
 	a.Eng.RunUntil(until)
 }
 
