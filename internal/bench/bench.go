@@ -312,7 +312,7 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 	// Pointer chaser on core 0, in its own address region, over 1<<19 lines
 	// (32 MiB: far beyond any LLC).
 	const chaseBase, chaseLines = 1 << 40, 1 << 19
-	chaser := cpu.NewChaser(eng, hier.Port(0), chaseBase, chaseLines, 12345)
+	chaser := cpu.NewChaser(eng, hier.Port(), chaseBase, chaseLines, 12345)
 	chaser.Start()
 
 	// Traffic generators on the remaining cores. Each core gets disjoint
@@ -321,7 +321,7 @@ func (r *rig) measure(spec platform.Spec, o Options, track telemetry.Track, mix 
 	gens := make([]*cpu.Generator, 0, generators)
 	for g := 0; g < generators; g++ {
 		base := uint64(1)<<33 + uint64(g)*(1<<28+16<<10)
-		gen := cpu.NewGenerator(eng, hier.Port(g+1), cpu.GenConfig{
+		gen := cpu.NewGenerator(eng, hier.Port(), cpu.GenConfig{
 			StorePercent: mix.StorePercent,
 			NonTemporal:  mix.NonTemporal,
 			PacePerOp:    sim.FromNanoseconds(paceNs),

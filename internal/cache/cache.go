@@ -133,11 +133,10 @@ func (h *Hierarchy) Reset(eng *sim.Engine, cfg Config, backend mem.Backend) {
 // drained simulation must report Live() == 0).
 func (h *Hierarchy) Pool() *mem.RequestPool { return h.pool }
 
-// Port returns a per-core issue port. The port's downstream completion
-// callbacks are bound once here, so sending a request captures nothing.
-// Ports of different cores behave alike; coreID only names the caller's
-// core.
-func (h *Hierarchy) Port(coreID int) *Port {
+// Port returns a new issue port, one per core: ports of different cores
+// behave alike. The port's downstream completion callbacks are bound once
+// here, so sending a request captures nothing.
+func (h *Hierarchy) Port() *Port {
 	p := &Port{h: h}
 	p.loadDoneFn = p.loadDone
 	p.storeDoneFn = p.storeDone
@@ -179,9 +178,6 @@ type Port struct {
 	// draining deep in the memory system, with no in-flight completion
 	// callback belonging to the stalled engine.
 	OnFree func()
-
-	// Stats.
-	Loads, Stores, LLCHits uint64
 }
 
 func (p *Port) releaseMSHR() {
@@ -215,9 +211,7 @@ func (p *Port) FreeWB() bool { return p.wbInflight < p.h.cfg.WriteBufs }
 // The caller must have checked FreeMSHR; Load panics otherwise, because a
 // silent drop would corrupt bandwidth accounting.
 func (p *Port) Load(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onChip bool) {
-	p.Loads++
 	if p.h.llcHit() {
-		p.LLCHits++
 		return p.h.eng.Now() + p.h.cfg.LLCHitLatency, true
 	}
 	if !p.FreeMSHR() {
@@ -239,15 +233,13 @@ func (p *Port) loadDone(at sim.Time, req *mem.Request) {
 	p.finish(at, user)
 }
 
-// Store issues one store under the configured write policy. done fires when
-// the store owns the line (write-allocate miss); an LLC hit or a
-// write-through acceptance completes on chip, reported as
-// (now+LLCHitLatency, true) with done untouched, exactly as for Load.
-func (p *Port) Store(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onChip bool) {
-	p.Stores++
+// Store issues one store under the configured write policy. No core waits
+// for a store: an LLC hit or a write-through acceptance completes on chip,
+// and a write-allocate miss holds an MSHR until its fill returns and a
+// write-buffer slot until its writeback drains.
+func (p *Port) Store(addr uint64) {
 	if p.h.llcHit() {
-		p.LLCHits++
-		return p.h.eng.Now() + p.h.cfg.LLCHitLatency, true
+		return
 	}
 	if p.h.cfg.Policy == WriteThrough {
 		if !p.FreeWB() {
@@ -255,7 +247,7 @@ func (p *Port) Store(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onChi
 		}
 		p.wbInflight++
 		p.request(addr, mem.Write, p.wbDoneFn, nil)
-		return p.h.eng.Now() + p.h.cfg.LLCHitLatency, true
+		return
 	}
 	// Write-allocate: RFO read now, dirty writeback at fill time.
 	if !p.FreeMSHR() || !p.FreeWB() {
@@ -263,18 +255,15 @@ func (p *Port) Store(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onChi
 	}
 	p.inflight++
 	p.wbInflight++
-	p.request(addr, mem.Read, p.storeDoneFn, done)
-	return 0, false
+	p.request(addr, mem.Read, p.storeDoneFn, nil)
 }
 
 // storeDone is the backend completion of a write-allocate RFO fill: emit
-// the paired writeback (the store address rides in req.Addr), free the
-// MSHR, then deliver the core's callback.
-func (p *Port) storeDone(at sim.Time, req *mem.Request) {
-	addr, user := req.Addr, req.User
-	p.writebackFor(addr)
+// the paired writeback (the store address rides in req.Addr), then free the
+// MSHR.
+func (p *Port) storeDone(_ sim.Time, req *mem.Request) {
+	p.writebackFor(req.Addr)
 	p.releaseMSHR()
-	p.finish(at, user)
 }
 
 // wbDone is the backend completion of a posted write draining: free the
@@ -282,15 +271,13 @@ func (p *Port) storeDone(at sim.Time, req *mem.Request) {
 func (p *Port) wbDone(sim.Time, *mem.Request) { p.releaseWB() }
 
 // StoreNT issues a non-temporal (streaming) store: one memory write, no
-// RFO. The core-side acceptance is always on chip — reported like a hit,
-// never scheduled or invoked by the port.
-func (p *Port) StoreNT(addr uint64, done func(at sim.Time)) (ackAt sim.Time, onChip bool) {
+// RFO, accepted on chip.
+func (p *Port) StoreNT(addr uint64) {
 	if !p.FreeWB() {
 		panic("cache: StoreNT issued with no free write buffer")
 	}
 	p.wbInflight++
 	p.request(addr, mem.Write, p.wbDoneFn, nil)
-	return p.h.eng.Now() + p.h.cfg.LLCHitLatency, true
 }
 
 // writebackFor issues the posted writeback paired with a write-allocate

@@ -32,7 +32,7 @@ func rig(memLat sim.Time, ccfg cache.Config) (*sim.Engine, *fixedBackend, *cache
 func TestChaserSerializesLoads(t *testing.T) {
 	memLat := 80 * sim.Nanosecond
 	eng, b, h := rig(memLat, cache.Config{OnChipLatency: 20 * sim.Nanosecond})
-	ch := NewChaser(eng, h.Port(0), 0, 1<<12, 7)
+	ch := NewChaser(eng, h.Port(), 0, 1<<12, 7)
 	ch.Start()
 	eng.RunUntil(100 * sim.Microsecond)
 	ch.Stop()
@@ -83,8 +83,8 @@ func TestChaserRejectsNonPowerOfTwo(t *testing.T) {
 
 func TestGeneratorPacingControlsRate(t *testing.T) {
 	run := func(paceNs float64) uint64 {
-		eng, _, h := rig(50*sim.Nanosecond, cache.Config{MSHRs: 16, WriteBufs: 16})
-		g := NewGenerator(eng, h.Port(0), GenConfig{
+		eng, b, h := rig(50*sim.Nanosecond, cache.Config{MSHRs: 16, WriteBufs: 16})
+		g := NewGenerator(eng, h.Port(), GenConfig{
 			StorePercent: 0,
 			PacePerOp:    sim.FromNanoseconds(paceNs),
 			LoadBase:     1 << 30,
@@ -94,7 +94,7 @@ func TestGeneratorPacingControlsRate(t *testing.T) {
 		g.Start()
 		eng.RunUntil(50 * sim.Microsecond)
 		g.Stop()
-		return g.ops
+		return b.c.Reads // every op is a load, and every load a miss
 	}
 	fast := run(0)
 	slow := run(64)
@@ -128,7 +128,7 @@ func TestGeneratorStoreTrafficAmplification(t *testing.T) {
 	eng, b, h := rig(50*sim.Nanosecond, cache.Config{
 		Policy: cache.WriteAllocate, MSHRs: 16, WriteBufs: 16,
 	})
-	g := NewGenerator(eng, h.Port(0), GenConfig{
+	g := NewGenerator(eng, h.Port(), GenConfig{
 		StorePercent: 100,
 		LoadBase:     1 << 30,
 		StoreBase:    1 << 31,
@@ -153,7 +153,7 @@ func TestKernelCoreStreamIPC(t *testing.T) {
 	// show that contrast.
 	run := func(memLat sim.Time, mshrs int) float64 {
 		eng, _, h := rig(memLat, cache.Config{MSHRs: mshrs, WriteBufs: mshrs + 4})
-		core := NewKernelCore(eng, h.Port(0), StreamTriad, CoreConfig{
+		core := NewKernelCore(eng, h.Port(), StreamTriad, CoreConfig{
 			CycleTime:  sim.FromNanoseconds(0.5),
 			ArrayBases: []uint64{1 << 30, 1 << 31, 1 << 32},
 			ArrayBytes: 1 << 24,
@@ -183,7 +183,7 @@ func TestKernelCoreStreamIPC(t *testing.T) {
 // most one pacing wake per line-step.
 func TestKernelCoreSchedulesNoResume(t *testing.T) {
 	eng, b, h := rig(80*sim.Nanosecond, cache.Config{OnChipLatency: 20 * sim.Nanosecond, MSHRs: 6, WriteBufs: 8})
-	core := NewKernelCore(eng, h.Port(0), StreamTriad, CoreConfig{
+	core := NewKernelCore(eng, h.Port(), StreamTriad, CoreConfig{
 		CycleTime:  sim.FromNanoseconds(0.5),
 		ArrayBases: []uint64{1 << 30, 1 << 31, 1 << 32},
 		ArrayBytes: 1 << 24,
@@ -204,7 +204,7 @@ func TestKernelCoreSchedulesNoResume(t *testing.T) {
 func TestKernelCoreDependentLatencyBound(t *testing.T) {
 	memLat := 100 * sim.Nanosecond
 	eng, _, h := rig(memLat, cache.Config{MSHRs: 8, WriteBufs: 8})
-	core := NewKernelCore(eng, h.Port(0), LMbench, CoreConfig{
+	core := NewKernelCore(eng, h.Port(), LMbench, CoreConfig{
 		CycleTime:  sim.FromNanoseconds(0.5),
 		ArrayBases: []uint64{1 << 30},
 		ArrayBytes: 1 << 24,
@@ -224,7 +224,7 @@ func TestKernelCoreAppBandwidthAccounting(t *testing.T) {
 	eng, b, h := rig(20*sim.Nanosecond, cache.Config{
 		Policy: cache.WriteAllocate, MSHRs: 16, WriteBufs: 20,
 	})
-	core := NewKernelCore(eng, h.Port(0), StreamCopy, CoreConfig{
+	core := NewKernelCore(eng, h.Port(), StreamCopy, CoreConfig{
 		CycleTime:  sim.FromNanoseconds(0.5),
 		ArrayBases: []uint64{1 << 30, 1 << 31},
 		ArrayBytes: 1 << 24,

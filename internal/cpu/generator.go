@@ -64,8 +64,6 @@ type Generator struct {
 	running bool
 	asleep  bool           // a pacing wake is queued
 	wakeFn  func(sim.Time) // the pacing wake, built once and scheduled again each stall
-
-	ops uint64
 }
 
 // NewGenerator builds a generator. It panics on invalid configuration
@@ -140,7 +138,6 @@ func (g *Generator) tryIssue() {
 		}
 		g.issueOne(isStore)
 		g.pi = (g.pi + 1) % len(g.pattern)
-		g.ops++
 		g.nextAt = max(g.nextAt, now) + issueInterval + g.cfg.PacePerOp
 	}
 }
@@ -165,10 +162,10 @@ func (g *Generator) issueOne(isStore bool) {
 	}
 	addr := g.cfg.StoreBase + g.nextOffset(&g.storeLine)
 	if g.cfg.NonTemporal {
-		g.port.StoreNT(addr, nil)
+		g.port.StoreNT(addr)
 		return
 	}
-	g.port.Store(addr, nil)
+	g.port.Store(addr)
 }
 
 // nextOffset advances the given stream counter and returns the byte offset

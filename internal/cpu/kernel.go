@@ -298,7 +298,7 @@ func (c *KernelCore) issue(op pendingOp) {
 	addr := c.addrFor(op.arr)
 	switch {
 	case op.isStore:
-		c.port.Store(addr, nil)
+		c.port.Store(addr)
 	case c.kernel.Dependent:
 		if at, onChip := c.port.Load(addr, c.depDoneFn); onChip {
 			c.virtualStepComplete(at)

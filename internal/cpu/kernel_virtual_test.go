@@ -30,7 +30,7 @@ func TestKernelCoreOnChipVirtualCompletion(t *testing.T) {
 	hitLat := 30 * sim.Nanosecond
 	cycle := sim.FromNanoseconds(0.5)
 	eng, h := hitRig(1.0, hitLat, 400*sim.Nanosecond)
-	core := NewKernelCore(eng, h.Port(0), LMbench, CoreConfig{
+	core := NewKernelCore(eng, h.Port(), LMbench, CoreConfig{
 		CycleTime:  cycle,
 		ArrayBases: []uint64{1 << 30},
 		ArrayBytes: 1 << 24,
@@ -65,7 +65,7 @@ func TestKernelCoreOnChipPacingBound(t *testing.T) {
 	cycle := sim.FromNanoseconds(0.5)
 	heavy := Kernel{Name: "alu-chase", Loads: 1, ElemsPerLine: 1, ALUPerElem: 199, Dependent: true, Random: true}
 	eng, h := hitRig(1.0, hitLat, 400*sim.Nanosecond)
-	core := NewKernelCore(eng, h.Port(0), heavy, CoreConfig{
+	core := NewKernelCore(eng, h.Port(), heavy, CoreConfig{
 		CycleTime:  cycle,
 		ArrayBases: []uint64{1 << 30},
 		ArrayBytes: 1 << 24,
@@ -95,7 +95,7 @@ func TestKernelCoreMixedHitsDeterministic(t *testing.T) {
 	run := func() (uint64, float64, float64) {
 		eng, h := hitRig(0.5, 25*sim.Nanosecond, 120*sim.Nanosecond)
 		gups := Kernel{Name: "gups", Loads: 1, Stores: 1, ElemsPerLine: 1, ALUPerElem: 2, Random: true}
-		core := NewKernelCore(eng, h.Port(0), gups, CoreConfig{
+		core := NewKernelCore(eng, h.Port(), gups, CoreConfig{
 			CycleTime:  sim.FromNanoseconds(0.5),
 			ArrayBases: []uint64{1 << 30, 1 << 31},
 			ArrayBytes: 1 << 22,
@@ -123,7 +123,7 @@ func TestKernelCoreMixedHitsDeterministic(t *testing.T) {
 // flows through the port's OnFree hook.
 func TestKernelCoreAllOnChipStoresProgress(t *testing.T) {
 	eng, h := hitRig(1.0, 15*sim.Nanosecond, 300*sim.Nanosecond)
-	core := NewKernelCore(eng, h.Port(0), StreamTriad, CoreConfig{
+	core := NewKernelCore(eng, h.Port(), StreamTriad, CoreConfig{
 		CycleTime:  sim.FromNanoseconds(0.5),
 		ArrayBases: []uint64{1 << 30, 1 << 31, 1 << 32},
 		ArrayBytes: 1 << 24,

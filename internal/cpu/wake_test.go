@@ -48,7 +48,7 @@ func (w *wakeLog) check(t *testing.T) {
 // wake is queued. The re-entry must not queue a second wake.
 func TestGeneratorHoldsOneWake(t *testing.T) {
 	eng, _, h := rig(200*sim.Nanosecond, cache.Config{MSHRs: 4, WriteBufs: 4})
-	port := h.Port(0)
+	port := h.Port()
 	g := NewGenerator(eng, port, GenConfig{
 		PacePerOp:  20 * sim.Nanosecond, // 4 MSHRs over 200 ns allow one op per 50 ns
 		LoadBase:   1 << 30,
@@ -93,7 +93,7 @@ func TestKernelCoreHoldsOneWake(t *testing.T) {
 		{chase, chaseHier, Kernel{Name: "alu-chase", Loads: 1, ElemsPerLine: 1, ALUPerElem: 199, Dependent: true, Random: true}, []uint64{1 << 30}},
 	} {
 		t.Run(tc.k.Name, func(t *testing.T) {
-			c := NewKernelCore(tc.eng, tc.h.Port(0), tc.k, CoreConfig{
+			c := NewKernelCore(tc.eng, tc.h.Port(), tc.k, CoreConfig{
 				CycleTime:  sim.FromNanoseconds(0.5),
 				ArrayBases: tc.arrs,
 				ArrayBytes: 1 << 24,

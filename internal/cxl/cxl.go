@@ -11,6 +11,10 @@
 // directions and saturate at the DDR device's limit, while 100%-read or
 // 100%-write traffic saturates one direction early and collapses — the
 // inverse of DDR behaviour, and the paper's headline CXL finding.
+//
+// The remote-socket emulation of Appendix B is the same model under another
+// configuration (DefaultRemoteSocket): a link that never queues and a
+// longer hop in front of a larger DDR system.
 package cxl
 
 import (
@@ -26,6 +30,8 @@ type Config struct {
 	// TxGBs and RxGBs are the effective per-direction link bandwidths
 	// (payload, after protocol overheads). A PCIe 5.0 ×8 port moves
 	// 32 GB/s raw per direction; ≈27 GB/s is realistic for CXL.mem data.
+	// An infinite direction never queues: every transfer on it takes no
+	// time.
 	TxGBs float64
 	RxGBs float64
 	// HeaderBytes is the flit overhead accompanying every transfer.
@@ -90,8 +96,7 @@ type Expander struct {
 	ddr  *dram.System
 	pool *mem.RequestPool
 
-	readDoneFn  mem.DoneFunc
-	writeDoneFn mem.DoneFunc
+	doneFn mem.DoneFunc
 
 	txFree sim.Time
 	rxFree sim.Time
@@ -103,67 +108,43 @@ func New(eng *sim.Engine, cfg Config) *Expander {
 		panic(err)
 	}
 	e := &Expander{eng: eng, cfg: cfg, ddr: dram.New(eng, cfg.DDR), pool: mem.NewRequestPool()}
-	e.readDoneFn = e.readDone
-	e.writeDoneFn = e.writeDone
+	e.doneFn = e.done
 	return e
 }
 
-// occupyTx reserves the host→device direction for n bytes and returns the
-// completion time of the transfer.
-func (e *Expander) occupyTx(now sim.Time, n int) sim.Time {
-	svc := sim.FromNanoseconds(float64(n) / e.cfg.TxGBs)
-	start := now
-	if e.txFree > start {
-		start = e.txFree
-	}
-	e.txFree = start + svc
-	return e.txFree
-}
-
-func (e *Expander) occupyRx(now sim.Time, n int) sim.Time {
-	svc := sim.FromNanoseconds(float64(n) / e.cfg.RxGBs)
-	start := now
-	if e.rxFree > start {
-		start = e.rxFree
-	}
-	e.rxFree = start + svc
-	return e.rxFree
+// occupy queues a transfer of n bytes at now on one link direction, a FIFO
+// that carries gbs GB/s and is busy until *free, and returns when the
+// transfer ends.
+func occupy(free *sim.Time, now sim.Time, n int, gbs float64) sim.Time {
+	*free = max(now, *free) + sim.FromNanoseconds(float64(n)/gbs)
+	return *free
 }
 
 // Access implements mem.Backend. Latency is measured from the host input
-// pins, as the manufacturer's curves are (Fig. 14a).
+// pins, as the manufacturer's curves are (Fig. 14a). A read sends a request
+// flit over TX and its data returns over RX; a write sends its data over TX
+// and a completion flit returns over RX.
 func (e *Expander) Access(req *mem.Request) {
-	now := e.eng.Now()
-	prop := e.cfg.PropagationOneWay
-	hdr := e.cfg.HeaderBytes
-	if req.Op == mem.Read {
-		// Request flit over TX, DDR read, data over RX, back to host.
-		txDone := e.occupyTx(now, hdr)
-		inner := e.pool.Get(req.Addr, mem.Read, e.readDoneFn)
-		inner.Parent = req
-		inner.SendAt(e.eng, e.ddr, txDone+prop)
-		return
+	n := e.cfg.HeaderBytes
+	if req.Op == mem.Write {
+		n += mem.LineSize
 	}
-	// Write: data over TX, DDR write; completion flit over RX.
-	txDone := e.occupyTx(now, mem.LineSize+hdr)
-	inner := e.pool.Get(req.Addr, mem.Write, e.writeDoneFn)
+	txDone := occupy(&e.txFree, e.eng.Now(), n, e.cfg.TxGBs)
+	inner := e.pool.Get(req.Addr, req.Op, e.doneFn)
 	inner.Parent = req
-	inner.SendAt(e.eng, e.ddr, txDone+prop)
+	inner.SendAt(e.eng, e.ddr, txDone+e.cfg.PropagationOneWay)
 }
 
-// readDone completes a device-side read: data flits ride RX back to the
-// host, then the host request completes (and returns to its pool).
-func (e *Expander) readDone(ddrDone sim.Time, inner *mem.Request) {
-	host := inner.Parent
-	rxDone := e.occupyRx(ddrDone, mem.LineSize+e.cfg.HeaderBytes)
-	host.CompleteAtTagged(e.eng, rxDone+e.cfg.PropagationOneWay, DevTagBase)
-}
-
-// writeDone completes a device-side write: the completion flit rides RX.
-func (e *Expander) writeDone(ddrDone sim.Time, inner *mem.Request) {
-	host := inner.Parent
-	rxDone := e.occupyRx(ddrDone, e.cfg.HeaderBytes)
-	host.CompleteAtTagged(e.eng, rxDone+e.cfg.PropagationOneWay, DevTagBase)
+// done completes a device-side access: its data (a read) or its completion
+// flit (a write) rides RX back to the host, then the host request completes
+// (and returns to its pool).
+func (e *Expander) done(ddrDone sim.Time, inner *mem.Request) {
+	n := e.cfg.HeaderBytes
+	if inner.Op == mem.Read {
+		n += mem.LineSize
+	}
+	rxDone := occupy(&e.rxFree, ddrDone, n, e.cfg.RxGBs)
+	inner.Parent.CompleteAtTagged(e.eng, rxDone+e.cfg.PropagationOneWay, DevTagBase)
 }
 
 var _ mem.Backend = (*Expander)(nil)

@@ -57,13 +57,13 @@ type bank struct {
 	casReadyAt sim.Time // earliest next CAS issue
 	preReadyAt sim.Time // earliest precharge
 	actReadyAt sim.Time // earliest next ACT (set when a precharge is committed)
-	lastTouch  sim.Time // end of the last data burst (drives idle auto-close)
 	// availUntil is the last instant the open row is still usable: the
 	// earlier of the idle-close deadline and the instant before the first
-	// refresh window start after lastTouch. Both are functions of
-	// lastTouch alone, so they are computed once when the bank is touched
-	// instead of on every scheduler query — the row-availability test the
-	// decide scan runs per candidate bank collapses to one comparison.
+	// refresh window start after the end of the bank's last data burst.
+	// Both are functions of that instant alone, so they are computed once
+	// when the bank is touched (touchBank) instead of on every scheduler
+	// query — the row-availability test the decide scan runs per candidate
+	// bank collapses to one comparison.
 	availUntil sim.Time
 }
 
@@ -658,7 +658,6 @@ func (c *channel) sweepAvail(now sim.Time) {
 // closed).
 func (c *channel) touchBank(bi int32, rank int32, at sim.Time) {
 	bk := &c.banks[bi]
-	bk.lastTouch = at
 	const never = sim.Time(1) << 62
 	until := never
 	if c.cfg.IdleClose > 0 {

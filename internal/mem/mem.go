@@ -23,10 +23,11 @@
 //     then releases the record back to its pool automatically. Completing a
 //     pooled record twice panics;
 //   - wrapper backends (CountingBackend, trace.Capture) observe and forward;
-//     they never complete. Protocol models that issue a secondary
-//     device-side transaction (the CXL expander, the remote-socket
-//     emulation) acquire the inner request from their own pool and link the
-//     original via Parent, completing it from the inner request's Done.
+//     they never complete. The protocol model that issues a secondary
+//     device-side transaction (the CXL expander, whose second configuration
+//     is the remote-socket emulation) acquires the inner request from its
+//     own pool and links the original via Parent, completing it from the
+//     inner request's Done.
 //
 // Done(at, req) is a stored callback, with per-request state in the record
 // (see DoneFunc), and prebuilt per-record closures let CompleteAt and
@@ -97,8 +98,9 @@ type Request struct {
 	// record is gone, which is why it takes only the completion time.
 	User func(at sim.Time)
 	// Parent links the upstream request a wrapper model is serving: the
-	// CXL expander and remote-socket emulation acquire a device-side inner
-	// request and complete Parent from its Done callback.
+	// CXL expander (in both its configurations, the device and the
+	// remote-socket emulation) acquires a device-side inner request and
+	// completes Parent from its Done callback.
 	Parent *Request
 
 	pool     *RequestPool // owning pool; nil for literal requests

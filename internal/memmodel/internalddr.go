@@ -31,7 +31,6 @@ type InternalDDR struct {
 	turn     sim.Time
 	refi     sim.Time
 	rfc      sim.Time
-	baseLat  sim.Time // controller + device pipe latency added to reads
 	bankFree [][]sim.Time
 	busFree  []sim.Time
 	lastIsW  []bool
@@ -55,7 +54,6 @@ func NewInternalDDR(eng *sim.Engine, spec platform.Spec) *InternalDDR {
 		turn:     d.Timing.WTR,
 		refi:     d.Timing.REFI,
 		rfc:      d.Timing.RFC,
-		baseLat:  d.Timing.RCD + d.Timing.CL + d.Timing.Burst,
 	}
 	m.bankFree = make([][]sim.Time, d.Channels)
 	for i := range m.bankFree {

@@ -9,19 +9,21 @@
 // bandwidth wall. The Mess methodology only observes models through their
 // bandwidth–latency behaviour, so replicas that reproduce those behaviours
 // reproduce the paper's findings. Each replica's doc comment cites the
-// figure it is calibrated against.
+// figure it is calibrated against. The Ramulator 2 replica is no model of
+// its own: NewRamulator2Like configures an MD1 with a low base latency and
+// an early wall.
 //
 // # Models that serve
 //
-// Fixed, MD1 and the three replicas (DRAMsim3Like, RamulatorLike,
-// Ramulator2Like) fix a request's completion time the moment it arrives:
-// their state advances with arrivals alone. Each has a method Serve(at,
-// addr, op) that holds the whole model and returns that time, and its
-// Access is Serve plus CompleteAt. A trace replay drives such a model as a
-// plain loop over the records, with no request records and no events. The
-// internal DDR model and the reference (dram.System) do not serve: they
-// queue requests and pick among them from events of their own, so a
-// request's completion depends on what arrives after it. The Mess
+// Fixed, MD1 (the Ramulator 2 replica among them) and the two other
+// replicas (DRAMsim3Like, RamulatorLike) fix a request's completion time
+// the moment it arrives: their state advances with arrivals alone. Each has
+// a method Serve(at, addr, op) that holds the whole model and returns that
+// time, and its Access is Serve plus CompleteAt. A trace replay drives such
+// a model as a plain loop over the records, with no request records and no
+// events. The internal DDR model and the reference (dram.System) do not
+// serve: they queue requests and pick among them from events of their own,
+// so a request's completion depends on what arrives after it. The Mess
 // simulator, in its own package, is reached through Access alone.
 package memmodel
 
@@ -162,9 +164,9 @@ func (m *MD1) Access(req *mem.Request) {
 	req.CompleteAt(m.eng, m.Serve(m.eng.Now(), req.Addr, req.Op))
 }
 
-// chanFIFO is the bandwidth limit MD1 and two replicas share: lines
-// interleave over the channels, and each channel serves one line at a time
-// in arrival order at a fixed rate.
+// chanFIFO is the bandwidth limit MD1 (and so the Ramulator 2 replica) and
+// the DRAMsim3 replica share: lines interleave over the channels, and each
+// channel serves one line at a time in arrival order at a fixed rate.
 type chanFIFO struct {
 	svc  sim.Time   // service time of one line on one channel
 	free []sim.Time // per channel: when its last admitted line leaves service

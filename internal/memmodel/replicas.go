@@ -199,30 +199,13 @@ func (r *RamulatorLike) recordRow() {
 // RowStats reports the synthesized row-buffer statistics.
 func (r *RamulatorLike) RowStats() dram.RowStats { return r.rows }
 
-// Ramulator2Like replicates Ramulator 2 as measured in Figs. 4d and 6a:
-// unrealistically low latency in the linear region, then a near-vertical
-// bandwidth wall at less than half the bandwidth the actual system
-// sustains (126 GB/s against 292 GB/s measured on Graviton 3).
-type Ramulator2Like struct {
-	eng  *sim.Engine
-	base sim.Time
-	fifo chanFIFO
-}
-
-// NewRamulator2Like builds the replica.
-func NewRamulator2Like(eng *sim.Engine, spec platform.Spec) *Ramulator2Like {
-	peak := spec.DRAM.PeakBandwidthGBs()
-	wall := 0.41 * peak
+// NewRamulator2Like replicates Ramulator 2 as measured in Figs. 4d and 6a
+// as an M/D/1 queue: unrealistically low latency in the linear region (a
+// 30 ns base), then a near-vertical bandwidth wall where its channels
+// together serve 0.41 × peak, less than half the bandwidth the actual
+// system sustains (126 GB/s against 292 GB/s measured on Graviton 3).
+func NewRamulator2Like(eng *sim.Engine, spec platform.Spec) *MD1 {
 	ch := spec.DRAM.Channels
-	return &Ramulator2Like{eng: eng, base: sim.FromNanoseconds(30), fifo: newChanFIFO(ch, wall/float64(ch))}
-}
-
-// Serve queues a line access arriving at at and reports when it completes.
-func (r *Ramulator2Like) Serve(at sim.Time, addr uint64, _ mem.Op) sim.Time {
-	return r.fifo.admit(at, addr) + r.fifo.svc + r.base
-}
-
-// Access implements mem.Backend.
-func (r *Ramulator2Like) Access(req *mem.Request) {
-	req.CompleteAt(r.eng, r.Serve(r.eng.Now(), req.Addr, req.Op))
+	wall := 0.41 * spec.DRAM.PeakBandwidthGBs()
+	return &MD1{eng: eng, base: sim.FromNanoseconds(30), fifo: newChanFIFO(ch, wall/float64(ch))}
 }

@@ -116,7 +116,7 @@ func TestKernelCoreSteadyStateZeroAllocs(t *testing.T) {
 			eng := sim.New()
 			hier := cache.New(eng, cache.Config{MSHRs: 10, WriteBufs: 12, OnChipLatency: 40 * sim.Nanosecond},
 				memmodel.NewFixed(eng, 80*sim.Nanosecond))
-			core := cpu.NewKernelCore(eng, hier.Port(0), k, cpu.CoreConfig{
+			core := cpu.NewKernelCore(eng, hier.Port(), k, cpu.CoreConfig{
 				CycleTime:  sim.FromNanoseconds(0.5),
 				ArrayBases: []uint64{1 << 33, 2 << 33, 3 << 33},
 				ArrayBytes: 32 << 20,

@@ -118,7 +118,7 @@ func (a *PhasedApp) startCores(k cpu.Kernel) {
 		for arr := 0; arr < narr; arr++ {
 			bases[arr] = uint64(1)<<33 + uint64(c)*(1<<29+16<<10) + uint64(arr)*(1<<27+32<<10)
 		}
-		core := cpu.NewKernelCore(a.Eng, a.hier.Port(c), k, cpu.CoreConfig{
+		core := cpu.NewKernelCore(a.Eng, a.hier.Port(), k, cpu.CoreConfig{
 			CycleTime:  a.Spec.CycleTime(),
 			ArrayBases: bases,
 			ArrayBytes: a.arrays,

@@ -105,7 +105,7 @@ func Run(spec platform.Spec, k cpu.Kernel, opt Options) (Result, error) {
 			// by a bank-sized offset so streams spread across banks.
 			bases[a] = uint64(1)<<33 + uint64(c)*(1<<29+16<<10) + uint64(a)*(1<<27+32<<10)
 		}
-		core := cpu.NewKernelCore(eng, hier.Port(c), k, cpu.CoreConfig{
+		core := cpu.NewKernelCore(eng, hier.Port(), k, cpu.CoreConfig{
 			CycleTime:  spec.CycleTime(),
 			ArrayBases: bases,
 			ArrayBytes: arrayBytes,

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -326,6 +327,100 @@ func isZero(tv types.TypeAndValue) bool {
 		return !constant.BoolVal(v)
 	default:
 		return constant.Sign(v) == 0
+	}
+}
+
+// TestFieldsAreRead keeps write-only state out, the counterpart of
+// TestConfigFieldsAreSet: every field of a named struct type declared under
+// internal/ or cmd/ must be read by a non-test file of the module or by any
+// file of benchmark/. Fields are resolved with go/types, so a read field of
+// the same name in another struct reads nothing here. Any use of a field is
+// a read but three writes: the target of an assignment (compound ones
+// included), the target of ++/--, and a composite-literal key. A field with
+// a json tag counts as read, since the encoder reads it. Embedded fields are
+// exempt: a promoted selection reads through them without naming them.
+// testdata/unread.txt is the reviewed list of exceptions, one
+// "pkg.Type.Field" a line followed by its reason; a line whose field gains a
+// reader, or disappears, fails the test too.
+func TestFieldsAreRead(t *testing.T) {
+	prog := loadProgram(t)
+
+	writes := map[*ast.Ident]bool{} // field names written, not read, where they stand
+	target := func(e ast.Expr) {
+		if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, p := range prog.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						writes[key] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[*types.Var]bool{}
+	for id, obj := range prog.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] && prog.naming(id.Pos()) {
+			read[v.Origin()] = true
+		}
+	}
+
+	allowed := readAllowlist(t, "testdata/unread.txt")
+	var unread []string
+	for _, p := range prog.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") && !strings.HasPrefix(p.dir, "cmd/") {
+			continue
+		}
+		for _, f := range p.files {
+			if f.test {
+				continue
+			}
+			for _, decl := range f.ast.Decls {
+				ast.Inspect(decl, func(n ast.Node) bool {
+					spec, ok := n.(*ast.TypeSpec)
+					if !ok || spec.Assign.IsValid() {
+						return true
+					}
+					st, ok := prog.info.Defs[spec.Name].Type().Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						fld := st.Field(i)
+						id := p.name + "." + spec.Name.Name + "." + fld.Name()
+						tag, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+						isRead := fld.Embedded() || read[fld] || tagged && tag != "-"
+						switch {
+						case !isRead && !allowed[id]:
+							unread = append(unread, id)
+						case isRead && allowed[id]:
+							t.Errorf("testdata/unread.txt lists %s, which non-test code reads; drop the line", id)
+						}
+						delete(allowed, id)
+					}
+					return true
+				})
+			}
+		}
+	}
+	sort.Strings(unread)
+	for _, id := range unread {
+		t.Errorf("%s is read by no non-test file: delete it with what writes it, or list it in testdata/unread.txt with the reason it stays", id)
+	}
+	for id := range allowed {
+		t.Errorf("testdata/unread.txt lists %s, which is not a field of a named struct of internal/ or cmd/", id)
 	}
 }
 
